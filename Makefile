@@ -36,23 +36,28 @@ bench-perf:
 	$(PYTHON) benchmarks/bench_perf.py
 
 # Overloaded multi-tenant serving run: must degrade cleanly
-# (throttle -> queue -> shed) under both schedulers, and fused batch
-# dispatch must be byte-identical to the sequential path.
-# (only the batch-* dispatch telemetry keys may differ)
+# (throttle -> queue -> shed) and deterministically under both
+# schedulers and both backends: two runs of each scheduler must agree
+# byte for byte, in the JSON result and in the event log.
 SERVE_SMOKE = $(PYTHON) -m repro serve --tenants 6 \
 	--arrival-rate 2000 --queue-depth 2 --shed-watermark 2.0
 serve-smoke:
-	$(SERVE_SMOKE) --json | grep -v '"batch' > .serve-rr.json
-	$(SERVE_SMOKE) --batch-waves --json | \
-		grep -v '"batch' > .serve-rr-batched.json
-	diff .serve-rr.json .serve-rr-batched.json
-	$(SERVE_SMOKE) --scheduler drr --weights 2,1 --json | \
-		grep -v '"batch' > .serve-drr.json
-	$(SERVE_SMOKE) --scheduler drr --weights 2,1 --batch-waves \
-		--json | grep -v '"batch' > .serve-drr-batched.json
-	diff .serve-drr.json .serve-drr-batched.json
-	rm -f .serve-rr.json .serve-rr-batched.json \
-		.serve-drr.json .serve-drr-batched.json
+	for be in python numba; do \
+		for i in 1 2; do \
+			REPRO_BACKEND=$$be $(SERVE_SMOKE) --events .serve-rr-$$i.jsonl \
+				--json > .serve-rr-$$i.json || exit 1; \
+			REPRO_BACKEND=$$be $(SERVE_SMOKE) --scheduler drr --weights 2,1 \
+				--events .serve-drr-$$i.jsonl --json > .serve-drr-$$i.json \
+				|| exit 1; \
+		done; \
+		for s in rr drr; do \
+			diff .serve-$$s-1.json .serve-$$s-2.json || exit 1; \
+			diff .serve-$$s-1.jsonl .serve-$$s-2.jsonl || exit 1; \
+		done; \
+	done
+	rm -f .serve-rr-1.json .serve-rr-2.json .serve-drr-1.json \
+		.serve-drr-2.json .serve-rr-1.jsonl .serve-rr-2.jsonl \
+		.serve-drr-1.jsonl .serve-drr-2.jsonl
 
 # SLO-tracked serve run with live admission: the alert transcript
 # must be identical across two runs, and repro top must render it.

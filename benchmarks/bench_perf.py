@@ -5,14 +5,15 @@ second on a fixed workload set, run over a pre-recorded shared trace
 cache (the grid fan-out configuration; live wave generation is timed
 alongside for the ``replay_speedup`` ratio), (2) wall time of the
 ``bench_sweep`` grid serially and with ``--jobs`` worker processes,
-(3) the speedup of the batched migration drain over the in-tree scalar
-reference path, and (4) a steady-state resident-wave microbench that
-isolates the driver's all-resident fast path.
+(3) a steady-state resident-wave microbench that isolates the driver's
+all-resident fast path, and (4) the serve path: a multi-tenant run, its
+fused multi-tenant dispatch cell, and the live-telemetry tax.
 Results are written to ``BENCH_driver.json`` at the repository root
 (latest snapshot) and appended to ``BENCH_history.jsonl`` (one report
 per line, tagged with the git commit) so every later change has a perf
 trajectory to compare against — ``tools/check_regression.py`` gates on
-that history::
+that history.  A report taken on a dirty working tree is not appended:
+it measures code no commit holds::
 
     PYTHONPATH=src python benchmarks/bench_perf.py            # full
     PYTHONPATH=src python benchmarks/bench_perf.py --quick    # CI smoke
@@ -57,6 +58,7 @@ from repro.config import (  # noqa: E402
 )
 from repro.memory.allocator import VirtualAddressSpace  # noqa: E402
 from repro.memory.layout import MB  # noqa: E402
+from repro.obs.regress import append_history  # noqa: E402
 from repro.obs.store import git_info  # noqa: E402
 from repro.trace import TraceCache  # noqa: E402
 import repro.uvm.driver as uvm_driver  # noqa: E402
@@ -135,8 +137,7 @@ def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
     working set in via first-touch migration, then times passes of pure
     all-resident waves -- the steady state the resident fast path short
     circuits.  ``hit_rate`` is measured over the timed section (1.0 when
-    warm-up fully migrated the working set), and the same section is
-    re-timed with ``resident_fast_path`` off for the speedup ratio.
+    warm-up fully migrated the working set).
     """
     size_mb, n_waves, wave_pages, passes = 32, 64, 512, 8
     vas = VirtualAddressSpace()
@@ -171,8 +172,6 @@ def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
     timed_waves = driver.stats.waves - base_waves
     hit_rate = ((driver.stats.fast_path_waves - base_hits) / timed_waves
                 if timed_waves else 0.0)
-    driver.resident_fast_path = False
-    off_wall, _, _ = _timed(steady, repeats)
     return {
         "waves_per_pass": n_waves,
         "passes": passes,
@@ -182,8 +181,6 @@ def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
         "steady_state_accesses_per_second":
             round(accesses_per_pass * passes / wall, 1),
         "hit_rate": round(hit_rate, 4),
-        "off_wall_seconds": round(off_wall, 4),
-        "fast_path_speedup": round(off_wall / wall, 3),
     }
 
 
@@ -210,40 +207,6 @@ def measure_sweep(scale: str, repeats: int, jobs: int) -> dict:
         out["parallel_wall_seconds"] = round(par_wall, 4)
         out["parallel_speedup"] = round(serial_wall / par_wall, 3)
     return out
-
-
-def measure_batched_vs_scalar(scale: str, repeats: int) -> dict:
-    """Batched drain vs the in-tree scalar reference on the same grid.
-
-    The scalar path is the seed implementation kept as an equivalence
-    reference (``UvmDriver.batched_migrations``); the two produce
-    bit-identical event counts (enforced by the property suite), so the
-    ratio isolates the tentpole's driver-hot-path speedup.
-    """
-    def with_flag(batched: bool) -> tuple[float, float]:
-        orig = uvm_driver.UvmDriver.__init__
-
-        def patched(self, *a, **kw):
-            orig(self, *a, **kw)
-            self.batched_migrations = batched
-
-        uvm_driver.UvmDriver.__init__ = patched
-        try:
-            wall, cpu, _ = _timed(lambda: _sweep_grid(scale, 1), repeats)
-        finally:
-            uvm_driver.UvmDriver.__init__ = orig
-        return wall, cpu
-
-    batched_wall, batched_cpu = with_flag(True)
-    scalar_wall, scalar_cpu = with_flag(False)
-    return {
-        "scale": scale,
-        "batched_wall_seconds": round(batched_wall, 4),
-        "scalar_wall_seconds": round(scalar_wall, 4),
-        "batched_cpu_seconds": round(batched_cpu, 4),
-        "scalar_cpu_seconds": round(scalar_cpu, 4),
-        "drain_speedup": round(scalar_cpu / batched_cpu, 3),
-    }
 
 
 #: The serve bench scenario: open-loop churn past 1.5x aggregate
@@ -293,9 +256,9 @@ def measure_serve(repeats: int, backend: str | None = None) -> dict:
 #: aggregate oversubscription over the 8x16MB tiny ra footprint -- under
 #: the drr scheduler, so every scheduler round is one 8-tenant group
 #: whose wave slots the session hands to the driver as fused batch
-#: dispatches.  ra at tiny scale is the fusion-friendly regime the
-#: tentpole targets: many small irregular waves whose per-wave Python
-#: overhead dominates the sequential driver loop.
+#: dispatches.  ra at tiny scale is the fusion-friendly regime: many
+#: small irregular waves whose per-wave Python overhead would dominate
+#: a wave-at-a-time driver loop.
 SERVE_FUSED_SCENARIO = dict(tenants=8, seed=1, arrival_rate=4000.0,
                             workload_mix=("ra",), scale="tiny",
                             capacity_mb=64, admit_watermark=2.0,
@@ -306,20 +269,15 @@ SERVE_FUSED_SCENARIO = dict(tenants=8, seed=1, arrival_rate=4000.0,
 #: penalty keeps the oversubscribed steady state in the remote-access
 #: regime (few migrating waves), which is the state the zero-migration
 #: prefix commit is built for -- migrating waves fall back to the
-#: sequential pipeline on both sides and would only add shared cost.
+#: per-wave pipeline and would only add cost the cell does not target.
 SERVE_FUSED_PENALTY = 32
 
 
 def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
-    """Fused batch dispatch vs the sequential serve path, same plan.
+    """Host-wall throughput of the fused multi-tenant serve cell.
 
-    Runs the fused bench cell with ``batch_waves`` on and off --
-    identical scheduler plan, identical simulated results (asserted) --
-    and reports host-wall throughput for both.  Measurements
-    interleave fused/sequential runs so both sides sample the same
-    background-load window, and each side takes its best-of; the
-    ``fused_speedup`` ratio is the tentpole's acceptance number.
-    ``fused_accesses_per_second`` is gated ``higher``.
+    ``fused_accesses_per_second`` is gated ``higher``; ``batches`` and
+    ``batch_occupancy`` show how much of the cell actually fused.
     """
     import dataclasses as _dc
 
@@ -330,29 +288,13 @@ def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
         SimulationConfig()
     sim = _dc.replace(base, policy=_dc.replace(
         base.policy, migration_penalty=SERVE_FUSED_PENALTY))
+    cfg = ServeConfig(**SERVE_FUSED_SCENARIO)
 
-    def run_once(batch: bool):
-        cfg = ServeConfig(batch_waves=batch, **SERVE_FUSED_SCENARIO)
+    def run_once():
         return ServeSession(cfg, sim_config=sim).run()
 
-    run_once(True)
-    run_once(False)  # warm-up both variants outside the timed region
-    fused_wall = seq_wall = float("inf")
-    fused_cpu = seq_cpu = float("inf")
-    fused = seq = None
-    for _ in range(repeats):
-        w0, c0 = time.perf_counter(), time.process_time()
-        fused = run_once(True)
-        fused_wall = min(fused_wall, time.perf_counter() - w0)
-        fused_cpu = min(fused_cpu, time.process_time() - c0)
-        w0, c0 = time.perf_counter(), time.process_time()
-        seq = run_once(False)
-        seq_wall = min(seq_wall, time.perf_counter() - w0)
-        seq_cpu = min(seq_cpu, time.process_time() - c0)
-    if (fused.total_accesses != seq.total_accesses
-            or fused.accesses_per_second != seq.accesses_per_second
-            or fused.p99_wave_latency_us != seq.p99_wave_latency_us):
-        raise RuntimeError("fused batching perturbed simulated results")
+    run_once()  # warm-up outside the timed region
+    wall, cpu, fused = _timed(run_once, repeats)
     return {
         "scenario": {k: list(v) if isinstance(v, tuple) else v
                      for k, v in SERVE_FUSED_SCENARIO.items()},
@@ -360,15 +302,9 @@ def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
         "simulated_accesses": fused.total_accesses,
         "batches": fused.batches,
         "batch_occupancy": round(fused.batch_occupancy, 2),
-        "fused_wall_seconds": round(fused_wall, 4),
-        "sequential_wall_seconds": round(seq_wall, 4),
-        "fused_cpu_seconds": round(fused_cpu, 4),
-        "sequential_cpu_seconds": round(seq_cpu, 4),
-        "fused_accesses_per_second": round(
-            fused.total_accesses / fused_wall, 1),
-        "sequential_accesses_per_second": round(
-            seq.total_accesses / seq_wall, 1),
-        "fused_speedup": round(seq_wall / fused_wall, 3),
+        "fused_wall_seconds": round(wall, 4),
+        "fused_cpu_seconds": round(cpu, 4),
+        "fused_accesses_per_second": round(fused.total_accesses / wall, 1),
     }
 
 
@@ -446,7 +382,6 @@ def run(scale: str, repeats: int, jobs: int,
         },
         "throughput": measure_throughput(scale, repeats, backend=backend),
         "sweep_grid": measure_sweep(scale, repeats, jobs),
-        "batched_vs_scalar": measure_batched_vs_scalar(scale, repeats),
         "fast_path": measure_fast_path(repeats, backend=backend),
         "serve": measure_serve(repeats, backend=backend),
         "serve_fused": measure_serve_fused(repeats, backend=backend),
@@ -487,11 +422,13 @@ def main(argv=None) -> int:
 
     report = run(scale, repeats, args.jobs, backend=args.backend)
     out = pathlib.Path(args.out)
+    # ``report["git"]`` was read before this write, so rewriting the
+    # tracked snapshot never makes the report itself dirty.
     out.write_text(json.dumps(report, indent=2) + "\n")
-    if not args.no_history:
-        history = pathlib.Path(args.history)
-        with history.open("a") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+    appended = not args.no_history and append_history(args.history, report)
+    if not args.no_history and not appended:
+        print("bench_perf: working tree is dirty; not appending to "
+              f"{args.history} (commit first)", file=sys.stderr)
 
     be = report["backend"]
     numba_note = f", numba {be['numba']}" if be["numba"] else ""
@@ -499,7 +436,6 @@ def main(argv=None) -> int:
           f"{numba_note})")
     tp = report["throughput"]
     sg = report["sweep_grid"]
-    bs = report["batched_vs_scalar"]
     fp = report["fast_path"]
     print(f"throughput: {tp['accesses_per_second']:,.0f} simulated "
           f"accesses/s ({tp['simulated_accesses']:,} accesses in "
@@ -512,13 +448,9 @@ def main(argv=None) -> int:
         line += (f"; {sg['parallel_wall_seconds']:.3f}s with "
                  f"{sg['jobs']} jobs ({sg['parallel_speedup']:.2f}x)")
     print(line)
-    print(f"batched drain vs scalar reference: "
-          f"{bs['drain_speedup']:.2f}x (cpu {bs['batched_cpu_seconds']:.3f}s"
-          f" vs {bs['scalar_cpu_seconds']:.3f}s)")
     print(f"resident fast path: "
           f"{fp['steady_state_accesses_per_second']:,.0f} steady-state "
-          f"accesses/s, hit rate {fp['hit_rate']:.2f}, "
-          f"{fp['fast_path_speedup']:.2f}x vs fast path off")
+          f"accesses/s, hit rate {fp['hit_rate']:.2f}")
     sv = report["serve"]
     print(f"serve: {sv['accesses_per_second']:,.0f} simulated accesses/s "
           f"across {sv['arrivals']} tenants "
@@ -527,12 +459,10 @@ def main(argv=None) -> int:
           f"p99 wave latency {sv['p99_wave_latency_us']:.1f}us, "
           f"wall {sv['wall_seconds']:.3f}s")
     sf = report["serve_fused"]
-    print(f"serve fused batching: {sf['fused_speedup']:.2f}x over the "
-          f"sequential path ({sf['fused_wall_seconds']:.3f}s vs "
-          f"{sf['sequential_wall_seconds']:.3f}s wall; "
-          f"{sf['batches']} batches, "
-          f"occupancy {sf['batch_occupancy']:.1f} waves/dispatch, "
-          f"{sf['fused_accesses_per_second']:,.0f} accesses/s)")
+    print(f"serve fused batching: "
+          f"{sf['fused_accesses_per_second']:,.0f} accesses/s "
+          f"({sf['fused_wall_seconds']:.3f}s wall; {sf['batches']} batches, "
+          f"occupancy {sf['batch_occupancy']:.1f} waves/dispatch)")
     tl = report["telemetry"]
     print(f"telemetry: {tl['overhead_pct']:+.2f}% wall overhead with the "
           f"full live stack attached ({tl['telemetry_wall_seconds']:.3f}s "
@@ -540,7 +470,7 @@ def main(argv=None) -> int:
           f"{tl['slo_violations']} violations, "
           f"{tl['alerts_fired']} alerts)")
     saved = f"[saved to {out}"
-    if not args.no_history:
+    if appended:
         saved += f"; appended to {args.history}"
     print(saved + "]")
     return 0

@@ -33,15 +33,12 @@ import numpy as np
 
 from . import jit, kernels
 from ._compat import HAS_NUMBA, NUMBA_VERSION
-from .sharding import ShardPlan, make_shard_plan
 
 __all__ = [
     "Backend",
     "HAS_NUMBA",
     "NUMBA_VERSION",
     "FORCE_INTERPRETED",
-    "ShardPlan",
-    "make_shard_plan",
     "resolve_backend",
     "warm_jit",
 ]

@@ -76,18 +76,18 @@ def _known_fields(cls, data: dict) -> dict:
 #: GridCell fields that are pure performance hints: they never change
 #: results (property-tested bit-identical), so they are excluded from
 #: the cell's checkpoint identity and a journal entry is shared across
-#: replay sources, kernel backends, and shard counts.
-_PERF_HINT_FIELDS = ("trace_path", "backend", "shards")
+#: replay sources and kernel backends.
+_PERF_HINT_FIELDS = ("trace_path", "backend")
 
 
 def cell_key(cell) -> str:
     """Canonical string key of a grid cell (any dataclass spec).
 
-    Performance hints (``trace_path``, ``backend``, ``shards``) are
-    excluded: each produces bit-identical results, so a cached journal
-    entry must be shared between live and replayed runs of the same
-    cell, between kernel backends, and between hosts with different
-    cache directories.
+    Performance hints (``trace_path``, ``backend``) are excluded: each
+    produces bit-identical results, so a cached journal entry must be
+    shared between live and replayed runs of the same cell, between
+    kernel backends, and between hosts with different cache
+    directories.
     """
     data = _encode(cell)
     for name in _PERF_HINT_FIELDS:

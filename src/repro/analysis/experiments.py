@@ -117,8 +117,7 @@ def run_single(workload: str, policy: MigrationPolicy,
                threshold_variant: str = "multiplicative",
                historic_counters: bool = True,
                trace_path: str | None = None,
-               backend: str | None = None,
-               shards: int | None = None) -> RunResult:
+               backend: str | None = None) -> RunResult:
     """Run one (workload, policy, oversubscription) cell.
 
     ``trace_path`` replays a recorded trace of the same
@@ -126,10 +125,10 @@ def run_single(workload: str, policy: MigrationPolicy,
     bit-identical results, but the (often dominant) wave-generation cost
     is paid once at record time instead of per cell.
 
-    ``backend`` / ``shards`` select the hot-loop kernel backend and the
-    decision-phase shard count (:mod:`repro.accel`); ``None`` inherits
-    the config default (which honours ``REPRO_BACKEND``).  Both are
-    pure performance knobs with bit-identical results.
+    ``backend`` selects the hot-loop kernel backend
+    (:mod:`repro.accel`); ``None`` inherits the config default (which
+    honours ``REPRO_BACKEND``).  It is a pure performance knob with
+    bit-identical results.
 
     The remaining knobs cover the rest of the Table I surface --
     eviction granularity, prefetcher strategy, threshold growth
@@ -145,8 +144,6 @@ def run_single(workload: str, policy: MigrationPolicy,
                            collect_access_trace=collect_trace)
     if backend is not None:
         cfg = cfg.replace(backend=backend)
-    if shards is not None:
-        cfg = cfg.replace(shards=shards)
     cfg = cfg.with_policy(policy, static_threshold=ts, migration_penalty=p)
     if threshold_variant != "multiplicative" or not historic_counters:
         cfg = cfg.replace(policy=dataclasses.replace(

@@ -93,13 +93,12 @@ class GridCell:
     #: identity.  Usually filled in by :func:`run_grid` from
     #: :attr:`GridOptions.trace_cache`.
     trace_path: str | None = None
-    #: Hot-loop kernel backend / decision-phase shard count for the
-    #: cell's config (:mod:`repro.accel`).  ``None`` inherits the config
-    #: default (which honours ``REPRO_BACKEND``).  Like ``trace_path``,
-    #: pure performance hints with bit-identical results, excluded from
-    #: the cell's checkpoint identity.
+    #: Hot-loop kernel backend for the cell's config
+    #: (:mod:`repro.accel`).  ``None`` inherits the config default
+    #: (which honours ``REPRO_BACKEND``).  Like ``trace_path``, a pure
+    #: performance hint with bit-identical results, excluded from the
+    #: cell's checkpoint identity.
     backend: str | None = None
-    shards: int | None = None
 
 
 @dataclass(frozen=True)
@@ -139,11 +138,10 @@ class GridOptions:
     #: stream instead of regenerating waves.  Results are bit-identical
     #: to cache-off runs.
     trace_cache: str | None = None
-    #: Kernel backend / shard count stamped onto every cell that does
-    #: not already carry an explicit one (``None`` = leave cells alone,
-    #: inheriting the config default and ``REPRO_BACKEND``).
+    #: Kernel backend stamped onto every cell that does not already
+    #: carry an explicit one (``None`` = leave cells alone, inheriting
+    #: the config default and ``REPRO_BACKEND``).
     backend: str | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -243,7 +241,7 @@ def run_cell(cell: GridCell) -> RunResult:
                       threshold_variant=cell.threshold_variant,
                       historic_counters=cell.historic_counters,
                       trace_path=cell.trace_path,
-                      backend=cell.backend, shards=cell.shards)
+                      backend=cell.backend)
 
 
 def default_jobs() -> int:
@@ -275,8 +273,8 @@ def run_grid(cells, max_workers: int | None = None,
     opts = options or GridOptions()
     if opts.trace_cache:
         cells = _annotate_trace_paths(cells, opts.trace_cache)
-    if opts.backend is not None or opts.shards is not None:
-        cells = _annotate_backend(cells, opts.backend, opts.shards)
+    if opts.backend is not None:
+        cells = _annotate_backend(cells, opts.backend)
     if max_workers is not None and max_workers < 0:
         raise ValueError(
             f"max_workers must be >= 0 (0 = one per CPU), got {max_workers}")
@@ -347,24 +345,16 @@ def _annotate_trace_paths(cells, cache_root: str) -> list[GridCell]:
     return annotated
 
 
-def _annotate_backend(cells, backend: str | None,
-                      shards: int | None) -> list[GridCell]:
-    """Stamp the grid-wide backend/shard choice onto unannotated cells.
+def _annotate_backend(cells, backend: str) -> list[GridCell]:
+    """Stamp the grid-wide backend choice onto unannotated cells.
 
     Mirrors :func:`_annotate_trace_paths`: cells that already carry an
-    explicit value keep it, and the annotation never changes results
-    (both knobs are bit-identical performance hints).
+    explicit backend keep it, and the annotation never changes results
+    (the backends are bit-identical).
     """
     from dataclasses import replace
-    annotated = []
-    for cell in cells:
-        updates = {}
-        if backend is not None and cell.backend is None:
-            updates["backend"] = backend
-        if shards is not None and cell.shards is None:
-            updates["shards"] = shards
-        annotated.append(replace(cell, **updates) if updates else cell)
-    return annotated
+    return [replace(cell, backend=backend) if cell.backend is None else cell
+            for cell in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -77,18 +77,15 @@ from .workloads import SCALES, make_workload, workload_names
 
 
 def _apply_backend(cfg: SimulationConfig, args) -> SimulationConfig:
-    """Fold the ``--backend`` / ``--shards`` flags into ``cfg``.
+    """Fold the ``--backend`` flag into ``cfg``.
 
-    Both default to ``None`` meaning *inherit*: the config's own
-    defaults already honour the ``REPRO_BACKEND`` environment variable,
-    so only an explicit flag overrides.
+    It defaults to ``None`` meaning *inherit*: the config's own default
+    already honours the ``REPRO_BACKEND`` environment variable, so only
+    an explicit flag overrides.
     """
     backend = getattr(args, "backend", None)
     if backend is not None:
         cfg = cfg.replace(backend=backend)
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        cfg = cfg.replace(shards=shards)
     return cfg
 
 
@@ -150,8 +147,7 @@ def _grid_options(args):
                            metrics=registry,
                            archive=store,
                            trace_cache=getattr(args, "trace_cache", None),
-                           backend=getattr(args, "backend", None),
-                           shards=getattr(args, "shards", None))
+                           backend=getattr(args, "backend", None))
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}") from None
 
@@ -671,8 +667,6 @@ def _apply_live_flags(args, serve_cfg):
         updates["window_ms"] = args.window_ms
     if getattr(args, "scheduler", None) is not None:
         updates["scheduler"] = args.scheduler
-    if getattr(args, "batch_waves", False):
-        updates["batch_waves"] = True
     if getattr(args, "weights", None) is not None:
         updates["weights"] = _parse_weights(args.weights)
     if getattr(args, "throttle_decay", None) is not None:
@@ -765,7 +759,6 @@ def cmd_serve(args) -> int:
                        else 5.0),
             scheduler=(args.scheduler if args.scheduler is not None
                        else "round_robin"),
-            batch_waves=args.batch_waves,
             weights=(_parse_weights(args.weights)
                      if args.weights is not None else ()),
             throttle_decay=(args.throttle_decay
@@ -985,10 +978,6 @@ def _add_backend_args(p) -> None:
                    help="hot-loop kernel backend (default: $REPRO_BACKEND "
                         "or python; 'numba' falls back to python with a "
                         "warning when numba is not installed)")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the block address space into N "
-                        "contiguous shards for the per-wave decision "
-                        "phase (bit-identical for any N; default 1)")
 
 
 def _add_obs_args(p) -> None:
@@ -1199,10 +1188,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "rotation, the default) or drr (deficit-"
                         "weighted fair queuing; throttling decays the "
                         "weight instead of suspending the stream)")
-    p.add_argument("--batch-waves", action="store_true",
-                   help="fuse each multi-tenant scheduler slot into one "
-                        "driver dispatch (pure perf hint: results are "
-                        "bit-identical to sequential execution)")
     p.add_argument("--weights", default=None, metavar="W1,W2,...",
                    help="comma-separated drr fair-share weights; tenant "
                         "i gets weight i mod len (default: equal "

@@ -366,10 +366,6 @@ class SimulationConfig:
     #: :mod:`repro.accel`, falling back to python with a warning when
     #: numba is not installed).  Defaults to ``$REPRO_BACKEND``.
     backend: str = field(default_factory=default_backend)
-    #: Contiguous chunk-aligned shards the per-wave decision phase is
-    #: partitioned into (1 = unsharded).  Results are bit-identical for
-    #: any shard count; see :mod:`repro.accel.sharding`.
-    shards: int = 1
 
     def replace(self, **kwargs) -> "SimulationConfig":
         """Return a copy with top-level fields replaced."""
@@ -408,8 +404,6 @@ class SimulationConfig:
             errors.append(
                 f"backend: unknown backend {self.backend!r}; choose from "
                 f"{KNOWN_BACKENDS} (set via --backend or REPRO_BACKEND)")
-        if self.shards < 1:
-            errors.append(f"shards: must be >= 1, got {self.shards}")
         if errors:
             raise ValueError(
                 "invalid SimulationConfig:\n  - " + "\n  - ".join(errors))
@@ -542,10 +536,6 @@ class ServeConfig:
     #: runs ``floor(deficit)`` waves; throttling decays the weight by
     #: ``throttle_decay`` instead of suspending the stream).
     scheduler: str = "round_robin"
-    #: Fuse each scheduler sub-round's waves (one per distinct tenant)
-    #: into a single segmented driver dispatch.  A pure perf hint like
-    #: ``--shards``: results are bit-identical either way.
-    batch_waves: bool = False
     #: Configured per-tenant shares for the ``drr`` scheduler; tenant
     #: ``i`` gets ``weights[i % len(weights)]``.  Empty: every tenant
     #: weighs 1.0.  Ignored by ``round_robin``.

@@ -7,10 +7,12 @@ when at least one sink is attached to the :class:`~repro.obs.bus.EventBus`
 each event captures one *decision* the paper's mechanism made, not one
 array mutation.
 
-Schema stability contract: fields are only ever added, never renamed or
-re-typed, so archived JSONL logs keep replaying through
-:mod:`repro.obs.inspect`.  The serialized form is
-``{"event": <kind>, **fields}`` (see :meth:`Event.as_dict`).
+Schema stability contract: fields are never renamed or re-typed, so
+archived JSONL logs keep replaying through :mod:`repro.obs.inspect`.
+New fields are added with defaults, so older logs decode to them.  A
+defaulted field may be retired: :func:`from_dict` ignores unknown
+keys, so logs that still carry it keep decoding.  The serialized form
+is ``{"event": <kind>, **fields}`` (see :meth:`Event.as_dict`).
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ class RunMeta(Event):
     #: Active hot-loop kernel backend (``repro.accel``); defaulted so
     #: logs archived before the field existed keep replaying.
     backend: str = "python"
-    #: Address-space shard count the decision phase ran over.
-    shards: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,13 +243,13 @@ class TenantSched(Event):
     """A completing tenant's fair-scheduler accounting (``repro serve``).
 
     Emitted alongside :class:`TenantComplete` when the serve session
-    runs a non-default scheduler or wave batching (never on the default
-    round-robin path, whose event stream stays byte-identical to the
-    pre-scheduler serving layer).  ``weight`` is the tenant's configured
-    fair share and ``deficit`` the fractional wave credit carried at
-    completion (DRR invariant: always in ``[0, 1)``); ``batched_waves``
-    counts the tenant's waves that ran inside fused multi-tenant batch
-    dispatches rather than lone ``process_wave`` calls.
+    runs a non-default scheduler (never on the default round-robin
+    path, whose event stream stays byte-identical to the pre-scheduler
+    serving layer).  ``weight`` is the tenant's configured fair share
+    and ``deficit`` the fractional wave credit carried at completion
+    (DRR invariant: always in ``[0, 1)``); ``batched_waves`` counts the
+    tenant's waves that ran inside driver dispatches of two or more
+    waves rather than alone.
     """
 
     kind = "tenant_sched"

@@ -364,12 +364,11 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
     lines: list[str] = []
     meta = summary.meta
     if meta is not None:
-        sharded = f", {meta.shards} shards" if meta.shards > 1 else ""
         lines.append(
             f"== event log: {meta.workload} / {meta.policy} "
             f"(seed {meta.seed}, {meta.total_blocks} blocks, "
             f"capacity {meta.capacity_blocks} blocks, "
-            f"backend {meta.backend}{sharded}) ==")
+            f"backend {meta.backend}) ==")
     else:
         lines.append("== event log (no run_meta header) ==")
     lines.append("")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 GATED_METRICS: dict[str, str] = {
     "throughput.accesses_per_second": "higher",
     "sweep_grid.serial_cpu_seconds": "lower",
-    "batched_vs_scalar.drain_speedup": "higher",
     # Resident fast path (steady-state all-resident waves): both the
     # microbench throughput and the hit rate the throughput cells see.
     # Absent from pre-fast-path history entries, so those skip cleanly.
@@ -43,14 +42,11 @@ GATED_METRICS: dict[str, str] = {
     "serve.p99_wave_latency_us": "lower",
     "serve.shed_rate": "lower",
     # Fused multi-tenant batch dispatch on the 8-tenant ra cell: host
-    # throughput of the batched serve path.  Wall-derived, but like
-    # telemetry.overhead_pct the companion ``fused_speedup`` ratio is
-    # measured interleaved against the sequential path on the same box,
-    # so gating throughput here catches fused-path-specific rot while
-    # the tolerance absorbs host drift.  Absent from pre-batching
-    # history entries, so those skip cleanly.
+    # throughput of the serve path's fused dispatch.  Wall-derived, so
+    # the tolerance absorbs host drift while fused-path-specific rot
+    # still shows.  Absent from pre-batching history entries, so those
+    # skip cleanly.
     "serve_fused.fused_accesses_per_second": "higher",
-    "serve_fused.fused_speedup": "higher",
     # Wall-clock tax of the live telemetry stack on the serve scenario.
     # The one deliberate wall-time gate: overhead is a *ratio* of two
     # walls measured back to back on the same box, so host noise mostly
@@ -105,11 +101,19 @@ def load_history(path) -> list[dict]:
     return entries
 
 
-def append_history(path, report: dict) -> None:
-    """Append one bench report to the history (flushed, single line)."""
+def append_history(path, report: dict) -> bool:
+    """Append one bench report to the history (flushed, single line).
+
+    A report whose ``git.dirty`` is true is refused: it measures code
+    no commit holds, so it cannot serve as anyone's baseline.  Returns
+    whether the report was appended.
+    """
+    if (report.get("git") or {}).get("dirty"):
+        return False
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(report, sort_keys=True) + "\n")
         fh.flush()
+    return True
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,6 @@ def build_cell(variant: dict) -> GridCell:
                                "multiplicative"),
         historic_counters=bool(_get(flat, "policy.historic_counters", True)),
         backend=flat.get("backend"),
-        shards=flat.get("shards"),
     )
 
 
@@ -160,7 +159,6 @@ _SERVE_FIELDS = {
     "serve.live_thrash_threshold": ("live_thrash_threshold", float),
     "serve.window_ms": ("window_ms", float),
     "serve.scheduler": ("scheduler", str),
-    "serve.batch_waves": ("batch_waves", bool),
     "serve.weights": ("weights", lambda v: tuple(float(w) for w in v)),
     "serve.throttle_decay": ("throttle_decay", float),
 }
@@ -231,8 +229,6 @@ def build_sim_config(variant: dict) -> SimulationConfig:
     cfg = SimulationConfig(seed=int(_get(flat, "seed", 0)))
     if flat.get("backend") is not None:
         cfg = cfg.replace(backend=flat["backend"])
-    if flat.get("shards") is not None:
-        cfg = cfg.replace(shards=int(flat["shards"]))
     cfg = cfg.with_policy(
         MigrationPolicy(_get(flat, "policy.variant", "adaptive")),
         static_threshold=int(_get(flat, "policy.static_threshold", 8)),

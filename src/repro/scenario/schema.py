@@ -102,8 +102,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
     _k("seed", int, "root RNG seed", default=0),
     _k("backend", str, "hot-loop kernel backend",
        choices=KNOWN_BACKENDS, default="$REPRO_BACKEND or python"),
-    _k("shards", int, "chunk-aligned decision-phase shards "
-       "(bit-identical for any N)", default=1),
     # -- policy ----------------------------------------------------------
     _k("policy.variant", str, "migration policy scheme",
        choices=KNOWN_POLICIES, default="adaptive"),
@@ -177,9 +175,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        "width, simulated ms", default=5.0),
     _k("serve.scheduler", str, "wave scheduler interleaving live "
        "tenants", choices=KNOWN_SCHEDULERS, default="round_robin"),
-    _k("serve.batch_waves", bool, "fuse each multi-tenant scheduler "
-       "slot into one driver dispatch (pure perf hint: bit-identical "
-       "results)", default=False),
     _k("serve.weights", list, "per-tenant fair-share weights under drr "
        "(tenant i gets weights[i mod len]; empty = equal shares)",
        default=[]),

@@ -8,11 +8,10 @@ in order; a multi-tenant group executes wave-slot-major (slot ``k``
 runs one wave for every tenant whose allowance exceeds ``k``, in entry
 order).  That slot structure is what makes a group *batchable*: each
 slot's waves come from distinct tenants with disjoint block namespaces,
-so with ``serve.batch_waves`` the session hands the whole slot to
+so the session hands the whole slot to
 :meth:`repro.uvm.driver.UvmDriver.process_wave_batch` as one fused
-dispatch.  Batching never changes results -- the executor runs the
-same plan either way, and the driver's batch path is bit-identical to
-sequential waves by contract.
+dispatch.  Fusion never changes results -- the driver's batch path is
+bit-identical to sequential waves by contract.
 
 Two schedulers ship:
 

@@ -13,10 +13,10 @@ then drives the run loop on the simulated clock:
   scheduler (:mod:`repro.serve.scheduler`): ``round_robin`` gives each
   runnable tenant ``quantum`` contiguous waves per round (the legacy
   reference path), ``drr`` interleaves tenants one wave at a time under
-  deficit-weighted fair queuing.  With ``batch_waves`` each multi-tenant
-  scheduler slot executes as one fused
-  :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` dispatch -- a
-  pure perf hint: outcomes are bit-identical to sequential execution;
+  deficit-weighted fair queuing.  Every scheduler slot executes as one
+  :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` dispatch,
+  which fuses the slot's waves where it can and is bit-identical to
+  running them one after another;
 * graceful degradation engages in watermark escalation order: at the
   throttle watermark the heaviest-thrashing tenant's stream is
   suspended for ``throttle_rounds`` rounds (the paper's Section VIII
@@ -114,7 +114,7 @@ class TenantRecord:
     #: Fractional DRR wave credit carried at end of run (always in
     #: ``[0, 1)``; 0.0 under round robin).
     deficit: float = 0.0
-    #: Waves executed inside fused multi-tenant batch dispatches.
+    #: Waves executed inside dispatches of two or more waves.
     batched_waves: int = 0
 
     def as_dict(self) -> dict:
@@ -161,8 +161,8 @@ class ServeResult:
     alerts_fired: int = 0
     #: Active wave scheduler (``serve.scheduler``).
     scheduler: str = "round_robin"
-    #: Fused multi-tenant driver dispatches issued (0 without
-    #: ``batch_waves``) and the mean waves fused per dispatch.
+    #: Driver dispatches of two or more waves (0 under round robin,
+    #: whose groups hold one tenant) and their mean wave count.
     batches: int = 0
     batch_occupancy: float = 0.0
 
@@ -317,8 +317,7 @@ class ServeSession:
             allocations=tuple(
                 (a.name, a.first_block, a.first_block + a.num_blocks)
                 for a in vas.allocations),
-            backend=driver.backend_name,
-            shards=driver.shards))
+            backend=driver.backend_name))
         self._pcie = PcieModel(self.sim_config.interconnect,
                                self.sim_config.gpu)
         self._timing = TimingModel(self.sim_config, self._pcie)
@@ -328,7 +327,6 @@ class ServeSession:
             cfg.shed_watermark, cfg.queue_depth)
         self._live: list[_Tenant] = []
         self._scheduler = make_scheduler(cfg)
-        self._batch = cfg.batch_waves
         self._batches = 0
         self._batched_waves = 0
         self._latency = Histogram()
@@ -430,18 +428,7 @@ class ServeSession:
     def _run_round(self, now: float) -> float:
         """One scheduler round: execute the plan's groups in order."""
         for group in self._scheduler.plan_round(list(self._live)):
-            if len(group) == 1:
-                # Singleton groups run the contiguous quantum loop --
-                # the round-robin plan replays the legacy serve path
-                # (and its output) exactly, batched or not.
-                tenant, n = group[0]
-                if (tenant.complete_us is None
-                        and self._scheduler.runnable(tenant)):
-                    now = self._run_quantum(tenant, n, now)
-            elif self._batch:
-                now = self._run_group_batched(group, now)
-            else:
-                now = self._run_group(group, now)
+            now = self._run_group(group, now)
         for tenant in self._live:
             if tenant.throttle_left > 0:
                 tenant.throttle_left -= 1
@@ -470,75 +457,22 @@ class ServeSession:
                                     outcome.n_accesses)
         return now
 
-    def _run_quantum(self, tenant: _Tenant, n: int, now: float) -> float:
-        """Run up to ``n`` contiguous waves for one tenant."""
-        driver = self._driver
-        attribution = driver.attribution
-        # Hoisted out of the wave loop: the timing closure, clock rate,
-        # per-tenant histogram bound method, and telemetry hub were all
-        # attribute lookups per wave in the pre-scheduler loop.
-        process_wave = driver.process_wave
-        stream = tenant.stream
-        wave_cycles = self._timing.wave_total_cycles
-        clock_mhz = self._clock_mhz
-        observe_t = tenant.latency.observe
-        observe_all = self._latency.observe
-        telemetry = self._telemetry
-        tl = self._tl
-        attribution.current = tenant.id
-        if tl is not None:
-            tl.begin(f"quantum t{tenant.id}", tid=TID_SERVE,
-                     args={"span": f"t{tenant.id}", "tenant": tenant.id})
-        try:
-            for _ in range(n):
-                wave = next(stream, None)
-                if wave is None:
-                    now = self._complete(tenant, now)
-                    break
-                outcome = process_wave(wave.pages, wave.is_write,
-                                       wave.counts)
-                wave_us = (wave_cycles(outcome, wave.compute_cycles)
-                           / clock_mhz)
-                now += wave_us
-                tenant.waves += 1
-                tenant.accesses += outcome.n_accesses
-                observe_t(wave_us)
-                observe_all(wave_us)
-                if telemetry is not None:
-                    telemetry.on_wave(tenant.id, now, wave_us,
-                                      outcome.n_accesses)
-        finally:
-            attribution.current = -1
-            if tl is not None:
-                tl.end(f"quantum t{tenant.id}", tid=TID_SERVE)
-        return now
-
     def _run_group(self, group, now: float) -> float:
-        """Execute a multi-tenant group slot-major, one wave at a time."""
-        maxn = max(n for _, n in group)
-        scheduler = self._scheduler
-        for slot in range(maxn):
-            for tenant, n in group:
-                if (n <= slot or tenant.complete_us is not None
-                        or not scheduler.runnable(tenant)):
-                    continue
-                now = self._run_quantum(tenant, 1, now)
-        return now
-
-    def _run_group_batched(self, group, now: float) -> float:
-        """Execute a multi-tenant group as fused batch dispatches.
+        """Execute one scheduler group slot-major, a dispatch per slot.
 
         Each wave slot gathers one pending wave per still-running tenant
         and hands the whole set to
         :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` as one
         driver dispatch; per-wave bookkeeping then replays in the same
-        order sequential execution would have used.  A drained stream
-        flushes the slot's batch *before* the completion runs, because
-        completion mutates global state (releases chunks, drains the
-        admission queue) that later waves in the batch must not see
-        early.  Results are bit-identical to :meth:`_run_group` -- the
-        driver's batch path guarantees it per wave, and the bookkeeping
-        order here matches by construction.
+        order sequential execution would have used.  A singleton group
+        (every round-robin group) dispatches one wave per slot, which
+        the driver resolves through its ordinary per-wave pipeline.  A
+        drained stream flushes the slot's batch *before* the completion
+        runs, because completion mutates global state (releases chunks,
+        drains the admission queue) that later waves in the batch must
+        not see early.  Results are bit-identical to running every wave
+        on its own -- the driver's batch path guarantees it per wave,
+        and the bookkeeping order here matches by construction.
         """
         scheduler = self._scheduler
         maxn = max(n for _, n in group)
@@ -561,23 +495,36 @@ class ServeSession:
         return now
 
     def _dispatch(self, batch, now: float) -> float:
-        """Run one gathered slot through the fused driver entry point."""
+        """Run one gathered slot through the driver's batch entry point.
+
+        Only dispatches of two or more waves count as batches, so the
+        batch statistics report how much fusion actually happened.
+        """
         if not batch:
             return now
-        driver = self._driver
         tl = self._tl
+        fused = len(batch) > 1
         if tl is not None:
-            tl.begin("batch", tid=TID_SERVE,
-                     args={"span": "batch", "waves": len(batch)})
-        outcomes = driver.process_wave_batch(
+            if fused:
+                name = "batch"
+                args = {"span": name, "waves": len(batch),
+                        "tenants": [t.id for t, _ in batch]}
+            else:
+                tid = batch[0][0].id
+                name = f"wave t{tid}"
+                args = {"span": f"t{tid}", "tenant": tid}
+            tl.begin(name, tid=TID_SERVE, args=args)
+        outcomes = self._driver.process_wave_batch(
             [(w.pages, w.is_write, w.counts) for _, w in batch],
             tenants=[t.id for t, _ in batch])
         if tl is not None:
-            tl.end("batch", tid=TID_SERVE)
-        self._batches += 1
-        self._batched_waves += len(batch)
+            tl.end(name, tid=TID_SERVE)
+        if fused:
+            self._batches += 1
+            self._batched_waves += len(batch)
         for (tenant, wave), outcome in zip(batch, outcomes):
-            tenant.batched_waves += 1
+            if fused:
+                tenant.batched_waves += 1
             now = self._observe_wave(tenant, outcome,
                                      wave.compute_cycles, now)
         return now
@@ -651,8 +598,7 @@ class ServeSession:
             p99_wave_latency_us=tenant.latency.quantile(0.99) or 0.0,
             thrash_migrations=attribution.thrash_of(tenant.id),
             cross_evictions=int(attribution.cross_evictions[tenant.id])))
-        cfg = self.config
-        if cfg.scheduler != "round_robin" or cfg.batch_waves:
+        if self.config.scheduler != "round_robin":
             # Scheduler accounting rides along only off the default
             # path, keeping the legacy round-robin event stream
             # byte-identical to the pre-scheduler serving layer.

@@ -74,8 +74,7 @@ class Simulator:
                 allocations=tuple(
                     (a.name, a.first_block, a.first_block + a.num_blocks)
                     for a in vas.allocations),
-                backend=driver.backend_name,
-                shards=driver.shards))
+                backend=driver.backend_name))
         pcie = PcieModel(config.interconnect, config.gpu)
         timing = TimingModel(config, pcie)
         collector = None
@@ -106,10 +105,9 @@ class Simulator:
                 driver.stats.fast_path_waves)
             obs.metrics.counter("driver.waves").inc(driver.stats.waves)
             # Which kernel backend actually ran (after any numba
-            # fallback) and the decision-phase shard count.
+            # fallback).
             obs.metrics.counter(
                 f"driver.backend.{driver.backend_name}").inc()
-            obs.metrics.gauge("driver.shards").set(float(driver.shards))
 
         return RunResult(
             workload=workload.name,

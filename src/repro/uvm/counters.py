@@ -99,25 +99,6 @@ class AccessCounterFile:
                                       amounts.astype(np.int64, copy=False))
         self._halve_saturated_counts(blocks)
 
-    def add_accesses_sharded(self, blocks: np.ndarray, amounts: np.ndarray,
-                             splits: list[tuple[int, int]]) -> None:
-        """Sharded :meth:`add_accesses` over a sorted, pre-split wave.
-
-        Each ``(lo, hi)`` slice is scatter-added independently (the
-        per-shard work of ``--shards N``); the saturation check then
-        runs once over the whole update.  Bit-identical to the
-        unsharded add: the slices partition ``blocks``, so the summed
-        counts are the same, and halving commutes with the split
-        because ``max`` over the union equals the max of per-slice
-        maxima.
-        """
-        amounts = amounts.astype(np.int64, copy=False)
-        for lo, hi in splits:
-            if hi > lo:
-                self._kern.scatter_add(self._counts, blocks[lo:hi],
-                                       amounts[lo:hi])
-        self._halve_saturated_counts(blocks)
-
     def _halve_saturated_counts(self, blocks: np.ndarray) -> None:
         # Only just-updated blocks can newly saturate (counts never grow
         # elsewhere), so the check scans the update, not the whole file.

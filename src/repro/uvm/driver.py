@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..accel import resolve_backend
-from ..accel.sharding import make_shard_plan
 from ..config import EvictionGranularity, SimulationConfig
 from ..memory.advice import Advice
 from ..core.policy import DecisionPolicy, make_policy
@@ -169,14 +168,6 @@ class UvmDriver:
             PrefetchTree(span.num_blocks, kernels=self._kern)
             for span in vas.chunks
         ]
-        #: Chunk-aligned partition of the block address space for
-        #: ``--shards N`` (None = unsharded).  Only the stateless
-        #: per-wave decision/accounting phase is sharded; results are
-        #: bit-identical for any shard count (property-tested).
-        self._shard_plan = (
-            make_shard_plan(self.directory.first_block, total_blocks,
-                            config.shards)
-            if config.shards > 1 else None)
         #: Whether a block has ever been device-resident (drives the
         #: per-block arming of the Oversub scheme's soft-pinning).
         self.ever_migrated = np.zeros(total_blocks, dtype=bool)
@@ -210,17 +201,6 @@ class UvmDriver:
         self.debug_invariants = config.debug_invariants
         self.stats = DriverCounters()
         self._clock = 0  # logical LRU timestamp, bumped per wave
-        #: Resolve migrations through the batched drain (chunk-grouped
-        #: bulk installs).  The scalar drain is kept as the reference
-        #: implementation; the equivalence property tests and the perf
-        #: harness flip this flag to compare the two paths.
-        self.batched_migrations = True
-        #: Resolve all-resident waves through the short-circuit fast
-        #: path (one residency gather, then counter add + LRU touch
-        #: only).  Off, every wave walks the full pipeline; the
-        #: equivalence property tests flip this flag to pin
-        #: bit-identical outcomes and driver state.
-        self.resident_fast_path = True
         # Per-wave LFU victim-ordering caches: per-chunk resident heat
         # sums and any-dirty flags, built lazily at the wave's first
         # pressure event and updated incrementally on install/evict.
@@ -308,9 +288,9 @@ class UvmDriver:
         # grouping, policy consultation, fault injection, or room-making.
         # Duplicate block/chunk ids are harmless to each of those updates,
         # so the grouping pass is skipped entirely; outcomes and driver
-        # state are bit-identical to the full pipeline (property-tested).
-        if self.resident_fast_path and self._kern.resident_all(
-                self.residency.resident, blocks):
+        # state are bit-identical to the full pipeline (property-tested
+        # against the reference driver in ``tests/oracle.py``).
+        if self._kern.resident_all(self.residency.resident, blocks):
             out.n_local = out.n_accesses
             wb = blocks[is_write]
             if wb.size:
@@ -356,11 +336,7 @@ class UvmDriver:
                                       pinned, out)
 
         # Historic counters track local and remote accesses alike (Sec. IV).
-        if self._shard_plan is not None:
-            self.counters.add_accesses_sharded(
-                ublocks, totals, self._shard_plan.split(ublocks))
-        else:
-            self.counters.add_accesses(ublocks, totals)
+        self.counters.add_accesses(ublocks, totals)
 
         self.stats.waves += 1
         self.stats.totals.merge(out)
@@ -384,8 +360,8 @@ class UvmDriver:
 
         The contract is strict bit-identity with the sequential loop
         ``[self.process_wave(*w) for w in waves]`` -- outcomes, driver
-        state, and emitted events all match, so batching is a pure perf
-        hint like ``--shards`` (property-pinned on both backends).
+        state, and emitted events all match (property-pinned on both
+        backends).
 
         Mechanism: consecutive non-empty waves over pairwise-disjoint
         ascending block ranges (tenant namespaces are disjoint by
@@ -463,15 +439,13 @@ class UvmDriver:
         """``(min, max)`` block range per segment (``(0, -1)`` if empty).
 
         One concatenated pair of segmented reductions replaces the
-        2-per-segment ``min``/``max`` calls of a lazy scan.
+        2-per-segment ``min``/``max`` calls of a lazy scan.  With fewer
+        than two non-empty segments nothing can fuse, so every segment
+        keeps the empty marker and resolves on its own.
         """
         bounds: list = [(0, -1)] * len(preps)
         nonempty = [s for s, p in enumerate(preps) if p[0].size]
-        if not nonempty:
-            return bounds
-        if len(nonempty) == 1:
-            blocks = preps[nonempty[0]][0]
-            bounds[nonempty[0]] = (int(blocks.min()), int(blocks.max()))
+        if len(nonempty) < 2:
             return bounds
         cat = np.concatenate([preps[s][0] for s in nonempty])
         starts = np.zeros(len(nonempty), dtype=np.int64)
@@ -601,8 +575,8 @@ class UvmDriver:
             cat_k = cat_t[nr_mask]
             # One fused decision pass over every non-resident block of
             # the run, against pre-batch state.  Elementwise per block,
-            # so it equals the sequential (and sharded) evaluation for
-            # every segment that commits below.
+            # so it equals the sequential evaluation for every segment
+            # that commits below.
             td, c0 = self._decision_state(cat_nrb)
             migrate = kern.decide(c0, cat_k, td)
             if self._has_pinned:
@@ -635,8 +609,7 @@ class UvmDriver:
                                             starts_c)
             # The sequential pipeline short-circuits all-resident waves
             # through the fast path; mirror its statistic.
-            seg_allres = (kern.segment_all(res_c, starts_c)
-                          if self.resident_fast_path else None)
+            seg_allres = kern.segment_all(res_c, starts_c)
 
         self._heat_sum = None
         self._dirty_cache = None
@@ -673,7 +646,7 @@ class UvmDriver:
             loc_l = n_local_seg.tolist()
             rem_l = n_remote_seg.tolist()
             fresh_l = n_fresh_seg.tolist()
-            allres_l = seg_allres.tolist() if seg_allres is not None else None
+            allres_l = seg_allres.tolist()
         nr_off_l = nr_off.tolist() if nr_off is not None else None
         agg = WaveOutcome()
         for s in range(ncommit):
@@ -684,7 +657,7 @@ class UvmDriver:
                 out.n_local = loc_l[s]
                 out.n_remote = rem_l[s]
                 out.mapping_faults = fresh_l[s]
-                if allres_l is not None and allres_l[s]:
+                if allres_l[s]:
                     stats.fast_path_waves += 1
             else:
                 out.n_local = out.n_accesses
@@ -704,7 +677,7 @@ class UvmDriver:
         # per-wave ``stats.totals.merge`` sequence.
         stats.totals.merge(agg)
         stats.waves += ncommit
-        if not nr_prefix and self.resident_fast_path:
+        if not nr_prefix:
             stats.fast_path_waves += ncommit
         # Fused state commits: every touched block set is disjoint
         # across segments, so the grouped-by-operation order below is
@@ -740,37 +713,9 @@ class UvmDriver:
         baselines, and the migrate/remote partition falls out of a
         single vectorized comparison.  Per-block observability events
         are materialized only when an event sink is actually attached.
-
-        With ``--shards N`` the decision state and migrate mask are
-        evaluated per contiguous block-range shard (``nrb`` is sorted,
-        so each shard is a slice) and concatenated in shard order.
-        Thresholds, baselines, and the decide comparison are all
-        elementwise per block, so the merged arrays are bit-identical
-        to the unsharded ones; the globally-coupled tail (fault
-        injection, drain, eviction) always runs unsharded.
         """
-        plan = self._shard_plan
-        if plan is not None and nrb.size > 1:
-            kern = self._kern
-            td_parts: list[np.ndarray] = []
-            c0_parts: list[np.ndarray] = []
-            mig_parts: list[np.ndarray] = []
-            for lo, hi in plan.split(nrb):
-                if hi == lo:
-                    continue
-                td_i, c0_i = self._decision_state(nrb[lo:hi])
-                td_parts.append(td_i)
-                c0_parts.append(c0_i)
-                mig_parts.append(kern.decide(c0_i, k[lo:hi], td_i))
-            if len(td_parts) == 1:
-                td, c0, migrate = td_parts[0], c0_parts[0], mig_parts[0]
-            else:
-                td = np.concatenate(td_parts)
-                c0 = np.concatenate(c0_parts)
-                migrate = np.concatenate(mig_parts)
-        else:
-            td, c0 = self._decision_state(nrb)
-            migrate = self._kern.decide(c0, k, td)
+        td, c0 = self._decision_state(nrb)
+        migrate = self._kern.decide(c0, k, td)
         if self._has_pinned:
             pinned_host = self.block_pinned_host[nrb]
             if pinned_host.any():
@@ -806,27 +751,23 @@ class UvmDriver:
             self.host.map_remote(staying)
 
         # Migrations drain in arrival order so prefetch and eviction
-        # interact like fault-buffer draining in the real driver.  The
-        # batched drain defers bookkeeping into chunk-grouped bulk
-        # installs; the scalar drain is the reference implementation.
+        # interact like fault-buffer draining in the real driver.
         mig = nrb[migrate]
         if mig.size:
-            drain = (self._drain_migrations_batched if self.batched_migrations
-                     else self._drain_migrations_scalar)
             if self._prof is not None:
                 with self._prof.span("migrate_drain"):
-                    drain(mig, k[migrate], kw[migrate], remote[migrate],
-                          pinned, out)
+                    self._drain_migrations(mig, k[migrate], kw[migrate],
+                                           remote[migrate], pinned, out)
             else:
-                drain(mig, k[migrate], kw[migrate], remote[migrate], pinned,
-                      out)
+                self._drain_migrations(mig, k[migrate], kw[migrate],
+                                       remote[migrate], pinned, out)
 
     def _decision_state(self, nrb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Policy decision state for ``nrb``, with hint overrides applied.
 
-        Factored out of :meth:`_handle_far_accesses` so the sharded path
-        can evaluate it per block-range slice; it is elementwise per
-        block, which is what makes sharding bit-identical.
+        Shared by :meth:`_handle_far_accesses` and the fused batch
+        commit; it is elementwise per block, which is what lets one
+        fused pass stand in for several sequential ones.
         """
         td, c0 = self.policy.decision_state(nrb, self)
         td = np.asarray(td, dtype=np.int64)
@@ -873,46 +814,21 @@ class UvmDriver:
                 bus.emit(FaultRetry(wave=bus.wave, block=int(nrb[i]),
                                     failures=failures, degraded=not ok))
 
-    def _drain_migrations_scalar(self, mig: np.ndarray, mig_k: np.ndarray,
-                                 mig_kw: np.ndarray, mig_remote: np.ndarray,
-                                 pinned: np.ndarray,
-                                 out: WaveOutcome) -> None:
-        """Reference drain: migrations resolved one block at a time."""
-        for b, kk, kkw, rr in zip(mig.tolist(), mig_k.tolist(),
-                                  mig_kw.tolist(), mig_remote.tolist()):
-            if self.residency.resident[b]:
-                # A prefetch earlier in this loop already pulled it in.
-                out.n_local += int(kk - rr)
-                if kkw > 0:
-                    self._note_dirty(np.array([b]))
-                continue
-            if self._migrate_block(int(b), pinned, out):
-                # One access is the fault itself; the rest hit locally.
-                out.n_local += int(kk - rr - 1)
-                if kkw > 0:
-                    self._note_dirty(np.array([b]))
-            else:
-                # No room even after eviction attempts: serve remotely.
-                extra = int(kk - rr)
-                out.n_remote += extra
-                if not self.host.remote_mapped[b]:
-                    out.mapping_faults += 1
-                    self.host.map_remote(np.array([b]))
+    def _drain_migrations(self, mig: np.ndarray, mig_k: np.ndarray,
+                          mig_kw: np.ndarray, mig_remote: np.ndarray,
+                          pinned: np.ndarray, out: WaveOutcome) -> None:
+        """Drain a wave's migrations through chunk-grouped bulk installs.
 
-    def _drain_migrations_batched(self, mig: np.ndarray, mig_k: np.ndarray,
-                                  mig_kw: np.ndarray, mig_remote: np.ndarray,
-                                  pinned: np.ndarray,
-                                  out: WaveOutcome) -> None:
-        """Batched drain: defer installs into chunk-grouped bulk flushes.
-
-        Produces bit-identical event counts to the scalar drain.  Blocks
-        still drain in arrival order (prefetch decisions are inherently
+        Produces bit-identical event counts to draining one block at a
+        time (the reference drain in ``tests/oracle.py`` overrides this
+        method; the property suites compare the two).  Blocks still
+        drain in arrival order (prefetch decisions are inherently
         sequential within a chunk's tree), but as long as the device has
         room, installs only append to per-chunk pending batches that are
         committed with one array operation per chunk.  Pending state is
         flushed before any eviction, so victim selection, write-back
         accounting and round-trip counters observe exactly the state the
-        scalar drain would.
+        per-block drain would.
         """
         resident = self.residency.resident
         trees = self.trees
@@ -971,7 +887,7 @@ class UvmDriver:
                 continue
             if free < 1:
                 # The fault itself needs an eviction: commit pending
-                # state, then take the scalar path for this block.
+                # state, then migrate this block on its own.
                 flush()
                 if self._migrate_block(b, pinned, out):
                     n_local += kk - rr - 1
@@ -1012,7 +928,7 @@ class UvmDriver:
             else:
                 # The prefetch batch needs an eviction: commit pending
                 # state (including this fault block), then make room
-                # exactly as the scalar path would.
+                # exactly as the per-block path would.
                 flush()
                 never = np.zeros(self.directory.num_chunks, dtype=bool)
                 never[cid] = True
@@ -1296,11 +1212,6 @@ class UvmDriver:
     def backend_name(self) -> str:
         """Name of the *active* backend (after any fallback)."""
         return self.accel.name
-
-    @property
-    def shards(self) -> int:
-        """Number of address-space shards the decision phase runs over."""
-        return 1 if self._shard_plan is None else self._shard_plan.n_shards
 
     @property
     def fast_path_hit_rate(self) -> float:

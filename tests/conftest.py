@@ -32,8 +32,13 @@ def make_vas(*sizes_mb: float, read_only: tuple[bool, ...] | None = None
 def make_driver(vas: VirtualAddressSpace,
                 policy: MigrationPolicy = MigrationPolicy.DISABLED,
                 capacity_mb: float = 64, ts: int = 8, p: int = 8,
-                prefetcher: bool = True) -> UvmDriver:
-    """Driver over ``vas`` with the given policy and capacity."""
+                prefetcher: bool = True,
+                driver_cls: type[UvmDriver] = UvmDriver) -> UvmDriver:
+    """Driver over ``vas`` with the given policy and capacity.
+
+    ``driver_cls`` swaps in a subclass such as the test oracle
+    :class:`tests.oracle.ReferenceDriver`.
+    """
     cfg = SimulationConfig().with_policy(policy, static_threshold=ts,
                                          migration_penalty=p)
     cfg = cfg.with_device_capacity(int(capacity_mb * MB))
@@ -42,7 +47,7 @@ def make_driver(vas: VirtualAddressSpace,
         cfg = dataclasses.replace(
             cfg, memory=dataclasses.replace(cfg.memory,
                                             prefetcher_enabled=False))
-    return UvmDriver(vas, cfg)
+    return driver_cls(vas, cfg)
 
 
 class StreamWorkload(Workload):

@@ -1,10 +1,11 @@
-"""Backend and sharding equivalence: this tentpole's contracts.
+"""Backend equivalence: the compiled backend's contract.
 
-The compiled backend (``SimulationConfig.backend``) and decision-phase
-sharding (``SimulationConfig.shards``) are pure performance rewrites:
-swapping kernel namespaces or shard counts must be undetectable in
-per-wave outcomes and final driver state.  These properties pin both,
-mirroring ``test_fastpath_equivalence.py`` for the fast-path rewrite.
+The compiled backend (``SimulationConfig.backend``) is a pure
+performance rewrite: swapping kernel namespaces must be undetectable in
+per-wave outcomes and final driver state, for the production driver and
+for the test oracle (:class:`tests.oracle.ReferenceDriver`) alike.
+These properties pin it, mirroring ``test_fastpath_equivalence.py`` for
+the fast-path rewrite.
 
 The ``numba`` backend is exercised through its interpreted fallback
 (:data:`repro.accel.FORCE_INTERPRETED`), so the loop kernels run -- and
@@ -31,6 +32,7 @@ from repro.uvm.driver import UvmDriver
 from repro.workloads import ALL_WORKLOADS, EXTENDED_WORKLOADS, make_workload
 
 from tests.conftest import make_vas
+from tests.oracle import ReferenceDriver
 
 policies = st.sampled_from(list(MigrationPolicy))
 
@@ -53,11 +55,13 @@ def traffic(draw):
 
 
 def _make_driver(backend: str, policy: MigrationPolicy,
-                 capacity_mb: float, *, shards: int = 1,
+                 capacity_mb: float, *,
                  replacement: ReplacementPolicy | None = None,
                  fault_rates: tuple[float, float] | None = None,
                  fast_path: bool = True) -> UvmDriver:
-    cfg = (SimulationConfig(backend=backend, shards=shards)
+    """Production driver, or with ``fast_path=False`` the reference
+    driver (full pipeline every wave, scalar drain)."""
+    cfg = (SimulationConfig(backend=backend)
            .with_policy(policy, static_threshold=8, migration_penalty=8)
            .with_device_capacity(int(capacity_mb * MB)))
     if replacement is not None:
@@ -67,9 +71,8 @@ def _make_driver(backend: str, policy: MigrationPolicy,
     if fault_rates is not None:
         cfg = cfg.with_faults(transfer_fault_rate=fault_rates[0],
                               migration_fault_rate=fault_rates[1])
-    drv = UvmDriver(make_vas(4, 8), cfg)
-    drv.resident_fast_path = fast_path
-    return drv
+    cls = UvmDriver if fast_path else ReferenceDriver
+    return cls(make_vas(4, 8), cfg)
 
 
 def _assert_same_state(a: UvmDriver, b: UvmDriver) -> None:
@@ -101,8 +104,8 @@ def _run_pair(a: UvmDriver, b: UvmDriver, seed: int, n_waves: int,
 
 
 def _normalized(result) -> dict:
-    """Run result minus config (backend/shards are perf hints, and the
-    configs of a compared pair intentionally differ in them)."""
+    """Run result minus config (the backend is a perf hint, and the
+    configs of a compared pair intentionally differ in it)."""
     enc = encode_result(result)
     enc.pop("config")
     return enc
@@ -170,34 +173,3 @@ def test_numba_backend_reports_active_name():
     drv = _make_driver("numba", MigrationPolicy.ADAPTIVE, 64)
     assert drv.accel.requested == "numba"
     assert drv.backend_name == "numba"  # FORCE_INTERPRETED resolves it
-
-
-# ---------------------------------------------------------------------------
-# shard-count invariance (--shards 1 ≡ --shards N)
-# ---------------------------------------------------------------------------
-
-@given(policies, traffic(), st.sampled_from([2, 4, 7]))
-@settings(max_examples=25, deadline=None)
-def test_shard_count_invariant_driver_level(policy, t, n_shards):
-    seed, n_waves, wave_size, capacity_mb = t
-    _run_pair(_make_driver("python", policy, capacity_mb, shards=1),
-              _make_driver("python", policy, capacity_mb, shards=n_shards),
-              seed, n_waves, wave_size)
-
-
-@pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_shard_count_invariant_every_workload(name):
-    results = {}
-    for shards in (1, 4):
-        cfg = SimulationConfig(seed=5, shards=shards).with_policy(
-            MigrationPolicy.ADAPTIVE)
-        results[shards] = Simulator(cfg).run(
-            make_workload(name, "tiny"), oversubscription=1.25)
-    assert _normalized(results[4]) == _normalized(results[1])
-
-
-def test_sharding_composes_with_numba_backend():
-    _run_pair(
-        _make_driver("python", MigrationPolicy.ADAPTIVE, 6, shards=1),
-        _make_driver("numba", MigrationPolicy.ADAPTIVE, 6, shards=4),
-        seed=29, n_waves=12, wave_size=200)

@@ -1,12 +1,13 @@
-"""Batched-vs-scalar equivalence: the tentpole's correctness contract.
+"""Batched-vs-scalar equivalence: the batched drain's correctness contract.
 
 The driver's batched migration drain and the tree's bulk
-``install_leaves`` are pure performance rewrites of the seed's scalar
-paths, which are kept in-tree as references
-(``UvmDriver.batched_migrations`` and ``PrefetchTree.mark_resident``).
-These properties pin the contract: identical :class:`WaveOutcome`
-totals, identical driver state, and clean ``check_consistency()`` under
-randomized traffic, for every policy.
+``install_leaves`` are pure performance rewrites of scalar paths that
+are kept as references: the per-block drain in the test oracle
+(:class:`tests.oracle.ReferenceDriver`) and
+``PrefetchTree.mark_resident``.  These properties pin the contract:
+identical :class:`WaveOutcome` totals, identical driver state, and
+clean ``check_consistency()`` under randomized traffic, for every
+policy.
 """
 
 import dataclasses
@@ -15,9 +16,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.config import MigrationPolicy
+from repro.uvm.driver import UvmDriver
 from repro.uvm.tree import PrefetchTree
 
 from tests.conftest import make_driver, make_vas
+from tests.oracle import ReferenceDriver
 
 policies = st.sampled_from(list(MigrationPolicy))
 
@@ -31,13 +34,10 @@ def traffic(draw):
 
 
 def _drivers(policy):
-    """One batched and one scalar-reference driver, same configuration."""
-    pair = []
-    for batched in (True, False):
-        drv = make_driver(make_vas(4, 8), policy, capacity_mb=6)
-        drv.batched_migrations = batched
-        pair.append(drv)
-    return pair
+    """One production and one scalar-reference driver, same configuration."""
+    return [make_driver(make_vas(4, 8), policy, capacity_mb=6,
+                        driver_cls=cls)
+            for cls in (UvmDriver, ReferenceDriver)]
 
 
 @given(policies, traffic())

@@ -1,11 +1,13 @@
 """Fast-path and trace-replay equivalence: this tentpole's contracts.
 
-The resident fast path (``UvmDriver.resident_fast_path``) and trace
-replay (:class:`repro.trace.TraceWorkload`, the engine behind the grid
-trace cache) are pure performance rewrites: the short circuit must be
-undetectable in outcomes and driver state, and a replayed stream must
-drive the simulator exactly like live generation.  These properties pin
-both, mirroring ``test_batched_equivalence.py`` for the drain rewrite.
+The resident fast path (always on in :class:`UvmDriver`; the test
+oracle :class:`tests.oracle.ReferenceDriver` runs every wave through the
+full pipeline) and trace replay (:class:`repro.trace.TraceWorkload`, the
+engine behind the grid trace cache) are pure performance rewrites: the
+short circuit must be undetectable in outcomes and driver state, and a
+replayed stream must drive the simulator exactly like live generation.
+These properties pin both, mirroring ``test_batched_equivalence.py``
+for the drain rewrite.
 """
 
 import dataclasses
@@ -22,12 +24,14 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.memory.layout import MB
+from repro.sim import simulator
 from repro.sim.simulator import Simulator
 from repro.trace import TraceWorkload, record_trace
 from repro.uvm.driver import UvmDriver
 from repro.workloads import ALL_WORKLOADS, EXTENDED_WORKLOADS, make_workload
 
 from tests.conftest import make_driver, make_vas
+from tests.oracle import ReferenceDriver
 
 policies = st.sampled_from(list(MigrationPolicy))
 
@@ -78,11 +82,9 @@ def _run_pair(fast: UvmDriver, slow: UvmDriver, seed: int, n_waves: int,
 @settings(max_examples=50, deadline=None)
 def test_fast_path_matches_full_pipeline(policy, t):
     seed, n_waves, wave_size, capacity_mb = t
-    pair = []
-    for fast in (True, False):
-        drv = make_driver(make_vas(4, 8), policy, capacity_mb=capacity_mb)
-        drv.resident_fast_path = fast
-        pair.append(drv)
+    pair = [make_driver(make_vas(4, 8), policy, capacity_mb=capacity_mb,
+                        driver_cls=cls)
+            for cls in (UvmDriver, ReferenceDriver)]
     _run_pair(*pair, seed, n_waves, wave_size)
 
 
@@ -93,32 +95,23 @@ def test_fast_path_matches_under_fault_injection(t, transfer_rate,
     """All-resident waves draw nothing from the injector RNG, so the
     short circuit cannot shift later fault outcomes."""
     seed, n_waves, wave_size, capacity_mb = t
-    pair = []
-    for fast in (True, False):
-        cfg = (SimulationConfig()
-               .with_policy(MigrationPolicy.ADAPTIVE)
-               .with_device_capacity(capacity_mb * MB)
-               .with_faults(transfer_fault_rate=transfer_rate,
-                            migration_fault_rate=migration_rate))
-        drv = UvmDriver(make_vas(4, 8), cfg)
-        drv.resident_fast_path = fast
-        pair.append(drv)
+    cfg = (SimulationConfig()
+           .with_policy(MigrationPolicy.ADAPTIVE)
+           .with_device_capacity(capacity_mb * MB)
+           .with_faults(transfer_fault_rate=transfer_rate,
+                        migration_fault_rate=migration_rate))
+    pair = [cls(make_vas(4, 8), cfg) for cls in (UvmDriver, ReferenceDriver)]
     _run_pair(*pair, seed, n_waves, wave_size)
 
 
 @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
 def test_fast_path_matches_under_both_replacement_policies(replacement):
-    pair = []
-    for fast in (True, False):
-        cfg = (SimulationConfig()
-               .with_policy(MigrationPolicy.ADAPTIVE)
-               .with_device_capacity(6 * MB))
-        cfg = dataclasses.replace(
-            cfg, memory=dataclasses.replace(cfg.memory,
-                                            replacement=replacement))
-        drv = UvmDriver(make_vas(4, 8), cfg)
-        drv.resident_fast_path = fast
-        pair.append(drv)
+    cfg = (SimulationConfig()
+           .with_policy(MigrationPolicy.ADAPTIVE)
+           .with_device_capacity(6 * MB))
+    cfg = dataclasses.replace(
+        cfg, memory=dataclasses.replace(cfg.memory, replacement=replacement))
+    pair = [cls(make_vas(4, 8), cfg) for cls in (UvmDriver, ReferenceDriver)]
     _run_pair(*pair, seed=11, n_waves=12, wave_size=200)
 
 
@@ -136,9 +129,18 @@ def test_fast_path_fires_in_steady_state():
         assert out.n_local == out.n_accesses
     assert drv.stats.fast_path_waves == 4
     assert drv.fast_path_hit_rate == pytest.approx(4 / 5)
-    drv.resident_fast_path = False
-    drv.process_wave(pages, writes)
-    assert drv.stats.fast_path_waves == 4  # off: full pipeline again
+
+
+@pytest.mark.parametrize("name", ALL_WORKLOADS)
+def test_reference_driver_matches_every_workload(name, monkeypatch):
+    """End to end through ``Simulator``: production equals the oracle."""
+    cfg = SimulationConfig(seed=5).with_policy(MigrationPolicy.ADAPTIVE)
+    prod = Simulator(cfg).run(make_workload(name, "tiny"),
+                              oversubscription=1.25)
+    monkeypatch.setattr(simulator, "UvmDriver", ReferenceDriver)
+    ref = Simulator(cfg).run(make_workload(name, "tiny"),
+                             oversubscription=1.25)
+    assert encode_result(ref) == encode_result(prod)
 
 
 # ---------------------------------------------------------------------------

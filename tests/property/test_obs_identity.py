@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MigrationPolicy, SimulationConfig
 from repro.obs import MetricsSink, NullSink, Observability, RingBufferSink
 from repro.sim.simulator import Simulator
+from repro.uvm.driver import UvmDriver
 from repro.workloads import make_workload
 
 from tests.conftest import make_driver, make_vas
+from tests.oracle import ReferenceDriver
 
 policies = st.sampled_from(list(MigrationPolicy))
 
@@ -145,15 +147,14 @@ def test_driver_identical_under_random_traffic(policy, t):
 
 
 def test_event_stream_drain_equivalent():
-    """Batched and scalar drains emit the same event stream."""
+    """Batched and scalar (reference-driver) drains emit the same events."""
     streams = []
-    for batched in (True, False):
+    for cls in (UvmDriver, ReferenceDriver):
         obs = Observability()
         ring = RingBufferSink(capacity=100_000)
         obs.bus.attach(ring)
         drv = make_driver(make_vas(4, 8), MigrationPolicy.ADAPTIVE,
-                          capacity_mb=6)
-        drv.batched_migrations = batched
+                          capacity_mb=6, driver_cls=cls)
         drv.obs = obs
         drv._bus = obs.bus
         drv.counters.bus = obs.bus

@@ -1,19 +1,23 @@
-"""Fused wave batching + fair scheduling: this tentpole's contracts.
+"""Fused wave batching + fair scheduling: the serve path's contracts.
 
-Three guarantees pin the serve-path rework:
+Three guarantees pin the serve path:
 
-* **Batching is a pure perf hint.**  ``serve.batch_waves`` fuses each
-  multi-tenant scheduler slot into one
-  :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` dispatch, and
-  the result -- per-wave outcomes, final driver state, emitted events,
-  every simulated quantity -- is bit-identical to sequential execution,
-  across schedulers, policies, fault injection, and both kernel
-  backends (the numba backend runs through its interpreted fallback, so
-  the loop kernels are exercised without numba installed).
-* **The legacy path is untouched.**  ``scheduler=round_robin`` without
-  batching replays the pre-scheduler serving layer byte-for-byte; the
-  golden fixtures under ``tests/data/serve_golden/`` were generated
-  from the pre-rework code and every shared key must still match.
+* **Fusion never changes results.**  The session hands every scheduler
+  slot to :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` as one
+  dispatch, and the result -- per-wave outcomes, final driver state,
+  emitted events, every simulated quantity -- is bit-identical to
+  sequential execution on the test oracle
+  (:func:`tests.oracle.reference_session`, whose driver resolves every
+  wave alone through the full pipeline), across schedulers, policies,
+  fault injection, and both kernel backends (the numba backend runs
+  through its interpreted fallback, so the loop kernels are exercised
+  without numba installed).
+* **Earlier output is untouched.**  The golden fixtures under
+  ``tests/data/serve_golden/`` were generated from earlier code: the
+  round-robin ones from the pre-scheduler serving layer, the drr one
+  from the last version that still had a sequential executor (where
+  sequential and fused runs agreed on it).  Every shared key must
+  still match.
 * **DRR is deficit-bounded.**  The deficit round-robin scheduler never
   banks a carried deficit outside ``[0, 1)`` and never starves a
   runnable tenant, for any weight vector and throttle pattern.
@@ -35,6 +39,7 @@ from repro.serve.scheduler import DeficitRoundRobinScheduler
 from repro.uvm.driver import UvmDriver
 
 from tests.conftest import make_vas
+from tests.oracle import ReferenceDriver, reference_session
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "data" / "serve_golden"
 
@@ -43,15 +48,19 @@ BASE = dict(tenants=5, arrival_rate=1500.0, capacity_mb=24,
             queue_depth=2, throttle_watermark=1.1, admit_watermark=1.6,
             shed_watermark=2.0)
 
-#: Result keys the batch path legitimately changes: the dispatch
-#: counters themselves, and the config echo (it carries the flag).
-BATCH_KEYS = ("batches", "batch_occupancy", "config")
+#: Result keys that describe dispatch shape, not simulation outcome:
+#: the oracle never fuses, so it reports no batches.
+BATCH_KEYS = ("batches", "batch_occupancy")
 
 
-def serve_dict(seed, backend="python", sim=None, obs=None, **kw):
+def serve_dict(seed, backend="python", sim=None, obs=None, reference=False,
+               **kw):
+    """A serve run's result dict; ``reference`` runs it on the oracle."""
     cfg = ServeConfig(seed=seed, **BASE, **kw)
     if sim is None:
         sim = SimulationConfig(backend=backend)
+    if reference:
+        return reference_session(cfg, sim_config=sim, obs=obs).as_dict()
     return ServeSession(cfg, sim_config=sim, obs=obs).run().as_dict()
 
 
@@ -71,7 +80,7 @@ def golden_configs():
 
 
 # ---------------------------------------------------------------------------
-# round_robin == pre-rework golden output, byte for byte
+# golden fixtures == output of earlier code, byte for byte
 # ---------------------------------------------------------------------------
 
 class TestGoldenRoundRobin:
@@ -110,8 +119,8 @@ class TestFusedSessionIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     @pytest.mark.parametrize("scheduler", ["round_robin", "drr"])
     def test_batched_equals_sequential(self, seed, scheduler):
-        seq = core(serve_dict(seed, scheduler=scheduler, batch_waves=False))
-        fused = core(serve_dict(seed, scheduler=scheduler, batch_waves=True))
+        seq = core(serve_dict(seed, scheduler=scheduler, reference=True))
+        fused = core(serve_dict(seed, scheduler=scheduler))
         assert seq == fused
         assert json.dumps(seq, sort_keys=True) == \
             json.dumps(fused, sort_keys=True)
@@ -119,8 +128,8 @@ class TestFusedSessionIdentity:
     def test_batched_equals_sequential_with_weights(self):
         kw = dict(scheduler="drr", weights=(3.0, 1.0, 2.0),
                   throttle_decay=0.5)
-        assert core(serve_dict(2, batch_waves=False, **kw)) == \
-            core(serve_dict(2, batch_waves=True, **kw))
+        assert core(serve_dict(2, reference=True, **kw)) == \
+            core(serve_dict(2, **kw))
 
     def test_batched_equals_sequential_under_faults(self):
         """Injected migration/transfer faults draw RNG only for
@@ -128,18 +137,15 @@ class TestFusedSessionIdentity:
         perturb the fault stream."""
         sim = SimulationConfig().with_faults(transfer_fault_rate=0.2,
                                              migration_fault_rate=0.2)
-        seq = core(serve_dict(1, sim=sim, scheduler="drr",
-                              batch_waves=False))
-        fused = core(serve_dict(1, sim=sim, scheduler="drr",
-                                batch_waves=True))
+        seq = core(serve_dict(1, sim=sim, scheduler="drr", reference=True))
+        fused = core(serve_dict(1, sim=sim, scheduler="drr"))
         assert seq == fused
 
     def test_batched_equals_sequential_across_backends(self, monkeypatch):
         monkeypatch.setattr(accel, "FORCE_INTERPRETED", True)
         seq = core(serve_dict(1, backend="python", scheduler="drr",
-                              batch_waves=False))
-        fused = core(serve_dict(1, backend="numba", scheduler="drr",
-                                batch_waves=True))
+                              reference=True))
+        fused = core(serve_dict(1, backend="numba", scheduler="drr"))
         seq.pop("backend"), fused.pop("backend")
         assert seq == fused
 
@@ -147,11 +153,11 @@ class TestFusedSessionIdentity:
         """Driver + tenant event streams are identical fused vs
         sequential (TenantSched's batched_waves field aside -- it
         reports the dispatch shape by design)."""
-        def events(batch):
+        def events(reference):
             obs = Observability()
             ring = RingBufferSink(capacity=65536)
             obs.bus.attach(ring)
-            serve_dict(0, scheduler="drr", batch_waves=batch, obs=obs)
+            serve_dict(0, scheduler="drr", reference=reference, obs=obs)
             rows = []
             for ev in ring.events:
                 row = ev.as_dict()
@@ -160,37 +166,39 @@ class TestFusedSessionIdentity:
                 rows.append(row)
             return rows
 
-        assert events(False) == events(True)
+        assert events(True) == events(False)
 
     def test_batching_actually_fuses(self):
         """Guards against the identity tests passing vacuously."""
         result = ServeSession(ServeConfig(
-            seed=0, scheduler="drr", batch_waves=True, **BASE)).run()
+            seed=0, scheduler="drr", **BASE)).run()
         assert result.batches > 0
         assert result.batch_occupancy > 1.0
         assert any(t.batched_waves > 0 for t in result.tenants)
 
     def test_rr_batched_still_matches_golden(self):
-        """round_robin plans singleton groups, so even with batching on
-        the output must equal the pre-rework golden fixture."""
+        """round_robin plans singleton groups, which run through the
+        same slot-major dispatch as every other group: the output must
+        equal the pre-rework golden fixture, and no dispatch holds two
+        waves, so no batch is counted."""
         golden = json.loads((GOLDEN_DIR / "base_seed0.json").read_text())
         kwargs = dict(golden["config"])
         kwargs["workload_mix"] = tuple(kwargs["workload_mix"])
         kwargs["weights"] = tuple(kwargs.get("weights", ()))
-        kwargs["batch_waves"] = True
         got = ServeSession(ServeConfig(**kwargs)).run().as_dict()
         assert got["batches"] == 0  # nothing multi-tenant to fuse
+        assert all(t["batched_waves"] == 0 for t in got["tenants"])
         for key in ("duration_us", "total_waves", "total_accesses",
                     "completed", "decisions"):
             assert got[key] == golden[key]
 
 
 # ---------------------------------------------------------------------------
-# fused batching == sequential execution (driver level)
+# fused batching == sequential execution on the oracle (driver level)
 # ---------------------------------------------------------------------------
 
 def _tenant_driver(policy=MigrationPolicy.ADAPTIVE, capacity_mb=4,
-                   fault_rates=None):
+                   fault_rates=None, cls=UvmDriver):
     cfg = (SimulationConfig()
            .with_policy(policy, static_threshold=8, migration_penalty=8)
            .with_device_capacity(int(capacity_mb * MB)))
@@ -198,7 +206,7 @@ def _tenant_driver(policy=MigrationPolicy.ADAPTIVE, capacity_mb=4,
         cfg = cfg.with_faults(transfer_fault_rate=fault_rates[0],
                               migration_fault_rate=fault_rates[1])
     # Three disjoint allocations stand in for three tenant namespaces.
-    return UvmDriver(make_vas(2, 2, 2), cfg)
+    return cls(make_vas(2, 2, 2), cfg)
 
 
 def _tenant_waves(driver, rng, wave_size):
@@ -233,7 +241,7 @@ class TestDriverBatchIdentity:
     @settings(max_examples=25, deadline=None)
     def test_batch_equals_sequential_loop(self, seed, rounds, wave_size,
                                           capacity_mb):
-        seq = _tenant_driver(capacity_mb=capacity_mb)
+        seq = _tenant_driver(capacity_mb=capacity_mb, cls=ReferenceDriver)
         bat = _tenant_driver(capacity_mb=capacity_mb)
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
@@ -252,7 +260,8 @@ class TestDriverBatchIdentity:
     def test_batch_equals_sequential_under_faults(self, seed, transfer,
                                                   migration):
         rates = (transfer, migration)
-        seq = _tenant_driver(fault_rates=rates, capacity_mb=2)
+        seq = _tenant_driver(fault_rates=rates, capacity_mb=2,
+                             cls=ReferenceDriver)
         bat = _tenant_driver(fault_rates=rates, capacity_mb=2)
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
@@ -267,7 +276,7 @@ class TestDriverBatchIdentity:
 
     @pytest.mark.parametrize("policy", list(MigrationPolicy))
     def test_batch_equals_sequential_every_policy(self, policy):
-        seq = _tenant_driver(policy=policy)
+        seq = _tenant_driver(policy=policy, cls=ReferenceDriver)
         bat = _tenant_driver(policy=policy)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
@@ -283,7 +292,7 @@ class TestDriverBatchIdentity:
     def test_empty_and_overlapping_segments_fall_back(self):
         """Empty waves and non-disjoint waves break fused runs but must
         still resolve identically through the sequential fallback."""
-        seq = _tenant_driver()
+        seq = _tenant_driver(cls=ReferenceDriver)
         bat = _tenant_driver()
         rng = np.random.default_rng(3)
         a0, a1, _ = seq.vas.allocations

@@ -1,18 +1,17 @@
 """Unit tests for the ``repro.accel`` backend subsystem.
 
 Covers backend resolution (including the no-numba fallback warning and
-its once-per-process guard), JIT pre-warming, shard-plan geometry,
-config validation of the new knobs, and how the backend is surfaced in
-run metadata, checkpoint identity and the regression fingerprint.
+its once-per-process guard), JIT pre-warming, config validation of the
+backend knob, and how the backend is surfaced in run metadata,
+checkpoint identity and the regression fingerprint.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 import repro.accel as accel
-from repro.accel import Backend, make_shard_plan, resolve_backend
+from repro.accel import Backend, resolve_backend
 from repro.analysis.checkpoint import cell_key
 from repro.analysis.parallel import GridCell
 from repro.config import (
@@ -99,70 +98,22 @@ def test_first_and_second_cell_walltimes_comparable():
     assert first < 20 * second + 0.5
 
 
-# ---------------------------------------------------------------------------
-# shard plans
-# ---------------------------------------------------------------------------
-
-def test_shard_plan_boundaries_are_chunk_aligned():
-    vas = make_vas(8, 4, 16)
-    firsts = np.array([c.first_block for c in vas.chunks], dtype=np.int64)
-    plan = make_shard_plan(firsts, vas.total_blocks, 4)
-    assert plan.n_shards >= 2
-    assert np.all(np.isin(plan.boundaries, firsts))
-    assert np.all(np.diff(plan.boundaries) > 0)
-
-
-def test_shard_plan_split_covers_sorted_array_exactly():
-    vas = make_vas(8, 4, 16)
-    firsts = np.array([c.first_block for c in vas.chunks], dtype=np.int64)
-    plan = make_shard_plan(firsts, vas.total_blocks, 4)
-    rng = np.random.default_rng(0)
-    blocks = np.sort(rng.integers(0, vas.total_blocks, size=300))
-    slices = plan.split(blocks)
-    assert len(slices) == plan.n_shards
-    assert slices[0][0] == 0 and slices[-1][1] == blocks.size
-    rebuilt = np.concatenate([blocks[lo:hi] for lo, hi in slices])
-    assert np.array_equal(rebuilt, blocks)
-    for i, (lo, hi) in enumerate(slices):  # each slice inside its range
-        if lo == hi:
-            continue
-        if i > 0:
-            assert blocks[lo] >= plan.boundaries[i - 1]
-        if i < plan.n_shards - 1:
-            assert blocks[hi - 1] < plan.boundaries[i]
-
-
-def test_shard_plan_degenerate_cases():
-    vas = make_vas(4)
-    firsts = np.array([c.first_block for c in vas.chunks], dtype=np.int64)
-    single = make_shard_plan(firsts, vas.total_blocks, 1)
-    assert single.n_shards == 1 and single.boundaries.size == 0
-    # More shards than chunks: collapses instead of emitting empties.
-    many = make_shard_plan(firsts, vas.total_blocks, 64)
-    assert many.n_shards <= firsts.size
-    with pytest.raises(ValueError, match=">= 1"):
-        make_shard_plan(firsts, vas.total_blocks, 0)
-
-
-def test_driver_exposes_backend_and_shards():
-    cfg = SimulationConfig(backend="python", shards=4).with_policy(
+def test_driver_exposes_backend():
+    cfg = SimulationConfig(backend="python").with_policy(
         MigrationPolicy.ADAPTIVE)
     from repro.uvm.driver import UvmDriver
     drv = UvmDriver(make_vas(8, 4, 16), cfg)
     assert drv.backend_name == "python"
-    assert drv.shards > 1
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def test_config_rejects_unknown_backend_and_bad_shards():
+def test_config_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         SimulationConfig(backend="fortran").validate()
-    with pytest.raises(ValueError, match="shards"):
-        SimulationConfig(shards=0).validate()
-    SimulationConfig(backend="numba", shards=4).validate()
+    SimulationConfig(backend="numba").validate()
 
 
 def test_default_backend_reads_environment(monkeypatch):
@@ -178,25 +129,24 @@ def test_default_backend_reads_environment(monkeypatch):
 # metadata surfaces: run archive, checkpoint identity, regression gate
 # ---------------------------------------------------------------------------
 
-def test_run_meta_records_backend_and_shards_with_defaults():
+def test_run_meta_records_backend_with_defaults():
     meta = events.RunMeta(workload="ra", policy="adaptive", seed=1,
                           total_blocks=8, capacity_blocks=4,
-                          allocations=(), backend="numba", shards=4)
+                          allocations=(), backend="numba")
     row = meta.as_dict()
     back = events.from_dict(row)
-    assert back.backend == "numba" and back.shards == 4
-    # Logs archived before the fields existed decode to the defaults.
+    assert back.backend == "numba"
+    # Logs archived before the field existed decode to the default.
     row.pop("backend")
-    row.pop("shards")
     old = events.from_dict(row)
-    assert old.backend == "python" and old.shards == 1
+    assert old.backend == "python"
 
 
 def test_inspect_summary_names_backend(tmp_path):
     from repro.obs import Observability
     log = tmp_path / "events.jsonl"
     obs = Observability.create(events_path=str(log))
-    cfg = SimulationConfig(seed=2, backend="python", shards=2).with_policy(
+    cfg = SimulationConfig(seed=2, backend="python").with_policy(
         MigrationPolicy.ADAPTIVE)
     Simulator(cfg).run(make_workload("ra", "tiny"),
                        oversubscription=1.25, obs=obs)
@@ -204,13 +154,12 @@ def test_inspect_summary_names_backend(tmp_path):
     from repro.obs.inspect import render_summary
     text = render_summary(summarize(str(log)))
     assert "backend python" in text
-    assert "2 shards" in text
 
 
-def test_cell_key_ignores_backend_and_shards():
+def test_cell_key_ignores_backend():
     base = GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny")
     hinted = GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny",
-                      backend="numba", shards=4)
+                      backend="numba")
     assert cell_key(hinted) == cell_key(base)
 
 

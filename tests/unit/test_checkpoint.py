@@ -47,6 +47,13 @@ class TestEncoding:
                .with_faults(transfer_fault_rate=0.125, max_retries=1))
         assert decode_config(encode_config(cfg)) == cfg
 
+    def test_archived_config_with_retired_shards_decodes(self):
+        """Configs archived while ``shards`` was a setting still load:
+        the retired key is ignored, everything else round-trips."""
+        cfg = SimulationConfig(seed=3).with_policy(MigrationPolicy.ADAPTIVE)
+        archived = dict(encode_config(cfg), shards=4)
+        assert decode_config(archived) == cfg
+
     def test_result_roundtrip_exact(self, tiny_result):
         clone = decode_result(encode_result(tiny_result))
         assert clone.workload == tiny_result.workload

@@ -14,14 +14,13 @@ from repro.obs.regress import (
 )
 
 
-def _report(aps=1000.0, cpu=1.0, speedup=1.5, scale="small",
-            machine="x86_64", cpus=4) -> dict:
+def _report(aps=1000.0, cpu=1.0, scale="small", machine="x86_64",
+            cpus=4) -> dict:
     return {
         "schema_version": 2,
         "host": {"python": "3.11", "machine": machine, "cpus": cpus},
         "throughput": {"scale": scale, "accesses_per_second": aps},
         "sweep_grid": {"serial_cpu_seconds": cpu},
-        "batched_vs_scalar": {"drain_speedup": speedup},
     }
 
 

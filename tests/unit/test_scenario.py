@@ -111,6 +111,15 @@ class TestSchema:
         assert any("oversubscripton" in e and "oversubscription" in e
                    for e in errors)
 
+    def test_retired_keys_are_unknown(self):
+        """``shards`` and ``serve.batch_waves`` were removed settings:
+        configs still naming them fail with the unknown-key error."""
+        errors = check({"name": "x", "workload": "ra", "shards": 4,
+                        "serve": {"batch_waves": True}})
+        assert any("shards" in e and "unknown" in e for e in errors)
+        assert any("serve.batch_waves" in e and "unknown" in e
+                   for e in errors)
+
     def test_wrong_type_reported(self):
         errors = check({"name": "x", "workload": "ra", "seed": "zero"})
         assert any("seed" in e for e in errors)

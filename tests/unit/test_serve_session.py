@@ -14,6 +14,7 @@ from repro.obs.events import (
 )
 from repro.obs.inspect import render_summary, summarize
 from repro.obs.sinks import RingBufferSink
+from repro.obs.timeline import TID_SERVE
 from repro.serve import ServeSession
 
 
@@ -145,6 +146,32 @@ class TestObservability:
         states = {row.state for row in s.tenants.values()}
         assert "complete" in states
         assert any(st.startswith("shed:") for st in states)
+
+    @pytest.mark.parametrize("scheduler", ["round_robin", "drr"])
+    def test_timeline_spans_name_who_ran(self, scheduler):
+        """One serve-track span per dispatch: a lone wave names its
+        tenant, a fused batch lists its tenants, and together they
+        cover every wave the tenants ran."""
+        obs = Observability.create(timeline=True)
+        cfg = ServeConfig(tenants=4, seed=0, arrival_rate=2000.0,
+                          scheduler=scheduler)
+        r = ServeSession(cfg, obs=obs).run()
+        spans = [e for e in obs.timeline.events
+                 if e["ph"] == "B" and e["tid"] == TID_SERVE]
+        per_tenant = dict.fromkeys((t.tenant for t in r.tenants), 0)
+        for span in spans:
+            if span["name"] == "batch":
+                assert span["args"]["waves"] == len(span["args"]["tenants"])
+                tenants = span["args"]["tenants"]
+            else:
+                tenants = [span["args"]["tenant"]]
+                assert span["name"] == f"wave t{tenants[0]}"
+            for tid in tenants:
+                per_tenant[tid] += 1
+        assert per_tenant == {t.tenant: t.waves for t in r.tenants}
+        batches = sum(span["name"] == "batch" for span in spans)
+        assert batches == r.batches
+        assert (batches > 0) is (scheduler == "drr")
 
     def test_metrics_gauges_set(self):
         obs = Observability.create(metrics=True)
