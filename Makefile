@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-accel bench bench-smoke bench-perf \
-	serve-smoke telemetry-smoke config-smoke check-configs \
+	serve-smoke telemetry-smoke config-smoke grid-smoke check-configs \
 	check-regression figures examples check-docs clean
 
 install:
@@ -81,6 +81,19 @@ check-configs:
 config-smoke:
 	$(PYTHON) -m repro sweep --config-dir configs/smoke \
 		--archive --runs .smoke-runs
+
+# Every grid records each access stream once and replays it: with the
+# default private trace cache nothing may be left in TMPDIR, and a
+# shared --trace-cache must render the same figure.
+grid-smoke:
+	rm -rf .grid-smoke && mkdir -p .grid-smoke/tmp
+	TMPDIR=$(CURDIR)/.grid-smoke/tmp $(PYTHON) -m repro figure fig6 \
+		--scale tiny > .grid-smoke/private.txt
+	TMPDIR=$(CURDIR)/.grid-smoke/tmp $(PYTHON) -m repro figure fig6 \
+		--scale tiny --trace-cache .grid-smoke/cache > .grid-smoke/shared.txt
+	diff .grid-smoke/private.txt .grid-smoke/shared.txt
+	test -z "$$(ls -A .grid-smoke/tmp)"
+	rm -rf .grid-smoke
 
 # Gate on the bench history: non-zero exit when perf regressed.
 check-regression:

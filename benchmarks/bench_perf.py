@@ -50,6 +50,7 @@ from repro.analysis import (  # noqa: E402
     oversubscription_sweep,
     run_grid,
 )
+from repro.analysis.parallel import run_cell  # noqa: E402
 from repro.config import (  # noqa: E402
     KNOWN_BACKENDS,
     MigrationPolicy,
@@ -97,15 +98,16 @@ def measure_throughput(scale: str, repeats: int,
     The headline ``accesses_per_second`` runs the grid over a shared
     trace cache (``GridOptions.trace_cache``): each cell replays its
     workload's memory-mapped access stream instead of regenerating the
-    waves, exactly as sweep fan-outs do.  Recording happens outside the
-    timed region.  The ``live_*`` numbers keep the regenerate-per-cell
-    semantics for comparison, and ``replay_speedup`` is the ratio.
+    waves, exactly as every grid does.  Recording happens outside the
+    timed region.  The ``live_*`` numbers run each cell through
+    :func:`run_cell`, which generates its waves live (``run_grid`` would
+    record and replay them), and ``replay_speedup`` is the ratio.
     """
     cells = [GridCell(w, MigrationPolicy.ADAPTIVE, level, scale,
                       backend=backend)
              for w, level in THROUGHPUT_CELLS]
-    live_wall, live_cpu, live_results = _timed(lambda: run_grid(cells),
-                                               repeats)
+    live_wall, live_cpu, live_results = _timed(
+        lambda: [run_cell(cell) for cell in cells], repeats)
     accesses = sum(r.events.n_accesses for r in live_results)
     with tempfile.TemporaryDirectory(prefix="bench-trace-cache-") as tmp:
         cache = TraceCache(tmp)

@@ -80,19 +80,24 @@ def _known_fields(cls, data: dict) -> dict:
 _PERF_HINT_FIELDS = ("trace_path", "backend")
 
 
-def cell_key(cell) -> str:
-    """Canonical string key of a grid cell (any dataclass spec).
+def encode_cell(cell) -> dict:
+    """JSON-safe encoding of a grid cell (any dataclass spec).
 
     Performance hints (``trace_path``, ``backend``) are excluded: each
-    produces bit-identical results, so a cached journal entry must be
-    shared between live and replayed runs of the same cell, between
-    kernel backends, and between hosts with different cache
-    directories.
+    produces bit-identical results, so a cached journal entry or an
+    archived run must be shared between live and replayed runs of the
+    same cell, between kernel backends, and between hosts with
+    different cache directories.
     """
     data = _encode(cell)
     for name in _PERF_HINT_FIELDS:
         data.pop(name, None)
-    return json.dumps(data, sort_keys=True)
+    return data
+
+
+def cell_key(cell) -> str:
+    """Canonical string key of a grid cell (see :func:`encode_cell`)."""
+    return json.dumps(encode_cell(cell), sort_keys=True)
 
 
 def encode_config(config: SimulationConfig) -> dict:
@@ -203,11 +208,8 @@ class CheckpointJournal:
             if parent:
                 os.makedirs(parent, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
-        encoded_cell = _encode(cell)
-        # Journals are replay-source/backend-agnostic (see cell_key).
-        for name in _PERF_HINT_FIELDS:
-            encoded_cell.pop(name, None)
-        record = {"cell": encoded_cell, "result": encode_result(result)}
+        # Journals are replay-source/backend-agnostic (see encode_cell).
+        record = {"cell": encode_cell(cell), "result": encode_result(result)}
         self._fh.write(json.dumps(record) + "\n")
         self._fh.flush()
 

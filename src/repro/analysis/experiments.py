@@ -123,7 +123,9 @@ def run_single(workload: str, policy: MigrationPolicy,
     ``trace_path`` replays a recorded trace of the same
     ``(workload, scale, seed)`` stream instead of regenerating it --
     bit-identical results, but the (often dominant) wave-generation cost
-    is paid once at record time instead of per cell.
+    is paid once at record time instead of per cell.  Grid cells always
+    get one (:func:`~repro.analysis.parallel.run_grid` records each
+    stream once per grid); ``None`` generates the stream live.
 
     ``backend`` selects the hot-loop kernel backend
     (:mod:`repro.accel`); ``None`` inherits the config default (which

@@ -22,6 +22,15 @@ meets in practice:
   (:mod:`repro.analysis.checkpoint`): completed cells are replayed
   bit-identical instead of re-simulated.
 
+Cells of one grid share access streams: a figure evaluates the same
+``(workload, scale, seed)`` stream under several schemes, and a sweep
+under several oversubscription levels.  :func:`run_grid` therefore
+records each stream once into a :class:`~repro.trace.TraceCache` and
+every cell replays it (:class:`~repro.trace.TraceWorkload`) instead of
+regenerating its waves.  The serial path records a stream right before
+the first cell that needs it; the parallel path records every stream
+before fan-out, so workers only replay.
+
 Determinism is preserved by construction:
 
 * every :class:`GridCell` carries its own seed (the per-cell RNG is
@@ -40,10 +49,13 @@ interruptions.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..config import MigrationPolicy
 from ..sim.results import RunResult
@@ -88,10 +100,11 @@ class GridCell:
     historic_counters: bool = True
     #: Replay the access stream from this recorded trace (an ``.npz``
     #: file or mmap-able trace directory) instead of regenerating it.
-    #: A pure performance hint: replay is bit-identical to live
-    #: generation, so it is excluded from the cell's checkpoint
-    #: identity.  Usually filled in by :func:`run_grid` from
-    #: :attr:`GridOptions.trace_cache`.
+    #: :func:`run_grid` fills it in, from its trace cache, for every
+    #: cell that leaves it ``None``; :func:`run_cell` on such a cell
+    #: generates the stream live.  A pure performance hint: replay is
+    #: bit-identical to live generation, so it is excluded from the
+    #: cell's checkpoint and archive identity.
     trace_path: str | None = None
     #: Hot-loop kernel backend for the cell's config
     #: (:mod:`repro.accel`).  ``None`` inherits the config default
@@ -130,13 +143,13 @@ class GridOptions:
     #: Sweep id grouping this grid's archived cells; ``None`` derives a
     #: content-addressed id from the cell set.
     sweep_id: str | None = None
-    #: Directory of a shared :class:`repro.trace.TraceCache`.  When set,
-    #: the runner records each distinct ``(workload, scale, seed)``
-    #: access stream once (in the orchestrator, before fan-out) and
-    #: annotates every cell with the trace's path, so grid cells at
-    #: different oversubscription levels replay the memory-mapped
-    #: stream instead of regenerating waves.  Results are bit-identical
-    #: to cache-off runs.
+    #: Directory of a persistent :class:`repro.trace.TraceCache`.  Every
+    #: grid records each distinct ``(workload, scale, seed)`` access
+    #: stream once and replays it, memory-mapped, in every cell that
+    #: shares it; this only chooses where the recordings live.  ``None``
+    #: keeps them in a private temporary directory that the grid removes
+    #: when it ends; a directory keeps them for later grids and sessions.
+    #: Results are bit-identical either way.
     trace_cache: str | None = None
     #: Kernel backend stamped onto every cell that does not already
     #: carry an explicit one (``None`` = leave cells alone, inheriting
@@ -200,12 +213,15 @@ class _Archiver:
                 if opts.archive is not None else None)
 
     def archive(self, cell: GridCell, result: RunResult) -> str:
-        from .checkpoint import _encode
+        from .checkpoint import encode_cell
         from ..obs.store import RunManifest
+        # Like the journal, the archive describes the simulation, not
+        # where its waves came from: a trace-cache path in the config
+        # would change the run id and show up in ``repro diff``.
         manifest = RunManifest.create(
             kind="grid-cell", workload=cell.workload,
             policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
-            oversubscription=cell.oversubscription, config=_encode(cell),
+            oversubscription=cell.oversubscription, config=encode_cell(cell),
             git=self._git, host=self._host, sweep_id=self.sweep_id)
         return self.store.archive(manifest, result)
 
@@ -267,12 +283,12 @@ def run_grid(cells, max_workers: int | None = None,
     executor, no pickling); ``0`` means one worker per CPU.  Results
     come back in the order of ``cells``.  ``options`` configures
     retries, hang detection, and checkpoint/resume; the defaults retry
-    transient failures but neither journal nor resume.
+    transient failures but neither journal nor resume.  Every cell
+    without an explicit ``trace_path`` replays its access stream,
+    recorded once per grid (see :class:`_Streams`).
     """
     cells = list(cells)
     opts = options or GridOptions()
-    if opts.trace_cache:
-        cells = _annotate_trace_paths(cells, opts.trace_cache)
     if opts.backend is not None:
         cells = _annotate_backend(cells, opts.backend)
     if max_workers is not None and max_workers < 0:
@@ -307,52 +323,81 @@ def run_grid(cells, max_workers: int | None = None,
                 else:
                     fresh.append(i)
             pending = fresh
+    streams = _Streams(opts.trace_cache, [cells[i] for i in pending])
     try:
         if max_workers is None or max_workers <= 1 or len(pending) <= 1:
-            _run_serial(cells, pending, results, opts, journal, archiver)
+            _run_serial(cells, pending, results, opts, journal, streams,
+                        archiver)
         else:
-            _run_parallel(cells, pending, results, opts, journal,
+            _run_parallel(cells, pending, results, opts, journal, streams,
                           max_workers, archiver)
     finally:
+        streams.close()
         if journal is not None:
             journal.close()
     return results
 
 
-def _annotate_trace_paths(cells, cache_root: str) -> list[GridCell]:
-    """Record each distinct access stream once; point every cell at it.
+def _stream(cell: GridCell) -> tuple[str, str, int]:
+    """The access stream a cell simulates: ``(workload, scale, seed)``."""
+    return cell.workload, cell.scale, cell.seed
 
-    Runs in the orchestrator before any fan-out, so a ten-level sweep
-    over one workload records one trace and replays it ten times
-    (memory-mapped, shared page cache) instead of regenerating the
-    stream per cell.  Cells that already carry an explicit
-    ``trace_path`` are left untouched.
+
+class _Streams:
+    """Where a grid's cells get their waves: each stream recorded once.
+
+    A cell without an explicit ``trace_path`` replays its
+    ``(workload, scale, seed)`` stream from a
+    :class:`~repro.trace.TraceCache`: the caller's
+    :attr:`GridOptions.trace_cache` directory, where recordings persist,
+    or a private temporary directory that :meth:`close` removes.  A
+    stream is recorded by the first :meth:`replayable` call that needs
+    it.  In the private directory it is deleted as soon as the last
+    pending cell that replays it has :meth:`finished`, so a long serial
+    grid keeps only the streams it still needs on disk.
     """
-    from dataclasses import replace
-    from ..trace.cache import TraceCache
-    cache = TraceCache(cache_root)
-    paths: dict[tuple[str, str, int], str] = {}
-    annotated = []
-    for cell in cells:
+
+    def __init__(self, root: str | None, cells) -> None:
+        from ..trace.cache import TraceCache
+        self._tmp = (None if root else
+                     tempfile.TemporaryDirectory(prefix="repro-grid-"))
+        self._cache = TraceCache(root or self._tmp.name)
+        self._paths: dict[tuple[str, str, int], str] = {}
+        #: Pending cells left to replay each stream.
+        self._users = Counter(_stream(c) for c in cells
+                              if c.trace_path is None)
+
+    def replayable(self, cell: GridCell) -> GridCell:
+        """``cell`` pointed at its recorded stream, recording it if new."""
         if cell.trace_path is not None:
-            annotated.append(cell)
-            continue
-        stream = (cell.workload, cell.scale, cell.seed)
-        path = paths.get(stream)
+            return cell
+        stream = _stream(cell)
+        path = self._paths.get(stream)
         if path is None:
-            path = paths[stream] = str(cache.get_or_record(*stream))
-        annotated.append(replace(cell, trace_path=path))
-    return annotated
+            path = self._paths[stream] = str(
+                self._cache.get_or_record(*stream))
+        return replace(cell, trace_path=path)
+
+    def finished(self, cell: GridCell) -> None:
+        """Note that ``cell`` is done; drop a private stream nobody needs."""
+        if cell.trace_path is not None:
+            return
+        stream = _stream(cell)
+        self._users[stream] -= 1
+        if self._tmp is not None and not self._users[stream]:
+            shutil.rmtree(self._paths.pop(stream))
+
+    def close(self) -> None:
+        if self._tmp is not None:
+            self._tmp.cleanup()
 
 
 def _annotate_backend(cells, backend: str) -> list[GridCell]:
     """Stamp the grid-wide backend choice onto unannotated cells.
 
-    Mirrors :func:`_annotate_trace_paths`: cells that already carry an
-    explicit backend keep it, and the annotation never changes results
-    (the backends are bit-identical).
+    Cells that already carry an explicit backend keep it, and the
+    annotation never changes results (the backends are bit-identical).
     """
-    from dataclasses import replace
     return [replace(cell, backend=backend) if cell.backend is None else cell
             for cell in cells]
 
@@ -361,15 +406,16 @@ def _annotate_backend(cells, backend: str) -> list[GridCell]:
 # execution strategies
 # ---------------------------------------------------------------------------
 
-def _store(results, journal, cell, index: int, result: RunResult,
-           archiver: "_Archiver | None" = None) -> None:
-    """Commit one finished cell: result slot, journal, then archive."""
+def _store(results, journal, streams: _Streams, cell, index: int,
+           result: RunResult, archiver: "_Archiver | None" = None) -> None:
+    """Commit one finished cell: result slot, journal, archive, stream."""
     results[index] = result
     if journal is not None and not (cell.collect_histogram
                                     or cell.collect_trace):
         journal.append(cell, result)
     if archiver is not None:
         archiver.archive(cell, result)
+    streams.finished(cell)
 
 
 def _backoff(opts: GridOptions, attempt: int) -> None:
@@ -380,16 +426,20 @@ def _backoff(opts: GridOptions, attempt: int) -> None:
                    _MAX_BACKOFF_S))
 
 
-def _run_serial(cells, pending, results, opts, journal,
+def _run_serial(cells, pending, results, opts, journal, streams,
                 archiver=None) -> None:
-    """In-process execution with per-cell retry and journaling."""
+    """In-process execution with per-cell retry and journaling.
+
+    A cell's stream is recorded inside its attempt, so a failed
+    recording uses up the cell's retry budget like any other failure.
+    """
     gm = _GridMetrics.of(opts)
     for i in pending:
         attempts = 0
         while True:
             start = time.perf_counter()
             try:
-                result = run_cell(cells[i])
+                result = run_cell(streams.replayable(cells[i]))
                 break
             except Exception as exc:
                 attempts += 1
@@ -401,7 +451,7 @@ def _run_serial(cells, pending, results, opts, journal,
         if gm is not None:
             gm.cell_ms.observe((time.perf_counter() - start) * 1e3)
             gm.completed.inc()
-        _store(results, journal, cells[i], i, result, archiver)
+        _store(results, journal, streams, cells[i], i, result, archiver)
 
 
 def _terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -414,7 +464,7 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _run_parallel(cells, pending, results, opts, journal,
+def _run_parallel(cells, pending, results, opts, journal, streams,
                   max_workers: int, archiver=None) -> None:
     """Pool execution with lost-cell re-submission and hang detection.
 
@@ -424,9 +474,11 @@ def _run_parallel(cells, pending, results, opts, journal,
     A worker crash breaks the whole pool in ``concurrent.futures``, so
     broken-pool failures are charged to a small pool-rebuild budget
     rather than to individual cells; cell-level exceptions and hangs
-    consume that cell's own retry budget.
+    consume that cell's own retry budget.  Every stream is recorded
+    before the first pool starts, so workers only replay.
     """
     gm = _GridMetrics.of(opts)
+    replayable = {i: streams.replayable(cells[i]) for i in pending}
     attempts = dict.fromkeys(pending, 0)
     pool_rebuilds = 0
     remaining = list(pending)
@@ -440,7 +492,7 @@ def _run_parallel(cells, pending, results, opts, journal,
             # jails) may offer neither.  The grid is still correct
             # serially.
             return _run_serial(cells, remaining, results, opts, journal,
-                               archiver)
+                               streams, archiver)
 
         completed_here = 0
         pool_broke = False
@@ -451,7 +503,7 @@ def _run_parallel(cells, pending, results, opts, journal,
         try:
             for i in remaining:
                 submitted_at[i] = time.perf_counter()
-                future_of[pool.submit(run_cell, cells[i])] = i
+                future_of[pool.submit(run_cell, replayable[i])] = i
         except BrokenProcessPool:
             pool_broke = True
         outstanding = set(future_of)
@@ -479,7 +531,8 @@ def _run_parallel(cells, pending, results, opts, journal,
                         gm.cell_ms.observe(
                             (time.perf_counter() - submitted_at[i]) * 1e3)
                         gm.completed.inc()
-                    _store(results, journal, cells[i], i, result, archiver)
+                    _store(results, journal, streams, cells[i], i, result,
+                           archiver)
                     completed_here += 1
         pool.shutdown(wait=not stalled, cancel_futures=True)
 
@@ -512,7 +565,7 @@ def _run_parallel(cells, pending, results, opts, journal,
                 # incarnations and finish the grid in-process.
                 remaining = [i for i in remaining if results[i] is None]
                 return _run_serial(cells, remaining, results, opts, journal,
-                                   archiver)
+                                   streams, archiver)
             worst = max(worst, pool_rebuilds)
         for i, exc in failed:
             if not isinstance(exc, BrokenProcessPool):

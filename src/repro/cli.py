@@ -53,10 +53,12 @@ log), ``--metrics out.json`` (counter/histogram rollup), ``--profile``
 (Chrome-trace export for Perfetto), and ``--archive`` (persist the run
 under ``.repro/runs/<run_id>/`` for later ``repro diff``); the grid
 commands (``figure``, ``sweep``) accept ``--metrics`` for per-cell
-timing and retry rollups, ``--archive`` to file every grid cell under
-a shared sweep id, and ``--trace-cache DIR`` to record each access
-stream once and replay it memory-mapped across all cells.  All of them
-are off by default and cost nothing when off.
+timing and retry rollups, and ``--archive`` to file every grid cell
+under a shared sweep id.  All of these are off by default and cost
+nothing when off.  Every grid records each access stream once and
+replays it memory-mapped in all the cells that share it; ``--trace-cache
+DIR`` keeps those recordings in ``DIR`` for later grids instead of a
+temporary directory removed when the grid ends.
 """
 
 from __future__ import annotations
@@ -1041,11 +1043,12 @@ def _add_grid_args(p) -> None:
                    help="archive every grid cell's result under the run "
                         "store, grouped by a shared sweep id")
     p.add_argument("--trace-cache", default=None, metavar="DIR",
-                   help="record each (workload, scale, seed) access "
-                        "stream once into this shared trace cache and "
-                        "replay it memory-mapped in every grid cell "
-                        "(bit-identical results, much less per-cell "
-                        "generation work)")
+                   help="keep the grid's recorded (workload, scale, seed) "
+                        "access streams in this shared trace cache, so "
+                        "later grids replay them instead of recording "
+                        "again (every grid records each stream once and "
+                        "replays it in all its cells; by default into a "
+                        "temporary directory removed at the end)")
     _add_backend_args(p)
     _add_runs_arg(p)
 

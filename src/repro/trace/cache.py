@@ -2,13 +2,14 @@
 
 A grid sweep evaluates the same ``(workload, scale, seed)`` access
 stream under many configurations (oversubscription levels, policies,
-replacement schemes), yet every live cell regenerates the stream from
-scratch -- and profiled grids spend most of their time in exactly that
-generation (graph construction, ``np.unique`` dedup, RNG draws), not in
-the driver.  :class:`TraceCache` records each distinct stream once via
-:func:`repro.trace.recorder.record_trace`, stores it in the mmap-able
-directory layout of :func:`~repro.trace.recorder.save_trace_dir`, and
-hands every cell a path to replay instead.
+replacement schemes).  Regenerating the stream in every cell would spend
+most of the grid's time in generation (graph construction, ``np.unique``
+dedup, RNG draws), not in the driver.  :class:`TraceCache` records each
+distinct stream once via :func:`repro.trace.recorder.record_trace`,
+stores it in the mmap-able directory layout of
+:func:`~repro.trace.recorder.save_trace_dir`, and hands every cell a
+path to replay instead; :func:`repro.analysis.parallel.run_grid` runs
+every grid through one.
 
 Trace recording is deterministic (the recorder seeds its own generator
 exactly like a live :class:`~repro.sim.simulator.Simulator` run), so a
@@ -72,7 +73,13 @@ class TraceCache:
         """Atomically publish ``data`` at ``path`` (loser-safe on races)."""
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        save_trace_dir(data, tmp)
+        try:
+            save_trace_dir(data, tmp)
+        except BaseException:
+            # A failed write (a full disk, an interrupt) must not strand
+            # a partial entry in a cache that outlives this process.
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         try:
             os.rename(tmp, path)
         except OSError:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import GridCell, GridOptions, run_grid
+from repro.analysis.parallel import run_cell
 from repro.analysis.checkpoint import encode_result
 from repro.config import (
     MigrationPolicy,
@@ -183,17 +184,23 @@ def test_replay_bit_identical_under_fault_injection():
 
 
 def test_grid_with_trace_cache_bit_identical(tmp_path):
-    """A sweep-shaped grid produces byte-identical results with the
-    shared trace cache on (cold and warm) and off."""
+    """Grids replay recorded streams, with a private cache (default
+    options) or a shared one (cold and warm), byte-identical to live
+    generation cell by cell.  Two streams are shared by several cells,
+    one stream by a single cell."""
     cells = [GridCell("ra", MigrationPolicy.ADAPTIVE, level, "tiny")
              for level in (0.8, 1.25)]
     cells.append(GridCell("sssp", MigrationPolicy.DISABLED, 1.25, "tiny"))
     cells.append(GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny",
                           transfer_fault_rate=0.05))
-    base = run_grid(cells)
+    cells.append(GridCell("sssp", MigrationPolicy.ADAPTIVE, 1.25, "tiny"))
+    cells.append(GridCell("bfs", MigrationPolicy.ALWAYS, 1.25, "tiny"))
+    live = [run_cell(c) for c in cells]
+    private = run_grid(cells)
     opts = GridOptions(trace_cache=str(tmp_path / "cache"))
     cold = run_grid(cells, options=opts)
     warm = run_grid(cells, options=opts)
-    for b, c, w in zip(base, cold, warm):
+    for b, p, c, w in zip(live, private, cold, warm):
+        assert encode_result(p) == encode_result(b)
         assert encode_result(c) == encode_result(b)
         assert encode_result(w) == encode_result(b)

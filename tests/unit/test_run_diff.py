@@ -117,3 +117,26 @@ class TestDiffRuns:
         assert diff.events is None
         assert "td trajectories and thrash sets unavailable" \
             in render_diff(diff)
+
+
+class TestGridArchive:
+    def test_archived_grids_diff_without_config_change(self, tmp_path):
+        """A grid archived twice, once replaying from a shared trace
+        cache and once from its private one, lands in the same run slots
+        with identical configs: no trace path leaks into the manifest."""
+        from repro.analysis.parallel import GridCell, GridOptions, run_grid
+        cells = [GridCell("ra", pol, 1.25, "tiny")
+                 for pol in (MigrationPolicy.DISABLED,
+                             MigrationPolicy.ADAPTIVE)]
+        stores = []
+        for name, cache in (("a", None), ("b", str(tmp_path / "cache"))):
+            store = RunStore(tmp_path / name)
+            run_grid(cells, options=GridOptions(archive=store,
+                                                trace_cache=cache))
+            stores.append(store)
+        a, b = ([m.run_id for m in s.list()] for s in stores)
+        assert sorted(a) == sorted(b) and len(a) == len(cells)
+        for run_id in a:
+            diff = diff_runs(stores[0].load(run_id), stores[1].load(run_id))
+            assert diff.config_changes == {}
+            assert "trace_path" not in diff.a.config

@@ -119,6 +119,22 @@ class TestTraceCache:
         assert leftovers == []
         assert cache.get_or_record("ra", "tiny", 0) == path
 
+    def test_failed_write_leaves_no_partial_entry(self, tmp_path,
+                                                  monkeypatch):
+        from repro.trace import recorder
+        cache = TraceCache(tmp_path / "cache")
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(recorder.np, "save", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            cache.get_or_record("ra", "tiny", 0)
+        monkeypatch.undo()
+        assert list((tmp_path / "cache").iterdir()) == []
+        path = cache.get_or_record("ra", "tiny", 0)
+        assert (path / MANIFEST_NAME).exists()
+
     def test_cached_entry_replays(self, tmp_path):
         cache = TraceCache(tmp_path / "cache")
         path = cache.get_or_record("ra", "tiny", 0)
