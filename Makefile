@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-accel bench bench-smoke bench-perf \
-	serve-smoke telemetry-smoke config-smoke grid-smoke check-configs \
-	check-regression figures examples check-docs clean
+	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
+	check-configs check-regression figures examples check-docs clean
 
 install:
 	pip install -e .
@@ -94,6 +94,37 @@ grid-smoke:
 	diff .grid-smoke/private.txt .grid-smoke/shared.txt
 	test -z "$$(ls -A .grid-smoke/tmp)"
 	rm -rf .grid-smoke
+
+# Flags and configs take one route to a simulation: two archived runs
+# that differ in a string config key diff cleanly (text and JSON), a
+# serve config matches the same knobs given as flags, and a bad knob
+# exits with a one-line message instead of a traceback.
+CLI_SMOKE_SERVE = --scale tiny --seed 0 --arrival-rate 400 --tenants 4 \
+	--mix ra,bfs --capacity-mb 16
+cli-smoke:
+	rm -rf .cli-smoke && mkdir .cli-smoke
+	for p in adaptive always; do \
+		$(PYTHON) -m repro run ra --scale tiny --policy $$p --archive \
+			--runs .cli-smoke > .cli-smoke/run-$$p.txt || exit 1; \
+	done
+	ids=$$(sed -n 's/^\[archived as \([^;]*\);.*/\1/p' \
+		.cli-smoke/run-adaptive.txt .cli-smoke/run-always.txt); \
+	$(PYTHON) -m repro diff $$ids --runs .cli-smoke > .cli-smoke/diff.txt \
+		&& $(PYTHON) -m repro diff $$ids --runs .cli-smoke --json \
+		> .cli-smoke/diff.json
+	grep -q "policy.policy" .cli-smoke/diff.txt
+	$(PYTHON) -m repro serve --config configs/smoke/serve.yaml --json \
+		> .cli-smoke/serve-config.json
+	$(PYTHON) -m repro serve $(CLI_SMOKE_SERVE) --json \
+		> .cli-smoke/serve-flags.json
+	$(PYTHON) -c 'import json; \
+		a, b = (json.load(open(f".cli-smoke/serve-{r}.json")) \
+		        for r in ("config", "flags")); \
+		a.pop("scenario"), b.pop("scenario"); \
+		assert a == b, "serve --config and its flags disagree"'
+	! $(PYTHON) -m repro run ra --ts 0 2> .cli-smoke/bad-flag.txt
+	! grep -q Traceback .cli-smoke/bad-flag.txt
+	rm -rf .cli-smoke
 
 # Gate on the bench history: non-zero exit when perf regressed.
 check-regression:

@@ -10,7 +10,8 @@ asserts both shapes.
 import numpy as np
 
 from repro.analysis import figure2, render_figure2
-from repro.analysis.experiments import NO_OVERSUB, run_single
+from repro.analysis.experiments import NO_OVERSUB
+from repro.analysis.parallel import GridCell, run_cell
 from repro.config import MigrationPolicy
 
 from conftest import run_once
@@ -43,8 +44,8 @@ def test_figure2(benchmark, save_report, scale, jobs):
 def test_figure2_page_level_uniformity(benchmark, save_report, scale):
     """Per-page histogram of one fdtd array is flat (not just on average)."""
     def run():
-        return run_single("fdtd", MigrationPolicy.DISABLED, NO_OVERSUB,
-                          scale, collect_histogram=True)
+        return run_cell(GridCell("fdtd", MigrationPolicy.DISABLED,
+                                 NO_OVERSUB, scale, collect_histogram=True))
     r = run_once(benchmark, run)
     hist = r.stats.allocation_histogram("fdtd.ey")
     touched = hist["reads"] + hist["writes"]

@@ -14,7 +14,6 @@ from .experiments import (
     figure8,
     render_figure2,
     render_figure3,
-    run_single,
     table1,
 )
 from .checkpoint import CheckpointJournal, cell_key
@@ -22,7 +21,9 @@ from .parallel import (
     GridCell,
     GridExecutionError,
     GridOptions,
+    cell_config,
     default_jobs,
+    run_cell,
     run_grid,
 )
 from .sweeps import (
@@ -43,9 +44,11 @@ __all__ = [
     "GridCell",
     "GridExecutionError",
     "GridOptions",
+    "cell_config",
     "cell_key",
     "default_jobs",
     "fault_rate_sweep",
+    "run_cell",
     "run_grid",
     "NO_OVERSUB",
     "OVERSUB_125",
@@ -65,6 +68,5 @@ __all__ = [
     "render_figure2",
     "render_figure3",
     "oversubscription_sweep",
-    "run_single",
     "table1",
 ]

@@ -55,10 +55,15 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
-from ..config import MigrationPolicy
+from ..config import (EvictionGranularity, FaultConfig, MemoryConfig,
+                      MigrationPolicy, PolicyConfig, PrefetcherKind,
+                      SimulationConfig)
 from ..sim.results import RunResult
+from ..sim.simulator import Simulator
+from ..trace.replay import TraceWorkload
+from ..workloads import make_workload
 
 #: Broken-pool incarnations tolerated before degrading to serial.
 _MAX_POOL_REBUILDS = 2
@@ -69,35 +74,41 @@ _MAX_BACKOFF_S = 10.0
 
 @dataclass(frozen=True)
 class GridCell:
-    """One independent experiment: a ``run_single`` argument bundle."""
+    """One independent experiment: an access stream and its knobs.
+
+    A config knob defaults to its config dataclass's own default, so a
+    cell that omits one runs the default configuration of that knob;
+    :func:`cell_config` maps the knobs to a :class:`SimulationConfig`.
+    """
 
     workload: str
-    policy: MigrationPolicy
-    oversubscription: float
+    policy: MigrationPolicy = PolicyConfig.policy
+    #: Working set as a fraction of device memory (the paper's 125%).
+    oversubscription: float = 1.25
     scale: str = "small"
-    ts: int = 8
-    p: int = 8
-    seed: int = 0
-    collect_histogram: bool = False
-    collect_trace: bool = False
+    ts: int = PolicyConfig.static_threshold
+    p: int = PolicyConfig.migration_penalty
+    seed: int = SimulationConfig.seed
+    collect_histogram: bool = SimulationConfig.collect_page_histogram
+    collect_trace: bool = SimulationConfig.collect_access_trace
     #: Injected transient-fault rates (see :mod:`repro.uvm.faults`).
-    transfer_fault_rate: float = 0.0
-    migration_fault_rate: float = 0.0
-    fault_retries: int = 3
+    transfer_fault_rate: float = FaultConfig.transfer_fault_rate
+    migration_fault_rate: float = FaultConfig.migration_fault_rate
+    fault_retries: int = FaultConfig.max_retries
     #: Correlated fault-storm chain (Markov burst modulation of the
     #: fault rates); 0.0 ``fault_burst_on`` disables the chain.
-    fault_burst_on: float = 0.0
-    fault_burst_off: float = 0.25
-    fault_burst_mult: float = 8.0
+    fault_burst_on: float = FaultConfig.burst_on_prob
+    fault_burst_off: float = FaultConfig.burst_off_prob
+    fault_burst_mult: float = FaultConfig.burst_multiplier
     #: Eviction granularity (``2mb`` or ``64kb``, Table I).
     evict: str = "2mb"
     #: Prefetcher strategy and degree (Table I: tree-based default).
-    prefetcher: str = "tree"
-    prefetch_degree: int = 4
+    prefetcher: str = MemoryConfig.prefetcher.value
+    prefetch_degree: int = MemoryConfig.prefetch_degree
     #: Equation-1 growth function and the historic-counter ablation
     #: (see :class:`repro.config.PolicyConfig`).
-    threshold_variant: str = "multiplicative"
-    historic_counters: bool = True
+    threshold_variant: str = PolicyConfig.threshold_variant
+    historic_counters: bool = PolicyConfig.historic_counters
     #: Replay the access stream from this recorded trace (an ``.npz``
     #: file or mmap-able trace directory) instead of regenerating it.
     #: :func:`run_grid` fills it in, from its trace cache, for every
@@ -112,6 +123,58 @@ class GridCell:
     #: performance hint with bit-identical results, excluded from the
     #: cell's checkpoint identity.
     backend: str | None = None
+
+
+#: Eviction granularity named by each ``GridCell.evict`` value.
+EVICTION_GRANULARITIES = {"2mb": EvictionGranularity.CHUNK_2MB,
+                          "64kb": EvictionGranularity.BLOCK_64KB}
+
+#: Every :class:`GridCell` knob default, by field name.
+_KNOB_DEFAULTS = {f.name: f.default for f in fields(GridCell)
+                  if f.default is not MISSING}
+
+
+def cell_config(knobs) -> SimulationConfig:
+    """The :class:`SimulationConfig` a set of knobs describes.
+
+    ``knobs`` maps :class:`GridCell` field names to values; an omitted
+    knob takes its :class:`GridCell` default, and an omitted
+    ``backend`` the config's own (which honours ``REPRO_BACKEND``).
+    The fields naming the access stream (``workload``, ``scale``,
+    ``oversubscription``, ``trace_path``) do not enter the config.
+    This is the one mapping from knobs to a config: grid cells, the
+    scenario compiler and the CLI all build theirs here.  Raises
+    ``ValueError`` on a knob the config rejects.
+    """
+    k = {**_KNOB_DEFAULTS, **knobs}
+    if k["evict"] not in EVICTION_GRANULARITIES:
+        raise ValueError(f"unknown eviction granularity {k['evict']!r}; "
+                         f"choose from {', '.join(EVICTION_GRANULARITIES)}")
+    cfg = SimulationConfig(seed=k["seed"],
+                           collect_page_histogram=k["collect_histogram"],
+                           collect_access_trace=k["collect_trace"])
+    if k["backend"] is not None:
+        cfg = cfg.replace(backend=k["backend"])
+    cfg = cfg.with_policy(MigrationPolicy(k["policy"]),
+                          static_threshold=k["ts"], migration_penalty=k["p"],
+                          threshold_variant=k["threshold_variant"],
+                          historic_counters=k["historic_counters"])
+    cfg = cfg.with_eviction_granularity(EVICTION_GRANULARITIES[k["evict"]])
+    cfg = cfg.with_prefetcher(PrefetcherKind(k["prefetcher"]),
+                              degree=k["prefetch_degree"])
+    # The fault knobs only count while a fault can fire, and the storm
+    # knobs only while the storm chain is on.
+    if k["transfer_fault_rate"] or k["migration_fault_rate"]:
+        storm = {}
+        if k["fault_burst_on"]:
+            storm = dict(burst_on_prob=k["fault_burst_on"],
+                         burst_off_prob=k["fault_burst_off"],
+                         burst_multiplier=k["fault_burst_mult"])
+        cfg = cfg.with_faults(
+            transfer_fault_rate=k["transfer_fault_rate"],
+            migration_fault_rate=k["migration_fault_rate"],
+            max_retries=k["fault_retries"], **storm)
+    return cfg.validate()
 
 
 @dataclass(frozen=True)
@@ -238,26 +301,16 @@ class GridExecutionError(RuntimeError):
 
 
 def run_cell(cell: GridCell) -> RunResult:
-    """Run one grid cell (the worker entry point; must stay picklable)."""
-    # Imported here so a forked/spawned worker pays the import once and
-    # the module import graph stays cycle-free (experiments imports us).
-    from .experiments import run_single
-    return run_single(cell.workload, cell.policy, cell.oversubscription,
-                      cell.scale, ts=cell.ts, p=cell.p, seed=cell.seed,
-                      collect_histogram=cell.collect_histogram,
-                      collect_trace=cell.collect_trace,
-                      transfer_fault_rate=cell.transfer_fault_rate,
-                      migration_fault_rate=cell.migration_fault_rate,
-                      fault_retries=cell.fault_retries,
-                      fault_burst_on=cell.fault_burst_on,
-                      fault_burst_off=cell.fault_burst_off,
-                      fault_burst_mult=cell.fault_burst_mult,
-                      evict=cell.evict, prefetcher=cell.prefetcher,
-                      prefetch_degree=cell.prefetch_degree,
-                      threshold_variant=cell.threshold_variant,
-                      historic_counters=cell.historic_counters,
-                      trace_path=cell.trace_path,
-                      backend=cell.backend)
+    """Run one grid cell (the worker entry point; must stay picklable).
+
+    A cell with a ``trace_path`` replays that recording of its
+    ``(workload, scale, seed)`` stream; one without generates the
+    stream live.  Both give bit-identical results.
+    """
+    workload = (TraceWorkload(cell.trace_path) if cell.trace_path is not None
+                else make_workload(cell.workload, cell.scale))
+    return Simulator(cell_config(vars(cell))).run(
+        workload, oversubscription=cell.oversubscription)
 
 
 def default_jobs() -> int:

@@ -39,12 +39,16 @@ Commands
 ``list``
     Show available workloads, scales, policies and figures.
 
-``run``, ``sweep`` and ``serve`` also accept declarative YAML scenario
-configs (``--config scenario.yaml``; for ``sweep`` additionally
-``--config-dir configs/``) in place of flags -- see the ``configs/``
-library and ``docs/scenarios.md``.  Archived config-driven runs embed
-the fully resolved scenario in their manifest, so ``repro diff``
-explains them by scenario-key deltas.
+The simulation flags of ``run``, ``compare``, ``trace replay`` and
+``serve`` are scenario keys: each flag sets one dotted key of the
+scenario schema, and the flags given form a scenario that compiles
+exactly like a YAML one.  ``run``, ``sweep`` and ``serve`` also accept
+declarative YAML scenario configs (``--config scenario.yaml``; for
+``sweep`` additionally ``--config-dir configs/``) -- see the
+``configs/`` library and ``docs/scenarios.md``.  With ``--config``, the
+simulation flags given alongside override the file's keys.  Archived
+config-driven runs embed the resolved scenario (flags included) in
+their manifest, so ``repro diff`` explains them by scenario-key deltas.
 
 The simulation commands (``run``, ``trace replay``) accept the
 observability flags ``--events out.jsonl[.gz]`` (structured event
@@ -64,62 +68,45 @@ temporary directory removed when the grid ends.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import analysis
-from .config import (
-    EvictionGranularity,
-    MigrationPolicy,
-    PrefetcherKind,
-    SimulationConfig,
-)
+from .analysis.parallel import EVICTION_GRANULARITIES
 from .analysis.tables import format_table
+from .config import MigrationPolicy, PrefetcherKind
 from .sim.simulator import Simulator
 from .workloads import SCALES, make_workload, workload_names
 
 
-def _apply_backend(cfg: SimulationConfig, args) -> SimulationConfig:
-    """Fold the ``--backend`` flag into ``cfg``.
+@contextlib.contextmanager
+def _exit_on_error(command: str):
+    """Turn a bad input into a one-line ``repro <command>: ...`` exit.
 
-    It defaults to ``None`` meaning *inherit*: the config's own default
-    already honours the ``REPRO_BACKEND`` environment variable, so only
-    an explicit flag overrides.
+    Wraps the building of a command's inputs (scenario, configs, trace
+    file); a :class:`~repro.scenario.ScenarioError` is a ``ValueError``.
     """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
-    return cfg
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"repro {command}: {exc}") from None
 
 
-def _build_config(args) -> SimulationConfig:
-    cfg = SimulationConfig(
-        seed=args.seed,
-        collect_page_histogram=getattr(args, "histogram", False),
-        debug_invariants=getattr(args, "debug_invariants", False),
-    )
-    cfg = _apply_backend(cfg, args)
-    cfg = cfg.with_policy(MigrationPolicy(args.policy),
-                          static_threshold=args.ts,
-                          migration_penalty=args.penalty)
-    if getattr(args, "evict", "2mb") == "64kb":
-        cfg = cfg.with_eviction_granularity(EvictionGranularity.BLOCK_64KB)
-    if getattr(args, "prefetcher", "tree") != "tree":
-        cfg = cfg.with_prefetcher(PrefetcherKind(args.prefetcher),
-                                  degree=args.prefetch_degree)
-    if getattr(args, "fault_rate", 0.0) or getattr(args,
-                                                   "migration_fault_rate",
-                                                   0.0):
-        try:
-            cfg = cfg.with_faults(
-                transfer_fault_rate=args.fault_rate,
-                migration_fault_rate=args.migration_fault_rate,
-                max_retries=args.fault_retries,
-                burst_on_prob=getattr(args, "fault_burst_on", 0.0),
-                burst_off_prob=getattr(args, "fault_burst_off", 0.25),
-                burst_multiplier=getattr(args, "fault_burst_mult", 8.0))
-        except ValueError as exc:
-            raise SystemExit(f"repro: {exc}") from None
-    return cfg
+def _scenario(args, command: str, mode: str = "run") -> dict:
+    """The scenario a simulation command runs.
+
+    Every knob flag's ``dest`` is its scenario schema path and the flag
+    has no parser default, so the flags actually given form a scenario
+    of their own.  With ``--config`` that scenario is deep-merged over
+    the loaded one: explicit flags override the file's keys.
+    """
+    from .scenario import SCHEMA, deep_merge
+    from .scenario.schema import unflatten
+    flags = unflatten({path: value for path, value in vars(args).items()
+                       if path in SCHEMA and value is not None})
+    if not getattr(args, "config", None):
+        return {"mode": mode, **flags}
+    return deep_merge(_load_scenario_file(args.config, command), flags)
 
 
 def _make_workload(name: str, scale: str):
@@ -189,10 +176,8 @@ def _make_obs(args):
         raise SystemExit(f"repro: {exc}")
 
 
-def _begin_archive(args, cfg, workload_name: str, obs,
-                   scenario: dict | None = None,
-                   scale: str | None = None,
-                   oversub: float | None = None):
+def _begin_archive(args, cfg, workload_name: str, obs, scale: str,
+                   oversub: float, scenario: dict | None = None):
     """Open a run-archive slot and stream the event log into it.
 
     Returns the open :class:`~repro.obs.store.RunWriter` (or ``None``
@@ -200,9 +185,9 @@ def _begin_archive(args, cfg, workload_name: str, obs,
     content-addressed run id -- is derived *before* the simulation
     runs, so the archived event log can be written in place rather
     than copied afterwards.  ``scenario`` (a fully resolved scenario
-    mapping) is embedded in the manifest config and named in
-    ``manifest.scenario`` for config-driven runs, so ``repro diff``
-    can explain two runs by their scenario deltas.
+    mapping, flags merged in) is embedded in the manifest config and
+    named in ``manifest.scenario`` for config-driven runs, so ``repro
+    diff`` can explain two runs by their scenario deltas.
     """
     if not getattr(args, "archive", False):
         return None
@@ -216,10 +201,7 @@ def _begin_archive(args, cfg, workload_name: str, obs,
     manifest = RunManifest.create(
         kind="run", workload=workload_name,
         policy=cfg.policy.policy.value,
-        scale=scale if scale is not None else getattr(args, "scale", "-"),
-        seed=cfg.seed,
-        oversubscription=(oversub if oversub is not None
-                          else getattr(args, "oversub", None)),
+        scale=scale, seed=cfg.seed, oversubscription=oversub,
         config=config, git=git_info(),
         scenario=scenario.get("name") if scenario is not None else None)
     writer = store.open_run(manifest)
@@ -295,76 +277,65 @@ def _run_scenario_batch(args, scenarios, command: str, jobs: int = 1,
                         grid=None) -> int:
     """Execute scenarios through the batch runner; print per-scenario
     tables."""
-    from .scenario import ScenarioError, run_scenarios
+    from .scenario import run_scenarios
     store = None
     if grid is None and getattr(args, "archive", False):
         from .obs.store import RunStore
         store = RunStore(getattr(args, "runs", None))
-    try:
+    with _exit_on_error(command):
         outcomes = run_scenarios(scenarios, jobs=jobs, options=grid,
                                  store=store)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(f"repro {command}: {exc}") from None
     print("\n\n".join(o.render() for o in outcomes))
     return 0
 
 
-def _cmd_run_config(args) -> int:
-    """``repro run --config scenario.yaml``."""
-    scenario = _load_scenario_file(args.config, "run")
-    if scenario.get("mode", "run") != "run":
-        # Sweeps, serve and multigpu scenarios still run (batch path,
-        # compact output); the detailed single-run report below only
-        # makes sense for one simulation.
-        return _run_scenario_batch(args, [scenario], "run")
-    from .scenario import ScenarioError, build_sim_config
-    from .scenario.schema import flatten
-    try:
-        cfg = build_sim_config(scenario)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(f"repro run: {exc}") from None
-    # CLI-only observability overlays compose with any config.
-    if getattr(args, "histogram", False):
-        cfg = cfg.replace(collect_page_histogram=True)
-    if getattr(args, "debug_invariants", False):
-        cfg = cfg.replace(debug_invariants=True)
-    flat = flatten(scenario)
-    scale = flat.get("scale") or "small"
-    oversub = float(flat["oversubscription"]
-                    if flat.get("oversubscription") is not None else 1.25)
-    wl = _make_workload(flat["workload"], scale)
+def _sim_config(args, variant: dict):
+    """The config ``variant`` compiles to, under the CLI-only overlays
+    (``--histogram``, ``--debug-invariants``): they instrument or audit
+    a run, never change what it simulates."""
+    from .scenario import build_sim_config
+    return build_sim_config(variant).replace(
+        collect_page_histogram=getattr(args, "histogram", False),
+        debug_invariants=args.debug_invariants)
+
+
+def _simulate(args, cfg, wl, oversub: float, scale: str,
+              scenario: dict | None = None) -> int:
+    """Run one simulation under the observability flags and report it."""
     obs = _make_obs(args)
-    archive = _begin_archive(args, cfg, wl.name, obs, scenario=scenario,
-                             scale=scale, oversub=oversub)
+    archive = _begin_archive(args, cfg, wl.name, obs, scale, oversub,
+                             scenario=scenario)
     result = Simulator(cfg).run(wl, oversubscription=oversub, obs=obs)
     _print_summary(result)
     _finish_obs(obs, args)
     _finish_archive(archive, result, obs)
-    if args.histogram:
+    if cfg.collect_page_histogram:
         _print_histogram(result)
     return 0
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        if args.workload is not None:
-            raise SystemExit("repro run: give either a workload or "
-                             "--config, not both")
-        return _cmd_run_config(args)
-    if args.workload is None:
+    from .scenario import build_cell
+    if args.config and args.workload is not None:
+        raise SystemExit("repro run: give either a workload or "
+                         "--config, not both")
+    if not args.config and args.workload is None:
         raise SystemExit("repro run: a workload name or --config "
                          "scenario.yaml is required")
-    cfg = _build_config(args)
-    wl = _make_workload(args.workload, args.scale)
-    obs = _make_obs(args)
-    archive = _begin_archive(args, cfg, wl.name, obs)
-    result = Simulator(cfg).run(wl, oversubscription=args.oversub, obs=obs)
-    _print_summary(result)
-    _finish_obs(obs, args)
-    _finish_archive(archive, result, obs)
-    if args.histogram:
-        _print_histogram(result)
-    return 0
+    scenario = _scenario(args, "run")
+    if scenario.get("mode", "run") != "run":
+        # Sweeps, serve and multigpu scenarios still run (batch path,
+        # compact output); the detailed single-run report below only
+        # makes sense for one simulation.
+        return _run_scenario_batch(args, [scenario], "run")
+    with _exit_on_error("run"):
+        cell = build_cell(scenario)
+        cfg = _sim_config(args, scenario)
+    # Only config-driven runs archive a scenario: a flag run's manifest
+    # is its config alone.
+    return _simulate(args, cfg, _make_workload(cell.workload, cell.scale),
+                     cell.oversubscription, cell.scale,
+                     scenario=scenario if args.config else None)
 
 
 def _print_histogram(result) -> None:
@@ -379,13 +350,17 @@ def _print_histogram(result) -> None:
 
 
 def cmd_compare(args) -> int:
-    results = {}
-    for pol in MigrationPolicy:
-        cfg = _apply_backend(SimulationConfig(seed=args.seed), args)
-        cfg = cfg.with_policy(
-            pol, static_threshold=args.ts, migration_penalty=args.penalty)
-        wl = _make_workload(args.workload, args.scale)
-        results[pol] = Simulator(cfg).run(wl, oversubscription=args.oversub)
+    from .scenario import build_cell, deep_merge
+    scenario = _scenario(args, "compare")
+    with _exit_on_error("compare"):
+        cell = build_cell(scenario)
+        configs = {pol: _sim_config(args, deep_merge(
+                       scenario, {"policy": {"variant": pol.value}}))
+                   for pol in MigrationPolicy}
+    results = {pol: Simulator(cfg).run(
+                   _make_workload(cell.workload, cell.scale),
+                   oversubscription=cell.oversubscription)
+               for pol, cfg in configs.items()}
     base = results[MigrationPolicy.DISABLED]
     rows = []
     for pol, r in results.items():
@@ -397,7 +372,7 @@ def cmd_compare(args) -> int:
     print(format_table(
         ["policy", "runtime (ms)", "vs baseline", "faults", "remote",
          "thrash"],
-        rows, title=f"== {args.workload} @ {args.oversub:.0%} "
+        rows, title=f"== {cell.workload} @ {cell.oversubscription:.0%} "
                     f"of device memory =="))
     return 0
 
@@ -519,16 +494,14 @@ def cmd_trace(args) -> int:
         print(f"recorded {data.num_waves} waves / "
               f"{data.num_accesses} accesses to {path}")
         return 0
-    # replay
-    cfg = _build_config(args)
-    obs = _make_obs(args)
-    wl = TraceWorkload(args.input)
-    archive = _begin_archive(args, cfg, wl.name, obs)
-    result = Simulator(cfg).run(wl, oversubscription=args.oversub, obs=obs)
-    _print_summary(result)
-    _finish_obs(obs, args)
-    _finish_archive(archive, result, obs)
-    return 0
+    # replay: the trace names the workload, the flags its knobs.
+    from .scenario import build_cell
+    scenario = _scenario(args, "trace")
+    with _exit_on_error("trace"):
+        wl = TraceWorkload(args.input)
+        cell = build_cell({**scenario, "workload": wl.name})
+        cfg = _sim_config(args, scenario)
+    return _simulate(args, cfg, wl, cell.oversubscription, "-")
 
 
 def _begin_serve_archive(args, serve_cfg, sim_cfg, obs,
@@ -644,46 +617,10 @@ def _load_slo_config(args):
     return config
 
 
-def _parse_weights(spec):
-    """Parse a ``--weights`` comma list into a float tuple."""
-    try:
-        weights = tuple(float(w.strip())
-                        for w in spec.split(",") if w.strip())
-    except ValueError:
-        raise SystemExit(
-            f"repro serve: --weights expects comma-separated numbers, "
-            f"got {spec!r}") from None
-    return weights
-
-
-def _apply_live_flags(args, serve_cfg):
-    """Overlay explicitly-passed serve flags onto a scenario config
-    (``--live-admission`` / ``--window-ms`` / scheduler family)."""
-    import dataclasses
-    updates = {}
-    if getattr(args, "live_admission", False):
-        updates["live_admission"] = True
-    if getattr(args, "live_thrash_threshold", None) is not None:
-        updates["live_thrash_threshold"] = args.live_thrash_threshold
-    if getattr(args, "window_ms", None) is not None:
-        updates["window_ms"] = args.window_ms
-    if getattr(args, "scheduler", None) is not None:
-        updates["scheduler"] = args.scheduler
-    if getattr(args, "weights", None) is not None:
-        updates["weights"] = _parse_weights(args.weights)
-    if getattr(args, "throttle_decay", None) is not None:
-        updates["throttle_decay"] = args.throttle_decay
-    if not updates:
-        return serve_cfg
-    return dataclasses.replace(serve_cfg, **updates).validate()
-
-
-def _cmd_serve_config(args) -> int:
-    """``repro serve --config scenario.yaml``."""
+def cmd_serve(args) -> int:
+    from .scenario import build_serve_config, build_slo_config, expand
     from .serve import ServeSession
-    from .scenario import (ScenarioError, build_serve_config,
-                           build_sim_config, expand)
-    scenario = _load_scenario_file(args.config, "serve")
+    scenario = _scenario(args, "serve", mode="serve")
     if scenario.get("mode", "run") != "serve":
         raise SystemExit(
             f"repro serve: {scenario.get('name')} has mode "
@@ -694,88 +631,24 @@ def _cmd_serve_config(args) -> int:
     if len(variants) > 1:
         # A swept serve scenario: batch path with one row per variant.
         return _run_scenario_batch(args, [scenario], "serve")
-    from .scenario import build_slo_config
-    try:
-        serve_cfg = build_serve_config(variants[0].data)
-        sim_cfg = build_sim_config(variants[0].data)
-        slo = build_slo_config(variants[0].data)
-    except (ScenarioError, ValueError) as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
-    serve_cfg = _apply_live_flags(args, serve_cfg)
+    variant = variants[0].data
+    with _exit_on_error("serve"):
+        serve_cfg = build_serve_config(variant)
+        sim_cfg = _sim_config(args, variant)
+        slo = build_slo_config(variant)
     # --slo-config on the command line overrides the scenario's slo:
     # section wholesale (objectives are not merged key-by-key).
     flag_slo = _load_slo_config(args)
     if flag_slo is not None:
         slo = flag_slo
     obs = _make_obs(args)
-    archive = _begin_serve_archive(args, serve_cfg, sim_cfg, obs,
-                                   scenario=scenario)
-    try:
+    archive = _begin_serve_archive(
+        args, serve_cfg, sim_cfg, obs,
+        scenario=scenario if args.config else None)
+    with _exit_on_error("serve"):
         result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
                               scenario=scenario.get("name"),
                               slo=slo).run()
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
-    if args.json:
-        import json as _json
-        print(_json.dumps(result.as_dict(), indent=2, sort_keys=True))
-    else:
-        _print_serve_summary(result)
-    _finish_obs(obs, args)
-    if archive is not None:
-        metrics = obs.metrics.as_dict() if obs.metrics is not None else None
-        run_id = archive.commit_dict(result.as_dict(), metrics=metrics)
-        print(f"[archived as {run_id}; list with `repro runs`]")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from .config import ServeConfig
-    from .serve import ServeSession
-    if args.config:
-        return _cmd_serve_config(args)
-    sim_cfg = _build_config(args)
-    mix = tuple(w.strip() for w in args.mix.split(",") if w.strip())
-    known = workload_names(extended=True)
-    for name in mix:
-        if name not in known:
-            raise SystemExit(f"repro serve: unknown workload {name!r} in "
-                             f"--mix; available: {', '.join(known)}")
-    try:
-        serve_cfg = ServeConfig(
-            arrival_rate=args.arrival_rate, tenants=args.tenants,
-            duration_ms=args.duration, process=args.process,
-            burst_factor=args.burst_factor, burst_len_ms=args.burst_len,
-            calm_len_ms=args.calm_len, workload_mix=mix, scale=args.scale,
-            capacity_mb=args.capacity_mb,
-            admit_watermark=args.admit_watermark,
-            shed_watermark=args.shed_watermark,
-            throttle_watermark=args.throttle_watermark,
-            queue_depth=args.queue_depth, quantum=args.quantum,
-            throttle_rounds=args.throttle_rounds,
-            live_admission=args.live_admission,
-            live_thrash_threshold=(args.live_thrash_threshold
-                                   if args.live_thrash_threshold is not None
-                                   else 0.25),
-            window_ms=(args.window_ms if args.window_ms is not None
-                       else 5.0),
-            scheduler=(args.scheduler if args.scheduler is not None
-                       else "round_robin"),
-            weights=(_parse_weights(args.weights)
-                     if args.weights is not None else ()),
-            throttle_decay=(args.throttle_decay
-                            if args.throttle_decay is not None else 0.25),
-            seed=args.seed).validate()
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
-    slo = _load_slo_config(args)
-    obs = _make_obs(args)
-    archive = _begin_serve_archive(args, serve_cfg, sim_cfg, obs)
-    try:
-        result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
-                              slo=slo).run()
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}") from None
     if args.json:
         import json as _json
         print(_json.dumps(result.as_dict(), indent=2, sort_keys=True))
@@ -929,46 +802,74 @@ def _workload_arg(name: str) -> str:
     return name
 
 
+def _mix_arg(spec: str) -> list[str]:
+    """Parse ``--mix``: comma-separated workload names."""
+    return [_workload_arg(name.strip())
+            for name in spec.split(",") if name.strip()]
+
+
+def _weights_arg(spec: str) -> list[float]:
+    """Parse ``--weights``: comma-separated numbers."""
+    try:
+        return [float(w) for w in spec.split(",") if w.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated numbers, got {spec!r}") from None
+
+
 def _add_sim_args(p, with_oversub=True) -> None:
-    p.add_argument("--policy", default="adaptive",
+    """Simulation knob flags.
+
+    A knob flag's ``dest`` is the scenario schema path it sets, and it
+    has no parser default: an omitted flag leaves the key unset (see
+    :func:`_scenario`), so it keeps the ``--config`` value or the
+    config default.
+    """
+    p.add_argument("--policy", dest="policy.variant",
                    choices=[m.value for m in MigrationPolicy])
-    p.add_argument("--ts", type=int, default=8,
-                   help="static access counter threshold")
-    p.add_argument("--penalty", type=int, default=8,
-                   help="multiplicative migration penalty p")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--evict", choices=("2mb", "64kb"), default="2mb",
+    p.add_argument("--ts", dest="policy.static_threshold", type=int,
+                   metavar="N", help="static access counter threshold")
+    p.add_argument("--penalty", dest="policy.migration_penalty", type=int,
+                   metavar="P", help="multiplicative migration penalty p")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--evict", dest="memory.eviction",
+                   choices=tuple(EVICTION_GRANULARITIES),
                    help="eviction granularity")
-    p.add_argument("--prefetcher", default="tree",
+    p.add_argument("--prefetcher", dest="memory.prefetcher",
                    choices=[k.value for k in PrefetcherKind])
-    p.add_argument("--prefetch-degree", type=int, default=4)
-    p.add_argument("--fault-rate", type=float, default=0.0,
+    p.add_argument("--prefetch-degree", dest="memory.prefetch_degree",
+                   type=int, metavar="N")
+    p.add_argument("--fault-rate", dest="faults.transfer_rate", type=float,
+                   metavar="PROB",
                    help="probability of an injected transient PCIe "
                         "transfer fault per migration attempt")
-    p.add_argument("--migration-fault-rate", type=float, default=0.0,
+    p.add_argument("--migration-fault-rate", dest="faults.migration_rate",
+                   type=float, metavar="PROB",
                    help="probability of an injected device allocation "
                         "fault per migration attempt")
-    p.add_argument("--fault-retries", type=int, default=3,
+    p.add_argument("--fault-retries", dest="faults.max_retries", type=int,
+                   metavar="N",
                    help="driver retries before degrading a faulted "
                         "migration to remote zero-copy access")
-    p.add_argument("--fault-burst-on", type=float, default=0.0,
+    p.add_argument("--fault-burst-on", dest="faults.burst_on", type=float,
                    metavar="PROB",
                    help="per-migration probability of entering a "
                         "correlated fault storm that multiplies both "
                         "fault rates (0 = uncorrelated faults only)")
-    p.add_argument("--fault-burst-off", type=float, default=0.25,
-                   metavar="PROB",
+    p.add_argument("--fault-burst-off", dest="faults.burst_off",
+                   type=float, metavar="PROB",
                    help="per-migration probability of a fault storm "
                         "ending")
-    p.add_argument("--fault-burst-mult", type=float, default=8.0,
-                   metavar="X",
+    p.add_argument("--fault-burst-mult", dest="faults.burst_multiplier",
+                   type=float, metavar="X",
                    help="fault-rate multiplier while a storm is active")
     p.add_argument("--debug-invariants", action="store_true",
                    help="check residency/capacity accounting after "
                         "every wave (slow; for debugging)")
     _add_backend_args(p)
     if with_oversub:
-        p.add_argument("--oversub", type=float, default=1.25,
+        p.add_argument("--oversub", dest="oversubscription", type=float,
+                       metavar="FACTOR",
                        help="working set as a fraction of device memory "
                             "(1.25 = 125%% oversubscription)")
 
@@ -1065,10 +966,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload name (see `repro list`); omit when "
                         "using --config")
     p.add_argument("--config", default=None, metavar="YAML",
-                   help="run a declarative scenario config instead of "
-                        "flags (see docs/scenarios.md; flags other than "
-                        "the observability ones are ignored)")
-    p.add_argument("--scale", default="small", choices=SCALES)
+                   help="run a declarative scenario config (see "
+                        "docs/scenarios.md); simulation flags given with "
+                        "it override the scenario's keys")
+    p.add_argument("--scale", choices=SCALES)
     p.add_argument("--histogram", action="store_true",
                    help="collect per-allocation access histograms")
     _add_sim_args(p)
@@ -1078,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="all four policies on one workload")
     p.add_argument("workload", type=_workload_arg,
                    help="workload name (see `repro list`)")
-    p.add_argument("--scale", default="small", choices=SCALES)
+    p.add_argument("--scale", choices=SCALES)
     _add_sim_args(p)
     p.set_defaults(func=cmd_compare)
 
@@ -1142,61 +1043,74 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="multi-tenant open-loop serving run")
     from .config import KNOWN_ARRIVAL_PROCESSES, KNOWN_SCHEDULERS
     p.add_argument("--config", default=None, metavar="YAML",
-                   help="run a mode: serve scenario config instead of "
-                        "flags (see docs/scenarios.md)")
-    p.add_argument("--arrival-rate", type=float, default=400.0,
+                   help="run a mode: serve scenario config (see "
+                        "docs/scenarios.md); serve and simulation flags "
+                        "given with it override the scenario's keys")
+    p.add_argument("--arrival-rate", dest="serve.arrival_rate", type=float,
                    metavar="PER_S",
                    help="tenant arrivals per second of simulated time "
                         "(open loop: arrivals never wait for service)")
-    p.add_argument("--tenants", type=int, default=12,
+    p.add_argument("--tenants", dest="serve.tenants", type=int, metavar="N",
                    help="number of tenant arrivals to generate")
-    p.add_argument("--duration", type=float, default=None, metavar="MS",
+    p.add_argument("--duration", dest="serve.duration_ms", type=float,
+                   metavar="MS",
                    help="arrival window in simulated milliseconds "
                         "(default: cut by --tenants alone)")
-    p.add_argument("--process", default="poisson",
+    p.add_argument("--process", dest="serve.process",
                    choices=KNOWN_ARRIVAL_PROCESSES,
                    help="arrival process (bursty = Markov-modulated "
                         "Poisson with calm/burst sojourns)")
-    p.add_argument("--burst-factor", type=float, default=8.0,
+    p.add_argument("--burst-factor", dest="serve.burst_factor", type=float,
+                   metavar="X",
                    help="arrival-rate multiplier inside a burst "
                         "(bursty process only)")
-    p.add_argument("--burst-len", type=float, default=2.0, metavar="MS",
+    p.add_argument("--burst-len", dest="serve.burst_len_ms", type=float,
+                   metavar="MS",
                    help="mean burst-state sojourn in simulated ms")
-    p.add_argument("--calm-len", type=float, default=10.0, metavar="MS",
+    p.add_argument("--calm-len", dest="serve.calm_len_ms", type=float,
+                   metavar="MS",
                    help="mean calm-state sojourn in simulated ms")
-    p.add_argument("--mix", default="ra,sssp,bfs,fdtd",
+    p.add_argument("--mix", dest="serve.workload_mix", type=_mix_arg,
+                   metavar="W1,W2,...",
                    help="comma-separated workloads tenants are drawn "
                         "from (seeded uniform choice)")
-    p.add_argument("--scale", default="tiny", choices=SCALES)
-    p.add_argument("--capacity-mb", type=int, default=32,
+    p.add_argument("--scale", choices=SCALES)
+    p.add_argument("--capacity-mb", dest="serve.capacity_mb", type=int,
+                   metavar="MB",
                    help="shared device memory capacity in MB")
-    p.add_argument("--admit-watermark", type=float, default=1.5,
+    p.add_argument("--admit-watermark", dest="serve.admit_watermark",
+                   type=float, metavar="X",
                    help="projected live oversubscription up to which "
                         "arrivals are admitted immediately")
-    p.add_argument("--shed-watermark", type=float, default=2.5,
+    p.add_argument("--shed-watermark", dest="serve.shed_watermark",
+                   type=float, metavar="X",
                    help="projected oversubscription past which an "
                         "arrival is shed outright")
-    p.add_argument("--throttle-watermark", type=float, default=1.2,
+    p.add_argument("--throttle-watermark", dest="serve.throttle_watermark",
+                   type=float, metavar="X",
                    help="live oversubscription at which the heaviest-"
                         "thrashing tenant's stream is suspended")
-    p.add_argument("--queue-depth", type=int, default=8,
+    p.add_argument("--queue-depth", dest="serve.queue_depth", type=int,
+                   metavar="N",
                    help="bounded admission queue depth (full = shed)")
-    p.add_argument("--quantum", type=int, default=4,
+    p.add_argument("--quantum", dest="serve.quantum", type=int, metavar="N",
                    help="waves per runnable tenant per scheduler round")
-    p.add_argument("--throttle-rounds", type=int, default=8,
+    p.add_argument("--throttle-rounds", dest="serve.throttle_rounds",
+                   type=int, metavar="N",
                    help="scheduler rounds a throttled tenant sits out")
-    p.add_argument("--scheduler", default=None,
+    p.add_argument("--scheduler", dest="serve.scheduler",
                    choices=KNOWN_SCHEDULERS,
                    help="wave scheduler: round_robin (legacy quantum "
                         "rotation, the default) or drr (deficit-"
                         "weighted fair queuing; throttling decays the "
                         "weight instead of suspending the stream)")
-    p.add_argument("--weights", default=None, metavar="W1,W2,...",
+    p.add_argument("--weights", dest="serve.weights", type=_weights_arg,
+                   metavar="W1,W2,...",
                    help="comma-separated drr fair-share weights; tenant "
                         "i gets weight i mod len (default: equal "
                         "shares)")
-    p.add_argument("--throttle-decay", type=float, default=None,
-                   metavar="FACTOR",
+    p.add_argument("--throttle-decay", dest="serve.throttle_decay",
+                   type=float, metavar="FACTOR",
                    help="drr weight multiplier while a tenant is "
                         "throttled (default 0.25)")
     p.add_argument("--json", action="store_true",
@@ -1206,18 +1120,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "p99_latency_us, max_shed_rate, min_throughput, "
                         "...); enables the streaming SLO engine and "
                         "alerting (overrides a scenario's slo: section)")
-    p.add_argument("--live-admission", action="store_true",
+    p.add_argument("--live-admission", dest="serve.live_admission",
+                   action="store_true", default=None,
                    help="let the degradation ladder consume live "
                         "windowed interference telemetry (EWMA thrash "
                         "pressure) instead of cumulative attribution "
                         "alone; off by default (off = bit-identical to "
                         "the telemetry-free path)")
-    p.add_argument("--live-thrash-threshold", type=float, default=None,
+    p.add_argument("--live-thrash-threshold",
+                   dest="serve.live_thrash_threshold", type=float,
                    metavar="RATE",
                    help="EWMA thrash migrations per wave at which "
                         "--live-admission engages the throttle "
                         "(default 0.25)")
-    p.add_argument("--window-ms", type=float, default=None,
+    p.add_argument("--window-ms", dest="serve.window_ms", type=float,
+                   metavar="MS",
                    help="tumbling telemetry window width in simulated "
                         "milliseconds (default 5.0)")
     _add_sim_args(p, with_oversub=False)

@@ -259,7 +259,9 @@ def _fmt(value) -> str:
         return "-"
     if isinstance(value, float):
         return f"{value:,.1f}" if abs(value) >= 10 else f"{value:.3g}"
-    return f"{value:,}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{value:,}"
+    return str(value)
 
 
 def _fmt_pct(delta: MetricDelta) -> str:

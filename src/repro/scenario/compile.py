@@ -9,30 +9,32 @@ functions then map a single variant onto the existing execution
 surfaces:
 
 * :func:`build_cell` -> :class:`~repro.analysis.parallel.GridCell`
-  (modes ``run`` and ``sweep``), with field values matching the CLI
-  defaults exactly so a config-built cell is *equal* to the flag-built
-  one -- the bit-identity contract the property tests pin;
+  (modes ``run`` and ``sweep``);
+* :func:`build_sim_config` -> :class:`~repro.config.SimulationConfig`
+  (every mode), through :func:`~repro.analysis.parallel.cell_config`,
+  the one mapping from knobs to a config;
 * :func:`build_serve_config` -> :class:`~repro.config.ServeConfig`
-  (mode ``serve``);
+  and :func:`build_slo_config` -> its SLO (mode ``serve``);
 * :func:`build_multigpu_spec` -> :class:`MultiGpuSpec` (mode
   ``multigpu``), including the Section VIII throttle knob.
 
-Omitted keys never materialize: the builders only override a default
-when the scenario actually sets the key, so the constructed configs
-are bit-identical to hand-constructed ones for unset knobs (including
-``backend``, which keeps honouring ``REPRO_BACKEND``).
+Each builder reads its keys through one schema-path -> field table and
+passes only the keys a scenario sets, so an omitted key takes the
+dataclass default (``backend`` keeps honouring ``REPRO_BACKEND``).
+The CLI's simulation flags compile through the same builders: a flag
+is its schema path, so a scenario and the equivalent flags build equal
+cells and configs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
-from ..analysis.parallel import GridCell
-from ..config import (EvictionGranularity, MigrationPolicy, PrefetcherKind,
-                      ServeConfig, SimulationConfig)
-from .schema import ScenarioError, flatten
+from ..analysis.parallel import GridCell, cell_config
+from ..config import MigrationPolicy, ServeConfig, SimulationConfig
+from .loader import deep_merge
+from .schema import ScenarioError, flatten, unflatten
 
 __all__ = ["expand", "build_cell", "build_serve_config",
            "build_sim_config", "build_multigpu_spec", "build_slo_config",
@@ -51,15 +53,6 @@ class Variant:
     data: dict
     #: The swept ``{axis: value}`` coordinates (empty when unswept).
     coords: dict
-
-
-def _set_path(data: dict, path: str, value) -> None:
-    """Deep-set ``a.b.c`` into nested dicts, creating sections."""
-    keys = path.split(".")
-    node = data
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
 
 
 def _deep_copy(data):
@@ -85,28 +78,54 @@ def expand(scenario: dict) -> list[Variant]:
     variants = []
     for values in itertools.product(*(axes[p] for p in paths)):
         coords = dict(zip(paths, values))
-        data = _deep_copy(base)
-        for path, value in coords.items():
-            _set_path(data, path, value)
+        data = _deep_copy(deep_merge(base, unflatten(coords)))
         coord_str = ",".join(f"{p}={v}" for p, v in coords.items())
         variants.append(Variant(label=f"{name}[{coord_str}]", data=data,
                                 coords=coords))
     return variants
 
 
-def _get(flat: dict, path: str, default):
-    """Flat lookup treating an explicit ``null`` as unset."""
-    value = flat.get(path)
-    return default if value is None else value
+def _fields(flat: dict, table: dict) -> dict:
+    """Constructor kwargs for the keys ``flat`` sets, through ``table``.
+
+    ``table`` maps a schema path to ``(field, coercion)``; an unset key
+    (or an explicit ``null``) is left out, so it takes the field's
+    dataclass default.
+    """
+    return {name: coerce(flat[path])
+            for path, (name, coerce) in table.items()
+            if flat.get(path) is not None}
+
+
+#: Schema path -> (GridCell field, coercion) for every cell knob.
+_CELL_FIELDS = {
+    "policy.variant": ("policy", MigrationPolicy),
+    "oversubscription": ("oversubscription", float),
+    "scale": ("scale", str),
+    "policy.static_threshold": ("ts", int),
+    "policy.migration_penalty": ("p", int),
+    "seed": ("seed", int),
+    "faults.transfer_rate": ("transfer_fault_rate", float),
+    "faults.migration_rate": ("migration_fault_rate", float),
+    "faults.max_retries": ("fault_retries", int),
+    "faults.burst_on": ("fault_burst_on", float),
+    "faults.burst_off": ("fault_burst_off", float),
+    "faults.burst_multiplier": ("fault_burst_mult", float),
+    "memory.eviction": ("evict", str),
+    "memory.prefetcher": ("prefetcher", str),
+    "memory.prefetch_degree": ("prefetch_degree", int),
+    "policy.threshold_variant": ("threshold_variant", str),
+    "policy.historic_counters": ("historic_counters", bool),
+    "backend": ("backend", str),
+}
 
 
 def build_cell(variant: dict) -> GridCell:
     """Map one concrete scenario onto a :class:`GridCell`.
 
-    Every default below is the :class:`GridCell` dataclass default, so
-    a scenario that omits a key builds a cell *equal* (and therefore
-    checkpoint-identical) to one built from CLI flags that omitted the
-    matching flag.
+    Omitted keys take the :class:`GridCell` defaults, so a scenario
+    that omits a key builds a cell *equal* (and therefore
+    checkpoint-identical) to a hand-built one that omits the field.
     """
     flat = flatten(variant)
     workload = flat.get("workload")
@@ -114,31 +133,22 @@ def build_cell(variant: dict) -> GridCell:
         raise ScenarioError(
             f"{variant.get('name', '<scenario>')}: workload is unset after "
             "expansion; set it or add it as a sweep axis")
-    return GridCell(
-        workload=workload,
-        policy=MigrationPolicy(_get(flat, "policy.variant", "adaptive")),
-        oversubscription=float(_get(flat, "oversubscription", 1.25)),
-        scale=_get(flat, "scale", "small"),
-        ts=int(_get(flat, "policy.static_threshold", 8)),
-        p=int(_get(flat, "policy.migration_penalty", 8)),
-        seed=int(_get(flat, "seed", 0)),
-        transfer_fault_rate=float(_get(flat, "faults.transfer_rate", 0.0)),
-        migration_fault_rate=float(_get(flat, "faults.migration_rate", 0.0)),
-        fault_retries=int(_get(flat, "faults.max_retries", 3)),
-        fault_burst_on=float(_get(flat, "faults.burst_on", 0.0)),
-        fault_burst_off=float(_get(flat, "faults.burst_off", 0.25)),
-        fault_burst_mult=float(_get(flat, "faults.burst_multiplier", 8.0)),
-        evict=_get(flat, "memory.eviction", "2mb"),
-        prefetcher=_get(flat, "memory.prefetcher", "tree"),
-        prefetch_degree=int(_get(flat, "memory.prefetch_degree", 4)),
-        threshold_variant=_get(flat, "policy.threshold_variant",
-                               "multiplicative"),
-        historic_counters=bool(_get(flat, "policy.historic_counters", True)),
-        backend=flat.get("backend"),
-    )
+    return GridCell(workload=workload, **_fields(flat, _CELL_FIELDS))
 
 
-#: ``serve.*`` schema path -> (ServeConfig field, coercion).
+def build_sim_config(variant: dict) -> SimulationConfig:
+    """Construct the :class:`SimulationConfig` a variant describes.
+
+    The variant's cell knobs go through
+    :func:`~repro.analysis.parallel.cell_config`, the mapping every
+    grid cell runs under, so the config -- and any simulation run from
+    it -- is bit-identical to the equivalent cell or flag invocation.
+    """
+    return cell_config(_fields(flatten(variant), _CELL_FIELDS))
+
+
+#: ``serve.*`` schema path -> (ServeConfig field, coercion); the
+#: top-level ``scale``/``seed`` keys apply to serving too.
 _SERVE_FIELDS = {
     "serve.arrival_rate": ("arrival_rate", float),
     "serve.tenants": ("tenants", int),
@@ -148,6 +158,7 @@ _SERVE_FIELDS = {
     "serve.burst_len_ms": ("burst_len_ms", float),
     "serve.calm_len_ms": ("calm_len_ms", float),
     "serve.workload_mix": ("workload_mix", tuple),
+    "scale": ("scale", str),
     "serve.capacity_mb": ("capacity_mb", int),
     "serve.admit_watermark": ("admit_watermark", float),
     "serve.shed_watermark": ("shed_watermark", float),
@@ -161,6 +172,7 @@ _SERVE_FIELDS = {
     "serve.scheduler": ("scheduler", str),
     "serve.weights": ("weights", lambda v: tuple(float(w) for w in v)),
     "serve.throttle_decay": ("throttle_decay", float),
+    "seed": ("seed", int),
 }
 
 #: ``slo.*`` schema path -> (SloConfig field, coercion).
@@ -183,13 +195,7 @@ def build_slo_config(variant: dict):
     """
     from ..obs.live.slo import SloConfig
 
-    flat = flatten(variant)
-    kwargs: dict = {}
-    for path, (name, coerce) in _SLO_FIELDS.items():
-        value = flat.get(path)
-        if value is not None:
-            kwargs[name] = coerce(value)
-    config = SloConfig(**kwargs)
+    config = SloConfig(**_fields(flatten(variant), _SLO_FIELDS))
     if not config.enabled:
         return None
     config.validate()
@@ -199,67 +205,10 @@ def build_slo_config(variant: dict):
 def build_serve_config(variant: dict) -> ServeConfig:
     """Map one concrete scenario onto a :class:`ServeConfig`.
 
-    Only keys the scenario sets are passed, so omitted ones take the
-    :class:`ServeConfig` dataclass defaults (note serving defaults to
-    ``scale: tiny``; the top-level ``scale``/``seed`` keys apply here
-    too).
+    Omitted keys take the :class:`ServeConfig` dataclass defaults (note
+    serving defaults to ``scale: tiny``).
     """
-    flat = flatten(variant)
-    kwargs: dict = {}
-    for path, (name, coerce) in _SERVE_FIELDS.items():
-        value = flat.get(path)
-        if value is not None:
-            kwargs[name] = coerce(value)
-    if flat.get("scale") is not None:
-        kwargs["scale"] = flat["scale"]
-    if flat.get("seed") is not None:
-        kwargs["seed"] = int(flat["seed"])
-    return ServeConfig(**kwargs).validate()
-
-
-def build_sim_config(variant: dict) -> SimulationConfig:
-    """Construct the :class:`SimulationConfig` a variant describes.
-
-    Applies the same mutation sequence as
-    :func:`repro.analysis.experiments.run_single` (and only for keys
-    actually set), so the config -- and any simulation run from it --
-    is bit-identical to the equivalent flag-driven invocation.
-    """
-    flat = flatten(variant)
-    cfg = SimulationConfig(seed=int(_get(flat, "seed", 0)))
-    if flat.get("backend") is not None:
-        cfg = cfg.replace(backend=flat["backend"])
-    cfg = cfg.with_policy(
-        MigrationPolicy(_get(flat, "policy.variant", "adaptive")),
-        static_threshold=int(_get(flat, "policy.static_threshold", 8)),
-        migration_penalty=int(_get(flat, "policy.migration_penalty", 8)))
-    variant_fn = _get(flat, "policy.threshold_variant", "multiplicative")
-    historic = bool(_get(flat, "policy.historic_counters", True))
-    if variant_fn != "multiplicative" or not historic:
-        cfg = cfg.replace(policy=dataclasses.replace(
-            cfg.policy, threshold_variant=variant_fn,
-            historic_counters=historic))
-    if _get(flat, "memory.eviction", "2mb") == "64kb":
-        cfg = cfg.with_eviction_granularity(EvictionGranularity.BLOCK_64KB)
-    prefetcher = _get(flat, "memory.prefetcher", "tree")
-    degree = int(_get(flat, "memory.prefetch_degree", 4))
-    if prefetcher != "tree" or degree != 4:
-        cfg = cfg.with_prefetcher(PrefetcherKind(prefetcher), degree=degree)
-    transfer = float(_get(flat, "faults.transfer_rate", 0.0))
-    migration = float(_get(flat, "faults.migration_rate", 0.0))
-    if transfer or migration:
-        fault_kwargs = dict(
-            transfer_fault_rate=transfer, migration_fault_rate=migration,
-            max_retries=int(_get(flat, "faults.max_retries", 3)))
-        burst_on = float(_get(flat, "faults.burst_on", 0.0))
-        if burst_on:
-            fault_kwargs.update(
-                burst_on_prob=burst_on,
-                burst_off_prob=float(_get(flat, "faults.burst_off", 0.25)),
-                burst_multiplier=float(
-                    _get(flat, "faults.burst_multiplier", 8.0)))
-        cfg = cfg.with_faults(**fault_kwargs)
-    return cfg.validate()
+    return ServeConfig(**_fields(flatten(variant), _SERVE_FIELDS)).validate()
 
 
 @dataclass(frozen=True)
@@ -270,28 +219,26 @@ class MultiGpuSpec:
     workload: str
     scale: str
     oversubscription: float
-    gpus: int
-    partition: str
-    throttle: float
+    gpus: int = 2
+    partition: str = "chunk"
+    throttle: float = 1.0
+
+
+#: ``multigpu.*`` schema path -> (MultiGpuSpec field, coercion).
+_MULTIGPU_FIELDS = {
+    "multigpu.gpus": ("gpus", int),
+    "multigpu.partition": ("partition", str),
+    "multigpu.throttle": ("throttle", float),
+}
 
 
 def build_multigpu_spec(variant: dict) -> MultiGpuSpec:
     """Map one concrete scenario onto a :class:`MultiGpuSpec`."""
-    flat = flatten(variant)
-    workload = flat.get("workload")
-    if not workload:
-        raise ScenarioError(
-            f"{variant.get('name', '<scenario>')}: workload is unset after "
-            "expansion; set it or add it as a sweep axis")
+    cell = build_cell(variant)
     return MultiGpuSpec(
-        config=build_sim_config(variant),
-        workload=workload,
-        scale=_get(flat, "scale", "small"),
-        oversubscription=float(_get(flat, "oversubscription", 1.25)),
-        gpus=int(_get(flat, "multigpu.gpus", 2)),
-        partition=_get(flat, "multigpu.partition", "chunk"),
-        throttle=float(_get(flat, "multigpu.throttle", 1.0)),
-    )
+        config=build_sim_config(variant), workload=cell.workload,
+        scale=cell.scale, oversubscription=cell.oversubscription,
+        **_fields(flatten(variant), _MULTIGPU_FIELDS))
 
 
 def compile_check(scenario: dict) -> list[str]:

@@ -104,13 +104,15 @@ class _ScenarioArchiver:
 
     def archive_cell(self, name: str, variant: Variant, cell: GridCell,
                      result) -> str:
-        from ..analysis.checkpoint import _encode
+        from ..analysis.checkpoint import encode_cell
         from ..obs.store import RunManifest
+        # Encoded like the grid archiver's cells: no trace path or
+        # backend in the identity.
         manifest = RunManifest.create(
             kind="grid-cell", workload=cell.workload,
             policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
             oversubscription=cell.oversubscription,
-            config={"cell": _encode(cell), "scenario": variant.data},
+            config={"cell": encode_cell(cell), "scenario": variant.data},
             git=self._git, host=self._host, sweep_id=self.sweep_id,
             scenario=name)
         return self.store.archive(manifest, result)

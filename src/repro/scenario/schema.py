@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.parallel import EVICTION_GRANULARITIES
 from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_BACKENDS,
                       KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS)
 from ..multigpu.cluster import KNOWN_PARTITIONS
@@ -36,7 +37,7 @@ from ..workloads import SCALES, workload_names
 KNOWN_MODES: tuple[str, ...] = ("run", "sweep", "serve", "multigpu")
 
 #: Eviction granularities by CLI-style name.
-KNOWN_EVICT: tuple[str, ...] = ("2mb", "64kb")
+KNOWN_EVICT: tuple[str, ...] = tuple(EVICTION_GRANULARITIES)
 
 #: Prefetcher kinds (mirrors :class:`repro.config.PrefetcherKind`).
 KNOWN_PREFETCHERS: tuple[str, ...] = ("tree", "none", "sequential", "random")
@@ -227,6 +228,19 @@ def flatten(data: dict, prefix: str = "") -> dict:
         else:
             flat[path] = value
     return flat
+
+
+def unflatten(flat: dict) -> dict:
+    """Inverse of :func:`flatten`: ``{"policy.variant": ...}`` ->
+    ``{"policy": {"variant": ...}}``."""
+    nested: dict = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    return nested
 
 
 def _type_ok(value, types: tuple) -> bool:

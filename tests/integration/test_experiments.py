@@ -12,9 +12,10 @@ from repro.analysis import (
     figure8,
     render_figure2,
     render_figure3,
-    run_single,
+    run_cell,
     table1,
 )
+from repro.analysis.parallel import GridCell
 from repro.config import MigrationPolicy
 
 
@@ -29,9 +30,10 @@ class TestTable1:
             assert needle in txt
 
 
-class TestRunSingle:
+class TestRunCell:
     def test_returns_result(self):
-        r = run_single("ra", MigrationPolicy.ADAPTIVE, 1.25, scale="tiny")
+        r = run_cell(GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25,
+                              scale="tiny"))
         assert r.workload == "ra"
         assert r.total_cycles > 0
 

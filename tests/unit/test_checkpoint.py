@@ -12,8 +12,7 @@ from repro.analysis.checkpoint import (
     encode_config,
     encode_result,
 )
-from repro.analysis.experiments import run_single
-from repro.analysis.parallel import GridCell
+from repro.analysis.parallel import GridCell, run_cell
 from repro.config import (
     EvictionGranularity,
     MigrationPolicy,
@@ -24,7 +23,7 @@ from repro.config import (
 
 @pytest.fixture(scope="module")
 def tiny_result():
-    return run_single("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny")
+    return run_cell(GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny"))
 
 
 class TestEncoding:

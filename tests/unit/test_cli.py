@@ -2,15 +2,22 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.parallel import GridCell
+from repro.cli import _scenario, build_parser, main
+from repro.config import MigrationPolicy
+from repro.scenario import build_cell
 
 
 class TestParser:
     def test_run_defaults(self):
+        """Omitted knob flags stay unset; the cell takes its defaults."""
         args = build_parser().parse_args(["run", "ra"])
-        assert args.workload == "ra"
-        assert args.policy == "adaptive"
-        assert args.oversub == 1.25
+        scenario = _scenario(args, "run")
+        assert scenario == {"mode": "run", "workload": "ra"}
+        cell = build_cell(scenario)
+        assert cell == GridCell("ra")
+        assert cell.policy is MigrationPolicy.ADAPTIVE
+        assert cell.oversubscription == 1.25
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -26,7 +33,7 @@ class TestParser:
         assert args.trace_cmd == "record"
         args = build_parser().parse_args(
             ["trace", "replay", "-i", "in.npz", "--policy", "always"])
-        assert args.policy == "always"
+        assert _scenario(args, "trace")["policy"] == {"variant": "always"}
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -65,6 +72,37 @@ class TestExecution:
         out = capsys.readouterr().out
         for policy in ("disabled", "always", "oversub", "adaptive"):
             assert policy in out
+
+    def test_compare_honours_sim_flags(self, capsys):
+        """compare's adaptive row is the run of the same flags."""
+        flags = ["ra", "--scale", "tiny", "--evict", "64kb",
+                 "--prefetcher", "none"]
+        assert main(["compare", *flags]) == 0
+        row = next(line.split()
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("adaptive"))
+        assert main(["run", *flags]) == 0
+        summary = dict(line.split()[:2]
+                       for line in capsys.readouterr().out.splitlines()
+                       if len(line.split()) == 2)
+        assert row[1] == f"{float(summary['runtime_ms']):.2f}"
+        assert row[4] == summary["remote"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "ra", "--scale", "tiny", "--ts", "0"],
+        ["run", "ra", "--scale", "tiny", "--prefetcher", "sequential",
+         "--prefetch-degree", "0"],
+        ["compare", "ra", "--scale", "tiny", "--ts", "0"],
+        ["serve", "--penalty", "0"],
+        ["trace", "replay", "-i", "missing.npz"],
+    ])
+    def test_bad_inputs_exit_cleanly(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith(f"repro {argv[0]}: ")
+        assert "\n" not in message
 
     def test_figure_table1(self, capsys, tmp_path):
         out_file = tmp_path / "t1.txt"

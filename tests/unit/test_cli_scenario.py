@@ -8,8 +8,11 @@ import json
 
 import pytest
 
+from repro.analysis.checkpoint import encode_cell, encode_config
 from repro.cli import main
+from repro.config import MigrationPolicy, SimulationConfig
 from repro.obs.store import RunStore
+from repro.scenario import build_cell
 
 yaml = pytest.importorskip("yaml")
 
@@ -74,6 +77,34 @@ class TestRunConfig:
         assert manifest.config["scenario"]["workload"] == "ra"
 
 
+    def test_flags_override_config_keys(self, run_cfg, tmp_path, capsys):
+        """Explicit flags win over --config keys, and the archived
+        scenario shows the values that ran."""
+        runs = tmp_path / "runs"
+        assert main(["run", "--config", run_cfg, "--policy", "always",
+                     "--ts", "16", "--seed", "2", "--archive",
+                     "--runs", str(runs)]) == 0
+        (manifest,) = RunStore(runs).list()
+        assert manifest.policy == "always" and manifest.seed == 2
+        scenario = manifest.config["scenario"]
+        assert scenario["policy"] == {"variant": "always",
+                                      "static_threshold": 16}
+        assert scenario["seed"] == 2 and scenario["scale"] == "tiny"
+        sim = manifest.config["sim"]
+        assert sim["policy"]["policy"] == "always"
+        assert sim["policy"]["static_threshold"] == 16
+
+    def test_flag_run_archives_config_alone(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["run", "ra", "--scale", "tiny", "--archive",
+                     "--runs", str(runs)]) == 0
+        (manifest,) = RunStore(runs).list()
+        assert manifest.scenario is None
+        assert manifest.config == encode_config(
+            SimulationConfig().with_policy(MigrationPolicy.ADAPTIVE))
+        assert (manifest.scale, manifest.oversubscription) == ("tiny", 1.25)
+
+
 class TestSweepConfig:
     def test_sweep_config_renders_table(self, sweep_cfg, capsys):
         assert main(["sweep", "--config", sweep_cfg]) == 0
@@ -116,6 +147,29 @@ class TestSweepConfig:
             variants.add(manifest.config["scenario"]["policy"]["variant"])
         assert variants == {"disabled", "adaptive"}
 
+    def test_scenario_cells_archive_like_grid_cells(self, tmp_path, capsys):
+        """Scenario manifests encode the cell the way the grid archiver
+        does: no kernel backend or trace path in the cell identity."""
+        cfg = write(tmp_path / "grid.yaml", """\
+mode: sweep
+workload: ra
+scale: tiny
+backend: python
+sweep:
+  policy.variant: [disabled, adaptive]
+""")
+        runs = tmp_path / "runs"
+        assert main(["sweep", "--config", cfg, "--archive",
+                     "--runs", str(runs)]) == 0
+        manifests = RunStore(runs).list()
+        assert len(manifests) == 2
+        for manifest in manifests:
+            cell = build_cell(manifest.config["scenario"])
+            assert cell.backend == "python"
+            assert manifest.config["cell"] == encode_cell(cell)
+            assert "backend" not in manifest.config["cell"]
+            assert "trace_path" not in manifest.config["cell"]
+
 
 class TestServeConfig:
     def test_serve_config_executes(self, tmp_path, capsys):
@@ -133,6 +187,48 @@ serve:
     def test_non_serve_config_redirected(self, run_cfg):
         with pytest.raises(SystemExit, match="mode"):
             main(["serve", "--config", run_cfg])
+
+    def test_config_route_matches_flag_route(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.yaml", """\
+mode: serve
+scale: tiny
+seed: 1
+serve:
+  tenants: 2
+  workload_mix: [ra, bfs]
+  capacity_mb: 16
+""")
+        assert main(["serve", "--config", cfg, "--json"]) == 0
+        from_config = json.loads(capsys.readouterr().out)
+        assert main(["serve", "--scale", "tiny", "--seed", "1",
+                     "--tenants", "2", "--mix", "ra,bfs",
+                     "--capacity-mb", "16", "--json"]) == 0
+        from_flags = json.loads(capsys.readouterr().out)
+        assert from_config.pop("scenario") == "s"
+        assert from_flags.pop("scenario") is None
+        assert from_config == from_flags
+
+    def test_flags_override_serve_config(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.yaml", """\
+mode: serve
+scale: tiny
+serve:
+  tenants: 2
+  workload_mix: [ra]
+  capacity_mb: 16
+  scheduler: round_robin
+""")
+        runs = tmp_path / "runs"
+        assert main(["serve", "--config", cfg, "--scheduler", "drr",
+                     "--tenants", "3", "--json", "--archive",
+                     "--runs", str(runs)]) == 0
+        out = capsys.readouterr().out
+        result = json.loads(out[:out.rindex("}") + 1])
+        assert result["config"]["scheduler"] == "drr"
+        assert result["config"]["tenants"] == 3
+        (manifest,) = RunStore(runs).list()
+        assert manifest.config["scenario"]["serve"]["scheduler"] == "drr"
+        assert manifest.config["serve"]["tenants"] == 3
 
 
 class TestConfigCommand:

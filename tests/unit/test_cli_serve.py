@@ -4,17 +4,24 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _scenario, build_parser, main
+from repro.config import ServeConfig
+from repro.scenario import build_serve_config
 
 
 class TestServeParser:
     def test_defaults(self):
+        """A bare ``repro serve`` compiles to the ServeConfig defaults."""
         args = build_parser().parse_args(["serve"])
-        assert args.arrival_rate == 400.0
-        assert args.tenants == 12
-        assert args.process == "poisson"
-        assert args.shed_watermark == 2.5
-        assert args.mix == "ra,sssp,bfs,fdtd"
+        scenario = _scenario(args, "serve", mode="serve")
+        assert scenario == {"mode": "serve"}
+        cfg = build_serve_config(scenario)
+        assert cfg == ServeConfig()
+        assert cfg.arrival_rate == 400.0
+        assert cfg.tenants == 12
+        assert cfg.process == "poisson"
+        assert cfg.shed_watermark == 2.5
+        assert cfg.workload_mix == ("ra", "sssp", "bfs", "fdtd")
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
@@ -22,11 +29,13 @@ class TestServeParser:
              "--duration", "50", "--process", "bursty",
              "--shed-watermark", "2.0", "--queue-depth", "3",
              "--mix", "ra,bfs", "--capacity-mb", "24"])
-        assert args.arrival_rate == 2000.0
-        assert args.tenants == 6
-        assert args.duration == 50.0
-        assert args.process == "bursty"
-        assert args.queue_depth == 3
+        serve = _scenario(args, "serve", mode="serve")["serve"]
+        assert serve["arrival_rate"] == 2000.0
+        assert serve["tenants"] == 6
+        assert serve["duration_ms"] == 50.0
+        assert serve["process"] == "bursty"
+        assert serve["queue_depth"] == 3
+        assert serve["workload_mix"] == ["ra", "bfs"]
 
     def test_unknown_process_rejected(self):
         with pytest.raises(SystemExit):

@@ -119,6 +119,34 @@ class TestDiffRuns:
             in render_diff(diff)
 
 
+class TestRenderConfigChanges:
+    def test_string_and_bool_changes_render(self, tmp_path):
+        """A policy switch changes a string and a bool config field; the
+        text report prints both as they are."""
+        store = RunStore(tmp_path)
+        ids = []
+        for cfg in (SimulationConfig().with_policy(MigrationPolicy.ADAPTIVE),
+                    SimulationConfig().with_policy(MigrationPolicy.ALWAYS,
+                                                   historic_counters=False)):
+            manifest = RunManifest.create(
+                kind="run", workload="ra", policy=cfg.policy.policy.value,
+                scale="tiny", seed=0, oversubscription=1.25,
+                config=encode_config(cfg))
+            result = Simulator(cfg).run(make_workload("ra", scale="tiny"),
+                                        oversubscription=1.25)
+            ids.append(store.archive(manifest, result))
+        diff = diff_runs(store.load(ids[0]), store.load(ids[1]))
+        assert diff.config_changes["policy.policy"] == ("adaptive", "always")
+        assert diff.config_changes["policy.historic_counters"] == (True,
+                                                                   False)
+        rows = {line.split()[0]: line.split()
+                for line in render_diff(diff).splitlines() if line.strip()}
+        assert rows["policy.policy"] == ["policy.policy", "adaptive",
+                                         "always"]
+        assert rows["policy.historic_counters"] == [
+            "policy.historic_counters", "True", "False"]
+
+
 class TestGridArchive:
     def test_archived_grids_diff_without_config_change(self, tmp_path):
         """A grid archived twice, once replaying from a shared trace
