@@ -4,7 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test test-accel bench bench-smoke bench-perf \
 	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
-	check-configs check-regression figures examples check-docs clean
+	check-configs check-figures check-regression figures examples \
+	check-docs clean
 
 install:
 	pip install -e .
@@ -125,6 +126,15 @@ cli-smoke:
 	! $(PYTHON) -m repro run ra --ts 0 2> .cli-smoke/bad-flag.txt
 	! grep -q Traceback .cli-smoke/bad-flag.txt
 	rm -rf .cli-smoke
+
+# Every paper figure must regenerate its committed table byte for byte
+# (small scale, seed 0): a change to simulated outcomes fails here
+# unless the tables in benchmarks/results/ are regenerated with it.
+check-figures:
+	for n in 1 2 3 4 5 6 7 8; do \
+		$(PYTHON) -m repro figure fig$$n --scale small \
+			| diff - benchmarks/results/figure$$n.txt || exit 1; \
+	done
 
 # Gate on the bench history: non-zero exit when perf regressed.
 check-regression:

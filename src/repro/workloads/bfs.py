@@ -20,9 +20,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .base import Category, KernelLaunch, Wave, WaveBuilder, Workload
+from .base import Category, KernelLaunch, Wave, Workload
 from .graphs import CsrGraph, make_graph
-from .util import coalesced_page_offsets, coalesced_pages, ragged_ranges
+from .util import (coalesced_page_offsets_batch, edge_sectors, launch_waves,
+                   ragged_ranges, sort_rows)
 
 
 @dataclass(frozen=True)
@@ -67,80 +68,78 @@ class Bfs(Workload):
         # them once instead of diffing the CSR pointers per kernel.
         self._deg = self.graph.degrees()
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
-        m = self.graph.num_edges
+        # The node count is the graph's: ``grid`` and ``rmat`` round the
+        # requested one.
+        n, m = self.graph.num_nodes, self.graph.num_edges
         # Lonestar-style layout: per-node {start, degree} struct, 64-bit
         # edge records, plus cost and visited/mask flags.
         self.nodes = self._register(
-            vas.malloc_managed("bfs.nodes", p.num_nodes * 8, read_only=True))
+            vas.malloc_managed("bfs.nodes", n * 8, read_only=True))
         self.edges = self._register(
             vas.malloc_managed("bfs.edges", m * 8, read_only=True))
         self.cost = self._register(
-            vas.malloc_managed("bfs.cost", p.num_nodes * 4))
+            vas.malloc_managed("bfs.cost", n * 4))
         self.flags = self._register(
-            vas.malloc_managed("bfs.flags", p.num_nodes * 4))
+            vas.malloc_managed("bfs.flags", n * 4))
 
-    def _level_waves(self, frontier: np.ndarray, all_eidx: np.ndarray,
-                     all_nbrs: np.ndarray,
-                     bounds: np.ndarray) -> Iterator[Wave]:
-        """Accesses of one BFS level, chunked into waves.
+    def _level_waves(self, nodes: np.ndarray, bounds: np.ndarray,
+                     nbrs: np.ndarray, nbounds: np.ndarray) -> Iterator[Wave]:
+        """Accesses of one BFS level: every wave in one vectorised pass.
 
-        ``all_eidx``/``all_nbrs`` are the level's full edge gather
-        (computed once by :meth:`kernels`, which also needs it for the
-        traversal itself); ``bounds`` maps frontier positions to edge
-        positions, so each wave's slice is exactly what a per-slice
-        ``ragged_ranges`` would have produced.
+        Wave ``r`` expands ``nodes[bounds[r]:bounds[r + 1]]`` (sorted)
+        and writes their neighbours ``nbrs[nbounds[r]:nbounds[r + 1]]``,
+        the level's edge gather that :meth:`kernels` also traverses.
+        Each access group is coalesced for all waves at once, and the
+        waves are slices of the level's flat arrays (``launch_waves``).
         """
-        p = self.params
-        for c0 in range(0, frontier.size, p.frontier_per_wave):
-            c1 = min(c0 + p.frontier_per_wave, frontier.size)
-            # Both frontier-indexed reads coalesce the same node set at
-            # different strides; pre-sorting once lets each call skip
-            # its internal sort (the sector sets are unchanged).
-            f = np.sort(frontier[c0:c1])
-            eidx = all_eidx[bounds[c0]:bounds[c1]]
-            nbrs = all_nbrs[bounds[c0]:bounds[c1]]
-            wb = WaveBuilder()
-            np_pages, np_counts = coalesced_pages(self.nodes, f * 8)
-            wb.read(np_pages, np_counts)
-            fp, fc = coalesced_pages(self.flags, f * 4)
-            wb.read(fp, fc)
-            if eidx.size:
-                ep, ec = coalesced_pages(self.edges, eidx * 8)
-                wb.read(ep, ec)
-                # cost and flags are parallel 4-byte-per-node arrays, so
-                # the scattered neighbor writes land on the same page
-                # offsets in both: coalesce once, rebase twice.
-                rel, rc = coalesced_page_offsets(nbrs * 4)
-                wb.write(self.cost.first_page + rel, rc)
-                wb.write(self.flags.first_page + rel, rc)
-            yield wb.build(compute_per_access=p.compute_per_access)
+        g = self.graph
+        # The neighbour writes first, while nothing else is held: theirs
+        # are the level's largest temporaries.  cost and flags are
+        # parallel 4-byte-per-node arrays, so the scattered writes land
+        # on the same page offsets in both: coalesce once, rebase twice.
+        rel, rc, rb = coalesced_page_offsets_batch(nbrs, nbounds, 4)
+        npg, npc, npb = coalesced_page_offsets_batch(nodes, bounds, 8)
+        fpg, fpc, fpb = coalesced_page_offsets_batch(nodes, bounds, 4)
+        epg, epc, epb = coalesced_page_offsets_batch(
+            *edge_sectors(g.ptr[nodes], self._deg[nodes], bounds))
+        yield from launch_waves([
+            (self.nodes, npg, npc, npb, False),
+            (self.flags, fpg, fpc, fpb, False),
+            (self.edges, epg, epc, epb, False),
+            (self.cost, rel, rc, rb, True),
+            (self.flags, rel, rc, rb, True),
+        ], self.params.compute_per_access)
 
     def kernels(self) -> Iterator[KernelLaunch]:
-        g = self.graph
+        g, p = self.graph, self.params
         deg = self._deg
         visited = np.zeros(g.num_nodes, dtype=bool)
         visited[0] = True
         frontier = np.array([0], dtype=np.int64)
         level = 0
         while frontier.size:
-            fdeg = deg[frontier]
-            eidx = ragged_ranges(g.ptr[frontier], fdeg)
-            all_nbrs = g.dst[eidx].astype(np.int64)
-            bounds = np.zeros(frontier.size + 1, dtype=np.int64)
-            np.cumsum(fdeg, out=bounds[1:])
+            # One sort per level: each wave's frontier slice, sorted, is
+            # the node set its coalesced reads see, and gathering the
+            # edges in that order leaves each wave's edge records in
+            # ascending order.
+            nodes, bounds = sort_rows(frontier, p.frontier_per_wave)
+            fdeg = deg[nodes]
+            nbrs = g.dst[ragged_ranges(g.ptr[nodes], fdeg)]
+            ecum = np.zeros(nodes.size + 1, dtype=np.int64)
+            np.cumsum(fdeg, out=ecum[1:])
             yield KernelLaunch(
                 "bfs.kernel", level,
-                lambda f=frontier.copy(), e=eidx, nb=all_nbrs, b=bounds:
-                    self._level_waves(f, e, nb, b))
+                lambda n=nodes, b=bounds, nb=nbrs, eb=ecum[bounds]:
+                    self._level_waves(n, b, nb, eb))
             # Dedup + visited filter as one boolean scatter instead of
             # np.unique (which sorts the whole edge gather): flatnonzero
             # of the mask yields the same sorted unique node ids.
             reached = np.zeros(g.num_nodes, dtype=bool)
-            reached[all_nbrs] = True
-            nbrs = np.flatnonzero(reached & ~visited)
-            visited[nbrs] = True
+            reached[nbrs] = True
+            found = np.flatnonzero(reached & ~visited)
+            visited[found] = True
             # GPU worklists are unordered: neighbors are discovered in
             # whatever order threads win the visited-flag race, so the
             # next frontier is processed in scattered, not sorted, order.
-            frontier = self._rng.permutation(nbrs)
+            frontier = self._rng.permutation(found)
             level += 1

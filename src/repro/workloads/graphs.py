@@ -70,20 +70,28 @@ def random_graph(num_nodes: int, avg_degree: float,
         raise ValueError("skew must be in [0, 1)")
 
     # Random out-degrees with the requested mean (at least the chain edge).
-    extra = rng.poisson(avg_degree - 1.0, size=num_nodes)
-    degrees = 1 + extra
+    degrees = rng.poisson(avg_degree - 1.0, size=num_nodes)
+    degrees += 1
     m = int(degrees.sum())
     ptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(degrees, out=ptr[1:])
 
     if skew > 0.0:
         # Inverse-CDF sampling of a truncated power law over node ids.
+        # The arithmetic runs in place on one array per dtype.
         u = rng.random(m)
         alpha = 1.0 - skew
-        dst = (num_nodes * u ** (1.0 / alpha)).astype(np.int64)
-        dst = np.minimum(dst, num_nodes - 1)
+        np.power(u, 1.0 / alpha, out=u)
+        u *= num_nodes
+        dst = u.astype(np.int64)
+        del u
+        np.minimum(dst, num_nodes - 1, out=dst)
         # Scatter hubs across the id space so hot pages are not one run.
-        dst = (dst * 2654435761) % num_nodes
+        dst *= 2654435761
+        if num_nodes & (num_nodes - 1):
+            dst %= num_nodes
+        else:
+            dst &= num_nodes - 1
     else:
         dst = rng.integers(0, num_nodes, size=m, dtype=np.int64)
 
@@ -91,7 +99,9 @@ def random_graph(num_nodes: int, avg_degree: float,
         # First edge of every node points to the next node id.
         dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
 
-    weights = rng.random(m, dtype=np.float32) * 99.0 + 1.0
+    weights = rng.random(m, dtype=np.float32)
+    weights *= 99.0
+    weights += 1.0
     return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)
 
 

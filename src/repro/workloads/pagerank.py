@@ -61,17 +61,19 @@ class Pagerank(Workload):
         p = self.params
         self.graph = make_graph(p.graph_kind, p.num_nodes, p.avg_degree,
                                 rng, skew=p.skew)
-        m = self.graph.num_edges
+        # The node count is the graph's: ``grid`` and ``rmat`` round the
+        # requested one.
+        n, m = self.graph.num_nodes, self.graph.num_edges
         self.nodes = self._register(vas.malloc_managed(
-            "pagerank.nodes", p.num_nodes * 8, read_only=True))
+            "pagerank.nodes", n * 8, read_only=True))
         self.edges = self._register(vas.malloc_managed(
             "pagerank.edges", m * 8, read_only=True))
         self.rank = self._register(vas.malloc_managed(
-            "pagerank.rank", p.num_nodes * 4))
+            "pagerank.rank", n * 4))
         self.rank_next = self._register(vas.malloc_managed(
-            "pagerank.rank_next", p.num_nodes * 4))
+            "pagerank.rank_next", n * 4))
         self._order = np.random.default_rng(
-            rng.integers(0, 2**63)).permutation(p.num_nodes).astype(np.int64)
+            rng.integers(0, 2**63)).permutation(n).astype(np.int64)
 
     def _sweep(self) -> Iterator[Wave]:
         """One power iteration, chunked into waves of nodes.
@@ -80,7 +82,7 @@ class Pagerank(Workload):
         """
         g, p = self.graph, self.params
         deg = g.degrees()
-        for c0 in range(0, p.num_nodes, p.nodes_per_wave):
+        for c0 in range(0, g.num_nodes, p.nodes_per_wave):
             nodes = self._order[c0:c0 + p.nodes_per_wave]
             eidx = ragged_ranges(g.ptr[nodes], deg[nodes])
             wb = WaveBuilder()
@@ -99,7 +101,7 @@ class Pagerank(Workload):
     def _swap(self) -> Iterator[Wave]:
         """Dense rank-vector swap/normalization kernel."""
         p = self.params
-        total = p.num_nodes * 4
+        total = self.graph.num_nodes * 4
         step = p.nodes_per_wave * 64
         for lo in range(0, total, step):
             hi = min(lo + step, total)

@@ -81,16 +81,20 @@ class RandomAccess(Workload):
         while done < p.updates:
             span = min(p.updates_per_wave * self._DRAW_WAVES,
                        p.updates - done)
-            offs = rng.integers(0, p.table_entries, size=span,
-                                dtype=np.int64) * 8
-            first_page = self.table.first_page
-            waves = coalesced_page_offsets_batch(offs, p.updates_per_wave)
-            for w, (rel_pages, ucounts) in enumerate(waves):
-                n = min(p.updates_per_wave, span - w * p.updates_per_wave)
-                # Each update is one read plus one write of the sector.
-                yield Wave(first_page + rel_pages,
-                           np.ones(rel_pages.shape, dtype=bool),
-                           counts=2 * ucounts,
+            idx = rng.integers(0, p.table_entries, size=span,
+                               dtype=np.int64)
+            bounds = np.append(np.arange(0, span, p.updates_per_wave), span)
+            # 8-byte entries; each update is one read plus one write of
+            # the sector.
+            rel_pages, counts, page_bounds = coalesced_page_offsets_batch(
+                idx, bounds, 8, accesses_per_sector=2)
+            pages = self.table.first_page + rel_pages
+            is_write = np.ones(pages.shape, dtype=bool)
+            edges = page_bounds.tolist()
+            for w, n in enumerate(np.diff(bounds).tolist()):
+                lo, hi = edges[w], edges[w + 1]
+                yield Wave(pages[lo:hi], is_write[lo:hi],
+                           counts=counts[lo:hi],
                            compute_cycles=p.compute_per_access * 2 * n)
             done += span
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .base import Category, KernelLaunch, Wave, WaveBuilder, Workload
 from .graphs import CsrGraph, make_graph
-from .util import (SECTORS_PER_PAGE, coalesced_page_offsets,
-                   coalesced_pages, ragged_ranges)
+from .util import (SECTORS_PER_PAGE, coalesced_page_offsets_batch,
+                   edge_sectors, launch_waves, ragged_ranges, sort_rows)
 
 
 @dataclass(frozen=True)
@@ -79,75 +79,83 @@ class Sssp(Workload):
         # them once instead of diffing the CSR pointers per kernel.
         self._deg = self.graph.degrees()
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
-        m = self.graph.num_edges
+        self._sweep: list[Wave] | None = None
+        # The node count is the graph's: ``grid`` and ``rmat`` round the
+        # requested one.
+        n, m = self.graph.num_nodes, self.graph.num_edges
         self.nodes = self._register(
-            vas.malloc_managed("sssp.nodes", p.num_nodes * 8, read_only=True))
+            vas.malloc_managed("sssp.nodes", n * 8, read_only=True))
         # LonestarGPU CSR uses 64-bit edge records and weights.
         self.edges = self._register(
             vas.malloc_managed("sssp.edges", m * 8, read_only=True))
         self.weights = self._register(
             vas.malloc_managed("sssp.weights", m * 8, read_only=True))
         self.dist = self._register(
-            vas.malloc_managed("sssp.dist", p.num_nodes * 4))
+            vas.malloc_managed("sssp.dist", n * 4))
         self.dist_old = self._register(
-            vas.malloc_managed("sssp.dist_old", p.num_nodes * 4))
+            vas.malloc_managed("sssp.dist_old", n * 4))
         self.wl_flags = self._register(
-            vas.malloc_managed("sssp.flags", p.num_nodes * 4))
+            vas.malloc_managed("sssp.flags", n * 4))
 
     # -- kernel 1: sparse relaxation --------------------------------------
 
-    def _relax_waves(self, worklist: np.ndarray, all_eidx: np.ndarray,
-                     all_nbrs: np.ndarray,
-                     bounds: np.ndarray) -> Iterator[Wave]:
-        """Accesses of one relaxation round, chunked into waves.
+    def _relax_waves(self, worklist: np.ndarray, bounds: np.ndarray,
+                     nbrs: np.ndarray, nbounds: np.ndarray) -> Iterator[Wave]:
+        """Accesses of one relaxation round: every wave in one pass.
 
-        ``all_eidx``/``all_nbrs`` are the round's full edge gather
-        (computed once by :meth:`kernels`, which also needs it for the
-        relaxation itself); ``bounds`` maps worklist positions to edge
-        positions, so each wave's slice is exactly what a per-slice
-        ``ragged_ranges`` would have produced.
+        Wave ``r`` relaxes ``worklist[bounds[r]:bounds[r + 1]]``
+        (sorted) into ``nbrs[nbounds[r]:nbounds[r + 1]]``, the round's
+        edge gather that :meth:`kernels` also relaxes.  Each access
+        group is coalesced for all waves at once, and the waves are
+        slices of the round's flat arrays (``launch_waves``).
         """
-        p = self.params
-        for c0 in range(0, worklist.size, p.worklist_per_wave):
-            c1 = min(c0 + p.worklist_per_wave, worklist.size)
-            # Both worklist-indexed reads coalesce the same node set at
-            # different strides; pre-sorting once lets each call skip
-            # its internal sort (the sector sets are unchanged).
-            wl = np.sort(worklist[c0:c1])
-            eidx = all_eidx[bounds[c0]:bounds[c1]]
-            nbrs = all_nbrs[bounds[c0]:bounds[c1]]
-            wb = WaveBuilder()
-            npg, npc = coalesced_pages(self.nodes, wl * 8)
-            wb.read(npg, npc)
-            dpg, dpc = coalesced_pages(self.dist, wl * 4)
-            wb.read(dpg, dpc)
-            if eidx.size:
-                # edges and weights are parallel 8-byte-per-edge arrays:
-                # the gather hits the same page offsets in both, so
-                # coalesce once and rebase per allocation.
-                erel, epc = coalesced_page_offsets(eidx * 8)
-                wb.read(self.edges.first_page + erel, epc)
-                wb.read(self.weights.first_page + erel, epc)
-                # Scattered relaxation: read old distance, maybe write new.
-                tpg, tpc = coalesced_pages(self.dist, nbrs * 4)
-                wb.read(tpg, tpc)
-                wb.write(tpg, np.maximum(tpc // 2, 1))
-            yield wb.build(compute_per_access=p.compute_per_access)
+        g = self.graph
+        # Scattered relaxation: read old distance, maybe write new.
+        # Coalesced first, while nothing else is held: its temporaries
+        # are the round's largest.
+        trel, tpc, tpb = coalesced_page_offsets_batch(nbrs, nbounds, 4)
+        npg, npc, npb = coalesced_page_offsets_batch(worklist, bounds, 8)
+        dpg, dpc, dpb = coalesced_page_offsets_batch(worklist, bounds, 4)
+        # edges and weights are parallel 8-byte-per-edge arrays: the
+        # gather hits the same page offsets in both, so coalesce once
+        # and rebase per allocation.
+        erel, epc, epb = coalesced_page_offsets_batch(
+            *edge_sectors(g.ptr[worklist], self._deg[worklist], bounds))
+        yield from launch_waves([
+            (self.nodes, npg, npc, npb, False),
+            (self.dist, dpg, dpc, dpb, False),
+            (self.edges, erel, epc, epb, False),
+            (self.weights, erel, epc, epb, False),
+            (self.dist, trel, tpc, tpb, False),
+            (self.dist, trel, np.maximum(tpc // 2, 1), tpb, True),
+        ], self.params.compute_per_access)
 
     # -- kernel 2: dense worklist rebuild ----------------------------------
 
     def _sweep_waves(self) -> Iterator[Wave]:
-        p = self.params
-        bytes_total = p.num_nodes * 4
-        step = p.worklist_per_wave * 64  # bytes per wave
-        for lo in range(0, bytes_total, step):
-            hi = min(lo + step, bytes_total)
-            wb = WaveBuilder()
-            wb.read(self.dist.page_range(lo, hi), SECTORS_PER_PAGE)
-            wb.read(self.dist_old.page_range(lo, hi), SECTORS_PER_PAGE)
-            wb.write(self.dist_old.page_range(lo, hi), SECTORS_PER_PAGE)
-            wb.write(self.wl_flags.page_range(lo, hi), SECTORS_PER_PAGE)
-            yield wb.build(compute_per_access=p.compute_per_access)
+        """The dense sweep: the same waves every round.
+
+        Their arrays are built on first use and kept read-only; each
+        round gets fresh :class:`Wave` objects over them.
+        """
+        if self._sweep is None:
+            p = self.params
+            bytes_total = self.dist.requested_bytes
+            step = p.worklist_per_wave * 64  # bytes per wave
+            self._sweep = []
+            for lo in range(0, bytes_total, step):
+                hi = min(lo + step, bytes_total)
+                wb = WaveBuilder()
+                wb.read(self.dist.page_range(lo, hi), SECTORS_PER_PAGE)
+                wb.read(self.dist_old.page_range(lo, hi), SECTORS_PER_PAGE)
+                wb.write(self.dist_old.page_range(lo, hi), SECTORS_PER_PAGE)
+                wb.write(self.wl_flags.page_range(lo, hi), SECTORS_PER_PAGE)
+                w = wb.build(compute_per_access=p.compute_per_access)
+                for arr in (w.pages, w.is_write, w.counts):
+                    arr.flags.writeable = False
+                self._sweep.append(w)
+        for w in self._sweep:
+            yield Wave(w.pages, w.is_write, w.counts, w.compute_cycles)
 
     def kernels(self) -> Iterator[KernelLaunch]:
         g, p = self.graph, self.params
@@ -160,17 +168,22 @@ class Sssp(Workload):
         for rnd in range(p.max_rounds):
             if pending.size == 0:
                 break
-            worklist = pending[:p.max_worklist]
+            # One sort per round: each wave's worklist slice, sorted, is
+            # the node set its coalesced reads see, and gathering the
+            # edges in that order leaves each wave's edge records in
+            # ascending order.  Relaxation is order-free (a minimum).
+            worklist, bounds = sort_rows(pending[:p.max_worklist],
+                                         p.worklist_per_wave)
             deferred = pending[p.max_worklist:]
             wdeg = deg[worklist]
             eidx = ragged_ranges(g.ptr[worklist], wdeg)
-            all_nbrs = g.dst[eidx].astype(np.int64)
-            bounds = np.zeros(worklist.size + 1, dtype=np.int64)
-            np.cumsum(wdeg, out=bounds[1:])
+            nbrs = g.dst[eidx]
+            ecum = np.zeros(worklist.size + 1, dtype=np.int64)
+            np.cumsum(wdeg, out=ecum[1:])
             yield KernelLaunch(
                 "sssp.kernel1", rnd,
-                lambda wl=worklist.copy(), e=eidx, nb=all_nbrs, b=bounds:
-                    self._relax_waves(wl, e, nb, b))
+                lambda wl=worklist, b=bounds, nb=nbrs, eb=ecum[bounds]:
+                    self._relax_waves(wl, b, nb, eb))
             # Perform the actual relaxation to derive the next worklist.
             # Next-worklist membership as one boolean scatter: nodes
             # whose distance improved, unioned with the deferred tail.
@@ -182,14 +195,13 @@ class Sssp(Workload):
             if eidx.size:
                 src = np.repeat(worklist, wdeg)
                 cand = dist[src] + g.weights[eidx]
-                dst = all_nbrs
                 # An edge improves its target iff its candidate beats the
                 # pre-update distance; flagging those targets is the same
                 # set as re-gathering distances after the update, minus
                 # one 64K gather and a copy.
-                before = dist[dst]
-                np.minimum.at(dist, dst, cand)
-                next_mask[dst[cand < before]] = True
+                before = dist[nbrs]
+                np.minimum.at(dist, nbrs, cand)
+                next_mask[nbrs[cand < before]] = True
             yield KernelLaunch("sssp.kernel2", rnd, self._sweep_waves)
             # Worklists are unordered on the GPU: process in scattered
             # order (permutation draws depend only on the size, so this

@@ -12,6 +12,14 @@ paths those replaced live here, as test oracles only:
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
   on a :class:`ReferenceDriver`, so serve output can be compared with
   a session that never fuses a wave.
+* :class:`ReferenceBfs` and :class:`ReferenceSssp` generate bfs and
+  sssp waves one at a time -- a sort and four coalescing calls per
+  wave, and sssp's sweep rebuilt every round -- where production
+  coalesces a whole BFS level or SSSP round in one pass.  They reuse
+  production's allocations, graph and traversal RNG.
+* :func:`reference_random_graph` is the uniform/skewed CSR generator
+  as first written, one temporary per arithmetic step; production's
+  ``random_graph`` does the same arithmetic in place.
 
 Production exposes exactly one hook for this module:
 :meth:`UvmDriver._drain_migrations`, which :class:`ReferenceDriver`
@@ -26,6 +34,12 @@ import numpy as np
 
 import repro.serve.session as serve_session
 from repro.uvm.driver import UvmDriver, WaveOutcome
+from repro.workloads.base import KernelLaunch, WaveBuilder
+from repro.workloads.bfs import Bfs
+from repro.workloads.graphs import CsrGraph
+from repro.workloads.sssp import Sssp
+from repro.workloads.util import (SECTORS_PER_PAGE, coalesced_page_offsets,
+                                  coalesced_pages, ragged_ranges)
 
 
 class ReferenceDriver(UvmDriver):
@@ -114,3 +128,148 @@ def reference_session(*args, **kwargs):
     """
     with mock.patch.object(serve_session, "UvmDriver", ReferenceDriver):
         return serve_session.ServeSession(*args, **kwargs).run()
+
+
+class ReferenceBfs(Bfs):
+    """bfs generating each wave on its own: the per-level pass's oracle."""
+
+    def _level_waves(self, frontier, all_eidx, all_nbrs, bounds):
+        """Accesses of one BFS level, one wave at a time."""
+        p = self.params
+        for c0 in range(0, frontier.size, p.frontier_per_wave):
+            c1 = min(c0 + p.frontier_per_wave, frontier.size)
+            f = np.sort(frontier[c0:c1])
+            eidx = all_eidx[bounds[c0]:bounds[c1]]
+            nbrs = all_nbrs[bounds[c0]:bounds[c1]]
+            wb = WaveBuilder()
+            np_pages, np_counts = coalesced_pages(self.nodes, f * 8)
+            wb.read(np_pages, np_counts)
+            fp, fc = coalesced_pages(self.flags, f * 4)
+            wb.read(fp, fc)
+            if eidx.size:
+                ep, ec = coalesced_pages(self.edges, eidx * 8)
+                wb.read(ep, ec)
+                rel, rc = coalesced_page_offsets(nbrs * 4)
+                wb.write(self.cost.first_page + rel, rc)
+                wb.write(self.flags.first_page + rel, rc)
+            yield wb.build(compute_per_access=p.compute_per_access)
+
+    def kernels(self):
+        g = self.graph
+        deg = self._deg
+        visited = np.zeros(g.num_nodes, dtype=bool)
+        visited[0] = True
+        frontier = np.array([0], dtype=np.int64)
+        level = 0
+        while frontier.size:
+            fdeg = deg[frontier]
+            eidx = ragged_ranges(g.ptr[frontier], fdeg)
+            all_nbrs = g.dst[eidx].astype(np.int64)
+            bounds = np.zeros(frontier.size + 1, dtype=np.int64)
+            np.cumsum(fdeg, out=bounds[1:])
+            yield KernelLaunch(
+                "bfs.kernel", level,
+                lambda f=frontier.copy(), e=eidx, nb=all_nbrs, b=bounds:
+                    self._level_waves(f, e, nb, b))
+            reached = np.zeros(g.num_nodes, dtype=bool)
+            reached[all_nbrs] = True
+            nbrs = np.flatnonzero(reached & ~visited)
+            visited[nbrs] = True
+            frontier = self._rng.permutation(nbrs)
+            level += 1
+
+
+class ReferenceSssp(Sssp):
+    """sssp generating each wave on its own: the per-round pass's oracle."""
+
+    def _relax_waves(self, worklist, all_eidx, all_nbrs, bounds):
+        """Accesses of one relaxation round, one wave at a time."""
+        p = self.params
+        for c0 in range(0, worklist.size, p.worklist_per_wave):
+            c1 = min(c0 + p.worklist_per_wave, worklist.size)
+            wl = np.sort(worklist[c0:c1])
+            eidx = all_eidx[bounds[c0]:bounds[c1]]
+            nbrs = all_nbrs[bounds[c0]:bounds[c1]]
+            wb = WaveBuilder()
+            npg, npc = coalesced_pages(self.nodes, wl * 8)
+            wb.read(npg, npc)
+            dpg, dpc = coalesced_pages(self.dist, wl * 4)
+            wb.read(dpg, dpc)
+            if eidx.size:
+                erel, epc = coalesced_page_offsets(eidx * 8)
+                wb.read(self.edges.first_page + erel, epc)
+                wb.read(self.weights.first_page + erel, epc)
+                tpg, tpc = coalesced_pages(self.dist, nbrs * 4)
+                wb.read(tpg, tpc)
+                wb.write(tpg, np.maximum(tpc // 2, 1))
+            yield wb.build(compute_per_access=p.compute_per_access)
+
+    def _sweep_waves(self):
+        """The dense sweep, rebuilt every round."""
+        p = self.params
+        bytes_total = self.graph.num_nodes * 4
+        step = p.worklist_per_wave * 64
+        for lo in range(0, bytes_total, step):
+            hi = min(lo + step, bytes_total)
+            wb = WaveBuilder()
+            wb.read(self.dist.page_range(lo, hi), SECTORS_PER_PAGE)
+            wb.read(self.dist_old.page_range(lo, hi), SECTORS_PER_PAGE)
+            wb.write(self.dist_old.page_range(lo, hi), SECTORS_PER_PAGE)
+            wb.write(self.wl_flags.page_range(lo, hi), SECTORS_PER_PAGE)
+            yield wb.build(compute_per_access=p.compute_per_access)
+
+    def kernels(self):
+        g, p = self.graph, self.params
+        deg = self._deg
+        dist = np.full(g.num_nodes, np.inf, dtype=np.float64)
+        dist[0] = 0.0
+        pending = np.array([0], dtype=np.int64)
+        for rnd in range(p.max_rounds):
+            if pending.size == 0:
+                break
+            worklist = pending[:p.max_worklist]
+            deferred = pending[p.max_worklist:]
+            wdeg = deg[worklist]
+            eidx = ragged_ranges(g.ptr[worklist], wdeg)
+            all_nbrs = g.dst[eidx].astype(np.int64)
+            bounds = np.zeros(worklist.size + 1, dtype=np.int64)
+            np.cumsum(wdeg, out=bounds[1:])
+            yield KernelLaunch(
+                "sssp.kernel1", rnd,
+                lambda wl=worklist.copy(), e=eidx, nb=all_nbrs, b=bounds:
+                    self._relax_waves(wl, e, nb, b))
+            next_mask = np.zeros(g.num_nodes, dtype=bool)
+            next_mask[deferred] = True
+            if eidx.size:
+                src = np.repeat(worklist, wdeg)
+                cand = dist[src] + g.weights[eidx]
+                dst = all_nbrs
+                before = dist[dst]
+                np.minimum.at(dist, dst, cand)
+                next_mask[dst[cand < before]] = True
+            yield KernelLaunch("sssp.kernel2", rnd, self._sweep_waves)
+            pending = self._rng.permutation(
+                np.flatnonzero(next_mask)).astype(np.int64)
+
+
+def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0,
+                           connect_chain=True):
+    """``repro.workloads.graphs.random_graph`` without in-place arithmetic."""
+    extra = rng.poisson(avg_degree - 1.0, size=num_nodes)
+    degrees = 1 + extra
+    m = int(degrees.sum())
+    ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=ptr[1:])
+    if skew > 0.0:
+        u = rng.random(m)
+        alpha = 1.0 - skew
+        dst = (num_nodes * u ** (1.0 / alpha)).astype(np.int64)
+        del u
+        dst = np.minimum(dst, num_nodes - 1)
+        dst = (dst * 2654435761) % num_nodes
+    else:
+        dst = rng.integers(0, num_nodes, size=m, dtype=np.int64)
+    if connect_chain:
+        dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
+    weights = rng.random(m, dtype=np.float32) * 99.0 + 1.0
+    return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)

@@ -1,11 +1,16 @@
 """Unit tests for the R-MAT and grid graph generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.memory.allocator import VirtualAddressSpace
-from repro.workloads.bfs import Bfs, BfsParams
+from repro.workloads import make_workload
+from repro.workloads.bfs import PRESETS as BFS_PRESETS, Bfs, BfsParams
 from repro.workloads.graphs import grid_graph, make_graph, rmat_graph
+from repro.workloads.pagerank import PRESETS as PAGERANK_PRESETS
+from repro.workloads.sssp import PRESETS as SSSP_PRESETS
 
 
 @pytest.fixture
@@ -102,3 +107,41 @@ class TestBfsOnFamilies:
         wl2.build(VirtualAddressSpace(), rng)
         random_levels = sum(1 for _ in wl2.kernels())
         assert grid_levels > 3 * random_levels
+
+
+class TestNodeCountFromGraph:
+    """Node-indexed arrays are sized from the graph, not the request.
+
+    ``grid`` rounds the requested node count to a square and ``rmat`` to
+    a power of two; at 8192 a grid has 8281 nodes, so arrays sized from
+    the request leave accesses outside every allocation.
+    """
+
+    PRESETS = {"bfs": BFS_PRESETS, "sssp": SSSP_PRESETS,
+               "pagerank": PAGERANK_PRESETS}
+
+    @pytest.mark.parametrize("num_nodes", [8192, 1000, None],
+                             ids=["8192", "1000", "tiny"])
+    @pytest.mark.parametrize("kind", ["random", "rmat", "grid"])
+    @pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank"])
+    def test_waves_stay_inside_allocations(self, name, kind, num_nodes):
+        params = dataclasses.replace(self.PRESETS[name]["tiny"],
+                                     graph_kind=kind)
+        if num_nodes is not None:
+            params = dataclasses.replace(params, num_nodes=num_nodes)
+        wl = make_workload(name, params=params)
+        wl.build(VirtualAddressSpace(), np.random.default_rng(0))
+        allocs = sorted(wl.allocations.values(), key=lambda a: a.first_page)
+        firsts = np.array([a.first_page for a in allocs])
+        lasts = np.array([a.last_page for a in allocs])
+        waves = 0
+        for launch in wl.kernels():
+            for wave in launch.waves():
+                owner = np.searchsorted(firsts, wave.pages, side="right") - 1
+                assert (owner >= 0).all()
+                outside = wave.pages >= lasts[owner]
+                assert not outside.any(), (
+                    f"{launch.name}[{launch.iteration}]: "
+                    f"{int(outside.sum())} pages outside every allocation")
+                waves += 1
+        assert waves

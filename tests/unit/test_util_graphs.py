@@ -1,17 +1,27 @@
 """Unit tests for workload utilities and graph generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memory.allocator import VirtualAddressSpace
 from repro.memory.layout import CHUNK_SIZE
+from repro.workloads.bfs import PRESETS as BFS_PRESETS
 from repro.workloads.graphs import random_graph
+from repro.workloads.pagerank import PRESETS as PAGERANK_PRESETS
+from repro.workloads.sssp import PRESETS as SSSP_PRESETS
 from repro.workloads.util import (
     SECTORS_PER_PAGE,
+    coalesced_page_offsets,
+    coalesced_page_offsets_batch,
     coalesced_pages,
     dedupe_with_counts,
     ragged_ranges,
 )
+
+from tests.oracle import reference_random_graph
 
 
 class TestRaggedRanges:
@@ -91,6 +101,124 @@ class TestCoalescedPages:
         assert SECTORS_PER_PAGE == 32
 
 
+def _row_bounds(*lengths):
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
+
+
+def _window_rows(sectors, bounds):
+    """Rows times the page-aligned sector window the batch call sees."""
+    sectors = np.asarray(sectors, dtype=np.int64)
+    lo = (int(sectors.min()) >> 5) << 5
+    return (bounds.size - 1) * ((((int(sectors.max()) - lo) >> 5) + 1) << 5)
+
+
+class TestCoalescedPageOffsetsBatch:
+    """Each row equals :func:`coalesced_page_offsets` on its own slice."""
+
+    def assert_rows_match(self, index, bounds, itemsize=1,
+                          accesses_per_sector=1):
+        pages, counts, page_bounds = coalesced_page_offsets_batch(
+            index, bounds, itemsize, accesses_per_sector)
+        assert page_bounds.size == bounds.size
+        assert page_bounds[0] == 0 and page_bounds[-1] == pages.size
+        assert pages.dtype == counts.dtype == np.int64
+        for r in range(bounds.size - 1):
+            row = np.asarray(index[bounds[r]:bounds[r + 1]], dtype=np.int64)
+            want_pages, want_counts = coalesced_page_offsets(
+                row * itemsize, accesses_per_sector)
+            got = slice(page_bounds[r], page_bounds[r + 1])
+            np.testing.assert_array_equal(pages[got], want_pages)
+            np.testing.assert_array_equal(counts[got], want_counts)
+
+    def test_dense_rows_take_the_mask(self):
+        rng = np.random.default_rng(0)
+        bounds = _row_bounds(900, 1000, 700, 1000)
+        offs = rng.integers(0, 1 << 14, bounds[-1]) * 4
+        assert _window_rows(offs >> 7, bounds) <= 2 * offs.size
+        self.assert_rows_match(offs, bounds)
+
+    def test_int32_indices_take_the_mask(self):
+        rng = np.random.default_rng(1)
+        bounds = _row_bounds(*[4096] * 6)
+        ids = rng.integers(0, 1 << 17, bounds[-1]).astype(np.int32)
+        assert _window_rows(ids >> 5, bounds) <= 2 * ids.size
+        self.assert_rows_match(ids, bounds, itemsize=4)
+
+    def test_sparse_rows_take_the_sort(self):
+        rng = np.random.default_rng(2)
+        bounds = _row_bounds(128, 128, 50, 128)
+        offs = rng.integers(0, 1 << 30, bounds[-1])
+        assert _window_rows(offs >> 7, bounds) > 2 * offs.size
+        self.assert_rows_match(offs, bounds)
+
+    def test_int32_indices_take_the_sort(self):
+        rng = np.random.default_rng(6)
+        bounds = _row_bounds(200, 3, 200)
+        ids = rng.integers(0, 1 << 27, bounds[-1]).astype(np.int32)
+        assert _window_rows(ids >> 4, bounds) > 2 * ids.size
+        self.assert_rows_match(ids, bounds, itemsize=8)
+
+    def test_rows_sorted_within_skip_the_sort(self):
+        rng = np.random.default_rng(3)
+        bounds = _row_bounds(300, 300, 301)
+        ids = np.concatenate([np.sort(rng.integers(0, 1 << 25, n))
+                              for n in np.diff(bounds)])
+        self.assert_rows_match(ids, bounds, itemsize=8)
+
+    @pytest.mark.parametrize("offs", [np.arange(0, 40000, 8),
+                                      np.arange(0, 1 << 30, 1 << 21)],
+                             ids=["dense", "sparse"])
+    def test_empty_and_one_element_rows(self, offs):
+        n = offs.size
+        bounds = np.array([0, 0, 1, 1, 2, n // 2, n // 2, n - 1, n, n])
+        self.assert_rows_match(offs, bounds)
+
+    @pytest.mark.parametrize("scale", [4, 1 << 20], ids=["dense", "sparse"])
+    def test_accesses_per_sector(self, scale):
+        rng = np.random.default_rng(4)
+        bounds = _row_bounds(500, 0, 500, 1)
+        offs = rng.integers(0, 1 << 14, bounds[-1]) * scale
+        self.assert_rows_match(offs, bounds, accesses_per_sector=3)
+
+    @pytest.mark.parametrize("aps", [1, 3])
+    def test_int64_overflow_falls_back_per_row(self, aps):
+        # Sectors near 2**55 leave no room for 64 rows in the key.
+        rng = np.random.default_rng(5)
+        bounds = _row_bounds(*[3] * 64)
+        offs = (1 << 62) + rng.integers(0, 1 << 40, bounds[-1])
+        self.assert_rows_match(offs, bounds, accesses_per_sector=aps)
+
+    def test_empty_input(self):
+        pages, counts, page_bounds = coalesced_page_offsets_batch(
+            np.empty(0, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        assert pages.size == counts.size == 0
+        assert page_bounds.tolist() == [0, 0, 0, 0]
+
+    def test_bounds_must_cover_the_indices(self):
+        with pytest.raises(ValueError):
+            coalesced_page_offsets_batch(np.arange(10), np.array([0, 4, 9]))
+
+    @pytest.mark.parametrize("itemsize", [0, 3, 256])
+    def test_itemsize_must_be_a_power_of_two_up_to_a_sector(self, itemsize):
+        with pytest.raises(ValueError):
+            coalesced_page_offsets_batch(np.arange(4), np.array([0, 4]),
+                                         itemsize)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+           span=st.sampled_from([1 << 9, 1 << 13, 1 << 17, 1 << 28]),
+           itemsize=st.sampled_from([1, 4, 8, 128]), aps=st.integers(1, 3),
+           int32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_rows(self, lengths, span, itemsize, aps, int32, seed):
+        bounds = _row_bounds(*lengths)
+        ids = np.random.default_rng(seed).integers(0, span, bounds[-1])
+        if int32:
+            ids = ids.astype(np.int32)
+        self.assert_rows_match(ids, bounds, itemsize, aps)
+
+
 class TestRandomGraph:
     def test_structure_valid(self):
         g = random_graph(1000, 4.0, np.random.default_rng(0))
@@ -139,3 +267,37 @@ class TestRandomGraph:
             random_graph(10, 0.5, rng)
         with pytest.raises(ValueError):
             random_graph(10, 4.0, rng, skew=1.0)
+
+
+def _graph_presets():
+    """``(num_nodes, avg_degree, skew)`` of every random-graph preset."""
+    recipes = {(p.num_nodes, p.avg_degree, p.skew)
+               for presets in (BFS_PRESETS, SSSP_PRESETS, PAGERANK_PRESETS)
+               for p in presets.values() if p.graph_kind == "random"}
+    return sorted(recipes)
+
+
+class TestRandomGraphMatchesReference:
+    """The in-place ``random_graph`` is bit-identical to the reference."""
+
+    @pytest.mark.parametrize("num_nodes,avg_degree,skew", _graph_presets())
+    def test_every_preset(self, num_nodes, avg_degree, skew):
+        self.assert_same(num_nodes, avg_degree, skew, seed=0)
+
+    @pytest.mark.parametrize("num_nodes", [1000, 3 * 5 * 7 * 11, 1 << 12])
+    @pytest.mark.parametrize("skew", [0.0, 0.25, 0.6])
+    def test_other_node_counts(self, num_nodes, skew):
+        self.assert_same(num_nodes, 6.0, skew, seed=num_nodes)
+
+    @staticmethod
+    def assert_same(num_nodes, avg_degree, skew, seed):
+        # The reference first: its temporaries are gone before the
+        # production build starts (the largest preset has 17M edges).
+        want = reference_random_graph(num_nodes, avg_degree,
+                                      np.random.default_rng(seed), skew=skew)
+        got = random_graph(num_nodes, avg_degree,
+                           np.random.default_rng(seed), skew=skew)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
