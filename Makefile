@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test test-accel bench bench-smoke bench-perf \
 	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
-	check-configs check-figures check-regression figures examples \
-	check-docs clean
+	trace-smoke check-configs check-figures check-regression figures \
+	examples check-docs clean
 
 install:
 	pip install -e .
@@ -126,6 +126,30 @@ cli-smoke:
 	! $(PYTHON) -m repro run ra --ts 0 2> .cli-smoke/bad-flag.txt
 	! grep -q Traceback .cli-smoke/bad-flag.txt
 	rm -rf .cli-smoke
+
+# A recorded trace (version 2) hands the driver every wave's grouping; a
+# version-1 copy without the grouped arrays leaves the driver to group
+# each wave itself.  Both replays must print the same summary and write
+# the same event log.
+TRACE_SMOKE_REPLAY = --policy adaptive --oversub 1.25
+trace-smoke:
+	rm -rf .trace-smoke && mkdir .trace-smoke
+	$(PYTHON) -m repro trace record ra --scale tiny -o .trace-smoke/v2.npz
+	$(PYTHON) -c 'import dataclasses; \
+		from repro.trace import load_trace, save_trace; \
+		from repro.trace.format import GROUP_FIELDS; \
+		data = load_trace(".trace-smoke/v2.npz"); \
+		assert data.version == 2 and data.grouped; \
+		save_trace(dataclasses.replace(data, version=1, \
+		           **dict.fromkeys(GROUP_FIELDS)), ".trace-smoke/v1.npz")'
+	for v in v2 v1; do \
+		$(PYTHON) -m repro trace replay -i .trace-smoke/$$v.npz \
+			$(TRACE_SMOKE_REPLAY) --events .trace-smoke/$$v.jsonl \
+			> .trace-smoke/$$v.txt || exit 1; \
+	done
+	diff .trace-smoke/v2.txt .trace-smoke/v1.txt
+	diff .trace-smoke/v2.jsonl .trace-smoke/v1.jsonl
+	rm -rf .trace-smoke
 
 # Every paper figure must regenerate its committed table byte for byte
 # (small scale, seed 0): a change to simulated outcomes fails here

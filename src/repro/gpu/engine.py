@@ -63,11 +63,11 @@ class GpuExecutionEngine:
                                   wave.counts)
             if prof is not None:
                 with prof.span("wave"):
-                    outcome = process_wave(
-                        wave.pages, wave.is_write, wave.counts)
+                    outcome = process_wave(wave.pages, wave.is_write,
+                                           wave.counts, wave.grouped)
             else:
                 outcome = process_wave(wave.pages, wave.is_write,
-                                       wave.counts)
+                                       wave.counts, wave.grouped)
             t = wave_cycles(outcome, wave.compute_cycles)
             merge_timing(t)
             merge_events(outcome)

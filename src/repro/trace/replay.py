@@ -18,21 +18,27 @@ class TraceWorkload(Workload):
 
     The replay reallocates the trace's allocation table in order, which
     reproduces the identical virtual layout (the allocator is
-    deterministic), so the recorded page ids remain valid.
+    deterministic), so the recorded page ids remain valid; validation
+    (:meth:`TraceData.validate`, run once per load) rejects any id
+    outside that layout.
 
     ``trace`` may be in-memory :class:`TraceData`, an ``.npz`` file
     path, or a trace *directory* (the mmap-able layout of
     :func:`repro.trace.recorder.save_trace_dir`); directories are
     memory-mapped, so concurrent replays of one cache entry share a
-    single page-cache copy of the access arrays.
+    single page-cache copy of the access arrays.  A trace that stores
+    its per-wave grouping (format version 2) hands each wave its
+    recorded grouping, so the driver does not group it again.
     """
 
     def __init__(self, trace: TraceData | str | pathlib.Path) -> None:
         super().__init__()
-        if not isinstance(trace, TraceData):
+        if isinstance(trace, TraceData):
+            trace.validate()
+        else:
+            # The loaders validate what they load.
             p = pathlib.Path(trace)
             trace = load_trace_dir(p) if p.is_dir() else load_trace(p)
-        trace.validate()
         self.trace = trace
         self.name = trace.meta.get("workload") or "trace"
         cat = trace.meta.get("category", "")
@@ -44,6 +50,22 @@ class TraceWorkload(Workload):
         # may interleave; those keep the scan.
         wk = trace.wave_kernel
         self._ordered = bool(wk.size == 0 or (wk[1:] >= wk[:-1]).all())
+        # Waves are sliced from plain ndarray views of the (possibly
+        # memory-mapped) arrays, which skips np.memmap's per-slice
+        # __getitem__/__array_finalize__; the per-wave scalars are read
+        # as lists once.
+        self._pages = np.asarray(trace.pages)
+        self._is_write = np.asarray(trace.is_write)
+        self._counts = np.asarray(trace.counts)
+        self._offsets = trace.wave_offsets.tolist()
+        self._compute = [None if math.isnan(c) else c
+                         for c in trace.wave_compute.tolist()]
+        self._groups = None
+        if trace.grouped:
+            self._groups = (trace.group_offsets.tolist(),
+                            np.asarray(trace.group_blocks),
+                            np.asarray(trace.group_totals),
+                            np.asarray(trace.group_writes))
 
     def _allocate(self, vas, rng) -> None:
         t = self.trace
@@ -59,14 +81,18 @@ class TraceWorkload(Workload):
                 int(np.searchsorted(t.wave_kernel, launch_index, "left")),
                 int(np.searchsorted(t.wave_kernel, launch_index, "right")))
         else:
-            wave_ids = np.flatnonzero(t.wave_kernel == launch_index)
+            wave_ids = np.flatnonzero(t.wave_kernel == launch_index).tolist()
+        pages, is_write, counts = self._pages, self._is_write, self._counts
+        offsets, compute, groups = self._offsets, self._compute, self._groups
+        grouped = None
         for w in wave_ids:
-            lo, hi = t.wave_offsets[w], t.wave_offsets[w + 1]
-            compute = t.wave_compute[w]
-            yield Wave(t.pages[lo:hi], t.is_write[lo:hi],
-                       counts=t.counts[lo:hi],
-                       compute_cycles=None if math.isnan(compute)
-                       else compute)
+            lo, hi = offsets[w], offsets[w + 1]
+            if groups is not None:
+                group_offsets, ublocks, totals, writes = groups
+                glo, ghi = group_offsets[w], group_offsets[w + 1]
+                grouped = (ublocks[glo:ghi], totals[glo:ghi], writes[glo:ghi])
+            yield Wave(pages[lo:hi], is_write[lo:hi], counts=counts[lo:hi],
+                       compute_cycles=compute[w], grouped=grouped)
 
     def kernels(self):
         t = self.trace

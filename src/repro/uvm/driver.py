@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..accel import kernels as _py_kernels
 from ..accel import resolve_backend
 from ..config import EvictionGranularity, SimulationConfig
 from ..memory.advice import Advice
@@ -129,6 +130,41 @@ class DriverCounters:
     thrashed_block_ids: set[int] = field(default_factory=set)
 
 
+def group_wave(blocks: np.ndarray, is_write: np.ndarray, counts: np.ndarray,
+               kern=_py_kernels
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group one wave's accesses per 64KB basic block.
+
+    ``blocks`` are the wave's page ids shifted to block ids (``pages >>
+    BLOCK_SHIFT``), parallel to its write flags and int64 access counts.
+    Returns ``(ublocks, totals, w_counts)``, all int64: the distinct
+    blocks in ascending order, and the accesses and the write accesses
+    to each.  Sorts once, then segment-reduces, which beats np.unique +
+    two weighted bincounts on the per-wave hot path.
+
+    Pure, and the one grouping implementation: the driver groups a live
+    wave with it, a fused batch run groups its concatenated waves with
+    it, and :func:`repro.trace.record_trace` stores its result for every
+    recorded wave, which :meth:`UvmDriver.process_wave` then takes as
+    ``grouped``.
+    """
+    if blocks.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    if blocks.size == 1 or bool((blocks[1:] >= blocks[:-1]).all()):
+        # Sweep-style waves arrive block-sorted: skip the argsort and
+        # the three gather permutations entirely.
+        sorted_blocks = blocks
+        sorted_counts = counts
+        sorted_w = counts * is_write
+    else:
+        order = np.argsort(blocks, kind="stable")
+        sorted_blocks = blocks[order]
+        sorted_counts = counts[order]
+        sorted_w = (counts * is_write)[order]
+    return kern.group_sorted(sorted_blocks, sorted_counts, sorted_w)
+
+
 class UvmDriver:
     """Shared UVM mechanics parameterized by a migrate-vs-remote policy."""
 
@@ -216,12 +252,21 @@ class UvmDriver:
     # ------------------------------------------------------------------
 
     def process_wave(self, pages: np.ndarray, is_write: np.ndarray,
-                     counts: np.ndarray | None = None) -> WaveOutcome:
+                     counts: np.ndarray | None = None,
+                     grouped: tuple[np.ndarray, np.ndarray, np.ndarray]
+                     | None = None) -> WaveOutcome:
         """Resolve one wave of page accesses; returns its event counts.
 
         ``counts`` optionally weights each entry with the number of
         coalesced accesses it represents (default: one each).
+        ``grouped`` optionally carries the wave's :func:`group_wave`
+        result, as a replayed trace stores it: the driver then skips
+        grouping, and its resident fast path works on the distinct
+        blocks.  A live wave keeps the fast path over every entry, which
+        is cheaper than grouping it first.
         """
+        if grouped is not None:
+            return self._process_grouped(*grouped)
         blocks, is_write, counts = self._prepare_wave(pages, is_write, counts)
         return self._process_blocks(blocks, is_write, counts)
 
@@ -243,42 +288,18 @@ class UvmDriver:
                 raise ValueError("counts must match pages in shape")
         return pages >> layout.BLOCK_SHIFT, is_write, counts
 
-    def _group_wave(self, blocks, is_write, counts):
-        """Group a wave's accesses per basic block: sort once, then
-        segment-reduce, which beats np.unique + two weighted bincounts
-        on the per-wave hot path."""
-        if blocks.size == 1 or bool((blocks[1:] >= blocks[:-1]).all()):
-            # Sweep-style waves arrive block-sorted: skip the argsort
-            # and the three gather permutations entirely.
-            sorted_blocks = blocks
-            sorted_counts = counts
-            sorted_w = counts * is_write
-        else:
-            order = np.argsort(blocks, kind="stable")
-            sorted_blocks = blocks[order]
-            sorted_counts = counts[order]
-            sorted_w = (counts * is_write)[order]
-        return self._kern.group_sorted(sorted_blocks, sorted_counts,
-                                       sorted_w)
-
     def _process_blocks(self, blocks: np.ndarray, is_write: np.ndarray,
                         counts: np.ndarray, grouped=None) -> WaveOutcome:
         """The wave pipeline over prepared block-space arrays.
 
-        ``grouped`` optionally carries a precomputed :meth:`_group_wave`
+        ``grouped`` optionally carries a precomputed :func:`group_wave`
         result for these exact arrays (the batch path caches grouping
         across re-speculation); grouping is pure, so reuse is safe.
         """
         out = WaveOutcome(n_accesses=int(counts.sum()))
         if blocks.size == 0:
             return out
-        self._clock += 1
-        self._heat_sum = None
-        self._dirty_cache = None
-        self._lru_order = None
-        if self._bus is not None:
-            # Wave context for every event emitted below this frame.
-            self._bus.wave = self.stats.waves
+        self._begin_wave()
 
         # -- resident fast path ------------------------------------------
         # Steady state for a warmed-up working set: every accessed block
@@ -291,24 +312,75 @@ class UvmDriver:
         # state are bit-identical to the full pipeline (property-tested
         # against the reference driver in ``tests/oracle.py``).
         if self._kern.resident_all(self.residency.resident, blocks):
-            out.n_local = out.n_accesses
-            wb = blocks[is_write]
-            if wb.size:
-                self._note_dirty(wb)
-            self.directory.last_touch[
-                self.directory.chunk_of_block[blocks]] = self._clock
-            self.counters.add_accesses(blocks, counts)
-            self.stats.fast_path_waves += 1
-            self.stats.waves += 1
-            self.stats.totals.merge(out)
-            if self.debug_invariants:
-                self._check_wave_accounting()
-            return out
+            return self._resident_wave(out, blocks, blocks[is_write],
+                                       counts, self.counters.add_accesses)
 
         ublocks, totals, w_counts = (
             grouped if grouped is not None
-            else self._group_wave(blocks, is_write, counts))
+            else group_wave(blocks, is_write, counts, self._kern))
+        return self._resolve_grouped(out, ublocks, totals, w_counts,
+                                     self.residency.resident[ublocks])
 
+    def _process_grouped(self, ublocks: np.ndarray, totals: np.ndarray,
+                         w_counts: np.ndarray) -> WaveOutcome:
+        """The wave pipeline for a wave that carries its grouping.
+
+        The resident fast path runs on the distinct blocks: the
+        residency gather that selects it doubles as the full pipeline's
+        resident mask, and its counter add needs no duplicate-safe
+        scatter.
+        """
+        out = WaveOutcome(n_accesses=int(totals.sum()))
+        if ublocks.size == 0:
+            return out
+        self._begin_wave()
+        res_mask = self.residency.resident[ublocks]
+        if res_mask.all():
+            return self._resident_wave(out, ublocks, ublocks[w_counts > 0],
+                                       totals,
+                                       self.counters.add_accesses_unique)
+        return self._resolve_grouped(out, ublocks, totals, w_counts,
+                                     res_mask)
+
+    def _begin_wave(self) -> None:
+        """Per-wave state every non-empty wave starts from."""
+        self._clock += 1
+        self._heat_sum = None
+        self._dirty_cache = None
+        self._lru_order = None
+        if self._bus is not None:
+            # Wave context for every event emitted below this frame.
+            self._bus.wave = self.stats.waves
+
+    def _end_wave(self, out: WaveOutcome) -> WaveOutcome:
+        """Fold a resolved wave into the run statistics."""
+        self.stats.waves += 1
+        self.stats.totals.merge(out)
+        if self.debug_invariants:
+            self._check_wave_accounting()
+        return out
+
+    def _resident_wave(self, out: WaveOutcome, blocks: np.ndarray,
+                       written: np.ndarray, amounts: np.ndarray,
+                       add) -> WaveOutcome:
+        """The resident fast path: every block in ``blocks`` is resident.
+
+        ``written`` are the blocks the wave writes, and ``add`` the
+        counter update that suits ``blocks`` (duplicate-safe or not).
+        """
+        out.n_local = out.n_accesses
+        if written.size:
+            self._note_dirty(written)
+        self.directory.last_touch[
+            self.directory.chunk_of_block[blocks]] = self._clock
+        add(blocks, amounts)
+        self.stats.fast_path_waves += 1
+        return self._end_wave(out)
+
+    def _resolve_grouped(self, out: WaveOutcome, ublocks: np.ndarray,
+                         totals: np.ndarray, w_counts: np.ndarray,
+                         res_mask: np.ndarray) -> WaveOutcome:
+        """The full pipeline over a grouped wave and its resident mask."""
         # LRU touch + warp pinning for every addressed chunk.  The chunk
         # ids of sorted unique blocks are non-decreasing (chunks are laid
         # out in block order), so run compression replaces np.unique.
@@ -319,8 +391,6 @@ class UvmDriver:
         self.directory.touch(touched_chunks, self._clock)
         pinned = np.zeros(self.directory.num_chunks, dtype=bool)
         pinned[touched_chunks] = True
-
-        res_mask = self.residency.resident[ublocks]
 
         # -- resident blocks: local service ------------------------------
         out.n_local += int(totals[res_mask].sum())
@@ -336,13 +406,9 @@ class UvmDriver:
                                       pinned, out)
 
         # Historic counters track local and remote accesses alike (Sec. IV).
-        self.counters.add_accesses(ublocks, totals)
-
-        self.stats.waves += 1
-        self.stats.totals.merge(out)
-        if self.debug_invariants:
-            self._check_wave_accounting()
-        return out
+        # Grouped blocks are distinct, so the plain fancy add applies.
+        self.counters.add_accesses_unique(ublocks, totals)
+        return self._end_wave(out)
 
     # ------------------------------------------------------------------
     # fused multi-tenant batch dispatch (serving layer)
@@ -500,7 +566,7 @@ class UvmDriver:
 
         Because run segments are pairwise disjoint and ascending, one
         global stable sort keeps every segment contiguous and in order,
-        so a single ``group_sorted`` pass replaces the per-segment
+        so a single :func:`group_wave` pass replaces the per-segment
         grouping (sequential fallbacks reuse plain views of it via
         :meth:`_ctx_group`).  Returns
         ``(base, cat_u, cat_t, cat_w, starts, safe)`` where
@@ -509,17 +575,10 @@ class UvmDriver:
         """
         segs = preps[i:j]
         nseg = len(segs)
-        cat_b = np.concatenate([p[0] for p in segs])
-        cat_c = np.concatenate([p[2] for p in segs])
-        cat_wr = cat_c * np.concatenate([p[1] for p in segs])
-        if cat_b.size == 1 or bool((cat_b[1:] >= cat_b[:-1]).all()):
-            sb, sc, sw = cat_b, cat_c, cat_wr
-        else:
-            order = np.argsort(cat_b, kind="stable")
-            sb = cat_b[order]
-            sc = cat_c[order]
-            sw = cat_wr[order]
-        cat_u, cat_t, cat_w = self._kern.group_sorted(sb, sc, sw)
+        cat_u, cat_t, cat_w = group_wave(
+            np.concatenate([p[0] for p in segs]),
+            np.concatenate([p[1] for p in segs]),
+            np.concatenate([p[2] for p in segs]), self._kern)
         starts = np.empty(nseg + 1, dtype=np.int64)
         # Each segment's first unique block is its cached range minimum
         # (bounds were filled by the run scan).
@@ -740,8 +799,9 @@ class UvmDriver:
         # Accesses served remotely before a (possible) migration trigger.
         remote = self._kern.remote_counts(migrate, td, c0, k)
         out.n_remote += int(remote.sum())
-        # Volta hardware counters see every remote access.
-        self.counters.add_remote_accesses(nrb, remote)
+        # Volta hardware counters see every remote access (``nrb`` is
+        # duplicate-free: a subset of the wave's grouped blocks).
+        self.counters.add_remote_accesses_unique(nrb, remote)
 
         # Blocks that stay host-pinned get (or keep) a remote mapping.
         staying = nrb[~migrate]

@@ -63,6 +63,10 @@ class Wave:
     counts: np.ndarray | None = None
     #: Optional override of the default compute-cycles estimate.
     compute_cycles: float | None = None
+    #: The wave's per-block grouping, ``(blocks, totals, writes)`` as
+    #: :func:`repro.uvm.driver.group_wave` computes it, when a recorded
+    #: trace stored it; the driver then skips grouping the wave.
+    grouped: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.pages = np.asarray(self.pages, dtype=np.int64)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import MigrationPolicy, SimulationConfig
 from repro.memory.allocator import VirtualAddressSpace
 from repro.memory.layout import MB
+from repro.trace.format import GROUP_FIELDS, TraceData
 from repro.uvm.driver import UvmDriver
 from repro.workloads.base import (
     Category,
@@ -48,6 +51,12 @@ def make_driver(vas: VirtualAddressSpace,
             cfg, memory=dataclasses.replace(cfg.memory,
                                             prefetcher_enabled=False))
     return driver_cls(vas, cfg)
+
+
+def version1(data: TraceData) -> TraceData:
+    """``data`` as a version-1 trace: the same stream, no grouped arrays."""
+    return dataclasses.replace(data, version=1,
+                               **dict.fromkeys(GROUP_FIELDS))
 
 
 class StreamWorkload(Workload):

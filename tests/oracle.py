@@ -7,8 +7,9 @@ installs, and the serve loop sends every scheduler slot through
 paths those replaced live here, as test oracles only:
 
 * :class:`ReferenceDriver` runs every wave through the full pipeline
-  (no resident fast path), drains migrations one block at a time, and
-  resolves a batch as a plain loop of single waves.
+  (no resident fast path), whether it comes grouped from a trace or
+  not, drains migrations one block at a time, and resolves a batch as
+  a plain loop of single waves.
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
   on a :class:`ReferenceDriver`, so serve output can be compared with
   a session that never fuses a wave.
@@ -33,7 +34,7 @@ from unittest import mock
 import numpy as np
 
 import repro.serve.session as serve_session
-from repro.uvm.driver import UvmDriver, WaveOutcome
+from repro.uvm.driver import UvmDriver, WaveOutcome, group_wave
 from repro.workloads.base import KernelLaunch, WaveBuilder
 from repro.workloads.bfs import Bfs
 from repro.workloads.graphs import CsrGraph
@@ -47,9 +48,23 @@ class ReferenceDriver(UvmDriver):
 
     def _process_blocks(self, blocks: np.ndarray, is_write: np.ndarray,
                         counts: np.ndarray, grouped=None) -> WaveOutcome:
-        """The full wave pipeline for every wave, all-resident or not."""
-        out = WaveOutcome(n_accesses=int(counts.sum()))
+        """Group the wave (unless it comes grouped), then run the full
+        pipeline: no resident fast path over the raw entries."""
         if blocks.size == 0:
+            return WaveOutcome(n_accesses=int(counts.sum()))
+        if grouped is None:
+            grouped = group_wave(blocks, is_write, counts, self._kern)
+        return self._process_grouped(*grouped)
+
+    def _process_grouped(self, ublocks: np.ndarray, totals: np.ndarray,
+                         w_counts: np.ndarray) -> WaveOutcome:
+        """The full wave pipeline for every wave, all-resident or not.
+
+        A replayed wave that carries its recorded grouping lands here
+        directly, so it too skips the fast path.
+        """
+        out = WaveOutcome(n_accesses=int(totals.sum()))
+        if ublocks.size == 0:
             return out
         self._clock += 1
         self._heat_sum = None
@@ -58,7 +73,6 @@ class ReferenceDriver(UvmDriver):
         if self._bus is not None:
             self._bus.wave = self.stats.waves
 
-        ublocks, totals, w_counts = self._group_wave(blocks, is_write, counts)
         touched_chunks = np.unique(self.directory.chunk_of_block[ublocks])
         touched_chunks = touched_chunks[touched_chunks >= 0]
         self.directory.touch(touched_chunks, self._clock)

@@ -24,11 +24,11 @@ from repro.config import (
     ReplacementPolicy,
     SimulationConfig,
 )
-from repro.memory.layout import MB
+from repro.memory.layout import BLOCK_SHIFT, MB
 from repro.sim import simulator
 from repro.sim.simulator import Simulator
 from repro.trace import TraceWorkload, record_trace
-from repro.uvm.driver import UvmDriver
+from repro.uvm.driver import UvmDriver, group_wave
 from repro.workloads import ALL_WORKLOADS, EXTENDED_WORKLOADS, make_workload
 
 from tests.conftest import make_driver, make_vas
@@ -62,8 +62,13 @@ def _assert_same_state(fast: UvmDriver, slow: UvmDriver) -> None:
     slow.check_consistency()
 
 
+#: Which drivers of a pair get each wave's grouping (as a replayed
+#: trace hands it over): neither, production only, or both.
+GROUPED = ("none", "fast", "both")
+
+
 def _run_pair(fast: UvmDriver, slow: UvmDriver, seed: int, n_waves: int,
-              wave_size: int) -> None:
+              wave_size: int, grouped: str) -> None:
     rng = np.random.default_rng(seed)
     alloc_pages = np.concatenate([
         np.arange(a.first_page, a.last_page)
@@ -72,21 +77,33 @@ def _run_pair(fast: UvmDriver, slow: UvmDriver, seed: int, n_waves: int,
         pages = rng.choice(alloc_pages, size=wave_size)
         writes = rng.random(wave_size) < 0.4
         counts = rng.integers(1, 50, size=wave_size)
-        out_f = fast.process_wave(pages, writes, counts)
+        group = (None if grouped == "none" else
+                 group_wave(pages >> BLOCK_SHIFT, writes, counts))
+        out_f = fast.process_wave(pages, writes, counts, group)
         out_s = slow.process_wave(pages.copy(), writes.copy(),
-                                  counts.copy())
+                                  counts.copy(),
+                                  group if grouped == "both" else None)
         assert dataclasses.asdict(out_f) == dataclasses.asdict(out_s)
     _assert_same_state(fast, slow)
+
+
+def _run_every_mode(make, seed: int, n_waves: int, wave_size: int) -> None:
+    """Run the same traffic once per :data:`GROUPED` mode, each on a
+    fresh pair ``make(cls)`` of production and oracle drivers, so every
+    example checks the raw fast path and the grouped one."""
+    for grouped in GROUPED:
+        _run_pair(make(UvmDriver), make(ReferenceDriver), seed, n_waves,
+                  wave_size, grouped)
 
 
 @given(policies, traffic())
 @settings(max_examples=50, deadline=None)
 def test_fast_path_matches_full_pipeline(policy, t):
     seed, n_waves, wave_size, capacity_mb = t
-    pair = [make_driver(make_vas(4, 8), policy, capacity_mb=capacity_mb,
-                        driver_cls=cls)
-            for cls in (UvmDriver, ReferenceDriver)]
-    _run_pair(*pair, seed, n_waves, wave_size)
+    _run_every_mode(
+        lambda cls: make_driver(make_vas(4, 8), policy,
+                                capacity_mb=capacity_mb, driver_cls=cls),
+        seed, n_waves, wave_size)
 
 
 @given(traffic(), st.floats(0.05, 0.5), st.floats(0.05, 0.5))
@@ -101,8 +118,8 @@ def test_fast_path_matches_under_fault_injection(t, transfer_rate,
            .with_device_capacity(capacity_mb * MB)
            .with_faults(transfer_fault_rate=transfer_rate,
                         migration_fault_rate=migration_rate))
-    pair = [cls(make_vas(4, 8), cfg) for cls in (UvmDriver, ReferenceDriver)]
-    _run_pair(*pair, seed, n_waves, wave_size)
+    _run_every_mode(lambda cls: cls(make_vas(4, 8), cfg),
+                    seed, n_waves, wave_size)
 
 
 @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
@@ -112,8 +129,8 @@ def test_fast_path_matches_under_both_replacement_policies(replacement):
            .with_device_capacity(6 * MB))
     cfg = dataclasses.replace(
         cfg, memory=dataclasses.replace(cfg.memory, replacement=replacement))
-    pair = [cls(make_vas(4, 8), cfg) for cls in (UvmDriver, ReferenceDriver)]
-    _run_pair(*pair, seed=11, n_waves=12, wave_size=200)
+    _run_every_mode(lambda cls: cls(make_vas(4, 8), cfg),
+                    seed=11, n_waves=12, wave_size=200)
 
 
 def test_fast_path_fires_in_steady_state():

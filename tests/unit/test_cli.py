@@ -120,3 +120,18 @@ class TestExecution:
                    "--policy", "adaptive"])
         assert rc == 0
         assert "cycle breakdown" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("page", [-1, 10**9])
+    def test_trace_replay_rejects_bad_page_in_one_line(self, tmp_path, page):
+        import numpy as np
+        trace_file = tmp_path / "ra.npz"
+        main(["trace", "record", "ra", "--scale", "tiny",
+              "-o", str(trace_file)])
+        arrays = dict(np.load(trace_file))
+        arrays["pages"][arrays["wave_offsets"][7]] = page
+        np.savez_compressed(trace_file, **arrays)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "replay", "-i", str(trace_file)])
+        message = str(exc.value.code)
+        assert message.startswith(f"repro trace: wave 7: page id {page} is ")
+        assert "\n" not in message

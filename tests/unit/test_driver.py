@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import MigrationPolicy
 from repro.memory.layout import MB, PAGES_PER_BLOCK, PAGES_PER_CHUNK
+from repro.uvm.driver import group_wave
 
 from tests.conftest import make_driver, make_vas
 
@@ -239,3 +240,44 @@ class TestConsistency:
             drv.process_wave(pages, writes)
         drv.check_consistency()
         assert drv.device.used_blocks <= drv.device.capacity_blocks
+
+
+class TestGroupWave:
+    """``group_wave`` against an ``np.unique`` + ``bincount`` reference."""
+
+    @staticmethod
+    def _reference(blocks, is_write, counts):
+        ublocks, inverse = np.unique(blocks, return_inverse=True)
+        totals = np.bincount(inverse, weights=counts,
+                             minlength=ublocks.size)
+        writes = np.bincount(inverse, weights=counts * is_write,
+                             minlength=ublocks.size)
+        return ublocks, totals.astype(np.int64), writes.astype(np.int64)
+
+    @pytest.mark.parametrize("shape", ["sorted", "unsorted", "empty",
+                                       "one", "duplicates"])
+    def test_matches_reference(self, shape):
+        rng = np.random.default_rng(7)
+        size = {"empty": 0, "one": 1}.get(shape, 500)
+        high = 4 if shape == "duplicates" else 10_000
+        blocks = rng.integers(0, high, size=size, dtype=np.int64)
+        if shape == "sorted":
+            blocks.sort()
+        is_write = rng.random(size) < 0.3
+        counts = rng.integers(1, 33, size=size, dtype=np.int64)
+        got = group_wave(blocks, is_write, counts)
+        for g, want in zip(got, self._reference(blocks, is_write, counts)):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, want)
+        if shape == "duplicates":
+            assert got[0].size <= 4
+
+    def test_inputs_untouched(self):
+        blocks = np.array([5, 1, 5, 3], dtype=np.int64)
+        is_write = np.array([True, False, False, True])
+        counts = np.array([2, 1, 4, 1], dtype=np.int64)
+        ublocks, totals, writes = group_wave(blocks, is_write, counts)
+        assert ublocks.tolist() == [1, 3, 5]
+        assert totals.tolist() == [1, 1, 6]
+        assert writes.tolist() == [0, 1, 2]
+        assert blocks.tolist() == [5, 1, 5, 3]

@@ -52,6 +52,13 @@ class TestTraceDir:
         with pytest.raises(FileNotFoundError):
             load_trace_dir(path)
 
+    def test_malformed_groups_file_rejected(self, tmp_path):
+        data = record_trace(StreamWorkload(size_mb=2), seed=0)
+        path = save_trace_dir(data, tmp_path / "t")
+        np.save(path / "groups.npy", np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="does not fit"):
+            load_trace_dir(path)
+
     def test_replay_accepts_directory_path(self, tmp_path):
         data = record_trace(make_workload("ra", "tiny"), seed=2)
         path = save_trace_dir(data, tmp_path / "t")
