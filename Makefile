@@ -61,7 +61,8 @@ serve-smoke:
 		.serve-drr-1.jsonl .serve-drr-2.jsonl
 
 # SLO-tracked serve run with live admission: the alert transcript
-# must be identical across two runs, and repro top must render it.
+# must be identical across two runs, every tenant's telemetry windows
+# must close at its completion, and repro top must render the log.
 telemetry-smoke:
 	for i in 1 2; do \
 		$(PYTHON) -m repro serve --config configs/serve_slo.yaml \
@@ -69,6 +70,7 @@ telemetry-smoke:
 			--flush-events 1 --json > .serve-$$i.json || exit 1; \
 	done
 	diff .serve-1.json .serve-2.json
+	$(PYTHON) tools/check_telemetry_windows.py .telemetry-1.jsonl
 	$(PYTHON) -m repro top .telemetry-1.jsonl
 	rm -f .telemetry-1.jsonl .telemetry-2.jsonl .serve-1.json .serve-2.json
 

@@ -127,10 +127,6 @@ def warm_jit() -> None:
     jit.remote_counts(migrate, ones, ones, ones)
     jit.group_sorted(i64, ones, ones)
     jit.resident_all(bools, np.zeros(1, dtype=np.int64))
-    starts = np.array([0, 1], dtype=np.int64)
-    jit.segment_sums(ones, starts)
-    jit.segment_all(bools, starts)
-    jit.segment_any(bools, starts)
     jit.scatter_add(np.zeros(2, dtype=np.int64), i64, ones)
     jit.scatter_add_unique(np.zeros(2, dtype=np.int64), i64, ones)
     jit.increment(np.zeros(2, dtype=np.int64), i64)

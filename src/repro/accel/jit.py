@@ -99,57 +99,6 @@ def resident_all(resident, blocks):
     return True
 
 
-# -- segmented batch reductions ---------------------------------------------
-
-@njit(cache=True)
-def segment_sums(values, starts):
-    k = starts.size
-    n = values.size
-    out = np.zeros(k, dtype=np.int64)
-    for s in range(k):
-        lo = starts[s]
-        hi = starts[s + 1] if s + 1 < k else n
-        acc = np.int64(0)
-        for i in range(lo, hi):
-            acc += values[i]
-        out[s] = acc
-    return out
-
-
-@njit(cache=True)
-def segment_all(mask, starts):
-    k = starts.size
-    n = mask.size
-    out = np.empty(k, dtype=np.bool_)
-    for s in range(k):
-        lo = starts[s]
-        hi = starts[s + 1] if s + 1 < k else n
-        v = True
-        for i in range(lo, hi):
-            if not mask[i]:
-                v = False
-                break
-        out[s] = v
-    return out
-
-
-@njit(cache=True)
-def segment_any(mask, starts):
-    k = starts.size
-    n = mask.size
-    out = np.empty(k, dtype=np.bool_)
-    for s in range(k):
-        lo = starts[s]
-        hi = starts[s + 1] if s + 1 < k else n
-        v = False
-        for i in range(lo, hi):
-            if mask[i]:
-                v = True
-                break
-        out[s] = v
-    return out
-
-
 # -- counter file -----------------------------------------------------------
 
 @njit(cache=True)

@@ -81,30 +81,6 @@ def resident_all(resident: np.ndarray, blocks: np.ndarray) -> bool:
     return bool(resident[blocks].all())
 
 
-# -- segmented batch reductions (UvmDriver.process_wave_batch) --------------
-#
-# A fused multi-tenant batch concatenates per-tenant waves into one
-# array with ``starts[i]`` marking where segment ``i`` begins (segments
-# are non-empty and ``starts`` is strictly increasing, ``starts[0] ==
-# 0``; segment ``i`` spans ``[starts[i], starts[i+1])`` with the last
-# segment running to the end).  These reductions split one fused pass
-# back into per-segment (per-tenant) accounting.
-
-def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums of ``values`` (int64 in, int64 out)."""
-    return np.add.reduceat(values, starts)
-
-
-def segment_all(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment AND of a boolean ``mask``."""
-    return np.logical_and.reduceat(mask, starts)
-
-
-def segment_any(mask: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment OR of a boolean ``mask``."""
-    return np.logical_or.reduceat(mask, starts)
-
-
 # -- counter file (AccessCounterFile) ---------------------------------------
 
 def scatter_add(target: np.ndarray, idx: np.ndarray,

@@ -556,7 +556,7 @@ def _print_serve_summary(result) -> None:
         ["scheduler", result.scheduler],
     ]
     if result.batches:
-        rows.append(["fused batches", result.batches])
+        rows.append(["batches", result.batches])
         rows.append(["batch occupancy", f"{result.batch_occupancy:.2f}"])
     print(format_table(["metric", "value"], rows,
                        title=f"== serve: {result.arrivals} tenants @ "

@@ -12,9 +12,9 @@ simulated quantities:
 
 * per-wave observations (``on_wave``) land in per-tenant tumbling
   latency/work windows;
-* admission lifecycle hooks (``on_arrival``/``on_admit``/
-  ``on_complete``) feed the service-level shed window and the SLO
-  attainment bookkeeping;
+* admission lifecycle hooks (``on_arrival``/``on_complete``) feed the
+  service-level shed window and the SLO attainment bookkeeping, and a
+  completion closes the tenant's windows;
 * a per-scheduler-round ``tick`` carrying the live oversubscription and
   the attribution arrays, from which the hub derives windowed
   interference rates (EWMA thrash migrations per wave) and runs SLO
@@ -93,7 +93,9 @@ class LiveTelemetry:
         self._pressure = Ewma(_EWMA_ALPHA)
         self._last_thrash: np.ndarray | None = None
         self._last_waves: dict[int, int] = {}
-        self._active: list[int] = []
+        #: Tenants with open windows (first wave seen, not completed),
+        #: as an ordered set in first-wave order.
+        self._open: dict[int, None] = {}
 
     # -- event plumbing --------------------------------------------------
 
@@ -106,19 +108,17 @@ class LiveTelemetry:
     def on_arrival(self, tenant: int, at_us: float, shed: bool) -> None:
         self.arrivals.observe(at_us, 1.0, bad=shed)
 
-    def on_admit(self, tenant: int) -> None:
-        if tenant not in self._active:
-            self._active.append(tenant)
-
     def on_complete(self, tenant: int, at_us: float) -> None:
-        if tenant in self._active:
-            self._active.remove(tenant)
+        """Close the tenant's windows, then give the final SLO verdict.
+
+        The window holding ``at_us`` is the tenant's last: it closes
+        and drains here, and no later tick touches the tenant again.
+        """
+        if tenant in self._open:
+            del self._open[tenant]
+            self.latency.window(tenant).roll(at_us + self.window_us)
+            self._drain_tenant(tenant)
         if self.slo is not None:
-            # Fold the tenant's still-open windows in before the final
-            # attainment verdict.
-            win = self.latency.window(tenant)
-            win.roll(at_us + self.window_us)
-            self._drain_tenant(tenant, at_us)
             self.slo.finish_tenant(tenant, at_us)
 
     def on_wave(self, tenant: int, at_us: float, latency_us: float,
@@ -131,6 +131,7 @@ class LiveTelemetry:
         ewma = self._lat_ewma.get(tenant)
         if ewma is None:
             ewma = self._lat_ewma[tenant] = Ewma(_EWMA_ALPHA)
+            self._open[tenant] = None
         ewma.update(latency_us)
 
     # -- live signals consumed by --live-admission -----------------------
@@ -146,25 +147,36 @@ class LiveTelemetry:
 
     # -- per-round evaluation --------------------------------------------
 
-    def _drain_tenant(self, tenant: int, now: float) -> None:
-        """Emit TelemetryWindow events for freshly-closed windows."""
+    def _drain_tenant(self, tenant: int) -> None:
+        """Drain freshly-closed windows into the SLO engine and the bus.
+
+        The work window rolls with the latency window, because the
+        throughput objective merges its closed windows.  The events are
+        built only when a bus takes them.
+        """
         lat_win = self.latency.window(tenant)
         work_win = self.work.window(tenant)
         work_win.roll(lat_win.open_start_us)
-        fresh_work = {start: agg for start, agg in work_win.drain()}
-        for start_us, agg in lat_win.drain():
-            if self.slo is not None:
+        fresh_work = work_win.drain()
+        fresh = lat_win.drain()
+        if self.slo is not None:
+            for _, agg in fresh:
                 self.slo.record_latency_window(tenant, agg)
-            work = fresh_work.get(start_us)
-            self._emit(TelemetryWindow(
+        bus = self._bus
+        if bus is None or not bus.enabled or not fresh:
+            return
+        work_of = dict(fresh_work)
+        ewma = self._lat_ewma[tenant].get()
+        thrash = self.thrash_rate(tenant)
+        for start_us, agg in fresh:
+            work = work_of.get(start_us)
+            bus.emit(TelemetryWindow(
                 tenant=tenant, start_us=start_us,
                 window_us=self.window_us, waves=agg.count,
                 accesses=int(work.total) if work is not None else 0,
                 mean_latency_us=agg.mean, max_latency_us=agg.maximum,
-                bad_waves=agg.bad,
-                ewma_latency_us=self._lat_ewma[tenant].get()
-                if tenant in self._lat_ewma else 0.0,
-                thrash_rate=self.thrash_rate(tenant)))
+                bad_waves=agg.bad, ewma_latency_us=ewma,
+                thrash_rate=thrash))
 
     def tick(self, now: float, oversubscription: float,
              live, thrash: np.ndarray) -> None:
@@ -193,12 +205,14 @@ class LiveTelemetry:
         if total_dwaves > 0:
             self._pressure.update(float(delta.sum()) / total_dwaves)
 
-        # Roll + drain windows, then evaluate SLOs on merged horizons.
+        # Roll + drain open windows, then evaluate SLOs on merged
+        # horizons.
         slo, slo_cfg = self.slo, self.slo_config
-        for tenant_id, win in self.latency.items():
+        for tenant_id in self._open:
+            win = self.latency.window(tenant_id)
             win.roll(now)
-            self._drain_tenant(tenant_id, now)
-            if slo is not None and tenant_id in self._active:
+            self._drain_tenant(tenant_id)
+            if slo is not None:
                 fast = win.merged(slo_cfg.fast_windows)
                 slow = win.merged(slo_cfg.slow_windows)
                 slo.evaluate_latency(tenant_id, now, fast, slow)

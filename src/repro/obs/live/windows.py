@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 
 
 class WindowAggregate:
@@ -177,8 +178,25 @@ class TumblingWindow:
         return [agg for _, agg in list(self.closed)[-n:]]
 
     def merged(self, n: int) -> WindowAggregate:
-        """Merge of the most recent ``n`` closed windows."""
-        return WindowAggregate.merge_all(self.recent(n))
+        """Merge of the most recent ``n`` closed windows.
+
+        Equals ``WindowAggregate.merge_all(self.recent(n))``: the same
+        left fold, accumulated into one aggregate without copying the
+        history.
+        """
+        out = WindowAggregate()
+        if n <= 0:
+            return out
+        closed = self.closed
+        for _, agg in islice(closed, max(len(closed) - n, 0), None):
+            out.count += agg.count
+            out.total += agg.total
+            if agg.vmin < out.vmin:
+                out.vmin = agg.vmin
+            if agg.vmax > out.vmax:
+                out.vmax = agg.vmax
+            out.bad += agg.bad
+        return out
 
 
 class Ewma:

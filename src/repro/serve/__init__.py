@@ -9,8 +9,7 @@ admits, queues or sheds them against the shared device capacity, and a
 wave-stream interleaver (:mod:`repro.serve.session`) schedules admitted
 tenants' waves onto one shared :class:`~repro.uvm.driver.UvmDriver`
 under a pluggable scheduler (:mod:`repro.serve.scheduler`: legacy round
-robin or deficit-weighted fair queuing, optionally with fused
-multi-tenant wave batching).  Graceful degradation engages in
+robin or deficit-weighted fair queuing).  Graceful degradation engages in
 watermark escalation order -- throttle the heaviest-thrashing tenant
 (the paper's Section VIII proposal), then queue, then shed -- and every
 decision is a pure function of ``(seed, arrival trace, capacity)``, so

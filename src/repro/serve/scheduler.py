@@ -6,12 +6,10 @@ round's *groups*: an ordered list where each group is an ordered list
 of ``(tenant, waves)`` entries over distinct tenants.  Groups execute
 in order; a multi-tenant group executes wave-slot-major (slot ``k``
 runs one wave for every tenant whose allowance exceeds ``k``, in entry
-order).  That slot structure is what makes a group *batchable*: each
-slot's waves come from distinct tenants with disjoint block namespaces,
-so the session hands the whole slot to
-:meth:`repro.uvm.driver.UvmDriver.process_wave_batch` as one fused
-dispatch.  Fusion never changes results -- the driver's batch path is
-bit-identical to sequential waves by contract.
+order).  The session hands each slot's waves, one per distinct
+tenant, to :meth:`repro.uvm.driver.UvmDriver.process_wave_batch` as
+one dispatch, which resolves them one after another through the
+driver's per-wave pipeline.
 
 Two schedulers ship:
 
@@ -104,8 +102,7 @@ class DeficitRoundRobinScheduler(WaveScheduler):
     credit, which bounds short-term unfairness by one wave per round.
 
     The whole round is one group, so execution interleaves tenants one
-    wave at a time (slot-major) -- exactly the shape the fused batch
-    dispatch wants.
+    wave at a time (slot-major).
     """
 
     name = "drr"

@@ -15,8 +15,8 @@ then drives the run loop on the simulated clock:
   reference path), ``drr`` interleaves tenants one wave at a time under
   deficit-weighted fair queuing.  Every scheduler slot executes as one
   :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` dispatch,
-  which fuses the slot's waves where it can and is bit-identical to
-  running them one after another;
+  which runs the slot's waves one after another through the driver's
+  per-wave pipeline;
 * graceful degradation engages in watermark escalation order: at the
   throttle watermark the heaviest-thrashing tenant's stream is
   suspended for ``throttle_rounds`` rounds (the paper's Section VIII
@@ -114,7 +114,8 @@ class TenantRecord:
     #: Fractional DRR wave credit carried at end of run (always in
     #: ``[0, 1)``; 0.0 under round robin).
     deficit: float = 0.0
-    #: Waves executed inside dispatches of two or more waves.
+    #: Waves that shared their scheduler slot with another tenant's
+    #: wave (dispatches of two or more waves).
     batched_waves: int = 0
 
     def as_dict(self) -> dict:
@@ -161,8 +162,8 @@ class ServeResult:
     alerts_fired: int = 0
     #: Active wave scheduler (``serve.scheduler``).
     scheduler: str = "round_robin"
-    #: Driver dispatches of two or more waves (0 under round robin,
-    #: whose groups hold one tenant) and their mean wave count.
+    #: Scheduler slots that held two or more waves (0 under round
+    #: robin, whose groups hold one tenant) and their mean wave count.
     batches: int = 0
     batch_occupancy: float = 0.0
 
@@ -403,8 +404,6 @@ class ServeSession:
         tenant.stream = _wave_stream(tenant.workload)
         tenant.workload = None  # the generator keeps the needed refs
         self._live.append(tenant)
-        if self._telemetry is not None:
-            self._telemetry.on_admit(tenant.id)
         oversub = self._controller.oversubscription
         self._peak_oversub = max(self._peak_oversub, oversub)
         self._emit(TenantAdmitted(
@@ -463,16 +462,13 @@ class ServeSession:
         Each wave slot gathers one pending wave per still-running tenant
         and hands the whole set to
         :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` as one
-        driver dispatch; per-wave bookkeeping then replays in the same
-        order sequential execution would have used.  A singleton group
-        (every round-robin group) dispatches one wave per slot, which
-        the driver resolves through its ordinary per-wave pipeline.  A
+        driver dispatch, which resolves the waves in order; per-wave
+        bookkeeping then follows in the same order.  A singleton group
+        (every round-robin group) dispatches one wave per slot.  A
         drained stream flushes the slot's batch *before* the completion
         runs, because completion mutates global state (releases chunks,
         drains the admission queue) that later waves in the batch must
-        not see early.  Results are bit-identical to running every wave
-        on its own -- the driver's batch path guarantees it per wave,
-        and the bookkeeping order here matches by construction.
+        not see early.
         """
         scheduler = self._scheduler
         maxn = max(n for _, n in group)
@@ -497,15 +493,15 @@ class ServeSession:
     def _dispatch(self, batch, now: float) -> float:
         """Run one gathered slot through the driver's batch entry point.
 
-        Only dispatches of two or more waves count as batches, so the
-        batch statistics report how much fusion actually happened.
+        Only slots of two or more waves count as batches, so the batch
+        statistics report how many waves shared a slot.
         """
         if not batch:
             return now
         tl = self._tl
-        fused = len(batch) > 1
+        shared = len(batch) > 1
         if tl is not None:
-            if fused:
+            if shared:
                 name = "batch"
                 args = {"span": name, "waves": len(batch),
                         "tenants": [t.id for t, _ in batch]}
@@ -519,11 +515,11 @@ class ServeSession:
             tenants=[t.id for t, _ in batch])
         if tl is not None:
             tl.end(name, tid=TID_SERVE)
-        if fused:
+        if shared:
             self._batches += 1
             self._batched_waves += len(batch)
         for (tenant, wave), outcome in zip(batch, outcomes):
-            if fused:
+            if shared:
                 tenant.batched_waves += 1
             now = self._observe_wave(tenant, outcome,
                                      wave.compute_cycles, now)

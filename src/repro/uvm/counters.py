@@ -91,9 +91,10 @@ class AccessCounterFile:
                             amounts: np.ndarray) -> None:
         """:meth:`add_accesses` for *distinct* blocks.
 
-        The fused batch path commits grouped (hence duplicate-free)
-        block sets, where a plain fancy add replaces the duplicate-safe
-        scatter.  Bit-identical to :meth:`add_accesses` on such input.
+        A grouped wave's blocks (:func:`~repro.uvm.driver.group_wave`)
+        are duplicate-free, so a plain fancy add replaces the
+        duplicate-safe scatter.  Bit-identical to :meth:`add_accesses`
+        on such input.
         """
         self._kern.scatter_add_unique(self._counts, blocks,
                                       amounts.astype(np.int64, copy=False))

@@ -143,8 +143,8 @@ def group_wave(blocks: np.ndarray, is_write: np.ndarray, counts: np.ndarray,
     two weighted bincounts on the per-wave hot path.
 
     Pure, and the one grouping implementation: the driver groups a live
-    wave with it, a fused batch run groups its concatenated waves with
-    it, and :func:`repro.trace.record_trace` stores its result for every
+    wave with it when the wave misses the resident fast path, and
+    :func:`repro.trace.record_trace` stores its result for every
     recorded wave, which :meth:`UvmDriver.process_wave` then takes as
     ``grouped``.
     """
@@ -271,11 +271,7 @@ class UvmDriver:
         return self._process_blocks(blocks, is_write, counts)
 
     def _prepare_wave(self, pages, is_write, counts):
-        """Validate/convert one wave's arrays; returns block-space form.
-
-        Pure (no driver state touched), so batch assembly can prepare
-        every segment up front before any of them executes.
-        """
+        """Validate/convert one wave's arrays; returns block-space form."""
         pages = np.asarray(pages, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
         if pages.shape != is_write.shape:
@@ -289,13 +285,8 @@ class UvmDriver:
         return pages >> layout.BLOCK_SHIFT, is_write, counts
 
     def _process_blocks(self, blocks: np.ndarray, is_write: np.ndarray,
-                        counts: np.ndarray, grouped=None) -> WaveOutcome:
-        """The wave pipeline over prepared block-space arrays.
-
-        ``grouped`` optionally carries a precomputed :func:`group_wave`
-        result for these exact arrays (the batch path caches grouping
-        across re-speculation); grouping is pure, so reuse is safe.
-        """
+                        counts: np.ndarray) -> WaveOutcome:
+        """The wave pipeline over prepared block-space arrays."""
         out = WaveOutcome(n_accesses=int(counts.sum()))
         if blocks.size == 0:
             return out
@@ -315,9 +306,8 @@ class UvmDriver:
             return self._resident_wave(out, blocks, blocks[is_write],
                                        counts, self.counters.add_accesses)
 
-        ublocks, totals, w_counts = (
-            grouped if grouped is not None
-            else group_wave(blocks, is_write, counts, self._kern))
+        ublocks, totals, w_counts = group_wave(blocks, is_write, counts,
+                                               self._kern)
         return self._resolve_grouped(out, ublocks, totals, w_counts,
                                      self.residency.resident[ublocks])
 
@@ -411,355 +401,37 @@ class UvmDriver:
         return self._end_wave(out)
 
     # ------------------------------------------------------------------
-    # fused multi-tenant batch dispatch (serving layer)
+    # multi-tenant dispatch (serving layer)
     # ------------------------------------------------------------------
 
     def process_wave_batch(self, waves, tenants=None) -> list[WaveOutcome]:
-        """Resolve a batch of waves as fused dispatches where possible.
+        """Resolve a batch of waves one after another, in order.
 
         ``waves`` is a sequence of ``(pages, is_write, counts)`` triples
         (``counts`` may be ``None``) -- in the serving layer, one ready
-        wave from each tenant of a scheduler sub-round.  ``tenants``
-        optionally carries a parallel tenant id per wave for
-        eviction/thrash attribution when a segment falls back to the
-        sequential pipeline.
+        wave from each tenant of a scheduler slot.  ``tenants``
+        optionally carries a parallel tenant id per wave, which
+        eviction/thrash attribution charges the wave's pressure to.
 
-        The contract is strict bit-identity with the sequential loop
-        ``[self.process_wave(*w) for w in waves]`` -- outcomes, driver
-        state, and emitted events all match (property-pinned on both
-        backends).
-
-        Mechanism: consecutive non-empty waves over pairwise-disjoint
-        ascending block ranges (tenant namespaces are disjoint by
-        construction) form a *run*.  A run is grouped once with one
-        global sort (:meth:`_fused_context`; disjoint ascending
-        segments stay contiguous under it), then resolved with one
-        residency gather and one fused :meth:`_decision_state` +
-        ``decide`` pass evaluated speculatively against pre-batch
-        state.  Segments before the first migration candidate are
-        *zero-migration* waves: they change no residency, occupancy,
-        round-trip, or policy-visible global state, so their fused
-        decisions equal the sequential ones and the prefix commits in
-        one pass (an all-resident run commits whole: its decision pass
-        is empty).  The first migrating segment then runs the full
-        sequential pipeline (migrations/evictions in segment =
-        tenant-id order), and the remainder of the run is
-        re-speculated over suffix views of the same context.
-
-        Cross-segment couplings that would break the speculation are
-        guarded explicitly: a fused counter add only happens when no
-        global counter halving can trigger at any sequential
-        intermediate point (:meth:`_fused_add_safe`), and injected
-        migration faults only draw RNG for migration candidates, which
-        by construction the committed prefix does not contain.
+        Every wave runs the per-wave pipeline of :meth:`process_wave`,
+        so the outcomes, driver state and events equal those of
+        ``[self.process_wave(*w) for w in waves]``.  The loop does not
+        go through :meth:`process_wave` itself: wrappers may hook either
+        entry point, or route one through the other.
         """
-        n = len(waves)
-        outs: list[WaveOutcome | None] = [None] * n
-        if tenants is None:
-            tenants = (None,) * n
-        preps = [self._prepare_wave(p, w, c) for p, w, c in waves]
-        # Grouping and block-range bounds are pure functions of the
-        # prepared arrays, so both are computed once per run and reused
-        # across re-speculations (a fallback wave's migrations change
-        # driver state, never the waves themselves).
-        bounds: list = self._batch_bounds(preps)
-        i = 0
-        while i < n:
-            j = self._fused_run_end(preps, i, bounds)
-            if j - i < 2:
-                outs[i] = self._process_segment(preps[i], tenants[i])
-                i += 1
-                continue
-            ctx = self._fused_context(preps, i, j, bounds)
-            while i < j:
-                if j - i < 2:
-                    outs[i] = self._process_segment(
-                        preps[i], tenants[i], self._ctx_group(ctx, i))
-                    i += 1
-                    continue
-                done = self._fused_commit(ctx, i, j, outs)
-                i += done
-                if i < j:
-                    # First segment with a migration candidate (or an
-                    # unsafe fused counter add): run the sequential
-                    # pipeline, then re-speculate over the remainder.
-                    outs[i] = self._process_segment(
-                        preps[i], tenants[i], self._ctx_group(ctx, i))
-                    i += 1
-        return outs
-
-    def _process_segment(self, prep, tenant, grouped=None) -> WaveOutcome:
-        """Sequential-pipeline fallback for one batch segment."""
         attribution = self.attribution
-        if attribution is not None and tenant is not None:
-            prev = attribution.current
-            attribution.current = tenant
-            try:
-                return self._process_blocks(*prep, grouped=grouped)
-            finally:
-                attribution.current = prev
-        return self._process_blocks(*prep, grouped=grouped)
-
-    @staticmethod
-    def _batch_bounds(preps) -> list:
-        """``(min, max)`` block range per segment (``(0, -1)`` if empty).
-
-        One concatenated pair of segmented reductions replaces the
-        2-per-segment ``min``/``max`` calls of a lazy scan.  With fewer
-        than two non-empty segments nothing can fuse, so every segment
-        keeps the empty marker and resolves on its own.
-        """
-        bounds: list = [(0, -1)] * len(preps)
-        nonempty = [s for s, p in enumerate(preps) if p[0].size]
-        if len(nonempty) < 2:
-            return bounds
-        cat = np.concatenate([preps[s][0] for s in nonempty])
-        starts = np.zeros(len(nonempty), dtype=np.int64)
-        np.cumsum([preps[s][0].size for s in nonempty[:-1]],
-                  out=starts[1:])
-        mins = np.minimum.reduceat(cat, starts).tolist()
-        maxs = np.maximum.reduceat(cat, starts).tolist()
-        for k, s in enumerate(nonempty):
-            bounds[s] = (mins[k], maxs[k])
-        return bounds
-
-    @staticmethod
-    def _fused_run_end(preps, i: int, bounds) -> int:
-        """End of the maximal fusable run starting at segment ``i``.
-
-        A run is a maximal stretch of non-empty segments whose block
-        ranges are pairwise disjoint and ascending (every block of
-        segment ``s+1`` above every block of segment ``s``), which is
-        what makes the per-segment-sorted concatenation globally sorted
-        and the segments' state updates independent.
-        """
-        _, hi = bounds[i]
-        if hi < 0:
-            return i + 1
-        j = i + 1
-        while j < len(preps):
-            nlo, nhi = bounds[j]
-            if nhi < 0 or nlo <= hi:
-                break
-            hi = nhi
-            j += 1
-        return j
-
-    def _fused_add_safe(self, blocks: np.ndarray,
-                        amounts: np.ndarray) -> bool:
-        """Whether one fused counter add is halving-equivalent.
-
-        Counts only grow between halvings, so if the hottest updated
-        block plus the batch's entire access budget stays below the
-        saturation limit, no global halving can trigger at *any*
-        sequential intermediate point -- and therefore not in the fused
-        add either.  A loose bound, but waves carry thousands of
-        accesses against a 2^27 limit, so it essentially never fails;
-        when it does, the batch simply degrades to sequential waves.
-        """
-        counters = self.counters
-        return bool(int(counters.counts[blocks].max()) + int(amounts.sum())
-                    < int(counters.counter_max))
-
-    def _fused_context(self, preps, i: int, j: int, bounds):
-        """Grouped view of run ``preps[i:j]``, built once per run.
-
-        Because run segments are pairwise disjoint and ascending, one
-        global stable sort keeps every segment contiguous and in order,
-        so a single :func:`group_wave` pass replaces the per-segment
-        grouping (sequential fallbacks reuse plain views of it via
-        :meth:`_ctx_group`).  Returns
-        ``(base, cat_u, cat_t, cat_w, starts, safe)`` where
-        ``starts[s]:starts[s+1]`` bounds segment ``base + s`` in the
-        grouped arrays.
-        """
-        segs = preps[i:j]
-        nseg = len(segs)
-        cat_u, cat_t, cat_w = group_wave(
-            np.concatenate([p[0] for p in segs]),
-            np.concatenate([p[1] for p in segs]),
-            np.concatenate([p[2] for p in segs]), self._kern)
-        starts = np.empty(nseg + 1, dtype=np.int64)
-        # Each segment's first unique block is its cached range minimum
-        # (bounds were filled by the run scan).
-        starts[:nseg] = np.searchsorted(
-            cat_u, np.array([bounds[s][0] for s in range(i, j)],
-                            dtype=np.int64))
-        starts[nseg] = cat_u.size
-        # The fused-add halving guard holds for every suffix if it holds
-        # for the whole run (a suffix's hottest block and access budget
-        # are bounded by the run's), and sequential fallbacks only add
-        # to their own disjoint blocks (or shrink everything by
-        # halving), so one check serves every speculation pass.
-        safe = self._fused_add_safe(cat_u, cat_t)
-        return i, cat_u, cat_t, cat_w, starts, safe
-
-    @staticmethod
-    def _ctx_group(ctx, s: int):
-        """Segment ``s``'s grouped-wave view of run context ``ctx``."""
-        base, cat_u, cat_t, cat_w, starts, _ = ctx
-        lo, hi = int(starts[s - base]), int(starts[s - base + 1])
-        return cat_u[lo:hi], cat_t[lo:hi], cat_w[lo:hi]
-
-    def _fused_commit(self, ctx, i: int, j: int, outs) -> int:
-        """Commit the zero-migration prefix of run segments ``i:j``.
-
-        Works over suffix views of the run context ``ctx``, so a
-        re-speculation after a sequential fallback costs one residency
-        gather and one decision pass -- no re-grouping and no
-        re-concatenation.  Returns the number of segments committed (0
-        when the very first segment has a migration candidate or the
-        fused add guard fails); the caller resolves the next segment
-        sequentially.
-        """
-        kern = self._kern
-        base, all_u, all_t, all_w, all_starts, safe = ctx
-        if not safe:
-            return 0
-        s0 = i - base
-        nseg = j - i
-        off = int(all_starts[s0])
-        cat_u = all_u[off:]
-        cat_t = all_t[off:]
-        cat_w = all_w[off:]
-        starts = all_starts[s0:s0 + nseg] - off
-        bus = self._bus
-        res_mask = self.residency.resident[cat_u]
-        nr_mask = ~res_mask
-        ncommit = nseg
-        have_nr = bool(nr_mask.any())
-        cat_nrb = td = c0 = cat_k = None
-        if have_nr:
-            cat_nrb = cat_u[nr_mask]
-            cat_k = cat_t[nr_mask]
-            # One fused decision pass over every non-resident block of
-            # the run, against pre-batch state.  Elementwise per block,
-            # so it equals the sequential evaluation for every segment
-            # that commits below.
-            td, c0 = self._decision_state(cat_nrb)
-            migrate = kern.decide(c0, cat_k, td)
-            if self._has_pinned:
-                pinned_host = self.block_pinned_host[cat_nrb]
-                if pinned_host.any():
-                    migrate = migrate & ~pinned_host
-            if migrate.any():
-                mig_full = np.zeros(cat_u.size, dtype=bool)
-                mig_full[np.flatnonzero(nr_mask)[migrate]] = True
-                ncommit = int(np.argmax(kern.segment_any(mig_full, starts)))
-        if ncommit == 0:
-            return 0
-        cut = int(starts[ncommit]) if ncommit < nseg else cat_u.size
-        starts_c = starts[:ncommit]
-
-        # Per-segment outcome split of the fused pass.  An all-resident
-        # prefix (the steady-state common case) skips the remote/fresh
-        # split entirely -- every access is local by definition.
-        res_c = res_mask[:cut]
-        nr_c = nr_mask[:cut]
-        t_c = cat_t[:cut]
-        n_acc_seg = kern.segment_sums(t_c, starts_c)
-        nr_prefix = have_nr and bool(nr_c.any())
-        n_local_seg = n_remote_seg = n_fresh_seg = seg_allres = None
-        if nr_prefix:
-            n_local_seg = kern.segment_sums(t_c * res_c, starts_c)
-            n_remote_seg = n_acc_seg - n_local_seg
-            fresh_mask = nr_c & ~self.host.remote_mapped[cat_u[:cut]]
-            n_fresh_seg = kern.segment_sums(fresh_mask.astype(np.int64),
-                                            starts_c)
-            # The sequential pipeline short-circuits all-resident waves
-            # through the fast path; mirror its statistic.
-            seg_allres = kern.segment_all(res_c, starts_c)
-
-        self._heat_sum = None
-        self._dirty_cache = None
-        self._lru_order = None
-        stats = self.stats
-        bus_on = bus is not None and bus.enabled
-        nr_off = None
-        if bus_on and have_nr:
-            # Per-segment offsets into the nr-space decision arrays.
-            counts_nr = kern.segment_sums(nr_mask.astype(np.int64), starts)
-            nr_off = np.zeros(nseg + 1, dtype=np.int64)
-            np.cumsum(counts_nr, out=nr_off[1:])
-        # One ordered scatter replaces the per-segment LRU touches:
-        # per-position clocks carry each segment's sequential clock, and
-        # NumPy duplicate-index assignment is last-wins, so a chunk
-        # shared across segments keeps the later clock exactly as the
-        # sequential loop leaves it.  Alignment-gap chunks (id -1) are
-        # masked out as the sequential touch does.
-        touched_all = self.directory.chunk_of_block[cat_u[:cut]]
-        seg_sizes = np.empty(ncommit, dtype=np.int64)
-        np.subtract(starts_c[1:], starts_c[:-1], out=seg_sizes[:-1])
-        seg_sizes[-1] = cut - starts_c[-1]
-        pos_clock = self._clock + 1 + np.repeat(
-            np.arange(ncommit, dtype=np.int64), seg_sizes)
-        in_chunk = touched_all >= 0
-        if not in_chunk.all():
-            touched_all = touched_all[in_chunk]
-            pos_clock = pos_clock[in_chunk]
-        self.directory.last_touch[touched_all] = pos_clock
-        self._clock += ncommit
-        wave0 = stats.waves
-        acc_l = n_acc_seg.tolist()
-        if nr_prefix:
-            loc_l = n_local_seg.tolist()
-            rem_l = n_remote_seg.tolist()
-            fresh_l = n_fresh_seg.tolist()
-            allres_l = seg_allres.tolist()
-        nr_off_l = nr_off.tolist() if nr_off is not None else None
-        agg = WaveOutcome()
-        for s in range(ncommit):
-            if bus is not None:
-                bus.wave = wave0 + s
-            out = WaveOutcome(n_accesses=acc_l[s])
-            if nr_prefix:
-                out.n_local = loc_l[s]
-                out.n_remote = rem_l[s]
-                out.mapping_faults = fresh_l[s]
-                if allres_l[s]:
-                    stats.fast_path_waves += 1
-            else:
-                out.n_local = out.n_accesses
-            if nr_off_l is not None:
-                slo, shi = nr_off_l[s], nr_off_l[s + 1]
-                for b, t, c, kk in zip(cat_nrb[slo:shi].tolist(),
-                                       td[slo:shi].tolist(),
-                                       c0[slo:shi].tolist(),
-                                       cat_k[slo:shi].tolist()):
-                    bus.emit(MigrationDecision(wave=bus.wave, block=b,
-                                               threshold=t, counter=c,
-                                               accesses=kk,
-                                               migrated=False))
-            agg.merge(out)
-            outs[i + s] = out
-        # Totals are additive, so one merged update equals the
-        # per-wave ``stats.totals.merge`` sequence.
-        stats.totals.merge(agg)
-        stats.waves += ncommit
-        if not nr_prefix:
-            stats.fast_path_waves += ncommit
-        # Fused state commits: every touched block set is disjoint
-        # across segments, so the grouped-by-operation order below is
-        # state-equivalent to the sequential per-wave order.
-        dirty_now = cat_u[:cut][res_c & (cat_w[:cut] > 0)]
-        if dirty_now.size:
-            self._note_dirty(dirty_now)
-        if nr_prefix:
-            cut_nr = int(nr_c.sum())
-            if cut_nr:
-                nrb_c = cat_nrb[:cut_nr]
-                # All committed far accesses stay remote: Volta counters
-                # see every one, and each block gets (or keeps) its
-                # zero-copy mapping.
-                self.counters.add_remote_accesses_unique(nrb_c,
-                                                         cat_k[:cut_nr])
-                self.host.map_remote(nrb_c)
-        # Grouped block sets are duplicate-free, so the plain-fancy-add
-        # counter update applies.
-        self.counters.add_accesses_unique(cat_u[:cut], t_c)
-        if self.debug_invariants:
-            self._check_wave_accounting()
-        return ncommit
+        if attribution is None or tenants is None:
+            return [self._process_blocks(*self._prepare_wave(p, w, c))
+                    for p, w, c in waves]
+        prev = attribution.current
+        outs: list[WaveOutcome] = []
+        try:
+            for (p, w, c), tenant in zip(waves, tenants):
+                attribution.current = prev if tenant is None else tenant
+                outs.append(self._process_blocks(*self._prepare_wave(p, w, c)))
+        finally:
+            attribution.current = prev
+        return outs
 
     def _handle_far_accesses(self, nrb: np.ndarray, k: np.ndarray,
                              kw: np.ndarray, pinned: np.ndarray,
@@ -823,12 +495,7 @@ class UvmDriver:
                                        remote[migrate], pinned, out)
 
     def _decision_state(self, nrb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Policy decision state for ``nrb``, with hint overrides applied.
-
-        Shared by :meth:`_handle_far_accesses` and the fused batch
-        commit; it is elementwise per block, which is what lets one
-        fused pass stand in for several sequential ones.
-        """
+        """Policy decision state for ``nrb``, with hint overrides applied."""
         td, c0 = self.policy.decision_state(nrb, self)
         td = np.asarray(td, dtype=np.int64)
         c0 = np.asarray(c0, dtype=np.int64)

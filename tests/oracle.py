@@ -2,17 +2,17 @@
 
 Production runs one path per layer: the driver always takes the
 resident fast path and drains migrations through chunk-grouped bulk
-installs, and the serve loop sends every scheduler slot through
-:meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`.  The simpler
-paths those replaced live here, as test oracles only:
+installs.  The simpler paths those replaced live here, as test oracles
+only:
 
 * :class:`ReferenceDriver` runs every wave through the full pipeline
   (no resident fast path), whether it comes grouped from a trace or
-  not, drains migrations one block at a time, and resolves a batch as
-  a plain loop of single waves.
+  not, and drains migrations one block at a time.  Its batches run
+  production's :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`,
+  the same per-wave loop over its own pipeline.
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
   on a :class:`ReferenceDriver`, so serve output can be compared with
-  a session that never fuses a wave.
+  a session whose every wave takes the full pipeline.
 * :class:`ReferenceBfs` and :class:`ReferenceSssp` generate bfs and
   sssp waves one at a time -- a sort and four coalescing calls per
   wave, and sssp's sweep rebuilt every round -- where production
@@ -47,14 +47,13 @@ class ReferenceDriver(UvmDriver):
     """The driver without its fast paths: the bit-identity oracle."""
 
     def _process_blocks(self, blocks: np.ndarray, is_write: np.ndarray,
-                        counts: np.ndarray, grouped=None) -> WaveOutcome:
-        """Group the wave (unless it comes grouped), then run the full
-        pipeline: no resident fast path over the raw entries."""
+                        counts: np.ndarray) -> WaveOutcome:
+        """Group the wave, then run the full pipeline: no resident fast
+        path over the raw entries."""
         if blocks.size == 0:
             return WaveOutcome(n_accesses=int(counts.sum()))
-        if grouped is None:
-            grouped = group_wave(blocks, is_write, counts, self._kern)
-        return self._process_grouped(*grouped)
+        return self._process_grouped(
+            *group_wave(blocks, is_write, counts, self._kern))
 
     def _process_grouped(self, ublocks: np.ndarray, totals: np.ndarray,
                          w_counts: np.ndarray) -> WaveOutcome:
@@ -96,13 +95,6 @@ class ReferenceDriver(UvmDriver):
         if self.debug_invariants:
             self._check_wave_accounting()
         return out
-
-    def process_wave_batch(self, waves, tenants=None) -> list[WaveOutcome]:
-        """Resolve the batch one wave after another, never fused."""
-        if tenants is None:
-            tenants = (None,) * len(waves)
-        return [self._process_segment(self._prepare_wave(p, w, c), tenant)
-                for (p, w, c), tenant in zip(waves, tenants)]
 
     def _drain_migrations_scalar(self, mig: np.ndarray, mig_k: np.ndarray,
                                  mig_kw: np.ndarray, mig_remote: np.ndarray,

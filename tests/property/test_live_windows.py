@@ -123,6 +123,32 @@ class TestTumblingWindow:
         assert slow.count == 5 and slow.bad == 3
         assert win.merged(0).count == 0
 
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from([0, 0, 0, 1, 2, 5, 12]),
+                  st.floats(-1e6, 1e6, allow_nan=False), st.booleans()),
+        max_size=60),
+        keep=st.integers(1, 10), tail=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_merged_equals_merge_all_of_recent(self, steps, keep, tail):
+        """The in-place fold equals ``merge_all`` over a copy of the
+        history, field for field, float sums included: streams with
+        gaps (empty windows, some past ``keep``), full windows, and
+        every horizon from 0 to past ``keep``."""
+        win = TumblingWindow(10.0, keep=keep)
+        at = 0.0
+
+        def check():
+            for n in range(keep + 3):
+                assert win.merged(n) == \
+                    WindowAggregate.merge_all(win.recent(n))
+
+        for windows_ahead, value, bad in steps:
+            at += windows_ahead * 10.0
+            win.observe(at, value, bad=bad)
+            check()
+        win.roll(at + tail * 10.0)
+        check()
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             TumblingWindow(0.0)

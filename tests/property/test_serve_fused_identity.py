@@ -1,23 +1,26 @@
-"""Fused wave batching + fair scheduling: the serve path's contracts.
+"""Per-wave serve dispatch + fair scheduling: the serve path's contracts.
 
 Three guarantees pin the serve path:
 
-* **Fusion never changes results.**  The session hands every scheduler
-  slot to :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch` as one
-  dispatch, and the result -- per-wave outcomes, final driver state,
-  emitted events, every simulated quantity -- is bit-identical to
-  sequential execution on the test oracle
+* **Production per-wave dispatch equals the oracle.**  The session
+  hands every scheduler slot to
+  :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`, which runs
+  the slot's waves one after another through the driver's per-wave
+  pipeline.  The result -- per-wave outcomes, final driver state,
+  emitted events, every simulated quantity, the batch counts included
+  -- is bit-identical to the test oracle
   (:func:`tests.oracle.reference_session`, whose driver resolves every
-  wave alone through the full pipeline), across schedulers, policies,
-  fault injection, and both kernel backends (the numba backend runs
-  through its interpreted fallback, so the loop kernels are exercised
-  without numba installed).
+  wave through the full pipeline, without the resident fast path or
+  the bulk drain), across schedulers, policies, fault injection, and
+  both kernel backends (the numba backend runs through its interpreted
+  fallback, so the loop kernels are exercised without numba
+  installed).
 * **Earlier output is untouched.**  The golden fixtures under
   ``tests/data/serve_golden/`` were generated from earlier code: the
   round-robin ones from the pre-scheduler serving layer, the drr one
   from the last version that still had a sequential executor (where
-  sequential and fused runs agreed on it).  Every shared key must
-  still match.
+  it agreed with the fused executor that came after it).  Every shared
+  key must still match.
 * **DRR is deficit-bounded.**  The deficit round-robin scheduler never
   banks a carried deficit outside ``[0, 1)`` and never starves a
   runnable tenant, for any weight vector and throttle pattern.
@@ -48,11 +51,6 @@ BASE = dict(tenants=5, arrival_rate=1500.0, capacity_mb=24,
             queue_depth=2, throttle_watermark=1.1, admit_watermark=1.6,
             shed_watermark=2.0)
 
-#: Result keys that describe dispatch shape, not simulation outcome:
-#: the oracle never fuses, so it reports no batches.
-BATCH_KEYS = ("batches", "batch_occupancy")
-
-
 def serve_dict(seed, backend="python", sim=None, obs=None, reference=False,
                **kw):
     """A serve run's result dict; ``reference`` runs it on the oracle."""
@@ -62,16 +60,6 @@ def serve_dict(seed, backend="python", sim=None, obs=None, reference=False,
     if reference:
         return reference_session(cfg, sim_config=sim, obs=obs).as_dict()
     return ServeSession(cfg, sim_config=sim, obs=obs).run().as_dict()
-
-
-def core(d):
-    """The simulated portion of a result dict: batch bookkeeping cut
-    (per-tenant ``batched_waves`` included -- it counts dispatch shape,
-    not simulation outcome)."""
-    out = {k: v for k, v in d.items() if k not in BATCH_KEYS}
-    out["tenants"] = [{k: v for k, v in t.items() if k != "batched_waves"}
-                      for t in d["tenants"]]
-    return out
 
 
 def golden_configs():
@@ -112,64 +100,58 @@ class TestGoldenRoundRobin:
 
 
 # ---------------------------------------------------------------------------
-# fused batching == sequential execution (session level)
+# production per-wave dispatch == oracle (session level)
 # ---------------------------------------------------------------------------
 
 class TestFusedSessionIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     @pytest.mark.parametrize("scheduler", ["round_robin", "drr"])
     def test_batched_equals_sequential(self, seed, scheduler):
-        seq = core(serve_dict(seed, scheduler=scheduler, reference=True))
-        fused = core(serve_dict(seed, scheduler=scheduler))
-        assert seq == fused
+        seq = serve_dict(seed, scheduler=scheduler, reference=True)
+        prod = serve_dict(seed, scheduler=scheduler)
+        assert seq == prod
         assert json.dumps(seq, sort_keys=True) == \
-            json.dumps(fused, sort_keys=True)
+            json.dumps(prod, sort_keys=True)
 
     def test_batched_equals_sequential_with_weights(self):
         kw = dict(scheduler="drr", weights=(3.0, 1.0, 2.0),
                   throttle_decay=0.5)
-        assert core(serve_dict(2, reference=True, **kw)) == \
-            core(serve_dict(2, **kw))
+        assert serve_dict(2, reference=True, **kw) == serve_dict(2, **kw)
 
     def test_batched_equals_sequential_under_faults(self):
         """Injected migration/transfer faults draw RNG only for
-        migration candidates, so the fused prefix commit must not
-        perturb the fault stream."""
+        migration candidates, so the fast paths must not perturb the
+        fault stream."""
         sim = SimulationConfig().with_faults(transfer_fault_rate=0.2,
                                              migration_fault_rate=0.2)
-        seq = core(serve_dict(1, sim=sim, scheduler="drr", reference=True))
-        fused = core(serve_dict(1, sim=sim, scheduler="drr"))
-        assert seq == fused
+        seq = serve_dict(1, sim=sim, scheduler="drr", reference=True)
+        prod = serve_dict(1, sim=sim, scheduler="drr")
+        assert seq == prod
 
     def test_batched_equals_sequential_across_backends(self, monkeypatch):
         monkeypatch.setattr(accel, "FORCE_INTERPRETED", True)
-        seq = core(serve_dict(1, backend="python", scheduler="drr",
-                              reference=True))
-        fused = core(serve_dict(1, backend="numba", scheduler="drr"))
-        seq.pop("backend"), fused.pop("backend")
-        assert seq == fused
+        seq = serve_dict(1, backend="python", scheduler="drr",
+                         reference=True)
+        prod = serve_dict(1, backend="numba", scheduler="drr")
+        seq.pop("backend"), prod.pop("backend")
+        assert seq == prod
 
     def test_event_streams_match(self):
-        """Driver + tenant event streams are identical fused vs
-        sequential (TenantSched's batched_waves field aside -- it
-        reports the dispatch shape by design)."""
+        """Driver + tenant event streams are identical in production
+        and on the oracle."""
         def events(reference):
             obs = Observability()
             ring = RingBufferSink(capacity=65536)
             obs.bus.attach(ring)
             serve_dict(0, scheduler="drr", reference=reference, obs=obs)
-            rows = []
-            for ev in ring.events:
-                row = ev.as_dict()
-                if row["event"] == "tenant_sched":
-                    row.pop("batched_waves")
-                rows.append(row)
-            return rows
+            return [ev.as_dict() for ev in ring.events]
 
         assert events(True) == events(False)
 
     def test_batching_actually_fuses(self):
-        """Guards against the identity tests passing vacuously."""
+        """Guards against the batch tests passing vacuously: under drr,
+        scheduler slots hold several waves, so the drr sessions above
+        send multi-wave batches through the driver."""
         result = ServeSession(ServeConfig(
             seed=0, scheduler="drr", **BASE)).run()
         assert result.batches > 0
@@ -186,7 +168,7 @@ class TestFusedSessionIdentity:
         kwargs["workload_mix"] = tuple(kwargs["workload_mix"])
         kwargs["weights"] = tuple(kwargs.get("weights", ()))
         got = ServeSession(ServeConfig(**kwargs)).run().as_dict()
-        assert got["batches"] == 0  # nothing multi-tenant to fuse
+        assert got["batches"] == 0  # no slot holds two tenants
         assert all(t["batched_waves"] == 0 for t in got["tenants"])
         for key in ("duration_us", "total_waves", "total_accesses",
                     "completed", "decisions"):
@@ -194,7 +176,7 @@ class TestFusedSessionIdentity:
 
 
 # ---------------------------------------------------------------------------
-# fused batching == sequential execution on the oracle (driver level)
+# production batches == the oracle's waves one at a time (driver level)
 # ---------------------------------------------------------------------------
 
 def _tenant_driver(policy=MigrationPolicy.ADAPTIVE, capacity_mb=4,
@@ -290,8 +272,8 @@ class TestDriverBatchIdentity:
         _assert_same_state(seq, bat)
 
     def test_empty_and_overlapping_segments_fall_back(self):
-        """Empty waves and non-disjoint waves break fused runs but must
-        still resolve identically through the sequential fallback."""
+        """Empty waves and waves over overlapping block ranges resolve
+        in a batch exactly as one at a time."""
         seq = _tenant_driver(cls=ReferenceDriver)
         bat = _tenant_driver()
         rng = np.random.default_rng(3)

@@ -229,6 +229,30 @@ class TestLiveTelemetry:
         windows = [e for e in events if e.kind == "telemetry_window"]
         assert windows and all(w.window_us == 5000.0 for w in windows)
 
+    @pytest.mark.parametrize("with_slo", [False, True],
+                             ids=["no-slo", "slo"])
+    def test_windows_close_when_their_tenant_completes(self, with_slo):
+        """No window of a tenant starts after its completion, and its
+        windows together hold every wave and access it ran: the last
+        one closes at completion, with or without an SLO."""
+        obs = Observability(metrics=None)
+        ring = RingBufferSink(65536)
+        obs.bus.attach(ring)
+        r = ServeSession(ServeConfig(**OVERLOAD), obs=obs,
+                         slo=self._slo() if with_slo else None).run()
+        events = list(ring)
+        assert ring.total_written == len(events)
+        done = {e.tenant: e for e in events if e.kind == "tenant_complete"}
+        waves = dict.fromkeys(done, 0)
+        accesses = dict.fromkeys(done, 0)
+        for w in (e for e in events if e.kind == "telemetry_window"):
+            assert w.start_us <= done[w.tenant].at_us, (w.tenant, w.start_us)
+            waves[w.tenant] += w.waves
+            accesses[w.tenant] += w.accesses
+        assert waves == {tid: e.waves for tid, e in done.items()}
+        assert accesses == {t.tenant: t.accesses for t in r.tenants
+                            if t.tenant in done}
+
     def test_invalid_slo_rejected_eagerly(self):
         from repro.obs.live import SloConfig
         with pytest.raises(ValueError, match="invalid SLO config"):
