@@ -87,14 +87,19 @@ config-smoke:
 
 # Every grid records each access stream once and replays it: with the
 # default private trace cache nothing may be left in TMPDIR, and a
-# shared --trace-cache must render the same figure.
+# shared --trace-cache must render the same figure.  The serial path
+# loads each stream once for its cells and the parallel path loads it
+# in every worker cell, so --jobs 2 must render the same figure too.
 grid-smoke:
 	rm -rf .grid-smoke && mkdir -p .grid-smoke/tmp
 	TMPDIR=$(CURDIR)/.grid-smoke/tmp $(PYTHON) -m repro figure fig6 \
 		--scale tiny > .grid-smoke/private.txt
 	TMPDIR=$(CURDIR)/.grid-smoke/tmp $(PYTHON) -m repro figure fig6 \
 		--scale tiny --trace-cache .grid-smoke/cache > .grid-smoke/shared.txt
+	TMPDIR=$(CURDIR)/.grid-smoke/tmp $(PYTHON) -m repro figure fig6 \
+		--scale tiny --jobs 2 > .grid-smoke/parallel.txt
 	diff .grid-smoke/private.txt .grid-smoke/shared.txt
+	diff .grid-smoke/private.txt .grid-smoke/parallel.txt
 	test -z "$$(ls -A .grid-smoke/tmp)"
 	rm -rf .grid-smoke
 

@@ -60,7 +60,13 @@ def remote_counts(migrate: np.ndarray, td: np.ndarray, c0: np.ndarray,
     """
     if not migrate.any():
         return k
-    return np.where(migrate, np.clip(td - 1 - c0, 0, k - 1), k)
+    # np.clip(td - 1 - c0, 0, k - 1) without its dispatch overhead; k >= 1,
+    # so the bounds never cross and the result is the same.
+    r = td - 1
+    r -= c0
+    np.maximum(r, 0, out=r)
+    np.minimum(r, k - 1, out=r)
+    return np.where(migrate, r, k)
 
 
 # -- wave grouping and the resident fast path (UvmDriver.process_wave) ------

@@ -28,8 +28,9 @@ under several oversubscription levels.  :func:`run_grid` therefore
 records each stream once into a :class:`~repro.trace.TraceCache` and
 every cell replays it (:class:`~repro.trace.TraceWorkload`) instead of
 regenerating its waves.  The serial path records a stream right before
-the first cell that needs it; the parallel path records every stream
-before fan-out, so workers only replay.
+the first cell that needs it and loads it once for every consecutive
+cell that replays it; the parallel path records every stream before
+fan-out, so workers only replay.
 
 Determinism is preserved by construction:
 
@@ -300,15 +301,29 @@ class GridExecutionError(RuntimeError):
         self.attempts = attempts
 
 
+#: The stream a serial grid is replaying, loaded once, as
+#: ``(trace_path, TraceWorkload)``; ``None`` when no grid holds one.
+#: Set and dropped by :class:`_Streams`.  It lives at module level
+#: because :func:`run_cell` keeps its one-argument signature: it is the
+#: pool's picklable entry point, and callers wrap it.
+_loaded: tuple[str, TraceWorkload] | None = None
+
+
 def run_cell(cell: GridCell) -> RunResult:
     """Run one grid cell (the worker entry point; must stay picklable).
 
     A cell with a ``trace_path`` replays that recording of its
-    ``(workload, scale, seed)`` stream; one without generates the
-    stream live.  Both give bit-identical results.
+    ``(workload, scale, seed)`` stream -- the serial grid's loaded
+    workload when it holds that recording (``build`` resets a
+    workload's per-run state) -- and one without generates the stream
+    live.  All give bit-identical results.
     """
-    workload = (TraceWorkload(cell.trace_path) if cell.trace_path is not None
-                else make_workload(cell.workload, cell.scale))
+    if cell.trace_path is None:
+        workload = make_workload(cell.workload, cell.scale)
+    elif _loaded is not None and _loaded[0] == cell.trace_path:
+        workload = _loaded[1]
+    else:
+        workload = TraceWorkload(cell.trace_path)
     return Simulator(cell_config(vars(cell))).run(
         workload, oversubscription=cell.oversubscription)
 
@@ -407,7 +422,10 @@ class _Streams:
     stream is recorded by the first :meth:`replayable` call that needs
     it.  In the private directory it is deleted as soon as the last
     pending cell that replays it has :meth:`finished`, so a long serial
-    grid keeps only the streams it still needs on disk.
+    grid keeps only the streams it still needs on disk.  The serial path
+    replays each stream from one load (:meth:`load`), which it drops
+    before another stream is recorded or loaded, and once the last
+    pending cell that replays it has finished.
     """
 
     def __init__(self, root: str | None, cells) -> None:
@@ -419,6 +437,8 @@ class _Streams:
         #: Pending cells left to replay each stream.
         self._users = Counter(_stream(c) for c in cells
                               if c.trace_path is None)
+        #: The stream loaded into :data:`_loaded`, if any.
+        self._held: tuple[str, str, int] | None = None
 
     def replayable(self, cell: GridCell) -> GridCell:
         """``cell`` pointed at its recorded stream, recording it if new."""
@@ -431,16 +451,44 @@ class _Streams:
                 self._cache.get_or_record(*stream))
         return replace(cell, trace_path=path)
 
+    def load(self, cell: GridCell) -> GridCell:
+        """:meth:`replayable`, with the stream loaded for :func:`run_cell`.
+
+        The serial path's entry: the stream stays loaded for every
+        following cell that replays it.  A stream loaded for other cells
+        is dropped first, before this one is recorded or loaded; a cell
+        with an explicit ``trace_path`` loads its own recording.
+        """
+        global _loaded
+        stream = _stream(cell) if cell.trace_path is None else None
+        if stream != self._held:
+            self._drop()
+        cell = self.replayable(cell)
+        if stream is not None and self._held is None:
+            _loaded = (cell.trace_path, TraceWorkload(cell.trace_path))
+            self._held = stream
+        return cell
+
     def finished(self, cell: GridCell) -> None:
-        """Note that ``cell`` is done; drop a private stream nobody needs."""
+        """Note that ``cell`` is done; drop a stream nobody needs."""
         if cell.trace_path is not None:
             return
         stream = _stream(cell)
         self._users[stream] -= 1
-        if self._tmp is not None and not self._users[stream]:
-            shutil.rmtree(self._paths.pop(stream))
+        if not self._users[stream]:
+            if stream == self._held:
+                self._drop()
+            if self._tmp is not None:
+                shutil.rmtree(self._paths.pop(stream))
+
+    def _drop(self) -> None:
+        """Release the loaded stream, if any."""
+        global _loaded
+        _loaded = None
+        self._held = None
 
     def close(self) -> None:
+        self._drop()
         if self._tmp is not None:
             self._tmp.cleanup()
 
@@ -483,8 +531,9 @@ def _run_serial(cells, pending, results, opts, journal, streams,
                 archiver=None) -> None:
     """In-process execution with per-cell retry and journaling.
 
-    A cell's stream is recorded inside its attempt, so a failed
-    recording uses up the cell's retry budget like any other failure.
+    A cell's stream is recorded and loaded inside its attempt, so a
+    failed recording or load uses up the cell's retry budget like any
+    other failure.
     """
     gm = _GridMetrics.of(opts)
     for i in pending:
@@ -492,7 +541,7 @@ def _run_serial(cells, pending, results, opts, journal, streams,
         while True:
             start = time.perf_counter()
             try:
-                result = run_cell(streams.replayable(cells[i]))
+                result = run_cell(streams.load(cells[i]))
                 break
             except Exception as exc:
                 attempts += 1

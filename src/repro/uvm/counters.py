@@ -29,6 +29,12 @@ class AccessCounterFile:
     ``kernels`` selects the backend namespace for the bulk array ops
     (scatter-adds and saturation halving); the default is the numpy
     reference implementation.  See :mod:`repro.accel`.
+
+    Each field keeps a running upper bound on its maximum, raised by
+    every update, and scans the updated blocks for saturation only once
+    that bound reaches the field's limit.  The fields change only
+    through this file (:attr:`counts` and :attr:`roundtrips` are
+    read-only views), so the bounds stay sound.
     """
 
     def __init__(self, total_blocks: int, counter_bits: int = 27,
@@ -48,6 +54,13 @@ class AccessCounterFile:
         # policies' counter gathers never pay a dtype-conversion copy.
         self._counts = np.zeros(total_blocks, dtype=np.int64)
         self._roundtrips = np.zeros(total_blocks, dtype=np.int64)
+        self._counts_view = self._counts.view()
+        self._counts_view.flags.writeable = False
+        self._roundtrips_view = self._roundtrips.view()
+        self._roundtrips_view.flags.writeable = False
+        # Upper bounds on each field's maximum (see the class docstring).
+        self._counts_bound = 0
+        self._roundtrips_bound = 0
         #: Volta-hardware-style counters: remote accesses since the block
         #: last migrated (reset on migration).  The static Always/Oversub
         #: schemes consult these; the paper's framework uses the historic
@@ -69,26 +82,28 @@ class AccessCounterFile:
     @property
     def counts(self) -> np.ndarray:
         """Read-only view of the access-count field."""
-        return self._counts
+        return self._counts_view
 
     @property
     def roundtrips(self) -> np.ndarray:
         """Read-only view of the round-trip field."""
-        return self._roundtrips
+        return self._roundtrips_view
 
-    def add_accesses(self, blocks: np.ndarray, amounts: np.ndarray) -> None:
+    def add_accesses(self, blocks: np.ndarray, amounts: np.ndarray,
+                     total: int | None = None) -> None:
         """Accumulate per-block access counts (local and remote alike).
 
-        ``blocks`` may contain duplicates; ``amounts`` is added per entry.
-        Saturation of any block halves the access-count field of *all*
-        blocks, as described in the paper.
+        ``blocks`` may contain duplicates; the non-negative ``amounts``
+        are added per entry, and ``total`` is their sum when the caller
+        already has it.  Saturation of any block halves the
+        access-count field of *all* blocks, as described in the paper.
         """
         self._kern.scatter_add(self._counts, blocks,
                                amounts.astype(np.int64, copy=False))
-        self._halve_saturated_counts(blocks)
+        self._halve_saturated_counts(blocks, amounts, total)
 
-    def add_accesses_unique(self, blocks: np.ndarray,
-                            amounts: np.ndarray) -> None:
+    def add_accesses_unique(self, blocks: np.ndarray, amounts: np.ndarray,
+                            total: int | None = None) -> None:
         """:meth:`add_accesses` for *distinct* blocks.
 
         A grouped wave's blocks (:func:`~repro.uvm.driver.group_wave`)
@@ -98,13 +113,20 @@ class AccessCounterFile:
         """
         self._kern.scatter_add_unique(self._counts, blocks,
                                       amounts.astype(np.int64, copy=False))
-        self._halve_saturated_counts(blocks)
+        self._halve_saturated_counts(blocks, amounts, total)
 
-    def _halve_saturated_counts(self, blocks: np.ndarray) -> None:
+    def _halve_saturated_counts(self, blocks: np.ndarray, amounts: np.ndarray,
+                                total: int | None) -> None:
+        # No block grows by more than the update's total, so while the
+        # bound stays below the limit no block can have saturated.
+        self._counts_bound += int(amounts.sum()) if total is None else total
+        if self._counts_bound < self.counter_max:
+            return
         # Only just-updated blocks can newly saturate (counts never grow
         # elsewhere), so the check scans the update, not the whole file.
         n = self._kern.halve_while_ge(self._counts, blocks,
                                       self.counter_max)
+        self._counts_bound = int(self._counts.max())
         for _ in range(n):
             self.count_halvings += 1
             if self.bus is not None and self.bus.enabled:
@@ -116,8 +138,13 @@ class AccessCounterFile:
         """Record an eviction round trip for each *distinct* block."""
         self._kern.increment(self._roundtrips, blocks)
         self.has_roundtrips = True
+        # Distinct blocks each step by one, so the bound does too.
+        self._roundtrips_bound += 1
+        if self._roundtrips_bound <= self.roundtrip_max:
+            return
         n = self._kern.halve_while_gt(self._roundtrips, blocks,
                                       self.roundtrip_max)
+        self._roundtrips_bound = int(self._roundtrips.max())
         for _ in range(n):
             self.roundtrip_halvings += 1
             if self.bus is not None and self.bus.enabled:

@@ -20,6 +20,7 @@ trees, replacement, write-back) live here and are shared by every scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -363,7 +364,7 @@ class UvmDriver:
             self._note_dirty(written)
         self.directory.last_touch[
             self.directory.chunk_of_block[blocks]] = self._clock
-        add(blocks, amounts)
+        add(blocks, amounts, out.n_accesses)
         self.stats.fast_path_waves += 1
         return self._end_wave(out)
 
@@ -397,7 +398,7 @@ class UvmDriver:
 
         # Historic counters track local and remote accesses alike (Sec. IV).
         # Grouped blocks are distinct, so the plain fancy add applies.
-        self.counters.add_accesses_unique(ublocks, totals)
+        self.counters.add_accesses_unique(ublocks, totals, out.n_accesses)
         return self._end_wave(out)
 
     # ------------------------------------------------------------------
@@ -550,12 +551,13 @@ class UvmDriver:
         time (the reference drain in ``tests/oracle.py`` overrides this
         method; the property suites compare the two).  Blocks still
         drain in arrival order (prefetch decisions are inherently
-        sequential within a chunk's tree), but as long as the device has
-        room, installs only append to per-chunk pending batches that are
-        committed with one array operation per chunk.  Pending state is
-        flushed before any eviction, so victim selection, write-back
-        accounting and round-trip counters observe exactly the state the
-        per-block drain would.
+        sequential within a chunk's tree), but installs only append to
+        per-chunk pending batches, which each flush commits in one
+        :meth:`_install` pass.  A fault that finds no free frame flushes,
+        makes room for its own block and then joins the pending batches
+        like any other.  Pending state is flushed before any eviction,
+        so victim selection, write-back accounting and round-trip
+        counters observe exactly the state the per-block drain would.
         """
         resident = self.residency.resident
         trees = self.trees
@@ -569,24 +571,18 @@ class UvmDriver:
             prefetch = self._prof.wrap("prefetch_tree", prefetch)
         bus = self._bus
         bus_on = bus is not None and bus.enabled
-        counters = self.counters
         pending: dict[int, list[int]] = {}
         pending_set: set[int] = set()
         pending_dirty: list[int] = []
 
         def flush() -> None:
-            roundtrips = counters.roundtrips
-            for cid, blks in pending.items():
-                batch = np.array(blks, dtype=np.int64)
-                self._install(batch, cid)
-                if counters.has_roundtrips:
-                    thrashy = batch[roundtrips[batch] > 0]
-                    out.thrash_migrations += int(thrashy.size)
-                    self.stats.thrashed_block_ids.update(thrashy.tolist())
-                    if self.attribution is not None and thrashy.size:
-                        self.attribution.on_thrash(thrashy)
-            pending.clear()
-            pending_set.clear()
+            if pending:
+                blocks = np.array(list(chain.from_iterable(pending.values())),
+                                  dtype=np.int64)
+                self._install(blocks, list(pending),
+                              [len(blks) for blks in pending.values()], out)
+                pending.clear()
+                pending_set.clear()
             if pending_dirty:
                 self._note_dirty(np.array(pending_dirty, dtype=np.int64))
                 pending_dirty.clear()
@@ -614,20 +610,18 @@ class UvmDriver:
                 continue
             if free < 1:
                 # The fault itself needs an eviction: commit pending
-                # state, then migrate this block on its own.
+                # state, then make room for this block alone.
                 flush()
-                if self._migrate_block(b, pinned, out):
-                    n_local += kk - rr - 1
-                    if kkw > 0:
-                        self._note_dirty(np.array([b]))
-                else:
+                if not self._make_room_beside(1, cid, pinned, out):
+                    # No room even after eviction attempts: serve remotely.
                     out.n_remote += kk - rr
                     if not self.host.remote_mapped[b]:
                         out.mapping_faults += 1
                         self.host.map_remote(np.array([b]))
+                    free = self.device.free_blocks
+                    continue
                 free = self.device.free_blocks
-                continue
-            # Fast path: the fault block fits without eviction.
+            # The fault block joins the pending installs.
             pf_leaves = prefetch(trees[cid], b - first)
             chunk_pending = pending.get(cid)
             if chunk_pending is None:
@@ -657,22 +651,14 @@ class UvmDriver:
                 # state (including this fault block), then make room
                 # exactly as the per-block path would.
                 flush()
-                never = np.zeros(self.directory.num_chunks, dtype=bool)
-                never[cid] = True
-                if self._make_room(int(pf_blocks.size), pinned, never, out):
-                    self._install(pf_blocks, cid)
-                    out.prefetched_blocks += int(pf_blocks.size)
+                n_pf = int(pf_blocks.size)
+                if self._make_room_beside(n_pf, cid, pinned, out):
+                    self._install(pf_blocks, [cid], [n_pf], out)
+                    out.prefetched_blocks += n_pf
                     if bus_on:
                         bus.emit(PrefetchExpand(wave=bus.wave, chunk=cid,
                                                 fault_block=b,
-                                                blocks=int(pf_blocks.size)))
-                    if counters.has_roundtrips:
-                        thrashy = pf_blocks[
-                            counters.roundtrips[pf_blocks] > 0]
-                        out.thrash_migrations += int(thrashy.size)
-                        self.stats.thrashed_block_ids.update(thrashy.tolist())
-                        if self.attribution is not None and thrashy.size:
-                            self.attribution.on_thrash(thrashy)
+                                                blocks=n_pf))
                 else:
                     # Could not hold the prefetch: roll the leaves back
                     # out of the tree.
@@ -688,69 +674,44 @@ class UvmDriver:
     # migration machinery
     # ------------------------------------------------------------------
 
-    def _migrate_block(self, block: int, pinned: np.ndarray,
-                       out: WaveOutcome) -> bool:
-        """Fault-migrate ``block``; runs prefetcher; returns success."""
-        cid = int(self.directory.chunk_of_block[block])
-        if cid < 0:
-            raise RuntimeError(f"block {block} belongs to no chunk")
-        never = np.zeros(self.directory.num_chunks, dtype=bool)
-        never[cid] = True
+    def _install(self, blocks: np.ndarray, cids: list[int],
+                 sizes: list[int], out: WaveOutcome) -> None:
+        """Claim frames and map ``blocks`` device-resident, in one pass.
 
-        if not self._make_room(1, pinned, never, out):
-            return False
-        leaf = block - int(self.directory.first_block[cid])
-        tree = self.trees[cid]
-        on_fault = self.prefetcher.on_fault
-        if self._prof is not None:
-            on_fault = self._prof.wrap("prefetch_tree", on_fault)
-        pf_leaves = on_fault(tree, leaf)
-
-        self._install(np.array([block], dtype=np.int64), cid)
-        out.fault_migrations += 1
-        out.migrated_blocks += 1
-        if self.counters.roundtrips[block] > 0:
-            out.thrash_migrations += 1
-            self.stats.thrashed_block_ids.add(block)
-            if self.attribution is not None:
-                self.attribution.on_thrash(np.array([block], dtype=np.int64))
-
-        if pf_leaves.size:
-            pf_blocks = int(self.directory.first_block[cid]) + pf_leaves
-            if self._make_room(int(pf_blocks.size), pinned, never, out):
-                self._install(pf_blocks, cid)
-                out.prefetched_blocks += int(pf_blocks.size)
-                if self._bus is not None and self._bus.enabled:
-                    self._bus.emit(PrefetchExpand(
-                        wave=self._bus.wave, chunk=cid, fault_block=block,
-                        blocks=int(pf_blocks.size)))
-                thrashy = pf_blocks[self.counters.roundtrips[pf_blocks] > 0]
-                out.thrash_migrations += int(thrashy.size)
-                self.stats.thrashed_block_ids.update(thrashy.tolist())
-                if self.attribution is not None and thrashy.size:
-                    self.attribution.on_thrash(thrashy)
-            else:
-                # Could not hold the prefetch: roll the leaves back out of
-                # the tree by clearing and re-marking only true residents.
-                self._rebuild_tree(cid)
-        return True
-
-    def _install(self, blocks: np.ndarray, cid: int) -> None:
-        """Claim frames and map ``blocks`` device-resident."""
+        ``blocks`` holds ``sizes[i]`` blocks of chunk ``cids[i]`` for
+        each ``i``, one chunk after another; the chunk ids are distinct.
+        Installed blocks that already took an eviction round trip are
+        charged to ``out`` as thrash migrations.
+        """
+        counters = self.counters
         self.device.allocate(int(blocks.size))
         self.residency.mark_resident(blocks)
         self.host.migrate_to_device(blocks)
-        self.counters.reset_volta(blocks)
+        counters.reset_volta(blocks)
         self.ever_migrated[blocks] = True
-        self.directory.occupancy[cid] += int(blocks.size)
-        # Migrations land in chunks the wave touched, so this is almost
-        # always a no-op; when it isn't, the cached LRU order is stale.
-        if self.directory.last_touch[cid] != self._clock:
-            self.directory.last_touch[cid] = self._clock
-            self._lru_order = None
+        occupancy = self.directory.occupancy
+        last_touch = self.directory.last_touch
+        clock = self._clock
+        for cid, n in zip(cids, sizes):
+            occupancy[cid] += n
+            # Migrations land in chunks the wave touched, so this is
+            # almost always a no-op; when it isn't, the cached LRU order
+            # is stale.
+            if last_touch[cid] != clock:
+                last_touch[cid] = clock
+                self._lru_order = None
         if self._heat_sum is not None:
-            # Newly resident blocks contribute their heat to the chunk.
-            self._heat_sum[cid] += float(self.counters.counts[blocks].sum())
+            # Newly resident blocks contribute their heat to their chunk.
+            self._heat_sum[cids] += np.add.reduceat(
+                counters.counts[blocks],
+                list(accumulate(sizes[:-1], initial=0)))
+        if counters.has_roundtrips:
+            thrashy = blocks[counters.roundtrips[blocks] > 0]
+            if thrashy.size:
+                out.thrash_migrations += int(thrashy.size)
+                self.stats.thrashed_block_ids.update(thrashy.tolist())
+                if self.attribution is not None:
+                    self.attribution.on_thrash(thrashy)
 
     def _note_dirty(self, blocks: np.ndarray) -> None:
         """Mark blocks dirty, keeping the LFU dirty cache in sync."""
@@ -772,6 +733,14 @@ class UvmDriver:
         chunk_blocks = self.directory.blocks_of_chunk(cid)
         tree.install_leaves(
             np.flatnonzero(self.residency.resident[chunk_blocks]))
+
+    def _make_room_beside(self, n_blocks: int, cid: int, pinned: np.ndarray,
+                          out: WaveOutcome) -> bool:
+        """:meth:`_make_room` for ``n_blocks`` frames of chunk ``cid``,
+        which is never a victim."""
+        never = np.zeros(self.directory.num_chunks, dtype=bool)
+        never[cid] = True
+        return self._make_room(n_blocks, pinned, never, out)
 
     def _make_room(self, n_blocks: int, pinned: np.ndarray,
                    never: np.ndarray, out: WaveOutcome) -> bool:

@@ -198,12 +198,16 @@ def select_victims(directory: ChunkDirectory,
         # np.argmin's first-occurrence tie-break matches the stable
         # argsort the general path uses.
         key = _victim_key(directory, policy, heat, dirty_any, kern)
-        for tier_mask in (populated & full & ~pinned,
-                          populated & ~pinned,
-                          populated):
-            if tier_mask.any():
-                return [int(kern.masked_argmin(key, tier_mask))]
-        raise RuntimeError("cannot free 1 block: nothing resident")
+        # Each fallback tier is built only when the one before is empty.
+        unpinned = populated & ~pinned
+        tier = unpinned & full
+        if not tier.any():
+            tier = unpinned
+            if not tier.any():
+                tier = populated
+                if not tier.any():
+                    raise RuntimeError("cannot free 1 block: nothing resident")
+        return [int(kern.masked_argmin(key, tier))]
 
     if order is None:
         key = _victim_key(directory, policy, heat, dirty_any, kern)

@@ -7,7 +7,10 @@ only:
 
 * :class:`ReferenceDriver` runs every wave through the full pipeline
   (no resident fast path), whether it comes grouped from a trace or
-  not, and drains migrations one block at a time.  Its batches run
+  not, and drains migrations one block at a time: its
+  ``_migrate_block`` makes room for, prefetches around and installs
+  each fault block on its own, where production's drain batches the
+  installs and flushes them in one pass.  Its batches run
   production's :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`,
   the same per-wave loop over its own pipeline.
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
@@ -34,6 +37,7 @@ from unittest import mock
 import numpy as np
 
 import repro.serve.session as serve_session
+from repro.obs.events import PrefetchExpand
 from repro.uvm.driver import UvmDriver, WaveOutcome, group_wave
 from repro.workloads.base import KernelLaunch, WaveBuilder
 from repro.workloads.bfs import Bfs
@@ -123,6 +127,43 @@ class ReferenceDriver(UvmDriver):
                     self.host.map_remote(np.array([b]))
 
     _drain_migrations = _drain_migrations_scalar
+
+    def _migrate_block(self, block: int, pinned: np.ndarray,
+                       out: WaveOutcome) -> bool:
+        """Fault-migrate ``block``; runs prefetcher; returns success."""
+        cid = int(self.directory.chunk_of_block[block])
+        if cid < 0:
+            raise RuntimeError(f"block {block} belongs to no chunk")
+        never = np.zeros(self.directory.num_chunks, dtype=bool)
+        never[cid] = True
+
+        if not self._make_room(1, pinned, never, out):
+            return False
+        leaf = block - int(self.directory.first_block[cid])
+        tree = self.trees[cid]
+        on_fault = self.prefetcher.on_fault
+        if self._prof is not None:
+            on_fault = self._prof.wrap("prefetch_tree", on_fault)
+        pf_leaves = on_fault(tree, leaf)
+
+        self._install(np.array([block], dtype=np.int64), [cid], [1], out)
+        out.fault_migrations += 1
+        out.migrated_blocks += 1
+
+        if pf_leaves.size:
+            pf_blocks = int(self.directory.first_block[cid]) + pf_leaves
+            if self._make_room(int(pf_blocks.size), pinned, never, out):
+                self._install(pf_blocks, [cid], [int(pf_blocks.size)], out)
+                out.prefetched_blocks += int(pf_blocks.size)
+                if self._bus is not None and self._bus.enabled:
+                    self._bus.emit(PrefetchExpand(
+                        wave=self._bus.wave, chunk=cid, fault_block=block,
+                        blocks=int(pf_blocks.size)))
+            else:
+                # Could not hold the prefetch: roll the leaves back out of
+                # the tree by clearing and re-marking only true residents.
+                self._rebuild_tree(cid)
+        return True
 
 
 def reference_session(*args, **kwargs):

@@ -5,9 +5,10 @@ The driver's batched migration drain and the tree's bulk
 are kept as references: the per-block drain in the test oracle
 (:class:`tests.oracle.ReferenceDriver`) and
 ``PrefetchTree.mark_resident``.  These properties pin the contract:
-identical :class:`WaveOutcome` totals, identical driver state, and
-clean ``check_consistency()`` under randomized traffic, for every
-policy.
+identical :class:`WaveOutcome` totals, identical driver state, identical
+event streams, and clean ``check_consistency()`` under randomized
+traffic, for every policy, replacement order, eviction granularity and
+prefetcher, down to capacities where most faults evict.
 """
 
 import dataclasses
@@ -15,14 +16,28 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MigrationPolicy
+from repro.config import (EvictionGranularity, MigrationPolicy,
+                          PrefetcherKind, ReplacementPolicy,
+                          SimulationConfig)
+from repro.memory.layout import MB
+from repro.obs import Observability
+from repro.obs.sinks import RingBufferSink
 from repro.uvm.driver import UvmDriver
 from repro.uvm.tree import PrefetchTree
 
-from tests.conftest import make_driver, make_vas
+from tests.conftest import make_vas
 from tests.oracle import ReferenceDriver
 
-policies = st.sampled_from(list(MigrationPolicy))
+
+@st.composite
+def setups(draw):
+    """A driver configuration; the 12MB VA space is 6 chunks, so a 2MB
+    device holds one of them and nearly every fault evicts."""
+    return dict(policy=draw(st.sampled_from(list(MigrationPolicy))),
+                replacement=draw(st.sampled_from(list(ReplacementPolicy))),
+                granularity=draw(st.sampled_from(list(EvictionGranularity))),
+                prefetcher=draw(st.sampled_from(list(PrefetcherKind))),
+                capacity_mb=draw(st.sampled_from([2, 3, 6])))
 
 
 @st.composite
@@ -33,19 +48,45 @@ def traffic(draw):
     return seed, n_waves, wave_size
 
 
-def _drivers(policy):
-    """One production and one scalar-reference driver, same configuration."""
-    return [make_driver(make_vas(4, 8), policy, capacity_mb=6,
-                        driver_cls=cls)
-            for cls in (UvmDriver, ReferenceDriver)]
+def _drivers(setup):
+    """A production and a scalar-reference driver of one configuration,
+    each with a ring buffer of its events."""
+    cfg = SimulationConfig().with_policy(setup["policy"], static_threshold=8,
+                                         migration_penalty=8)
+    cfg = cfg.with_device_capacity(setup["capacity_mb"] * MB)
+    cfg = cfg.with_eviction_granularity(setup["granularity"])
+    cfg = cfg.with_prefetcher(setup["prefetcher"])
+    cfg = dataclasses.replace(cfg, memory=dataclasses.replace(
+        cfg.memory, replacement=setup["replacement"]))
+    pairs = []
+    for cls in (UvmDriver, ReferenceDriver):
+        obs = Observability()
+        ring = RingBufferSink(1 << 20)
+        obs.bus.attach(ring)
+        pairs.append((cls(make_vas(4, 8), cfg, obs=obs), ring))
+    return pairs
 
 
-@given(policies, traffic())
-@settings(max_examples=50, deadline=None)
-def test_batched_drain_matches_scalar_reference(policy, t):
+#: Per-block and per-chunk driver state the two drains must agree on.
+STATE = ("residency.resident", "residency.dirty", "counters.counts",
+         "counters.roundtrips", "counters.volta_counts",
+         "host.remote_mapped", "ever_migrated", "directory.occupancy",
+         "directory.last_touch")
+
+
+def _state(driver, path):
+    obj = driver
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+@given(setups(), traffic())
+@settings(max_examples=100, deadline=None)
+def test_batched_drain_matches_scalar_reference(setup, t):
     seed, n_waves, wave_size = t
     rng = np.random.default_rng(seed)
-    batched, scalar = _drivers(policy)
+    (batched, ring_b), (scalar, ring_s) = _drivers(setup)
     alloc_pages = np.concatenate([
         np.arange(a.first_page, a.last_page)
         for a in batched.vas.allocations])
@@ -59,14 +100,17 @@ def test_batched_drain_matches_scalar_reference(policy, t):
         assert dataclasses.asdict(out_b) == dataclasses.asdict(out_s)
     # Beyond per-wave totals, the full driver state must agree: any
     # divergence here would split future waves apart.
-    assert np.array_equal(batched.residency.resident,
-                          scalar.residency.resident)
-    assert np.array_equal(batched.residency.dirty, scalar.residency.dirty)
-    assert np.array_equal(batched.counters.counts, scalar.counters.counts)
-    assert np.array_equal(batched.counters.roundtrips,
-                          scalar.counters.roundtrips)
-    assert np.array_equal(batched.directory.last_touch,
-                          scalar.directory.last_touch)
+    for path in STATE:
+        assert np.array_equal(_state(batched, path), _state(scalar, path)), \
+            path
+    assert batched.stats.thrashed_block_ids == scalar.stats.thrashed_block_ids
+    assert batched.counters.count_halvings == scalar.counters.count_halvings
+    assert (batched.counters.roundtrip_halvings
+            == scalar.counters.roundtrip_halvings)
+    # Same events in the same order: evictions, prefetch expansions,
+    # decisions and halvings alike.
+    assert ring_b.total_written == ring_s.total_written <= ring_b.capacity
+    assert ring_b.events == ring_s.events
     batched.check_consistency()
     scalar.check_consistency()
 

@@ -1,8 +1,12 @@
 """Property-based tests for counters and thresholds."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.bus import EventBus
+from repro.obs.events import CounterHalving
+from repro.obs.sinks import RingBufferSink
 from repro.uvm.counters import AccessCounterFile
 from repro.uvm.thresholds import (
     dynamic_threshold_no_oversub,
@@ -29,6 +33,107 @@ def test_roundtrip_counts_never_exceed_field(blocks):
     for b in blocks:
         c.add_roundtrip(np.array([b]))
     assert int(c.roundtrips.max()) <= int(c.roundtrip_max)
+
+
+class NaiveCounterFile:
+    """The counter file with a saturation scan after every update."""
+
+    def __init__(self, total_blocks, counter_bits, roundtrip_bits):
+        self.counts = np.zeros(total_blocks, dtype=np.int64)
+        self.roundtrips = np.zeros(total_blocks, dtype=np.int64)
+        self.counter_max = (1 << counter_bits) - 1
+        self.roundtrip_max = (1 << roundtrip_bits) - 1
+        self.count_halvings = 0
+        self.roundtrip_halvings = 0
+        self.events = []
+
+    def add_accesses(self, blocks, amounts):
+        np.add.at(self.counts, blocks, amounts)
+        self._scan_counts(blocks)
+
+    def add_accesses_unique(self, blocks, amounts):
+        self.counts[blocks] += amounts
+        self._scan_counts(blocks)
+
+    def _scan_counts(self, blocks):
+        while self.counts[blocks].max(initial=0) >= self.counter_max:
+            self.counts >>= 1
+            self.count_halvings += 1
+            self.events.append(CounterHalving(
+                wave=0, field="counts", halvings=self.count_halvings))
+
+    def add_roundtrip(self, blocks):
+        self.roundtrips[blocks] += 1
+        while self.roundtrips[blocks].max(initial=0) > self.roundtrip_max:
+            self.roundtrips >>= 1
+            self.roundtrip_halvings += 1
+            self.events.append(CounterHalving(
+                wave=0, field="roundtrips",
+                halvings=self.roundtrip_halvings))
+
+
+N_BLOCKS = 4
+blocks_list = st.lists(st.integers(0, N_BLOCKS - 1), min_size=1,
+                       max_size=8)
+distinct_blocks = st.lists(st.integers(0, N_BLOCKS - 1), min_size=1,
+                           max_size=N_BLOCKS, unique=True)
+#: Small amounts, and amounts two of which reach a 29-bit limit.
+amounts = st.one_of(st.integers(0, 64), st.integers(1 << 26, 1 << 28))
+
+#: ``(method, arguments, extra)``: ``extra`` is whether an access update
+#: passes its total, or how often a round-trip update repeats.
+counter_ops = st.one_of(
+    st.tuples(st.just("add_accesses"), blocks_list.flatmap(
+        lambda b: st.lists(amounts, min_size=len(b), max_size=len(b))
+        .map(lambda a: (b, a))), st.booleans()),
+    st.tuples(st.just("add_accesses_unique"), distinct_blocks.flatmap(
+        lambda b: st.lists(amounts, min_size=len(b), max_size=len(b))
+        .map(lambda a: (b, a))), st.booleans()),
+    # Round trips saturate only after 8 hits on one block, so a drawn
+    # eviction repeats 1-4 times.
+    st.tuples(st.just("add_roundtrip"), distinct_blocks, st.integers(1, 4)),
+)
+
+
+@given(st.lists(counter_ops, min_size=10, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_saturation_bounds_match_a_scan_after_every_update(ops):
+    """Skipping the scan while a field's bound is below its limit halves
+    exactly when, and as often as, scanning after every update does."""
+    bus = EventBus()
+    ring = RingBufferSink(1 << 16)
+    bus.attach(ring)
+    c = AccessCounterFile(N_BLOCKS, counter_bits=29, roundtrip_bits=3,
+                          bus=bus)
+    naive = NaiveCounterFile(N_BLOCKS, counter_bits=29, roundtrip_bits=3)
+    for name, args, extra in ops:
+        if name == "add_roundtrip":
+            blocks = np.array(args, dtype=np.int64)
+            for _ in range(extra):
+                c.add_roundtrip(blocks)
+                naive.add_roundtrip(blocks)
+        else:
+            blocks = np.array(args[0], dtype=np.int64)
+            amts = np.array(args[1], dtype=np.int64)
+            total = int(amts.sum()) if extra else None
+            getattr(c, name)(blocks, amts, total)
+            getattr(naive, name)(blocks, amts)
+        assert np.array_equal(c.counts, naive.counts)
+        assert np.array_equal(c.roundtrips, naive.roundtrips)
+        assert c.count_halvings == naive.count_halvings
+        assert c.roundtrip_halvings == naive.roundtrip_halvings
+    assert ring.events == naive.events
+
+
+def test_counter_fields_are_read_only_views():
+    c = AccessCounterFile(4)
+    c.add_accesses(np.array([1]), np.array([5]))
+    c.add_roundtrip(np.array([2]))
+    for field in (c.counts, c.roundtrips):
+        with pytest.raises(ValueError):
+            field[0] = 1
+    assert c.counts[1] == 5 and c.roundtrips[2] == 1
+    assert c.counts is c.counts
 
 
 @given(st.integers(1, 64), st.integers(0, 40))

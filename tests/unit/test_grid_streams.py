@@ -1,12 +1,15 @@
 """How a grid gets its waves: each access stream recorded once, replayed
 by every cell that shares it, and removed when a private cache is done.
 
-``record_trace`` (as :class:`repro.trace.TraceCache` calls it) and
-``run_cell`` are wrapped to log their calls; ``tempfile.tempdir`` points
-at a test directory so the grid's private cache can be watched.
+``record_trace`` (as :class:`repro.trace.TraceCache` calls it),
+``run_cell`` and the grid's ``TraceWorkload`` loads are wrapped to log
+their calls; ``tempfile.tempdir`` points at a test directory so the
+grid's private cache can be watched.
 """
 
+import pathlib
 import tempfile
+import weakref
 
 import pytest
 
@@ -70,6 +73,64 @@ def log(monkeypatch, records):
 
     monkeypatch.setattr(parallel, "run_cell", logged)
     return records
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Every ``TraceWorkload`` the grid loads: its stream's workload
+    name, and which earlier loads were still alive just before it."""
+    events = []
+    made = []
+
+    class Logged(parallel.TraceWorkload):
+        def __init__(self, trace):
+            events.append((pathlib.Path(trace).name.split("-")[0],
+                           [ref() is not None for ref in made]))
+            super().__init__(trace)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(parallel, "TraceWorkload", Logged)
+    return events
+
+
+def _outcomes(results):
+    return [(r.total_cycles, r.timing, r.events, r.unique_thrashed_blocks)
+            for r in results]
+
+
+def test_serial_grid_loads_each_stream_once(loads, private_tmp,
+                                           monkeypatch):
+    removals = []
+    real_rmtree = parallel.shutil.rmtree
+
+    def rmtree(path, *args, **kwargs):
+        removals.append((pathlib.Path(path).name.split("-")[0],
+                         parallel._loaded))
+        return real_rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(parallel.shutil, "rmtree", rmtree)
+    results = run_grid(CELLS, options=NO_BACKOFF)
+    # One load per stream; ra's workload is gone before sssp loads.
+    assert loads == [("ra", []), ("sssp", [False])]
+    # Each private stream is dropped before its directory goes.
+    assert removals[:2] == [("ra", None), ("sssp", None)]
+    assert list(private_tmp.iterdir()) == []
+    assert parallel._loaded is None
+    assert _outcomes(results) == _outcomes(
+        [parallel.run_cell(c) for c in CELLS])
+
+
+def test_interleaved_streams_drop_before_each_load(loads, private_tmp):
+    cells = [GridCell(w, pol, 1.25, "tiny") for pol in POLICIES[:2]
+             for w in ("ra", "sssp")]
+    results = run_grid(cells, options=NO_BACKOFF)
+    # A stream with cells still pending is dropped before the next
+    # stream loads, and loaded again when its turn comes back.
+    assert loads == [("ra", []), ("sssp", [False]),
+                     ("ra", [False, False]), ("sssp", [False] * 3)]
+    assert list(private_tmp.iterdir()) == []
+    assert _outcomes(results) == _outcomes(
+        [parallel.run_cell(c) for c in cells])
 
 
 def test_serial_grid_records_each_stream_once_right_before_use(
