@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test test-accel bench bench-smoke bench-perf \
 	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
-	trace-smoke check-configs check-figures check-regression figures \
-	examples check-docs clean
+	trace-smoke invariant-smoke check-configs check-figures \
+	check-regression figures examples check-docs clean
 
 install:
 	pip install -e .
@@ -157,6 +157,21 @@ trace-smoke:
 	diff .trace-smoke/v2.txt .trace-smoke/v1.txt
 	diff .trace-smoke/v2.jsonl .trace-smoke/v1.jsonl
 	rm -rf .trace-smoke
+
+# Oversubscribed tiny runs audited after every wave (--debug-invariants):
+# residency, capacity and chunk occupancy must agree, and no block may be
+# both device-resident and remote-mapped, under both policy families and
+# both eviction granularities.
+invariant-smoke:
+	for wl in ra bfs; do \
+		for p in disabled adaptive; do \
+			for e in 2mb 64kb; do \
+				$(PYTHON) -m repro run $$wl --scale tiny --oversub 1.5 \
+					--policy $$p --evict $$e --debug-invariants \
+					> /dev/null || exit 1; \
+			done; \
+		done; \
+	done
 
 # Every paper figure must regenerate its committed table byte for byte
 # (small scale, seed 0): a change to simulated outcomes fails here

@@ -134,7 +134,6 @@ def warm_jit() -> None:
     jit.halve_while_ge(np.zeros(2, dtype=np.int64), i64, np.int64(4))
     jit.halve_while_gt(np.zeros(2, dtype=np.int64), i64, np.int64(4))
     jit.lfu_key(ones, bools, ones)
-    jit.masked_argmin(ones, np.array([True, True]))
     jit.leaf_bits(i64)
     jit.tree_bulk_set(np.zeros(3, dtype=np.int32),
                       np.array([[0], [0]], dtype=np.int64), i64, 1, 1, 1)

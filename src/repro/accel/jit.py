@@ -21,8 +21,6 @@ import numpy as np
 
 from ._compat import njit
 
-_I64_MAX = np.int64(np.iinfo(np.int64).max)
-
 
 # -- decision kernel --------------------------------------------------------
 
@@ -167,17 +165,6 @@ def lfu_key(heat, dirty_any, last_touch):
         d = np.int64(1) if dirty_any[i] else np.int64(0)
         out[i] = (heat[i] << 33) | (d << 32) | last_touch[i]
     return out
-
-
-@njit(cache=True)
-def masked_argmin(key, mask):
-    best = -1
-    best_v = _I64_MAX
-    for i in range(key.size):
-        if mask[i] and key[i] < best_v:
-            best = i
-            best_v = key[i]
-    return best
 
 
 # -- prefetch tree bulk ops -------------------------------------------------

@@ -28,9 +28,6 @@ import math
 
 import numpy as np
 
-_I64_MAX = np.int64(np.iinfo(np.int64).max)
-
-
 # -- decision kernel (UvmDriver._handle_far_accesses) -----------------------
 
 def eq1_thresholds(ts: int, penalty: int, oversubscribed: bool,
@@ -143,14 +140,6 @@ def lfu_key(heat: np.ndarray, dirty_any: np.ndarray,
     """(heat bucket, dirty, last_touch) packed into one 64-bit key."""
     return ((heat << np.int64(33)) | (dirty_any << np.int64(32))
             | last_touch)
-
-
-def masked_argmin(key: np.ndarray, mask: np.ndarray) -> int:
-    """Index of the smallest key inside ``mask`` (first occurrence).
-
-    ``mask`` must have at least one True entry.
-    """
-    return int(np.argmin(np.where(mask, key, _I64_MAX)))
 
 
 # -- prefetch tree bulk ops (uvm.tree) --------------------------------------

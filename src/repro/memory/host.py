@@ -2,10 +2,12 @@
 
 In UVM the host holds the authoritative copy of every page that is not
 resident on the device (Section III-C: a single physical copy exists at
-any time).  The simulator does not move real data, so this module only
-tracks the *protocol*: which basic blocks are currently host-backed,
-which have a remote (zero-copy) mapping established by the device, and
-cumulative traffic for statistics.
+any time), so which blocks are host-backed is exactly the complement of
+:attr:`repro.uvm.residency.ResidencyMap.resident`.  The simulator does
+not move real data, so this module only tracks the *protocol*: which
+host-backed blocks have a remote (zero-copy) mapping established by the
+device.  The driver's consistency checks assert that no remote-mapped
+block is device-resident.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ class HostMemory:
     def __init__(self, total_blocks: int) -> None:
         if total_blocks <= 0:
             raise ValueError("VA space must contain at least one block")
-        #: True while the host holds the valid copy (i.e. block not on device).
-        self.valid = np.ones(total_blocks, dtype=bool)
         #: True when the device has established a remote zero-copy mapping
         #: to the host copy (so further remote accesses need no fault).
         self.remote_mapped = np.zeros(total_blocks, dtype=bool)
@@ -28,23 +28,20 @@ class HostMemory:
     @property
     def total_blocks(self) -> int:
         """Number of basic blocks tracked."""
-        return self.valid.size
+        return self.remote_mapped.size
 
     def migrate_to_device(self, blocks: np.ndarray) -> None:
-        """Invalidate host copies when blocks migrate to the device.
+        """Tear down remote mappings when blocks migrate to the device.
 
-        Migration tears down any remote mapping (the host PTE is
-        invalidated and the device gets a local mapping instead).
+        The host copy is invalidated and the device gets a local mapping
+        instead.
         """
-        self.valid[blocks] = False
         self.remote_mapped[blocks] = False
 
-    def accept_eviction(self, blocks: np.ndarray) -> None:
-        """Re-validate host copies when blocks are evicted from the device."""
-        self.valid[blocks] = True
-
     def map_remote(self, blocks: np.ndarray) -> None:
-        """Establish device->host zero-copy mappings for host-valid blocks."""
-        if not np.all(self.valid[blocks]):
-            raise RuntimeError("cannot remote-map a block resident on device")
+        """Establish device->host zero-copy mappings for host-backed blocks.
+
+        Callers pass blocks that are not device-resident; the driver's
+        ``check_consistency`` and ``--debug-invariants`` audit verify it.
+        """
         self.remote_mapped[blocks] = True

@@ -13,6 +13,19 @@ from .format import TraceData
 from .recorder import load_trace, load_trace_dir
 
 
+class _RecordedWave(Wave):
+    """A wave sliced from a validated trace.
+
+    :meth:`TraceData.validate` has checked the whole stream for what
+    :class:`Wave` re-checks per wave (parallel arrays, counts of at
+    least 1), and :class:`TraceWorkload` cast its arrays once at load,
+    so replayed waves skip both.
+    """
+
+    def __post_init__(self) -> None:
+        pass
+
+
 class TraceWorkload(Workload):
     """A workload that replays a recorded trace verbatim.
 
@@ -52,20 +65,21 @@ class TraceWorkload(Workload):
         self._ordered = bool(wk.size == 0 or (wk[1:] >= wk[:-1]).all())
         # Waves are sliced from plain ndarray views of the (possibly
         # memory-mapped) arrays, which skips np.memmap's per-slice
-        # __getitem__/__array_finalize__; the per-wave scalars are read
-        # as lists once.
-        self._pages = np.asarray(trace.pages)
-        self._is_write = np.asarray(trace.is_write)
-        self._counts = np.asarray(trace.counts)
+        # __getitem__/__array_finalize__, cast here once to the dtypes
+        # the driver takes (a no-op for recorded traces); the per-wave
+        # scalars are read as lists once.
+        self._pages = np.asarray(trace.pages, dtype=np.int64)
+        self._is_write = np.asarray(trace.is_write, dtype=bool)
+        self._counts = np.asarray(trace.counts, dtype=np.int64)
         self._offsets = trace.wave_offsets.tolist()
         self._compute = [None if math.isnan(c) else c
                          for c in trace.wave_compute.tolist()]
         self._groups = None
         if trace.grouped:
             self._groups = (trace.group_offsets.tolist(),
-                            np.asarray(trace.group_blocks),
-                            np.asarray(trace.group_totals),
-                            np.asarray(trace.group_writes))
+                            np.asarray(trace.group_blocks, dtype=np.int64),
+                            np.asarray(trace.group_totals, dtype=np.int64),
+                            np.asarray(trace.group_writes, dtype=np.int64))
 
     def _allocate(self, vas, rng) -> None:
         t = self.trace
@@ -91,8 +105,8 @@ class TraceWorkload(Workload):
                 group_offsets, ublocks, totals, writes = groups
                 glo, ghi = group_offsets[w], group_offsets[w + 1]
                 grouped = (ublocks[glo:ghi], totals[glo:ghi], writes[glo:ghi])
-            yield Wave(pages[lo:hi], is_write[lo:hi], counts=counts[lo:hi],
-                       compute_cycles=compute[w], grouped=grouped)
+            yield _RecordedWave(pages[lo:hi], is_write[lo:hi], counts[lo:hi],
+                                compute[w], grouped)
 
     def kernels(self):
         t = self.trace

@@ -165,7 +165,3 @@ class AccessCounterFile:
     def reset_volta(self, blocks: np.ndarray) -> None:
         """Reset hardware counters when blocks migrate to the device."""
         self._kern.fill_zero(self.volta_counts, blocks)
-
-    def chunk_heat(self, first_block: int, num_blocks: int) -> int:
-        """Aggregate access count of one chunk (LFU victim ordering key)."""
-        return int(self._counts[first_block:first_block + num_blocks].sum())

@@ -243,10 +243,6 @@ class UvmDriver:
         # pressure event and updated incrementally on install/evict.
         self._heat_sum: np.ndarray | None = None
         self._dirty_cache: np.ndarray | None = None
-        # Per-wave LRU victim order: ``last_touch`` only moves at the
-        # start of a wave (installs re-touch already-touched chunks), so
-        # the argsort is computed at most once per wave.
-        self._lru_order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # wave processing
@@ -338,7 +334,6 @@ class UvmDriver:
         self._clock += 1
         self._heat_sum = None
         self._dirty_cache = None
-        self._lru_order = None
         if self._bus is not None:
             # Wave context for every event emitted below this frame.
             self._bus.wave = self.stats.waves
@@ -612,7 +607,7 @@ class UvmDriver:
                 # The fault itself needs an eviction: commit pending
                 # state, then make room for this block alone.
                 flush()
-                if not self._make_room_beside(1, cid, pinned, out):
+                if not self._make_room(1, pinned, cid, out):
                     # No room even after eviction attempts: serve remotely.
                     out.n_remote += kk - rr
                     if not self.host.remote_mapped[b]:
@@ -652,7 +647,7 @@ class UvmDriver:
                 # exactly as the per-block path would.
                 flush()
                 n_pf = int(pf_blocks.size)
-                if self._make_room_beside(n_pf, cid, pinned, out):
+                if self._make_room(n_pf, pinned, cid, out):
                     self._install(pf_blocks, [cid], [n_pf], out)
                     out.prefetched_blocks += n_pf
                     if bus_on:
@@ -689,17 +684,11 @@ class UvmDriver:
         self.host.migrate_to_device(blocks)
         counters.reset_volta(blocks)
         self.ever_migrated[blocks] = True
+        # Installs land in chunks the wave touched (a fault's own chunk),
+        # so their LRU position is already this wave's.
         occupancy = self.directory.occupancy
-        last_touch = self.directory.last_touch
-        clock = self._clock
         for cid, n in zip(cids, sizes):
             occupancy[cid] += n
-            # Migrations land in chunks the wave touched, so this is
-            # almost always a no-op; when it isn't, the cached LRU order
-            # is stale.
-            if last_touch[cid] != clock:
-                last_touch[cid] = clock
-                self._lru_order = None
         if self._heat_sum is not None:
             # Newly resident blocks contribute their heat to their chunk.
             self._heat_sum[cids] += np.add.reduceat(
@@ -734,21 +723,14 @@ class UvmDriver:
         tree.install_leaves(
             np.flatnonzero(self.residency.resident[chunk_blocks]))
 
-    def _make_room_beside(self, n_blocks: int, cid: int, pinned: np.ndarray,
-                          out: WaveOutcome) -> bool:
-        """:meth:`_make_room` for ``n_blocks`` frames of chunk ``cid``,
-        which is never a victim."""
-        never = np.zeros(self.directory.num_chunks, dtype=bool)
-        never[cid] = True
-        return self._make_room(n_blocks, pinned, never, out)
-
-    def _make_room(self, n_blocks: int, pinned: np.ndarray,
-                   never: np.ndarray, out: WaveOutcome) -> bool:
+    def _make_room(self, n_blocks: int, pinned: np.ndarray, never: int,
+                   out: WaveOutcome) -> bool:
         """Evict until ``n_blocks`` frames are free; False if impossible.
 
-        At the default 2MB granularity whole victim chunks are evicted;
-        at 64KB granularity only as many blocks as needed are evicted
-        from each victim chunk, coldest blocks first.
+        ``never`` is the chunk the frames are for, which is never a
+        victim.  At the default 2MB granularity whole victim chunks are
+        evicted; at 64KB granularity only as many blocks as needed are
+        evicted from each victim chunk, coldest blocks first.
         """
         if self.device.can_fit(n_blocks):
             return True
@@ -759,12 +741,11 @@ class UvmDriver:
         return self._make_room_under_pressure(n_blocks, pinned, never, out)
 
     def _make_room_under_pressure(self, n_blocks: int, pinned: np.ndarray,
-                                  never: np.ndarray,
-                                  out: WaveOutcome) -> bool:
+                                  never: int, out: WaveOutcome) -> bool:
         """The eviction path of :meth:`_make_room` (capacity exceeded)."""
         self.device.note_pressure()
         needed = n_blocks - self.device.free_blocks
-        heat = dirty = order = None
+        heat = dirty = None
         if self.config.memory.replacement.value == "lfu":
             if self._heat_sum is None:
                 self._heat_sum = self.directory.resident_heat(
@@ -772,16 +753,11 @@ class UvmDriver:
                 self._dirty_cache = self.directory.chunk_dirty(self.residency.dirty)
             heat = self.directory.heat_buckets_from_sums(self._heat_sum)
             dirty = self._dirty_cache
-        else:
-            if self._lru_order is None:
-                self._lru_order = np.argsort(self.directory.last_touch,
-                                             kind="stable")
-            order = self._lru_order
         try:
             victims = select_victims(
                 self.directory, needed, self.config.memory.replacement,
                 pinned, heat=heat, dirty_any=dirty, never=never,
-                order=order, kern=self._kern)
+                kern=self._kern)
         except RuntimeError:
             return False
         block_granular = (self.config.memory.eviction_granularity
@@ -811,7 +787,6 @@ class UvmDriver:
             self.attribution.on_evict(victims)
         n_dirty = self.residency.evict(victims)
         self.counters.add_roundtrip(victims)
-        self.host.accept_eviction(victims)
         self.device.release(int(victims.size))
         self.directory.occupancy[cid] -= int(victims.size)
         if self._heat_sum is not None:
@@ -838,7 +813,6 @@ class UvmDriver:
             self.attribution.on_evict(rblocks)
         n_dirty = self.residency.evict(rblocks)
         self.counters.add_roundtrip(rblocks)
-        self.host.accept_eviction(rblocks)
         self.device.release(int(rblocks.size))
         self.trees[cid].clear()
         self.directory.occupancy[cid] = 0
@@ -882,7 +856,6 @@ class UvmDriver:
             rblocks = chunk_blocks[self.residency.resident[chunk_blocks]]
             if rblocks.size:
                 writebacks += self.residency.evict(rblocks)
-                self.host.accept_eviction(rblocks)
                 self.device.release(int(rblocks.size))
                 self.trees[cid].clear()
                 self.directory.occupancy[cid] = 0
@@ -892,7 +865,6 @@ class UvmDriver:
             # Victim-ordering caches reflect pre-release residency.
             self._heat_sum = None
             self._dirty_cache = None
-            self._lru_order = None
         return freed, writebacks
 
     # ------------------------------------------------------------------
@@ -925,7 +897,9 @@ class UvmDriver:
     def _check_wave_accounting(self) -> None:
         """Cheap residency/capacity invariants, run after every wave.
 
-        Enabled by ``SimulationConfig.debug_invariants`` (or the CLI's
+        The residency map, the device ledger and the chunk occupancies
+        agree, the device is not over capacity, and no block is both
+        device-resident and remote-mapped.  Enabled by ``SimulationConfig.debug_invariants`` (or the CLI's
         ``--debug-invariants``); unlike :meth:`check_consistency` this
         avoids the per-chunk tree walk so it is affordable per wave, and
         it pinpoints the first wave at which accounting drifted.
@@ -945,6 +919,11 @@ class UvmDriver:
             raise AssertionError(
                 f"wave {self.stats.waves}: chunk occupancy sums to "
                 f"{occupancy} but the device ledger charges {used}")
+        both = self.host.remote_mapped & self.residency.resident
+        if both.any():
+            raise AssertionError(
+                f"wave {self.stats.waves}: block {int(np.argmax(both))} is "
+                f"both device-resident and remote-mapped")
 
     def check_consistency(self) -> None:
         """Verify cross-structure invariants (used by tests)."""
@@ -959,6 +938,7 @@ class UvmDriver:
             assert self.directory.occupancy[cid] == len(res), \
                 f"occupancy mismatch in chunk {cid}"
             self.trees[cid].check_invariants()
-        # A block can never be host-valid and device-resident at once.
-        assert not np.any(self.residency.resident & self.host.valid), \
-            "block resident on both host and device"
+        # The host holds the only copy of every block that is not
+        # device-resident, and only such a block can be remote-mapped.
+        assert not np.any(self.host.remote_mapped & self.residency.resident), \
+            "block both device-resident and remote-mapped"

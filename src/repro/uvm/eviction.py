@@ -68,13 +68,6 @@ class ChunkDirectory:
         """Refresh the LRU position of accessed chunks."""
         self.last_touch[chunk_ids] = now
 
-    def chunk_heat(self, counters: np.ndarray) -> np.ndarray:
-        """Aggregate access count per chunk from the per-block counter file."""
-        return np.bincount(self._valid_chunk_ids,
-                           weights=counters[self._valid_block]
-                           .astype(np.float64),
-                           minlength=self.num_chunks)
-
     def resident_heat(self, counters: np.ndarray,
                       resident: np.ndarray) -> np.ndarray:
         """Per-chunk sum of access counts over device-resident blocks.
@@ -89,17 +82,13 @@ class ChunkDirectory:
                            minlength=self.num_chunks)
 
     def heat_buckets_from_sums(self, heat_sum: np.ndarray) -> np.ndarray:
-        """LFU ordering buckets from maintained resident-heat sums.
-
-        Density is taken over the chunk's current occupancy; see
-        :meth:`chunk_heat_buckets` for the bucketing rationale.
-        """
-        density = heat_sum / np.maximum(self.occupancy, 1)
-        return np.floor(np.log2(np.maximum(density, 1.0))).astype(np.int64)
-
-    def chunk_heat_buckets(self, counters: np.ndarray,
-                           resident: np.ndarray | None = None) -> np.ndarray:
         """LFU ordering key: log2 bucket of per-block access density.
+
+        ``heat_sum`` holds each chunk's access counts summed over its
+        device-resident blocks (:meth:`resident_heat`, maintained by the
+        driver), so only the pages an eviction would actually displace
+        contribute, and density is taken over the chunk's current
+        occupancy.
 
         The paper's simplified LFU must degenerate to LRU when "pages are
         accessed with almost the same frequency" (regular applications).
@@ -107,23 +96,8 @@ class ChunkDirectory:
         skew, so chunks are ranked by the binary order of magnitude of
         their mean per-block access count; within a bucket the LRU
         timestamp decides.
-
-        When ``resident`` is given, only device-resident blocks
-        contribute -- what matters is the hotness of the pages an
-        eviction would actually displace.
         """
-        if resident is not None:
-            valid = self._valid_block & resident
-            ids = self.chunk_of_block[valid]
-        else:
-            valid = self._valid_block
-            ids = self._valid_chunk_ids
-        heat = np.bincount(ids,
-                           weights=counters[valid].astype(np.float64),
-                           minlength=self.num_chunks)
-        denom = (np.maximum(self.occupancy, 1) if resident is not None
-                 else np.maximum(self.num_blocks, 1))
-        density = heat / denom
+        density = heat_sum / np.maximum(self.occupancy, 1)
         return np.floor(np.log2(np.maximum(density, 1.0))).astype(np.int64)
 
     def chunk_dirty(self, dirty: np.ndarray) -> np.ndarray:
@@ -136,6 +110,12 @@ class ChunkDirectory:
 
 
 _I64_MAX = np.int64(np.iinfo(np.int64).max)
+
+#: Fallback tiers, packed above the ordering key (which stays below bit
+#: 61: LFU buckets and the LRU clock are small): unpinned full chunks
+#: (tier 0), then unpinned partially populated ones, then pinned ones.
+_PARTIAL = np.int64(1 << 61)
+_PINNED = np.int64(2 << 61)
 
 
 def _victim_key(directory: ChunkDirectory,
@@ -163,20 +143,24 @@ def select_victims(directory: ChunkDirectory,
                    pinned: np.ndarray,
                    heat: np.ndarray | None = None,
                    dirty_any: np.ndarray | None = None,
-                   never: np.ndarray | None = None,
-                   order: np.ndarray | None = None,
+                   never: int | None = None,
                    kern=None) -> list[int]:
     """Choose chunks to evict until ``needed_blocks`` frames are freed.
 
     ``pinned`` chunks (addressed by scheduled warps) are avoided but may
-    be reclaimed as a last resort; ``never`` chunks (the chunk a
-    migration is currently filling) are excluded unconditionally.
-    ``order`` optionally supplies a precomputed victim ordering (the
-    driver caches the LRU argsort across a wave); it must match what
-    this function would compute from the current metadata.
+    be reclaimed as a last resort; chunk ``never`` (the chunk a
+    migration is currently filling) is excluded unconditionally.
 
-    ``kern`` selects the backend kernel namespace for the ordering-key
-    and argmin steps (:mod:`repro.accel`; default: numpy reference).
+    Every chunk gets one composite int64 key: its fallback tier in the
+    high bits above the LRU/LFU ordering key, and int64 max for chunks
+    that cannot be taken (unpopulated, or ``never``).  Victims are the
+    shortest prefix of the stably sorted keys whose occupancy covers the
+    deficit, so a one-frame deficit -- the common case, a single fault
+    block needing room -- is one argmin (first occurrence, as in the
+    stable sort).
+
+    ``kern`` selects the backend kernel namespace for the LFU key
+    (:mod:`repro.accel`; default: numpy reference).
 
     Returns chunk ids in eviction order.  Raises ``RuntimeError`` if even
     evicting everything cannot free enough space (capacity misconfigured).
@@ -186,54 +170,24 @@ def select_victims(directory: ChunkDirectory,
     if kern is None:
         kern = _py_kernels
     occ = directory.occupancy
-    populated = occ > 0
+    key = (occ < directory.num_blocks) * _PARTIAL
+    key[pinned] = _PINNED
+    key |= _victim_key(directory, policy, heat, dirty_any, kern)
+    key[occ == 0] = _I64_MAX
     if never is not None:
-        populated = populated & ~never
-    full = occ == directory.num_blocks
+        key[never] = _I64_MAX
 
     if needed_blocks == 1:
-        # Any populated chunk covers a one-frame deficit -- the common
-        # case when a single fault block needs room -- so the best
-        # victim is an argmin over the ordering key, no sort at all.
-        # np.argmin's first-occurrence tie-break matches the stable
-        # argsort the general path uses.
-        key = _victim_key(directory, policy, heat, dirty_any, kern)
-        # Each fallback tier is built only when the one before is empty.
-        unpinned = populated & ~pinned
-        tier = unpinned & full
-        if not tier.any():
-            tier = unpinned
-            if not tier.any():
-                tier = populated
-                if not tier.any():
-                    raise RuntimeError("cannot free 1 block: nothing resident")
-        return [int(kern.masked_argmin(key, tier))]
+        victim = int(key.argmin())
+        if key[victim] == _I64_MAX:
+            raise RuntimeError("cannot free 1 block: nothing resident")
+        return [victim]
 
-    if order is None:
-        key = _victim_key(directory, policy, heat, dirty_any, kern)
-        order = np.argsort(key, kind="stable")
-    victims: list[int] = []
-    chosen = np.zeros(directory.num_chunks, dtype=bool)
-    freed = 0
-    # Candidate tiers: (full, unpinned) -> (partial, unpinned) -> (any populated).
-    for tier_mask in (populated & full & ~pinned,
-                      populated & ~pinned,
-                      populated):
-        if freed >= needed_blocks:
-            break
-        # Walk the tier's candidates in eviction order, taking chunks
-        # until their cumulative occupancy covers the deficit.
-        cands = order[(tier_mask & ~chosen)[order]]
-        if cands.size == 0:
-            continue
-        cum = freed + np.cumsum(occ[cands])
-        cut = int(np.searchsorted(cum, needed_blocks, side="left"))
-        take = cands[:min(cut + 1, cands.size)]
-        victims.extend(int(c) for c in take)
-        chosen[take] = True
-        freed = int(cum[take.size - 1])
-    if freed < needed_blocks:
+    order = key.argsort(kind="stable")
+    cut = int(occ[order].cumsum().searchsorted(needed_blocks))
+    if cut == order.size or key[order[cut]] == _I64_MAX:
+        freed = int(occ[key != _I64_MAX].sum())
         raise RuntimeError(
             f"cannot free {needed_blocks} blocks: only {freed} resident"
         )
-    return victims
+    return order[:cut + 1].tolist()

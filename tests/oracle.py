@@ -10,9 +10,17 @@ only:
   not, and drains migrations one block at a time: its
   ``_migrate_block`` makes room for, prefetches around and installs
   each fault block on its own, where production's drain batches the
-  installs and flushes them in one pass.  Its batches run
-  production's :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`,
-  the same per-wave loop over its own pipeline.
+  installs and flushes them in one pass.  It chooses victims with
+  :func:`reference_select_victims`, fed a per-wave cached LRU order,
+  and its chunks are :class:`ReferenceTree` instances.  Its batches
+  run production's
+  :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`, the same
+  per-wave loop over its own pipeline.
+* :func:`reference_select_victims` walks the fallback tiers (unpinned
+  full, unpinned partial, pinned) one after another, each with its own
+  mask, where production's ``select_victims`` sorts one composite key.
+* :class:`ReferenceTree` runs the >50% balancing walk on every fault,
+  where production's ``PrefetchTree.on_fault`` memoizes it.
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
   on a :class:`ReferenceDriver`, so serve output can be compared with
   a session whose every wave takes the full pipeline.
@@ -25,9 +33,11 @@ only:
   as first written, one temporary per arithmetic step; production's
   ``random_graph`` does the same arithmetic in place.
 
-Production exposes exactly one hook for this module:
-:meth:`UvmDriver._drain_migrations`, which :class:`ReferenceDriver`
-overrides with :meth:`ReferenceDriver._drain_migrations_scalar`.
+:class:`ReferenceDriver` overrides two private driver methods beyond
+its pipeline: :meth:`UvmDriver._drain_migrations`, with
+:meth:`ReferenceDriver._drain_migrations_scalar`, and the eviction path
+below it, ``_make_room_under_pressure``, to call the reference
+selector.
 """
 
 from __future__ import annotations
@@ -37,8 +47,12 @@ from unittest import mock
 import numpy as np
 
 import repro.serve.session as serve_session
+from repro.accel import kernels as _py_kernels
+from repro.config import EvictionGranularity
 from repro.obs.events import PrefetchExpand
 from repro.uvm.driver import UvmDriver, WaveOutcome, group_wave
+from repro.uvm.eviction import _victim_key
+from repro.uvm.tree import _NO_PREFETCH, PrefetchTree, _tables
 from repro.workloads.base import KernelLaunch, WaveBuilder
 from repro.workloads.bfs import Bfs
 from repro.workloads.graphs import CsrGraph
@@ -47,8 +61,110 @@ from repro.workloads.util import (SECTORS_PER_PAGE, coalesced_page_offsets,
                                   coalesced_pages, ragged_ranges)
 
 
+_I64_MAX = np.int64(np.iinfo(np.int64).max)
+
+
+def reference_select_victims(directory, needed_blocks, policy, pinned,
+                             heat=None, dirty_any=None, never=None,
+                             order=None, kern=None) -> list[int]:
+    """Victim selection as a cascade over the fallback tiers.
+
+    ``never`` is a per-chunk mask of chunks that are never victims, and
+    ``order`` optionally a precomputed stable argsort of the ordering
+    key (the LRU order a driver caches per wave).  Same contract as
+    :func:`repro.uvm.eviction.select_victims` otherwise.
+    """
+    if needed_blocks <= 0:
+        return []
+    if kern is None:
+        kern = _py_kernels
+    occ = directory.occupancy
+    populated = occ > 0
+    if never is not None:
+        populated = populated & ~never
+    full = occ == directory.num_blocks
+
+    if needed_blocks == 1:
+        key = _victim_key(directory, policy, heat, dirty_any, kern)
+        unpinned = populated & ~pinned
+        tier = unpinned & full
+        if not tier.any():
+            tier = unpinned
+            if not tier.any():
+                tier = populated
+                if not tier.any():
+                    raise RuntimeError("cannot free 1 block: nothing resident")
+        return [int(np.argmin(np.where(tier, key, _I64_MAX)))]
+
+    if order is None:
+        key = _victim_key(directory, policy, heat, dirty_any, kern)
+        order = np.argsort(key, kind="stable")
+    victims: list[int] = []
+    chosen = np.zeros(directory.num_chunks, dtype=bool)
+    freed = 0
+    for tier_mask in (populated & full & ~pinned,
+                      populated & ~pinned,
+                      populated):
+        if freed >= needed_blocks:
+            break
+        cands = order[(tier_mask & ~chosen)[order]]
+        if cands.size == 0:
+            continue
+        cum = freed + np.cumsum(occ[cands])
+        cut = int(np.searchsorted(cum, needed_blocks, side="left"))
+        take = cands[:min(cut + 1, cands.size)]
+        victims.extend(int(c) for c in take)
+        chosen[take] = True
+        freed = int(cum[take.size - 1])
+    if freed < needed_blocks:
+        raise RuntimeError(
+            f"cannot free {needed_blocks} blocks: only {freed} resident"
+        )
+    return victims
+
+
+class ReferenceTree(PrefetchTree):
+    """A prefetch tree that walks its ancestors on every fault."""
+
+    __slots__ = ()
+
+    def on_fault(self, leaf: int) -> np.ndarray:
+        if not 0 <= leaf < self.num_leaves:
+            raise IndexError(
+                f"leaf {leaf} outside chunk of {self.num_leaves} leaves")
+        bit = 1 << leaf
+        mask = self._mask
+        if mask & bit:
+            raise RuntimeError(f"leaf {leaf} already resident")
+        mask |= bit
+        self._counts_valid = False
+        prefetched: list[int] = []
+        for submask, half in _tables(self.num_leaves)[1][leaf]:
+            if (mask & submask).bit_count() > half:
+                absent = submask & ~mask
+                if absent:
+                    mask |= absent
+                    while absent:
+                        low = absent & -absent
+                        prefetched.append(low.bit_length() - 1)
+                        absent ^= low
+        self._mask = mask
+        if not prefetched:
+            return _NO_PREFETCH
+        return np.array(prefetched, dtype=np.int64)
+
+
 class ReferenceDriver(UvmDriver):
     """The driver without its fast paths: the bit-identity oracle."""
+
+    def __init__(self, vas, config, obs=None) -> None:
+        super().__init__(vas, config, obs=obs)
+        self.trees = [ReferenceTree(span.num_blocks, kernels=self._kern)
+                      for span in vas.chunks]
+        # Per-wave LRU victim order: ``last_touch`` only moves at the
+        # start of a wave (installs land in chunks the wave touched), so
+        # the argsort is computed at most once per wave.
+        self._lru_order: np.ndarray | None = None
 
     def _process_blocks(self, blocks: np.ndarray, is_write: np.ndarray,
                         counts: np.ndarray) -> WaveOutcome:
@@ -128,16 +244,54 @@ class ReferenceDriver(UvmDriver):
 
     _drain_migrations = _drain_migrations_scalar
 
+    def _make_room_under_pressure(self, n_blocks: int, pinned: np.ndarray,
+                                  never: int, out: WaveOutcome) -> bool:
+        """Production's eviction path around the reference selector."""
+        self.device.note_pressure()
+        needed = n_blocks - self.device.free_blocks
+        heat = dirty = order = None
+        if self.config.memory.replacement.value == "lfu":
+            if self._heat_sum is None:
+                self._heat_sum = self.directory.resident_heat(
+                    self.counters.counts, self.residency.resident)
+                self._dirty_cache = self.directory.chunk_dirty(
+                    self.residency.dirty)
+            heat = self.directory.heat_buckets_from_sums(self._heat_sum)
+            dirty = self._dirty_cache
+        else:
+            if self._lru_order is None:
+                self._lru_order = np.argsort(self.directory.last_touch,
+                                             kind="stable")
+            order = self._lru_order
+        never_mask = np.zeros(self.directory.num_chunks, dtype=bool)
+        never_mask[never] = True
+        try:
+            victims = reference_select_victims(
+                self.directory, needed, self.config.memory.replacement,
+                pinned, heat=heat, dirty_any=dirty, never=never_mask,
+                order=order, kern=self._kern)
+        except RuntimeError:
+            return False
+        block_granular = (self.config.memory.eviction_granularity
+                          is EvictionGranularity.BLOCK_64KB)
+        for cid in victims:
+            if block_granular:
+                still_needed = n_blocks - self.device.free_blocks
+                if still_needed <= 0:
+                    break
+                self._evict_blocks(cid, still_needed, out)
+            else:
+                self._evict_chunk(cid, out)
+        return self.device.can_fit(n_blocks)
+
     def _migrate_block(self, block: int, pinned: np.ndarray,
                        out: WaveOutcome) -> bool:
         """Fault-migrate ``block``; runs prefetcher; returns success."""
         cid = int(self.directory.chunk_of_block[block])
         if cid < 0:
             raise RuntimeError(f"block {block} belongs to no chunk")
-        never = np.zeros(self.directory.num_chunks, dtype=bool)
-        never[cid] = True
 
-        if not self._make_room(1, pinned, never, out):
+        if not self._make_room(1, pinned, cid, out):
             return False
         leaf = block - int(self.directory.first_block[cid])
         tree = self.trees[cid]
@@ -152,7 +306,7 @@ class ReferenceDriver(UvmDriver):
 
         if pf_leaves.size:
             pf_blocks = int(self.directory.first_block[cid]) + pf_leaves
-            if self._make_room(int(pf_blocks.size), pinned, never, out):
+            if self._make_room(int(pf_blocks.size), pinned, cid, out):
                 self._install(pf_blocks, [cid], [int(pf_blocks.size)], out)
                 out.prefetched_blocks += int(pf_blocks.size)
                 if self._bus is not None and self._bus.enabled:

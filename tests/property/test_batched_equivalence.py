@@ -45,7 +45,11 @@ def traffic(draw):
     seed = draw(st.integers(0, 2**16))
     n_waves = draw(st.integers(1, 10))
     wave_size = draw(st.integers(1, 250))
-    return seed, n_waves, wave_size
+    # Each wave's pages come from the whole space or from a window of
+    # one or two chunks' worth (512 pages each): local waves leave most
+    # chunks unpinned, so victim choice meets every fallback tier.
+    window = draw(st.sampled_from([None, 512, 1024]))
+    return seed, n_waves, wave_size, window
 
 
 def _drivers(setup):
@@ -84,14 +88,18 @@ def _state(driver, path):
 @given(setups(), traffic())
 @settings(max_examples=100, deadline=None)
 def test_batched_drain_matches_scalar_reference(setup, t):
-    seed, n_waves, wave_size = t
+    seed, n_waves, wave_size, window = t
     rng = np.random.default_rng(seed)
     (batched, ring_b), (scalar, ring_s) = _drivers(setup)
     alloc_pages = np.concatenate([
         np.arange(a.first_page, a.last_page)
         for a in batched.vas.allocations])
     for _ in range(n_waves):
-        pages = rng.choice(alloc_pages, size=wave_size)
+        if window is None:
+            pages = rng.choice(alloc_pages, size=wave_size)
+        else:
+            lo = rng.integers(0, alloc_pages.size - window + 1)
+            pages = rng.choice(alloc_pages[lo:lo + window], size=wave_size)
         writes = rng.random(wave_size) < 0.4
         counts = rng.integers(1, 50, size=wave_size)
         out_b = batched.process_wave(pages, writes, counts)

@@ -1,9 +1,18 @@
-"""Property-based tests for the tree prefetcher."""
+"""Property-based tests for the tree prefetcher.
+
+Beyond the prefetcher's own rules, random operation sequences pin
+production's memoized fault walk to the oracle's
+(:class:`tests.oracle.ReferenceTree`, which walks on every fault).
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uvm.tree import PrefetchTree
+from repro.uvm.tree import (FAULT_WALK_CACHE_SIZE, _NO_PREFETCH,
+                            PrefetchTree, _fault_walk)
+
+from tests.oracle import ReferenceTree
 
 leaf_counts = st.sampled_from([1, 2, 4, 8, 16, 32])
 
@@ -96,3 +105,83 @@ def test_balancing_rule_never_leaves_node_above_half_unbalanced(levels):
                         f"node [{start},{start+span}) at {occ}/{span} "
                         "should have been balanced full")
             span *= 2
+
+
+# ---------------------------------------------------------------------------
+# memoized fault walk vs the oracle's walk on every fault
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tree_ops(draw):
+    """A tree size and a random sequence of operations on it.
+
+    Fault leaves range one past each end, and install/remove batches
+    are drawn regardless of residency, so errors are exercised too.
+    """
+    n = draw(leaf_counts)
+    leaf_sets = st.sets(st.integers(0, n - 1)).map(sorted)
+    op = st.one_of(
+        st.tuples(st.just("fault"), st.integers(-1, n)),
+        st.tuples(st.just("install"), leaf_sets),
+        st.tuples(st.just("remove"), leaf_sets),
+        st.tuples(st.just("clear")),
+    )
+    return n, draw(st.lists(op, max_size=40))
+
+
+def _apply(tree, op, prefetched=None):
+    """Run ``op`` on ``tree``; returns (result or error, mask, invariants).
+
+    Arrays a fault returns are also appended to ``prefetched``.
+    """
+    name, *args = op
+    try:
+        if name == "fault":
+            got = tree.on_fault(*args)
+            if prefetched is not None:
+                prefetched.append(got)
+            got = ("leaves", got.dtype.str, got.tolist())
+        elif name == "clear":
+            got = tree.clear()
+        else:
+            leaves = np.array(args[0], dtype=np.int64)
+            got = getattr(tree, f"{name}_leaves")(leaves)
+    except (IndexError, RuntimeError) as exc:
+        got = (type(exc).__name__, str(exc))
+    try:
+        tree.check_invariants()
+        ok = None
+    except AssertionError as exc:
+        ok = str(exc)
+    return got, tree._mask, ok
+
+
+@given(tree_ops())
+@settings(max_examples=300, deadline=None)
+def test_memoized_walk_matches_reference_tree(case):
+    n, ops = case
+    tree, ref = PrefetchTree(n), ReferenceTree(n)
+    prefetched = []
+    for op in ops:
+        assert _apply(tree, op, prefetched) == _apply(ref, op), op
+    assert not any(a.flags.writeable for a in prefetched)
+
+
+def test_no_prefetch_result_is_read_only():
+    assert not _NO_PREFETCH.flags.writeable
+    assert not PrefetchTree(1).on_fault(0).flags.writeable
+    assert PrefetchTree(4).on_fault(0) is _NO_PREFETCH
+
+
+def test_fault_walk_memo_is_bounded():
+    assert _fault_walk.cache_info().maxsize == FAULT_WALK_CACHE_SIZE
+
+
+def test_numpy_leaf_keeps_masks_python_ints():
+    """The memo is shared, so a NumPy leaf must not leak its type."""
+    PrefetchTree(16).on_fault(np.int64(5))
+    tree = PrefetchTree(16)
+    tree.on_fault(5)
+    assert type(tree._mask) is int
+    with pytest.raises(TypeError):
+        tree.on_fault(6.0)

@@ -42,12 +42,6 @@ class TestHistoricCounters:
         assert c.roundtrips[1] == 1
         assert c.roundtrips[2] == 2
 
-    def test_chunk_heat(self):
-        c = AccessCounterFile(8)
-        c.add_accesses(np.array([2, 3]), np.array([4, 6]))
-        assert c.chunk_heat(2, 2) == 10
-        assert c.chunk_heat(0, 2) == 0
-
 
 class TestVoltaCounters:
     """Remote-only counters that reset on migration (static schemes)."""

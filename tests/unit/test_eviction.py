@@ -40,25 +40,35 @@ class TestDirectory:
         assert d.last_touch[1] == 42
         assert d.last_touch[0] == 0
 
-    def test_chunk_heat_aggregates(self):
-        d = make_directory((4, 4))
-        counters = np.array([1, 2, 3, 4, 10, 0, 0, 0], dtype=np.uint64)
-        heat = d.chunk_heat(counters)
-        assert heat[0] == 10
-        assert heat[1] == 10
-
     def test_heat_buckets_quantize(self):
         d = make_directory((4, 4))
+        d.occupancy[:] = (4, 4)
         # densities 2.5 vs 3.0 land in the same log2 bucket (1).
-        counters = np.array([2, 3, 2, 3, 3, 3, 3, 3], dtype=np.uint64)
-        buckets = d.chunk_heat_buckets(counters)
-        assert buckets[0] == buckets[1]
+        buckets = d.heat_buckets_from_sums(np.array([10.0, 12.0]))
+        assert buckets[0] == buckets[1] == 1
 
     def test_heat_buckets_separate_orders_of_magnitude(self):
         d = make_directory((4, 4))
-        counters = np.array([1, 1, 1, 1, 100, 100, 100, 100], dtype=np.uint64)
-        buckets = d.chunk_heat_buckets(counters)
+        d.occupancy[:] = (4, 4)
+        buckets = d.heat_buckets_from_sums(np.array([4.0, 400.0]))
         assert buckets[0] < buckets[1]
+
+    def test_heat_buckets_take_density_over_resident_blocks(self):
+        d = make_directory((4, 4))
+        # The same sum over fewer resident blocks is a hotter chunk, and
+        # an empty chunk is as cold as an idle one.
+        d.occupancy[:] = (4, 1)
+        buckets = d.heat_buckets_from_sums(np.array([8.0, 8.0]))
+        assert list(buckets) == [1, 3]
+        d.occupancy[:] = (0, 4)
+        assert list(d.heat_buckets_from_sums(np.zeros(2))) == [0, 0]
+
+    def test_resident_heat_sums_resident_blocks(self):
+        d = make_directory((4, 4))
+        counters = np.array([1, 2, 3, 4, 10, 0, 0, 0], dtype=np.int64)
+        resident = np.array([True, False, True, False,
+                             True, True, False, False])
+        assert list(d.resident_heat(counters, resident)) == [4.0, 10.0]
 
     def test_chunk_dirty(self):
         d = make_directory((4, 4))
@@ -112,10 +122,15 @@ class TestVictimSelection:
 
     def test_never_mask_is_absolute(self):
         d = self._directory()
-        never = np.array([False, True, False, False])
         victims = select_victims(d, 1, ReplacementPolicy.LRU,
-                                 np.ones(4, bool), never=never)
+                                 np.ones(4, bool), never=1)
         assert 1 not in victims
+        victims = select_victims(d, 40, ReplacementPolicy.LRU,
+                                 np.zeros(4, bool), never=1)
+        assert victims == [0, 2]
+        with pytest.raises(RuntimeError, match="only 48 resident"):
+            select_victims(d, 49, ReplacementPolicy.LRU,
+                           np.zeros(4, bool), never=1)
 
     def test_accumulates_until_enough(self):
         d = self._directory()

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.config import MigrationPolicy
 from repro.memory.device import DeviceMemory
 from repro.memory.host import HostMemory
 from repro.memory.layout import CHUNK_SIZE
+from repro.uvm.driver import WaveOutcome
 from repro.uvm.residency import ResidencyMap
+
+from tests.conftest import make_driver, make_vas
 
 
 class TestDeviceMemory:
@@ -57,31 +61,45 @@ class TestDeviceMemory:
             DeviceMemory(CHUNK_SIZE - 1)
 
 
+def _driver_with_resident_block():
+    """A driver whose block 0 is device-resident after one wave."""
+    drv = make_driver(make_vas(4), MigrationPolicy.DISABLED)
+    drv.process_wave(np.array([0]), np.array([False]))
+    assert drv.residency.resident[0]
+    return drv
+
+
 class TestHostMemory:
-    def test_initially_all_valid(self):
+    """Host-backed means not device-resident: the host keeps no flag of
+    its own, and the driver's audits check that a remote mapping only
+    ever covers a block that is not device-resident."""
+
+    def test_initially_unmapped(self):
         host = HostMemory(8)
-        assert host.valid.all()
+        assert host.total_blocks == 8
         assert not host.remote_mapped.any()
 
     def test_migrate_invalidates_and_unmaps(self):
         host = HostMemory(8)
         host.map_remote(np.array([1, 2]))
         host.migrate_to_device(np.array([1]))
-        assert not host.valid[1]
         assert not host.remote_mapped[1]
         assert host.remote_mapped[2]
 
-    def test_eviction_revalidates(self):
-        host = HostMemory(4)
-        host.migrate_to_device(np.array([0]))
-        host.accept_eviction(np.array([0]))
-        assert host.valid[0]
+    def test_evicted_block_may_map_remote(self):
+        drv = _driver_with_resident_block()
+        drv._evict_chunk(0, WaveOutcome())
+        drv.host.map_remote(np.array([0]))
+        drv._check_wave_accounting()
+        drv.check_consistency()
 
     def test_remote_map_requires_host_valid(self):
-        host = HostMemory(4)
-        host.migrate_to_device(np.array([0]))
-        with pytest.raises(RuntimeError):
-            host.map_remote(np.array([0]))
+        drv = _driver_with_resident_block()
+        drv.host.map_remote(np.array([0]))
+        with pytest.raises(AssertionError, match="remote-mapped"):
+            drv._check_wave_accounting()
+        with pytest.raises(AssertionError, match="remote-mapped"):
+            drv.check_consistency()
 
     def test_rejects_empty_space(self):
         with pytest.raises(ValueError):
