@@ -159,9 +159,10 @@ trace-smoke:
 	rm -rf .trace-smoke
 
 # Oversubscribed tiny runs audited after every wave (--debug-invariants):
-# residency, capacity and chunk occupancy must agree, and no block may be
-# both device-resident and remote-mapped, under both policy families and
-# both eviction granularities.
+# residency, capacity and chunk occupancy must agree, no block may be
+# both device-resident and remote-mapped, and a wave's live victim key
+# must equal one built from scratch, under both policy families (LRU and
+# LFU replacement) and both eviction granularities.
 invariant-smoke:
 	for wl in ra bfs; do \
 		for p in disabled adaptive; do \

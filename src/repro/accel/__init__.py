@@ -123,8 +123,8 @@ def warm_jit() -> None:
     bools = np.array([True, False])
     jit.eq1_thresholds(8, 8, True, 0.5, 2, ones)
     jit.eq1_thresholds(8, 8, False, 0.5, 2, ones)
-    migrate = jit.decide(ones, ones, ones)
-    jit.remote_counts(migrate, ones, ones, ones)
+    migrate, slack = jit.decide(ones, ones, ones)
+    jit.remote_counts(migrate, slack, ones)
     jit.group_sorted(i64, ones, ones)
     jit.resident_all(bools, np.zeros(1, dtype=np.int64))
     jit.scatter_add(np.zeros(2, dtype=np.int64), i64, ones)
@@ -133,7 +133,3 @@ def warm_jit() -> None:
     jit.fill_zero(np.zeros(2, dtype=np.int64), i64)
     jit.halve_while_ge(np.zeros(2, dtype=np.int64), i64, np.int64(4))
     jit.halve_while_gt(np.zeros(2, dtype=np.int64), i64, np.int64(4))
-    jit.lfu_key(ones, bools, ones)
-    jit.leaf_bits(i64)
-    jit.tree_bulk_set(np.zeros(3, dtype=np.int32),
-                      np.array([[0], [0]], dtype=np.int64), i64, 1, 1, 1)

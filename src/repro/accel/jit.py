@@ -41,25 +41,22 @@ def eq1_thresholds(ts, penalty, oversubscribed, occupancy_fraction, n,
 @njit(cache=True)
 def decide(c0, k, td):
     n = c0.size
-    out = np.empty(n, dtype=np.bool_)
+    migrate = np.empty(n, dtype=np.bool_)
+    slack = np.empty(n, dtype=np.int64)
     for i in range(n):
-        out[i] = (c0[i] + k[i]) >= td[i]
-    return out
+        slack[i] = td[i] - 1 - c0[i]
+        migrate[i] = k[i] > slack[i]
+    return migrate, slack
 
 
 @njit(cache=True)
-def remote_counts(migrate, td, c0, k):
+def remote_counts(migrate, slack, k):
     n = k.size
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
         if migrate[i]:
-            v = td[i] - 1 - c0[i]
-            if v < 0:
-                v = 0
-            hi = k[i] - 1
-            if v > hi:
-                v = hi
-            out[i] = v
+            v = slack[i]
+            out[i] = v if v > 0 else 0
         else:
             out[i] = k[i]
     return out
@@ -153,35 +150,3 @@ def halve_while_gt(counts, blocks, limit):
         for j in range(counts.size):
             counts[j] >>= 1
         h += 1
-
-
-# -- victim selection -------------------------------------------------------
-
-@njit(cache=True)
-def lfu_key(heat, dirty_any, last_touch):
-    n = heat.size
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        d = np.int64(1) if dirty_any[i] else np.int64(0)
-        out[i] = (heat[i] << 33) | (d << 32) | last_touch[i]
-    return out
-
-
-# -- prefetch tree bulk ops -------------------------------------------------
-
-@njit(cache=True)
-def leaf_bits(leaves):
-    bits = np.int64(0)
-    for i in range(leaves.size):
-        bits |= np.int64(1) << leaves[i]
-    return bits
-
-
-@njit(cache=True)
-def tree_bulk_set(tree, anc, leaves, leaf_base, leaf_value, delta):
-    levels = anc.shape[1]
-    for i in range(leaves.size):
-        leaf = leaves[i]
-        tree[leaf_base + leaf] = leaf_value
-        for lvl in range(levels):
-            tree[anc[leaf, lvl]] += delta

@@ -1,11 +1,11 @@
 """Pure-numpy reference kernels for the per-wave hot loop.
 
 This module is the ``python`` backend: every function is the exact
-array expression the driver, counter file, eviction selector and
-prefetch tree historically ran inline.  :mod:`repro.accel.jit` holds
-the loop-shaped twins that numba compiles; the backend equivalence
-property tests pin the two modules to bit-identical results, so either
-namespace can be handed to the driver as ``kernels``.
+array expression the driver and counter file historically ran inline.
+:mod:`repro.accel.jit` holds the loop-shaped twins that numba compiles;
+the backend equivalence property tests pin the two modules to
+bit-identical results, so either namespace can be handed to the driver
+as ``kernels``.
 
 Contracts shared by both backends (callers guarantee them, kernels do
 not re-check on the hot path):
@@ -42,28 +42,31 @@ def eq1_thresholds(ts: int, penalty: int, oversubscribed: bool,
                    dtype=np.int64)
 
 
-def decide(c0: np.ndarray, k: np.ndarray, td: np.ndarray) -> np.ndarray:
-    """Migrate mask: the wave's accesses reach each block's threshold."""
-    return (c0 + k) >= td
+def decide(c0: np.ndarray, k: np.ndarray, td: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Migrate mask and slack: the wave's accesses reach the threshold.
+
+    ``slack = td - 1 - c0`` is how many of a block's accesses stay
+    below its threshold; the block migrates when its ``k`` accesses
+    exceed it (``c0 + k >= td``).
+    """
+    slack = td - 1
+    slack -= c0
+    return k > slack, slack
 
 
-def remote_counts(migrate: np.ndarray, td: np.ndarray, c0: np.ndarray,
+def remote_counts(migrate: np.ndarray, slack: np.ndarray,
                   k: np.ndarray) -> np.ndarray:
     """Accesses served remotely per block (all ``k`` for non-migrators).
 
-    Computed *after* fault injection may have flipped entries of
-    ``migrate``, which is why this is a separate kernel from
-    :func:`decide`.
+    A migrator serves its accesses below the threshold remotely, the
+    fault then migrates it: ``max(slack, 0)``, which never exceeds
+    ``k - 1`` because :func:`decide` only sets ``migrate`` where
+    ``slack < k``.  Computed *after* fault injection and pinned-host
+    hints may have cleared entries of ``migrate``, which is why this is
+    a separate kernel.
     """
-    if not migrate.any():
-        return k
-    # np.clip(td - 1 - c0, 0, k - 1) without its dispatch overhead; k >= 1,
-    # so the bounds never cross and the result is the same.
-    r = td - 1
-    r -= c0
-    np.maximum(r, 0, out=r)
-    np.minimum(r, k - 1, out=r)
-    return np.where(migrate, r, k)
+    return np.where(migrate, np.maximum(slack, 0), k)
 
 
 # -- wave grouping and the resident fast path (UvmDriver.process_wave) ------
@@ -131,29 +134,3 @@ def halve_while_gt(counts: np.ndarray, blocks: np.ndarray,
         counts >>= 1
         h += 1
     return h
-
-
-# -- victim selection (uvm.eviction) ----------------------------------------
-
-def lfu_key(heat: np.ndarray, dirty_any: np.ndarray,
-            last_touch: np.ndarray) -> np.ndarray:
-    """(heat bucket, dirty, last_touch) packed into one 64-bit key."""
-    return ((heat << np.int64(33)) | (dirty_any << np.int64(32))
-            | last_touch)
-
-
-# -- prefetch tree bulk ops (uvm.tree) --------------------------------------
-
-def leaf_bits(leaves: np.ndarray) -> np.int64:
-    """Bitmask with the given leaf positions set (leaves < 32)."""
-    bits = 0
-    for leaf in leaves.tolist():
-        bits |= 1 << leaf
-    return np.int64(bits)
-
-
-def tree_bulk_set(tree: np.ndarray, anc: np.ndarray, leaves: np.ndarray,
-                  leaf_base: int, leaf_value: int, delta: int) -> None:
-    """Set distinct leaf slots and propagate ``delta`` up all ancestors."""
-    tree[leaf_base + leaves] = leaf_value
-    np.add.at(tree, anc[leaves].ravel(), delta)

@@ -3,7 +3,8 @@
 The engine is the simulated SM array at wave granularity: it pulls waves
 from each kernel launch, hands them to the UVM driver, converts the
 resulting event counts to cycles with the timing model, and advances the
-global cycle clock.  Kernel launches execute back-to-back, as the
+global cycle clock.  The run's event totals are the driver's own
+(``driver.stats.totals``).  Kernel launches execute back-to-back, as the
 benchmarks in the paper do (``cudaDeviceSynchronize`` between launches).
 """
 
@@ -11,12 +12,12 @@ from __future__ import annotations
 
 from ..gpu.timing import TimingModel, WaveTiming
 from ..stats.collector import StatsCollector
-from ..uvm.driver import UvmDriver, WaveOutcome
+from ..uvm.driver import UvmDriver
 from ..workloads.base import KernelLaunch, Workload
 
 
 class GpuExecutionEngine:
-    """Runs a workload to completion and accumulates cycles and events."""
+    """Runs a workload to completion and accumulates its cycles."""
 
     def __init__(self, driver: UvmDriver, timing: TimingModel,
                  collector: StatsCollector | None = None,
@@ -26,7 +27,6 @@ class GpuExecutionEngine:
         self.collector = collector
         self.cycle = 0.0
         self.total_timing = WaveTiming()
-        self.total_events = WaveOutcome()
         #: Optional :class:`repro.obs.Observability` handle.  The engine
         #: contributes the wave-loop rollups: a wave-cycle histogram and
         #: the PCIe-queue-depth / device-occupancy time series.  All of
@@ -51,7 +51,7 @@ class GpuExecutionEngine:
         process_wave = self.driver.process_wave
         wave_cycles = self.timing.wave_cycles
         merge_timing = self.total_timing.merge
-        merge_events = self.total_events.merge
+        totals = self.driver.stats.totals
         # The global clock advances once per wave; accumulate in a local
         # and publish back to the attribute once per launch (every
         # in-loop consumer below reads the local).
@@ -70,7 +70,6 @@ class GpuExecutionEngine:
                                        wave.counts, wave.grouped)
             t = wave_cycles(outcome, wave.compute_cycles)
             merge_timing(t)
-            merge_events(outcome)
             cycle += t.total
             kernel_cycles += t.total
             kernel_accesses += outcome.n_accesses
@@ -89,8 +88,7 @@ class GpuExecutionEngine:
                 collector.on_timeline(
                     cycle, self.driver.device.used_blocks,
                     self.driver.device.capacity_blocks,
-                    self.total_events.fault_events,
-                    self.total_events.thrash_migrations)
+                    totals.fault_events, totals.thrash_migrations)
         self.cycle = cycle
         if collector is not None:
             collector.on_kernel_end(launch.name, kernel_cycles,

@@ -36,15 +36,18 @@ class WaveTiming:
     total: float = 0.0
 
     def merge(self, other: "WaveTiming") -> None:
-        """Accumulate ``other`` into this breakdown."""
-        for f in _WAVE_TIMING_FIELDS:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+        """Accumulate ``other`` into this breakdown.
 
-
-#: Field names of :class:`WaveTiming`, precomputed once: ``merge`` runs
-#: once per wave on the hot path.
-_WAVE_TIMING_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in WaveTiming.__dataclass_fields__.values())
+        Runs once per wave, so it is field-unrolled like
+        :meth:`repro.uvm.driver.WaveOutcome.merge`.
+        """
+        self.compute += other.compute
+        self.local += other.local
+        self.remote += other.remote
+        self.fault_handling += other.fault_handling
+        self.migration += other.migration
+        self.writeback += other.writeback
+        self.total += other.total
 
 
 class TimingModel:
@@ -95,8 +98,13 @@ class TimingModel:
 
         The serve hot loop charges a single scalar per wave, so it
         skips the :class:`WaveTiming` construction and field writes.
-        Identical arithmetic and PCIe byte-accounting side effects as
-        :meth:`wave_cycles` (pinned equal by test).
+        It has the same terms and the same PCIe byte-accounting side
+        effects as :meth:`wave_cycles`, but not the same order of
+        addition: it sums the stall terms first and adds them to the
+        max term once, where :meth:`wave_cycles` adds them to it one at
+        a time.  The two totals can therefore differ in the last bits
+        (relatively by far less than 1e-12; a property test bounds it),
+        and serve's results depend on this order.
         """
         tcfg = self.config.timing
         if compute_cycles is None:

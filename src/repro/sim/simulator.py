@@ -114,9 +114,10 @@ class Simulator:
             config=config,
             total_cycles=total,
             timing=engine.total_timing,
-            events=engine.total_events,
+            events=driver.stats.totals,
             stats=collector,
             footprint_bytes=vas.footprint_bytes,
             device_capacity_bytes=driver.device.capacity_bytes,
-            unique_thrashed_blocks=len(driver.stats.thrashed_block_ids),
+            unique_thrashed_blocks=int(np.count_nonzero(
+                driver.stats.thrashed)),
         )

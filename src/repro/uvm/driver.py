@@ -26,7 +26,7 @@ import numpy as np
 
 from ..accel import kernels as _py_kernels
 from ..accel import resolve_backend
-from ..config import EvictionGranularity, SimulationConfig
+from ..config import EvictionGranularity, ReplacementPolicy, SimulationConfig
 from ..memory.advice import Advice
 from ..core.policy import DecisionPolicy, make_policy
 from ..memory import layout
@@ -36,7 +36,8 @@ from ..memory.host import HostMemory
 from ..obs.events import Eviction, FaultRetry, MigrationDecision, PrefetchExpand
 from ..workloads.base import default_counts
 from .counters import AccessCounterFile
-from .eviction import ChunkDirectory, select_victims
+from .eviction import (BUCKET_SHIFT, DIRTY, KEY_MAX, PARTIAL, PINNED,
+                       ChunkDirectory, heat_bucket, select_victims)
 from .faults import FaultInjector
 from .prefetchers import TreePrefetchStrategy, make_prefetcher
 from .residency import ResidencyMap
@@ -127,8 +128,10 @@ class DriverCounters:
     #: Waves resolved entirely by the resident fast path (every accessed
     #: block already device-resident: counter add + LRU touch only).
     fast_path_waves: int = 0
-    #: Blocks that have thrashed (been re-migrated) at least once.
-    thrashed_block_ids: set[int] = field(default_factory=set)
+    #: Per block: whether it has thrashed (been re-migrated) at least
+    #: once.  The driver sizes it to its VA space.
+    thrashed: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool))
 
 
 def group_wave(blocks: np.ndarray, is_write: np.ndarray, counts: np.ndarray,
@@ -202,7 +205,7 @@ class UvmDriver:
         )
         self.directory = ChunkDirectory(vas.chunks, total_blocks)
         self.trees: list[PrefetchTree] = [
-            PrefetchTree(span.num_blocks, kernels=self._kern)
+            PrefetchTree(span.num_blocks)
             for span in vas.chunks
         ]
         #: Whether a block has ever been device-resident (drives the
@@ -236,13 +239,18 @@ class UvmDriver:
         self.attribution = None
         #: Re-verify accounting invariants after every wave (slow).
         self.debug_invariants = config.debug_invariants
-        self.stats = DriverCounters()
+        self.stats = DriverCounters(
+            thrashed=np.zeros(total_blocks, dtype=bool))
         self._clock = 0  # logical LRU timestamp, bumped per wave
-        # Per-wave LFU victim-ordering caches: per-chunk resident heat
-        # sums and any-dirty flags, built lazily at the wave's first
-        # pressure event and updated incrementally on install/evict.
-        self._heat_sum: np.ndarray | None = None
-        self._dirty_cache: np.ndarray | None = None
+        # The wave's victim key (ChunkDirectory.victim_key), built at
+        # its first pressure event with the wave's pinned mask, and kept
+        # current by every install and eviction until the next wave.
+        self._victim_key: np.ndarray | None = None
+        self._key_pinned: np.ndarray | None = None
+        #: Under LFU, the per-chunk resident heat sums behind the key's
+        #: buckets (python floats); None under LRU or with no live key.
+        self._heat_sum: list[float] | None = None
+        self._chunk_sizes: list[int] = self.directory.num_blocks.tolist()
 
     # ------------------------------------------------------------------
     # wave processing
@@ -332,8 +340,8 @@ class UvmDriver:
     def _begin_wave(self) -> None:
         """Per-wave state every non-empty wave starts from."""
         self._clock += 1
+        self._victim_key = None
         self._heat_sum = None
-        self._dirty_cache = None
         if self._bus is not None:
             # Wave context for every event emitted below this frame.
             self._bus.wave = self.stats.waves
@@ -367,16 +375,14 @@ class UvmDriver:
                          totals: np.ndarray, w_counts: np.ndarray,
                          res_mask: np.ndarray) -> WaveOutcome:
         """The full pipeline over a grouped wave and its resident mask."""
-        # LRU touch + warp pinning for every addressed chunk.  The chunk
-        # ids of sorted unique blocks are non-decreasing (chunks are laid
-        # out in block order), so run compression replaces np.unique.
-        touched_chunks = self.directory.chunk_of_block[ublocks]
-        touched_chunks = touched_chunks[np.concatenate(
-            ([True], touched_chunks[1:] != touched_chunks[:-1]))]
-        touched_chunks = touched_chunks[touched_chunks >= 0]
-        self.directory.touch(touched_chunks, self._clock)
-        pinned = np.zeros(self.directory.num_chunks, dtype=bool)
-        pinned[touched_chunks] = True
+        # LRU touch + warp pinning for every addressed chunk: one scatter
+        # of the chunk ids, whose spare last slot absorbs the -1 of
+        # blocks in alignment gaps.
+        directory = self.directory
+        addressed = np.zeros(directory.num_chunks + 1, dtype=bool)
+        addressed[directory.chunk_of_block[ublocks]] = True
+        pinned = addressed[:-1]
+        directory.last_touch[pinned] = self._clock
 
         # -- resident blocks: local service ------------------------------
         out.n_local += int(totals[res_mask].sum())
@@ -390,6 +396,9 @@ class UvmDriver:
         if nr.any():
             self._handle_far_accesses(ublocks[nr], totals[nr], w_counts[nr],
                                       pinned, out)
+            if self.debug_invariants and self._victim_key is not None:
+                # Before the counter add below moves the LFU heat.
+                self._check_victim_key()
 
         # Historic counters track local and remote accesses alike (Sec. IV).
         # Grouped blocks are distinct, so the plain fancy add applies.
@@ -442,7 +451,7 @@ class UvmDriver:
         are materialized only when an event sink is actually attached.
         """
         td, c0 = self._decision_state(nrb)
-        migrate = self._kern.decide(c0, k, td)
+        migrate, slack = self._kern.decide(c0, k, td)
         if self._has_pinned:
             pinned_host = self.block_pinned_host[nrb]
             if pinned_host.any():
@@ -453,7 +462,7 @@ class UvmDriver:
         # blocks below); surviving retries charge backoff to the wave.
         if (self.injector is not None and self.injector.enabled
                 and migrate.any()):
-            self._inject_migration_faults(nrb, k, c0, td, migrate, out)
+            self._inject_migration_faults(nrb, k, slack, migrate, out)
 
         bus = self._bus
         if bus is not None and bus.enabled:
@@ -465,7 +474,7 @@ class UvmDriver:
                                            migrated=m))
 
         # Accesses served remotely before a (possible) migration trigger.
-        remote = self._kern.remote_counts(migrate, td, c0, k)
+        remote = self._kern.remote_counts(migrate, slack, k)
         out.n_remote += int(remote.sum())
         # Volta hardware counters see every remote access (``nrb`` is
         # duplicate-free: a subset of the wave's grouped blocks).
@@ -474,8 +483,8 @@ class UvmDriver:
         # Blocks that stay host-pinned get (or keep) a remote mapping.
         staying = nrb[~migrate]
         if staying.size:
-            fresh = staying[~self.host.remote_mapped[staying]]
-            out.mapping_faults += int(fresh.size)
+            out.mapping_faults += staying.size - int(np.count_nonzero(
+                self.host.remote_mapped[staying]))
             self.host.map_remote(staying)
 
         # Migrations drain in arrival order so prefetch and eviction
@@ -509,14 +518,14 @@ class UvmDriver:
         return td, c0
 
     def _inject_migration_faults(self, nrb: np.ndarray, k: np.ndarray,
-                                 c0: np.ndarray, td: np.ndarray,
-                                 migrate: np.ndarray,
+                                 slack: np.ndarray, migrate: np.ndarray,
                                  out: WaveOutcome) -> None:
         """Draw fault outcomes for every would-be migration, in order.
 
         Mutates ``migrate`` in place: blocks whose migration failed past
         the retry budget are flipped to the remote path.  Draw order is
         wave order, so results are a pure function of the run seed.
+        ``slack`` is :func:`repro.accel.kernels.decide`'s.
         """
         fcfg = self.config.faults
         injector = self.injector
@@ -530,8 +539,9 @@ class UvmDriver:
             if not ok:
                 migrate[i] = False
                 # The accesses that would have hit device memory after
-                # the migration stay on the remote zero-copy path.
-                would_remote = int(min(max(td[i] - 1 - c0[i], 0), k[i] - 1))
+                # the migration stay on the remote zero-copy path (a
+                # migrating block has ``slack < k``).
+                would_remote = max(int(slack[i]), 0)
                 out.degraded_accesses += int(k[i]) - would_remote
             if bus_on and (failures or not ok):
                 bus.emit(FaultRetry(wave=bus.wave, block=int(nrb[i]),
@@ -572,10 +582,17 @@ class UvmDriver:
 
         def flush() -> None:
             if pending:
-                blocks = np.array(list(chain.from_iterable(pending.values())),
-                                  dtype=np.int64)
-                self._install(blocks, list(pending),
-                              [len(blks) for blks in pending.values()], out)
+                if len(pending) == 1:
+                    (cid, blks), = pending.items()
+                    self._install(np.array(blks, dtype=np.int64), [cid],
+                                  [len(blks)], out)
+                else:
+                    blocks = np.array(
+                        list(chain.from_iterable(pending.values())),
+                        dtype=np.int64)
+                    self._install(blocks, list(pending),
+                                  [len(blks) for blks in pending.values()],
+                                  out)
                 pending.clear()
                 pending_set.clear()
             if pending_dirty:
@@ -687,27 +704,80 @@ class UvmDriver:
         # Installs land in chunks the wave touched (a fault's own chunk),
         # so their LRU position is already this wave's.
         occupancy = self.directory.occupancy
-        for cid, n in zip(cids, sizes):
-            occupancy[cid] += n
-        if self._heat_sum is not None:
-            # Newly resident blocks contribute their heat to their chunk.
-            self._heat_sum[cids] += np.add.reduceat(
-                counters.counts[blocks],
-                list(accumulate(sizes[:-1], initial=0)))
+        key = self._victim_key
+        if key is None:
+            for cid, n in zip(cids, sizes):
+                occupancy[cid] += n
+        else:
+            heat = self._heat_sum
+            if heat is not None:
+                # Newly resident blocks contribute their heat to their
+                # chunk.
+                gained = counters.counts[blocks]
+                if len(cids) == 1:
+                    heat[cids[0]] += float(gained.sum())
+                else:
+                    starts = list(accumulate(sizes[:-1], initial=0))
+                    for cid, h in zip(
+                            cids, np.add.reduceat(gained, starts).tolist()):
+                        heat[cid] += h
+            for cid, n in zip(cids, sizes):
+                occ = int(occupancy[cid]) + n
+                occupancy[cid] = occ
+                # New blocks are clean: the chunk keeps its dirty flag.
+                entry = int(key[cid])
+                self._rekey(cid, occ,
+                            0 if entry == KEY_MAX else entry & DIRTY)
         if counters.has_roundtrips:
             thrashy = blocks[counters.roundtrips[blocks] > 0]
             if thrashy.size:
                 out.thrash_migrations += int(thrashy.size)
-                self.stats.thrashed_block_ids.update(thrashy.tolist())
+                self.stats.thrashed[thrashy] = True
                 if self.attribution is not None:
                     self.attribution.on_thrash(thrashy)
 
     def _note_dirty(self, blocks: np.ndarray) -> None:
-        """Mark blocks dirty, keeping the LFU dirty cache in sync."""
+        """Mark blocks dirty, setting the LFU dirty bit of their chunks."""
         self.residency.mark_dirty(blocks)
-        if self._dirty_cache is not None:
-            # Duplicate chunk ids are harmless for a boolean set.
-            self._dirty_cache[self.directory.chunk_of_block[blocks]] = True
+        if self._heat_sum is not None:
+            # Dirty blocks are resident, so their chunks are populated
+            # (an unpopulated chunk's KEY_MAX has the bit set anyway).
+            self._victim_key[self.directory.chunk_of_block[blocks]] |= DIRTY
+
+    def _fresh_victim_key(self, pinned: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The victim key built from scratch, and its LFU heat sums.
+
+        The heat sums are ``None`` under LRU.
+        """
+        directory = self.directory
+        policy = self.config.memory.replacement
+        if policy is not ReplacementPolicy.LFU:
+            return directory.victim_key(policy, pinned), None
+        heat = directory.resident_heat(self.counters.counts,
+                                       self.residency.resident)
+        dirty = directory.chunk_dirty(self.residency.dirty)
+        return directory.victim_key(policy, pinned, heat, dirty), heat
+
+    def _rekey(self, cid: int, occ: int, dirty: int) -> None:
+        """Rewrite chunk ``cid``'s entry of the live victim key.
+
+        One chunk's :meth:`ChunkDirectory.victim_key` in plain Python
+        scalars, for occupancy ``occ``; ``dirty`` is ``DIRTY`` or 0,
+        whether any of its resident blocks is dirty (LFU only).
+        """
+        if occ == 0:
+            entry = KEY_MAX
+        else:
+            entry = int(self.directory.last_touch[cid])
+            if self._key_pinned[cid]:
+                entry |= PINNED
+            elif occ < self._chunk_sizes[cid]:
+                entry |= PARTIAL
+            heat = self._heat_sum
+            if heat is not None:
+                entry |= heat_bucket(heat[cid], occ) << BUCKET_SHIFT | dirty
+        self._victim_key[cid] = entry
 
     def _rebuild_tree(self, cid: int) -> None:
         """Resynchronize a chunk's tree with the residency map."""
@@ -745,19 +815,17 @@ class UvmDriver:
         """The eviction path of :meth:`_make_room` (capacity exceeded)."""
         self.device.note_pressure()
         needed = n_blocks - self.device.free_blocks
-        heat = dirty = None
-        if self.config.memory.replacement.value == "lfu":
-            if self._heat_sum is None:
-                self._heat_sum = self.directory.resident_heat(
-                    self.counters.counts, self.residency.resident)
-                self._dirty_cache = self.directory.chunk_dirty(self.residency.dirty)
-            heat = self.directory.heat_buckets_from_sums(self._heat_sum)
-            dirty = self._dirty_cache
+        key = self._victim_key
+        if key is None:
+            # The wave's first pressure event builds the key; installs
+            # and evictions keep it current until the next wave (only
+            # they move occupancy, heat and dirty flags mid-wave, and
+            # ``last_touch`` and ``pinned`` are fixed per wave).
+            key, heat = self._fresh_victim_key(pinned)
+            self._victim_key, self._key_pinned = key, pinned
+            self._heat_sum = None if heat is None else heat.tolist()
         try:
-            victims = select_victims(
-                self.directory, needed, self.config.memory.replacement,
-                pinned, heat=heat, dirty_any=dirty, never=never,
-                kern=self._kern)
+            victims = select_victims(self.directory, needed, key, never)
         except RuntimeError:
             return False
         block_granular = (self.config.memory.eviction_granularity
@@ -788,12 +856,16 @@ class UvmDriver:
         n_dirty = self.residency.evict(victims)
         self.counters.add_roundtrip(victims)
         self.device.release(int(victims.size))
-        self.directory.occupancy[cid] -= int(victims.size)
-        if self._heat_sum is not None:
-            self._heat_sum[cid] -= float(self.counters.counts[victims].sum())
-        if self._dirty_cache is not None:
-            self._dirty_cache[cid] = bool(
-                np.any(self.residency.dirty[chunk_blocks]))
+        occ = int(self.directory.occupancy[cid]) - int(victims.size)
+        self.directory.occupancy[cid] = occ
+        if self._victim_key is not None:
+            dirty = 0
+            if self._heat_sum is not None:
+                self._heat_sum[cid] -= float(
+                    self.counters.counts[victims].sum())
+                if self.residency.dirty[chunk_blocks].any():
+                    dirty = DIRTY
+            self._rekey(cid, occ, dirty)
         out.evicted_chunks += int(victims.size == rblocks.size)
         out.evicted_blocks += int(victims.size)
         out.writeback_blocks += n_dirty
@@ -816,10 +888,10 @@ class UvmDriver:
         self.device.release(int(rblocks.size))
         self.trees[cid].clear()
         self.directory.occupancy[cid] = 0
-        if self._heat_sum is not None:
-            self._heat_sum[cid] = 0.0
-        if self._dirty_cache is not None:
-            self._dirty_cache[cid] = False
+        if self._victim_key is not None:
+            self._victim_key[cid] = KEY_MAX
+            if self._heat_sum is not None:
+                self._heat_sum[cid] = 0.0
         out.evicted_chunks += 1
         out.evicted_blocks += int(rblocks.size)
         out.writeback_blocks += n_dirty
@@ -862,9 +934,9 @@ class UvmDriver:
                 freed += int(rblocks.size)
             self.host.remote_mapped[chunk_blocks] = False
         if freed:
-            # Victim-ordering caches reflect pre-release residency.
+            # The victim key reflects pre-release residency.
+            self._victim_key = None
             self._heat_sum = None
-            self._dirty_cache = None
         return freed, writebacks
 
     # ------------------------------------------------------------------
@@ -899,10 +971,12 @@ class UvmDriver:
 
         The residency map, the device ledger and the chunk occupancies
         agree, the device is not over capacity, and no block is both
-        device-resident and remote-mapped.  Enabled by ``SimulationConfig.debug_invariants`` (or the CLI's
-        ``--debug-invariants``); unlike :meth:`check_consistency` this
-        avoids the per-chunk tree walk so it is affordable per wave, and
-        it pinpoints the first wave at which accounting drifted.
+        device-resident and remote-mapped.  Enabled by
+        ``SimulationConfig.debug_invariants`` (or the CLI's
+        ``--debug-invariants``), together with :meth:`_check_victim_key`;
+        unlike :meth:`check_consistency` this avoids the per-chunk tree
+        walk so it is affordable per wave, and it pinpoints the first
+        wave at which accounting drifted.
         """
         used = self.device.used_blocks
         resident = self.residency.resident_count
@@ -924,6 +998,25 @@ class UvmDriver:
             raise AssertionError(
                 f"wave {self.stats.waves}: block {int(np.argmax(both))} is "
                 f"both device-resident and remote-mapped")
+
+    def _check_victim_key(self) -> None:
+        """The live victim key equals one built from scratch now.
+
+        Part of the ``debug_invariants`` audit, run after a wave's far
+        accesses and before its counter add moves the LFU heat.
+        """
+        key, heat = self._fresh_victim_key(self._key_pinned)
+        stale = np.flatnonzero(self._victim_key != key)
+        if stale.size:
+            cid = int(stale[0])
+            raise AssertionError(
+                f"wave {self.stats.waves}: victim key of chunk {cid} is "
+                f"{int(self._victim_key[cid])}, a fresh build gives "
+                f"{int(key[cid])}")
+        if heat is not None and self._heat_sum != heat.tolist():
+            raise AssertionError(
+                f"wave {self.stats.waves}: LFU heat sums differ from a "
+                f"fresh build")
 
     def check_consistency(self) -> None:
         """Verify cross-structure invariants (used by tests)."""

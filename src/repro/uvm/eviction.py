@@ -14,15 +14,46 @@ Victim ordering:
   coldest aggregate access count first, read-only (clean) chunks before
   dirty ones, ties broken by ``last_touch`` -- which makes the policy
   degenerate to LRU for regular applications whose counters are uniform.
+
+Both orders and the fallback tiers pack into one int64 key per chunk
+(:meth:`ChunkDirectory.victim_key`).  The driver builds it once per wave,
+at the wave's first pressure event, keeps it current as installs and
+evictions change chunks, and :func:`select_victims` only picks from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..accel import kernels as _py_kernels
 from ..config import ReplacementPolicy
 from ..memory.allocation import ChunkSpan
+
+#: Composite victim-key layout, smallest key evicts first.  Bits 0-31
+#: hold ``last_touch`` (the LRU clock counts waves); LFU adds the dirty
+#: flag at bit 32 and the heat bucket from bit 33 up.  The fallback tier
+#: sits above the ordering key: unpinned full chunks (tier 0), then
+#: unpinned partially populated ones, then pinned ones.  Chunks that
+#: cannot be taken (unpopulated) get the int64 maximum.
+DIRTY = 1 << 32
+BUCKET_SHIFT = 33
+PARTIAL = 1 << 61
+PINNED = 2 << 61
+KEY_MAX = (1 << 63) - 1
+
+
+def heat_bucket(heat_sum: float, occupancy: int) -> int:
+    """One chunk's LFU heat bucket, in plain Python scalars.
+
+    The bucket of :meth:`ChunkDirectory.heat_buckets_from_sums`,
+    ``floor(log2(max(heat_sum / max(occupancy, 1), 1)))``, for the
+    driver's per-chunk key updates.  For a density of at least one,
+    ``floor(log2(density))`` is the position of the top bit of
+    ``int(density)``; heat sums are integers and occupancy is at most
+    32, so no density lies close enough below a power of two for
+    ``log2`` to round up to it.
+    """
+    density = heat_sum / max(occupancy, 1)
+    return int(density).bit_length() - 1 if density >= 1.0 else 0
 
 
 class ChunkDirectory:
@@ -64,17 +95,14 @@ class ChunkDirectory:
             self._chunk_blocks[chunk_id] = blocks
         return blocks
 
-    def touch(self, chunk_ids: np.ndarray, now: int) -> None:
-        """Refresh the LRU position of accessed chunks."""
-        self.last_touch[chunk_ids] = now
-
     def resident_heat(self, counters: np.ndarray,
                       resident: np.ndarray) -> np.ndarray:
         """Per-chunk sum of access counts over device-resident blocks.
 
-        The driver builds this once per wave and then maintains it
-        incrementally across installs and evictions (integer-valued
-        float64 arithmetic, so the running sums stay exact).
+        The driver builds this at a wave's first pressure event and then
+        keeps each chunk's sum current across installs and evictions
+        (integer-valued float arithmetic, so the running sums stay
+        exact).
         """
         valid = self._valid_block & resident
         return np.bincount(self.chunk_of_block[valid],
@@ -95,7 +123,8 @@ class ChunkDirectory:
         Comparing raw sums would break ties on incidental mid-sweep count
         skew, so chunks are ranked by the binary order of magnitude of
         their mean per-block access count; within a bucket the LRU
-        timestamp decides.
+        timestamp decides.  :func:`heat_bucket` is the same bucket for
+        one chunk in plain Python scalars.
         """
         density = heat_sum / np.maximum(self.occupancy, 1)
         return np.floor(np.log2(np.maximum(density, 1.0))).astype(np.int64)
@@ -108,85 +137,80 @@ class ChunkDirectory:
                              minlength=self.num_chunks)
         return counts > 0
 
+    def victim_key(self, policy: ReplacementPolicy, pinned: np.ndarray,
+                   heat_sum: np.ndarray | None = None,
+                   dirty_any: np.ndarray | None = None) -> np.ndarray:
+        """Per-chunk composite eviction key, smallest evicts first.
 
-_I64_MAX = np.int64(np.iinfo(np.int64).max)
+        Each chunk's fallback tier (``pinned`` chunks are addressed by
+        the scheduled warps) sits above its ordering key, in the layout
+        of :data:`KEY_MAX` and friends.  LRU orders by ``last_touch``.
+        LFU packs (heat bucket, dirty, ``last_touch``) into the key
+        instead of a three-pass lexsort: the bucket of ``heat_sum``
+        (:meth:`heat_buckets_from_sums`) is the primary key, clean
+        chunks (``dirty_any`` false) go before dirty ones, and
+        ``last_touch`` breaks ties.  Unpopulated chunks get
+        :data:`KEY_MAX`.
 
-#: Fallback tiers, packed above the ordering key (which stays below bit
-#: 61: LFU buckets and the LRU clock are small): unpinned full chunks
-#: (tier 0), then unpinned partially populated ones, then pinned ones.
-_PARTIAL = np.int64(1 << 61)
-_PINNED = np.int64(2 << 61)
-
-
-def _victim_key(directory: ChunkDirectory,
-                policy: ReplacementPolicy,
-                heat: np.ndarray | None,
-                dirty_any: np.ndarray | None,
-                kern) -> np.ndarray:
-    """Per-chunk eviction-ordering key, smallest evicts first.
-
-    LFU packs (heat bucket, dirty, last_touch) into one 64-bit composite
-    instead of a three-pass lexsort: heat buckets are small non-negative
-    ints and the LRU clock counts waves, so heat is the primary key and
-    ``last_touch`` breaks ties.  LRU is just ``last_touch``.
-    """
-    if policy is ReplacementPolicy.LFU:
-        if heat is None or dirty_any is None:
-            raise ValueError("LFU selection needs heat and dirty information")
-        return kern.lfu_key(heat, dirty_any, directory.last_touch)
-    return directory.last_touch
+        The driver calls this once per wave, at the wave's first
+        pressure event, and then rewrites single entries as chunks
+        change; :func:`select_victims` picks from the result.
+        """
+        occ = self.occupancy
+        key = (occ < self.num_blocks) * PARTIAL
+        key[pinned] = PINNED
+        if policy is ReplacementPolicy.LFU:
+            if heat_sum is None or dirty_any is None:
+                raise ValueError(
+                    "LFU selection needs heat and dirty information")
+            key |= self.heat_buckets_from_sums(heat_sum) << BUCKET_SHIFT
+            key |= dirty_any * DIRTY
+        key |= self.last_touch
+        key[occ == 0] = KEY_MAX
+        return key
 
 
 def select_victims(directory: ChunkDirectory,
                    needed_blocks: int,
-                   policy: ReplacementPolicy,
-                   pinned: np.ndarray,
-                   heat: np.ndarray | None = None,
-                   dirty_any: np.ndarray | None = None,
-                   never: int | None = None,
-                   kern=None) -> list[int]:
+                   key: np.ndarray,
+                   never: int | None = None) -> list[int]:
     """Choose chunks to evict until ``needed_blocks`` frames are freed.
 
-    ``pinned`` chunks (addressed by scheduled warps) are avoided but may
-    be reclaimed as a last resort; chunk ``never`` (the chunk a
+    ``key`` is the per-chunk composite key of
+    :meth:`ChunkDirectory.victim_key`; chunk ``never`` (the chunk a
     migration is currently filling) is excluded unconditionally.
-
-    Every chunk gets one composite int64 key: its fallback tier in the
-    high bits above the LRU/LFU ordering key, and int64 max for chunks
-    that cannot be taken (unpopulated, or ``never``).  Victims are the
-    shortest prefix of the stably sorted keys whose occupancy covers the
-    deficit, so a one-frame deficit -- the common case, a single fault
-    block needing room -- is one argmin (first occurrence, as in the
-    stable sort).
-
-    ``kern`` selects the backend kernel namespace for the LFU key
-    (:mod:`repro.accel`; default: numpy reference).
+    Victims are the shortest prefix of the stably sorted keys whose
+    occupancy covers the deficit, so a one-frame deficit -- the common
+    case, a single fault block needing room -- is one argmin (first
+    occurrence, as in the stable sort).  ``key`` is left as it was.
 
     Returns chunk ids in eviction order.  Raises ``RuntimeError`` if even
     evicting everything cannot free enough space (capacity misconfigured).
     """
     if needed_blocks <= 0:
         return []
-    if kern is None:
-        kern = _py_kernels
-    occ = directory.occupancy
-    key = (occ < directory.num_blocks) * _PARTIAL
-    key[pinned] = _PINNED
-    key |= _victim_key(directory, policy, heat, dirty_any, kern)
-    key[occ == 0] = _I64_MAX
-    if never is not None:
-        key[never] = _I64_MAX
-
     if needed_blocks == 1:
-        victim = int(key.argmin())
-        if key[victim] == _I64_MAX:
+        if never is None:
+            victim = int(key.argmin())
+            best = key[victim]
+        else:
+            held = key[never]
+            key[never] = KEY_MAX
+            victim = int(key.argmin())
+            best = key[victim]
+            key[never] = held
+        if best == KEY_MAX:
             raise RuntimeError("cannot free 1 block: nothing resident")
         return [victim]
 
+    key = key.copy()
+    if never is not None:
+        key[never] = KEY_MAX
+    occ = directory.occupancy
     order = key.argsort(kind="stable")
     cut = int(occ[order].cumsum().searchsorted(needed_blocks))
-    if cut == order.size or key[order[cut]] == _I64_MAX:
-        freed = int(occ[key != _I64_MAX].sum())
+    if cut == order.size or key[order[cut]] == KEY_MAX:
+        freed = int(occ[key != KEY_MAX].sum())
         raise RuntimeError(
             f"cannot free {needed_blocks} blocks: only {freed} resident"
         )

@@ -11,16 +11,20 @@ only:
   ``_migrate_block`` makes room for, prefetches around and installs
   each fault block on its own, where production's drain batches the
   installs and flushes them in one pass.  It chooses victims with
-  :func:`reference_select_victims`, fed a per-wave cached LRU order,
-  and its chunks are :class:`ReferenceTree` instances.  Its batches
+  :func:`reference_select_victims`, fed a per-wave cached LRU order or
+  LFU heat and dirty flags computed from scratch at every choice (where
+  production builds one victim key per wave and keeps it current), and
+  its chunks are :class:`ReferenceTree` instances.  Its batches
   run production's
   :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`, the same
   per-wave loop over its own pipeline.
 * :func:`reference_select_victims` walks the fallback tiers (unpinned
   full, unpinned partial, pinned) one after another, each with its own
   mask, where production's ``select_victims`` sorts one composite key.
-* :class:`ReferenceTree` runs the >50% balancing walk on every fault,
-  where production's ``PrefetchTree.on_fault`` memoizes it.
+* :class:`ReferenceTree` keeps the heap of per-node occupancy counts
+  that mirrors the hardware structure and runs the >50% balancing walk
+  over it on every fault, where production's ``PrefetchTree`` holds a
+  leaf bitmask and memoizes the walk.
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
   on a :class:`ReferenceDriver`, so serve output can be compared with
   a session whose every wave takes the full pipeline.
@@ -42,17 +46,16 @@ selector.
 
 from __future__ import annotations
 
+import operator
 from unittest import mock
 
 import numpy as np
 
 import repro.serve.session as serve_session
-from repro.accel import kernels as _py_kernels
-from repro.config import EvictionGranularity
+from repro.config import EvictionGranularity, ReplacementPolicy
 from repro.obs.events import PrefetchExpand
 from repro.uvm.driver import UvmDriver, WaveOutcome, group_wave
-from repro.uvm.eviction import _victim_key
-from repro.uvm.tree import _NO_PREFETCH, PrefetchTree, _tables
+from repro.uvm.tree import _NO_PREFETCH
 from repro.workloads.base import KernelLaunch, WaveBuilder
 from repro.workloads.bfs import Bfs
 from repro.workloads.graphs import CsrGraph
@@ -64,20 +67,33 @@ from repro.workloads.util import (SECTORS_PER_PAGE, coalesced_page_offsets,
 _I64_MAX = np.int64(np.iinfo(np.int64).max)
 
 
+def _order_key(directory, policy, heat, dirty_any) -> np.ndarray:
+    """Per-chunk ordering key, smallest evicts first: ``last_touch`` for
+    LRU; for LFU the heat bucket, then clean before dirty, then
+    ``last_touch``, packed into one int64."""
+    if policy is not ReplacementPolicy.LFU:
+        return directory.last_touch
+    if heat is None or dirty_any is None:
+        raise ValueError("LFU selection needs heat and dirty information")
+    return ((heat << 33) | (dirty_any.astype(np.int64) << 32)
+            | directory.last_touch)
+
+
 def reference_select_victims(directory, needed_blocks, policy, pinned,
                              heat=None, dirty_any=None, never=None,
-                             order=None, kern=None) -> list[int]:
+                             order=None) -> list[int]:
     """Victim selection as a cascade over the fallback tiers.
 
-    ``never`` is a per-chunk mask of chunks that are never victims, and
-    ``order`` optionally a precomputed stable argsort of the ordering
-    key (the LRU order a driver caches per wave).  Same contract as
-    :func:`repro.uvm.eviction.select_victims` otherwise.
+    ``heat`` holds each chunk's LFU heat bucket and ``dirty_any``
+    whether any of its resident blocks is dirty (LFU only).  ``never``
+    is a per-chunk mask of chunks that are never victims, and ``order``
+    optionally a precomputed stable argsort of the ordering key (the LRU
+    order a driver caches per wave).  Picks what
+    :func:`repro.uvm.eviction.select_victims` picks from the
+    directory's composite key, or fails with the same error.
     """
     if needed_blocks <= 0:
         return []
-    if kern is None:
-        kern = _py_kernels
     occ = directory.occupancy
     populated = occ > 0
     if never is not None:
@@ -85,7 +101,7 @@ def reference_select_victims(directory, needed_blocks, policy, pinned,
     full = occ == directory.num_blocks
 
     if needed_blocks == 1:
-        key = _victim_key(directory, policy, heat, dirty_any, kern)
+        key = _order_key(directory, policy, heat, dirty_any)
         unpinned = populated & ~pinned
         tier = unpinned & full
         if not tier.any():
@@ -97,7 +113,7 @@ def reference_select_victims(directory, needed_blocks, policy, pinned,
         return [int(np.argmin(np.where(tier, key, _I64_MAX)))]
 
     if order is None:
-        key = _victim_key(directory, policy, heat, dirty_any, kern)
+        key = _order_key(directory, policy, heat, dirty_any)
         order = np.argsort(key, kind="stable")
     victims: list[int] = []
     chosen = np.zeros(directory.num_chunks, dtype=bool)
@@ -123,35 +139,127 @@ def reference_select_victims(directory, needed_blocks, policy, pinned,
     return victims
 
 
-class ReferenceTree(PrefetchTree):
-    """A prefetch tree that walks its ancestors on every fault."""
+class ReferenceTree:
+    """A prefetch tree kept as a heap of occupancy counts.
 
-    __slots__ = ()
+    Node ``i`` has children ``2i+1`` and ``2i+2``; the leaves occupy
+    heap indices ``[num_leaves-1, 2*num_leaves-1)`` and every internal
+    node counts the resident leaves below it, as the hardware structure
+    does.  A fault walks the counts from its leaf's parent to the root.
+    Same interface and errors as :class:`repro.uvm.tree.PrefetchTree`;
+    :attr:`_mask` derives that tree's leaf bitmask from the heap.
+    """
 
-    def on_fault(self, leaf: int) -> np.ndarray:
+    def __init__(self, num_leaves: int) -> None:
+        if num_leaves < 1 or num_leaves & (num_leaves - 1):
+            raise ValueError(
+                f"num_leaves must be a power of two, got {num_leaves}")
+        self.num_leaves = num_leaves
+        self._tree = np.zeros(2 * num_leaves - 1, dtype=np.int32)
+
+    @property
+    def _mask(self) -> int:
+        mask = 0
+        for leaf in self.resident_leaves().tolist():
+            mask |= 1 << leaf
+        return mask
+
+    @property
+    def occupancy(self) -> int:
+        return int(self._tree[0])
+
+    def resident_leaves(self) -> np.ndarray:
+        return np.flatnonzero(self._tree[self.num_leaves - 1:]).astype(
+            np.int64)
+
+    def is_resident(self, leaf: int) -> bool:
+        self._check_leaf(leaf)
+        return bool(self._tree[self.num_leaves - 1 + leaf])
+
+    def _check_leaf(self, leaf: int) -> None:
         if not 0 <= leaf < self.num_leaves:
             raise IndexError(
                 f"leaf {leaf} outside chunk of {self.num_leaves} leaves")
-        bit = 1 << leaf
-        mask = self._mask
-        if mask & bit:
+
+    def _add(self, leaf: int, delta: int) -> None:
+        """Add ``delta`` to a leaf and every ancestor up to the root."""
+        node = self.num_leaves - 1 + leaf
+        self._tree[node] += delta
+        while node:
+            node = (node - 1) // 2
+            self._tree[node] += delta
+
+    def clear(self) -> None:
+        self._tree[:] = 0
+
+    def mark_resident(self, leaf: int) -> None:
+        self._check_leaf(leaf)
+        if self._tree[self.num_leaves - 1 + leaf]:
             raise RuntimeError(f"leaf {leaf} already resident")
-        mask |= bit
-        self._counts_valid = False
+        self._add(leaf, 1)
+
+    def remove(self, leaf: int) -> None:
+        self._check_leaf(leaf)
+        if not self._tree[self.num_leaves - 1 + leaf]:
+            raise RuntimeError(f"leaf {leaf} is not resident")
+        self._add(leaf, -1)
+
+    def _batch(self, leaves) -> list[int]:
+        leaves = np.asarray(leaves, dtype=np.int64)
+        if leaves.size and (leaves.min() < 0
+                            or leaves.max() >= self.num_leaves):
+            raise IndexError(
+                f"leaves outside chunk of {self.num_leaves} leaves")
+        return leaves.tolist()
+
+    def install_leaves(self, leaves) -> None:
+        leaves = self._batch(leaves)
+        if any(self._tree[self.num_leaves - 1 + leaf] for leaf in leaves):
+            raise RuntimeError("bulk install of an already-resident leaf")
+        for leaf in leaves:
+            self._add(leaf, 1)
+
+    def remove_leaves(self, leaves) -> None:
+        leaves = self._batch(leaves)
+        if not all(self._tree[self.num_leaves - 1 + leaf]
+                   for leaf in leaves):
+            raise RuntimeError("bulk removal of a non-resident leaf")
+        for leaf in leaves:
+            self._add(leaf, -1)
+
+    def on_fault(self, leaf: int) -> np.ndarray:
+        leaf = operator.index(leaf)
+        self._check_leaf(leaf)
+        base = self.num_leaves - 1
+        if self._tree[base + leaf]:
+            raise RuntimeError(f"leaf {leaf} already resident")
+        self._add(leaf, 1)
         prefetched: list[int] = []
-        for submask, half in _tables(self.num_leaves)[1][leaf]:
-            if (mask & submask).bit_count() > half:
-                absent = submask & ~mask
-                if absent:
-                    mask |= absent
-                    while absent:
-                        low = absent & -absent
-                        prefetched.append(low.bit_length() - 1)
-                        absent ^= low
-        self._mask = mask
+        node, span = base + leaf, 1
+        while node:
+            node = (node - 1) // 2
+            span *= 2
+            if self._tree[node] > span // 2:
+                first = node
+                while first < base:
+                    first = 2 * first + 1
+                for absent in range(first - base, first - base + span):
+                    if not self._tree[base + absent]:
+                        self._add(absent, 1)
+                        prefetched.append(absent)
         if not prefetched:
             return _NO_PREFETCH
         return np.array(prefetched, dtype=np.int64)
+
+    def check_invariants(self) -> None:
+        """Internal-node counts equal the sum of their children."""
+        tree = self._tree
+        for node in range(self.num_leaves - 1):
+            if tree[node] != tree[2 * node + 1] + tree[2 * node + 2]:
+                raise AssertionError(f"occupancy mismatch at node {node}")
+        leaves = tree[self.num_leaves - 1:]
+        if not np.all((leaves == 0) | (leaves == 1)):
+            raise AssertionError("leaf occupancy must be 0 or 1")
 
 
 class ReferenceDriver(UvmDriver):
@@ -159,8 +267,7 @@ class ReferenceDriver(UvmDriver):
 
     def __init__(self, vas, config, obs=None) -> None:
         super().__init__(vas, config, obs=obs)
-        self.trees = [ReferenceTree(span.num_blocks, kernels=self._kern)
-                      for span in vas.chunks]
+        self.trees = [ReferenceTree(span.num_blocks) for span in vas.chunks]
         # Per-wave LRU victim order: ``last_touch`` only moves at the
         # start of a wave (installs land in chunks the wave touched), so
         # the argsort is computed at most once per wave.
@@ -185,16 +292,12 @@ class ReferenceDriver(UvmDriver):
         out = WaveOutcome(n_accesses=int(totals.sum()))
         if ublocks.size == 0:
             return out
-        self._clock += 1
-        self._heat_sum = None
-        self._dirty_cache = None
+        self._begin_wave()
         self._lru_order = None
-        if self._bus is not None:
-            self._bus.wave = self.stats.waves
 
         touched_chunks = np.unique(self.directory.chunk_of_block[ublocks])
         touched_chunks = touched_chunks[touched_chunks >= 0]
-        self.directory.touch(touched_chunks, self._clock)
+        self.directory.last_touch[touched_chunks] = self._clock
         pinned = np.zeros(self.directory.num_chunks, dtype=bool)
         pinned[touched_chunks] = True
 
@@ -250,14 +353,11 @@ class ReferenceDriver(UvmDriver):
         self.device.note_pressure()
         needed = n_blocks - self.device.free_blocks
         heat = dirty = order = None
-        if self.config.memory.replacement.value == "lfu":
-            if self._heat_sum is None:
-                self._heat_sum = self.directory.resident_heat(
-                    self.counters.counts, self.residency.resident)
-                self._dirty_cache = self.directory.chunk_dirty(
-                    self.residency.dirty)
-            heat = self.directory.heat_buckets_from_sums(self._heat_sum)
-            dirty = self._dirty_cache
+        if self.config.memory.replacement is ReplacementPolicy.LFU:
+            heat = self.directory.heat_buckets_from_sums(
+                self.directory.resident_heat(self.counters.counts,
+                                             self.residency.resident))
+            dirty = self.directory.chunk_dirty(self.residency.dirty)
         else:
             if self._lru_order is None:
                 self._lru_order = np.argsort(self.directory.last_touch,
@@ -269,7 +369,7 @@ class ReferenceDriver(UvmDriver):
             victims = reference_select_victims(
                 self.directory, needed, self.config.memory.replacement,
                 pinned, heat=heat, dirty_any=dirty, never=never_mask,
-                order=order, kern=self._kern)
+                order=order)
         except RuntimeError:
             return False
         block_granular = (self.config.memory.eviction_granularity

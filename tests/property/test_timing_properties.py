@@ -1,0 +1,45 @@
+"""The timing model's scalar wave total against its breakdown.
+
+``TimingModel.wave_total_cycles`` (serve's per-wave charge) and
+``wave_cycles(...).total`` (the engine's) add the same terms in a
+different order, so their totals may differ in the last bits; the PCIe
+byte accounting they both drive must not differ at all.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import GpuConfig, InterconnectConfig, SimulationConfig
+from repro.gpu.timing import TimingModel
+from repro.interconnect.pcie import PcieModel
+from repro.uvm.driver import WaveOutcome
+
+counts = st.integers(0, 1 << 20)
+
+
+@st.composite
+def outcomes(draw):
+    n_local, n_remote = draw(counts), draw(counts)
+    retried = draw(st.one_of(st.just(0), st.integers(1, 64)))
+    return WaveOutcome(
+        n_accesses=n_local + n_remote + draw(counts),
+        n_local=n_local, n_remote=n_remote,
+        fault_migrations=draw(counts), mapping_faults=draw(counts),
+        migrated_blocks=draw(counts), prefetched_blocks=draw(counts),
+        writeback_blocks=draw(counts), retried_transfers=retried,
+        retry_backoff_us=(draw(st.floats(0.0, 1e4)) if retried else 0.0))
+
+
+@given(outcomes(), st.one_of(st.none(), st.floats(0.0, 1e9)))
+@settings(max_examples=500, deadline=None)
+def test_wave_total_agrees_with_breakdown(outcome, compute_cycles):
+    pcie_full = PcieModel(InterconnectConfig(), GpuConfig())
+    pcie_fast = PcieModel(InterconnectConfig(), GpuConfig())
+    full = TimingModel(SimulationConfig(), pcie_full).wave_cycles(
+        outcome, compute_cycles).total
+    fast = TimingModel(SimulationConfig(), pcie_fast).wave_total_cycles(
+        outcome, compute_cycles)
+    assert fast == pytest.approx(full, rel=1e-12, abs=0.0)
+    assert pcie_fast.h2d_bytes == pcie_full.h2d_bytes
+    assert pcie_fast.d2h_bytes == pcie_full.d2h_bytes
+    assert pcie_fast.remote_bytes == pcie_full.remote_bytes

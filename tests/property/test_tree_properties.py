@@ -1,8 +1,9 @@
 """Property-based tests for the tree prefetcher.
 
 Beyond the prefetcher's own rules, random operation sequences pin
-production's memoized fault walk to the oracle's
-(:class:`tests.oracle.ReferenceTree`, which walks on every fault).
+production's memoized fault walk over its leaf bitmask to the oracle's
+(:class:`tests.oracle.ReferenceTree`, a heap of occupancy counts walked
+on every fault), comparing results, errors and masks.
 """
 
 import numpy as np

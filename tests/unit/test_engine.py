@@ -36,7 +36,7 @@ class TestEngine:
         wl = StreamWorkload(size_mb=2, iterations=2)
         engine, _ = make_engine(wl)
         engine.run(wl)
-        assert engine.total_events.n_accesses > 0
+        assert engine.driver.stats.totals.n_accesses > 0
         assert engine.total_timing.total == engine.cycle
 
     def test_kernel_cycles_sum_to_total(self):
@@ -51,4 +51,4 @@ class TestEngine:
         engine.run(wl)
         assert coll.kernels["stream.sweep"].launches == 1
         assert coll.page_reads.sum() + coll.page_writes.sum() == \
-            engine.total_events.n_accesses
+            engine.driver.stats.totals.n_accesses

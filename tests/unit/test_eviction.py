@@ -34,12 +34,6 @@ class TestDirectory:
         d = make_directory((4, 8))
         assert list(d.blocks_of_chunk(1)) == list(range(4, 12))
 
-    def test_touch_updates_timestamp(self):
-        d = make_directory()
-        d.touch(np.array([1]), 42)
-        assert d.last_touch[1] == 42
-        assert d.last_touch[0] == 0
-
     def test_heat_buckets_quantize(self):
         d = make_directory((4, 4))
         d.occupancy[:] = (4, 4)
@@ -90,88 +84,82 @@ class TestVictimSelection:
         d.last_touch[:] = (3, 1, 2, 0)
         return d
 
+    def _lru(self, d, needed, pinned=np.zeros(4, bool), never=None):
+        key = d.victim_key(ReplacementPolicy.LRU, pinned)
+        return select_victims(d, needed, key, never)
+
+    def _lfu(self, d, needed, heat_sum, dirty):
+        key = d.victim_key(ReplacementPolicy.LFU, np.zeros(4, bool),
+                           np.asarray(heat_sum, dtype=np.float64),
+                           np.asarray(dirty))
+        return select_victims(d, needed, key)
+
     def test_zero_needed_returns_empty(self):
         d = self._directory()
-        assert select_victims(d, 0, ReplacementPolicy.LRU,
-                              np.zeros(4, bool)) == []
+        assert self._lru(d, 0) == []
 
     def test_lru_prefers_oldest_full_chunk(self):
         d = self._directory()
-        victims = select_victims(d, 1, ReplacementPolicy.LRU,
-                                 np.zeros(4, bool))
-        assert victims == [1]
+        assert self._lru(d, 1) == [1]
 
     def test_lru_falls_back_to_partial(self):
         d = self._directory()
         d.occupancy[:] = (0, 0, 16, 0)   # no full chunk exists
-        victims = select_victims(d, 1, ReplacementPolicy.LRU,
-                                 np.zeros(4, bool))
-        assert victims == [2]
+        assert self._lru(d, 1) == [2]
 
     def test_pinned_avoided_when_possible(self):
         d = self._directory()
         pinned = np.array([False, True, False, False])
-        victims = select_victims(d, 1, ReplacementPolicy.LRU, pinned)
-        assert victims == [0]  # oldest *unpinned* full chunk
+        assert self._lru(d, 1, pinned) == [0]  # oldest *unpinned* full chunk
 
     def test_pinned_used_as_last_resort(self):
         d = self._directory()
-        pinned = np.ones(4, dtype=bool)
-        victims = select_victims(d, 1, ReplacementPolicy.LRU, pinned)
-        assert victims == [1]
+        assert self._lru(d, 1, np.ones(4, dtype=bool)) == [1]
 
     def test_never_mask_is_absolute(self):
         d = self._directory()
-        victims = select_victims(d, 1, ReplacementPolicy.LRU,
-                                 np.ones(4, bool), never=1)
+        victims = self._lru(d, 1, np.ones(4, bool), never=1)
         assert 1 not in victims
-        victims = select_victims(d, 40, ReplacementPolicy.LRU,
-                                 np.zeros(4, bool), never=1)
+        victims = self._lru(d, 40, never=1)
         assert victims == [0, 2]
         with pytest.raises(RuntimeError, match="only 48 resident"):
-            select_victims(d, 49, ReplacementPolicy.LRU,
-                           np.zeros(4, bool), never=1)
+            self._lru(d, 49, never=1)
+
+    def test_selection_leaves_the_key_as_it_was(self):
+        d = self._directory()
+        key = d.victim_key(ReplacementPolicy.LRU, np.zeros(4, bool))
+        before = key.copy()
+        assert select_victims(d, 1, key, never=1) == [0]
+        assert select_victims(d, 40, key, never=1) == [0, 2]
+        assert np.array_equal(key, before)
 
     def test_accumulates_until_enough(self):
         d = self._directory()
-        victims = select_victims(d, 40, ReplacementPolicy.LRU,
-                                 np.zeros(4, bool))
-        assert victims == [1, 0]  # 32 + 32 >= 40
+        assert self._lru(d, 40) == [1, 0]  # 32 + 32 >= 40
 
     def test_impossible_raises(self):
         d = self._directory()
         with pytest.raises(RuntimeError):
-            select_victims(d, 1000, ReplacementPolicy.LRU,
-                           np.zeros(4, bool))
+            self._lru(d, 1000)
 
     def test_lfu_prefers_cold(self):
         d = self._directory()
-        heat = np.array([0, 10, 0, 0])
-        dirty = np.zeros(4, dtype=bool)
-        victims = select_victims(d, 1, ReplacementPolicy.LFU,
-                                 np.zeros(4, bool), heat=heat,
-                                 dirty_any=dirty)
+        # Chunk 1 averages 1024 accesses per block (bucket 10).
+        victims = self._lfu(d, 1, [0, 32 * 1024, 0, 0], [False] * 4)
         assert victims == [0]  # colder than chunk 1 despite newer touch
 
     def test_lfu_prefers_clean_on_heat_tie(self):
         d = self._directory()
-        heat = np.array([5, 5, 0, 0])
-        dirty = np.array([True, False, False, False])
-        victims = select_victims(d, 1, ReplacementPolicy.LFU,
-                                 np.zeros(4, bool), heat=heat,
-                                 dirty_any=dirty)
+        victims = self._lfu(d, 1, [5 * 32, 5 * 32, 0, 0],
+                            [True, False, False, False])
         assert victims == [1]
 
     def test_lfu_degenerates_to_lru_on_full_tie(self):
         d = self._directory()
-        heat = np.array([5, 5, 0, 0])
-        dirty = np.zeros(4, dtype=bool)
-        victims = select_victims(d, 1, ReplacementPolicy.LFU,
-                                 np.zeros(4, bool), heat=heat,
-                                 dirty_any=dirty)
+        victims = self._lfu(d, 1, [5 * 32, 5 * 32, 0, 0], [False] * 4)
         assert victims == [1]  # older of the two equal-heat chunks
 
     def test_lfu_requires_heat(self):
         d = self._directory()
         with pytest.raises(ValueError):
-            select_victims(d, 1, ReplacementPolicy.LFU, np.zeros(4, bool))
+            d.victim_key(ReplacementPolicy.LFU, np.zeros(4, bool))

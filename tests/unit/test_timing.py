@@ -1,5 +1,7 @@
 """Unit tests for the PCIe and wave timing models."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import GpuConfig, InterconnectConfig, SimulationConfig
@@ -94,8 +96,10 @@ class TestTimingModel:
             1000 * tc.compute_cycles_per_access + tc.wave_overhead_cycles)
 
     def test_wave_total_cycles_matches_breakdown(self, timing):
-        # The scalar fast path must stay in lockstep with wave_cycles,
-        # including PCIe traffic accounting side effects.
+        # On these outcomes the scalar fast path gives wave_cycles'
+        # total exactly, and the same PCIe traffic accounting side
+        # effects.  In general the two add in different orders and may
+        # differ in the last bits (tests/property/test_timing_properties).
         outcomes = [
             WaveOutcome(n_accesses=100, n_local=100),
             WaveOutcome(n_accesses=50, n_local=20, n_remote=30,
@@ -122,6 +126,14 @@ class TestTimingModel:
         b = WaveTiming(compute=10, local=20, total=30)
         a.merge(b)
         assert a.compute == 11 and a.local == 22 and a.total == 33
+
+    def test_merge_adds_every_field(self):
+        fields = [f.name for f in dataclasses.fields(WaveTiming)]
+        a = WaveTiming(**{name: 1.0 for name in fields})
+        a.merge(WaveTiming(**{name: 2.0 ** i
+                              for i, name in enumerate(fields, 1)}))
+        assert [getattr(a, name) for name in fields] == [
+            1.0 + 2.0 ** i for i in range(1, len(fields) + 1)]
 
 
 class TestOutcomeMerge:
