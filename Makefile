@@ -103,14 +103,21 @@ grid-smoke:
 	test -z "$$(ls -A .grid-smoke/tmp)"
 	rm -rf .grid-smoke
 
-# Flags and configs take one route to a simulation: two archived runs
-# that differ in a string config key diff cleanly (text and JSON), a
-# serve config matches the same knobs given as flags, and a bad knob
-# exits with a one-line message instead of a traceback.
+# Flags and configs take one route to a simulation: every command's
+# generated --help renders, two archived runs that differ in a string
+# config key diff cleanly (text and JSON), a serve config matches the
+# same knobs given as flags, and a bad knob or --slo-config value exits
+# with a message instead of a traceback.
 CLI_SMOKE_SERVE = --scale tiny --seed 0 --arrival-rate 400 --tenants 4 \
 	--mix ra,bfs --capacity-mb 16
+CLI_COMMANDS = run compare figure sweep trace "trace record" \
+	"trace replay" serve top inspect runs diff config "config validate" \
+	"config show" list
 cli-smoke:
 	rm -rf .cli-smoke && mkdir .cli-smoke
+	for c in $(CLI_COMMANDS); do \
+		$(PYTHON) -m repro $$c --help > /dev/null || exit 1; \
+	done
 	for p in adaptive always; do \
 		$(PYTHON) -m repro run ra --scale tiny --policy $$p --archive \
 			--runs .cli-smoke > .cli-smoke/run-$$p.txt || exit 1; \
@@ -132,6 +139,12 @@ cli-smoke:
 		assert a == b, "serve --config and its flags disagree"'
 	! $(PYTHON) -m repro run ra --ts 0 2> .cli-smoke/bad-flag.txt
 	! grep -q Traceback .cli-smoke/bad-flag.txt
+	printf 'slo:\n  p99_latency_us: 300\n  fast_windows: 2.5\n' \
+		> .cli-smoke/bad-slo.yaml
+	! $(PYTHON) -m repro serve --scale tiny --tenants 12 \
+		--slo-config .cli-smoke/bad-slo.yaml 2> .cli-smoke/bad-slo.txt
+	grep -q slo.fast_windows .cli-smoke/bad-slo.txt
+	! grep -q Traceback .cli-smoke/bad-slo.txt
 	rm -rf .cli-smoke
 
 # A recorded trace (version 2) hands the driver every wave's grouping; a

@@ -39,14 +39,16 @@ Commands
 ``list``
     Show available workloads, scales, policies and figures.
 
-The simulation flags of ``run``, ``compare``, ``trace replay`` and
-``serve`` are scenario keys: each flag sets one dotted key of the
-scenario schema, and the flags given form a scenario that compiles
-exactly like a YAML one.  ``run``, ``sweep`` and ``serve`` also accept
-declarative YAML scenario configs (``--config scenario.yaml``; for
-``sweep`` additionally ``--config-dir configs/``) -- see the
-``configs/`` library and ``docs/scenarios.md``.  With ``--config``, the
-simulation flags given alongside override the file's keys.  Archived
+The knob flags of ``run``, ``compare``, ``trace replay`` and ``serve``
+are scenario keys: each flag sets one dotted key of the scenario schema
+and is generated from that key's declaration (spelling, type or
+choices, help, documented default), and the flags given form a scenario
+that compiles exactly like a YAML one.  ``run``, ``sweep`` and
+``serve`` also accept declarative YAML scenario configs (``--config
+scenario.yaml``; for ``sweep`` additionally ``--config-dir
+configs/``) -- see the ``configs/`` library and ``docs/scenarios.md``.
+With ``--config``, the knob flags given alongside override the file's
+keys.  Archived
 config-driven runs embed the resolved scenario (flags included) in
 their manifest, so ``repro diff`` explains them by scenario-key deltas.
 
@@ -72,9 +74,10 @@ import contextlib
 import sys
 
 from . import analysis
-from .analysis.parallel import EVICTION_GRANULARITIES
 from .analysis.tables import format_table
-from .config import MigrationPolicy, PrefetcherKind
+from .config import MigrationPolicy
+from .scenario.compile import compiled_default
+from .scenario.schema import SCHEMA, show
 from .sim.simulator import Simulator
 from .workloads import SCALES, make_workload, workload_names
 
@@ -100,7 +103,7 @@ def _scenario(args, command: str, mode: str = "run") -> dict:
     of their own.  With ``--config`` that scenario is deep-merged over
     the loaded one: explicit flags override the file's keys.
     """
-    from .scenario import SCHEMA, deep_merge
+    from .scenario import deep_merge
     from .scenario.schema import unflatten
     flags = unflatten({path: value for path, value in vars(args).items()
                        if path in SCHEMA and value is not None})
@@ -587,30 +590,34 @@ def _print_serve_summary(result) -> None:
 def _load_slo_config(args):
     """Parse ``--slo-config FILE`` into an :class:`SloConfig` or None.
 
-    The file is a YAML mapping of ``slo.*`` keys, either flat
-    (``slo.p99_latency_us: 300``), bare (``p99_latency_us: 300``), or
-    nested under a ``slo:`` section -- the same keys a ``mode: serve``
-    scenario accepts.
+    The file holds the ``slo.*`` keys of a ``mode: serve`` scenario,
+    either nested under a ``slo:`` section, flat
+    (``slo.p99_latency_us: 300``) or bare (``p99_latency_us: 300``).
+    They are checked against the schema and compiled like a scenario's
+    ``slo:`` section, so a bad value is rejected before anything runs.
     """
     path = getattr(args, "slo_config", None)
     if path is None:
         return None
     from pathlib import Path
-    from .obs.live.slo import SloConfig
+    from .scenario import ScenarioError, build_slo_config, check
     from .scenario.loader import _load_yaml
-    from .scenario.schema import ScenarioError
     try:
         data = _load_yaml(Path(path))
     except ScenarioError as exc:
         raise SystemExit(f"repro serve: --slo-config: {exc}") from None
-    if isinstance(data.get("slo"), dict):
-        data = data["slo"]
+    section = data["slo"] if isinstance(data.get("slo"), dict) else {
+        key.removeprefix("slo."): value for key, value in data.items()}
+    scenario = {"mode": "serve", "slo": section}
     try:
-        config = SloConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
+        errors = check(scenario)
+        if errors:
+            raise ValueError("; ".join(errors))
+        config = build_slo_config(scenario)
+    except ValueError as exc:
         raise SystemExit(f"repro serve: --slo-config {path}: "
                          f"{exc}") from None
-    if not config.enabled:
+    if config is None:
         raise SystemExit(f"repro serve: --slo-config {path} sets no "
                          "objective (need at least one of p99_latency_us, "
                          "max_shed_rate, min_throughput)")
@@ -802,85 +809,73 @@ def _workload_arg(name: str) -> str:
     return name
 
 
-def _mix_arg(spec: str) -> list[str]:
-    """Parse ``--mix``: comma-separated workload names."""
-    return [_workload_arg(name.strip())
-            for name in spec.split(",") if name.strip()]
+def _list_arg(key):
+    """The argparse type of a list knob: comma-separated items, each of
+    the key's item type and, when it has choices, one of them."""
+    item = float if float in key.item else str
+
+    def parse(text: str) -> list:
+        try:
+            values = [item(v.strip()) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated numbers, got {text!r}") from None
+        for value in values:
+            if key.choices is not None and value not in key.choices:
+                raise argparse.ArgumentTypeError(
+                    f"unknown value {value!r}; choose from "
+                    f"{', '.join(key.choices)}")
+        return values
+    return parse
 
 
-def _weights_arg(spec: str) -> list[float]:
-    """Parse ``--weights``: comma-separated numbers."""
-    try:
-        return [float(w) for w in spec.split(",") if w.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects comma-separated numbers, got {spec!r}") from None
+def _add_knob(p, path: str, mode: str = "run", **spec) -> None:
+    """Add the option the scenario schema declares for ``path``.
 
-
-def _add_sim_args(p, with_oversub=True) -> None:
-    """Simulation knob flags.
-
-    A knob flag's ``dest`` is the scenario schema path it sets, and it
-    has no parser default: an omitted flag leaves the key unset (see
-    :func:`_scenario`), so it keeps the ``--config`` value or the
-    config default.
+    Its ``dest`` is the path, and its spelling, type or choices, metavar
+    and help come from the key's entry; the help ends with the default
+    the key compiles to in ``mode``.  Unless ``spec`` gives one, it has
+    no parser default: an omitted option leaves the key unset (see
+    :func:`_scenario`), so it keeps the ``--config`` value or that
+    default.
     """
-    p.add_argument("--policy", dest="policy.variant",
-                   choices=[m.value for m in MigrationPolicy])
-    p.add_argument("--ts", dest="policy.static_threshold", type=int,
-                   metavar="N", help="static access counter threshold")
-    p.add_argument("--penalty", dest="policy.migration_penalty", type=int,
-                   metavar="P", help="multiplicative migration penalty p")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--evict", dest="memory.eviction",
-                   choices=tuple(EVICTION_GRANULARITIES),
-                   help="eviction granularity")
-    p.add_argument("--prefetcher", dest="memory.prefetcher",
-                   choices=[k.value for k in PrefetcherKind])
-    p.add_argument("--prefetch-degree", dest="memory.prefetch_degree",
-                   type=int, metavar="N")
-    p.add_argument("--fault-rate", dest="faults.transfer_rate", type=float,
-                   metavar="PROB",
-                   help="probability of an injected transient PCIe "
-                        "transfer fault per migration attempt")
-    p.add_argument("--migration-fault-rate", dest="faults.migration_rate",
-                   type=float, metavar="PROB",
-                   help="probability of an injected device allocation "
-                        "fault per migration attempt")
-    p.add_argument("--fault-retries", dest="faults.max_retries", type=int,
-                   metavar="N",
-                   help="driver retries before degrading a faulted "
-                        "migration to remote zero-copy access")
-    p.add_argument("--fault-burst-on", dest="faults.burst_on", type=float,
-                   metavar="PROB",
-                   help="per-migration probability of entering a "
-                        "correlated fault storm that multiplies both "
-                        "fault rates (0 = uncorrelated faults only)")
-    p.add_argument("--fault-burst-off", dest="faults.burst_off",
-                   type=float, metavar="PROB",
-                   help="per-migration probability of a fault storm "
-                        "ending")
-    p.add_argument("--fault-burst-mult", dest="faults.burst_multiplier",
-                   type=float, metavar="X",
-                   help="fault-rate multiplier while a storm is active")
+    key = SCHEMA[path]
+    text = key.help
+    default = compiled_default(path, mode)
+    if default is not None:
+        text += f" (default: {show(default)})"
+    if bool in key.type:
+        arg = {"action": "store_true", "default": None}
+    elif key.item is not None:
+        arg = {"type": _list_arg(key), "metavar": key.metavar}
+    elif key.choices is not None:
+        arg = {"choices": key.choices}
+    else:
+        arg = {"type": key.type[-1], "metavar": key.metavar}
+    arg.update(help=text.replace("%", "%%"), **spec)
+    if key.flag is None:
+        p.add_argument(path, **arg)  # a positional's dest is its name
+    else:
+        p.add_argument(key.flag, dest=path, **arg)
+
+
+def _add_workload(p, **spec) -> None:
+    """The workload positional; :func:`_workload_arg` lists the registry
+    on a miss, where argparse choices would list it in the usage line."""
+    _add_knob(p, "workload", type=_workload_arg, choices=None, **spec)
+
+
+def _add_sim_flags(p, mode: str = "run", skip: tuple = ()) -> None:
+    """A simulation command's flags: the knob flag of every simulation
+    knob (and, under ``serve``, every serve knob) outside ``skip``, and
+    the ``--debug-invariants`` audit overlay."""
+    for path, key in SCHEMA.items():
+        if key.flag and path not in skip and (
+                key.cell or mode == "serve" and path.startswith("serve.")):
+            _add_knob(p, path, mode)
     p.add_argument("--debug-invariants", action="store_true",
                    help="check residency/capacity accounting after "
                         "every wave (slow; for debugging)")
-    _add_backend_args(p)
-    if with_oversub:
-        p.add_argument("--oversub", dest="oversubscription", type=float,
-                       metavar="FACTOR",
-                       help="working set as a fraction of device memory "
-                            "(1.25 = 125%% oversubscription)")
-
-
-def _add_backend_args(p) -> None:
-    """Kernel-backend flags shared by simulation and grid commands."""
-    from .config import KNOWN_BACKENDS
-    p.add_argument("--backend", default=None, choices=KNOWN_BACKENDS,
-                   help="hot-loop kernel backend (default: $REPRO_BACKEND "
-                        "or python; 'numba' falls back to python with a "
-                        "warning when numba is not installed)")
 
 
 def _add_obs_args(p) -> None:
@@ -950,7 +945,7 @@ def _add_grid_args(p) -> None:
                         "again (every grid records each stream once and "
                         "replays it in all its cells; by default into a "
                         "temporary directory removed at the end)")
-    _add_backend_args(p)
+    _add_knob(p, "backend")
     _add_runs_arg(p)
 
 
@@ -962,30 +957,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate one workload")
-    p.add_argument("workload", type=_workload_arg, nargs="?", default=None,
-                   help="workload name (see `repro list`); omit when "
-                        "using --config")
+    _add_workload(p, nargs="?", default=None)
     p.add_argument("--config", default=None, metavar="YAML",
                    help="run a declarative scenario config (see "
                         "docs/scenarios.md); simulation flags given with "
                         "it override the scenario's keys")
-    p.add_argument("--scale", choices=SCALES)
     p.add_argument("--histogram", action="store_true",
                    help="collect per-allocation access histograms")
-    _add_sim_args(p)
+    _add_sim_flags(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="all four policies on one workload")
-    p.add_argument("workload", type=_workload_arg,
-                   help="workload name (see `repro list`)")
-    p.add_argument("--scale", choices=SCALES)
-    _add_sim_args(p)
+    _add_workload(p)
+    _add_sim_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
     p.add_argument("id", choices=sorted(_FIGURES) + ["all"])
-    p.add_argument("--scale", default="small", choices=SCALES)
+    _add_knob(p, "scale", default=compiled_default("scale"))
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="worker processes for the experiment grid "
                         "(0 = one per CPU, 1 = serial)")
@@ -997,9 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("sweep", help="oversubscription sweep on one workload")
-    p.add_argument("workload", type=_workload_arg, nargs="?", default=None,
-                   help="workload name (see `repro list`); omit when "
-                        "using --config/--config-dir")
+    _add_workload(p, nargs="?", default=None)
     p.add_argument("--config", default=None, metavar="YAML",
                    help="run one declarative scenario config "
                         "(sweep axes expand to the experiment grid)")
@@ -1008,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(files starting with '_' are inheritance "
                         "bases and are skipped); all grid cells share "
                         "one worker pool")
-    p.add_argument("--scale", default="small", choices=SCALES)
+    _add_knob(p, "scale", default=compiled_default("scale"))
     p.add_argument("--levels",
                    default=",".join(str(l) for l in analysis.DEFAULT_LEVELS),
                    help="comma-separated oversubscription levels")
@@ -1018,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep injected transient-fault rates instead of "
                         "oversubscription levels (comma-separated; uses "
                         "the first --policies entry)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_knob(p, "seed", default=compiled_default("seed"))
     p.add_argument("--jobs", type=_jobs_arg, default=1,
                    help="worker processes for the sweep grid "
                         "(0 = one per CPU, 1 = serial)")
@@ -1028,91 +1016,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="record or replay access traces")
     tsub = p.add_subparsers(dest="trace_cmd", required=True)
     pr = tsub.add_parser("record")
-    pr.add_argument("workload", type=_workload_arg,
-                    help="workload name (see `repro list`)")
-    pr.add_argument("--scale", default="small", choices=SCALES)
-    pr.add_argument("--seed", type=int, default=0)
+    _add_workload(pr)
+    _add_knob(pr, "scale", default=compiled_default("scale"))
+    _add_knob(pr, "seed", default=compiled_default("seed"))
     pr.add_argument("-o", "--output", required=True)
     pr.set_defaults(func=cmd_trace)
     pp = tsub.add_parser("replay")
     pp.add_argument("-i", "--input", required=True)
-    _add_sim_args(pp)
+    # The trace fixes the access stream, scale included.
+    _add_sim_flags(pp, skip=("scale",))
     _add_obs_args(pp)
     pp.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("serve", help="multi-tenant open-loop serving run")
-    from .config import KNOWN_ARRIVAL_PROCESSES, KNOWN_SCHEDULERS
     p.add_argument("--config", default=None, metavar="YAML",
                    help="run a mode: serve scenario config (see "
                         "docs/scenarios.md); serve and simulation flags "
                         "given with it override the scenario's keys")
-    p.add_argument("--arrival-rate", dest="serve.arrival_rate", type=float,
-                   metavar="PER_S",
-                   help="tenant arrivals per second of simulated time "
-                        "(open loop: arrivals never wait for service)")
-    p.add_argument("--tenants", dest="serve.tenants", type=int, metavar="N",
-                   help="number of tenant arrivals to generate")
-    p.add_argument("--duration", dest="serve.duration_ms", type=float,
-                   metavar="MS",
-                   help="arrival window in simulated milliseconds "
-                        "(default: cut by --tenants alone)")
-    p.add_argument("--process", dest="serve.process",
-                   choices=KNOWN_ARRIVAL_PROCESSES,
-                   help="arrival process (bursty = Markov-modulated "
-                        "Poisson with calm/burst sojourns)")
-    p.add_argument("--burst-factor", dest="serve.burst_factor", type=float,
-                   metavar="X",
-                   help="arrival-rate multiplier inside a burst "
-                        "(bursty process only)")
-    p.add_argument("--burst-len", dest="serve.burst_len_ms", type=float,
-                   metavar="MS",
-                   help="mean burst-state sojourn in simulated ms")
-    p.add_argument("--calm-len", dest="serve.calm_len_ms", type=float,
-                   metavar="MS",
-                   help="mean calm-state sojourn in simulated ms")
-    p.add_argument("--mix", dest="serve.workload_mix", type=_mix_arg,
-                   metavar="W1,W2,...",
-                   help="comma-separated workloads tenants are drawn "
-                        "from (seeded uniform choice)")
-    p.add_argument("--scale", choices=SCALES)
-    p.add_argument("--capacity-mb", dest="serve.capacity_mb", type=int,
-                   metavar="MB",
-                   help="shared device memory capacity in MB")
-    p.add_argument("--admit-watermark", dest="serve.admit_watermark",
-                   type=float, metavar="X",
-                   help="projected live oversubscription up to which "
-                        "arrivals are admitted immediately")
-    p.add_argument("--shed-watermark", dest="serve.shed_watermark",
-                   type=float, metavar="X",
-                   help="projected oversubscription past which an "
-                        "arrival is shed outright")
-    p.add_argument("--throttle-watermark", dest="serve.throttle_watermark",
-                   type=float, metavar="X",
-                   help="live oversubscription at which the heaviest-"
-                        "thrashing tenant's stream is suspended")
-    p.add_argument("--queue-depth", dest="serve.queue_depth", type=int,
-                   metavar="N",
-                   help="bounded admission queue depth (full = shed)")
-    p.add_argument("--quantum", dest="serve.quantum", type=int, metavar="N",
-                   help="waves per runnable tenant per scheduler round")
-    p.add_argument("--throttle-rounds", dest="serve.throttle_rounds",
-                   type=int, metavar="N",
-                   help="scheduler rounds a throttled tenant sits out")
-    p.add_argument("--scheduler", dest="serve.scheduler",
-                   choices=KNOWN_SCHEDULERS,
-                   help="wave scheduler: round_robin (legacy quantum "
-                        "rotation, the default) or drr (deficit-"
-                        "weighted fair queuing; throttling decays the "
-                        "weight instead of suspending the stream)")
-    p.add_argument("--weights", dest="serve.weights", type=_weights_arg,
-                   metavar="W1,W2,...",
-                   help="comma-separated drr fair-share weights; tenant "
-                        "i gets weight i mod len (default: equal "
-                        "shares)")
-    p.add_argument("--throttle-decay", dest="serve.throttle_decay",
-                   type=float, metavar="FACTOR",
-                   help="drr weight multiplier while a tenant is "
-                        "throttled (default 0.25)")
     p.add_argument("--json", action="store_true",
                    help="print the full serve result as JSON")
     p.add_argument("--slo-config", default=None, metavar="YAML",
@@ -1120,24 +1040,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "p99_latency_us, max_shed_rate, min_throughput, "
                         "...); enables the streaming SLO engine and "
                         "alerting (overrides a scenario's slo: section)")
-    p.add_argument("--live-admission", dest="serve.live_admission",
-                   action="store_true", default=None,
-                   help="let the degradation ladder consume live "
-                        "windowed interference telemetry (EWMA thrash "
-                        "pressure) instead of cumulative attribution "
-                        "alone; off by default (off = bit-identical to "
-                        "the telemetry-free path)")
-    p.add_argument("--live-thrash-threshold",
-                   dest="serve.live_thrash_threshold", type=float,
-                   metavar="RATE",
-                   help="EWMA thrash migrations per wave at which "
-                        "--live-admission engages the throttle "
-                        "(default 0.25)")
-    p.add_argument("--window-ms", dest="serve.window_ms", type=float,
-                   metavar="MS",
-                   help="tumbling telemetry window width in simulated "
-                        "milliseconds (default 5.0)")
-    _add_sim_args(p, with_oversub=False)
+    # Tenants share a fixed capacity instead of an oversubscription.
+    _add_sim_flags(p, "serve", skip=("oversubscription",))
     _add_obs_args(p)
     p.set_defaults(func=cmd_serve)
 

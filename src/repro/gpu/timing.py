@@ -94,33 +94,6 @@ class TimingModel:
 
     def wave_total_cycles(self, outcome: WaveOutcome,
                           compute_cycles: float | None = None) -> float:
-        """``wave_cycles(...).total`` without the breakdown object.
-
-        The serve hot loop charges a single scalar per wave, so it
-        skips the :class:`WaveTiming` construction and field writes.
-        It has the same terms and the same PCIe byte-accounting side
-        effects as :meth:`wave_cycles`, but not the same order of
-        addition: it sums the stall terms first and adds them to the
-        max term once, where :meth:`wave_cycles` adds them to it one at
-        a time.  The two totals can therefore differ in the last bits
-        (relatively by far less than 1e-12; a property test bounds it),
-        and serve's results depend on this order.
-        """
-        tcfg = self.config.timing
-        if compute_cycles is None:
-            compute_cycles = (outcome.n_accesses
-                              * tcfg.compute_cycles_per_access
-                              + tcfg.wave_overhead_cycles)
-        compute = float(compute_cycles)
-        pcie = self.pcie
-        mem = (outcome.n_local * tcfg.bytes_per_access
-               / self.dram_bytes_per_cycle
-               + pcie.remote_cycles(outcome.n_remote))
-        stall = (pcie.fault_handling_cycles(outcome.fault_events)
-                 + pcie.migration_cycles(outcome.h2d_blocks)
-                 + pcie.writeback_cycles(outcome.writeback_blocks))
-        if outcome.retried_transfers:
-            stall += pcie.retry_cycles(outcome.retried_transfers)
-        if outcome.retry_backoff_us:
-            stall += self.config.gpu.us_to_cycles(outcome.retry_backoff_us)
-        return (compute if compute > mem else mem) + stall
+        """``wave_cycles(...).total``: the scalar the serve loop charges
+        per wave."""
+        return self.wave_cycles(outcome, compute_cycles).total

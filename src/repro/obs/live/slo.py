@@ -106,37 +106,6 @@ class SloConfig:
             raise ValueError("invalid SLO config:\n  " +
                              "\n  ".join(errors))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloConfig":
-        """Build from a flat mapping (``slo.*`` scenario keys).
-
-        Accepts either bare names (``p99_latency_us``) or dotted
-        scenario paths (``slo.p99_latency_us``); unknown keys raise so
-        config typos fail loudly.
-        """
-        names = {f.name for f in
-                 cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        kwargs = {}
-        for key, value in data.items():
-            name = key.split(".", 1)[1] if key.startswith("slo.") else key
-            if name not in names:
-                raise ValueError(f"unknown SLO key {key!r}; known: "
-                                 f"{', '.join(sorted(names))}")
-            if value is not None:
-                kwargs[name] = value
-        config = cls(**kwargs)
-        config.validate()
-        return config
-
-    def as_dict(self) -> dict:
-        return {"p99_latency_us": self.p99_latency_us,
-                "latency_attainment": self.latency_attainment,
-                "max_shed_rate": self.max_shed_rate,
-                "min_throughput": self.min_throughput,
-                "fast_windows": self.fast_windows,
-                "slow_windows": self.slow_windows,
-                "burn_threshold": self.burn_threshold}
-
 
 @dataclass
 class _ObjectiveState:

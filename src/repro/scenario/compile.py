@@ -18,27 +18,34 @@ surfaces:
 * :func:`build_multigpu_spec` -> :class:`MultiGpuSpec` (mode
   ``multigpu``), including the Section VIII throttle knob.
 
-Each builder reads its keys through one schema-path -> field table and
-passes only the keys a scenario sets, so an omitted key takes the
-dataclass default (``backend`` keeps honouring ``REPRO_BACKEND``).
-The CLI's simulation flags compile through the same builders: a flag
-is its schema path, so a scenario and the equivalent flags build equal
-cells and configs.
+Each builder reads its keys through a schema-path -> field table
+derived from :data:`~repro.scenario.schema.SCHEMA`: a simulation knob
+sets the :class:`GridCell` field its entry names, and ``serve.*``,
+``slo.*`` and ``multigpu.*`` keys set the field of their leaf name
+(the top-level ``scale`` and ``seed`` keys apply to serving too).  A
+builder passes only the keys a scenario sets, so an omitted key takes
+the dataclass default (``backend`` keeps honouring ``REPRO_BACKEND``);
+:func:`compiled_default` reads that default back as the key's
+documented one.  The CLI's knob flags compile through the same
+builders: a flag is its schema path, so a scenario and the equivalent
+flags build equal cells and configs.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from ..analysis.parallel import GridCell, cell_config
-from ..config import MigrationPolicy, ServeConfig, SimulationConfig
+from ..config import ServeConfig, SimulationConfig
+from ..obs.live.slo import SloConfig
 from .loader import deep_merge
-from .schema import ScenarioError, flatten, unflatten
+from .schema import SCHEMA, ScenarioError, flatten, unflatten
 
 __all__ = ["expand", "build_cell", "build_serve_config",
            "build_sim_config", "build_multigpu_spec", "build_slo_config",
-           "compile_check", "MultiGpuSpec", "Variant"]
+           "compile_check", "compiled_default", "MultiGpuSpec", "Variant"]
 
 
 @dataclass(frozen=True)
@@ -85,132 +92,6 @@ def expand(scenario: dict) -> list[Variant]:
     return variants
 
 
-def _fields(flat: dict, table: dict) -> dict:
-    """Constructor kwargs for the keys ``flat`` sets, through ``table``.
-
-    ``table`` maps a schema path to ``(field, coercion)``; an unset key
-    (or an explicit ``null``) is left out, so it takes the field's
-    dataclass default.
-    """
-    return {name: coerce(flat[path])
-            for path, (name, coerce) in table.items()
-            if flat.get(path) is not None}
-
-
-#: Schema path -> (GridCell field, coercion) for every cell knob.
-_CELL_FIELDS = {
-    "policy.variant": ("policy", MigrationPolicy),
-    "oversubscription": ("oversubscription", float),
-    "scale": ("scale", str),
-    "policy.static_threshold": ("ts", int),
-    "policy.migration_penalty": ("p", int),
-    "seed": ("seed", int),
-    "faults.transfer_rate": ("transfer_fault_rate", float),
-    "faults.migration_rate": ("migration_fault_rate", float),
-    "faults.max_retries": ("fault_retries", int),
-    "faults.burst_on": ("fault_burst_on", float),
-    "faults.burst_off": ("fault_burst_off", float),
-    "faults.burst_multiplier": ("fault_burst_mult", float),
-    "memory.eviction": ("evict", str),
-    "memory.prefetcher": ("prefetcher", str),
-    "memory.prefetch_degree": ("prefetch_degree", int),
-    "policy.threshold_variant": ("threshold_variant", str),
-    "policy.historic_counters": ("historic_counters", bool),
-    "backend": ("backend", str),
-}
-
-
-def build_cell(variant: dict) -> GridCell:
-    """Map one concrete scenario onto a :class:`GridCell`.
-
-    Omitted keys take the :class:`GridCell` defaults, so a scenario
-    that omits a key builds a cell *equal* (and therefore
-    checkpoint-identical) to a hand-built one that omits the field.
-    """
-    flat = flatten(variant)
-    workload = flat.get("workload")
-    if not workload:
-        raise ScenarioError(
-            f"{variant.get('name', '<scenario>')}: workload is unset after "
-            "expansion; set it or add it as a sweep axis")
-    return GridCell(workload=workload, **_fields(flat, _CELL_FIELDS))
-
-
-def build_sim_config(variant: dict) -> SimulationConfig:
-    """Construct the :class:`SimulationConfig` a variant describes.
-
-    The variant's cell knobs go through
-    :func:`~repro.analysis.parallel.cell_config`, the mapping every
-    grid cell runs under, so the config -- and any simulation run from
-    it -- is bit-identical to the equivalent cell or flag invocation.
-    """
-    return cell_config(_fields(flatten(variant), _CELL_FIELDS))
-
-
-#: ``serve.*`` schema path -> (ServeConfig field, coercion); the
-#: top-level ``scale``/``seed`` keys apply to serving too.
-_SERVE_FIELDS = {
-    "serve.arrival_rate": ("arrival_rate", float),
-    "serve.tenants": ("tenants", int),
-    "serve.duration_ms": ("duration_ms", float),
-    "serve.process": ("process", str),
-    "serve.burst_factor": ("burst_factor", float),
-    "serve.burst_len_ms": ("burst_len_ms", float),
-    "serve.calm_len_ms": ("calm_len_ms", float),
-    "serve.workload_mix": ("workload_mix", tuple),
-    "scale": ("scale", str),
-    "serve.capacity_mb": ("capacity_mb", int),
-    "serve.admit_watermark": ("admit_watermark", float),
-    "serve.shed_watermark": ("shed_watermark", float),
-    "serve.throttle_watermark": ("throttle_watermark", float),
-    "serve.queue_depth": ("queue_depth", int),
-    "serve.quantum": ("quantum", int),
-    "serve.throttle_rounds": ("throttle_rounds", int),
-    "serve.live_admission": ("live_admission", bool),
-    "serve.live_thrash_threshold": ("live_thrash_threshold", float),
-    "serve.window_ms": ("window_ms", float),
-    "serve.scheduler": ("scheduler", str),
-    "serve.weights": ("weights", lambda v: tuple(float(w) for w in v)),
-    "serve.throttle_decay": ("throttle_decay", float),
-    "seed": ("seed", int),
-}
-
-#: ``slo.*`` schema path -> (SloConfig field, coercion).
-_SLO_FIELDS = {
-    "slo.p99_latency_us": ("p99_latency_us", float),
-    "slo.latency_attainment": ("latency_attainment", float),
-    "slo.max_shed_rate": ("max_shed_rate", float),
-    "slo.min_throughput": ("min_throughput", float),
-    "slo.fast_windows": ("fast_windows", int),
-    "slo.slow_windows": ("slow_windows", int),
-    "slo.burn_threshold": ("burn_threshold", float),
-}
-
-
-def build_slo_config(variant: dict):
-    """Map a variant's ``slo.*`` keys onto an
-    :class:`~repro.obs.live.slo.SloConfig`, or ``None`` when the
-    scenario states no objective (tuning keys alone do not enable the
-    engine).
-    """
-    from ..obs.live.slo import SloConfig
-
-    config = SloConfig(**_fields(flatten(variant), _SLO_FIELDS))
-    if not config.enabled:
-        return None
-    config.validate()
-    return config
-
-
-def build_serve_config(variant: dict) -> ServeConfig:
-    """Map one concrete scenario onto a :class:`ServeConfig`.
-
-    Omitted keys take the :class:`ServeConfig` dataclass defaults (note
-    serving defaults to ``scale: tiny``).
-    """
-    return ServeConfig(**_fields(flatten(variant), _SERVE_FIELDS)).validate()
-
-
 @dataclass(frozen=True)
 class MultiGpuSpec:
     """Everything a ``mode: multigpu`` variant needs to execute."""
@@ -224,12 +105,122 @@ class MultiGpuSpec:
     throttle: float = 1.0
 
 
-#: ``multigpu.*`` schema path -> (MultiGpuSpec field, coercion).
-_MULTIGPU_FIELDS = {
-    "multigpu.gpus": ("gpus", int),
-    "multigpu.partition": ("partition", str),
-    "multigpu.throttle": ("throttle", float),
-}
+def _coercion(key, default):
+    """How a scenario value of ``key`` becomes its field's value."""
+    if isinstance(default, enum.Enum):
+        return type(default)
+    if key.item is not None:
+        item = float if float in key.item else str
+        return lambda values: tuple(item(v) for v in values)
+    return float if float in key.type else key.type[0]
+
+
+def _table(cls, names: dict) -> dict:
+    """Schema path -> (field, coercion, default) of ``cls`` for each
+    ``{path: field name}`` in ``names``."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {path: (name, _coercion(SCHEMA[path], defaults[name]),
+                   defaults[name])
+            for path, name in names.items()}
+
+
+def _by_leaf(cls, *sections: str) -> dict:
+    """:func:`_table` of the keys of ``sections`` (``""``: top level)
+    whose leaf names a field of ``cls``."""
+    names = {f.name for f in fields(cls)}
+    return _table(cls, {path: leaf for path in SCHEMA
+                        for section, _, leaf in [path.rpartition(".")]
+                        if section in sections and leaf in names})
+
+
+#: Every simulation knob, onto the GridCell field its entry names.
+_CELL = _table(GridCell, {path: key.cell for path, key in SCHEMA.items()
+                          if key.cell is not None})
+#: ``serve.*`` keys plus the top-level ``scale`` and ``seed``.
+_SERVE = _by_leaf(ServeConfig, "serve", "")
+_SLO = _by_leaf(SloConfig, "slo")
+_MULTIGPU = _by_leaf(MultiGpuSpec, "multigpu")
+
+
+def _fields(flat: dict, table: dict) -> dict:
+    """Constructor kwargs for the keys ``flat`` sets, through ``table``.
+
+    An unset key (or an explicit ``null``) is left out, so it takes the
+    field's dataclass default.
+    """
+    return {name: coerce(flat[path])
+            for path, (name, coerce, _) in table.items()
+            if flat.get(path) is not None}
+
+
+def compiled_default(path: str, mode: str = "run"):
+    """The value a scenario of ``mode`` compiles ``path`` to when it
+    omits the key, spelled as a scenario value.
+
+    It is the default of the dataclass field the key sets, so a
+    ``serve`` scenario's ``scale`` is ``ServeConfig``'s and any other
+    mode's is ``GridCell``'s.  ``None`` when the key sets no field or
+    the field's default leaves it unset (the key's help says what
+    omitting it means).
+    """
+    cell_first = (_SERVE, _CELL) if mode == "serve" else (_CELL, _SERVE)
+    for table in (*cell_first, _SLO, _MULTIGPU):
+        if path in table:
+            value = table[path][2]
+            if isinstance(value, enum.Enum):
+                return value.value
+            if isinstance(value, tuple):
+                return list(value)
+            return None if value is MISSING else value
+    return None
+
+
+def build_cell(variant: dict) -> GridCell:
+    """Map one concrete scenario onto a :class:`GridCell`.
+
+    Omitted keys take the :class:`GridCell` defaults, so a scenario
+    that omits a key builds a cell *equal* (and therefore
+    checkpoint-identical) to a hand-built one that omits the field.
+    """
+    flat = flatten(variant)
+    if not flat.get("workload"):
+        raise ScenarioError(
+            f"{variant.get('name', '<scenario>')}: workload is unset after "
+            "expansion; set it or add it as a sweep axis")
+    return GridCell(**_fields(flat, _CELL))
+
+
+def build_sim_config(variant: dict) -> SimulationConfig:
+    """Construct the :class:`SimulationConfig` a variant describes.
+
+    The variant's cell knobs go through
+    :func:`~repro.analysis.parallel.cell_config`, the mapping every
+    grid cell runs under, so the config -- and any simulation run from
+    it -- is bit-identical to the equivalent cell or flag invocation.
+    """
+    return cell_config(_fields(flatten(variant), _CELL))
+
+
+def build_slo_config(variant: dict):
+    """Map a variant's ``slo.*`` keys onto an
+    :class:`~repro.obs.live.slo.SloConfig`, or ``None`` when the
+    scenario states no objective (tuning keys alone do not enable the
+    engine).
+    """
+    config = SloConfig(**_fields(flatten(variant), _SLO))
+    if not config.enabled:
+        return None
+    config.validate()
+    return config
+
+
+def build_serve_config(variant: dict) -> ServeConfig:
+    """Map one concrete scenario onto a :class:`ServeConfig`.
+
+    Omitted keys take the :class:`ServeConfig` dataclass defaults (note
+    serving defaults to ``scale: tiny``).
+    """
+    return ServeConfig(**_fields(flatten(variant), _SERVE)).validate()
 
 
 def build_multigpu_spec(variant: dict) -> MultiGpuSpec:
@@ -238,7 +229,7 @@ def build_multigpu_spec(variant: dict) -> MultiGpuSpec:
     return MultiGpuSpec(
         config=build_sim_config(variant), workload=cell.workload,
         scale=cell.scale, oversubscription=cell.oversubscription,
-        **_fields(flatten(variant), _MULTIGPU_FIELDS))
+        **_fields(flatten(variant), _MULTIGPU))
 
 
 def compile_check(scenario: dict) -> list[str]:

@@ -1,26 +1,36 @@
-"""The scenario schema: every YAML key, typed and validated.
+"""The scenario schema: every knob, declared once.
 
 A *scenario* is a declarative experiment description: one YAML mapping
 whose keys cover every knob the simulator exposes -- workload, scale,
 policy, memory management, fault injection, kernel backend, tenancy
-(``serve:``) and multi-GPU topology (``multigpu:``) -- plus the two
-structural keys ``inherits:`` (resolved by :mod:`repro.scenario.loader`)
-and ``sweep:`` (expanded by :mod:`repro.scenario.compile`).
+(``serve:``), serving objectives (``slo:``) and multi-GPU topology
+(``multigpu:``) -- plus the two structural keys ``inherits:`` (resolved
+by :mod:`repro.scenario.loader`) and ``sweep:`` (expanded by
+:mod:`repro.scenario.compile`).
 
-The schema is a flat registry of :class:`Key` descriptors keyed by
-dotted path (``policy.static_threshold``).  Everything downstream is
-derived from this one table:
+:data:`SCHEMA` is a flat registry of :class:`Key` declarations keyed by
+dotted path (``policy.static_threshold``), and each knob is declared
+nowhere else.  An entry gives the key's type and choices, one help
+text, its command-line flag and, for a simulation knob, the
+:class:`~repro.analysis.parallel.GridCell` field it sets.  Everything
+downstream is derived from this one table:
 
 * :func:`validate` walks a resolved scenario and reports *every*
   problem at once (unknown keys with suggestions, type mismatches,
-  out-of-choice values, unsweepable axes) with field-qualified paths;
-* ``tools/check_docs.py`` validates the fenced YAML examples in the
-  documentation against it, and checks that the key-reference table in
-  ``docs/scenarios.md`` covers every path listed here;
-* defaults are documentation of the *effective* value an omitted key
-  takes (they mirror the :mod:`repro.config` dataclass defaults; the
-  compiler never materializes them, so an omitted key really does
-  inherit the config default, including ``REPRO_BACKEND``).
+  out-of-choice values, unsweepable axes) with field-qualified paths,
+  each type or value error followed by the key's help text;
+* :mod:`repro.cli` generates the knob flags of ``run``, ``compare``,
+  ``trace replay`` and ``serve`` from the entries that declare a flag
+  (spelling, metavar, type or choices, and help), as well as the
+  ``workload`` positional and the ``--scale``, ``--seed`` and
+  ``--backend`` options wherever other commands take them;
+* :mod:`repro.scenario.compile` maps each key onto the field it sets --
+  ``serve.*``, ``slo.*`` and ``multigpu.*`` keys by leaf name onto
+  ``ServeConfig``, ``SloConfig`` and ``MultiGpuSpec`` -- and reads a
+  key's default from that field (:func:`repro.scenario.compile.
+  compiled_default`), so no default is written here;
+* ``tools/check_docs.py`` renders the key table of ``docs/scenarios.md``
+  from it and validates the documentation's fenced YAML examples.
 """
 
 from __future__ import annotations
@@ -29,23 +39,13 @@ from dataclasses import dataclass
 
 from ..analysis.parallel import EVICTION_GRANULARITIES
 from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_BACKENDS,
-                      KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS)
+                      KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS,
+                      MigrationPolicy, PrefetcherKind)
 from ..multigpu.cluster import KNOWN_PARTITIONS
 from ..workloads import SCALES, workload_names
 
 #: Execution modes a scenario can declare.
 KNOWN_MODES: tuple[str, ...] = ("run", "sweep", "serve", "multigpu")
-
-#: Eviction granularities by CLI-style name.
-KNOWN_EVICT: tuple[str, ...] = tuple(EVICTION_GRANULARITIES)
-
-#: Prefetcher kinds (mirrors :class:`repro.config.PrefetcherKind`).
-KNOWN_PREFETCHERS: tuple[str, ...] = ("tree", "none", "sequential", "random")
-
-#: Migration policies by value (mirrors :class:`MigrationPolicy`).
-KNOWN_POLICIES: tuple[str, ...] = ("disabled", "always", "oversub",
-                                   "adaptive")
-
 
 
 class ScenarioError(ValueError):
@@ -58,155 +58,193 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Key:
-    """One schema entry: a dotted path plus its contract."""
+    """One knob's declaration: a dotted path plus its contract."""
 
     path: str
     #: Accepted python type(s) of a value (int also satisfies float).
     type: tuple
-    description: str
-    #: Closed vocabulary, or ``None`` for open values.
+    #: What the key means: its ``--help`` text, the context of its
+    #: validation errors and the docs' "meaning" column.
+    help: str
+    #: Closed vocabulary (of each item, for a list key), or ``None``.
     choices: tuple | None = None
     #: Whether ``sweep:`` may use this path as an axis.
     sweepable: bool = True
-    #: Effective value when omitted (documentation; never materialized).
-    default: object = None
+    #: Command-line spelling (``--ts``), or ``None`` for a key no flag
+    #: sets (``workload`` is the commands' positional argument).
+    flag: str | None = None
+    #: Placeholder for the flag's value in ``--help``.
+    metavar: str | None = None
+    #: The :class:`~repro.analysis.parallel.GridCell` field a
+    #: simulation knob sets.
+    cell: str | None = None
+    #: Accepted type(s) of each item of a list value.
+    item: tuple | None = None
 
 
-def _k(path, type_, description, choices=None, sweepable=True,
-       default=None) -> Key:
-    type_ = type_ if isinstance(type_, tuple) else (type_,)
-    return Key(path, type_, description, choices, sweepable, default)
+def _k(path, type_, help, *, item=None, **contract) -> Key:
+    def types(t):
+        return t if isinstance(t, tuple) or t is None else (t,)
+    return Key(path, types(type_), help, item=types(item), **contract)
 
+
+_NUMBER = (int, float)
 
 #: The full schema, one entry per legal dotted path.
 SCHEMA: dict[str, Key] = {k.path: k for k in (
     # -- structural ------------------------------------------------------
     _k("name", str, "scenario name (defaults to the file stem)",
-       sweepable=False, default="<file stem>"),
+       sweepable=False),
     _k("description", str, "free-form note shown by `repro config`",
-       sweepable=False, default=""),
+       sweepable=False),
     _k("inherits", (str, list), "base config(s) to deep-merge under this "
        "file (resolved relative to the file, then the config root)",
        sweepable=False),
-    _k("mode", str, "what running the scenario means",
-       choices=KNOWN_MODES, sweepable=False, default="run"),
-    _k("sweep", dict, "sweep axes: {dotted.key: [values, ...]}; expands "
+    _k("mode", str, "what running the scenario means (omit: run)",
+       choices=KNOWN_MODES, sweepable=False),
+    _k("sweep", dict, "sweep axes `{dotted.key: [values, ...]}`; expands "
        "to the cross product in declaration order (first axis outermost)",
        sweepable=False),
     # -- the single-run surface -----------------------------------------
     _k("workload", str, "workload name (see `repro list`)",
-       choices=workload_names(extended=True)),
-    _k("scale", str, "workload scale preset", choices=tuple(SCALES),
-       default="small"),
-    _k("oversubscription", (int, float), "working set as a fraction of "
-       "device capacity (1.25 = 125% oversubscription)", default=1.25),
-    _k("seed", int, "root RNG seed", default=0),
-    _k("backend", str, "hot-loop kernel backend",
-       choices=KNOWN_BACKENDS, default="$REPRO_BACKEND or python"),
+       choices=workload_names(extended=True), cell="workload"),
+    _k("scale", str, "workload scale preset", choices=SCALES,
+       flag="--scale", cell="scale"),
+    _k("oversubscription", _NUMBER, "working set as a fraction of device "
+       "memory (1.25 = 125% oversubscription)", flag="--oversub",
+       metavar="FACTOR", cell="oversubscription"),
+    _k("seed", int, "root RNG seed", flag="--seed", cell="seed"),
+    _k("backend", str, "hot-loop kernel backend (omit: $REPRO_BACKEND or "
+       "python; numba falls back to python with a warning when it is "
+       "not installed)", choices=KNOWN_BACKENDS, flag="--backend",
+       cell="backend"),
     # -- policy ----------------------------------------------------------
     _k("policy.variant", str, "migration policy scheme",
-       choices=KNOWN_POLICIES, default="adaptive"),
+       choices=tuple(p.value for p in MigrationPolicy), flag="--policy",
+       cell="policy"),
     _k("policy.static_threshold", int, "static access-counter threshold "
-       "ts (Table I)", default=8),
+       "ts (Table I)", flag="--ts", metavar="N", cell="ts"),
     _k("policy.migration_penalty", int, "multiplicative migration "
-       "penalty p (Equation 1)", default=8),
+       "penalty p (Equation 1)", flag="--penalty", metavar="P", cell="p"),
     _k("policy.threshold_variant", str, "Equation-1 growth function",
-       choices=KNOWN_THRESHOLD_VARIANTS, default="multiplicative"),
+       choices=KNOWN_THRESHOLD_VARIANTS, cell="threshold_variant"),
     _k("policy.historic_counters", bool, "judge the adaptive threshold "
-       "against historic counters (False = Volta ablation)",
-       default=True),
+       "against historic counters (false = Volta ablation)",
+       cell="historic_counters"),
     # -- memory management ----------------------------------------------
     _k("memory.eviction", str, "eviction granularity",
-       choices=KNOWN_EVICT, default="2mb"),
+       choices=tuple(EVICTION_GRANULARITIES), flag="--evict",
+       cell="evict"),
     _k("memory.prefetcher", str, "hardware prefetcher strategy",
-       choices=KNOWN_PREFETCHERS, default="tree"),
+       choices=tuple(k.value for k in PrefetcherKind),
+       flag="--prefetcher", cell="prefetcher"),
     _k("memory.prefetch_degree", int, "blocks pulled per fault by the "
-       "sequential/random prefetchers", default=4),
+       "sequential/random prefetchers", flag="--prefetch-degree",
+       metavar="N", cell="prefetch_degree"),
     # -- fault injection -------------------------------------------------
-    _k("faults.transfer_rate", (int, float), "per-migration PCIe "
-       "transfer-fault probability", default=0.0),
-    _k("faults.migration_rate", (int, float), "per-migration device "
-       "allocation-fault probability", default=0.0),
-    _k("faults.max_retries", int, "retries before degrading a faulted "
-       "migration to remote access", default=3),
-    _k("faults.burst_on", (int, float), "calm->storm transition "
-       "probability of the correlated fault chain (0 disables)",
-       default=0.0),
-    _k("faults.burst_off", (int, float), "storm->calm transition "
-       "probability", default=0.25),
-    _k("faults.burst_multiplier", (int, float), "fault-rate multiplier "
-       "while a storm is active", default=8.0),
+    _k("faults.transfer_rate", _NUMBER, "probability of an injected "
+       "transient PCIe transfer fault per migration attempt",
+       flag="--fault-rate", metavar="PROB", cell="transfer_fault_rate"),
+    _k("faults.migration_rate", _NUMBER, "probability of an injected "
+       "device allocation fault per migration attempt",
+       flag="--migration-fault-rate", metavar="PROB",
+       cell="migration_fault_rate"),
+    _k("faults.max_retries", int, "driver retries before degrading a "
+       "faulted migration to remote zero-copy access",
+       flag="--fault-retries", metavar="N", cell="fault_retries"),
+    _k("faults.burst_on", _NUMBER, "per-migration probability of "
+       "entering a correlated fault storm that multiplies both fault "
+       "rates (0 = uncorrelated faults only)", flag="--fault-burst-on",
+       metavar="PROB", cell="fault_burst_on"),
+    _k("faults.burst_off", _NUMBER, "per-migration probability of a "
+       "fault storm ending", flag="--fault-burst-off", metavar="PROB",
+       cell="fault_burst_off"),
+    _k("faults.burst_multiplier", _NUMBER, "fault-rate multiplier while "
+       "a storm is active", flag="--fault-burst-mult", metavar="X",
+       cell="fault_burst_mult"),
     # -- multi-tenant serving (mode: serve) ------------------------------
-    _k("serve.arrival_rate", (int, float), "tenant arrivals per second "
-       "of simulated time", default=400.0),
-    _k("serve.tenants", int, "tenant arrivals to generate", default=12),
-    _k("serve.duration_ms", (int, float), "arrival window in simulated "
-       "milliseconds (omit: cut by tenants alone)", default=None),
-    _k("serve.process", str, "arrival process",
-       choices=KNOWN_ARRIVAL_PROCESSES, default="poisson"),
-    _k("serve.burst_factor", (int, float), "arrival-rate multiplier "
-       "inside a burst (bursty process)", default=8.0),
-    _k("serve.burst_len_ms", (int, float), "mean burst sojourn, "
-       "simulated ms", default=2.0),
-    _k("serve.calm_len_ms", (int, float), "mean calm sojourn, "
-       "simulated ms", default=10.0),
-    _k("serve.workload_mix", list, "workloads tenants are drawn from",
-       sweepable=False, default=["ra", "sssp", "bfs", "fdtd"]),
-    _k("serve.capacity_mb", int, "shared device capacity in MB",
-       default=32),
-    _k("serve.admit_watermark", (int, float), "oversubscription up to "
-       "which arrivals are admitted immediately", default=1.5),
-    _k("serve.shed_watermark", (int, float), "oversubscription past "
-       "which arrivals are shed", default=2.5),
-    _k("serve.throttle_watermark", (int, float), "oversubscription at "
-       "which the heaviest-thrashing tenant is throttled", default=1.2),
-    _k("serve.queue_depth", int, "bounded admission queue depth",
-       default=8),
+    _k("serve.arrival_rate", _NUMBER, "tenant arrivals per second of "
+       "simulated time (open loop: arrivals never wait for service)",
+       flag="--arrival-rate", metavar="PER_S"),
+    _k("serve.tenants", int, "tenant arrivals to generate",
+       flag="--tenants", metavar="N"),
+    _k("serve.duration_ms", _NUMBER, "arrival window in simulated "
+       "milliseconds (omit: cut by the tenant count alone)",
+       flag="--duration", metavar="MS"),
+    _k("serve.process", str, "arrival process (bursty = Markov-modulated "
+       "Poisson with calm/burst sojourns)",
+       choices=KNOWN_ARRIVAL_PROCESSES, flag="--process"),
+    _k("serve.burst_factor", _NUMBER, "arrival-rate multiplier inside a "
+       "burst (bursty process only)", flag="--burst-factor",
+       metavar="X"),
+    _k("serve.burst_len_ms", _NUMBER, "mean burst-state sojourn in "
+       "simulated milliseconds", flag="--burst-len", metavar="MS"),
+    _k("serve.calm_len_ms", _NUMBER, "mean calm-state sojourn in "
+       "simulated milliseconds", flag="--calm-len", metavar="MS"),
+    _k("serve.workload_mix", list, "workloads tenants are drawn from "
+       "(seeded uniform choice; comma-separated as a flag)",
+       item=str, choices=workload_names(extended=True), sweepable=False,
+       flag="--mix", metavar="W1,W2,..."),
+    _k("serve.capacity_mb", int, "shared device memory capacity in MB",
+       flag="--capacity-mb", metavar="MB"),
+    _k("serve.admit_watermark", _NUMBER, "projected live "
+       "oversubscription up to which arrivals are admitted immediately",
+       flag="--admit-watermark", metavar="X"),
+    _k("serve.shed_watermark", _NUMBER, "projected oversubscription past "
+       "which an arrival is shed outright", flag="--shed-watermark",
+       metavar="X"),
+    _k("serve.throttle_watermark", _NUMBER, "live oversubscription at "
+       "which the heaviest-thrashing tenant is throttled",
+       flag="--throttle-watermark", metavar="X"),
+    _k("serve.queue_depth", int, "bounded admission queue depth (full = "
+       "shed)", flag="--queue-depth", metavar="N"),
     _k("serve.quantum", int, "waves per runnable tenant per scheduler "
-       "round", default=4),
-    _k("serve.throttle_rounds", int, "rounds a throttled tenant sits "
-       "out", default=8),
-    _k("serve.live_admission", bool, "drive the throttle from live "
-       "windowed interference telemetry instead of the static "
-       "watermark alone", default=False),
-    _k("serve.live_thrash_threshold", (int, float), "EWMA thrash "
-       "migrations per wave at which live admission throttles",
-       default=0.25),
-    _k("serve.window_ms", (int, float), "live-telemetry tumbling-window "
-       "width, simulated ms", default=5.0),
-    _k("serve.scheduler", str, "wave scheduler interleaving live "
-       "tenants", choices=KNOWN_SCHEDULERS, default="round_robin"),
-    _k("serve.weights", list, "per-tenant fair-share weights under drr "
-       "(tenant i gets weights[i mod len]; empty = equal shares)",
-       default=[]),
-    _k("serve.throttle_decay", (int, float), "drr weight multiplier "
-       "while a tenant is throttled (1.0 = throttle ignored)",
-       default=0.25),
+       "round", flag="--quantum", metavar="N"),
+    _k("serve.throttle_rounds", int, "scheduler rounds a throttled "
+       "tenant sits out", flag="--throttle-rounds", metavar="N"),
+    _k("serve.live_admission", bool, "let live windowed telemetry drive "
+       "the throttle: it also engages below the throttle watermark once "
+       "EWMA thrash migrations per wave reach the live threshold, and "
+       "suspends the tenant thrashing most in recent windows instead of "
+       "the all-time heaviest (off = bit-identical to the telemetry-free "
+       "path)", flag="--live-admission"),
+    _k("serve.live_thrash_threshold", _NUMBER, "EWMA thrash migrations "
+       "per wave at which live admission engages the throttle",
+       flag="--live-thrash-threshold", metavar="RATE"),
+    _k("serve.window_ms", _NUMBER, "live-telemetry tumbling-window width "
+       "in simulated milliseconds", flag="--window-ms", metavar="MS"),
+    _k("serve.scheduler", str, "wave scheduler: round_robin (quantum "
+       "rotation) or drr (deficit-weighted fair queuing; throttling "
+       "decays the weight instead of suspending the stream)",
+       choices=KNOWN_SCHEDULERS, flag="--scheduler"),
+    _k("serve.weights", list, "per-tenant drr fair-share weights; tenant "
+       "i gets weights[i mod len] (empty = equal shares; comma-separated "
+       "as a flag)", item=_NUMBER, flag="--weights",
+       metavar="W1,W2,..."),
+    _k("serve.throttle_decay", _NUMBER, "drr weight multiplier while a "
+       "tenant is throttled (1.0 = throttle ignored)",
+       flag="--throttle-decay", metavar="FACTOR"),
     # -- serving SLOs (mode: serve; enables the SLO engine) --------------
-    _k("slo.p99_latency_us", (int, float), "per-tenant wave-latency "
-       "target in simulated us (omit: no latency objective)",
-       default=None),
-    _k("slo.latency_attainment", (int, float), "required fraction of "
-       "waves under the latency target", default=0.99),
-    _k("slo.max_shed_rate", (int, float), "service-level ceiling on the "
-       "fraction of arrivals shed (omit: no shed objective)",
-       default=None),
-    _k("slo.min_throughput", (int, float), "per-tenant accesses-per-"
-       "second floor (omit: no throughput objective)", default=None),
+    _k("slo.p99_latency_us", _NUMBER, "per-tenant wave-latency target in "
+       "simulated microseconds (omit: no latency objective)"),
+    _k("slo.latency_attainment", _NUMBER, "required fraction of waves "
+       "under the latency target"),
+    _k("slo.max_shed_rate", _NUMBER, "service-level ceiling on the "
+       "fraction of arrivals shed (omit: no shed objective)"),
+    _k("slo.min_throughput", _NUMBER, "per-tenant accesses-per-second "
+       "floor (omit: no throughput objective)"),
     _k("slo.fast_windows", int, "closed windows merged into the fast "
-       "burn-rate horizon", default=3),
+       "burn-rate horizon"),
     _k("slo.slow_windows", int, "closed windows merged into the slow "
-       "burn-rate horizon", default=12),
-    _k("slo.burn_threshold", (int, float), "error-budget burn rate both "
-       "horizons must exceed to flag a violation", default=2.0),
+       "burn-rate horizon"),
+    _k("slo.burn_threshold", _NUMBER, "error-budget burn rate both "
+       "horizons must exceed to flag a violation"),
     # -- multi-GPU topology (mode: multigpu) -----------------------------
-    _k("multigpu.gpus", int, "devices in the collaborative cluster",
-       default=2),
+    _k("multigpu.gpus", int, "devices in the collaborative cluster"),
     _k("multigpu.partition", str, "wave-stream partition strategy",
-       choices=KNOWN_PARTITIONS, default="chunk"),
-    _k("multigpu.throttle", (int, float), "fraction of each device's "
-       "memory the driver may use (Section VIII throttle knob)",
-       default=1.0),
+       choices=KNOWN_PARTITIONS),
+    _k("multigpu.throttle", _NUMBER, "fraction of each device's memory "
+       "the driver may use (Section VIII throttle knob)"),
 )}
 
 #: Section names (key prefixes) the schema knows about.
@@ -272,25 +310,21 @@ def _check_value(path: str, value, errors: list[str]) -> None:
     if value is None:
         return  # explicit null = "unset", always legal
     if not _type_ok(value, key.type):
-        errors.append(
-            f"{path}: expected {_type_names(key.type)}, got "
-            f"{type(value).__name__} ({value!r})")
+        errors.append(f"{path}: expected {_type_names(key.type)}, got "
+                      f"{type(value).__name__} ({value!r}) -- {key.help}")
         return
-    if key.choices is not None and value not in key.choices:
-        errors.append(f"{path}: unknown value {value!r}; choose from "
-                      f"{', '.join(map(str, key.choices))}")
-    if path == "serve.workload_mix":
-        known = workload_names(extended=True)
-        for item in value:
-            if item not in known:
-                errors.append(f"{path}: unknown workload {item!r}; "
-                              f"available: {', '.join(known)}")
-    if path == "serve.weights":
-        for item in value:
-            if not isinstance(item, (int, float)) or isinstance(item, bool) \
-                    or item <= 0:
-                errors.append(f"{path}: weights must be positive numbers, "
-                              f"got {item!r}")
+    for item in (value if key.item else [value]):
+        if key.item and not _type_ok(item, key.item):
+            errors.append(f"{path}: expected {_type_names(key.item)} "
+                          f"items, got {type(item).__name__} ({item!r}) "
+                          f"-- {key.help}")
+        elif key.choices is not None and item not in key.choices:
+            errors.append(f"{path}: unknown value {item!r}; choose from "
+                          f"{', '.join(map(str, key.choices))} -- "
+                          f"{key.help}")
+        elif path == "serve.weights" and item <= 0:
+            errors.append(f"{path}: weights must be positive numbers, "
+                          f"got {item!r}")
 
 
 def _check_sweep(sweep, errors: list[str]) -> None:
@@ -363,3 +397,12 @@ def validate(data: dict, source: str = "<scenario>") -> dict:
 def key_reference() -> list[Key]:
     """Schema entries in documentation order (structural keys first)."""
     return list(SCHEMA.values())
+
+
+def show(value) -> str:
+    """A value as a scenario file spells it (``true``, ``[ra, bfs]``)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(show, value))}]"
+    return str(value)

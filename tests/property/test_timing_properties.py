@@ -1,12 +1,11 @@
 """The timing model's scalar wave total against its breakdown.
 
-``TimingModel.wave_total_cycles`` (serve's per-wave charge) and
-``wave_cycles(...).total`` (the engine's) add the same terms in a
-different order, so their totals may differ in the last bits; the PCIe
-byte accounting they both drive must not differ at all.
+``TimingModel.wave_total_cycles`` (serve's per-wave charge) is
+``wave_cycles(...).total`` (the engine's): one formula, so the totals
+are equal to the last bit, and so is the PCIe byte accounting they
+both drive.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GpuConfig, InterconnectConfig, SimulationConfig
@@ -39,7 +38,7 @@ def test_wave_total_agrees_with_breakdown(outcome, compute_cycles):
         outcome, compute_cycles).total
     fast = TimingModel(SimulationConfig(), pcie_fast).wave_total_cycles(
         outcome, compute_cycles)
-    assert fast == pytest.approx(full, rel=1e-12, abs=0.0)
+    assert fast == full
     assert pcie_fast.h2d_bytes == pcie_full.h2d_bytes
     assert pcie_fast.d2h_bytes == pcie_full.d2h_bytes
     assert pcie_fast.remote_bytes == pcie_full.remote_bytes

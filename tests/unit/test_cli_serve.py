@@ -1,11 +1,13 @@
 """Unit tests for the ``repro serve`` command."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import _scenario, build_parser, main
+from repro.cli import _load_slo_config, _scenario, build_parser, main
 from repro.config import ServeConfig
+from repro.obs.live.slo import SloConfig
 from repro.scenario import build_serve_config
 
 
@@ -136,13 +138,29 @@ class TestServeSlo:
 
     def test_slo_config_rejects_unknown_key(self, tmp_path):
         slo = write_slo_yaml(tmp_path, "p99_latencyus: 300.0\n")
-        with pytest.raises(SystemExit, match="unknown SLO key"):
+        with pytest.raises(SystemExit,
+                           match=r"slo\.p99_latencyus: unknown key"):
             main(OVERLOAD_FLAGS + ["--slo-config", str(slo)])
 
     def test_slo_config_rejects_no_objectives(self, tmp_path):
         slo = write_slo_yaml(tmp_path, "fast_windows: 2\n")
         with pytest.raises(SystemExit, match="no\\s+objective"):
             main(OVERLOAD_FLAGS + ["--slo-config", str(slo)])
+
+    def test_slo_config_bad_value_exits_before_simulating(
+            self, tmp_path, monkeypatch):
+        """A value the schema rejects stops the run before it starts,
+        with the key's path in the message."""
+        from repro.serve import ServeSession
+        monkeypatch.setattr(ServeSession, "run",
+                            lambda self: pytest.fail("serve run started"))
+        slo = write_slo_yaml(tmp_path, "slo:\n  p99_latency_us: 300\n"
+                                       "  fast_windows: 2.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--scale", "tiny", "--tenants", "12",
+                  "--slo-config", str(slo)])
+        assert "slo.fast_windows: expected int, got float (2.5)" in str(
+            exc.value.code)
 
     def test_live_admission_off_matches_bare_run(self, tmp_path, capsys):
         """--slo-config must not perturb the simulated schedule."""
@@ -205,3 +223,36 @@ class TestServeSlo:
         with pytest.raises((SystemExit, ValueError)):
             main(["serve", "--tenants", "3", "--events", str(path),
                   "--flush-events", "1"])
+
+
+class TestSloConfigFile:
+    """``--slo-config`` files compile through the scenario schema."""
+
+    def load(self, tmp_path, body):
+        slo = write_slo_yaml(tmp_path, body)
+        return _load_slo_config(argparse.Namespace(slo_config=str(slo)))
+
+    def test_accepts_nested_bare_and_prefixed_keys(self, tmp_path):
+        nested = self.load(tmp_path, "slo:\n  p99_latency_us: 200\n"
+                                     "  max_shed_rate: 0.1\n")
+        bare = self.load(tmp_path, "p99_latency_us: 200.0\n"
+                                   "max_shed_rate: 0.1\n")
+        prefixed = self.load(tmp_path, "slo.p99_latency_us: 200.0\n"
+                                       "slo.max_shed_rate: 0.1\n")
+        assert nested == bare == prefixed == SloConfig(
+            p99_latency_us=200.0, max_shed_rate=0.1)
+        assert isinstance(nested.p99_latency_us, float)
+
+    def test_rejects_unknown_keys(self, tmp_path):
+        with pytest.raises(SystemExit, match="p99_latencyus: unknown key"):
+            self.load(tmp_path, "p99_latencyus: 200.0\n")
+
+    def test_skips_null(self, tmp_path):
+        cfg = self.load(tmp_path, "p99_latency_us: 200.0\n"
+                                  "max_shed_rate: null\n")
+        assert cfg.max_shed_rate is None
+
+    def test_rejects_invalid_objective(self, tmp_path):
+        with pytest.raises(SystemExit, match="latency_attainment"):
+            self.load(tmp_path, "p99_latency_us: 200.0\n"
+                                "latency_attainment: 1.5\n")

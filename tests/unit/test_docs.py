@@ -131,3 +131,17 @@ class TestKeyReference:
         errors = check_docs.check_key_reference(tmp_path)
         assert errors == ["docs/scenarios.md: key reference row "
                           "`policy.retired_knob` is not in the schema"]
+
+    def test_reworded_row_detected(self, tmp_path):
+        """Every byte of the table is the schema's: a reworded meaning
+        fails, and the error carries the table to paste in."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        table = check_docs.render_key_table()
+        reworded = table.replace("root RNG seed", "the seed")
+        assert reworded != table
+        (docs / "scenarios.md").write_text(
+            f"## Key reference\n\n{reworded}\n## Next\n")
+        (error,) = check_docs.check_key_reference(tmp_path)
+        assert "differs from the schema" in error
+        assert error.endswith(table)

@@ -9,7 +9,9 @@ from repro.scenario import (SCHEMA, ScenarioError, build_cell,
                             build_sim_config, check, compile_check,
                             deep_merge, expand, is_base, load_directory,
                             load_scenario, scenario_files, validate)
-from repro.scenario.schema import key_reference
+from repro.scenario import build_slo_config
+from repro.scenario.compile import compiled_default as default
+from repro.scenario.schema import key_reference, unflatten
 
 yaml = pytest.importorskip("yaml")
 
@@ -288,6 +290,57 @@ class TestCompile:
                     "sweep": {"multigpu.throttle": [0.5, 0.0]}}
         with pytest.raises(ScenarioError, match=r"s\[multigpu.throttle=0.0\]"):
             compile_check(scenario)
+
+
+class TestDocumentedDefaults:
+    """The default a key documents is the one its omission compiles to.
+
+    ``compiled_default`` reads it from the dataclass field the key sets;
+    spelling every documented default out must build the same artifacts
+    as leaving every key out, in every mode.
+    """
+
+    BUILDERS = {
+        "run": (build_cell, build_sim_config),
+        "sweep": (build_cell, build_sim_config),
+        "serve": (build_serve_config, build_sim_config, build_slo_config),
+        "multigpu": (build_multigpu_spec,),
+    }
+
+    @pytest.mark.parametrize("mode", list(BUILDERS))
+    def test_empty_scenario_compiles_to_documented_defaults(self, mode):
+        empty = {"mode": mode}
+        if mode != "serve":
+            empty["workload"] = "ra"
+        documented = {path: default(path, mode) for path in SCHEMA
+                      if default(path, mode) is not None}
+        spelled = deep_merge(unflatten(documented), empty)
+        assert check(spelled) == []
+        for build in self.BUILDERS[mode]:
+            assert build(spelled) == build(empty), build.__name__
+
+    def test_serve_documents_its_own_scale(self):
+        assert default("scale") == "small"
+        assert default("scale", "multigpu") == "small"
+        assert default("scale", "serve") == "tiny"
+        assert build_serve_config({"mode": "serve"}).scale == "tiny"
+
+    def test_every_knob_sets_a_field(self):
+        """A key whose leaf names no field would validate and then be
+        dropped by the compiler; only the structural keys set none."""
+        from repro.scenario import compile as compiler
+        targets = {**compiler._CELL, **compiler._SERVE, **compiler._SLO,
+                   **compiler._MULTIGPU}
+        assert set(SCHEMA) - set(targets) == {
+            "name", "description", "inherits", "mode", "sweep"}
+
+    def test_unset_defaults_say_what_omission_means(self):
+        """A knob that compiles to no default says in its help what
+        leaving it out means (``workload`` is required instead)."""
+        for path, key in SCHEMA.items():
+            if (key.cell or "." in path) and path != "workload" \
+                    and default(path) is None:
+                assert "omit" in key.help, path
 
 
 class TestDirectory:

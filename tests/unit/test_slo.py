@@ -72,28 +72,6 @@ class TestSloConfig:
         with pytest.raises(ValueError):
             SloConfig(**kwargs).validate()
 
-    def test_from_dict_accepts_bare_and_prefixed_keys(self):
-        a = SloConfig.from_dict({"p99_latency_us": 200.0,
-                                 "max_shed_rate": 0.1})
-        b = SloConfig.from_dict({"slo.p99_latency_us": 200.0,
-                                 "slo.max_shed_rate": 0.1})
-        assert a == b
-        assert a.p99_latency_us == 200.0
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown SLO key"):
-            SloConfig.from_dict({"p99_latencyus": 200.0})
-
-    def test_from_dict_skips_none(self):
-        cfg = SloConfig.from_dict({"p99_latency_us": 200.0,
-                                   "max_shed_rate": None})
-        assert cfg.max_shed_rate is None
-
-    def test_as_dict_round_trips(self):
-        cfg = SloConfig(p99_latency_us=300.0, latency_attainment=0.95,
-                        fast_windows=2, slow_windows=8)
-        assert SloConfig.from_dict(cfg.as_dict()) == cfg
-
 
 class TestLatencyEvaluation:
     def engine(self, **kwargs):

@@ -96,10 +96,8 @@ class TestTimingModel:
             1000 * tc.compute_cycles_per_access + tc.wave_overhead_cycles)
 
     def test_wave_total_cycles_matches_breakdown(self, timing):
-        # On these outcomes the scalar fast path gives wave_cycles'
-        # total exactly, and the same PCIe traffic accounting side
-        # effects.  In general the two add in different orders and may
-        # differ in the last bits (tests/property/test_timing_properties).
+        # The scalar serve charge is wave_cycles' total, with the same
+        # PCIe traffic accounting side effects.
         outcomes = [
             WaveOutcome(n_accesses=100, n_local=100),
             WaveOutcome(n_accesses=50, n_local=20, n_remote=30,

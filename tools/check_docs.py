@@ -19,9 +19,11 @@ Checks, over README.md, EXPERIMENTS.md, DESIGN.md and ``docs/*.md``:
   against the scenario schema (unknown keys, bad values, broken
   ``inherits:`` targets -- resolved against the repo's ``configs/``
   library).  Blocks containing ``# not-a-scenario`` are exempt;
-* **Key reference** -- the key table in ``docs/scenarios.md`` covers
-  exactly the keys in ``repro.scenario.schema.SCHEMA`` (no missing,
-  no stale rows).
+* **Key reference** -- the key table in ``docs/scenarios.md`` is the
+  one :func:`render_key_table` renders from
+  ``repro.scenario.schema.SCHEMA`` (type, compiled default, sweepable,
+  help text), byte for byte; when it differs, the expected table is
+  printed for pasting in.
 
 Exit status is the number of problems found (0 = docs are clean).
 """
@@ -195,8 +197,40 @@ def check_yaml_blocks(path: Path, root: Path) -> list[str]:
 KEY_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_.]+)`\s*\|", re.M)
 
 
+def _cell(value) -> str:
+    from repro.scenario.schema import show
+    return "—" if value is None else f"`{show(value)}`"
+
+
+def render_key_table() -> str:
+    """The key reference table of ``docs/scenarios.md``, from the schema:
+    each key's type, the default it compiles to (and serve's, where that
+    differs), whether it may be swept, and its help text."""
+    from repro.scenario.compile import compiled_default as default
+    from repro.scenario.schema import key_reference
+
+    lines = ["| key | type | default | sweepable | meaning |",
+             "|---|---|---|---|---|"]
+    for key in key_reference():
+        types = "/".join(t.__name__ for t in key.type
+                         if not (t is int and float in key.type))
+        shown = _cell(default(key.path))
+        serve = default(key.path, "serve")
+        if serve != default(key.path):
+            shown += f" ({_cell(serve)} under serve)"
+        meaning = key.help
+        if key.choices is not None:
+            each = "each one of" if key.item else "one of"
+            meaning += f"; {each} " + ", ".join(f"`{c}`"
+                                                for c in key.choices)
+        lines.append(f"| `{key.path}` | {types} | {shown} | "
+                     f"{'yes' if key.sweepable else 'no'} | {meaning} |")
+    return "\n".join(lines) + "\n"
+
+
 def check_key_reference(root: Path) -> list[str]:
-    """The scenarios.md key table vs. the live schema, both directions."""
+    """The scenarios.md key table vs. the live schema: first which keys
+    it lists (both directions), then every byte of the table."""
     from repro.scenario import SCHEMA
 
     doc = root / "docs" / "scenarios.md"
@@ -216,6 +250,15 @@ def check_key_reference(root: Path) -> list[str]:
     for key in sorted(documented - schema):
         errors.append(f"docs/scenarios.md: key reference row `{key}` "
                       f"is not in the schema")
+    if errors:
+        return errors
+    table = "".join(line for line in
+                    match.group(1).splitlines(keepends=True)
+                    if line.startswith("|"))
+    expected = render_key_table()
+    if table != expected:
+        errors.append("docs/scenarios.md: the key reference table differs "
+                      "from the schema; replace it with:\n" + expected)
     return errors
 
 
