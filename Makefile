@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-accel bench bench-smoke bench-perf \
+.PHONY: install test bench bench-smoke bench-perf \
 	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
 	trace-smoke invariant-smoke check-configs check-figures \
 	check-regression figures examples check-docs clean
@@ -12,12 +12,6 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
-
-# Same suite on the compiled hot-loop backend.  Without numba the
-# backend falls back (with a warning) to bit-identical pure python;
-# REPRO_ACCEL_INTERPRET=1 would force the loop kernels interpreted.
-test-accel:
-	REPRO_BACKEND=numba $(PYTHON) -m pytest tests/
 
 test-logged:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
@@ -38,23 +32,21 @@ bench-perf:
 
 # Overloaded multi-tenant serving run: must degrade cleanly
 # (throttle -> queue -> shed) and deterministically under both
-# schedulers and both backends: two runs of each scheduler must agree
-# byte for byte, in the JSON result and in the event log.
+# schedulers: two runs of each scheduler must agree byte for byte, in
+# the JSON result and in the event log.
 SERVE_SMOKE = $(PYTHON) -m repro serve --tenants 6 \
 	--arrival-rate 2000 --queue-depth 2 --shed-watermark 2.0
 serve-smoke:
-	for be in python numba; do \
-		for i in 1 2; do \
-			REPRO_BACKEND=$$be $(SERVE_SMOKE) --events .serve-rr-$$i.jsonl \
-				--json > .serve-rr-$$i.json || exit 1; \
-			REPRO_BACKEND=$$be $(SERVE_SMOKE) --scheduler drr --weights 2,1 \
-				--events .serve-drr-$$i.jsonl --json > .serve-drr-$$i.json \
-				|| exit 1; \
-		done; \
-		for s in rr drr; do \
-			diff .serve-$$s-1.json .serve-$$s-2.json || exit 1; \
-			diff .serve-$$s-1.jsonl .serve-$$s-2.jsonl || exit 1; \
-		done; \
+	for i in 1 2; do \
+		$(SERVE_SMOKE) --events .serve-rr-$$i.jsonl \
+			--json > .serve-rr-$$i.json || exit 1; \
+		$(SERVE_SMOKE) --scheduler drr --weights 2,1 \
+			--events .serve-drr-$$i.jsonl --json > .serve-drr-$$i.json \
+			|| exit 1; \
+	done
+	for s in rr drr; do \
+		diff .serve-$$s-1.json .serve-$$s-2.json || exit 1; \
+		diff .serve-$$s-1.jsonl .serve-$$s-2.jsonl || exit 1; \
 	done
 	rm -f .serve-rr-1.json .serve-rr-2.json .serve-drr-1.json \
 		.serve-drr-2.json .serve-rr-1.jsonl .serve-rr-2.jsonl \

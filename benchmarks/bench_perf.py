@@ -42,7 +42,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.accel import NUMBA_VERSION, resolve_backend  # noqa: E402
 from repro.analysis import (  # noqa: E402
     GridCell,
     GridOptions,
@@ -51,12 +50,7 @@ from repro.analysis import (  # noqa: E402
     run_grid,
 )
 from repro.analysis.parallel import run_cell  # noqa: E402
-from repro.config import (  # noqa: E402
-    KNOWN_BACKENDS,
-    MigrationPolicy,
-    SimulationConfig,
-    default_backend,
-)
+from repro.config import MigrationPolicy, SimulationConfig  # noqa: E402
 from repro.memory.allocator import VirtualAddressSpace  # noqa: E402
 from repro.memory.layout import MB  # noqa: E402
 from repro.obs.regress import append_history  # noqa: E402
@@ -91,8 +85,7 @@ def _timed(fn, repeats: int) -> tuple[float, float, object]:
     return best_wall, best_cpu, result
 
 
-def measure_throughput(scale: str, repeats: int,
-                       backend: str | None = None) -> dict:
+def measure_throughput(scale: str, repeats: int) -> dict:
     """Simulated accesses/second over the fixed throughput cells.
 
     The headline ``accesses_per_second`` runs the grid over a shared
@@ -103,8 +96,7 @@ def measure_throughput(scale: str, repeats: int,
     :func:`run_cell`, which generates its waves live (``run_grid`` would
     record and replay them), and ``replay_speedup`` is the ratio.
     """
-    cells = [GridCell(w, MigrationPolicy.ADAPTIVE, level, scale,
-                      backend=backend)
+    cells = [GridCell(w, MigrationPolicy.ADAPTIVE, level, scale)
              for w, level in THROUGHPUT_CELLS]
     live_wall, live_cpu, live_results = _timed(
         lambda: [run_cell(cell) for cell in cells], repeats)
@@ -132,7 +124,7 @@ def measure_throughput(scale: str, repeats: int,
     }
 
 
-def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
+def measure_fast_path(repeats: int) -> dict:
     """Steady-state resident-wave microbench: the fast path's home regime.
 
     Builds a driver whose capacity covers the whole footprint, warms the
@@ -146,8 +138,6 @@ def measure_fast_path(repeats: int, backend: str | None = None) -> dict:
     data = vas.malloc_managed("bench.fastpath", size_mb * MB)
     cfg = SimulationConfig().with_policy(MigrationPolicy.DISABLED)
     cfg = cfg.with_device_capacity(2 * size_mb * MB)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
     rng = np.random.default_rng(7)
     waves = []
     for _ in range(n_waves):
@@ -221,7 +211,7 @@ SERVE_SCENARIO = dict(tenants=10, seed=1, arrival_rate=2000.0,
                       admit_watermark=1.8, shed_watermark=2.0)
 
 
-def measure_serve(repeats: int, backend: str | None = None) -> dict:
+def measure_serve(repeats: int) -> dict:
     """Multi-tenant serve run: wall time plus the serving metrics.
 
     ``accesses_per_second``/``p99_wave_latency_us``/``shed_rate`` come
@@ -234,9 +224,7 @@ def measure_serve(repeats: int, backend: str | None = None) -> dict:
     from repro.serve import ServeSession
 
     cfg = ServeConfig(**SERVE_SCENARIO)
-    sim = SimulationConfig(backend=backend) if backend else None
-    wall, cpu, result = _timed(
-        lambda: ServeSession(cfg, sim_config=sim).run(), repeats)
+    wall, cpu, result = _timed(lambda: ServeSession(cfg).run(), repeats)
     return {
         "scenario": {k: v for k, v in SERVE_SCENARIO.items()},
         "arrivals": result.arrivals,
@@ -275,7 +263,7 @@ SERVE_FUSED_SCENARIO = dict(tenants=8, seed=1, arrival_rate=4000.0,
 SERVE_FUSED_PENALTY = 32
 
 
-def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
+def measure_serve_fused(repeats: int) -> dict:
     """Host-wall throughput of the fused multi-tenant serve cell.
 
     ``fused_accesses_per_second`` is gated ``higher``; ``batches`` and
@@ -286,8 +274,7 @@ def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
     from repro.config import ServeConfig
     from repro.serve import ServeSession
 
-    base = SimulationConfig(backend=backend) if backend else \
-        SimulationConfig()
+    base = SimulationConfig()
     sim = _dc.replace(base, policy=_dc.replace(
         base.policy, migration_penalty=SERVE_FUSED_PENALTY))
     cfg = ServeConfig(**SERVE_FUSED_SCENARIO)
@@ -310,7 +297,7 @@ def measure_serve_fused(repeats: int, backend: str | None = None) -> dict:
     }
 
 
-def measure_telemetry(repeats: int, backend: str | None = None) -> dict:
+def measure_telemetry(repeats: int) -> dict:
     """Host-side cost of live telemetry on the serve bench scenario.
 
     Times the serve scenario bare, then again with the full telemetry
@@ -327,17 +314,16 @@ def measure_telemetry(repeats: int, backend: str | None = None) -> dict:
     from repro.serve import ServeSession
 
     cfg = ServeConfig(**SERVE_SCENARIO)
-    sim = SimulationConfig(backend=backend) if backend else None
     slo = SloConfig(p99_latency_us=300.0, latency_attainment=0.95,
                     max_shed_rate=0.1)
 
     def bare():
-        return ServeSession(cfg, sim_config=sim).run()
+        return ServeSession(cfg).run()
 
     def instrumented():
         obs = Observability.create(metrics=True)
         obs.bus.attach(NullSink())
-        return ServeSession(cfg, sim_config=sim, obs=obs, slo=slo).run()
+        return ServeSession(cfg, obs=obs, slo=slo).run()
 
     bare()  # untimed warm-up: the first serve pays one-time numpy
     # and import costs that would otherwise bias whichever variant
@@ -358,13 +344,7 @@ def measure_telemetry(repeats: int, backend: str | None = None) -> dict:
     }
 
 
-def run(scale: str, repeats: int, jobs: int,
-        backend: str | None = None) -> dict:
-    # Resolve once up front: prints the one-line fallback warning when
-    # numba was requested but is not importable, and gives the report
-    # the *active* backend (the one the numbers were measured with).
-    requested = backend if backend is not None else default_backend()
-    active = resolve_backend(requested).name
+def run(scale: str, repeats: int, jobs: int) -> dict:
     report = {
         "schema_version": 2,
         "generated": datetime.datetime.now(datetime.timezone.utc)
@@ -375,19 +355,12 @@ def run(scale: str, repeats: int, jobs: int,
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        # The backend field joins the regression-gate fingerprint:
-        # compiled and pure-python numbers never baseline each other.
-        "backend": {
-            "requested": requested,
-            "active": active,
-            "numba": NUMBA_VERSION,
-        },
-        "throughput": measure_throughput(scale, repeats, backend=backend),
+        "throughput": measure_throughput(scale, repeats),
         "sweep_grid": measure_sweep(scale, repeats, jobs),
-        "fast_path": measure_fast_path(repeats, backend=backend),
-        "serve": measure_serve(repeats, backend=backend),
-        "serve_fused": measure_serve_fused(repeats, backend=backend),
-        "telemetry": measure_telemetry(repeats, backend=backend),
+        "fast_path": measure_fast_path(repeats),
+        "serve": measure_serve(repeats),
+        "serve_fused": measure_serve_fused(repeats),
+        "telemetry": measure_telemetry(repeats),
     }
     return report
 
@@ -405,11 +378,6 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes for the parallel sweep "
                          "measurement (0 = one per CPU, 1 = skip)")
-    ap.add_argument("--backend", default=None, choices=KNOWN_BACKENDS,
-                    help="hot-loop kernel backend for the throughput and "
-                         "fast-path sections (default: $REPRO_BACKEND or "
-                         "python; 'numba' warns and falls back to python "
-                         "when numba is not installed)")
     ap.add_argument("--out", default=str(DEFAULT_OUT),
                     help="output JSON path (default: BENCH_driver.json "
                          "at the repo root)")
@@ -422,7 +390,7 @@ def main(argv=None) -> int:
     scale = args.scale or ("tiny" if args.quick else "small")
     repeats = args.repeats or (1 if args.quick else 5)
 
-    report = run(scale, repeats, args.jobs, backend=args.backend)
+    report = run(scale, repeats, args.jobs)
     out = pathlib.Path(args.out)
     # ``report["git"]`` was read before this write, so rewriting the
     # tracked snapshot never makes the report itself dirty.
@@ -432,10 +400,6 @@ def main(argv=None) -> int:
         print("bench_perf: working tree is dirty; not appending to "
               f"{args.history} (commit first)", file=sys.stderr)
 
-    be = report["backend"]
-    numba_note = f", numba {be['numba']}" if be["numba"] else ""
-    print(f"backend: {be['active']} (requested {be['requested']}"
-          f"{numba_note})")
     tp = report["throughput"]
     sg = report["sweep_grid"]
     fp = report["fast_path"]

@@ -1,14 +1,13 @@
-"""Pure-numpy reference kernels for the per-wave hot loop.
+"""Numpy kernels for the per-wave hot loop.
 
-This module is the ``python`` backend: every function is the exact
-array expression the driver and counter file historically ran inline.
-:mod:`repro.accel.jit` holds the loop-shaped twins that numba compiles;
-the backend equivalence property tests pin the two modules to
-bit-identical results, so either namespace can be handed to the driver
-as ``kernels``.
+Every function is an array expression the driver and counter file run
+on the per-wave hot path.  :class:`repro.uvm.driver.UvmDriver`,
+:func:`repro.uvm.driver.group_wave` and
+:class:`repro.uvm.counters.AccessCounterFile` call them as attributes
+of this module, so a wrapper installed on the module sees every call.
 
-Contracts shared by both backends (callers guarantee them, kernels do
-not re-check on the hot path):
+Contracts (callers guarantee them, kernels do not re-check on the hot
+path):
 
 * index arrays are ``int64``; count/threshold arrays are ``int64``;
 * ``increment``/``fill_zero`` indices are distinct (eviction victims
@@ -18,29 +17,15 @@ not re-check on the hot path):
   number of global halvings applied (the caller emits the events).
 
 Imports nothing from the rest of the package (only numpy), so any
-module -- including :mod:`repro.uvm` -- can use it as a default
-without import cycles.
+module -- including :mod:`repro.uvm` -- can use it without import
+cycles.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # -- decision kernel (UvmDriver._handle_far_accesses) -----------------------
-
-def eq1_thresholds(ts: int, penalty: int, oversubscribed: bool,
-                   occupancy_fraction: float, n: int,
-                   roundtrips: np.ndarray) -> np.ndarray:
-    """Both Equation-1 regimes, validation-free (mirrors
-    :func:`repro.uvm.thresholds.eq1_thresholds`; ``roundtrips`` may be
-    empty when not oversubscribed)."""
-    if oversubscribed:
-        return ts * penalty * (roundtrips + 1)
-    return np.full(n, math.floor(ts * occupancy_fraction) + 1,
-                   dtype=np.int64)
-
 
 def decide(c0: np.ndarray, k: np.ndarray, td: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:

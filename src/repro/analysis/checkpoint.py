@@ -76,18 +76,17 @@ def _known_fields(cls, data: dict) -> dict:
 #: GridCell fields that are pure performance hints: they never change
 #: results (property-tested bit-identical), so they are excluded from
 #: the cell's checkpoint identity and a journal entry is shared across
-#: replay sources and kernel backends.
-_PERF_HINT_FIELDS = ("trace_path", "backend")
+#: replay sources.
+_PERF_HINT_FIELDS = ("trace_path",)
 
 
 def encode_cell(cell) -> dict:
     """JSON-safe encoding of a grid cell (any dataclass spec).
 
-    Performance hints (``trace_path``, ``backend``) are excluded: each
-    produces bit-identical results, so a cached journal entry or an
-    archived run must be shared between live and replayed runs of the
-    same cell, between kernel backends, and between hosts with
-    different cache directories.
+    The performance hint ``trace_path`` is excluded: replay produces
+    bit-identical results, so a cached journal entry or an archived run
+    must be shared between live and replayed runs of the same cell, and
+    between hosts with different cache directories.
     """
     data = _encode(cell)
     for name in _PERF_HINT_FIELDS:
@@ -208,7 +207,7 @@ class CheckpointJournal:
             if parent:
                 os.makedirs(parent, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
-        # Journals are replay-source/backend-agnostic (see encode_cell).
+        # Journals are replay-source-agnostic (see encode_cell).
         record = {"cell": encode_cell(cell), "result": encode_result(result)}
         self._fh.write(json.dumps(record) + "\n")
         self._fh.flush()

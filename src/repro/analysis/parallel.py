@@ -118,12 +118,6 @@ class GridCell:
     #: bit-identical to live generation, so it is excluded from the
     #: cell's checkpoint and archive identity.
     trace_path: str | None = None
-    #: Hot-loop kernel backend for the cell's config
-    #: (:mod:`repro.accel`).  ``None`` inherits the config default
-    #: (which honours ``REPRO_BACKEND``).  Like ``trace_path``, a pure
-    #: performance hint with bit-identical results, excluded from the
-    #: cell's checkpoint identity.
-    backend: str | None = None
 
 
 #: Eviction granularity named by each ``GridCell.evict`` value.
@@ -139,12 +133,11 @@ def cell_config(knobs) -> SimulationConfig:
     """The :class:`SimulationConfig` a set of knobs describes.
 
     ``knobs`` maps :class:`GridCell` field names to values; an omitted
-    knob takes its :class:`GridCell` default, and an omitted
-    ``backend`` the config's own (which honours ``REPRO_BACKEND``).
-    The fields naming the access stream (``workload``, ``scale``,
-    ``oversubscription``, ``trace_path``) do not enter the config.
-    This is the one mapping from knobs to a config: grid cells, the
-    scenario compiler and the CLI all build theirs here.  Raises
+    knob takes its :class:`GridCell` default.  The fields naming the
+    access stream (``workload``, ``scale``, ``oversubscription``,
+    ``trace_path``) do not enter the config.  This is the one mapping
+    from knobs to a config: grid cells, the scenario compiler and the
+    CLI all build theirs here.  Raises
     ``ValueError`` on a knob the config rejects.
     """
     k = {**_KNOB_DEFAULTS, **knobs}
@@ -154,8 +147,6 @@ def cell_config(knobs) -> SimulationConfig:
     cfg = SimulationConfig(seed=k["seed"],
                            collect_page_histogram=k["collect_histogram"],
                            collect_access_trace=k["collect_trace"])
-    if k["backend"] is not None:
-        cfg = cfg.replace(backend=k["backend"])
     cfg = cfg.with_policy(MigrationPolicy(k["policy"]),
                           static_threshold=k["ts"], migration_penalty=k["p"],
                           threshold_variant=k["threshold_variant"],
@@ -215,10 +206,6 @@ class GridOptions:
     #: when it ends; a directory keeps them for later grids and sessions.
     #: Results are bit-identical either way.
     trace_cache: str | None = None
-    #: Kernel backend stamped onto every cell that does not already
-    #: carry an explicit one (``None`` = leave cells alone, inheriting
-    #: the config default and ``REPRO_BACKEND``).
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -357,8 +344,6 @@ def run_grid(cells, max_workers: int | None = None,
     """
     cells = list(cells)
     opts = options or GridOptions()
-    if opts.backend is not None:
-        cells = _annotate_backend(cells, opts.backend)
     if max_workers is not None and max_workers < 0:
         raise ValueError(
             f"max_workers must be >= 0 (0 = one per CPU), got {max_workers}")
@@ -491,16 +476,6 @@ class _Streams:
         self._drop()
         if self._tmp is not None:
             self._tmp.cleanup()
-
-
-def _annotate_backend(cells, backend: str) -> list[GridCell]:
-    """Stamp the grid-wide backend choice onto unannotated cells.
-
-    Cells that already carry an explicit backend keep it, and the
-    annotation never changes results (the backends are bit-identical).
-    """
-    return [replace(cell, backend=backend) if cell.backend is None else cell
-            for cell in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,7 @@ def _grid_options(args):
                            resume=args.resume,
                            metrics=registry,
                            archive=store,
-                           trace_cache=getattr(args, "trace_cache", None),
-                           backend=getattr(args, "backend", None))
+                           trace_cache=getattr(args, "trace_cache", None))
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}") from None
 
@@ -563,8 +562,7 @@ def _print_serve_summary(result) -> None:
         rows.append(["batch occupancy", f"{result.batch_occupancy:.2f}"])
     print(format_table(["metric", "value"], rows,
                        title=f"== serve: {result.arrivals} tenants @ "
-                             f"{result.config.capacity_mb}MB "
-                             f"({result.backend}) =="))
+                             f"{result.config.capacity_mb}MB =="))
     rows = []
     for t in result.tenants:
         if t.shed:
@@ -945,7 +943,6 @@ def _add_grid_args(p) -> None:
                         "again (every grid records each stream once and "
                         "replays it in all its cells; by default into a "
                         "temporary directory removed at the end)")
-    _add_knob(p, "backend")
     _add_runs_arg(p)
 
 

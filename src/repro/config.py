@@ -11,31 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import os
 from dataclasses import dataclass, field
 
 from .memory.layout import BASIC_BLOCK_SIZE, CHUNK_SIZE, GB, MB, PAGE_SIZE
-
-#: Backends the driver's hot-loop kernels can run on (see repro.accel).
-KNOWN_BACKENDS: tuple[str, ...] = ("python", "numba")
 
 #: Threshold growth functions accepted by PolicyConfig.threshold_variant
 #: (Equation 1 plus the design-space variants of repro.core.variants).
 KNOWN_THRESHOLD_VARIANTS: tuple[str, ...] = (
     "multiplicative", "linear", "exponential", "occupancy-only")
-
-
-def default_backend() -> str:
-    """Backend selected by ``REPRO_BACKEND`` (``python`` when unset).
-
-    This is the dataclass default of :class:`SimulationConfig.backend`,
-    so the environment variable reaches every config built without an
-    explicit backend -- including the whole test suite, which is how CI
-    runs the same tests under both backends.  Values are not validated
-    here; :meth:`SimulationConfig.validate` rejects unknown names with
-    an actionable message.
-    """
-    return os.environ.get("REPRO_BACKEND", "").strip().lower() or "python"
 
 
 class MigrationPolicy(enum.Enum):
@@ -355,17 +338,13 @@ class SimulationConfig:
     collect_page_histogram: bool = False
     #: Capture (cycle, page, is_write) access samples (Figure 3).
     collect_access_trace: bool = False
-    #: Capture per-wave memory-pressure samples (occupancy timeline).
-    collect_timeline: bool = False
     #: Re-verify driver accounting invariants after every wave (slow;
     #: catches residency/device-ledger drift at the wave that caused it).
     debug_invariants: bool = False
     seed: int = 0
-    #: Hot-loop kernel backend: ``python`` (numpy reference, the
-    #: bit-identity baseline) or ``numba`` (compiled loop kernels from
-    #: :mod:`repro.accel`, falling back to python with a warning when
-    #: numba is not installed).  Defaults to ``$REPRO_BACKEND``.
-    backend: str = field(default_factory=default_backend)
+    # Not a field (no annotation): no config carries or sets it.  Kept
+    # for perfbench/provenance.py, like repro.accel.resolve_backend.
+    backend = "python"
 
     def replace(self, **kwargs) -> "SimulationConfig":
         """Return a copy with top-level fields replaced."""
@@ -400,10 +379,6 @@ class SimulationConfig:
                 f"memory: device_capacity {self.memory.device_capacity} is "
                 f"below one eviction unit ({min_capacity}); nothing could "
                 "ever be resident")
-        if self.backend not in KNOWN_BACKENDS:
-            errors.append(
-                f"backend: unknown backend {self.backend!r}; choose from "
-                f"{KNOWN_BACKENDS} (set via --backend or REPRO_BACKEND)")
         if errors:
             raise ValueError(
                 "invalid SimulationConfig:\n  - " + "\n  - ".join(errors))

@@ -36,12 +36,6 @@ from ..uvm import thresholds as th
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..uvm.driver import UvmDriver
 
-#: Placeholder round-trip slice for the non-oversubscribed Equation-1
-#: branch: the backend kernels take an array argument unconditionally
-#: (numba cannot type ``None``), but never read it on that branch.
-_NO_ROUNDTRIPS = np.empty(0, dtype=np.int64)
-_NO_ROUNDTRIPS.flags.writeable = False
-
 
 class DecisionPolicy(ABC):
     """Interface the UVM driver consults on every far access."""
@@ -139,13 +133,10 @@ class AdaptivePolicy(DecisionPolicy):
     def decision_state(self, blocks, driver):
         counters = driver.counters
         over = driver.device.oversubscribed
-        # Equation 1 runs on the driver's backend kernels (python or
-        # numba); repro.uvm.thresholds.eq1_thresholds is the pinned
-        # reference both mirror.
-        td = driver.kernels.eq1_thresholds(
+        td = th.eq1_thresholds(
             self.config.static_threshold, self.config.migration_penalty,
             over, driver.device.occupancy, len(blocks),
-            counters.roundtrips[blocks] if over else _NO_ROUNDTRIPS)
+            counters.roundtrips[blocks] if over else None)
         if self.config.historic_counters:
             baseline = counters.counts[blocks]
         else:

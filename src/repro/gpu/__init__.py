@@ -1,14 +1,10 @@
 """GPU-side execution and timing models."""
 
 from .engine import GpuExecutionEngine
-from .sm import KernelResources, SmOccupancyModel, SmResources
 from .timing import TimingModel, WaveTiming
 
 __all__ = [
     "GpuExecutionEngine",
-    "KernelResources",
-    "SmOccupancyModel",
-    "SmResources",
     "TimingModel",
     "WaveTiming",
 ]

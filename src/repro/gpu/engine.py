@@ -51,7 +51,6 @@ class GpuExecutionEngine:
         process_wave = self.driver.process_wave
         wave_cycles = self.timing.wave_cycles
         merge_timing = self.total_timing.merge
-        totals = self.driver.stats.totals
         # The global clock advances once per wave; accumulate in a local
         # and publish back to the attribute once per launch (every
         # in-loop consumer below reads the local).
@@ -84,11 +83,6 @@ class GpuExecutionEngine:
                     cycle,
                     self.driver.device.used_blocks
                     / self.driver.device.capacity_blocks)
-            if collector is not None:
-                collector.on_timeline(
-                    cycle, self.driver.device.used_blocks,
-                    self.driver.device.capacity_blocks,
-                    totals.fault_events, totals.thrash_migrations)
         self.cycle = cycle
         if collector is not None:
             collector.on_kernel_end(launch.name, kernel_cycles,

@@ -54,9 +54,6 @@ class RunMeta(Event):
     total_blocks: int
     capacity_blocks: int
     allocations: tuple[tuple[str, int, int], ...]
-    #: Active hot-loop kernel backend (``repro.accel``); defaulted so
-    #: logs archived before the field existed keep replaying.
-    backend: str = "python"
 
 
 @dataclass(frozen=True, slots=True)

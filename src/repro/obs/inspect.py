@@ -367,8 +367,7 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
         lines.append(
             f"== event log: {meta.workload} / {meta.policy} "
             f"(seed {meta.seed}, {meta.total_blocks} blocks, "
-            f"capacity {meta.capacity_blocks} blocks, "
-            f"backend {meta.backend}) ==")
+            f"capacity {meta.capacity_blocks} blocks) ==")
     else:
         lines.append("== event log (no run_meta header) ==")
     lines.append("")

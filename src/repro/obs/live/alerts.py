@@ -14,7 +14,7 @@ lets degradation react to live signals.
 
 Evaluation is pure: comparisons over floats the simulator computed, no
 host time, no RNG.  The transcript (ordered list of fired events) is
-therefore seed-stable and backend-independent, which CI asserts.
+therefore seed-stable, which CI asserts.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ emitted on the transition into violation, and a final
 objective) when the tenant completes.
 
 All math here is pure float arithmetic over simulated-clock windows:
-identical inputs yield identical transcripts on every backend.
+identical inputs yield identical transcripts.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ simulated quantities:
   burn-rate plus alert-rule evaluation.
 
 Everything downstream of the hooks is pure float bookkeeping over the
-simulated clock: transcripts are bit-identical across replays and
-backends, which the CI telemetry smoke asserts.
+simulated clock: transcripts are bit-identical across replays, which
+the CI telemetry smoke asserts.
 """
 
 from __future__ import annotations

@@ -34,8 +34,7 @@ def render_top(summary: LogSummary, path: str = "") -> str:
     if path:
         header += f" -- {path}"
     if meta is not None:
-        header += (f" [{meta.workload} seed {meta.seed} "
-                   f"backend {meta.backend}]")
+        header += f" [{meta.workload} seed {meta.seed}]"
     lines.append(header)
     counts = summary.event_counts
     lines.append(

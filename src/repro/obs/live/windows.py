@@ -14,7 +14,7 @@ is built from:
 * :class:`TumblingWindow` -- fixed-width, non-overlapping windows over
   the *simulated* serving clock.  Window boundaries depend only on
   observation timestamps, never on host time, so closed-window
-  sequences are bit-identical across replays and backends.
+  sequences are bit-identical across replays.
 * :class:`Ewma` -- a deterministic exponentially-weighted moving
   average (plain float recurrence, no host state).
 
@@ -206,7 +206,7 @@ class Ewma:
     distinguish "no signal yet" from a genuine zero), then follows the
     standard recurrence ``v <- alpha * x + (1 - alpha) * v``.  Pure
     float arithmetic: feeding the same sequence always yields the same
-    value, on any backend.
+    value.
     """
 
     __slots__ = ("alpha", "value")

@@ -32,8 +32,8 @@ GATED_METRICS: dict[str, str] = {
     "fast_path.steady_state_accesses_per_second": "higher",
     "fast_path.hit_rate": "higher",
     # Live (non-replay) single-cell wave generation + simulation
-    # throughput: the number the compiled-backend work drives toward
-    # the replay ceiling.  Absent from older history entries.
+    # throughput, next to the replay ceiling.  Absent from older
+    # history entries.
     "throughput.live_accesses_per_second": "higher",
     # Multi-tenant serving scenario (deterministic simulated-clock
     # quantities: behavioral regressions, not host noise).  Absent
@@ -73,10 +73,11 @@ def lookup(report: dict, path: str):
 def fingerprint(report: dict) -> tuple:
     """What makes two bench reports comparable: scale + host + backend.
 
-    The *active* kernel backend is part of comparability: numba-compiled
-    and pure-python numbers differ by design, so one must never baseline
-    the other.  Reports predating the backend field default to
-    ``python`` (the only backend that existed then).
+    The kernel backend is part of comparability: the frozen history
+    carries a ``backend`` section from when a compiled backend existed,
+    and a compiled number must never baseline a pure-python one.  A
+    report without the section (before it existed, or after the
+    compiled backend was removed) is ``python``.
     """
     host = report.get("host") or {}
     return (lookup(report, "throughput.scale"),

@@ -24,11 +24,10 @@ sets the :class:`GridCell` field its entry names, and ``serve.*``,
 ``slo.*`` and ``multigpu.*`` keys set the field of their leaf name
 (the top-level ``scale`` and ``seed`` keys apply to serving too).  A
 builder passes only the keys a scenario sets, so an omitted key takes
-the dataclass default (``backend`` keeps honouring ``REPRO_BACKEND``);
-:func:`compiled_default` reads that default back as the key's
-documented one.  The CLI's knob flags compile through the same
-builders: a flag is its schema path, so a scenario and the equivalent
-flags build equal cells and configs.
+the dataclass default; :func:`compiled_default` reads that default
+back as the key's documented one.  The CLI's knob flags compile
+through the same builders: a flag is its schema path, so a scenario
+and the equivalent flags build equal cells and configs.
 """
 
 from __future__ import annotations

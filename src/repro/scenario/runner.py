@@ -106,8 +106,8 @@ class _ScenarioArchiver:
                      result) -> str:
         from ..analysis.checkpoint import encode_cell
         from ..obs.store import RunManifest
-        # Encoded like the grid archiver's cells: no trace path or
-        # backend in the identity.
+        # Encoded like the grid archiver's cells: no trace path in the
+        # identity.
         manifest = RunManifest.create(
             kind="grid-cell", workload=cell.workload,
             policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
@@ -164,11 +164,10 @@ def run_scenarios(scenarios: list[dict], jobs: int = 1,
     """Execute resolved scenarios; returns outcomes in input order.
 
     ``options`` configures the pooled grid run (retries, checkpoint,
-    trace cache, backend stamping); its ``archive`` store -- or the
-    explicit ``store`` argument -- turns on scenario-aware archiving
-    for every mode, with the resolved config embedded in each
-    manifest.  The grid runner's own per-cell archiver is bypassed so
-    cells are not archived twice.
+    trace cache); its ``archive`` store -- or the explicit ``store``
+    argument -- turns on scenario-aware archiving for every mode, with
+    the resolved config embedded in each manifest.  The grid runner's
+    own per-cell archiver is bypassed so cells are not archived twice.
     """
     opts = options or GridOptions()
     if store is None and opts.archive is not None:

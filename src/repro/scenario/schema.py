@@ -2,7 +2,7 @@
 
 A *scenario* is a declarative experiment description: one YAML mapping
 whose keys cover every knob the simulator exposes -- workload, scale,
-policy, memory management, fault injection, kernel backend, tenancy
+policy, memory management, fault injection, tenancy
 (``serve:``), serving objectives (``slo:``) and multi-GPU topology
 (``multigpu:``) -- plus the two structural keys ``inherits:`` (resolved
 by :mod:`repro.scenario.loader`) and ``sweep:`` (expanded by
@@ -22,8 +22,8 @@ downstream is derived from this one table:
 * :mod:`repro.cli` generates the knob flags of ``run``, ``compare``,
   ``trace replay`` and ``serve`` from the entries that declare a flag
   (spelling, metavar, type or choices, and help), as well as the
-  ``workload`` positional and the ``--scale``, ``--seed`` and
-  ``--backend`` options wherever other commands take them;
+  ``workload`` positional and the ``--scale`` and ``--seed`` options
+  wherever other commands take them;
 * :mod:`repro.scenario.compile` maps each key onto the field it sets --
   ``serve.*``, ``slo.*`` and ``multigpu.*`` keys by leaf name onto
   ``ServeConfig``, ``SloConfig`` and ``MultiGpuSpec`` -- and reads a
@@ -38,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.parallel import EVICTION_GRANULARITIES
-from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_BACKENDS,
-                      KNOWN_SCHEDULERS, KNOWN_THRESHOLD_VARIANTS,
-                      MigrationPolicy, PrefetcherKind)
+from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_SCHEDULERS,
+                      KNOWN_THRESHOLD_VARIANTS, MigrationPolicy,
+                      PrefetcherKind)
 from ..multigpu.cluster import KNOWN_PARTITIONS
 from ..workloads import SCALES, workload_names
 
@@ -114,10 +114,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        "memory (1.25 = 125% oversubscription)", flag="--oversub",
        metavar="FACTOR", cell="oversubscription"),
     _k("seed", int, "root RNG seed", flag="--seed", cell="seed"),
-    _k("backend", str, "hot-loop kernel backend (omit: $REPRO_BACKEND or "
-       "python; numba falls back to python with a warning when it is "
-       "not installed)", choices=KNOWN_BACKENDS, flag="--backend",
-       cell="backend"),
     # -- policy ----------------------------------------------------------
     _k("policy.variant", str, "migration policy scheme",
        choices=tuple(p.value for p in MigrationPolicy), flag="--policy",
@@ -368,6 +364,29 @@ def check(data: dict) -> list[str]:
     return errors
 
 
+#: Key sections only one mode reads, and that mode.
+_SECTION_MODE = {"serve": "serve", "slo": "serve", "multigpu": "multigpu"}
+#: Top-level keys a serve scenario never reads.
+_UNSERVED = ("workload", "oversubscription")
+
+
+def reads(mode: str, path: str) -> bool:
+    """Whether a scenario of ``mode`` reads the key at ``path``."""
+    section = path.rpartition(".")[0]
+    if section in _SECTION_MODE:
+        return _SECTION_MODE[section] == mode
+    return not (mode == "serve" and path in _UNSERVED)
+
+
+def _unread(mode: str, path: str, label: str) -> str:
+    section = path.rpartition(".")[0]
+    why = (f"only mode {_SECTION_MODE[section]!r} does"
+           if section in _SECTION_MODE else
+           "serve tenants draw their workloads from serve.workload_mix "
+           "and share serve.capacity_mb")
+    return f"{label}: mode {mode!r} never reads this key ({why})"
+
+
 def _check_mode(data: dict) -> list[str]:
     """Cross-key requirements per execution mode."""
     errors: list[str] = []
@@ -375,6 +394,10 @@ def _check_mode(data: dict) -> list[str]:
     if mode not in KNOWN_MODES:
         return errors  # already reported as a value error
     axes = data.get("sweep") if isinstance(data.get("sweep"), dict) else {}
+    errors += [_unread(mode, path, path) for path in flatten(data)
+               if path in SCHEMA and not reads(mode, path)]
+    errors += [_unread(mode, axis, f"sweep.{axis}") for axis in axes
+               if axis in SCHEMA and not reads(mode, axis)]
     if mode in ("run", "sweep", "multigpu"):
         if "workload" not in data and "workload" not in axes:
             errors.append(f"workload: required for mode {mode!r} (set it "

@@ -33,10 +33,8 @@ Determinism contract: arrival trace, tenant builds, and driver faults
 each own a separate seeded RNG stream; the scheduler is a deterministic
 function of the trace and wave timing; nothing reads the wall clock.
 A serve run is therefore a pure function of ``(ServeConfig,
-SimulationConfig)`` and replays bit-identically -- including across
-``--backend python|numba`` (the driver backends are bit-identical by
-construction).  Shed tenants' allocations still occupy VA space but
-never touch the device.
+SimulationConfig)`` and replays bit-identically.  Shed tenants'
+allocations still occupy VA space but never touch the device.
 """
 
 from __future__ import annotations
@@ -128,8 +126,6 @@ class ServeResult:
     """Outcome of one serve run (JSON-safe via :meth:`as_dict`)."""
 
     config: ServeConfig
-    #: Active driver kernel backend (after any numba fallback).
-    backend: str
     arrivals: int
     admitted: int
     queued: int
@@ -241,8 +237,8 @@ class ServeSession:
         self.scenario = scenario
         base = sim_config if sim_config is not None else SimulationConfig()
         #: Driver-level configuration: the serve capacity and seed
-        #: override whatever the base carries; policy/backend/faults
-        #: flow through from the caller's flags.
+        #: override whatever the base carries; policy and faults flow
+        #: through from the caller's flags.
         self.sim_config = dataclasses.replace(
             base.with_device_capacity(config.capacity_bytes),
             seed=config.seed).validate()
@@ -317,8 +313,7 @@ class ServeSession:
             capacity_blocks=driver.device.capacity_blocks,
             allocations=tuple(
                 (a.name, a.first_block, a.first_block + a.num_blocks)
-                for a in vas.allocations),
-            backend=driver.backend_name))
+                for a in vas.allocations)))
         self._pcie = PcieModel(self.sim_config.interconnect,
                                self.sim_config.gpu)
         self._timing = TimingModel(self.sim_config, self._pcie)
@@ -655,7 +650,6 @@ class ServeSession:
                 slo_violations = telemetry.slo.total_violations()
         result = ServeResult(
             config=self.config,
-            backend=self._driver.backend_name,
             arrivals=len(self._tenants),
             admitted=controller.admits,
             queued=controller.queued,

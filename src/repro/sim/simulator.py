@@ -73,18 +73,15 @@ class Simulator:
                 capacity_blocks=driver.device.capacity_blocks,
                 allocations=tuple(
                     (a.name, a.first_block, a.first_block + a.num_blocks)
-                    for a in vas.allocations),
-                backend=driver.backend_name))
+                    for a in vas.allocations)))
         pcie = PcieModel(config.interconnect, config.gpu)
         timing = TimingModel(config, pcie)
         collector = None
-        if (config.collect_page_histogram or config.collect_access_trace
-                or config.collect_timeline):
+        if config.collect_page_histogram or config.collect_access_trace:
             collector = StatsCollector(
                 vas,
                 histogram=config.collect_page_histogram,
                 trace=config.collect_access_trace,
-                timeline=config.collect_timeline,
             )
         engine = GpuExecutionEngine(driver, timing, collector, obs=obs)
         if obs is not None and obs.profiler is not None:
@@ -104,10 +101,6 @@ class Simulator:
             obs.metrics.counter("driver.fast_path_waves").inc(
                 driver.stats.fast_path_waves)
             obs.metrics.counter("driver.waves").inc(driver.stats.waves)
-            # Which kernel backend actually ran (after any numba
-            # fallback).
-            obs.metrics.counter(
-                f"driver.backend.{driver.backend_name}").inc()
 
         return RunResult(
             workload=workload.name,

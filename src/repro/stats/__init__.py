@@ -1,7 +1,5 @@
 """Statistics collection."""
 
-from .collector import (KernelStats, StatsCollector,
-                        TimelineSample, TraceRecord)
+from .collector import KernelStats, StatsCollector, TraceRecord
 
-__all__ = ["KernelStats", "StatsCollector", "TimelineSample",
-           "TraceRecord"]
+__all__ = ["KernelStats", "StatsCollector", "TraceRecord"]

@@ -13,7 +13,7 @@ figures need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +40,12 @@ class KernelStats:
     launches: int = 0
 
 
-@dataclass
-class TimelineSample:
-    """One memory-pressure sample (taken after a wave completes)."""
-
-    cycle: float
-    resident_blocks: int
-    capacity_blocks: int
-    cumulative_faults: int
-    cumulative_thrash: int
-
-    @property
-    def occupancy(self) -> float:
-        """Device occupancy fraction at this sample."""
-        return self.resident_blocks / self.capacity_blocks
-
-
 class StatsCollector:
     """Optional heavyweight instrumentation toggled by the config.
 
     A collector **accumulates** across every run it observes: feeding a
     second engine run into the same instance sums its page histograms,
-    extends its trace and timeline, and merges per-kernel stats by
+    extends its trace, and merges per-kernel stats by
     kernel name (``launches`` keeps growing).  That is the right
     behaviour for a multi-kernel workload within one run, but reusing
     one collector across repeated ``Simulator``/engine runs silently
@@ -71,24 +55,22 @@ class StatsCollector:
 
     def __init__(self, vas: VirtualAddressSpace,
                  histogram: bool = False, trace: bool = False,
-                 timeline: bool = False, trace_sample: int = 512) -> None:
+                 trace_sample: int = 512) -> None:
         self.vas = vas
         self.histogram_enabled = histogram
         self.trace_enabled = trace
-        self.timeline_enabled = timeline
         self.trace_sample = trace_sample
         n = vas.total_pages
         self.page_reads = np.zeros(n, dtype=np.int64) if histogram else None
         self.page_writes = np.zeros(n, dtype=np.int64) if histogram else None
         self.trace: list[TraceRecord] = []
-        self.timeline: list[TimelineSample] = []
         self.kernels: dict[str, KernelStats] = {}
 
     def reset(self) -> None:
         """Clear all accumulated state so the collector can be reused.
 
-        Zeroes the page histograms in place and empties the trace,
-        timeline, and per-kernel aggregates.  The enabled/disabled
+        Zeroes the page histograms in place and empties the trace and
+        the per-kernel aggregates.  The enabled/disabled
         switches and the bound address space are untouched, so the
         collector observes its next run exactly as a fresh instance
         would.
@@ -97,7 +79,6 @@ class StatsCollector:
             self.page_reads[:] = 0
             self.page_writes[:] = 0
         self.trace.clear()
-        self.timeline.clear()
         self.kernels.clear()
 
     def on_wave(self, kernel: str, iteration: int, cycle: float,
@@ -118,32 +99,6 @@ class StatsCollector:
                 rec_pages, rec_writes = pages.copy(), is_write.copy()
             self.trace.append(TraceRecord(cycle, kernel, iteration,
                                           rec_pages, rec_writes))
-
-    def on_timeline(self, cycle: float, resident_blocks: int,
-                    capacity_blocks: int, cumulative_faults: int,
-                    cumulative_thrash: int) -> None:
-        """Record one post-wave memory-pressure sample."""
-        if not self.timeline_enabled:
-            return
-        self.timeline.append(TimelineSample(
-            cycle=cycle, resident_blocks=resident_blocks,
-            capacity_blocks=capacity_blocks,
-            cumulative_faults=cumulative_faults,
-            cumulative_thrash=cumulative_thrash))
-
-    def render_timeline(self, width: int = 64, height: int = 8) -> str:
-        """ASCII occupancy-over-time sketch from the timeline samples."""
-        if not self.timeline:
-            return "(no timeline samples)"
-        t_max = self.timeline[-1].cycle or 1.0
-        raster = [[" "] * width for _ in range(height)]
-        for s in self.timeline:
-            col = min(int(width * s.cycle / t_max), width - 1)
-            row = min(int(height * s.occupancy), height - 1)
-            raster[height - 1 - row][col] = "#"
-        lines = ["occupancy over time (100% at top):"]
-        lines += ["  |" + "".join(r) + "|" for r in raster]
-        return "\n".join(lines)
 
     def on_kernel_end(self, kernel: str, cycles: float, accesses: int) -> None:
         """Accumulate per-kernel totals."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..accel import kernels as _py_kernels
+from ..accel import kernels
 from ..obs.events import CounterHalving
 
 
@@ -26,10 +26,6 @@ class AccessCounterFile:
     and change the relative hotness resolution, so they are worth
     tracing when debugging threshold behaviour).
 
-    ``kernels`` selects the backend namespace for the bulk array ops
-    (scatter-adds and saturation halving); the default is the numpy
-    reference implementation.  See :mod:`repro.accel`.
-
     Each field keeps a running upper bound on its maximum, raised by
     every update, and scans the updated blocks for saturation only once
     that bound reaches the field's limit.  The fields change only
@@ -38,11 +34,10 @@ class AccessCounterFile:
     """
 
     def __init__(self, total_blocks: int, counter_bits: int = 27,
-                 roundtrip_bits: int = 5, bus=None, kernels=None) -> None:
+                 roundtrip_bits: int = 5, bus=None) -> None:
         if total_blocks <= 0:
             raise ValueError("need at least one basic block")
         self.bus = bus
-        self._kern = kernels if kernels is not None else _py_kernels
         if counter_bits + roundtrip_bits != 32:
             raise ValueError("counter register must total 32 bits")
         self.counter_max = np.int64((1 << counter_bits) - 1)
@@ -98,8 +93,8 @@ class AccessCounterFile:
         already has it.  Saturation of any block halves the
         access-count field of *all* blocks, as described in the paper.
         """
-        self._kern.scatter_add(self._counts, blocks,
-                               amounts.astype(np.int64, copy=False))
+        kernels.scatter_add(self._counts, blocks,
+                            amounts.astype(np.int64, copy=False))
         self._halve_saturated_counts(blocks, amounts, total)
 
     def add_accesses_unique(self, blocks: np.ndarray, amounts: np.ndarray,
@@ -111,8 +106,8 @@ class AccessCounterFile:
         duplicate-safe scatter.  Bit-identical to :meth:`add_accesses`
         on such input.
         """
-        self._kern.scatter_add_unique(self._counts, blocks,
-                                      amounts.astype(np.int64, copy=False))
+        kernels.scatter_add_unique(self._counts, blocks,
+                                   amounts.astype(np.int64, copy=False))
         self._halve_saturated_counts(blocks, amounts, total)
 
     def _halve_saturated_counts(self, blocks: np.ndarray, amounts: np.ndarray,
@@ -124,8 +119,7 @@ class AccessCounterFile:
             return
         # Only just-updated blocks can newly saturate (counts never grow
         # elsewhere), so the check scans the update, not the whole file.
-        n = self._kern.halve_while_ge(self._counts, blocks,
-                                      self.counter_max)
+        n = kernels.halve_while_ge(self._counts, blocks, self.counter_max)
         self._counts_bound = int(self._counts.max())
         for _ in range(n):
             self.count_halvings += 1
@@ -136,14 +130,14 @@ class AccessCounterFile:
 
     def add_roundtrip(self, blocks: np.ndarray) -> None:
         """Record an eviction round trip for each *distinct* block."""
-        self._kern.increment(self._roundtrips, blocks)
+        kernels.increment(self._roundtrips, blocks)
         self.has_roundtrips = True
         # Distinct blocks each step by one, so the bound does too.
         self._roundtrips_bound += 1
         if self._roundtrips_bound <= self.roundtrip_max:
             return
-        n = self._kern.halve_while_gt(self._roundtrips, blocks,
-                                      self.roundtrip_max)
+        n = kernels.halve_while_gt(self._roundtrips, blocks,
+                                   self.roundtrip_max)
         self._roundtrips_bound = int(self._roundtrips.max())
         for _ in range(n):
             self.roundtrip_halvings += 1
@@ -155,13 +149,13 @@ class AccessCounterFile:
     def add_remote_accesses(self, blocks: np.ndarray,
                             amounts: np.ndarray) -> None:
         """Accumulate the Volta-style remote-access counters."""
-        self._kern.scatter_add(self.volta_counts, blocks, amounts)
+        kernels.scatter_add(self.volta_counts, blocks, amounts)
 
     def add_remote_accesses_unique(self, blocks: np.ndarray,
                                    amounts: np.ndarray) -> None:
         """:meth:`add_remote_accesses` for *distinct* blocks."""
-        self._kern.scatter_add_unique(self.volta_counts, blocks, amounts)
+        kernels.scatter_add_unique(self.volta_counts, blocks, amounts)
 
     def reset_volta(self, blocks: np.ndarray) -> None:
         """Reset hardware counters when blocks migrate to the device."""
-        self._kern.fill_zero(self.volta_counts, blocks)
+        kernels.fill_zero(self.volta_counts, blocks)

@@ -24,8 +24,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from ..accel import kernels as _py_kernels
-from ..accel import resolve_backend
+from ..accel import kernels
 from ..config import EvictionGranularity, ReplacementPolicy, SimulationConfig
 from ..memory.advice import Advice
 from ..core.policy import DecisionPolicy, make_policy
@@ -134,9 +133,8 @@ class DriverCounters:
         default_factory=lambda: np.zeros(0, dtype=bool))
 
 
-def group_wave(blocks: np.ndarray, is_write: np.ndarray, counts: np.ndarray,
-               kern=_py_kernels
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def group_wave(blocks: np.ndarray, is_write: np.ndarray,
+               counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group one wave's accesses per 64KB basic block.
 
     ``blocks`` are the wave's page ids shifted to block ids (``pages >>
@@ -166,7 +164,7 @@ def group_wave(blocks: np.ndarray, is_write: np.ndarray, counts: np.ndarray,
         sorted_blocks = blocks[order]
         sorted_counts = counts[order]
         sorted_w = (counts * is_write)[order]
-    return kern.group_sorted(sorted_blocks, sorted_counts, sorted_w)
+    return kernels.group_sorted(sorted_blocks, sorted_counts, sorted_w)
 
 
 class UvmDriver:
@@ -186,12 +184,6 @@ class UvmDriver:
         self.obs = obs
         self._bus = obs.bus if obs is not None else None
         self._prof = obs.profiler if obs is not None else None
-        #: Resolved hot-loop kernel backend (``repro.accel``).  The
-        #: resolved name may differ from ``config.backend`` when numba
-        #: was requested but is not importable (warned once, falls back
-        #: to the numpy reference kernels).
-        self.accel = resolve_backend(config.backend)
-        self._kern = self.accel.kernels
         total_blocks = vas.total_blocks
         self.residency = ResidencyMap(total_blocks)
         self.host = HostMemory(total_blocks)
@@ -201,7 +193,6 @@ class UvmDriver:
             counter_bits=config.policy.counter_bits,
             roundtrip_bits=config.policy.roundtrip_bits,
             bus=self._bus,
-            kernels=self._kern,
         )
         self.directory = ChunkDirectory(vas.chunks, total_blocks)
         self.trees: list[PrefetchTree] = [
@@ -307,12 +298,11 @@ class UvmDriver:
         # so the grouping pass is skipped entirely; outcomes and driver
         # state are bit-identical to the full pipeline (property-tested
         # against the reference driver in ``tests/oracle.py``).
-        if self._kern.resident_all(self.residency.resident, blocks):
+        if kernels.resident_all(self.residency.resident, blocks):
             return self._resident_wave(out, blocks, blocks[is_write],
                                        counts, self.counters.add_accesses)
 
-        ublocks, totals, w_counts = group_wave(blocks, is_write, counts,
-                                               self._kern)
+        ublocks, totals, w_counts = group_wave(blocks, is_write, counts)
         return self._resolve_grouped(out, ublocks, totals, w_counts,
                                      self.residency.resident[ublocks])
 
@@ -451,7 +441,7 @@ class UvmDriver:
         are materialized only when an event sink is actually attached.
         """
         td, c0 = self._decision_state(nrb)
-        migrate, slack = self._kern.decide(c0, k, td)
+        migrate, slack = kernels.decide(c0, k, td)
         if self._has_pinned:
             pinned_host = self.block_pinned_host[nrb]
             if pinned_host.any():
@@ -474,7 +464,7 @@ class UvmDriver:
                                            migrated=m))
 
         # Accesses served remotely before a (possible) migration trigger.
-        remote = self._kern.remote_counts(migrate, slack, k)
+        remote = kernels.remote_counts(migrate, slack, k)
         out.n_remote += int(remote.sum())
         # Volta hardware counters see every remote access (``nrb`` is
         # duplicate-free: a subset of the wave's grouped blocks).
@@ -942,16 +932,6 @@ class UvmDriver:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    @property
-    def kernels(self):
-        """The resolved backend kernel namespace (``repro.accel``)."""
-        return self._kern
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the *active* backend (after any fallback)."""
-        return self.accel.name
 
     @property
     def fast_path_hit_rate(self) -> float:

@@ -72,11 +72,6 @@ def eq1_thresholds(ts: int, penalty: int, oversubscribed: bool,
     thrash penalty applies to the counter file's round-trip slice
     (``roundtrips``, only needed then).  Semantics are identical to
     :func:`dynamic_threshold_no_oversub` / :func:`dynamic_thresholds_oversub`.
-
-    This function is the specification; the backend kernels in
-    :mod:`repro.accel.kernels` / :mod:`repro.accel.jit` mirror it (the
-    hot path calls whichever namespace the config's ``backend``
-    selected) and are property-tested bit-identical to it.
     """
     if oversubscribed:
         return ts * penalty * (roundtrips + 1)

@@ -65,15 +65,6 @@ def _is_sorted(values: np.ndarray) -> bool:
     return bool(np.all(values[1:] >= values[:-1])) if values.size > 1 else True
 
 
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (``np.unique`` minus the extras)."""
-    values = np.asarray(values)
-    if values.size == 0:
-        return values
-    data = values if _is_sorted(values) else np.sort(values)
-    return data[np.concatenate(([True], data[1:] != data[:-1]))]
-
-
 SECTOR_SHIFT: int = 7  # 128-byte coalescing sectors
 #: log2(sectors per page): a sector's page offset is ``sector >> 5``.
 _PAGE_SECTOR_SHIFT: int = SECTORS_PER_PAGE.bit_length() - 1

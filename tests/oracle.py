@@ -280,7 +280,7 @@ class ReferenceDriver(UvmDriver):
         if blocks.size == 0:
             return WaveOutcome(n_accesses=int(counts.sum()))
         return self._process_grouped(
-            *group_wave(blocks, is_write, counts, self._kern))
+            *group_wave(blocks, is_write, counts))
 
     def _process_grouped(self, ublocks: np.ndarray, totals: np.ndarray,
                          w_counts: np.ndarray) -> WaveOutcome:

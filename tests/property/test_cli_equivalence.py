@@ -68,9 +68,9 @@ def knob_flags(command):
             if a.option_strings and a.dest in SCHEMA}
 
 
-def test_knob_flags_cover_37_keys():
+def test_knob_flags_cover_36_keys():
     paths = set().union(*(knob_flags(c) for c in COMMANDS))
-    assert len(paths) == 37
+    assert len(paths) == 36
     assert all(path in SCHEMA for path in paths)
 
 

@@ -11,10 +11,7 @@ Three guarantees pin the serve path:
   -- is bit-identical to the test oracle
   (:func:`tests.oracle.reference_session`, whose driver resolves every
   wave through the full pipeline, without the resident fast path or
-  the bulk drain), across schedulers, policies, fault injection, and
-  both kernel backends (the numba backend runs through its interpreted
-  fallback, so the loop kernels are exercised without numba
-  installed).
+  the bulk drain), across schedulers, policies and fault injection.
 * **Earlier output is untouched.**  The golden fixtures under
   ``tests/data/serve_golden/`` were generated from earlier code: the
   round-robin ones from the pre-scheduler serving layer, the drr one
@@ -34,7 +31,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.accel as accel
 from repro.config import MB, MigrationPolicy, ServeConfig, SimulationConfig
 from repro.obs import Observability, RingBufferSink
 from repro.serve import ServeSession
@@ -51,12 +47,9 @@ BASE = dict(tenants=5, arrival_rate=1500.0, capacity_mb=24,
             queue_depth=2, throttle_watermark=1.1, admit_watermark=1.6,
             shed_watermark=2.0)
 
-def serve_dict(seed, backend="python", sim=None, obs=None, reference=False,
-               **kw):
+def serve_dict(seed, sim=None, obs=None, reference=False, **kw):
     """A serve run's result dict; ``reference`` runs it on the oracle."""
     cfg = ServeConfig(seed=seed, **BASE, **kw)
-    if sim is None:
-        sim = SimulationConfig(backend=backend)
     if reference:
         return reference_session(cfg, sim_config=sim, obs=obs).as_dict()
     return ServeSession(cfg, sim_config=sim, obs=obs).run().as_dict()
@@ -126,14 +119,6 @@ class TestFusedSessionIdentity:
                                              migration_fault_rate=0.2)
         seq = serve_dict(1, sim=sim, scheduler="drr", reference=True)
         prod = serve_dict(1, sim=sim, scheduler="drr")
-        assert seq == prod
-
-    def test_batched_equals_sequential_across_backends(self, monkeypatch):
-        monkeypatch.setattr(accel, "FORCE_INTERPRETED", True)
-        seq = serve_dict(1, backend="python", scheduler="drr",
-                         reference=True)
-        prod = serve_dict(1, backend="numba", scheduler="drr")
-        seq.pop("backend"), prod.pop("backend")
         assert seq == prod
 
     def test_event_streams_match(self):

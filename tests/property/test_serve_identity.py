@@ -1,9 +1,9 @@
 """Determinism properties of the serving layer.
 
 The serving contract: a serve run is a *pure function* of
-``(ServeConfig, SimulationConfig)``.  Repeats are bit-identical, the
-kernel backend is undetectable in results, and admission decisions are
-a pure function of ``(seed, arrival trace, capacity)``.
+``(ServeConfig, SimulationConfig)``.  Repeats are bit-identical, and
+admission decisions are a pure function of ``(seed, arrival trace,
+capacity)``.
 """
 
 import dataclasses
@@ -12,8 +12,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.accel as accel
-from repro.config import ServeConfig, SimulationConfig
+from repro.config import ServeConfig
 from repro.serve import AdmissionController, ServeSession, generate_arrivals
 
 #: Small but non-trivial: overlapping tenants, queueing, throttling.
@@ -22,10 +21,8 @@ BASE = dict(tenants=5, arrival_rate=1500.0, capacity_mb=24,
             shed_watermark=2.0)
 
 
-def run_dict(seed, backend="python"):
-    cfg = ServeConfig(seed=seed, **BASE)
-    sim = SimulationConfig(backend=backend)
-    return ServeSession(cfg, sim_config=sim).run().as_dict()
+def run_dict(seed):
+    return ServeSession(ServeConfig(seed=seed, **BASE)).run().as_dict()
 
 
 class TestBitIdentity:
@@ -38,15 +35,6 @@ class TestBitIdentity:
 
     def test_seeds_differ(self):
         assert run_dict(0) != run_dict(3)
-
-    def test_backend_invariant(self, monkeypatch):
-        """python and numba backends produce identical serve results."""
-        monkeypatch.setattr(accel, "FORCE_INTERPRETED", True)
-        py = run_dict(1, backend="python")
-        nb = run_dict(1, backend="numba")
-        # The backend label itself necessarily differs.
-        py.pop("backend"), nb.pop("backend")
-        assert py == nb
 
 
 class TestArrivalTraceProperties:

@@ -10,8 +10,8 @@ import pytest
 BENCH_PERF = (pathlib.Path(__file__).resolve().parents[2]
               / "benchmarks" / "bench_perf.py")
 
-SECTIONS = ("backend", "throughput", "sweep_grid", "fast_path", "serve",
-            "serve_fused", "telemetry")
+SECTIONS = ("throughput", "sweep_grid", "fast_path", "serve", "serve_fused",
+            "telemetry")
 
 
 @pytest.fixture(scope="module")

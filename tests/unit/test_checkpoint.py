@@ -47,10 +47,12 @@ class TestEncoding:
         assert decode_config(encode_config(cfg)) == cfg
 
     def test_archived_config_with_retired_shards_decodes(self):
-        """Configs archived while ``shards`` was a setting still load:
-        the retired key is ignored, everything else round-trips."""
+        """Configs archived while ``shards``, ``backend`` and
+        ``collect_timeline`` were settings still load: the retired keys
+        are ignored, everything else round-trips."""
         cfg = SimulationConfig(seed=3).with_policy(MigrationPolicy.ADAPTIVE)
-        archived = dict(encode_config(cfg), shards=4)
+        archived = dict(encode_config(cfg), shards=4, backend="numba",
+                        collect_timeline=True)
         assert decode_config(archived) == cfg
 
     def test_result_roundtrip_exact(self, tiny_result):

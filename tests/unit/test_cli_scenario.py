@@ -149,12 +149,11 @@ class TestSweepConfig:
 
     def test_scenario_cells_archive_like_grid_cells(self, tmp_path, capsys):
         """Scenario manifests encode the cell the way the grid archiver
-        does: no kernel backend or trace path in the cell identity."""
+        does: no trace path in the cell identity."""
         cfg = write(tmp_path / "grid.yaml", """\
 mode: sweep
 workload: ra
 scale: tiny
-backend: python
 sweep:
   policy.variant: [disabled, adaptive]
 """)
@@ -165,9 +164,7 @@ sweep:
         assert len(manifests) == 2
         for manifest in manifests:
             cell = build_cell(manifest.config["scenario"])
-            assert cell.backend == "python"
             assert manifest.config["cell"] == encode_cell(cell)
-            assert "backend" not in manifest.config["cell"]
             assert "trace_path" not in manifest.config["cell"]
 
 

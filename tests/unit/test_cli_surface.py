@@ -16,7 +16,6 @@ from repro.cli import build_parser
 
 SCALES = ("tiny", "small", "medium")
 POLICIES = ("disabled", "always", "oversub", "adaptive")
-BACKENDS = ("python", "numba")
 EVICTIONS = ("2mb", "64kb")
 PREFETCHERS = ("tree", "none", "sequential", "random")
 PROCESSES = ("poisson", "bursty")
@@ -40,7 +39,6 @@ def flag(dest, default=False):
 SURFACE = {
     "run": {
         "--archive": flag("archive"),
-        "--backend": opt("backend", choices=BACKENDS),
         "--config": opt("config", metavar="YAML"),
         "--debug-invariants": flag("debug_invariants"),
         "--events": opt("events", metavar="PATH"),
@@ -71,7 +69,6 @@ SURFACE = {
         "workload": opt("workload", "parser", nargs="?", required=False),
     },
     "compare": {
-        "--backend": opt("backend", choices=BACKENDS),
         "--debug-invariants": flag("debug_invariants"),
         "--evict": opt("memory.eviction", choices=EVICTIONS),
         "--fault-burst-mult":
@@ -94,7 +91,6 @@ SURFACE = {
     },
     "figure": {
         "--archive": flag("archive"),
-        "--backend": opt("backend", choices=BACKENDS),
         "--cell-timeout": opt("cell_timeout", "float", metavar="SECONDS"),
         "--checkpoint": opt("checkpoint", metavar="PATH"),
         "--csv": flag("csv"),
@@ -110,7 +106,6 @@ SURFACE = {
     },
     "sweep": {
         "--archive": flag("archive"),
-        "--backend": opt("backend", choices=BACKENDS),
         "--cell-timeout": opt("cell_timeout", "float", metavar="SECONDS"),
         "--checkpoint": opt("checkpoint", metavar="PATH"),
         "--config": opt("config", metavar="YAML"),
@@ -136,7 +131,6 @@ SURFACE = {
     },
     "trace replay": {
         "--archive": flag("archive"),
-        "--backend": opt("backend", choices=BACKENDS),
         "--debug-invariants": flag("debug_invariants"),
         "--events": opt("events", metavar="PATH"),
         "--evict": opt("memory.eviction", choices=EVICTIONS),
@@ -168,7 +162,6 @@ SURFACE = {
             opt("serve.admit_watermark", "float", metavar="X"),
         "--archive": flag("archive"),
         "--arrival-rate": opt("serve.arrival_rate", "float", metavar="PER_S"),
-        "--backend": opt("backend", choices=BACKENDS),
         "--burst-factor": opt("serve.burst_factor", "float", metavar="X"),
         "--burst-len": opt("serve.burst_len_ms", "float", metavar="MS"),
         "--calm-len": opt("serve.calm_len_ms", "float", metavar="MS"),

@@ -32,8 +32,7 @@ def serve_log(tmp_path):
     path = tmp_path / "serve.jsonl"
     write_log(path, [
         RunMeta(workload="serve:ra+bfs", policy="adaptive", seed=7,
-                total_blocks=512, capacity_blocks=256, allocations=(),
-                backend="python"),
+                total_blocks=512, capacity_blocks=256, allocations=()),
         TenantArrival(tenant=0, workload="ra", at_us=0.0,
                       footprint_mb=16.0),
         TenantArrival(tenant=1, workload="bfs", at_us=10.0,

@@ -191,8 +191,9 @@ class TestRender:
         assert "no run_meta header" in text
 
     def test_log_with_retired_shards_field_still_summarizes(self, tmp_path):
-        """Logs written while RunMeta still carried ``shards`` decode
-        (the retired key is ignored) and render a normal header."""
+        """Logs written while RunMeta still carried ``backend`` and
+        ``shards`` decode (the retired keys are ignored) and render a
+        normal header."""
         path = tmp_path / "old.jsonl"
         rows = [ev.as_dict() for ev in _decisions()]
         rows[0] = dict(rows[0], backend="python", shards=4)
@@ -200,5 +201,5 @@ class TestRender:
         summary = summarize(path)
         assert summary.meta == META
         text = render_summary(summary)
-        assert "ra / adaptive" in text and "backend python" in text
-        assert "shards" not in text
+        assert "ra / adaptive" in text
+        assert "shards" not in text and "backend" not in text

@@ -36,6 +36,21 @@ class TestHelpers:
         assert fingerprint(_report(scale="tiny")) != fingerprint(_report())
         assert fingerprint(_report(cpus=8)) != fingerprint(_report())
 
+    def test_fingerprint_tracks_active_backend(self):
+        """The frozen history still carries backend sections: a report
+        without one (every report since the compiled backend went) is
+        ``python``, and a compiled row never baselines it."""
+        report = {"host": {"cpu": "x", "cores": 8},
+                  "python": "3.11", "numpy": "2.0",
+                  "backend": {"requested": "numba", "active": "python",
+                              "numba": None}}
+        legacy = {"host": {"cpu": "x", "cores": 8},
+                  "python": "3.11", "numpy": "2.0"}
+        assert fingerprint(report)[-1] == "python"
+        assert fingerprint(legacy)[-1] == "python"
+        report["backend"]["active"] = "numba"
+        assert fingerprint(report)[-1] == "numba"
+
     def test_history_round_trip_skips_torn_lines(self, tmp_path):
         path = tmp_path / "h.jsonl"
         append_history(path, _report(aps=1.0))

@@ -11,7 +11,7 @@ from repro.scenario import (SCHEMA, ScenarioError, build_cell,
                             load_scenario, scenario_files, validate)
 from repro.scenario import build_slo_config
 from repro.scenario.compile import compiled_default as default
-from repro.scenario.schema import key_reference, unflatten
+from repro.scenario.schema import key_reference, reads, unflatten
 
 yaml = pytest.importorskip("yaml")
 
@@ -114,12 +114,43 @@ class TestSchema:
                    for e in errors)
 
     def test_retired_keys_are_unknown(self):
-        """``shards`` and ``serve.batch_waves`` were removed settings:
-        configs still naming them fail with the unknown-key error."""
+        """``shards``, ``backend`` and ``serve.batch_waves`` were removed
+        settings: configs still naming them fail with the unknown-key
+        error."""
         errors = check({"name": "x", "workload": "ra", "shards": 4,
+                        "backend": "python",
                         "serve": {"batch_waves": True}})
         assert any("shards" in e and "unknown" in e for e in errors)
+        assert any("backend" in e and "unknown" in e for e in errors)
         assert any("serve.batch_waves" in e and "unknown" in e
+                   for e in errors)
+
+    @pytest.mark.parametrize("text, unread", [
+        ("mode: run\nworkload: ra\nserve:\n  tenants: 5\n"
+         "multigpu:\n  gpus: 4\n", ("serve.tenants", "multigpu.gpus")),
+        ("mode: serve\noversubscription: 3.0\n", ("oversubscription",)),
+    ], ids=["run-with-serve-and-multigpu", "serve-with-oversub"])
+    def test_key_its_mode_never_reads_rejected(self, tmp_path, text,
+                                               unread):
+        """A key the scenario's mode would silently ignore is an error
+        naming the key and the mode."""
+        path = write(tmp_path / "s.yaml", text)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        mode = yaml.safe_load(text)["mode"]
+        for key in unread:
+            assert f"{key}: mode {mode!r} never reads this key" in \
+                str(info.value)
+
+    def test_sweep_axis_its_mode_never_reads_rejected(self):
+        errors = check({"mode": "sweep", "workload": "ra",
+                        "sweep": {"slo.fast_windows": [1, 2],
+                                  "seed": [0, 1]}})
+        assert errors == ["sweep.slo.fast_windows: mode 'sweep' never "
+                          "reads this key (only mode 'serve' does)"]
+        errors = check({"mode": "serve",
+                        "sweep": {"workload": ["ra", "bfs"]}})
+        assert any(e.startswith("sweep.workload: mode 'serve' never")
                    for e in errors)
 
     def test_wrong_type_reported(self):
@@ -313,7 +344,8 @@ class TestDocumentedDefaults:
         if mode != "serve":
             empty["workload"] = "ra"
         documented = {path: default(path, mode) for path in SCHEMA
-                      if default(path, mode) is not None}
+                      if reads(mode, path)
+                      and default(path, mode) is not None}
         spelled = deep_merge(unflatten(documented), empty)
         assert check(spelled) == []
         for build in self.BUILDERS[mode]:

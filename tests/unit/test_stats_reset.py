@@ -24,29 +24,27 @@ def _feed_run(collector):
     pages = np.array([0, 1, 2], dtype=np.int64)
     writes = np.array([False, True, False])
     collector.on_wave("k", 0, 0.0, pages, writes)
-    collector.on_timeline(10.0, 4, 8, 2, 1)
     collector.on_kernel_end("k", 100.0, 3)
 
 
 class TestReset:
     def test_reuse_without_reset_accumulates(self):
-        c = StatsCollector(_vas(), histogram=True, trace=True, timeline=True)
+        c = StatsCollector(_vas(), histogram=True, trace=True)
         _feed_run(c)
         _feed_run(c)
         # documented accumulation semantics: everything doubles up
         assert c.kernels["k"].launches == 2
         assert c.kernels["k"].cycles == 200.0
         assert int(c.page_reads.sum()) == 4
-        assert len(c.trace) == 2 and len(c.timeline) == 2
+        assert len(c.trace) == 2
 
     def test_reset_restores_fresh_instance_behaviour(self):
-        c = StatsCollector(_vas(), histogram=True, trace=True, timeline=True)
+        c = StatsCollector(_vas(), histogram=True, trace=True)
         _feed_run(c)
         c.reset()
         _feed_run(c)
 
-        fresh = StatsCollector(_vas(), histogram=True, trace=True,
-                               timeline=True)
+        fresh = StatsCollector(_vas(), histogram=True, trace=True)
         _feed_run(fresh)
 
         assert c.kernels["k"].launches == fresh.kernels["k"].launches == 1
@@ -54,7 +52,6 @@ class TestReset:
         assert np.array_equal(c.page_reads, fresh.page_reads)
         assert np.array_equal(c.page_writes, fresh.page_writes)
         assert len(c.trace) == len(fresh.trace) == 1
-        assert len(c.timeline) == len(fresh.timeline) == 1
 
     def test_reset_keeps_switches_and_vas(self):
         vas = _vas()

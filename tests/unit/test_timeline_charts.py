@@ -1,79 +1,39 @@
-"""Unit tests for the pressure timeline and chart rendering."""
-
-import numpy as np
-import pytest
+"""Unit tests for the device-occupancy series and chart rendering."""
 
 from repro import MigrationPolicy, SimulationConfig, Simulator
 from repro.analysis.experiments import SeriesResult
-from repro.memory.allocator import VirtualAddressSpace
-from repro.memory.layout import CHUNK_SIZE
-from repro.stats.collector import StatsCollector, TimelineSample
+from repro.obs import MetricsRegistry, Observability
 from repro.workloads import make_workload
 
 from tests.conftest import StreamWorkload
 
 
-@pytest.fixture
-def vas():
-    v = VirtualAddressSpace()
-    v.malloc_managed("a", CHUNK_SIZE)
-    return v
-
-
-class TestTimelineSample:
-    def test_occupancy(self):
-        s = TimelineSample(cycle=1.0, resident_blocks=8,
-                           capacity_blocks=32, cumulative_faults=0,
-                           cumulative_thrash=0)
-        assert s.occupancy == pytest.approx(0.25)
-
-
-class TestCollectorTimeline:
-    def test_disabled_by_default(self, vas):
-        c = StatsCollector(vas)
-        c.on_timeline(1.0, 1, 2, 0, 0)
-        assert c.timeline == []
-
-    def test_records_when_enabled(self, vas):
-        c = StatsCollector(vas, timeline=True)
-        c.on_timeline(1.0, 1, 2, 3, 4)
-        c.on_timeline(2.0, 2, 2, 5, 6)
-        assert len(c.timeline) == 2
-        assert c.timeline[1].cumulative_thrash == 6
-
-    def test_render_empty(self, vas):
-        c = StatsCollector(vas, timeline=True)
-        assert "no timeline" in c.render_timeline()
-
-    def test_render_shape(self, vas):
-        c = StatsCollector(vas, timeline=True)
-        for i in range(10):
-            c.on_timeline(float(i), i, 10, 0, 0)
-        txt = c.render_timeline(width=20, height=4)
-        assert "#" in txt
-        assert len(txt.splitlines()) == 5  # title + 4 rows
+def _occupancy_run(cfg, workload, oversubscription):
+    """Run with a metrics registry; returns the result and the
+    ``device.occupancy`` series the engine samples after every wave."""
+    obs = Observability(metrics=MetricsRegistry())
+    result = Simulator(cfg).run(workload, oversubscription=oversubscription,
+                                obs=obs)
+    return result, obs.metrics.series("device.occupancy").points
 
 
 class TestEndToEndTimeline:
     def test_simulation_produces_samples(self):
-        cfg = SimulationConfig(seed=0, collect_timeline=True)
-        r = Simulator(cfg).run(StreamWorkload(size_mb=4),
-                               oversubscription=1.0)
-        assert len(r.stats.timeline) > 0
+        _, points = _occupancy_run(SimulationConfig(seed=0),
+                                   StreamWorkload(size_mb=4), 1.0)
+        assert len(points) > 0
         # Cycles are nondecreasing; occupancy within [0, 1].
-        cycles = [s.cycle for s in r.stats.timeline]
+        cycles = [cycle for cycle, _ in points]
         assert cycles == sorted(cycles)
-        assert all(0.0 <= s.occupancy <= 1.0 for s in r.stats.timeline)
+        assert all(0.0 <= occ <= 1.0 for _, occ in points)
 
     def test_occupancy_saturates_under_oversubscription(self):
-        cfg = SimulationConfig(seed=0, collect_timeline=True).with_policy(
-            MigrationPolicy.DISABLED)
-        r = Simulator(cfg).run(make_workload("ra", "tiny"),
-                               oversubscription=1.25)
+        cfg = SimulationConfig(seed=0).with_policy(MigrationPolicy.DISABLED)
+        r, points = _occupancy_run(cfg, make_workload("ra", "tiny"), 1.25)
         # 2MB-granular eviction frees whole chunks, so the *peak* hits
         # capacity even though individual samples dip below it.
-        assert max(s.occupancy for s in r.stats.timeline) > 0.95
-        assert r.stats.timeline[-1].cumulative_thrash > 0
+        assert max(occ for _, occ in points) > 0.95
+        assert r.events.thrash_migrations > 0
 
 
 class TestRenderChart:

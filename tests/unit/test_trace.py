@@ -181,9 +181,9 @@ class TestValidation:
     @pytest.mark.parametrize("mutation", list(BROKEN_GROUPINGS))
     def test_grouping_must_fit_its_wave(self, mutation):
         """Replay trusts the grouping in place of the page stream: the
-        python backend's unique add keeps one of two duplicate adds where
-        the jit backend sums them, and a wave's totals are its access
-        count.  Each break is rejected, naming its wave."""
+        counter file's unique add keeps one of two duplicate adds, and a
+        wave's totals are its access count.  Each break is rejected,
+        naming its wave."""
         data = record_trace(make_workload("ra", "tiny"), seed=0)
         go = data.group_offsets
         gb, gt, gw = (getattr(data, name).copy() for name in GROUP_FIELDS[1:])

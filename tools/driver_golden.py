@@ -10,12 +10,9 @@ oversubscription: ra, bfs, sssp and nw under the ``disabled`` and
 the sequential prefetcher and one with injected migration faults.  A
 case's digests are the SHA-256 of its :class:`~repro.sim.results.RunResult`
 (the checkpoint encoding less the config it was given, as sorted-key
-JSON) and of its full ``--events`` JSONL stream, less the kernel
-backend named in the ``run_meta`` header: the backend is a performance
-hint whose outputs are bit-identical by contract, so one set of digests
-checks both backends.  They pin one driver run end to end: any change
-to what the driver does, or to the order of the events it emits,
-changes a digest.
+JSON) and of its full ``--events`` JSONL stream.  They pin one driver
+run end to end: any change to what the driver does, or to the order of
+the events it emits, changes a digest.
 
 Without ``--write`` the script recomputes every case, prints one line
 per mismatch and exits 1 if there is any; with it, it rewrites
@@ -71,20 +68,13 @@ def digest_run(argv: tuple[str, ...]) -> dict[str, str]:
             cli._make_workload(cell.workload, cell.scale),
             oversubscription=cell.oversubscription, obs=obs)
         obs.close()
-        lines = events.read_text().splitlines(keepends=True)
+        events_bytes = events.read_bytes()
     encoded = encode_result(result)
     encoded.pop("config")
-    events_digest = hashlib.sha256()
-    for line in lines:
-        if line.startswith('{"event":"run_meta"'):
-            row = json.loads(line)
-            row.pop("backend", None)
-            line = json.dumps(row, separators=(",", ":")) + "\n"
-        events_digest.update(line.encode())
     return {
         "result": hashlib.sha256(
             json.dumps(encoded, sort_keys=True).encode()).hexdigest(),
-        "events": events_digest.hexdigest(),
+        "events": hashlib.sha256(events_bytes).hexdigest(),
     }
 
 
