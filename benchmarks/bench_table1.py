@@ -6,6 +6,7 @@ and renders the table.
 
 from repro.analysis import table1
 from repro.config import SimulationConfig
+from repro.memory.layout import PAGE_SIZE
 
 from conftest import run_once
 
@@ -17,7 +18,7 @@ def test_table1(benchmark, save_report):
     cfg = SimulationConfig()
     assert cfg.gpu.num_sms == 28
     assert cfg.gpu.clock_mhz == 1481.0
-    assert cfg.memory.page_size == 4096
+    assert PAGE_SIZE == 4096
     assert cfg.interconnect.fault_handling_us == 45.0
     assert cfg.interconnect.remote_access_latency_cycles == 200
     assert cfg.gpu.dram_latency_cycles == 100

@@ -105,8 +105,14 @@ def encode_config(config: SimulationConfig) -> dict:
 
 
 def decode_config(data: dict) -> SimulationConfig:
-    """Rebuild a :class:`SimulationConfig` from :func:`encode_config`."""
-    mem = data.get("memory", {})
+    """Rebuild a :class:`SimulationConfig` from :func:`encode_config`.
+
+    Keys of retired fields are ignored, except that an archive written
+    with ``prefetcher_enabled: false`` decodes to ``prefetcher: none``.
+    """
+    mem = dict(data.get("memory", {}))
+    if mem.get("prefetcher_enabled") is False:
+        mem["prefetcher"] = PrefetcherKind.NONE.value
     pol = data.get("policy", {})
     top = _known_fields(SimulationConfig, data)
     top.update(

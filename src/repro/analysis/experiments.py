@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import MigrationPolicy, SimulationConfig
+from ..memory.layout import PAGE_SIZE
 from ..sim.results import RunResult
 from . import paper_data
 from .parallel import GridCell, GridOptions, run_grid
@@ -130,7 +131,7 @@ def table1() -> str:
         ["Shader Core Config",
          f"Max {cfg.gpu.max_ctas_per_sm} CTA / {cfg.gpu.max_warps_per_sm} "
          f"warps per SM, {cfg.gpu.warp_size} threads/warp"],
-        ["Page Size", f"{cfg.memory.page_size // 1024}KB"],
+        ["Page Size", f"{PAGE_SIZE // 1024}KB"],
         ["Page Table Walk Latency",
          f"{cfg.gpu.page_walk_latency_cycles} core cycles"],
         ["CPU-GPU Interconnect",

@@ -103,9 +103,8 @@ class GridCell:
     fault_burst_mult: float = FaultConfig.burst_multiplier
     #: Eviction granularity (``2mb`` or ``64kb``, Table I).
     evict: str = "2mb"
-    #: Prefetcher strategy and degree (Table I: tree-based default).
+    #: Prefetcher strategy (Table I: tree-based default).
     prefetcher: str = MemoryConfig.prefetcher.value
-    prefetch_degree: int = MemoryConfig.prefetch_degree
     #: Equation-1 growth function and the historic-counter ablation
     #: (see :class:`repro.config.PolicyConfig`).
     threshold_variant: str = PolicyConfig.threshold_variant
@@ -152,8 +151,7 @@ def cell_config(knobs) -> SimulationConfig:
                           threshold_variant=k["threshold_variant"],
                           historic_counters=k["historic_counters"])
     cfg = cfg.with_eviction_granularity(EVICTION_GRANULARITIES[k["evict"]])
-    cfg = cfg.with_prefetcher(PrefetcherKind(k["prefetcher"]),
-                              degree=k["prefetch_degree"])
+    cfg = cfg.with_prefetcher(PrefetcherKind(k["prefetcher"]))
     # The fault knobs only count while a fault can fire, and the storm
     # knobs only while the storm chain is on.
     if k["transfer_fault_rate"] or k["migration_fault_rate"]:

@@ -79,7 +79,7 @@ from .config import MigrationPolicy
 from .scenario.compile import compiled_default
 from .scenario.schema import SCHEMA, show
 from .sim.simulator import Simulator
-from .workloads import SCALES, make_workload, workload_names
+from .workloads import ALL_WORKLOADS, SCALES, make_workload
 
 
 @contextlib.contextmanager
@@ -766,19 +766,20 @@ def cmd_config(args) -> int:
             scenario = load_scenario(path)
             labels = compile_check(scenario)
         except ScenarioError as exc:
-            print(f"FAIL {path}\n  {exc}")
+            print(f"FAIL {path}\n  {exc}", file=sys.stderr)
             failures += 1
             continue
         suffix = (f" ({len(labels)} variants)" if len(labels) > 1 else "")
         print(f"ok   {path} [{scenario.get('mode', 'run')}]{suffix}")
     if failures:
-        print(f"\n{failures} scenario(s) failed validation")
+        print(f"\n{failures} scenario(s) failed validation",
+              file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_list(args) -> int:
-    print("workloads:", ", ".join(workload_names(extended=True)))
+    print("workloads:", ", ".join(ALL_WORKLOADS))
     print("scales:   ", ", ".join(SCALES))
     print("policies: ", ", ".join(p.value for p in MigrationPolicy))
     print("figures:  ", ", ".join(_FIGURES))
@@ -800,10 +801,10 @@ def _jobs_arg(text: str) -> int:
 
 def _workload_arg(name: str) -> str:
     """Validate a workload name at parse time, listing the registry."""
-    known = workload_names(extended=True)
-    if name not in known:
+    if name not in ALL_WORKLOADS:
         raise argparse.ArgumentTypeError(
-            f"unknown workload {name!r}; available: {', '.join(known)}")
+            f"unknown workload {name!r}; available: "
+            f"{', '.join(ALL_WORKLOADS)}")
     return name
 
 

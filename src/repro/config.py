@@ -13,7 +13,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass, field
 
-from .memory.layout import BASIC_BLOCK_SIZE, CHUNK_SIZE, GB, MB, PAGE_SIZE
+from .memory.layout import BASIC_BLOCK_SIZE, CHUNK_SIZE, GB, MB
 
 #: Threshold growth functions accepted by PolicyConfig.threshold_variant
 #: (Equation 1 plus the design-space variants of repro.core.variants).
@@ -150,25 +150,17 @@ class MemoryConfig:
     #: oversubscription percentage (the paper controls free space with
     #: pinned dummy allocations rather than scaling working sets).
     device_capacity: int = 2 * GB
-    page_size: int = PAGE_SIZE
     eviction_granularity: EvictionGranularity = EvictionGranularity.CHUNK_2MB
     replacement: ReplacementPolicy = ReplacementPolicy.LRU
-    #: Enable the hardware prefetcher (Table I).
-    prefetcher_enabled: bool = True
-    #: Which prefetcher to run when enabled (tree-based by default).
+    #: Hardware prefetcher (Table I: tree-based; ``none`` switches
+    #: prefetching off).
     prefetcher: PrefetcherKind = PrefetcherKind.TREE
-    #: Blocks pulled per fault by the sequential/random prefetchers.
-    prefetch_degree: int = 4
 
     def __post_init__(self) -> None:
         if self.device_capacity < CHUNK_SIZE:
             raise ValueError(
                 f"device capacity {self.device_capacity} smaller than one 2MB chunk"
             )
-        if self.page_size != PAGE_SIZE:
-            raise ValueError("only 4KB pages are supported")
-        if self.prefetch_degree < 1:
-            raise ValueError("prefetch_degree must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -412,14 +404,9 @@ class SimulationConfig:
                                   eviction_granularity=granularity)
         return dataclasses.replace(self, memory=mem)
 
-    def with_prefetcher(self, kind: PrefetcherKind,
-                        degree: int | None = None) -> "SimulationConfig":
+    def with_prefetcher(self, kind: PrefetcherKind) -> "SimulationConfig":
         """Return a copy running the given prefetcher strategy."""
-        kwargs = {"prefetcher": kind,
-                  "prefetcher_enabled": kind is not PrefetcherKind.NONE}
-        if degree is not None:
-            kwargs["prefetch_degree"] = degree
-        mem = dataclasses.replace(self.memory, **kwargs)
+        mem = dataclasses.replace(self.memory, prefetcher=kind)
         return dataclasses.replace(self, memory=mem)
 
     def with_faults(self, **fault_kwargs) -> "SimulationConfig":
@@ -460,11 +447,8 @@ class ServeConfig:
     #: Tenant arrivals per second of *simulated* time (open loop: the
     #: generator never waits for completions).
     arrival_rate: float = 400.0
-    #: Maximum number of tenant arrivals to generate.
+    #: Number of tenant arrivals to generate.
     tenants: int = 12
-    #: Optional arrival window in simulated milliseconds; arrivals past
-    #: it are not generated (None: cut by ``tenants`` alone).
-    duration_ms: float | None = None
     #: Arrival process: ``poisson`` (memoryless) or ``bursty`` (two-state
     #: Markov-modulated Poisson: calm/burst sojourns with the burst
     #: state multiplying the arrival rate).
@@ -493,8 +477,6 @@ class ServeConfig:
     queue_depth: int = 8
     #: Waves each runnable tenant contributes per scheduler round.
     quantum: int = 4
-    #: Scheduler rounds a throttled tenant sits out.
-    throttle_rounds: int = 8
     #: Drive the throttle from *live* windowed interference telemetry
     #: (EWMA thrash migrations per wave) instead of the static
     #: oversubscription watermark alone.  Off by default: the watermark
@@ -508,16 +490,13 @@ class ServeConfig:
     #: Wave scheduler: ``round_robin`` (legacy quantum interleaving,
     #: the reference path) or ``drr`` (deficit-weighted fair queuing:
     #: each round a tenant accrues ``weight * quantum`` deficit and
-    #: runs ``floor(deficit)`` waves; throttling decays the weight by
-    #: ``throttle_decay`` instead of suspending the stream).
+    #: runs ``floor(deficit)`` waves; throttling decays the weight
+    #: instead of suspending the stream).
     scheduler: str = "round_robin"
     #: Configured per-tenant shares for the ``drr`` scheduler; tenant
     #: ``i`` gets ``weights[i % len(weights)]``.  Empty: every tenant
     #: weighs 1.0.  Ignored by ``round_robin``.
     weights: tuple[float, ...] = ()
-    #: Weight multiplier applied to a throttled tenant under ``drr``
-    #: (graceful slowdown instead of the round_robin full suspension).
-    throttle_decay: float = 0.25
     seed: int = 0
 
     def replace(self, **kwargs) -> "ServeConfig":
@@ -532,9 +511,6 @@ class ServeConfig:
                           f"{self.arrival_rate!r}")
         if self.tenants < 1:
             errors.append(f"tenants must be >= 1, got {self.tenants}")
-        if self.duration_ms is not None and self.duration_ms <= 0.0:
-            errors.append(f"duration_ms must be positive, got "
-                          f"{self.duration_ms!r}")
         if self.process not in KNOWN_ARRIVAL_PROCESSES:
             errors.append(f"unknown arrival process {self.process!r}; "
                           f"choose from {KNOWN_ARRIVAL_PROCESSES}")
@@ -561,9 +537,6 @@ class ServeConfig:
             errors.append(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.quantum < 1:
             errors.append(f"quantum must be >= 1, got {self.quantum}")
-        if self.throttle_rounds < 1:
-            errors.append(f"throttle_rounds must be >= 1, got "
-                          f"{self.throttle_rounds}")
         if self.live_thrash_threshold < 0.0:
             errors.append(f"live_thrash_threshold must be >= 0, got "
                           f"{self.live_thrash_threshold!r}")
@@ -576,9 +549,6 @@ class ServeConfig:
         if any(w <= 0.0 for w in self.weights):
             errors.append(f"weights must all be positive, got "
                           f"{self.weights!r}")
-        if not (0.0 < self.throttle_decay <= 1.0):
-            errors.append(f"throttle_decay must be in (0, 1], got "
-                          f"{self.throttle_decay!r}")
         if errors:
             raise ValueError(
                 "invalid ServeConfig:\n  - " + "\n  - ".join(errors))
@@ -588,11 +558,6 @@ class ServeConfig:
     def capacity_bytes(self) -> int:
         """Shared device capacity in bytes."""
         return self.capacity_mb * MB
-
-    @property
-    def duration_us(self) -> float | None:
-        """Arrival window in simulated microseconds (None: unbounded)."""
-        return None if self.duration_ms is None else self.duration_ms * 1e3
 
     def as_dict(self) -> dict:
         """Flat JSON-safe encoding (archived in serve-run manifests)."""

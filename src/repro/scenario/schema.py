@@ -42,7 +42,7 @@ from ..config import (KNOWN_ARRIVAL_PROCESSES, KNOWN_SCHEDULERS,
                       KNOWN_THRESHOLD_VARIANTS, MigrationPolicy,
                       PrefetcherKind)
 from ..multigpu.cluster import KNOWN_PARTITIONS
-from ..workloads import SCALES, workload_names
+from ..workloads import ALL_WORKLOADS, SCALES
 
 #: Execution modes a scenario can declare.
 KNOWN_MODES: tuple[str, ...] = ("run", "sweep", "serve", "multigpu")
@@ -107,7 +107,7 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        sweepable=False),
     # -- the single-run surface -----------------------------------------
     _k("workload", str, "workload name (see `repro list`)",
-       choices=workload_names(extended=True), cell="workload"),
+       choices=ALL_WORKLOADS, cell="workload"),
     _k("scale", str, "workload scale preset", choices=SCALES,
        flag="--scale", cell="scale"),
     _k("oversubscription", _NUMBER, "working set as a fraction of device "
@@ -134,9 +134,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
     _k("memory.prefetcher", str, "hardware prefetcher strategy",
        choices=tuple(k.value for k in PrefetcherKind),
        flag="--prefetcher", cell="prefetcher"),
-    _k("memory.prefetch_degree", int, "blocks pulled per fault by the "
-       "sequential/random prefetchers", flag="--prefetch-degree",
-       metavar="N", cell="prefetch_degree"),
     # -- fault injection -------------------------------------------------
     _k("faults.transfer_rate", _NUMBER, "probability of an injected "
        "transient PCIe transfer fault per migration attempt",
@@ -164,9 +161,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        flag="--arrival-rate", metavar="PER_S"),
     _k("serve.tenants", int, "tenant arrivals to generate",
        flag="--tenants", metavar="N"),
-    _k("serve.duration_ms", _NUMBER, "arrival window in simulated "
-       "milliseconds (omit: cut by the tenant count alone)",
-       flag="--duration", metavar="MS"),
     _k("serve.process", str, "arrival process (bursty = Markov-modulated "
        "Poisson with calm/burst sojourns)",
        choices=KNOWN_ARRIVAL_PROCESSES, flag="--process"),
@@ -179,7 +173,7 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        "simulated milliseconds", flag="--calm-len", metavar="MS"),
     _k("serve.workload_mix", list, "workloads tenants are drawn from "
        "(seeded uniform choice; comma-separated as a flag)",
-       item=str, choices=workload_names(extended=True), sweepable=False,
+       item=str, choices=ALL_WORKLOADS, sweepable=False,
        flag="--mix", metavar="W1,W2,..."),
     _k("serve.capacity_mb", int, "shared device memory capacity in MB",
        flag="--capacity-mb", metavar="MB"),
@@ -196,8 +190,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        "shed)", flag="--queue-depth", metavar="N"),
     _k("serve.quantum", int, "waves per runnable tenant per scheduler "
        "round", flag="--quantum", metavar="N"),
-    _k("serve.throttle_rounds", int, "scheduler rounds a throttled "
-       "tenant sits out", flag="--throttle-rounds", metavar="N"),
     _k("serve.live_admission", bool, "let live windowed telemetry drive "
        "the throttle: it also engages below the throttle watermark once "
        "EWMA thrash migrations per wave reach the live threshold, and "
@@ -217,9 +209,6 @@ SCHEMA: dict[str, Key] = {k.path: k for k in (
        "i gets weights[i mod len] (empty = equal shares; comma-separated "
        "as a flag)", item=_NUMBER, flag="--weights",
        metavar="W1,W2,..."),
-    _k("serve.throttle_decay", _NUMBER, "drr weight multiplier while a "
-       "tenant is throttled (1.0 = throttle ignored)",
-       flag="--throttle-decay", metavar="FACTOR"),
     # -- serving SLOs (mode: serve; enables the SLO engine) --------------
     _k("slo.p99_latency_us", _NUMBER, "per-tenant wave-latency target in "
        "simulated microseconds (omit: no latency objective)"),

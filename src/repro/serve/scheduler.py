@@ -20,9 +20,9 @@ Two schedulers ship:
   round a tenant accrues ``weight * quantum`` deficit and is allotted
   ``floor(deficit)`` waves, carrying the fraction forward, so over time
   every tenant's wave share converges to its weight share regardless
-  of integer quantum granularity.  Throttling decays the weight by
-  ``throttle_decay`` instead of suspending the stream -- the paper's
-  Section VIII throttle as a graceful slowdown.
+  of integer quantum granularity.  Throttling multiplies the weight by
+  :data:`THROTTLE_DECAY` instead of suspending the stream -- the
+  paper's Section VIII throttle as a graceful slowdown.
 
 Weights come from the configured share vector ``serve.weights`` (tenant
 ``i`` gets ``weights[i % len(weights)]``; empty means 1.0 for all) --
@@ -36,6 +36,9 @@ from __future__ import annotations
 
 from ..config import ServeConfig
 from .admission import tenant_weight
+
+#: Weight multiplier of a throttled tenant under ``drr``.
+THROTTLE_DECAY = 0.25
 
 
 class WaveScheduler:
@@ -95,7 +98,7 @@ class DeficitRoundRobinScheduler(WaveScheduler):
     """Deficit-weighted fair queuing over wave quanta (DRR).
 
     Each round every live tenant accrues ``weight * quantum`` deficit
-    (decayed by ``throttle_decay`` while throttled) and is planned for
+    (times :data:`THROTTLE_DECAY` while throttled) and is planned for
     ``floor(deficit)`` waves; the fractional remainder carries to the
     next round.  Invariant (property-tested): the carried deficit is
     always in ``[0, 1)`` -- no tenant can bank more than one wave of
@@ -110,7 +113,6 @@ class DeficitRoundRobinScheduler(WaveScheduler):
     def __init__(self, config: ServeConfig) -> None:
         self._quantum = config.quantum
         self._weights = config.weights
-        self._decay = config.throttle_decay
         self._deficit: dict[int, float] = {}
 
     def weight_of(self, tenant_id: int) -> float:
@@ -130,7 +132,7 @@ class DeficitRoundRobinScheduler(WaveScheduler):
         for tenant in live:
             weight = self.weight_of(tenant.id)
             if tenant.throttle_left > 0:
-                weight *= self._decay
+                weight *= THROTTLE_DECAY
             deficit = self._deficit.get(tenant.id, 0.0) + weight * quantum
             allot = int(deficit)
             self._deficit[tenant.id] = deficit - allot

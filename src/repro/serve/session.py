@@ -19,8 +19,8 @@ then drives the run loop on the simulated clock:
   per-wave pipeline;
 * graceful degradation engages in watermark escalation order: at the
   throttle watermark the heaviest-thrashing tenant's stream is
-  suspended for ``throttle_rounds`` rounds (the paper's Section VIII
-  throttling proposal, driven by the per-tenant
+  suspended for :data:`THROTTLE_ROUNDS` rounds (the paper's Section
+  VIII throttling proposal, driven by the per-tenant
   :class:`~repro.uvm.attribution.TenantAttribution`), at the admit
   watermark arrivals queue, and past the shed watermark (or a full
   queue) they are shed;
@@ -71,6 +71,10 @@ from .traffic import Arrival, generate_arrivals
 #: SeedSequence stream key for per-tenant workload builds; combined
 #: with the tenant id so every tenant gets an independent stream.
 _TENANT_STREAM = 0x7E4A47
+
+#: Scheduler rounds a throttled tenant sits out (under ``drr`` its
+#: weight is decayed for as many rounds instead).
+THROTTLE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -288,10 +292,6 @@ class ServeSession:
             # accumulate each other's serve.* counters and series.
             obs.metrics.reset_prefix("serve.")
         arrivals = generate_arrivals(cfg)
-        if not arrivals:
-            raise ValueError(
-                "arrival trace is empty: duration_ms cut every arrival; "
-                "raise duration_ms or arrival_rate")
         vas, tenants = self._build(arrivals)
         self._tenants = tenants
         driver = UvmDriver(vas, self.sim_config, obs=self.obs)
@@ -557,13 +557,13 @@ class ServeSession:
             victim = max(runnable,
                          key=lambda t: (attribution.thrash_of(t.id),
                                         -t.id))
-        victim.throttle_left = cfg.throttle_rounds
+        victim.throttle_left = THROTTLE_ROUNDS
         victim.throttle_events += 1
         self._throttle_events += 1
         if self._first_throttle_us is None:
             self._first_throttle_us = now
         self._emit(TenantThrottled(
-            tenant=victim.id, at_us=now, rounds=cfg.throttle_rounds,
+            tenant=victim.id, at_us=now, rounds=THROTTLE_ROUNDS,
             thrash_migrations=attribution.thrash_of(victim.id)))
 
     def _complete(self, tenant: _Tenant, now: float) -> float:

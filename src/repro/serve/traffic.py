@@ -53,11 +53,10 @@ class Arrival:
 def generate_arrivals(config: ServeConfig) -> tuple[Arrival, ...]:
     """Generate the full arrival trace for one serve run.
 
-    The trace is cut by ``config.tenants`` arrivals or, when
-    ``duration_ms`` is set, by the arrival window -- whichever comes
-    first.  Workloads are drawn per arrival, uniformly from
-    ``workload_mix``, from the same stream (so the trace including
-    workload choices replays bit-identically for a fixed seed).
+    The trace holds ``config.tenants`` arrivals.  Workloads are drawn
+    per arrival, uniformly from ``workload_mix``, from the same stream
+    (so the trace including workload choices replays bit-identically
+    for a fixed seed).
     """
     config.validate()
     rng = np.random.default_rng(
@@ -65,7 +64,6 @@ def generate_arrivals(config: ServeConfig) -> tuple[Arrival, ...]:
     rate_per_us = config.arrival_rate / 1e6
     burst_mean_us = config.burst_len_ms * 1e3
     calm_mean_us = config.calm_len_ms * 1e3
-    duration_us = config.duration_us
     bursty = config.process == "bursty"
     mix = config.workload_mix
 
@@ -83,14 +81,10 @@ def generate_arrivals(config: ServeConfig) -> tuple[Arrival, ...]:
                 # memorylessness lets the arrival draw restart cleanly.
                 t += t_flip
                 in_burst = not in_burst
-                if duration_us is not None and t > duration_us:
-                    break
                 continue
             t += t_arrival
         else:
             t += rng.exponential(1.0 / rate_per_us)
-        if duration_us is not None and t > duration_us:
-            break
         workload = mix[int(rng.integers(len(mix)))]
         arrivals.append(Arrival(tenant=len(arrivals), at_us=t,
                                 workload=workload))

@@ -212,10 +212,8 @@ class UvmDriver:
         self._has_pinned = bool(self.block_pinned_host.any())
         self._has_preferred = bool(self.block_preferred_host.any())
         self.policy: DecisionPolicy = make_policy(config.policy)
-        kind = (config.memory.prefetcher.value
-                if config.memory.prefetcher_enabled else "none")
-        self.prefetcher = make_prefetcher(
-            kind, config.memory.prefetch_degree, seed=config.seed)
+        self.prefetcher = make_prefetcher(config.memory.prefetcher.value,
+                                          seed=config.seed)
         #: Transient-fault source; None when both rates are 0.0 so the
         #: zero-rate hot path is bit-identical to a fault-free build.
         self.injector: FaultInjector | None = (

@@ -8,10 +8,12 @@ strategies those works compared against, so the choice can be ablated:
 * :class:`TreePrefetchStrategy` -- the default; the >50% balancing
   heuristic over each chunk's full binary tree.
 * :class:`NoPrefetchStrategy` -- pure fault-driven 64KB migration.
-* :class:`SequentialPrefetchStrategy` -- migrate the next ``degree``
-  absent blocks after the faulting one (within the chunk).
-* :class:`RandomPrefetchStrategy` -- migrate ``degree`` random absent
-  blocks of the chunk (a deliberately poor spatial predictor).
+* :class:`SequentialPrefetchStrategy` -- migrate the next
+  :data:`PREFETCH_DEGREE` absent blocks after the faulting one (within
+  the chunk).
+* :class:`RandomPrefetchStrategy` -- migrate :data:`PREFETCH_DEGREE`
+  random absent blocks of the chunk (a deliberately poor spatial
+  predictor).
 
 Every strategy operates on the chunk's :class:`PrefetchTree`, which
 doubles as the chunk residency index, so occupancy bookkeeping stays
@@ -25,6 +27,9 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .tree import PrefetchTree
+
+#: Blocks the sequential and random prefetchers pull per fault.
+PREFETCH_DEGREE = 4
 
 
 class PrefetchStrategy(ABC):
@@ -55,18 +60,14 @@ class NoPrefetchStrategy(PrefetchStrategy):
 
 
 class SequentialPrefetchStrategy(PrefetchStrategy):
-    """Prefetch the next ``degree`` absent leaves after the fault."""
-
-    def __init__(self, degree: int = 4) -> None:
-        if degree < 1:
-            raise ValueError("prefetch degree must be >= 1")
-        self.degree = degree
+    """Prefetch the next :data:`PREFETCH_DEGREE` absent leaves after the
+    fault."""
 
     def on_fault(self, tree, leaf):
         tree.mark_resident(leaf)
         picked = []
         for cand in range(leaf + 1, tree.num_leaves):
-            if len(picked) == self.degree:
+            if len(picked) == PREFETCH_DEGREE:
                 break
             if not tree.is_resident(cand):
                 tree.mark_resident(cand)
@@ -75,12 +76,10 @@ class SequentialPrefetchStrategy(PrefetchStrategy):
 
 
 class RandomPrefetchStrategy(PrefetchStrategy):
-    """Prefetch ``degree`` random absent leaves of the chunk."""
+    """Prefetch :data:`PREFETCH_DEGREE` random absent leaves of the
+    chunk."""
 
-    def __init__(self, degree: int = 4, seed: int = 0) -> None:
-        if degree < 1:
-            raise ValueError("prefetch degree must be >= 1")
-        self.degree = degree
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
     def on_fault(self, tree, leaf):
@@ -89,22 +88,21 @@ class RandomPrefetchStrategy(PrefetchStrategy):
                            if not tree.is_resident(l)], dtype=np.int64)
         if absent.size == 0:
             return absent
-        n = min(self.degree, absent.size)
+        n = min(PREFETCH_DEGREE, absent.size)
         picked = self._rng.choice(absent, size=n, replace=False)
         for l in picked:
             tree.mark_resident(int(l))
         return np.sort(picked)
 
 
-def make_prefetcher(kind: str, degree: int = 4,
-                    seed: int = 0) -> PrefetchStrategy:
+def make_prefetcher(kind: str, seed: int = 0) -> PrefetchStrategy:
     """Build a strategy by name: tree / none / sequential / random."""
     if kind == "tree":
         return TreePrefetchStrategy()
     if kind == "none":
         return NoPrefetchStrategy()
     if kind == "sequential":
-        return SequentialPrefetchStrategy(degree)
+        return SequentialPrefetchStrategy()
     if kind == "random":
-        return RandomPrefetchStrategy(degree, seed)
+        return RandomPrefetchStrategy(seed)
     raise ValueError(f"unknown prefetcher kind {kind!r}")

@@ -12,18 +12,14 @@ from .fdtd2d import Fdtd2d, FdtdParams
 from .graphs import CsrGraph, random_graph
 from .hotspot import Hotspot, HotspotParams
 from .nw import NeedlemanWunsch, NwParams
-from .pagerank import Pagerank, PagerankParams
 from .ra import RandomAccess, RaParams
-from .spmv import Spmv, SpmvParams
 from .registry import (
     ALL_WORKLOADS,
-    EXTENDED_WORKLOADS,
     IRREGULAR_WORKLOADS,
     REGULAR_WORKLOADS,
     SCALES,
     make_workload,
     workload_category,
-    workload_names,
 )
 from .srad import Srad, SradParams
 from .sssp import Sssp, SsspParams
@@ -36,7 +32,6 @@ __all__ = [
     "BfsParams",
     "Category",
     "CsrGraph",
-    "EXTENDED_WORKLOADS",
     "Fdtd2d",
     "FdtdParams",
     "Hotspot",
@@ -45,14 +40,10 @@ __all__ = [
     "KernelLaunch",
     "NeedlemanWunsch",
     "NwParams",
-    "Pagerank",
-    "PagerankParams",
     "RandomAccess",
     "RaParams",
     "REGULAR_WORKLOADS",
     "SCALES",
-    "Spmv",
-    "SpmvParams",
     "Srad",
     "SradParams",
     "Sssp",
@@ -64,5 +55,4 @@ __all__ = [
     "make_workload",
     "random_graph",
     "workload_category",
-    "workload_names",
 ]

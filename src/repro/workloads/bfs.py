@@ -33,9 +33,6 @@ class BfsParams:
     num_nodes: int = 1 << 19
     avg_degree: float = 8.0
     skew: float = 0.25
-    #: Input family: ``random``, ``rmat`` (heavy-tailed) or ``grid``
-    #: (road-like, long diameter).
-    graph_kind: str = "random"
     frontier_per_wave: int = 2048
     #: Arithmetic intensity: effective compute cycles per coalesced
     #: access (traversal logic plus atomics and divergence stalls).
@@ -62,14 +59,12 @@ class Bfs(Workload):
 
     def _allocate(self, vas, rng) -> None:
         p = self.params
-        self.graph = make_graph(p.graph_kind, p.num_nodes, p.avg_degree,
-                                rng, skew=p.skew)
+        self.graph = make_graph(p.num_nodes, p.avg_degree, rng,
+                                skew=p.skew)
         # Out-degrees are reused by every level of every launch; derive
         # them once instead of diffing the CSR pointers per kernel.
         self._deg = self.graph.degrees()
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
-        # The node count is the graph's: ``grid`` and ``rmat`` round the
-        # requested one.
         n, m = self.graph.num_nodes, self.graph.num_edges
         # Lonestar-style layout: per-node {start, degree} struct, 64-bit
         # edge records, plus cost and visited/mask flags.

@@ -1,10 +1,10 @@
 """Synthetic graph inputs for the irregular workloads (bfs, sssp).
 
 The paper's irregular benchmarks come from Rodinia and LonestarGPU and
-run on large sparse graphs.  We generate comparable inputs: a CSR graph
-with either uniform-random or skewed (power-law-ish, R-MAT flavored)
-destination distribution.  The skew matters: it concentrates accesses on
-a few hot pages, the hot/cold split Figure 2b visualizes.
+run on large sparse graphs.  We generate comparable inputs: a random
+CSR graph whose destinations are skewed toward hub nodes (power-law-ish,
+R-MAT flavored).  The skew matters: it concentrates accesses on a few
+hot pages, the hot/cold split Figure 2b visualizes.
 """
 
 from __future__ import annotations
@@ -105,103 +105,6 @@ def random_graph(num_nodes: int, avg_degree: float,
     return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)
 
 
-def rmat_graph(num_nodes: int, avg_degree: float,
-               rng: np.random.Generator,
-               a: float = 0.57, b: float = 0.19, c: float = 0.19,
-               connect_chain: bool = True) -> CsrGraph:
-    """Generate an R-MAT graph (the Graph500/Lonestar input family).
-
-    Each edge endpoint is drawn by recursively descending a 2x2
-    quadrant matrix with probabilities ``(a, b, c, 1-a-b-c)``; the
-    result has the heavy-tailed degree distribution of social and web
-    graphs.  ``num_nodes`` must be a power of two.
-    """
-    if num_nodes < 2 or num_nodes & (num_nodes - 1):
-        raise ValueError("R-MAT needs a power-of-two node count")
-    if min(a, b, c) < 0 or a + b + c >= 1.0:
-        raise ValueError("quadrant probabilities must be in [0,1) and "
-                         "sum below 1")
-    levels = num_nodes.bit_length() - 1
-    m = int(num_nodes * avg_degree)
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-    for _ in range(levels):
-        r = rng.random(m)
-        # Quadrants: a -> (0,0), b -> (0,1), c -> (1,0), d -> (1,1).
-        right = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        down = r >= a + b
-        src = (src << 1) | down.astype(np.int64)
-        dst = (dst << 1) | right.astype(np.int64)
-
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=ptr[1:])
-    weights = rng.random(m, dtype=np.float32) * 99.0 + 1.0
-    graph = CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)
-    if connect_chain:
-        graph = _with_chain(graph, rng)
-    return graph
-
-
-def grid_graph(width: int, height: int,
-               rng: np.random.Generator) -> CsrGraph:
-    """Generate a 4-neighbor lattice (road-network-like input).
-
-    Grid graphs have O(width + height) diameter, so BFS/SSSP run many
-    small frontiers -- the opposite regime from R-MAT's two giant
-    levels.
-    """
-    if width < 2 or height < 2:
-        raise ValueError("grid must be at least 2x2")
-    n = width * height
-    ids = np.arange(n, dtype=np.int64)
-    x, y = ids % width, ids // width
-    neighbors = []
-    sources = []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ok = ((0 <= x + dx) & (x + dx < width)
-              & (0 <= y + dy) & (y + dy < height))
-        sources.append(ids[ok])
-        neighbors.append(ids[ok] + dx + dy * width)
-    src = np.concatenate(sources)
-    dst = np.concatenate(neighbors)
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    weights = rng.random(src.size, dtype=np.float32) * 99.0 + 1.0
-    return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)
-
-
-def _with_chain(graph: CsrGraph, rng: np.random.Generator) -> CsrGraph:
-    """Overwrite each node's first edge with a chain edge (reachability).
-
-    Nodes with no out-edges get one appended instead.
-    """
-    n = graph.num_nodes
-    deg = graph.degrees()
-    chain = (np.arange(n, dtype=np.int64) + 1) % n
-    dst = graph.dst.copy()
-    has_edges = deg > 0
-    dst[graph.ptr[:-1][has_edges]] = chain[has_edges]
-    if np.all(has_edges):
-        return CsrGraph(ptr=graph.ptr, dst=dst, weights=graph.weights)
-    # Append one edge for isolated nodes and rebuild CSR.
-    extra_src = np.flatnonzero(~has_edges).astype(np.int64)
-    src_full = np.repeat(np.arange(n, dtype=np.int64), deg)
-    src_all = np.concatenate([src_full, extra_src])
-    dst_all = np.concatenate([dst.astype(np.int64), chain[extra_src]])
-    w_all = np.concatenate([
-        graph.weights,
-        rng.random(extra_src.size, dtype=np.float32) * 99.0 + 1.0])
-    order = np.argsort(src_all, kind="stable")
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_all, minlength=n), out=ptr[1:])
-    return CsrGraph(ptr=ptr, dst=dst_all[order].astype(np.int32),
-                    weights=w_all[order])
-
-
 #: Process-wide memo of recently built graphs, keyed by the full build
 #: recipe *including the generator state at call time*, so a hit is
 #: guaranteed to be the graph the same call would have built.  Repeated
@@ -218,32 +121,16 @@ def _state_key(rng: np.random.Generator) -> str:
                       default=lambda o: o.tolist())
 
 
-def _build_graph(kind: str, num_nodes: int, avg_degree: float,
-                 rng: np.random.Generator, skew: float) -> CsrGraph:
-    if kind == "random":
-        return random_graph(num_nodes, avg_degree, rng, skew=skew)
-    if kind == "rmat":
-        n = 1 << (num_nodes - 1).bit_length()
-        return rmat_graph(n, avg_degree, rng)
-    if kind == "grid":
-        side = max(2, int(round(num_nodes ** 0.5)))
-        return grid_graph(side, side, rng)
-    raise ValueError(f"unknown graph kind {kind!r}")
-
-
-def make_graph(kind: str, num_nodes: int, avg_degree: float,
+def make_graph(num_nodes: int, avg_degree: float,
                rng: np.random.Generator, skew: float = 0.25) -> CsrGraph:
-    """Build a graph by family name: ``random``, ``rmat`` or ``grid``.
-
-    For ``grid``, ``num_nodes`` is rounded to the nearest square and
-    ``avg_degree`` is ignored (lattices have degree <= 4).
+    """Build the :func:`random_graph` of a workload's parameters.
 
     Results are memoized: a second call with the same recipe *and* the
     same generator state returns the cached (read-only) graph and
     fast-forwards ``rng`` to the state the build would have left it in,
     so callers are bit-identical either way.
     """
-    key = (kind, int(num_nodes), float(avg_degree), float(skew),
+    key = (int(num_nodes), float(avg_degree), float(skew),
            _state_key(rng))
     hit = _GRAPH_MEMO.get(key)
     if hit is not None:
@@ -251,7 +138,7 @@ def make_graph(kind: str, num_nodes: int, avg_degree: float,
         rng.bit_generator.state = post_state
         _GRAPH_MEMO.move_to_end(key)
         return graph
-    graph = _build_graph(kind, num_nodes, avg_degree, rng, skew)
+    graph = random_graph(num_nodes, avg_degree, rng, skew=skew)
     for arr in (graph.ptr, graph.dst, graph.weights):
         arr.flags.writeable = False
     _GRAPH_MEMO[key] = (graph, rng.bit_generator.state)

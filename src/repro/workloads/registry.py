@@ -8,9 +8,7 @@ from .bfs import PRESETS as BFS_PRESETS, Bfs
 from .fdtd2d import PRESETS as FDTD_PRESETS, Fdtd2d
 from .hotspot import PRESETS as HOTSPOT_PRESETS, Hotspot
 from .nw import PRESETS as NW_PRESETS, NeedlemanWunsch
-from .pagerank import PRESETS as PAGERANK_PRESETS, Pagerank
 from .ra import PRESETS as RA_PRESETS, RandomAccess
-from .spmv import PRESETS as SPMV_PRESETS, Spmv
 from .srad import PRESETS as SRAD_PRESETS, Srad
 from .sssp import PRESETS as SSSP_PRESETS, Sssp
 
@@ -23,24 +21,14 @@ _REGISTRY: dict[str, tuple[type[Workload], dict]] = {
     "nw": (NeedlemanWunsch, NW_PRESETS),
     "ra": (RandomAccess, RA_PRESETS),
     "sssp": (Sssp, SSSP_PRESETS),
-    # Extended suite: beyond the paper's eight benchmarks.
-    "pagerank": (Pagerank, PAGERANK_PRESETS),
-    "spmv": (Spmv, SPMV_PRESETS),
 }
 
 #: Paper ordering: regular suite then irregular suite (Figure 1 et al.).
 REGULAR_WORKLOADS: tuple[str, ...] = ("backprop", "fdtd", "hotspot", "srad")
 IRREGULAR_WORKLOADS: tuple[str, ...] = ("bfs", "nw", "ra", "sssp")
 ALL_WORKLOADS: tuple[str, ...] = REGULAR_WORKLOADS + IRREGULAR_WORKLOADS
-#: Extra applications beyond the paper's suite (not part of the figures).
-EXTENDED_WORKLOADS: tuple[str, ...] = ("pagerank", "spmv")
 
 SCALES: tuple[str, ...] = ("tiny", "small", "medium")
-
-
-def workload_names(extended: bool = False) -> tuple[str, ...]:
-    """Benchmark names in paper order (optionally with the extended suite)."""
-    return ALL_WORKLOADS + EXTENDED_WORKLOADS if extended else ALL_WORKLOADS
 
 
 def workload_category(name: str) -> Category:

@@ -36,9 +36,6 @@ class SsspParams:
     num_nodes: int = 1 << 18
     avg_degree: float = 8.0
     skew: float = 0.25
-    #: Input family: ``random``, ``rmat`` (heavy-tailed) or ``grid``
-    #: (road-like, long diameter).
-    graph_kind: str = "random"
     worklist_per_wave: int = 1024
     #: LonestarGPU-style chunked worklist: at most this many nodes are
     #: relaxed per round; the remainder is deferred, so each round's
@@ -73,15 +70,13 @@ class Sssp(Workload):
 
     def _allocate(self, vas, rng) -> None:
         p = self.params
-        self.graph = make_graph(p.graph_kind, p.num_nodes, p.avg_degree,
-                                rng, skew=p.skew)
+        self.graph = make_graph(p.num_nodes, p.avg_degree, rng,
+                                skew=p.skew)
         # Out-degrees are reused by every round of every launch; derive
         # them once instead of diffing the CSR pointers per kernel.
         self._deg = self.graph.degrees()
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
         self._sweep: list[Wave] | None = None
-        # The node count is the graph's: ``grid`` and ``rmat`` round the
-        # requested one.
         n, m = self.graph.num_nodes, self.graph.num_edges
         self.nodes = self._register(
             vas.malloc_managed("sssp.nodes", n * 8, read_only=True))

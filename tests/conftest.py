@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import MigrationPolicy, SimulationConfig
+from repro.config import MigrationPolicy, PrefetcherKind, SimulationConfig
 from repro.memory.allocator import VirtualAddressSpace
 from repro.memory.layout import MB
 from repro.trace.format import GROUP_FIELDS, TraceData
@@ -46,10 +46,7 @@ def make_driver(vas: VirtualAddressSpace,
                                          migration_penalty=p)
     cfg = cfg.with_device_capacity(int(capacity_mb * MB))
     if not prefetcher:
-        import dataclasses
-        cfg = dataclasses.replace(
-            cfg, memory=dataclasses.replace(cfg.memory,
-                                            prefetcher_enabled=False))
+        cfg = cfg.with_prefetcher(PrefetcherKind.NONE)
     return driver_cls(vas, cfg)
 
 

@@ -29,7 +29,7 @@ from repro.sim import simulator
 from repro.sim.simulator import Simulator
 from repro.trace import TraceWorkload, record_trace
 from repro.uvm.driver import UvmDriver, group_wave
-from repro.workloads import ALL_WORKLOADS, EXTENDED_WORKLOADS, make_workload
+from repro.workloads import ALL_WORKLOADS, make_workload
 
 from tests.conftest import make_driver, make_vas
 from tests.oracle import ReferenceDriver
@@ -165,7 +165,7 @@ def test_reference_driver_matches_every_workload(name, monkeypatch):
 # trace replay (the grid trace cache's correctness contract)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ALL_WORKLOADS + EXTENDED_WORKLOADS)
+@pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_replay_bit_identical_every_registered_workload(name):
     cfg = SimulationConfig(seed=3).with_policy(MigrationPolicy.ADAPTIVE)
     live = Simulator(cfg).run(make_workload(name, "tiny"),

@@ -53,29 +53,25 @@ def assert_same_waves(name, params, seed):
     return sum(len(w) for _, _, w in got)
 
 
-def small_params(name, kind, per_wave):
+def small_params(name, per_wave):
     if name == "bfs":
-        return BfsParams(num_nodes=3000, graph_kind=kind,
-                         frontier_per_wave=per_wave)
-    return SsspParams(num_nodes=3000, graph_kind=kind,
-                      worklist_per_wave=per_wave, max_worklist=200,
-                      max_rounds=12)
+        return BfsParams(num_nodes=3000, frontier_per_wave=per_wave)
+    return SsspParams(num_nodes=3000, worklist_per_wave=per_wave,
+                      max_worklist=200, max_rounds=12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind", ["random", "rmat", "grid"])
 @pytest.mark.parametrize("name", ["bfs", "sssp"])
-def test_graph_kinds_and_seeds(name, kind, seed):
+def test_seeds(name, seed):
     """Small per-wave sizes: every level or round spans many waves."""
-    assert assert_same_waves(name, small_params(name, kind, 24), seed)
+    assert assert_same_waves(name, small_params(name, 24), seed)
 
 
 @settings(max_examples=10, deadline=None)
 @given(name=st.sampled_from(sorted(PAIRS)),
-       kind=st.sampled_from(["random", "rmat", "grid"]),
        per_wave=st.integers(2, 300), seed=st.integers(0, 2**31 - 1))
-def test_random_wave_sizes(name, kind, per_wave, seed):
-    assert assert_same_waves(name, small_params(name, kind, per_wave), seed)
+def test_random_wave_sizes(name, per_wave, seed):
+    assert assert_same_waves(name, small_params(name, per_wave), seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -111,7 +107,7 @@ def test_zero_degree_nodes(name, per_wave):
     graph = _graph_with_sinks()
     graph.validate()
     module = {"bfs": bfs_module, "sssp": sssp_module}[name]
-    params = dataclasses.replace(small_params(name, "random", per_wave),
+    params = dataclasses.replace(small_params(name, per_wave),
                                  num_nodes=graph.num_nodes)
     with mock.patch.object(module, "make_graph", return_value=graph):
         workload = PAIRS[name][0](params)

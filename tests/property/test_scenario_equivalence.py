@@ -62,8 +62,6 @@ def scenario_and_cell(draw):
                                                                "64kb"])))
     maybe("memory", "prefetcher", "prefetcher",
           draw(st.sampled_from(["tree", "none", "sequential"])))
-    maybe("memory", "prefetch_degree", "prefetch_degree",
-          draw(st.sampled_from([2, 4])))
     maybe("faults", "transfer_rate", "transfer_fault_rate",
           draw(st.sampled_from([0.0, 0.01, 0.05])))
     maybe("faults", "max_retries", "fault_retries",

@@ -34,7 +34,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MB, MigrationPolicy, ServeConfig, SimulationConfig
 from repro.obs import Observability, RingBufferSink
 from repro.serve import ServeSession
-from repro.serve.scheduler import DeficitRoundRobinScheduler
+from repro.serve.scheduler import (THROTTLE_DECAY,
+                                   DeficitRoundRobinScheduler)
 from repro.uvm.driver import UvmDriver
 
 from tests.conftest import make_vas
@@ -107,8 +108,7 @@ class TestFusedSessionIdentity:
             json.dumps(prod, sort_keys=True)
 
     def test_batched_equals_sequential_with_weights(self):
-        kw = dict(scheduler="drr", weights=(3.0, 1.0, 2.0),
-                  throttle_decay=0.5)
+        kw = dict(scheduler="drr", weights=(3.0, 1.0, 2.0))
         assert serve_dict(2, reference=True, **kw) == serve_dict(2, **kw)
 
     def test_batched_equals_sequential_under_faults(self):
@@ -298,14 +298,12 @@ class TestDeficitInvariants:
            n_tenants=st.integers(1, 12),
            quantum=st.integers(1, 8),
            weights=st.lists(st.floats(0.1, 8.0), max_size=5),
-           decay=st.floats(0.05, 1.0),
            rounds=st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_deficit_always_in_unit_interval(self, seed, n_tenants,
-                                             quantum, weights, decay,
-                                             rounds):
+                                             quantum, weights, rounds):
         cfg = ServeConfig(scheduler="drr", weights=tuple(weights),
-                          throttle_decay=decay, quantum=quantum)
+                          quantum=quantum)
         sched = DeficitRoundRobinScheduler(cfg)
         rng = np.random.default_rng(seed)
         tenants = [_StubTenant(i) for i in range(n_tenants)]
@@ -324,8 +322,7 @@ class TestDeficitInvariants:
         for t in tenants:
             accrued = sum(
                 sched.weight_of(t.id) * quantum for _ in range(rounds))
-            assert planned[t.id] >= int(accrued * (decay if decay < 1
-                                                   else 1.0)) - rounds
+            assert planned[t.id] >= int(accrued * THROTTLE_DECAY) - rounds
 
     def test_weighted_share_converges(self):
         """Over many rounds, planned waves split ~ weight share."""
@@ -340,7 +337,7 @@ class TestDeficitInvariants:
         assert planned[0] == pytest.approx(3 * planned[1], abs=2)
 
     def test_throttle_decays_instead_of_suspending(self):
-        cfg = ServeConfig(scheduler="drr", throttle_decay=0.5, quantum=2)
+        cfg = ServeConfig(scheduler="drr", quantum=2)
         sched = DeficitRoundRobinScheduler(cfg)
         throttled = _StubTenant(0, throttle_left=1)
         free = _StubTenant(1)
@@ -350,4 +347,5 @@ class TestDeficitInvariants:
                 for tenant, n in group:
                     planned[tenant.id] += n
         assert 0 < planned[0] < planned[1]
-        assert planned[0] == pytest.approx(planned[1] / 2, abs=2)
+        assert planned[0] == pytest.approx(planned[1] * THROTTLE_DECAY,
+                                           abs=2)

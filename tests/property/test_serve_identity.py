@@ -51,17 +51,6 @@ class TestArrivalTraceProperties:
         assert times == sorted(times) and times[0] >= 0.0
         assert all(a.workload in cfg.workload_mix for a in trace)
 
-    @given(seed=st.integers(0, 2**16),
-           horizon_ms=st.floats(0.5, 50.0))
-    @settings(max_examples=40, deadline=None)
-    def test_duration_cut_is_a_prefix(self, seed, horizon_ms):
-        full = generate_arrivals(ServeConfig(seed=seed, tenants=24))
-        cut = generate_arrivals(ServeConfig(seed=seed, tenants=24,
-                                            duration_ms=horizon_ms))
-        assert list(cut) == [a for a in full
-                             if a.at_us <= horizon_ms * 1e3][:len(cut)]
-        assert all(a.at_us <= horizon_ms * 1e3 for a in cut)
-
 
 class TestDecisionPurity:
     @given(seed=st.integers(0, 2**10),

@@ -42,18 +42,34 @@ class TestEncoding:
         cfg = (SimulationConfig(seed=3)
                .with_policy(MigrationPolicy.OVERSUB, static_threshold=16)
                .with_eviction_granularity(EvictionGranularity.BLOCK_64KB)
-               .with_prefetcher(PrefetcherKind.SEQUENTIAL, degree=2)
+               .with_prefetcher(PrefetcherKind.SEQUENTIAL)
                .with_faults(transfer_fault_rate=0.125, max_retries=1))
         assert decode_config(encode_config(cfg)) == cfg
 
     def test_archived_config_with_retired_shards_decodes(self):
-        """Configs archived while ``shards``, ``backend`` and
-        ``collect_timeline`` were settings still load: the retired keys
-        are ignored, everything else round-trips."""
+        """Configs archived while ``shards``, ``backend``,
+        ``collect_timeline``, ``memory.prefetch_degree``,
+        ``memory.page_size`` and ``memory.prefetcher_enabled`` were
+        settings still load: the retired keys are ignored, everything
+        else round-trips."""
         cfg = SimulationConfig(seed=3).with_policy(MigrationPolicy.ADAPTIVE)
         archived = dict(encode_config(cfg), shards=4, backend="numba",
                         collect_timeline=True)
+        archived["memory"] = dict(archived["memory"], prefetch_degree=4,
+                                  page_size=4096, prefetcher_enabled=True)
         assert decode_config(archived) == cfg
+
+    @pytest.mark.parametrize("kind", [k for k in PrefetcherKind
+                                      if k is not PrefetcherKind.NONE])
+    def test_archived_prefetcher_disabled_decodes_as_none(self, kind):
+        """An archive written with ``prefetcher_enabled: false`` ran
+        without prefetching, whichever strategy it named."""
+        archived = encode_config(SimulationConfig().with_prefetcher(kind))
+        archived["memory"]["prefetcher_enabled"] = False
+        decoded = decode_config(archived)
+        assert decoded.memory.prefetcher is PrefetcherKind.NONE
+        assert decoded == SimulationConfig().with_prefetcher(
+            PrefetcherKind.NONE)
 
     def test_result_roundtrip_exact(self, tiny_result):
         clone = decode_result(encode_result(tiny_result))
@@ -122,3 +138,18 @@ class TestJournal:
         with CheckpointJournal(path) as journal:
             journal.append(cell, tiny_result)
         assert path.exists()
+
+    def test_entry_with_retired_cell_field_loads_but_never_resumes(
+            self, tmp_path, tiny_result):
+        """A journal written while ``prefetch_degree`` was a cell field
+        still loads; its cells key on the old field set, so a resumed
+        grid re-simulates them rather than serving them."""
+        path = tmp_path / "journal.jsonl"
+        cell = GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny")
+        record = {"cell": dict(json.loads(cell_key(cell)),
+                               prefetch_degree=4),
+                  "result": encode_result(tiny_result)}
+        path.write_text(json.dumps(record) + "\n")
+        loaded = CheckpointJournal(path).load()
+        assert len(loaded) == 1
+        assert cell_key(cell) not in loaded

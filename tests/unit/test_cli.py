@@ -63,7 +63,7 @@ class TestExecution:
     def test_run_with_options(self, capsys):
         rc = main(["run", "ra", "--scale", "tiny", "--policy", "always",
                    "--evict", "64kb", "--prefetcher", "sequential",
-                   "--prefetch-degree", "2", "--ts", "16"])
+                   "--ts", "16"])
         assert rc == 0
 
     def test_compare(self, capsys):
@@ -90,8 +90,7 @@ class TestExecution:
 
     @pytest.mark.parametrize("argv", [
         ["run", "ra", "--scale", "tiny", "--ts", "0"],
-        ["run", "ra", "--scale", "tiny", "--prefetcher", "sequential",
-         "--prefetch-degree", "0"],
+        ["run", "ra", "--scale", "tiny", "--penalty", "0"],
         ["compare", "ra", "--scale", "tiny", "--ts", "0"],
         ["serve", "--penalty", "0"],
         ["trace", "replay", "-i", "missing.npz"],

@@ -234,9 +234,18 @@ class TestConfigCommand:
         assert "ok" in capsys.readouterr().out
 
     def test_validate_reports_failures(self, tmp_path, capsys):
+        """``ok`` lines go to stdout; a ``FAIL`` line, its schema errors
+        and the failure count go to stderr, like every other CLI
+        error."""
+        good = write(tmp_path / "good.yaml", "workload: ra\n")
         bad = write(tmp_path / "bad.yaml", "workload: ra\nbogus: 1\n")
-        assert main(["config", "validate", bad]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert main(["config", "validate", good, bad]) == 1
+        out, err = capsys.readouterr()
+        assert f"ok   {good}" in out
+        assert "FAIL" not in out and "bogus" not in out
+        assert f"FAIL {bad}" in err
+        assert "bogus: unknown key" in err
+        assert "1 scenario(s) failed validation" in err
 
     def test_validate_directory(self, tmp_path, capsys):
         write(tmp_path / "_base.yaml", "scale: tiny\n")

@@ -28,13 +28,12 @@ class TestServeParser:
     def test_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--arrival-rate", "2000", "--tenants", "6",
-             "--duration", "50", "--process", "bursty",
+             "--process", "bursty",
              "--shed-watermark", "2.0", "--queue-depth", "3",
              "--mix", "ra,bfs", "--capacity-mb", "24"])
         serve = _scenario(args, "serve", mode="serve")["serve"]
         assert serve["arrival_rate"] == 2000.0
         assert serve["tenants"] == 6
-        assert serve["duration_ms"] == 50.0
         assert serve["process"] == "bursty"
         assert serve["queue_depth"] == 3
         assert serve["workload_mix"] == ["ra", "bfs"]

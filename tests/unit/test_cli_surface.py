@@ -57,7 +57,6 @@ SURFACE = {
         "--oversub": opt("oversubscription", "float", metavar="FACTOR"),
         "--penalty": opt("policy.migration_penalty", "int", metavar="P"),
         "--policy": opt("policy.variant", choices=POLICIES),
-        "--prefetch-degree": opt("memory.prefetch_degree", "int", metavar="N"),
         "--prefetcher": opt("memory.prefetcher", choices=PREFETCHERS),
         "--profile": flag("profile"),
         "--prom": opt("prom", metavar="PATH"),
@@ -82,7 +81,6 @@ SURFACE = {
         "--oversub": opt("oversubscription", "float", metavar="FACTOR"),
         "--penalty": opt("policy.migration_penalty", "int", metavar="P"),
         "--policy": opt("policy.variant", choices=POLICIES),
-        "--prefetch-degree": opt("memory.prefetch_degree", "int", metavar="N"),
         "--prefetcher": opt("memory.prefetcher", choices=PREFETCHERS),
         "--scale": opt("scale", choices=SCALES),
         "--seed": opt("seed", "int"),
@@ -147,7 +145,6 @@ SURFACE = {
         "--oversub": opt("oversubscription", "float", metavar="FACTOR"),
         "--penalty": opt("policy.migration_penalty", "int", metavar="P"),
         "--policy": opt("policy.variant", choices=POLICIES),
-        "--prefetch-degree": opt("memory.prefetch_degree", "int", metavar="N"),
         "--prefetcher": opt("memory.prefetcher", choices=PREFETCHERS),
         "--profile": flag("profile"),
         "--prom": opt("prom", metavar="PATH"),
@@ -168,7 +165,6 @@ SURFACE = {
         "--capacity-mb": opt("serve.capacity_mb", "int", metavar="MB"),
         "--config": opt("config", metavar="YAML"),
         "--debug-invariants": flag("debug_invariants"),
-        "--duration": opt("serve.duration_ms", "float", metavar="MS"),
         "--events": opt("events", metavar="PATH"),
         "--evict": opt("memory.eviction", choices=EVICTIONS),
         "--fault-burst-mult":
@@ -188,7 +184,6 @@ SURFACE = {
         "--mix": opt("serve.workload_mix", "parser", metavar="W1,W2,..."),
         "--penalty": opt("policy.migration_penalty", "int", metavar="P"),
         "--policy": opt("policy.variant", choices=POLICIES),
-        "--prefetch-degree": opt("memory.prefetch_degree", "int", metavar="N"),
         "--prefetcher": opt("memory.prefetcher", choices=PREFETCHERS),
         "--process": opt("serve.process", choices=PROCESSES),
         "--profile": flag("profile"),
@@ -202,9 +197,6 @@ SURFACE = {
         "--shed-watermark": opt("serve.shed_watermark", "float", metavar="X"),
         "--slo-config": opt("slo_config", metavar="YAML"),
         "--tenants": opt("serve.tenants", "int", metavar="N"),
-        "--throttle-decay":
-            opt("serve.throttle_decay", "float", metavar="FACTOR"),
-        "--throttle-rounds": opt("serve.throttle_rounds", "int", metavar="N"),
         "--throttle-watermark":
             opt("serve.throttle_watermark", "float", metavar="X"),
         "--timeline": opt("timeline", metavar="PATH"),
@@ -244,6 +236,17 @@ SURFACE = {
 }
 
 
+#: Options that once existed, with the commands that had them.  Each
+#: set a value that every run now takes as fixed, so the parser must
+#: reject it.
+RETIRED = {
+    "--prefetch-degree": ("run", "compare", "trace replay", "serve"),
+    "--duration": ("serve",),
+    "--throttle-rounds": ("serve",),
+    "--throttle-decay": ("serve",),
+}
+
+
 def _commands(parser, prefix=()):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -279,6 +282,20 @@ def test_every_command_is_listed():
     assert list(_surface()) == list(SURFACE)
 
 
+@pytest.mark.parametrize("option, command", [
+    (option, command) for option, commands in RETIRED.items()
+    for command in commands])
+def test_retired_option_is_gone(option, command, capsys):
+    assert option not in _surface()[command]
+    argv = {"run": ["run", "ra"], "compare": ["compare", "ra"],
+            "trace replay": ["trace", "replay", "-i", "t.npz"],
+            "serve": ["serve"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        _parse([*argv, option, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", list(SURFACE))
 def test_command_options(command):
     assert _surface()[command] == SURFACE[command]
@@ -297,6 +314,8 @@ def _parse(argv):
     ["serve", "--weights", "a"],
     ["sweep", "ra", "--jobs", "-1"],
     ["figure", "fig1", "--jobs", "x"],
+    ["run", "pagerank"],
+    ["serve", "--mix", "ra,spmv"],
 ])
 def test_custom_parsers_reject_at_parse_time(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -306,7 +325,7 @@ def test_custom_parsers_reject_at_parse_time(argv, capsys):
 
 
 def test_custom_parsers_accept():
-    assert _parse(["run", "pagerank"]).workload == "pagerank"
+    assert _parse(["run", "sssp"]).workload == "sssp"
     assert _parse(["run"]).workload is None
     args = _parse(["serve", "--mix", "ra, bfs,", "--weights", "2,1.5"])
     assert getattr(args, "serve.workload_mix") == ["ra", "bfs"]

@@ -11,6 +11,7 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.policy import AdaptivePolicy
+from repro.uvm.prefetchers import NoPrefetchStrategy
 
 from tests.conftest import make_driver, make_vas
 
@@ -23,15 +24,14 @@ class TestConfigHelpers:
             EvictionGranularity.BLOCK_64KB
 
     def test_with_prefetcher_kind(self):
-        cfg = SimulationConfig().with_prefetcher(PrefetcherKind.SEQUENTIAL,
-                                                 degree=7)
+        cfg = SimulationConfig().with_prefetcher(PrefetcherKind.SEQUENTIAL)
         assert cfg.memory.prefetcher is PrefetcherKind.SEQUENTIAL
-        assert cfg.memory.prefetch_degree == 7
-        assert cfg.memory.prefetcher_enabled
 
     def test_with_prefetcher_none_disables(self):
         cfg = SimulationConfig().with_prefetcher(PrefetcherKind.NONE)
-        assert not cfg.memory.prefetcher_enabled
+        assert cfg.memory.prefetcher is PrefetcherKind.NONE
+        drv = make_driver(make_vas(8), capacity_mb=16, prefetcher=False)
+        assert isinstance(drv.prefetcher, NoPrefetchStrategy)
 
     def test_defaults_preserved(self):
         cfg = SimulationConfig().with_prefetcher(PrefetcherKind.RANDOM)

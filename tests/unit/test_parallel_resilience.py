@@ -149,7 +149,7 @@ class TestCliGuards:
             main(["run", "definitely-not-a-workload"])
         err = capsys.readouterr().err
         assert "unknown workload" in err
-        assert "ra" in err and "pagerank" in err
+        assert "ra" in err and "sssp" in err
 
     def test_resume_without_checkpoint_rejected(self):
         with pytest.raises(SystemExit, match="resume requires a checkpoint"):

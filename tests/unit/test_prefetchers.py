@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.uvm.prefetchers import (
+    PREFETCH_DEGREE,
     NoPrefetchStrategy,
     RandomPrefetchStrategy,
     SequentialPrefetchStrategy,
@@ -27,12 +28,6 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_prefetcher("psychic")
 
-    def test_bad_degree(self):
-        with pytest.raises(ValueError):
-            SequentialPrefetchStrategy(0)
-        with pytest.raises(ValueError):
-            RandomPrefetchStrategy(0)
-
 
 class TestNone:
     def test_installs_only_fault(self):
@@ -45,48 +40,50 @@ class TestNone:
 
 class TestSequential:
     def test_prefetches_next_n(self):
+        assert PREFETCH_DEGREE == 4
         tree = PrefetchTree(16)
-        pf = SequentialPrefetchStrategy(3).on_fault(tree, 4)
-        assert list(pf) == [5, 6, 7]
-        assert tree.occupancy == 4
+        pf = SequentialPrefetchStrategy().on_fault(tree, 4)
+        assert list(pf) == [5, 6, 7, 8]
+        assert tree.occupancy == 5
 
     def test_skips_resident(self):
         tree = PrefetchTree(16)
         tree.mark_resident(5)
-        pf = SequentialPrefetchStrategy(2).on_fault(tree, 4)
-        assert list(pf) == [6, 7]
+        tree.mark_resident(7)
+        pf = SequentialPrefetchStrategy().on_fault(tree, 4)
+        assert list(pf) == [6, 8, 9, 10]
 
     def test_clamps_at_chunk_end(self):
         tree = PrefetchTree(8)
-        pf = SequentialPrefetchStrategy(5).on_fault(tree, 6)
+        pf = SequentialPrefetchStrategy().on_fault(tree, 6)
         assert list(pf) == [7]
 
     def test_invariants(self):
         tree = PrefetchTree(8)
-        SequentialPrefetchStrategy(4).on_fault(tree, 0)
+        SequentialPrefetchStrategy().on_fault(tree, 0)
         tree.check_invariants()
 
 
 class TestRandom:
     def test_prefetches_degree_absent(self):
         tree = PrefetchTree(32)
-        pf = RandomPrefetchStrategy(4, seed=1).on_fault(tree, 0)
-        assert pf.size == 4
-        assert tree.occupancy == 5
+        pf = RandomPrefetchStrategy(seed=1).on_fault(tree, 0)
+        assert pf.size == PREFETCH_DEGREE
+        assert tree.occupancy == PREFETCH_DEGREE + 1
         assert 0 not in pf
         tree.check_invariants()
 
     def test_deterministic_per_seed(self):
         a = PrefetchTree(32)
         b = PrefetchTree(32)
-        pa = RandomPrefetchStrategy(4, seed=9).on_fault(a, 0)
-        pb = RandomPrefetchStrategy(4, seed=9).on_fault(b, 0)
+        pa = RandomPrefetchStrategy(seed=9).on_fault(a, 0)
+        pb = RandomPrefetchStrategy(seed=9).on_fault(b, 0)
         assert np.array_equal(pa, pb)
 
     def test_empty_when_full(self):
         tree = PrefetchTree(2)
         tree.mark_resident(1)
-        pf = RandomPrefetchStrategy(4).on_fault(tree, 0)
+        pf = RandomPrefetchStrategy().on_fault(tree, 0)
         assert pf.size == 0
 
 

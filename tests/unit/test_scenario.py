@@ -114,16 +114,24 @@ class TestSchema:
                    for e in errors)
 
     def test_retired_keys_are_unknown(self):
-        """``shards``, ``backend`` and ``serve.batch_waves`` were removed
-        settings: configs still naming them fail with the unknown-key
-        error."""
+        """``shards``, ``backend``, ``serve.batch_waves``,
+        ``memory.prefetch_degree``, ``serve.duration_ms``,
+        ``serve.throttle_rounds`` and ``serve.throttle_decay`` were
+        removed settings: configs still naming them fail with the
+        unknown-key error."""
         errors = check({"name": "x", "workload": "ra", "shards": 4,
                         "backend": "python",
+                        "memory": {"prefetch_degree": 2},
                         "serve": {"batch_waves": True}})
-        assert any("shards" in e and "unknown" in e for e in errors)
-        assert any("backend" in e and "unknown" in e for e in errors)
-        assert any("serve.batch_waves" in e and "unknown" in e
-                   for e in errors)
+        errors += check({"name": "y", "mode": "serve",
+                         "serve": {"duration_ms": 50.0,
+                                   "throttle_rounds": 4,
+                                   "throttle_decay": 0.5}})
+        for key in ("shards", "backend", "serve.batch_waves",
+                    "memory.prefetch_degree", "serve.duration_ms",
+                    "serve.throttle_rounds", "serve.throttle_decay"):
+            assert any(e.startswith(f"{key}: unknown key")
+                       for e in errors), key
 
     @pytest.mark.parametrize("text, unread", [
         ("mode: run\nworkload: ra\nserve:\n  tenants: 5\n"

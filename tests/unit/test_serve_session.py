@@ -56,10 +56,6 @@ class TestLightLoad:
         for t in r.tenants:
             assert 0 < t.p50_wave_latency_us <= t.p99_wave_latency_us
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            run(duration_ms=1e-9)
-
 
 class TestOverload:
     def test_degrades_in_watermark_order(self):

@@ -36,13 +36,6 @@ class TestGenerateArrivals:
     def test_seed_changes_trace(self):
         assert generate_arrivals(cfg(seed=1)) != generate_arrivals(cfg(seed=2))
 
-    def test_duration_cut_truncates(self):
-        full = generate_arrivals(cfg(tenants=64))
-        horizon_ms = full[len(full) // 2].at_us / 1e3
-        cut = generate_arrivals(cfg(tenants=64, duration_ms=horizon_ms))
-        assert 0 < len(cut) < len(full)
-        assert all(a.at_us <= horizon_ms * 1e3 for a in cut)
-
     def test_higher_rate_compresses_horizon(self):
         slow = generate_arrivals(cfg(tenants=32, arrival_rate=100.0))
         fast = generate_arrivals(cfg(tenants=32, arrival_rate=10000.0))

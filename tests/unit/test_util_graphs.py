@@ -10,7 +10,6 @@ from repro.memory.allocator import VirtualAddressSpace
 from repro.memory.layout import CHUNK_SIZE
 from repro.workloads.bfs import PRESETS as BFS_PRESETS
 from repro.workloads.graphs import random_graph
-from repro.workloads.pagerank import PRESETS as PAGERANK_PRESETS
 from repro.workloads.sssp import PRESETS as SSSP_PRESETS
 from repro.workloads.util import (
     SECTORS_PER_PAGE,
@@ -272,8 +271,8 @@ class TestRandomGraph:
 def _graph_presets():
     """``(num_nodes, avg_degree, skew)`` of every random-graph preset."""
     recipes = {(p.num_nodes, p.avg_degree, p.skew)
-               for presets in (BFS_PRESETS, SSSP_PRESETS, PAGERANK_PRESETS)
-               for p in presets.values() if p.graph_kind == "random"}
+               for presets in (BFS_PRESETS, SSSP_PRESETS)
+               for p in presets.values()}
     return sorted(recipes)
 
 
