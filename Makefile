@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test bench bench-smoke bench-perf \
 	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
-	trace-smoke invariant-smoke check-configs check-figures \
+	trace-smoke invariant-smoke profile-smoke check-configs check-figures \
 	check-regression figures examples check-docs clean
 
 install:
@@ -178,6 +178,33 @@ invariant-smoke:
 			done; \
 		done; \
 	done
+
+# --profile and --timeline on a run and on a serve session: both traces
+# pass validate_trace, the serve trace marks one wave frame per driver
+# wave, and under --json the serve stdout stays one JSON document (the
+# profile table goes to stderr).
+profile-smoke:
+	rm -rf .profile-smoke && mkdir .profile-smoke
+	$(PYTHON) -m repro run ra --scale tiny --oversub 1.5 --profile \
+		--timeline .profile-smoke/run.trace.json > .profile-smoke/run.txt
+	$(PYTHON) -m repro serve --scale tiny --tenants 6 --json --profile \
+		--timeline .profile-smoke/serve.trace.json \
+		> .profile-smoke/serve.json 2> .profile-smoke/serve.err
+	grep -q -- "-- profile:" .profile-smoke/run.txt
+	grep -q -- "-- profile:" .profile-smoke/serve.err
+	$(PYTHON) -c 'import json; \
+		from repro.obs import validate_trace; \
+		from repro.obs.timeline import TID_WAVES; \
+		load = lambda name: json.load(open(f".profile-smoke/{name}")); \
+		result = load("serve.json"); \
+		traces = [load(f"{cmd}.trace.json") for cmd in ("run", "serve")]; \
+		problems = [p for trace in traces for p in validate_trace(trace)]; \
+		assert not problems, problems; \
+		frames = sum(e["tid"] == TID_WAVES for e in traces[1]["traceEvents"] \
+		             if e["ph"] == "i"); \
+		assert frames == result["total_waves"], (frames, \
+		                                         result["total_waves"])'
+	rm -rf .profile-smoke
 
 # Every paper figure must regenerate its committed table byte for byte
 # (small scale, seed 0): a change to simulated outcomes fails here

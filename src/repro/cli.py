@@ -52,10 +52,10 @@ keys.  Archived
 config-driven runs embed the resolved scenario (flags included) in
 their manifest, so ``repro diff`` explains them by scenario-key deltas.
 
-The simulation commands (``run``, ``trace replay``) accept the
-observability flags ``--events out.jsonl[.gz]`` (structured event
+The simulation commands (``run``, ``trace replay``, ``serve``) accept
+the observability flags ``--events out.jsonl[.gz]`` (structured event
 log), ``--metrics out.json`` (counter/histogram rollup), ``--profile``
-(per-phase wall-clock breakdown), ``--timeline out.trace.json``
+(host self time per span), ``--timeline out.trace.json``
 (Chrome-trace export for Perfetto), and ``--archive`` (persist the run
 under ``.repro/runs/<run_id>/`` for later ``repro diff``); the grid
 commands (``figure``, ``sweep``) accept ``--metrics`` for per-cell
@@ -246,8 +246,10 @@ def _finish_obs(obs, args) -> None:
         write_openmetrics(obs.metrics, args.prom)
         note(f"[OpenMetrics exposition written to {args.prom}]")
     if getattr(args, "profile", False):
-        print()
-        print(obs.profiler.render())
+        # A table is not part of a --json document.
+        out = sys.stderr if getattr(args, "json", False) else sys.stdout
+        print(file=out)
+        print(obs.profiler.render(), file=out)
 
 
 def _print_summary(result) -> None:
@@ -663,7 +665,8 @@ def cmd_serve(args) -> int:
     if archive is not None:
         metrics = obs.metrics.as_dict() if obs.metrics is not None else None
         run_id = archive.commit_dict(result.as_dict(), metrics=metrics)
-        print(f"[archived as {run_id}; list with `repro runs`]")
+        print(f"[archived as {run_id}; list with `repro runs`]",
+              file=sys.stderr if args.json else sys.stdout)
     return 0
 
 
@@ -878,7 +881,8 @@ def _add_sim_flags(p, mode: str = "run", skip: tuple = ()) -> None:
 
 
 def _add_obs_args(p) -> None:
-    """Observability flags for the simulation commands (run, replay)."""
+    """Observability flags for the simulation commands (run, replay,
+    serve)."""
     p.add_argument("--events", default=None, metavar="PATH",
                    help="write structured driver events (migration "
                         "decisions, evictions, counter halvings) to this "
@@ -898,11 +902,12 @@ def _add_obs_args(p) -> None:
                         "threshold histogram, PCIe queue depth series) "
                         "to this JSON file")
     p.add_argument("--profile", action="store_true",
-                   help="print a per-phase wall-clock time breakdown "
-                        "(wave loop, migrate drain, eviction, prefetch "
-                        "tree) after the run")
+                   help="print host self time per span after the run "
+                        "(root, serve dispatch, driver wave, migrate "
+                        "drain, eviction), as shares that add up to the "
+                        "root's time; on stderr under --json")
     p.add_argument("--timeline", default=None, metavar="PATH",
-                   help="export phase spans, driver events and wave "
+                   help="export the same spans, driver events and wave "
                         "boundaries as a Chrome-trace JSON file "
                         "(open in Perfetto or chrome://tracing)")
     p.add_argument("--archive", action="store_true",

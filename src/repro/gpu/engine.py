@@ -29,22 +29,23 @@ class GpuExecutionEngine:
         self.total_timing = WaveTiming()
         #: Optional :class:`repro.obs.Observability` handle.  The engine
         #: contributes the wave-loop rollups: a wave-cycle histogram and
-        #: the PCIe-queue-depth / device-occupancy time series.  All of
-        #: it is read-only over simulation state.
+        #: the PCIe-queue-depth / device-occupancy time series; and with
+        #: a profiler, :meth:`run` is the ``run`` root span.  All of it
+        #: is read-only over simulation state.
         self.obs = obs
-        self._prof = obs.profiler if obs is not None else None
         self._m_wave_cycles = None
         if obs is not None and obs.metrics is not None:
             m = obs.metrics
             self._m_wave_cycles = m.histogram("engine.wave_cycles")
             self._m_queue = m.series("pcie.queued_blocks")
             self._m_occupancy = m.series("device.occupancy")
+        if obs is not None and obs.profiler is not None:
+            obs.profiler.install(self, {"run": "run"})
 
     def run_kernel(self, launch: KernelLaunch) -> float:
         """Execute one kernel launch; returns its cycle cost."""
         kernel_cycles = 0.0
         kernel_accesses = 0
-        prof = self._prof
         # The wave loop is the simulator's innermost Python loop; bound
         # methods are resolved once per launch instead of per wave.
         collector = self.collector
@@ -60,13 +61,8 @@ class GpuExecutionEngine:
                 collector.on_wave(launch.name, launch.iteration,
                                   cycle, wave.pages, wave.is_write,
                                   wave.counts)
-            if prof is not None:
-                with prof.span("wave"):
-                    outcome = process_wave(wave.pages, wave.is_write,
-                                           wave.counts, wave.grouped)
-            else:
-                outcome = process_wave(wave.pages, wave.is_write,
-                                       wave.counts, wave.grouped)
+            outcome = process_wave(wave.pages, wave.is_write, wave.counts,
+                                   wave.grouped)
             t = wave_cycles(outcome, wave.compute_cycles)
             merge_timing(t)
             cycle += t.total

@@ -1,30 +1,35 @@
-"""Observability: structured events, rollup metrics, phase profiling.
+"""Observability: structured events, rollup metrics, span profiling.
 
 The package is the simulator's measurement plane.  One
 :class:`Observability` handle bundles the three independent facilities
-and is threaded through :class:`~repro.sim.simulator.Simulator` into
-the driver and engine:
+and is threaded through :class:`~repro.sim.simulator.Simulator` and
+:class:`~repro.serve.ServeSession` into the driver and engine:
 
 * an :class:`~repro.obs.bus.EventBus` of typed per-decision events
   (:mod:`repro.obs.events`) fanned out to pluggable sinks
   (:mod:`repro.obs.sinks`);
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges,
   histograms and time series;
-* a :class:`~repro.obs.profiling.PhaseProfiler` of wall-clock span
-  timers around the driver's hot phases.
+* a :class:`~repro.obs.profiling.SpanRecorder` charging host
+  wall-clock self time to the layer entry points (the ``run`` or
+  ``serve.session`` root, ``uvm.batch`` dispatches, ``uvm.driver``
+  waves, ``migrate_drain``, ``uvm.eviction``), whose shares add up to
+  the root's time; with a :class:`~repro.obs.timeline.TimelineRecorder`
+  attached it writes the same spans to a Chrome trace.
 
 Everything is off by default: a run constructed without a handle pays
-nothing (instrumented sites guard on a single attribute check), and a
+nothing (event sites guard on a single attribute check, and spans are
+installed on an object only when it is built with a profiler), and a
 run with only a :class:`~repro.obs.sinks.NullSink` attached is
 bit-identical to an uninstrumented one.  See ``docs/observability.md``
 for the schema and CLI workflow (``--events``, ``--metrics``,
-``--profile``, ``repro inspect``).
+``--profile``, ``--timeline``, ``repro inspect``).
 
 >>> from repro.obs import Observability, RingBufferSink
 >>> obs = Observability()
 >>> ring = RingBufferSink(capacity=64)
 >>> obs.bus.attach(ring)
->>> obs.enabled
+>>> obs.bus.enabled
 True
 """
 
@@ -53,7 +58,7 @@ from .events import (
     from_dict,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Series
-from .profiling import PhaseProfiler
+from .profiling import SpanRecorder
 from .sinks import (
     JsonlSink,
     MetricsSink,
@@ -62,12 +67,7 @@ from .sinks import (
     Sink,
     open_text,
 )
-from .timeline import (
-    TimelineProfiler,
-    TimelineRecorder,
-    TimelineSink,
-    validate_trace,
-)
+from .timeline import TimelineRecorder, TimelineSink, validate_trace
 
 
 class Observability:
@@ -80,19 +80,13 @@ class Observability:
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None,
-                 profiler: PhaseProfiler | None = None) -> None:
+                 profiler: SpanRecorder | None = None) -> None:
         self.bus = EventBus()
         self.metrics = metrics
         self.profiler = profiler
         #: Optional :class:`~repro.obs.timeline.TimelineRecorder` (the
         #: ``--timeline`` Chrome-trace export); assigned by ``create``.
         self.timeline = None
-
-    @property
-    def enabled(self) -> bool:
-        """True when any facility would actually record something."""
-        return (self.bus.enabled or self.metrics is not None
-                or self.profiler is not None)
 
     @classmethod
     def create(cls, events_path=None, metrics: bool = False,
@@ -104,13 +98,13 @@ class Observability:
 
         ``events_path`` attaches a :class:`JsonlSink`; ``metrics``
         creates a registry and routes events into it through a
-        :class:`MetricsSink`; ``profile`` attaches a profiler;
-        ``ring_capacity`` attaches an in-memory ring buffer;
-        ``timeline`` attaches a :class:`TimelineRecorder` (Chrome-trace
-        export) fed by both the profiler's spans and a bus sink, and
-        implies a profiler (a :class:`TimelineProfiler`);
-        ``events_flush`` makes the event log tailable by flushing it
-        every N events (``--flush-events``; rejected for ``.gz`` logs).
+        :class:`MetricsSink`; ``profile`` attaches a
+        :class:`SpanRecorder`; ``ring_capacity`` attaches an in-memory
+        ring buffer; ``timeline`` attaches a :class:`TimelineRecorder`
+        (Chrome-trace export) fed by both the recorder's spans and a
+        bus sink, and implies a profiler; ``events_flush`` makes the
+        event log tailable by flushing it every N events
+        (``--flush-events``; rejected for ``.gz`` logs).
         """
         obs = cls()
         if metrics:
@@ -123,10 +117,9 @@ class Observability:
             obs.bus.attach(RingBufferSink(ring_capacity))
         if timeline:
             obs.timeline = TimelineRecorder()
-            obs.profiler = TimelineProfiler(obs.timeline)
             obs.bus.attach(TimelineSink(obs.timeline))
-        elif profile:
-            obs.profiler = PhaseProfiler()
+        if profile or timeline:
+            obs.profiler = SpanRecorder(obs.timeline)
         return obs
 
     def close(self) -> None:
@@ -151,7 +144,6 @@ __all__ = [
     "MigrationDecision",
     "NullSink",
     "Observability",
-    "PhaseProfiler",
     "PrefetchExpand",
     "RingBufferSink",
     "RunMeta",
@@ -159,6 +151,7 @@ __all__ = [
     "Sink",
     "SloAttainment",
     "SloViolation",
+    "SpanRecorder",
     "TelemetryWindow",
     "TenantAdmitted",
     "TenantArrival",
@@ -166,7 +159,6 @@ __all__ = [
     "TenantSched",
     "TenantShed",
     "TenantThrottled",
-    "TimelineProfiler",
     "TimelineRecorder",
     "TimelineSink",
     "from_dict",

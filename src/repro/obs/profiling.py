@@ -1,103 +1,114 @@
-"""Lightweight phase profiling: wall-clock span timers.
+"""One span recorder: host wall-clock self time per layer.
 
-``PhaseProfiler`` accumulates ``perf_counter`` time per named phase.
-It measures *host* wall time of the Python simulator (where does a slow
-sweep actually spend its seconds: migrate-drain? eviction? prefetch
-trees?), not simulated GPU cycles -- the timing model owns those.
+A span is one call into a layer entry point (a driver wave, the
+migration drain, eviction under pressure, a serve dispatch).
+:class:`SpanRecorder` keeps a stack of the open spans, so each span is
+charged its *self* time: its duration minus the time of the spans
+nested in it.  The self times of all spans add up to the wall time of
+the root spans (``run``, ``serve.session``), and ``--profile`` prints
+each span's share of that total.  It measures *host* seconds of the
+Python simulator, not simulated GPU cycles -- the timing model owns
+those.
 
-Spans never touch simulation state, so profiling cannot perturb
-results; the only cost is the clock reads, which is why the driver
-guards every span site on ``profiler is not None`` and the default run
-carries no profiler at all.
+Spans are installed once, when an object is built with a profiler:
+:meth:`SpanRecorder.install` replaces bound methods of that one
+instance with timed wrappers.  Code built without a profiler never
+checks for one, and spans never touch simulation state, so a profiled
+run is bit-identical to a bare one.
+
+With a :class:`~repro.obs.timeline.TimelineRecorder` attached, every
+span is also a ``B``/``E`` pair in the trace, and the end of each
+per-wave driver span (:data:`WAVE_SPAN`) marks a wave frame.
 """
 
 from __future__ import annotations
 
 import time
 
-
-class _Span:
-    """Context manager timing one phase entry (re-entrant safe)."""
-
-    __slots__ = ("_profiler", "_name", "_t0")
-
-    def __init__(self, profiler: "PhaseProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._profiler.add(self._name, time.perf_counter() - self._t0)
+#: The per-wave driver span; on a timeline its end marks a wave frame.
+WAVE_SPAN = "uvm.driver"
 
 
-class PhaseProfiler:
-    """Accumulates wall-clock seconds and call counts per phase name."""
+class SpanRecorder:
+    """Self seconds and call counts per span name.
 
-    def __init__(self) -> None:
-        #: phase name -> [seconds, calls]
-        self.phases: dict[str, list] = {}
+    ``timeline`` optionally receives every span as a ``B``/``E`` pair;
+    ``clock`` is injectable for tests.
+    """
 
-    def span(self, name: str) -> _Span:
-        """Context manager charging its elapsed wall time to ``name``."""
-        return _Span(self, name)
+    def __init__(self, timeline=None, clock=time.perf_counter) -> None:
+        self.timeline = timeline
+        self.clock = clock
+        #: span name -> [self seconds, completed calls]
+        self.spans: dict[str, list] = {}
+        #: Summed duration of the spans opened with no parent.
+        self.root_s = 0.0
+        # Open spans: [name, start time, time covered by child spans].
+        self._stack: list[list] = []
 
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Charge ``seconds`` (and ``calls`` entries) to phase ``name``."""
-        entry = self.phases.get(name)
-        if entry is None:
-            self.phases[name] = [seconds, calls]
+    def enter(self, name: str, args: dict | None = None) -> None:
+        """Open a span; ``args`` label its timeline ``B`` event."""
+        if self.timeline is not None:
+            self.timeline.begin(name, args=args)
+        self._stack.append([name, self.clock(), 0.0])
+
+    def exit(self) -> None:
+        """Close the innermost open span and charge its self time."""
+        t = self.clock()
+        name, t0, child = self._stack.pop()
+        dur = t - t0
+        entry = self.spans.setdefault(name, [0.0, 0])
+        entry[0] += dur - child
+        entry[1] += 1
+        if self._stack:
+            self._stack[-1][2] += dur
         else:
-            entry[0] += seconds
-            entry[1] += calls
+            self.root_s += dur
+        if self.timeline is not None:
+            self.timeline.end(name)
+            if name == WAVE_SPAN:
+                self.timeline.frame()
 
-    def wrap(self, name: str, fn):
-        """Return ``fn`` wrapped so every call is charged to ``name``.
+    def wrap(self, name: str, fn, args=None):
+        """``fn`` with every call timed as one ``name`` span.
 
-        Used on hot callables (the per-fault prefetch-tree update) so
-        the un-profiled path keeps calling the bare function.
+        ``args`` optionally maps the call's arguments to the span's
+        timeline args; it is only called when a timeline is attached.
+        The span is listed by :meth:`render` from now on, called or not.
         """
-        perf = time.perf_counter
-        add = self.add
+        self.spans.setdefault(name, [0.0, 0])
+        enter, leave = self.enter, self.exit
+        if self.timeline is None:
+            args = None
 
-        def timed(*args, **kwargs):
-            t0 = perf()
+        def timed(*a, **kw):
+            enter(name, None if args is None else args(*a, **kw))
             try:
-                return fn(*args, **kwargs)
+                return fn(*a, **kw)
             finally:
-                add(name, perf() - t0)
+                leave()
 
         return timed
 
-    def report(self) -> list[dict]:
-        """Per-phase totals, heaviest first."""
-        rows = [{"phase": name, "seconds": sec, "calls": calls,
-                 "mean_us": (sec / calls) * 1e6 if calls else 0.0}
-                for name, (sec, calls) in self.phases.items()]
-        rows.sort(key=lambda r: r["seconds"], reverse=True)
-        return rows
+    def install(self, obj, spans: dict[str, str]) -> None:
+        """Time bound methods of ``obj``: ``spans`` maps each attribute
+        to its span name.  Only ``obj`` itself is patched, not its
+        class."""
+        for attr, name in spans.items():
+            setattr(obj, attr, self.wrap(name, getattr(obj, attr)))
 
     def render(self) -> str:
-        """ASCII per-phase breakdown (the ``--profile`` output)."""
-        rows = self.report()
-        if not rows:
-            return "(no profiled phases)"
-        # Phases nest (waves contain drains contain evictions), so
-        # normalize against the heaviest phase, not the sum.
-        top = rows[0]["seconds"] or 1.0
-        lines = ["-- profile: wall-clock time per phase (phases nest; "
-                 "percentages are of the heaviest phase)",
-                 f"{'phase':<20} {'seconds':>10} {'calls':>10} "
+        """ASCII self-time table, heaviest first (the ``--profile`` output)."""
+        if not self.spans:
+            return "(no profiled spans)"
+        total = self.root_s or 1.0
+        lines = [f"-- profile: host self time per span (shares of the "
+                 f"{self.root_s:.4f} s in root spans)",
+                 f"{'span':<16} {'self s':>10} {'calls':>10} "
                  f"{'mean us':>10} {'share':>7}"]
-        for r in rows:
-            lines.append(
-                f"{r['phase']:<20} {r['seconds']:>10.4f} {r['calls']:>10} "
-                f"{r['mean_us']:>10.1f} {100 * r['seconds'] / top:>6.1f}%")
+        for name, (sec, calls) in sorted(self.spans.items(),
+                                         key=lambda kv: -kv[1][0]):
+            mean_us = sec / calls * 1e6 if calls else 0.0
+            lines.append(f"{name:<16} {sec:>10.4f} {calls:>10} "
+                         f"{mean_us:>10.1f} {100 * sec / total:>6.2f}%")
         return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        """JSON-serializable phase totals."""
-        return {name: {"seconds": sec, "calls": calls}
-                for name, (sec, calls) in sorted(self.phases.items())}

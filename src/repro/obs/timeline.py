@@ -4,13 +4,17 @@
 structure as a standard trace loadable in https://ui.perfetto.dev or
 ``chrome://tracing``:
 
-* **phase spans** -- the :class:`~repro.obs.profiling.PhaseProfiler`
-  span sites (wave loop, migrate drain, eviction, prefetch tree) as
-  nested ``B``/``E`` duration events on one track;
+* **spans** -- the :class:`~repro.obs.profiling.SpanRecorder` spans
+  (the ``run`` or ``serve.session`` root, serve dispatches, driver
+  waves, migrate drains, evictions) as nested ``B``/``E`` duration
+  events on one track;
 * **driver events** -- migrations, evictions, fault retries, prefetch
   expansions, counter halvings as instant events on a second track;
 * **wave boundaries** -- a process-scoped instant marker at the end of
-  every wave, so Perfetto shows the run's wave cadence as frames.
+  every driver wave span, so Perfetto shows the run's wave cadence as
+  frames;
+* **serve** -- a serve run's tenant lifecycle instants (arrival, admit,
+  shed, throttle, complete, SLO violations, alerts).
 
 Timestamps are host wall-clock microseconds relative to recorder
 creation (``perf_counter``-based and clamped monotonic), because the
@@ -44,16 +48,15 @@ from .events import (
     TenantShed,
     TenantThrottled,
 )
-from .profiling import PhaseProfiler
 
 #: Track (thread) ids inside the single trace process.
-TID_PHASES = 1
+TID_SPANS = 1
 TID_DRIVER = 2
 TID_WAVES = 3
 TID_SERVE = 4
 
 _TRACK_NAMES = {
-    TID_PHASES: "phases (host wall clock)",
+    TID_SPANS: "spans (host wall clock)",
     TID_DRIVER: "driver events",
     TID_WAVES: "waves",
     TID_SERVE: "serve (tenants, SLOs, alerts)",
@@ -93,20 +96,21 @@ class TimelineRecorder:
         self.meta = dict(meta)
         name = f"{meta.get('workload', '?')} / {meta.get('policy', '?')}"
         self.events.append({
-            "ph": "M", "pid": 1, "tid": TID_PHASES, "name": "process_name",
+            "ph": "M", "pid": 1, "tid": TID_SPANS, "name": "process_name",
             "args": {"name": f"repro {name}"}})
 
-    def begin(self, name: str, tid: int = TID_PHASES,
-              args: dict | None = None) -> None:
-        ev = {"ph": "B", "pid": 1, "tid": tid,
-              "cat": "phase", "name": name, "ts": self._ts()}
+    def begin(self, name: str, args: dict | None = None) -> None:
+        """Open a span on the span track."""
+        ev = {"ph": "B", "pid": 1, "tid": TID_SPANS,
+              "cat": "span", "name": name, "ts": self._ts()}
         if args:
             ev["args"] = args
         self.events.append(ev)
 
-    def end(self, name: str, tid: int = TID_PHASES) -> None:
-        self.events.append({"ph": "E", "pid": 1, "tid": tid,
-                            "cat": "phase", "name": name, "ts": self._ts()})
+    def end(self, name: str) -> None:
+        """Close the span track's innermost span, ``name``."""
+        self.events.append({"ph": "E", "pid": 1, "tid": TID_SPANS,
+                            "cat": "span", "name": name, "ts": self._ts()})
 
     def instant(self, name: str, args: dict | None = None,
                 tid: int = TID_DRIVER, scope: str = "t") -> None:
@@ -139,55 +143,6 @@ class TimelineRecorder:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.trace(), fh, separators=(",", ":"))
             fh.write("\n")
-
-
-class _TimelineSpan:
-    """Span context manager: trace B/E pair plus profiler accounting."""
-
-    __slots__ = ("_profiler", "_name", "_t0")
-
-    def __init__(self, profiler: "TimelineProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_TimelineSpan":
-        self._profiler.recorder.begin(self._name)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        prof = self._profiler
-        prof.add(self._name, time.perf_counter() - self._t0)
-        prof.recorder.end(self._name)
-        if self._name == "wave":
-            prof.recorder.frame()
-
-
-class TimelineProfiler(PhaseProfiler):
-    """A :class:`PhaseProfiler` that also records spans into a trace.
-
-    Every ``span()``/``wrap()`` site keeps feeding the per-phase
-    accumulators (so ``--profile`` output is unchanged) while emitting
-    matched ``B``/``E`` events; the end of each ``"wave"`` span marks a
-    wave boundary on the frame track.
-    """
-
-    def __init__(self, recorder: TimelineRecorder) -> None:
-        super().__init__()
-        self.recorder = recorder
-
-    def span(self, name: str) -> _TimelineSpan:
-        return _TimelineSpan(self, name)
-
-    def wrap(self, name: str, fn):
-        # Routed through span() so traced calls keep strict B/E nesting
-        # (an X event stamped at call start would break the monotonic
-        # append order the recorder guarantees).
-        def timed(*args, **kwargs):
-            with self.span(name):
-                return fn(*args, **kwargs)
-
-        return timed
 
 
 class TimelineSink:

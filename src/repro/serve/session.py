@@ -60,7 +60,6 @@ from ..obs.events import (
 )
 from ..obs.live.telemetry import LiveTelemetry
 from ..obs.metrics import Histogram
-from ..obs.timeline import TID_SERVE
 from ..uvm.attribution import TenantAttribution
 from ..uvm.driver import UvmDriver
 from ..workloads.registry import make_workload
@@ -248,6 +247,8 @@ class ServeSession:
             seed=config.seed).validate()
         self.obs = obs
         self._bus = obs.bus if obs is not None else None
+        if obs is not None and obs.profiler is not None:
+            obs.profiler.install(self, {"run": "serve.session"})
 
     # -- construction ----------------------------------------------------
 
@@ -332,19 +333,19 @@ class ServeSession:
         self._first_throttle_us: float | None = None
         self._first_queue_us: float | None = None
         self._first_shed_us: float | None = None
-        # The live telemetry hub only exists when something consumes
-        # it: live admission, an SLO config, explicit alert rules, or
-        # an attached observability stack.  With none of those the hot
-        # path stays one attribute check, exactly as before.
+        # The live telemetry hub only exists when something reads it:
+        # live admission, an SLO config, explicit alert rules, an
+        # enabled event bus or a metrics registry.  A profiler does not,
+        # so profiling a session never changes its result.  With none of
+        # those the hot path stays one attribute check.
         self._telemetry = None
+        metrics = obs.metrics if obs is not None else None
         if (cfg.live_admission or self.slo is not None
-                or self.alert_rules is not None
-                or (obs is not None and obs.enabled)):
+                or self.alert_rules is not None or metrics is not None
+                or (self._bus is not None and self._bus.enabled)):
             self._telemetry = LiveTelemetry(
                 cfg, slo=self.slo, rules=self.alert_rules,
-                bus=self._bus,
-                metrics=obs.metrics if obs is not None else None)
-        self._tl = obs.timeline if obs is not None else None
+                bus=self._bus, metrics=metrics)
 
         now = 0.0
         pending = deque(arrivals)
@@ -493,23 +494,10 @@ class ServeSession:
         """
         if not batch:
             return now
-        tl = self._tl
-        shared = len(batch) > 1
-        if tl is not None:
-            if shared:
-                name = "batch"
-                args = {"span": name, "waves": len(batch),
-                        "tenants": [t.id for t, _ in batch]}
-            else:
-                tid = batch[0][0].id
-                name = f"wave t{tid}"
-                args = {"span": f"t{tid}", "tenant": tid}
-            tl.begin(name, tid=TID_SERVE, args=args)
         outcomes = self._driver.process_wave_batch(
             [(w.pages, w.is_write, w.counts) for _, w in batch],
             tenants=[t.id for t, _ in batch])
-        if tl is not None:
-            tl.end(name, tid=TID_SERVE)
+        shared = len(batch) > 1
         if shared:
             self._batches += 1
             self._batched_waves += len(batch)

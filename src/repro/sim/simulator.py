@@ -45,9 +45,10 @@ class Simulator:
 
         ``obs`` optionally wires a :class:`repro.obs.Observability`
         handle through the driver and engine: structured events flow to
-        its sinks, rollups to its metrics registry, span timings to its
-        profiler.  ``None`` (the default) is the zero-overhead path and
-        produces bit-identical results to any instrumented run.
+        its sinks, rollups to its metrics registry, and the engine's
+        ``run`` root span and the driver's spans to its profiler.
+        ``None`` (the default) is the zero-overhead path and produces
+        bit-identical results to any instrumented run.
         """
         rng = np.random.default_rng(self.config.seed)
         vas = VirtualAddressSpace()
@@ -84,14 +85,7 @@ class Simulator:
                 trace=config.collect_access_trace,
             )
         engine = GpuExecutionEngine(driver, timing, collector, obs=obs)
-        if obs is not None and obs.profiler is not None:
-            # Root span bracketing the whole execution: gives the
-            # profile report an end-to-end total and the timeline
-            # export a top-level lane enclosing every wave.
-            with obs.profiler.span("run"):
-                total = engine.run(workload)
-        else:
-            total = engine.run(workload)
+        total = engine.run(workload)
 
         if obs is not None and obs.metrics is not None:
             # End-of-run rollup: how much of the wave stream the resident

@@ -33,6 +33,7 @@ from ..memory.allocator import VirtualAddressSpace
 from ..memory.device import DeviceMemory
 from ..memory.host import HostMemory
 from ..obs.events import Eviction, FaultRetry, MigrationDecision, PrefetchExpand
+from ..obs.profiling import WAVE_SPAN
 from ..workloads.base import default_counts
 from .counters import AccessCounterFile
 from .eviction import (BUCKET_SHIFT, DIRTY, KEY_MAX, PARTIAL, PINNED,
@@ -177,13 +178,12 @@ class UvmDriver:
         self.config = config
         self.vas = vas
         #: Optional :class:`repro.obs.Observability` handle.  ``None``
-        #: (the default) is the zero-overhead path: instrumented sites
-        #: guard on the derived ``_bus``/``_prof`` attributes and never
-        #: construct an event.  Emission is side-effect-free on driver
-        #: state, so instrumented runs are bit-identical to bare ones.
+        #: (the default) is the zero-overhead path: event sites guard on
+        #: the derived ``_bus`` attribute and never construct an event,
+        #: and no span is installed.  Neither touches driver state, so
+        #: instrumented runs are bit-identical to bare ones.
         self.obs = obs
         self._bus = obs.bus if obs is not None else None
-        self._prof = obs.profiler if obs is not None else None
         total_blocks = vas.total_blocks
         self.residency = ResidencyMap(total_blocks)
         self.host = HostMemory(total_blocks)
@@ -240,6 +240,18 @@ class UvmDriver:
         #: buckets (python floats); None under LRU or with no live key.
         self._heat_sum: list[float] | None = None
         self._chunk_sizes: list[int] = self.directory.num_blocks.tolist()
+        if obs is not None and obs.profiler is not None:
+            # Every wave runs one of the two per-wave entry points, and
+            # the prefetch tree walks count in the drain's self time.
+            obs.profiler.install(self, {
+                "_process_blocks": WAVE_SPAN,
+                "_process_grouped": WAVE_SPAN,
+                "_drain_migrations": "migrate_drain",
+                "_make_room": "uvm.eviction",
+            })
+            self.process_wave_batch = obs.profiler.wrap(
+                "uvm.batch", self.process_wave_batch,
+                args=lambda waves, tenants=None: {"tenants": tenants})
 
     # ------------------------------------------------------------------
     # wave processing
@@ -479,13 +491,8 @@ class UvmDriver:
         # interact like fault-buffer draining in the real driver.
         mig = nrb[migrate]
         if mig.size:
-            if self._prof is not None:
-                with self._prof.span("migrate_drain"):
-                    self._drain_migrations(mig, k[migrate], kw[migrate],
-                                           remote[migrate], pinned, out)
-            else:
-                self._drain_migrations(mig, k[migrate], kw[migrate],
-                                       remote[migrate], pinned, out)
+            self._drain_migrations(mig, k[migrate], kw[migrate],
+                                   remote[migrate], pinned, out)
 
     def _decision_state(self, nrb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Policy decision state for ``nrb``, with hint overrides applied."""
@@ -560,8 +567,6 @@ class UvmDriver:
         prefetch = (PrefetchTree.on_fault
                     if type(self.prefetcher) is TreePrefetchStrategy
                     else self.prefetcher.on_fault)
-        if self._prof is not None:
-            prefetch = self._prof.wrap("prefetch_tree", prefetch)
         bus = self._bus
         bus_on = bus is not None and bus.enabled
         pending: dict[int, list[int]] = {}
@@ -769,12 +774,6 @@ class UvmDriver:
 
     def _rebuild_tree(self, cid: int) -> None:
         """Resynchronize a chunk's tree with the residency map."""
-        if self._prof is not None:
-            with self._prof.span("prefetch_tree"):
-                return self._rebuild_tree_impl(cid)
-        self._rebuild_tree_impl(cid)
-
-    def _rebuild_tree_impl(self, cid: int) -> None:
         tree = self.trees[cid]
         tree.clear()
         chunk_blocks = self.directory.blocks_of_chunk(cid)
@@ -792,15 +791,6 @@ class UvmDriver:
         """
         if self.device.can_fit(n_blocks):
             return True
-        if self._prof is not None:
-            with self._prof.span("eviction"):
-                return self._make_room_under_pressure(n_blocks, pinned,
-                                                      never, out)
-        return self._make_room_under_pressure(n_blocks, pinned, never, out)
-
-    def _make_room_under_pressure(self, n_blocks: int, pinned: np.ndarray,
-                                  never: int, out: WaveOutcome) -> bool:
-        """The eviction path of :meth:`_make_room` (capacity exceeded)."""
         self.device.note_pressure()
         needed = n_blocks - self.device.free_blocks
         key = self._victim_key

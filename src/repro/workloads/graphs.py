@@ -52,15 +52,14 @@ class CsrGraph:
 
 
 def random_graph(num_nodes: int, avg_degree: float,
-                 rng: np.random.Generator, skew: float = 0.0,
-                 connect_chain: bool = True) -> CsrGraph:
+                 rng: np.random.Generator, skew: float = 0.0) -> CsrGraph:
     """Generate a random directed CSR graph.
 
     ``skew`` in [0, 1) biases destinations toward low node ids with a
     power-law-like distribution (0 = uniform), mimicking the hub
-    structure of R-MAT/social graphs.  ``connect_chain`` threads a
-    Hamiltonian-ish chain through the nodes so BFS/SSSP from node 0
-    reaches everything regardless of the random part.
+    structure of R-MAT/social graphs.  The first edge of every node
+    points to the next node id: that chain lets BFS/SSSP from node 0
+    reach everything regardless of the random part.
     """
     if num_nodes < 2:
         raise ValueError("graph needs at least two nodes")
@@ -95,9 +94,7 @@ def random_graph(num_nodes: int, avg_degree: float,
     else:
         dst = rng.integers(0, num_nodes, size=m, dtype=np.int64)
 
-    if connect_chain:
-        # First edge of every node points to the next node id.
-        dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
+    dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
 
     weights = rng.random(m, dtype=np.float32)
     weights *= 99.0

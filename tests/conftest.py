@@ -36,18 +36,32 @@ def make_driver(vas: VirtualAddressSpace,
                 policy: MigrationPolicy = MigrationPolicy.DISABLED,
                 capacity_mb: float = 64, ts: int = 8, p: int = 8,
                 prefetcher: bool = True,
-                driver_cls: type[UvmDriver] = UvmDriver) -> UvmDriver:
+                driver_cls: type[UvmDriver] = UvmDriver,
+                obs=None) -> UvmDriver:
     """Driver over ``vas`` with the given policy and capacity.
 
     ``driver_cls`` swaps in a subclass such as the test oracle
-    :class:`tests.oracle.ReferenceDriver`.
+    :class:`tests.oracle.ReferenceDriver`; ``obs`` is the
+    :class:`repro.obs.Observability` handle it is built with.
     """
     cfg = SimulationConfig().with_policy(policy, static_threshold=ts,
                                          migration_penalty=p)
     cfg = cfg.with_device_capacity(int(capacity_mb * MB))
     if not prefetcher:
         cfg = cfg.with_prefetcher(PrefetcherKind.NONE)
-    return driver_cls(vas, cfg)
+    return driver_cls(vas, cfg, obs=obs)
+
+
+def profile_shares(text: str) -> dict[str, float]:
+    """Span name -> share (percent) from a ``--profile`` table."""
+    lines = text[text.index("-- profile:"):].splitlines()[2:]
+    shares = {}
+    for line in lines:
+        cells = line.split()
+        if len(cells) != 5 or not cells[4].endswith("%"):
+            break
+        shares[cells[0]] = float(cells[4][:-1])
+    return shares
 
 
 def version1(data: TraceData) -> TraceData:

@@ -40,7 +40,7 @@ only:
 :class:`ReferenceDriver` overrides two private driver methods beyond
 its pipeline: :meth:`UvmDriver._drain_migrations`, with
 :meth:`ReferenceDriver._drain_migrations_scalar`, and the eviction path
-below it, ``_make_room_under_pressure``, to call the reference
+below it, :meth:`UvmDriver._make_room`, to call the reference
 selector.
 """
 
@@ -347,9 +347,11 @@ class ReferenceDriver(UvmDriver):
 
     _drain_migrations = _drain_migrations_scalar
 
-    def _make_room_under_pressure(self, n_blocks: int, pinned: np.ndarray,
-                                  never: int, out: WaveOutcome) -> bool:
+    def _make_room(self, n_blocks: int, pinned: np.ndarray, never: int,
+                   out: WaveOutcome) -> bool:
         """Production's eviction path around the reference selector."""
+        if self.device.can_fit(n_blocks):
+            return True
         self.device.note_pressure()
         needed = n_blocks - self.device.free_blocks
         heat = dirty = order = None
@@ -395,10 +397,7 @@ class ReferenceDriver(UvmDriver):
             return False
         leaf = block - int(self.directory.first_block[cid])
         tree = self.trees[cid]
-        on_fault = self.prefetcher.on_fault
-        if self._prof is not None:
-            on_fault = self._prof.wrap("prefetch_tree", on_fault)
-        pf_leaves = on_fault(tree, leaf)
+        pf_leaves = self.prefetcher.on_fault(tree, leaf)
 
         self._install(np.array([block], dtype=np.int64), [cid], [1], out)
         out.fault_migrations += 1
@@ -553,8 +552,7 @@ class ReferenceSssp(Sssp):
                 np.flatnonzero(next_mask)).astype(np.int64)
 
 
-def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0,
-                           connect_chain=True):
+def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0):
     """``repro.workloads.graphs.random_graph`` without in-place arithmetic."""
     extra = rng.poisson(avg_degree - 1.0, size=num_nodes)
     degrees = 1 + extra
@@ -570,7 +568,6 @@ def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0,
         dst = (dst * 2654435761) % num_nodes
     else:
         dst = rng.integers(0, num_nodes, size=m, dtype=np.int64)
-    if connect_chain:
-        dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
+    dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
     weights = rng.random(m, dtype=np.float32) * 99.0 + 1.0
     return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)

@@ -2,10 +2,11 @@
 
 The contract the whole ``repro.obs`` layer rests on: event emission and
 metric rollup are read-only over simulator state and touch no RNG
-stream, so a run with a full observability handle attached (null sink,
-ring buffer, metrics, profiler) is **bit-identical** to a run with no
-observability wired at all.  These properties pin that, end-to-end
-through ``Simulator`` and at the driver level under randomized traffic.
+stream, and spans only time calls, so a run with a full observability
+handle attached (null sink, ring buffer, metrics, span profiler,
+timeline) is **bit-identical** to a run with no observability wired at
+all.  These properties pin that, end-to-end through ``Simulator`` and
+at the driver level under randomized traffic.
 """
 
 import dataclasses
@@ -28,7 +29,8 @@ policies = st.sampled_from(list(MigrationPolicy))
 
 def _full_obs() -> Observability:
     """A handle exercising every facility at once."""
-    obs = Observability.create(metrics=True, profile=True, ring_capacity=64)
+    obs = Observability.create(metrics=True, profile=True, timeline=True,
+                               ring_capacity=64)
     obs.bus.attach(NullSink())
     return obs
 
@@ -77,6 +79,8 @@ def test_simulator_identical_with_timeline(tmp_path):
     trace = obs.timeline.trace()
     assert validate_trace(trace) == []
     assert obs.timeline.waves > 0
+    # one frame per driver wave span
+    assert obs.timeline.waves == obs.profiler.spans["uvm.driver"][1]
     assert trace["otherData"]["workload"] == "bfs"
 
 
@@ -118,14 +122,8 @@ def test_driver_identical_under_random_traffic(policy, t):
     """Driver-level identity, including eviction-heavy random traffic."""
     seed, n_waves, wave_size = t
     plain = make_driver(make_vas(4, 8), policy, capacity_mb=6)
-
-    obs = _full_obs()
-    instrumented = make_driver(make_vas(4, 8), policy, capacity_mb=6)
-    # wire the handle exactly as Simulator does
-    instrumented.obs = obs
-    instrumented._bus = obs.bus
-    instrumented._prof = obs.profiler
-    instrumented.counters.bus = obs.bus
+    instrumented = make_driver(make_vas(4, 8), policy, capacity_mb=6,
+                               obs=_full_obs())
 
     rng_a = np.random.default_rng(seed)
     rng_b = np.random.default_rng(seed)
@@ -154,10 +152,7 @@ def test_event_stream_drain_equivalent():
         ring = RingBufferSink(capacity=100_000)
         obs.bus.attach(ring)
         drv = make_driver(make_vas(4, 8), MigrationPolicy.ADAPTIVE,
-                          capacity_mb=6, driver_cls=cls)
-        drv.obs = obs
-        drv._bus = obs.bus
-        drv.counters.bus = obs.bus
+                          capacity_mb=6, driver_cls=cls, obs=obs)
         rng = np.random.default_rng(7)
         alloc_pages = np.concatenate([
             np.arange(a.first_page, a.last_page)
@@ -185,10 +180,7 @@ def test_metrics_sink_matches_event_stream():
     obs.bus.attach(ring)
     obs.bus.attach(MetricsSink(reg))
     drv = make_driver(make_vas(4, 8), MigrationPolicy.ADAPTIVE,
-                      capacity_mb=6)
-    drv.obs = obs
-    drv._bus = obs.bus
-    drv.counters.bus = obs.bus
+                      capacity_mb=6, obs=obs)
     rng = np.random.default_rng(11)
     alloc_pages = np.concatenate([
         np.arange(a.first_page, a.last_page)

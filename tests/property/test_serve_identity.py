@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ServeConfig
+from repro.obs import Observability
 from repro.serve import AdmissionController, ServeSession, generate_arrivals
 
 #: Small but non-trivial: overlapping tenants, queueing, throttling.
@@ -35,6 +36,16 @@ class TestBitIdentity:
 
     def test_seeds_differ(self):
         assert run_dict(0) != run_dict(3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_profiler_leaves_result_unchanged(self, seed):
+        """A profiler only times calls, so it must not switch on the
+        telemetry hub (whose alert rollup is part of the result)."""
+        obs = Observability.create(profile=True)
+        profiled = ServeSession(ServeConfig(seed=seed, **BASE),
+                                obs=obs).run().as_dict()
+        assert profiled == run_dict(seed)
+        assert obs.profiler.spans["serve.session"][1] == 1
 
 
 class TestArrivalTraceProperties:

@@ -3,9 +3,10 @@
 The Chrome Trace Event Format contract (:func:`validate_trace`) must
 hold no matter how spans nest, how driver events interleave, or how the
 host clock misbehaves -- a trace Perfetto refuses to load is worse than
-no trace.  These properties drive the recorder through randomized
+no trace.  These properties drive the recorders through randomized
 operation sequences with an injected (possibly non-monotonic) clock and
-assert the exported trace always validates cleanly.
+assert the exported trace always validates cleanly, and that the span
+recorder's self times partition its root spans' wall time.
 """
 
 import json
@@ -20,12 +21,8 @@ from repro.obs.events import (
     PrefetchExpand,
     RunMeta,
 )
-from repro.obs.timeline import (
-    TimelineProfiler,
-    TimelineRecorder,
-    TimelineSink,
-    validate_trace,
-)
+from repro.obs.profiling import WAVE_SPAN, SpanRecorder
+from repro.obs.timeline import TimelineRecorder, TimelineSink, validate_trace
 
 names = st.sampled_from(["wave", "migrate", "evict", "prefetch", "fault"])
 
@@ -79,23 +76,80 @@ def test_arbitrary_operations_yield_valid_trace(ops, increments):
 @settings(max_examples=60, deadline=None)
 def test_profiler_spans_nest_cleanly(depths, increments):
     rec = TimelineRecorder(time_fn=_fake_clock(increments))
-    prof = TimelineProfiler(rec)
+    prof = SpanRecorder(rec)
 
     def nest(depth):
         if depth <= 0:
             return
-        with prof.span(f"level{depth}"):
-            nest(depth - 1)
+        prof.enter(f"level{depth}")
+        nest(depth - 1)
+        prof.exit()
 
     for depth in depths:
-        with prof.span("wave"):
-            nest(depth)
+        prof.enter(WAVE_SPAN)
+        nest(depth)
+        prof.exit()
     assert validate_trace(rec.trace()) == []
     assert rec.waves == len(depths)  # every wave span marks a frame
     if depths:
-        # the PhaseProfiler accounting still works alongside the trace
-        assert sum(r["calls"] for r in prof.report()
-                   if r["phase"] == "wave") == len(depths)
+        assert prof.spans[WAVE_SPAN][1] == len(depths)
+
+
+span_names = st.sampled_from([WAVE_SPAN, "migrate_drain", "uvm.eviction",
+                              "uvm.batch"])
+
+#: A span tree: ``(name, children)``.
+span_trees = st.recursive(
+    st.tuples(span_names, st.just(())),
+    lambda kids: st.tuples(span_names, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=20)
+
+
+def _spans(tree):
+    """Every span of ``tree``, the root first."""
+    name, kids = tree
+    yield name
+    for kid in kids:
+        yield from _spans(kid)
+
+
+@given(st.lists(span_trees, max_size=4),
+       st.lists(st.integers(0, 5), min_size=1, max_size=40), deltas)
+@settings(max_examples=100, deadline=None)
+def test_self_times_partition_the_root_wall_time(roots, ticks, hiccups):
+    """Self times are non-negative and add up to the roots' wall time;
+    the same spans make a valid trace with one frame per wave span."""
+    reads = []
+
+    def clock():
+        # Whole-second steps keep the float sums exact.
+        step = float(ticks[len(reads) % len(ticks)])
+        reads.append((reads[-1] if reads else 0.0) + step)
+        return reads[-1]
+
+    rec = TimelineRecorder(time_fn=_fake_clock(hiccups))
+    prof = SpanRecorder(rec, clock=clock)
+
+    def run(tree):
+        name, kids = tree
+        prof.enter(name)
+        for kid in kids:
+            run(kid)
+        prof.exit()
+
+    wall = 0.0
+    for tree in roots:
+        first = len(reads)
+        run(tree)
+        wall += reads[-1] - reads[first]
+
+    assert all(sec >= 0.0 for sec, _ in prof.spans.values())
+    assert sum(sec for sec, _ in prof.spans.values()) == prof.root_s == wall
+    names = [name for tree in roots for name in _spans(tree)]
+    assert {name: calls for name, (_, calls) in prof.spans.items()} == {
+        name: names.count(name) for name in set(names)}
+    assert validate_trace(rec.trace()) == []
+    assert rec.waves == names.count(WAVE_SPAN)
 
 
 _events = st.one_of(

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.conftest import profile_shares
+
 
 class TestParser:
     def test_run_accepts_obs_flags(self):
@@ -83,6 +85,35 @@ class TestExecution:
         metrics = json.loads(mx.read_text())
         assert "driver.decisions.migrate" in metrics
         assert "engine.wave_cycles" in metrics
+
+    def test_profile_shares_add_up_to_the_root(self, capsys):
+        assert main(["run", "ra", "--scale", "tiny", "--oversub", "1.5",
+                     "--profile"]) == 0
+        shares = profile_shares(capsys.readouterr().out)
+        assert {"run", "uvm.driver", "migrate_drain",
+                "uvm.eviction"} <= set(shares)
+        assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)
+
+    def test_replay_profile_times_recorded_waves(self, tmp_path, capsys):
+        """A replayed wave carries its grouping and takes the driver's
+        other per-wave entry point: it is a wave span all the same."""
+        from repro.obs.timeline import TID_WAVES
+
+        trace_file = tmp_path / "ra.npz"
+        timeline = tmp_path / "t.trace.json"
+        assert main(["trace", "record", "ra", "--scale", "tiny",
+                     "-o", str(trace_file)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "replay", "-i", str(trace_file), "--oversub",
+                     "1.5", "--profile", "--timeline", str(timeline)]) == 0
+        shares = profile_shares(capsys.readouterr().out)
+        assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)
+        events = json.loads(timeline.read_text())["traceEvents"]
+        waves = sum(e["ph"] == "B" and e["name"] == "uvm.driver"
+                    for e in events)
+        frames = sum(e["ph"] == "i" and e["tid"] == TID_WAVES
+                     for e in events)
+        assert waves > 0 and frames == waves
 
     def test_inspect_round_trips_events(self, tmp_path, capsys):
         ev = tmp_path / "e.jsonl"
@@ -188,7 +219,7 @@ class TestArchiveWorkflow:
         trace = json.loads(trace_path.read_text())
         assert validate_trace(trace) == []
         names = {e.get("name") for e in trace["traceEvents"]}
-        assert "run" in names and "wave" in names
+        assert "run" in names and "uvm.driver" in names
         assert any(n and n.startswith("wave ") for n in names)
 
     def test_sweep_archives_grid_cells(self, tmp_path, capsys):

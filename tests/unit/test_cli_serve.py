@@ -10,6 +10,8 @@ from repro.config import ServeConfig
 from repro.obs.live.slo import SloConfig
 from repro.scenario import build_serve_config
 
+from tests.conftest import profile_shares
+
 
 class TestServeParser:
     def test_defaults(self):
@@ -66,6 +68,21 @@ class TestServeExecution:
         main(["serve", "--tenants", "3", "--seed", "5", "--json"])
         b = capsys.readouterr().out
         assert a == b
+
+    def test_serve_json_profile_keeps_stdout_one_document(self, tmp_path,
+                                                          capsys):
+        flags = ["serve", "--tenants", "3", "--seed", "0", "--json"]
+        main(flags)
+        plain = json.loads(capsys.readouterr().out)
+        assert main(flags + ["--profile", "--archive",
+                             "--runs", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == plain
+        assert "[archived as" in captured.err
+        shares = profile_shares(captured.err)
+        assert {"serve.session", "uvm.batch", "uvm.driver", "migrate_drain",
+                "uvm.eviction"} <= set(shares)
+        assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)
 
     def test_invalid_mix_rejected(self, capsys):
         with pytest.raises(SystemExit):

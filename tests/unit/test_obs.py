@@ -1,8 +1,7 @@
 """Unit tests for the observability layer (events, bus, sinks, metrics,
-profiler)."""
+span recorder)."""
 
 import json
-import math
 
 import pytest
 
@@ -18,12 +17,12 @@ from repro.obs import (
     MigrationDecision,
     NullSink,
     Observability,
-    PhaseProfiler,
     PrefetchExpand,
     RingBufferSink,
     RunMeta,
     SloAttainment,
     SloViolation,
+    SpanRecorder,
     TelemetryWindow,
     TenantAdmitted,
     TenantArrival,
@@ -335,31 +334,62 @@ class TestMetrics:
         assert reg.counter("n").value == 0
 
 
+def _clock(times):
+    """An injected clock returning ``times`` one read at a time."""
+    return iter(times).__next__
+
+
 class TestProfiler:
     def test_span_accumulates(self):
-        prof = PhaseProfiler()
+        # One clock tick per read: an outer span holding two inner
+        # spans lasts 5 ticks, 2 of them in its children.
+        prof = SpanRecorder(clock=_clock(range(100)))
+        inner = prof.wrap("inner", lambda: None)
+        outer = prof.wrap("outer", lambda: (inner(), inner()))
         for _ in range(3):
-            with prof.span("phase"):
-                math.sqrt(2.0)
-        report = prof.report()
-        assert len(report) == 1
-        row = report[0]
-        assert row["phase"] == "phase"
-        assert row["calls"] == 3 and row["seconds"] >= 0
+            outer()
+        assert prof.spans == {"inner": [6.0, 6], "outer": [9.0, 3]}
+        assert prof.root_s == 15.0
 
     def test_wrap_preserves_return_value(self):
-        prof = PhaseProfiler()
+        prof = SpanRecorder()
         timed = prof.wrap("f", lambda a, b: a + b)
         assert timed(2, 3) == 5
-        assert prof.phases["f"][1] == 1
+        assert prof.spans["f"][1] == 1
+
+        def fail():
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            prof.wrap("g", fail)()
+        # the failed span closed, so the next one is a root again
+        assert prof.spans["g"][1] == 1
+        timed(1, 1)
+        assert prof.spans["f"][1] == 2
+        assert sum(sec for sec, _ in prof.spans.values()) == \
+            pytest.approx(prof.root_s)
+
+    def test_install_patches_one_instance(self):
+        class Box:
+            def get(self, x):
+                return x + 1
+
+        prof = SpanRecorder()
+        timed, bare = Box(), Box()
+        prof.install(timed, {"get": "box.get"})
+        assert timed.get(1) == 2 and bare.get(1) == 2
+        assert prof.spans["box.get"][1] == 1
+        assert "get" not in vars(bare)
 
     def test_render_lists_heaviest_first(self):
-        prof = PhaseProfiler()
-        prof.add("light", 0.001)
-        prof.add("heavy", 0.5, calls=10)
+        prof = SpanRecorder(clock=_clock([0.0, 1.0, 1.0, 11.0]))
+        prof.wrap("light", lambda: None)()
+        prof.wrap("heavy", lambda: None)()
+        prof.wrap("idle", lambda: None)
         text = prof.render()
-        assert text.index("heavy") < text.index("light")
-        assert prof.as_dict()["heavy"]["calls"] == 10
+        assert text.index("heavy") < text.index("light") < text.index("idle")
+        assert "90.91%" in text and "9.09%" in text
+        assert "11.0000 s in root spans" in text
 
 
 class TestObservabilityFacade:
@@ -367,7 +397,7 @@ class TestObservabilityFacade:
         path = tmp_path / "e.jsonl"
         obs = Observability.create(events_path=path, metrics=True,
                                    profile=True)
-        assert obs.enabled and obs.bus.enabled
+        assert obs.bus.enabled
         assert obs.metrics is not None and obs.profiler is not None
         obs.bus.emit(_decision())
         obs.close()
@@ -376,5 +406,5 @@ class TestObservabilityFacade:
 
     def test_default_is_disabled(self):
         obs = Observability()
-        assert not obs.enabled and not obs.bus.enabled
+        assert not obs.bus.enabled
         assert obs.metrics is None and obs.profiler is None

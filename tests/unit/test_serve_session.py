@@ -14,7 +14,7 @@ from repro.obs.events import (
 )
 from repro.obs.inspect import render_summary, summarize
 from repro.obs.sinks import RingBufferSink
-from repro.obs.timeline import TID_SERVE
+from repro.obs.timeline import validate_trace
 from repro.serve import ServeSession
 
 
@@ -145,29 +145,25 @@ class TestObservability:
 
     @pytest.mark.parametrize("scheduler", ["round_robin", "drr"])
     def test_timeline_spans_name_who_ran(self, scheduler):
-        """One serve-track span per dispatch: a lone wave names its
-        tenant, a fused batch lists its tenants, and together they
-        cover every wave the tenants ran."""
+        """One ``uvm.batch`` span per driver dispatch names the tenants
+        of its waves; together they cover every wave the tenants ran,
+        and each wave is one driver wave span closed by a frame."""
         obs = Observability.create(timeline=True)
         cfg = ServeConfig(tenants=4, seed=0, arrival_rate=2000.0,
                           scheduler=scheduler)
         r = ServeSession(cfg, obs=obs).run()
         spans = [e for e in obs.timeline.events
-                 if e["ph"] == "B" and e["tid"] == TID_SERVE]
+                 if e["ph"] == "B" and e["name"] == "uvm.batch"]
         per_tenant = dict.fromkeys((t.tenant for t in r.tenants), 0)
         for span in spans:
-            if span["name"] == "batch":
-                assert span["args"]["waves"] == len(span["args"]["tenants"])
-                tenants = span["args"]["tenants"]
-            else:
-                tenants = [span["args"]["tenant"]]
-                assert span["name"] == f"wave t{tenants[0]}"
-            for tid in tenants:
+            for tid in span["args"]["tenants"]:
                 per_tenant[tid] += 1
         assert per_tenant == {t.tenant: t.waves for t in r.tenants}
-        batches = sum(span["name"] == "batch" for span in spans)
+        batches = sum(len(span["args"]["tenants"]) > 1 for span in spans)
         assert batches == r.batches
         assert (batches > 0) is (scheduler == "drr")
+        assert obs.timeline.waves == r.total_waves
+        assert validate_trace(obs.timeline.trace()) == []
 
     def test_metrics_gauges_set(self):
         obs = Observability.create(metrics=True)

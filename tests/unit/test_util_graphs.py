@@ -241,10 +241,8 @@ class TestRandomGraph:
 
     def test_skew_concentrates_destinations(self):
         rng = np.random.default_rng(3)
-        uniform = random_graph(10_000, 8.0, rng, skew=0.0,
-                               connect_chain=False)
-        skewed = random_graph(10_000, 8.0, rng, skew=0.6,
-                              connect_chain=False)
+        uniform = random_graph(10_000, 8.0, rng, skew=0.0)
+        skewed = random_graph(10_000, 8.0, rng, skew=0.6)
         # Top-1% most popular destinations take a larger share when skewed.
         def top_share(g):
             counts = np.bincount(g.dst, minlength=g.num_nodes)
