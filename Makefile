@@ -3,9 +3,9 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-smoke bench-perf \
-	serve-smoke telemetry-smoke config-smoke grid-smoke cli-smoke \
-	trace-smoke invariant-smoke profile-smoke check-configs check-figures \
-	check-regression figures examples check-docs clean
+	serve-smoke telemetry-smoke exporter-smoke config-smoke grid-smoke \
+	cli-smoke trace-smoke invariant-smoke profile-smoke check-configs \
+	check-figures check-regression figures examples check-docs clean
 
 install:
 	pip install -e .
@@ -65,6 +65,31 @@ telemetry-smoke:
 	$(PYTHON) tools/check_telemetry_windows.py .telemetry-1.jsonl
 	$(PYTHON) -m repro top .telemetry-1.jsonl
 	rm -f .telemetry-1.jsonl .telemetry-2.jsonl .serve-1.json .serve-2.json
+
+# A serve result depends only on its configs: every session runs its
+# telemetry hub, and the exporters only read it.  The overload scenario's
+# --json stdout must be byte-identical bare and with each exporter.
+EXPORTER_SMOKE = $(PYTHON) -m repro serve --config configs/serve_overload.yaml \
+	--json
+exporter-smoke:
+	rm -rf .exporter-smoke && mkdir .exporter-smoke
+	$(EXPORTER_SMOKE) > .exporter-smoke/bare.json
+	$(EXPORTER_SMOKE) --events .exporter-smoke/events.jsonl \
+		> .exporter-smoke/events.json 2> .exporter-smoke/events.err
+	$(EXPORTER_SMOKE) --metrics .exporter-smoke/metrics.out.json \
+		> .exporter-smoke/metrics.json 2> .exporter-smoke/metrics.err
+	$(EXPORTER_SMOKE) --prom .exporter-smoke/metrics.prom \
+		> .exporter-smoke/prom.json 2> .exporter-smoke/prom.err
+	$(EXPORTER_SMOKE) --timeline .exporter-smoke/serve.trace.json \
+		> .exporter-smoke/timeline.json 2> .exporter-smoke/timeline.err
+	$(EXPORTER_SMOKE) --profile \
+		> .exporter-smoke/profile.json 2> .exporter-smoke/profile.err
+	$(EXPORTER_SMOKE) --archive --runs .exporter-smoke/runs \
+		> .exporter-smoke/archive.json 2> .exporter-smoke/archive.err
+	for out in events metrics prom timeline profile archive; do \
+		cmp .exporter-smoke/bare.json .exporter-smoke/$$out.json || exit 1; \
+	done
+	rm -rf .exporter-smoke
 
 # Schema-validate and dry-compile the whole scenario library.
 check-configs:
@@ -179,10 +204,11 @@ invariant-smoke:
 		done; \
 	done
 
-# --profile and --timeline on a run and on a serve session: both traces
-# pass validate_trace, the serve trace marks one wave frame per driver
-# wave, and under --json the serve stdout stays one JSON document (the
-# profile table goes to stderr).
+# --profile and --timeline on a run and on a serve session: the run
+# profile lists wave generation and the timing model, both traces pass
+# validate_trace, the serve trace marks one wave frame per driver wave,
+# and under --json the serve stdout stays one JSON document (the profile
+# table goes to stderr).
 profile-smoke:
 	rm -rf .profile-smoke && mkdir .profile-smoke
 	$(PYTHON) -m repro run ra --scale tiny --oversub 1.5 --profile \
@@ -191,6 +217,8 @@ profile-smoke:
 		--timeline .profile-smoke/serve.trace.json \
 		> .profile-smoke/serve.json 2> .profile-smoke/serve.err
 	grep -q -- "-- profile:" .profile-smoke/run.txt
+	grep -q "^workloads.gen " .profile-smoke/run.txt
+	grep -q "^gpu.timing " .profile-smoke/run.txt
 	grep -q -- "-- profile:" .profile-smoke/serve.err
 	$(PYTHON) -c 'import json; \
 		from repro.obs import validate_trace; \

@@ -300,9 +300,10 @@ def measure_serve_fused(repeats: int) -> dict:
 def measure_telemetry(repeats: int) -> dict:
     """Host-side cost of live telemetry on the serve bench scenario.
 
-    Times the serve scenario bare, then again with the full telemetry
-    stack attached -- metrics registry, event bus with a sink, SLO
-    engine, and the default alert rules.  Simulated quantities are
+    Times the serve scenario bare (its telemetry hub runs the default
+    alert rules only), then again with the full telemetry stack
+    attached -- metrics registry, event bus with a sink, and an SLO
+    engine.  Simulated quantities are
     identical by construction (the zero-overhead contract, asserted
     here), so ``overhead_pct`` isolates the *wall-clock* tax of
     observing the run.  Gated ``lower``: telemetry must stay cheap.

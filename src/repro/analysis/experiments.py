@@ -77,24 +77,6 @@ class SeriesResult:
                          f"{r['measured']:.6g},{paper}")
         return "\n".join(lines) + "\n"
 
-    def render_chart(self, width: int = 40) -> str:
-        """Grouped ASCII bar chart, one group per workload (figure-like)."""
-        labels = list(self.measured)
-        workloads = list(next(iter(self.measured.values())))
-        peak = max(max(s.values()) for s in self.measured.values()) or 1.0
-        lines = [f"== {self.figure} (bars normalized to the series "
-                 "baseline) =="]
-        for w in workloads:
-            lines.append(w)
-            for label in labels:
-                v = self.measured[label][w]
-                bar = "#" * max(1, int(round(width * v / peak)))
-                paper_v = self.paper.get(label, {}).get(w)
-                suffix = (f"  (paper {paper_v:.2f})"
-                          if paper_v is not None else "")
-                lines.append(f"  {label:>10s} | {bar} {v:.2f}{suffix}")
-        return "\n".join(lines)
-
 
 def _workloads(subset=None) -> tuple[str, ...]:
     return tuple(subset) if subset else paper_data.WORKLOAD_ORDER

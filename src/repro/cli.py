@@ -903,9 +903,10 @@ def _add_obs_args(p) -> None:
                         "to this JSON file")
     p.add_argument("--profile", action="store_true",
                    help="print host self time per span after the run "
-                        "(root, serve dispatch, driver wave, migrate "
-                        "drain, eviction), as shares that add up to the "
-                        "root's time; on stderr under --json")
+                        "(root, wave generation, timing model, serve "
+                        "dispatch, driver wave, migrate drain, "
+                        "eviction), as shares that add up to the root's "
+                        "time; on stderr under --json")
     p.add_argument("--timeline", default=None, metavar="PATH",
                    help="export the same spans, driver events and wave "
                         "boundaries as a Chrome-trace JSON file "

@@ -40,11 +40,6 @@ class MigrationPolicy(enum.Enum):
     OVERSUB = "oversub"
     ADAPTIVE = "adaptive"
 
-    @property
-    def uses_access_counters(self) -> bool:
-        """Whether the scheme consults access counters to delay migration."""
-        return self is not MigrationPolicy.DISABLED
-
 
 class ReplacementPolicy(enum.Enum):
     """Page replacement policy (Table I: LRU default, LFU for the framework)."""

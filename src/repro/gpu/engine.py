@@ -10,10 +10,16 @@ benchmarks in the paper do (``cudaDeviceSynchronize`` between launches).
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..gpu.timing import TimingModel, WaveTiming
 from ..stats.collector import StatsCollector
 from ..uvm.driver import UvmDriver
 from ..workloads.base import KernelLaunch, Workload
+
+#: Span of wave generation: each step of a workload's ``kernels()`` and
+#: of a launch's wave iterator.
+GEN_SPAN = "workloads.gen"
 
 
 class GpuExecutionEngine:
@@ -30,8 +36,8 @@ class GpuExecutionEngine:
         #: Optional :class:`repro.obs.Observability` handle.  The engine
         #: contributes the wave-loop rollups: a wave-cycle histogram and
         #: the PCIe-queue-depth / device-occupancy time series; and with
-        #: a profiler, :meth:`run` is the ``run`` root span.  All of it
-        #: is read-only over simulation state.
+        #: a profiler, its spans (:meth:`_install_spans`).  All of it is
+        #: read-only over simulation state.
         self.obs = obs
         self._m_wave_cycles = None
         if obs is not None and obs.metrics is not None:
@@ -40,7 +46,25 @@ class GpuExecutionEngine:
             self._m_queue = m.series("pcie.queued_blocks")
             self._m_occupancy = m.series("device.occupancy")
         if obs is not None and obs.profiler is not None:
-            obs.profiler.install(self, {"run": "run"})
+            self._install_spans(obs.profiler)
+
+    def _install_spans(self, prof) -> None:
+        """Time this engine on ``prof``: :meth:`run` is the ``run`` root,
+        each step of wave generation (:data:`GEN_SPAN`, replayed waves
+        included) and each :meth:`TimingModel.wave_cycles` call
+        (``gpu.timing``) a span inside it."""
+        steps = prof.steps
+
+        def launches(workload):
+            for launch in steps(GEN_SPAN, workload.kernels()):
+                waves = launch.wave_source
+                yield dataclasses.replace(
+                    launch,
+                    wave_source=lambda waves=waves: steps(GEN_SPAN, waves()))
+
+        self._launches = launches
+        prof.install(self.timing, {"wave_cycles": "gpu.timing"})
+        prof.install(self, {"run": "run"})
 
     def run_kernel(self, launch: KernelLaunch) -> float:
         """Execute one kernel launch; returns its cycle cost."""
@@ -87,6 +111,12 @@ class GpuExecutionEngine:
 
     def run(self, workload: Workload) -> float:
         """Execute every kernel of ``workload``; returns total cycles."""
-        for launch in workload.kernels():
+        for launch in self._launches(workload):
             self.run_kernel(launch)
         return self.cycle
+
+    @staticmethod
+    def _launches(workload: Workload):
+        """``workload``'s kernel launches in order (a profiled engine
+        replaces this on its instance to time wave generation)."""
+        return workload.kernels()

@@ -32,8 +32,3 @@ class Advice(enum.Enum):
     NONE = "none"
     PREFERRED_HOST = "preferred_host"
     PINNED_HOST = "pinned_host"
-
-    @property
-    def host_resident_bias(self) -> bool:
-        """Whether the hint biases the data toward host memory."""
-        return self is not Advice.NONE

@@ -96,38 +96,6 @@ class VirtualAddressSpace:
         """Sum of rounded allocation sizes (the device working set)."""
         return sum(a.rounded_bytes for a in self._allocations)
 
-    def find_allocation(self, page_index: int) -> ManagedAllocation:
-        """Return the allocation owning ``page_index``.
-
-        Raises ``KeyError`` for pages in alignment gaps or out of range.
-        """
-        for alloc in self._allocations:
-            if alloc.first_page <= page_index < alloc.last_page:
-                return alloc
-        raise KeyError(f"page {page_index} not part of any managed allocation")
-
-    def block_alloc_ids(self) -> np.ndarray:
-        """Per-basic-block owning allocation id (-1 for alignment gaps)."""
-        ids = np.full(self.total_blocks, -1, dtype=np.int32)
-        for alloc in self._allocations:
-            ids[alloc.first_block:alloc.first_block + alloc.num_blocks] = alloc.alloc_id
-        return ids
-
-    def block_chunk_ids(self) -> np.ndarray:
-        """Per-basic-block owning chunk id (-1 for alignment gaps)."""
-        ids = np.full(self.total_blocks, -1, dtype=np.int32)
-        for span in self._chunks:
-            ids[span.first_block:span.last_block] = span.chunk_id
-        return ids
-
-    def block_read_only(self) -> np.ndarray:
-        """Per-basic-block read-only advice flags."""
-        ro = np.zeros(self.total_blocks, dtype=bool)
-        for alloc in self._allocations:
-            if alloc.read_only:
-                ro[alloc.first_block:alloc.first_block + alloc.num_blocks] = True
-        return ro
-
     def block_advice(self, advice: Advice) -> np.ndarray:
         """Per-basic-block mask of blocks carrying the given hint."""
         mask = np.zeros(self.total_blocks, dtype=bool)

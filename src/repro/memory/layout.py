@@ -46,21 +46,6 @@ BLOCK_SHIFT: int = (PAGES_PER_BLOCK).bit_length() - 1        # pages -> blocks
 CHUNK_BLOCK_SHIFT: int = (BLOCKS_PER_CHUNK).bit_length() - 1  # blocks -> chunks
 
 
-def pages_to_bytes(n_pages: int) -> int:
-    """Return the byte size of ``n_pages`` small pages."""
-    return n_pages * PAGE_SIZE
-
-
-def bytes_to_pages(n_bytes: int) -> int:
-    """Return the number of whole pages covering ``n_bytes`` (round up)."""
-    return -(-n_bytes // PAGE_SIZE)
-
-
-def blocks_to_bytes(n_blocks: int) -> int:
-    """Return the byte size of ``n_blocks`` basic blocks."""
-    return n_blocks * BASIC_BLOCK_SIZE
-
-
 def bytes_to_blocks(n_bytes: int) -> int:
     """Return the number of whole basic blocks covering ``n_bytes``."""
     return -(-n_bytes // BASIC_BLOCK_SIZE)
@@ -69,11 +54,6 @@ def bytes_to_blocks(n_bytes: int) -> int:
 def page_to_block(page_index: int) -> int:
     """Map a global page index to its basic-block index."""
     return page_index >> BLOCK_SHIFT
-
-
-def block_to_first_page(block_index: int) -> int:
-    """Return the first page index of a basic block."""
-    return block_index << BLOCK_SHIFT
 
 
 def round_up_pow2_blocks(n_bytes: int) -> int:

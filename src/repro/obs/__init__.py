@@ -12,9 +12,10 @@ and is threaded through :class:`~repro.sim.simulator.Simulator` and
   histograms and time series;
 * a :class:`~repro.obs.profiling.SpanRecorder` charging host
   wall-clock self time to the layer entry points (the ``run`` or
-  ``serve.session`` root, ``uvm.batch`` dispatches, ``uvm.driver``
-  waves, ``migrate_drain``, ``uvm.eviction``), whose shares add up to
-  the root's time; with a :class:`~repro.obs.timeline.TimelineRecorder`
+  ``serve.session`` root, ``workloads.gen`` wave generation,
+  ``gpu.timing``, ``uvm.batch`` dispatches, ``uvm.driver`` waves,
+  ``migrate_drain``, ``uvm.eviction``), whose shares add up to the
+  root's time; with a :class:`~repro.obs.timeline.TimelineRecorder`
   attached it writes the same spans to a Chrome trace.
 
 Everything is off by default: a run constructed without a handle pays
@@ -91,7 +92,6 @@ class Observability:
     @classmethod
     def create(cls, events_path=None, metrics: bool = False,
                profile: bool = False,
-               ring_capacity: int | None = None,
                timeline: bool = False,
                events_flush: int | None = None) -> "Observability":
         """Assemble a handle from the CLI-style knobs.
@@ -99,12 +99,11 @@ class Observability:
         ``events_path`` attaches a :class:`JsonlSink`; ``metrics``
         creates a registry and routes events into it through a
         :class:`MetricsSink`; ``profile`` attaches a
-        :class:`SpanRecorder`; ``ring_capacity`` attaches an in-memory
-        ring buffer; ``timeline`` attaches a :class:`TimelineRecorder`
-        (Chrome-trace export) fed by both the recorder's spans and a
-        bus sink, and implies a profiler; ``events_flush`` makes the
-        event log tailable by flushing it every N events
-        (``--flush-events``; rejected for ``.gz`` logs).
+        :class:`SpanRecorder`; ``timeline`` attaches a
+        :class:`TimelineRecorder` (Chrome-trace export) fed by both the
+        recorder's spans and a bus sink, and implies a profiler;
+        ``events_flush`` makes the event log tailable by flushing it
+        every N events (``--flush-events``; rejected for ``.gz`` logs).
         """
         obs = cls()
         if metrics:
@@ -113,8 +112,6 @@ class Observability:
         if events_path is not None:
             obs.bus.attach(JsonlSink(events_path,
                                      flush_every=events_flush))
-        if ring_capacity is not None:
-            obs.bus.attach(RingBufferSink(ring_capacity))
         if timeline:
             obs.timeline = TimelineRecorder()
             obs.bus.attach(TimelineSink(obs.timeline))

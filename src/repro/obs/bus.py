@@ -45,14 +45,6 @@ class EventBus:
         self.sinks.append(sink)
         self.enabled = True
 
-    def detach(self, sink) -> None:
-        """Remove a previously attached sink (missing sinks are ignored)."""
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            pass
-        self.enabled = bool(self.sinks)
-
     def emit(self, event: Event) -> None:
         """Deliver ``event`` to every sink, in attachment order."""
         for sink in self.sinks:

@@ -10,18 +10,18 @@ serve run is still in flight:
 * :mod:`~repro.obs.live.slo` -- declarative per-tenant SLOs with
   multi-window burn-rate evaluation;
 * :mod:`~repro.obs.live.alerts` -- ordered threshold rules with
-  hysteresis and pluggable actions;
-* :mod:`~repro.obs.live.telemetry` -- the hub a
-  :class:`~repro.serve.session.ServeSession` feeds, which also powers
-  ``--live-admission``;
+  hysteresis;
+* :mod:`~repro.obs.live.telemetry` -- the hub every
+  :class:`~repro.serve.session.ServeSession` feeds, whose EWMA thrash
+  rates ``--live-admission`` reads;
 * :mod:`~repro.obs.live.export` -- OpenMetrics text exposition;
 * :mod:`~repro.obs.live.top` -- the ``repro top`` terminal dashboard.
 
-The package inherits the observability contract: nothing here runs
-unless explicitly enabled, and when enabled it only reads values the
-simulator already computed -- live telemetry attached to a serve run
-never perturbs its results unless ``--live-admission`` opts the
-admission policy into consuming the signals.
+The hub runs in every serve session and only reads values the
+simulator already computed.  Event sinks, the metrics registry and the
+other exporters read the hub in turn, so attaching them never changes
+a serve result; only ``--live-admission`` lets the schedule read its
+live signals.
 """
 
 from .alerts import AlertEngine, AlertRule
@@ -29,13 +29,12 @@ from .export import to_openmetrics, write_openmetrics
 from .slo import SloConfig, SloEngine, burn_rate
 from .telemetry import LiveTelemetry, default_rules
 from .top import render_top, run_top
-from .windows import Ewma, KeyedWindows, TumblingWindow, WindowAggregate
+from .windows import Ewma, TumblingWindow, WindowAggregate
 
 __all__ = [
     "AlertEngine",
     "AlertRule",
     "Ewma",
-    "KeyedWindows",
     "LiveTelemetry",
     "SloConfig",
     "SloEngine",

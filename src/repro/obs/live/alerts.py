@@ -8,9 +8,9 @@ consecutive-breach counter so a rule can require ``for_ticks``
 breaching evaluations before firing (hysteresis against one-round
 spikes).  State transitions emit typed
 :class:`~repro.obs.events.AlertFired` events -- ``firing`` on the way
-up, ``resolved`` on the first clean evaluation -- and invoke the
-rule's pluggable ``action`` callback, which is how ``--live-admission``
-lets degradation react to live signals.
+up, ``resolved`` on the first clean evaluation.  Alerts only report:
+nothing in the simulation reads them (``--live-admission`` reads the
+hub's EWMA thrash rates, not its alerts).
 
 Evaluation is pure: comparisons over floats the simulator computed, no
 host time, no RNG.  The transcript (ordered list of fired events) is
@@ -36,9 +36,6 @@ class AlertRule:
     the key skip the rule (no state change).  ``scope`` is ``"serve"``
     for service-wide samples or ``"tenant"`` for per-tenant samples --
     a tenant-scoped rule keeps independent state per tenant.
-    ``action``, when set, is called as ``action(event)`` on every state
-    transition; actions must not mutate simulator state unless the
-    caller opted in (the live-admission flag).
     """
 
     name: str
@@ -47,7 +44,6 @@ class AlertRule:
     threshold: float
     for_ticks: int = 1
     scope: str = "serve"
-    action: object = None
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -125,16 +121,9 @@ class AlertEngine:
                 self.transcript.append(event)
                 if self.emit is not None:
                     self.emit(event)
-                if rule.action is not None:
-                    rule.action(event)
         return fired
 
     def firing(self) -> list:
         """Names of rules currently firing (sorted for determinism)."""
         return sorted({name for (name, _), state in self._states.items()
                        if state.firing})
-
-    def count_for(self, tenant: int) -> int:
-        """Number of ``firing`` transitions recorded for ``tenant``."""
-        return sum(1 for ev in self.transcript
-                   if ev.tenant == tenant and ev.state == "firing")

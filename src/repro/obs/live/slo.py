@@ -247,10 +247,6 @@ class SloEngine:
     def total_violations(self) -> int:
         return sum(state.violations for state in self._states.values())
 
-    def violations_of(self, tenant: int) -> int:
-        return sum(state.violations for (tid, _), state
-                   in self._states.items() if tid == tenant)
-
     def attainment_of(self, tenant: int) -> float | None:
         """Worst attainment across the tenant's objectives, or None."""
         values = [state.attainment for (tid, _), state

@@ -1,11 +1,13 @@
 """The live telemetry hub: windows + SLOs + alerts for one serve run.
 
-:class:`LiveTelemetry` is owned by :class:`~repro.serve.session.ServeSession`
-and is only constructed when something consumes live signals -- an
-attached observability stack, an SLO config, or ``--live-admission``.
-With none of those the session carries ``self._telemetry = None`` and
-the hot path never branches past one attribute check, preserving the
-zero-overhead-off contract.
+Every :class:`~repro.serve.session.ServeSession` builds one
+:class:`LiveTelemetry` and feeds it, whatever is attached: the alert
+rules are always :func:`default_rules`, and ``alerts_fired`` in the
+result counts what they fired.  The exporters only read the hub: an
+enabled event bus receives its window, SLO and alert events, and a
+metrics registry its series and rollups.  ``--live-admission`` is the
+one consumer that feeds back into the schedule, through
+:meth:`LiveTelemetry.interference` and :meth:`LiveTelemetry.thrash_rate`.
 
 The session feeds the hub three kinds of input, all already-computed
 simulated quantities:
@@ -27,12 +29,15 @@ the CI telemetry smoke asserts.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import partial
+
 import numpy as np
 
 from ..events import TelemetryWindow
 from .alerts import AlertEngine, AlertRule
 from .slo import SloConfig, SloEngine
-from .windows import Ewma, KeyedWindows, TumblingWindow
+from .windows import Ewma, TumblingWindow
 
 #: EWMA smoothing for per-tenant latency and interference rates.
 _EWMA_ALPHA = 0.3
@@ -71,7 +76,7 @@ class LiveTelemetry:
     """Streaming per-tenant telemetry for one :class:`ServeSession`."""
 
     def __init__(self, config, slo: SloConfig | None = None,
-                 rules=None, bus=None, metrics=None) -> None:
+                 bus=None, metrics=None) -> None:
         self.config = config
         self.window_us = config.window_ms * 1e3
         self._bus = bus
@@ -79,13 +84,13 @@ class LiveTelemetry:
         self.slo_config = slo if slo is not None and slo.enabled else None
         self.slo = SloEngine(self.slo_config, emit=self._emit) \
             if self.slo_config is not None else None
-        if rules is None:
-            rules = default_rules(config, self.slo_config)
-        self.alerts = AlertEngine(rules, emit=self._emit)
+        self.alerts = AlertEngine(default_rules(config, self.slo_config),
+                                  emit=self._emit)
+        window = partial(TumblingWindow, self.window_us)
         #: Per-tenant wave latency windows (bad = over the SLO target).
-        self.latency = KeyedWindows(self.window_us)
+        self.latency: dict[int, TumblingWindow] = defaultdict(window)
         #: Per-tenant per-wave access counts (throughput floor).
-        self.work = KeyedWindows(self.window_us)
+        self.work: dict[int, TumblingWindow] = defaultdict(window)
         #: Service-level arrivals window (bad = shed).
         self.arrivals = TumblingWindow(self.window_us)
         self._lat_ewma: dict[int, Ewma] = {}
@@ -116,7 +121,7 @@ class LiveTelemetry:
         """
         if tenant in self._open:
             del self._open[tenant]
-            self.latency.window(tenant).roll(at_us + self.window_us)
+            self.latency[tenant].roll(at_us + self.window_us)
             self._drain_tenant(tenant)
         if self.slo is not None:
             self.slo.finish_tenant(tenant, at_us)
@@ -126,8 +131,8 @@ class LiveTelemetry:
         slo = self.slo_config
         bad = (slo is not None and slo.p99_latency_us is not None
                and latency_us > slo.p99_latency_us)
-        self.latency.observe(tenant, at_us, latency_us, bad=bad)
-        self.work.observe(tenant, at_us, float(accesses))
+        self.latency[tenant].observe(at_us, latency_us, bad=bad)
+        self.work[tenant].observe(at_us, float(accesses))
         ewma = self._lat_ewma.get(tenant)
         if ewma is None:
             ewma = self._lat_ewma[tenant] = Ewma(_EWMA_ALPHA)
@@ -154,8 +159,8 @@ class LiveTelemetry:
         throughput objective merges its closed windows.  The events are
         built only when a bus takes them.
         """
-        lat_win = self.latency.window(tenant)
-        work_win = self.work.window(tenant)
+        lat_win = self.latency[tenant]
+        work_win = self.work[tenant]
         work_win.roll(lat_win.open_start_us)
         fresh_work = work_win.drain()
         fresh = lat_win.drain()
@@ -209,7 +214,7 @@ class LiveTelemetry:
         # horizons.
         slo, slo_cfg = self.slo, self.slo_config
         for tenant_id in self._open:
-            win = self.latency.window(tenant_id)
+            win = self.latency[tenant_id]
             win.roll(now)
             self._drain_tenant(tenant_id)
             if slo is not None:
@@ -218,7 +223,7 @@ class LiveTelemetry:
                 slo.evaluate_latency(tenant_id, now, fast, slow)
         if slo is not None and slo_cfg.min_throughput is not None:
             for tenant in live:
-                win = self.work.window(tenant.id)
+                win = self.work[tenant.id]
                 fast = win.merged(slo_cfg.fast_windows)
                 slow = win.merged(slo_cfg.slow_windows)
                 slo.evaluate_throughput(
@@ -264,6 +269,11 @@ class LiveTelemetry:
                     f"serve.tenant.{tenant_id}.ewma_latency_us").append(
                         now, ewma.get())
 
+    def alerts_fired(self) -> int:
+        """``firing`` transitions the alert rules have recorded so far."""
+        return sum(1 for ev in self.alerts.transcript
+                   if ev.state == "firing")
+
     def finish(self, now: float) -> None:
         """End of run: close service-level SLO state and snapshot."""
         self.arrivals.roll(now + self.window_us)
@@ -276,9 +286,7 @@ class LiveTelemetry:
         if metrics is not None:
             for name in self.alerts.firing():
                 metrics.counter(f"serve.alert.{name}.unresolved").inc()
-            metrics.counter("serve.alerts_fired").inc(
-                sum(1 for ev in self.alerts.transcript
-                    if ev.state == "firing"))
+            metrics.counter("serve.alerts_fired").inc(self.alerts_fired())
             if self.slo is not None:
                 for tenant_id in list(self._lat_ewma):
                     attainment = self.slo.attainment_of(tenant_id)

@@ -69,13 +69,6 @@ class WindowAggregate:
         out.bad = self.bad + other.bad
         return out
 
-    @classmethod
-    def merge_all(cls, aggregates) -> "WindowAggregate":
-        out = cls()
-        for agg in aggregates:
-            out = out.merge(agg)
-        return out
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -171,17 +164,11 @@ class TumblingWindow:
         """Left edge of the currently-open window."""
         return self._index * self.width_us
 
-    def recent(self, n: int) -> list:
-        """The most recent ``n`` closed aggregates, oldest first."""
-        if n <= 0:
-            return []
-        return [agg for _, agg in list(self.closed)[-n:]]
-
     def merged(self, n: int) -> WindowAggregate:
         """Merge of the most recent ``n`` closed windows.
 
-        Equals ``WindowAggregate.merge_all(self.recent(n))``: the same
-        left fold, accumulated into one aggregate without copying the
+        The left fold of :meth:`WindowAggregate.merge` over them, oldest
+        first, accumulated into one aggregate without copying the
         history.
         """
         out = WindowAggregate()
@@ -227,46 +214,3 @@ class Ewma:
 
     def get(self, default: float = 0.0) -> float:
         return self.value if self.value is not None else default
-
-
-class KeyedWindows:
-    """Per-key (per-tenant) family of :class:`TumblingWindow`.
-
-    Windows are created on first observation; iteration order is
-    insertion order, which in the serving layer is deterministic tenant
-    arrival order.
-    """
-
-    __slots__ = ("width_us", "keep", "_windows")
-
-    def __init__(self, width_us: float, keep: int = 64) -> None:
-        self.width_us = float(width_us)
-        self.keep = int(keep)
-        self._windows: dict = {}
-
-    def window(self, key) -> TumblingWindow:
-        win = self._windows.get(key)
-        if win is None:
-            win = TumblingWindow(self.width_us, keep=self.keep)
-            self._windows[key] = win
-        return win
-
-    def observe(self, key, at_us: float, value: float,
-                bad: bool = False) -> None:
-        self.window(key).observe(at_us, value, bad)
-
-    def roll(self, at_us: float) -> None:
-        for win in self._windows.values():
-            win.roll(at_us)
-
-    def keys(self):
-        return self._windows.keys()
-
-    def items(self):
-        return self._windows.items()
-
-    def __contains__(self, key) -> bool:
-        return key in self._windows
-
-    def __len__(self) -> int:
-        return len(self._windows)

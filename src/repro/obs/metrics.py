@@ -222,27 +222,15 @@ class MetricsRegistry:
     def series(self, name: str, capacity: int = 2048) -> Series:
         return self._get(name, Series, capacity)
 
-    def reset(self) -> None:
-        """Drop every registered metric.
-
-        Lets one registry be reused across back-to-back runs in a
-        process without accumulating stale series.  Caution: objects
-        handed out by the getters are *orphaned*, not zeroed -- a
-        holder of a cached metric object (e.g. a
-        :class:`~repro.obs.sinks.MetricsSink`, which caches its
-        ``driver.*`` metrics at construction) keeps updating the
-        orphan.  Prefer :meth:`reset_prefix` scoped to names nobody
-        caches, or rebuild the sinks after a full reset.
-        """
-        self._metrics.clear()
-
     def reset_prefix(self, prefix: str) -> None:
         """Drop every metric whose name starts with ``prefix``.
 
         The serving layer calls ``reset_prefix("serve.")`` at the start
         of each session so repeated serves against one registry report
         per-run values instead of accumulating counters across runs.
-        The same orphaning caveat as :meth:`reset` applies.
+        Metric objects handed out earlier are orphaned, not zeroed: a
+        holder of a cached one keeps updating the orphan, so scope the
+        prefix to names nobody caches.
         """
         for name in [n for n in self._metrics if n.startswith(prefix)]:
             del self._metrics[name]

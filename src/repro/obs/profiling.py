@@ -90,6 +90,25 @@ class SpanRecorder:
 
         return timed
 
+    def steps(self, name: str, iterable):
+        """Iterate ``iterable`` with every step timed as one ``name`` span.
+
+        A step is one ``next()``: the work of producing the item, not
+        the caller's work with it between steps.
+        """
+        self.spans.setdefault(name, [0.0, 0])
+        enter, leave = self.enter, self.exit
+        it = iter(iterable)
+        while True:
+            enter(name)
+            try:
+                item = next(it)
+            except StopIteration:
+                return
+            finally:
+                leave()
+            yield item
+
     def install(self, obj, spans: dict[str, str]) -> None:
         """Time bound methods of ``obj``: ``spans`` maps each attribute
         to its span name.  Only ``obj`` itself is patched, not its

@@ -29,12 +29,19 @@ then drives the run loop on the simulated clock:
   charged to the clock, no round-trip pollution) and the freed
   footprint drains the admission queue FIFO.
 
+Every session feeds one live telemetry hub
+(:class:`~repro.obs.live.telemetry.LiveTelemetry`): per-tenant windows,
+the SLO engine and the default alert rules.  Event sinks, the metrics
+registry, the timeline, the profiler and the run archive only read it,
+so attaching them never changes a result; ``live_admission`` is the
+one switch that lets the schedule read the hub's live signals.
+
 Determinism contract: arrival trace, tenant builds, and driver faults
 each own a separate seeded RNG stream; the scheduler is a deterministic
 function of the trace and wave timing; nothing reads the wall clock.
 A serve run is therefore a pure function of ``(ServeConfig,
-SimulationConfig)`` and replays bit-identically.  Shed tenants'
-allocations still occupy VA space but never touch the device.
+SimulationConfig, SloConfig)`` and replays bit-identically.  Shed
+tenants' allocations still occupy VA space but never touch the device.
 """
 
 from __future__ import annotations
@@ -156,7 +163,8 @@ class ServeResult:
     #: Name of the scenario config the run was launched from (``repro
     #: serve --config``), or ``None`` for a flag-driven run.
     scenario: str | None = None
-    #: Live-telemetry rollups (0 when no telemetry hub was attached).
+    #: Live-telemetry rollups: SLO violations (0 without an SLO) and
+    #: the alerts the run's default rules fired.
     slo_violations: int = 0
     alerts_fired: int = 0
     #: Active wave scheduler (``serve.scheduler``).
@@ -221,20 +229,24 @@ def _wave_stream(workload):
 
 
 class ServeSession:
-    """One multi-tenant serve run over one shared driver."""
+    """One multi-tenant serve run over one shared driver.
+
+    The session always builds its live telemetry hub.  ``obs`` only
+    attaches exporters that read it (event sinks, metrics registry,
+    timeline, profiler), so the result depends on ``config``,
+    ``sim_config`` and ``slo`` alone.
+    """
 
     def __init__(self, config: ServeConfig,
                  sim_config: SimulationConfig | None = None,
                  obs=None, scenario: str | None = None,
-                 slo=None, alert_rules=None) -> None:
+                 slo=None) -> None:
         self.config = config.validate()
-        #: Optional :class:`~repro.obs.live.slo.SloConfig` and explicit
-        #: alert-rule tuple; either one forces the live telemetry hub
-        #: on even without observability sinks attached.
+        #: Optional :class:`~repro.obs.live.slo.SloConfig` the telemetry
+        #: hub evaluates (and whose objectives add alert rules).
         self.slo = slo
         if slo is not None:
             slo.validate()
-        self.alert_rules = alert_rules
         #: Scenario name stamped onto the result (purely provenance:
         #: it never affects execution).
         self.scenario = scenario
@@ -333,19 +345,9 @@ class ServeSession:
         self._first_throttle_us: float | None = None
         self._first_queue_us: float | None = None
         self._first_shed_us: float | None = None
-        # The live telemetry hub only exists when something reads it:
-        # live admission, an SLO config, explicit alert rules, an
-        # enabled event bus or a metrics registry.  A profiler does not,
-        # so profiling a session never changes its result.  With none of
-        # those the hot path stays one attribute check.
-        self._telemetry = None
-        metrics = obs.metrics if obs is not None else None
-        if (cfg.live_admission or self.slo is not None
-                or self.alert_rules is not None or metrics is not None
-                or (self._bus is not None and self._bus.enabled)):
-            self._telemetry = LiveTelemetry(
-                cfg, slo=self.slo, rules=self.alert_rules,
-                bus=self._bus, metrics=metrics)
+        self._telemetry = LiveTelemetry(
+            cfg, slo=self.slo, bus=self._bus,
+            metrics=obs.metrics if obs is not None else None)
 
         now = 0.0
         pending = deque(arrivals)
@@ -363,8 +365,7 @@ class ServeSession:
                     continue
                 break
             now = self._run_round(now)
-        if self._telemetry is not None:
-            self._telemetry.finish(now)
+        self._telemetry.finish(now)
         return self._result(now)
 
     # -- admission -------------------------------------------------------
@@ -375,9 +376,8 @@ class ServeSession:
             tenant=tenant.id, workload=tenant.workload_name,
             at_us=arrival.at_us, footprint_mb=tenant.footprint_mb))
         decision = self._controller.offer(tenant.id, tenant.blocks, now)
-        if self._telemetry is not None:
-            self._telemetry.on_arrival(tenant.id, now,
-                                       shed=decision.action == "shed")
+        self._telemetry.on_arrival(tenant.id, now,
+                                   shed=decision.action == "shed")
         if decision.action == "admit":
             self._admit(tenant, now, queued_us=now - tenant.arrival_us)
         elif decision.action == "queue":
@@ -428,12 +428,11 @@ class ServeSession:
             if tenant.throttle_left > 0:
                 tenant.throttle_left -= 1
                 tenant.throttled_rounds += 1
-        if self._telemetry is not None:
-            # Evaluate windows/SLOs/alerts before the throttle check so
-            # live admission sees this round's interference estimates.
-            self._telemetry.tick(
-                now, self._controller.oversubscription, self._live,
-                self._driver.attribution.thrash_migrations)
+        # Evaluate windows/SLOs/alerts before the throttle check so
+        # live admission sees this round's interference estimates.
+        self._telemetry.tick(
+            now, self._controller.oversubscription, self._live,
+            self._driver.attribution.thrash_migrations)
         self._maybe_throttle(now)
         return now
 
@@ -447,9 +446,7 @@ class ServeSession:
         tenant.accesses += outcome.n_accesses
         tenant.latency.observe(wave_us)
         self._latency.observe(wave_us)
-        if self._telemetry is not None:
-            self._telemetry.on_wave(tenant.id, now, wave_us,
-                                    outcome.n_accesses)
+        self._telemetry.on_wave(tenant.id, now, wave_us, outcome.n_accesses)
         return now
 
     def _run_group(self, group, now: float) -> float:
@@ -512,7 +509,7 @@ class ServeSession:
         """Suspend the heaviest-thrashing tenant past the watermark.
 
         With ``live_admission`` the trigger and the victim choice both
-        consult the live telemetry hub: the throttle engages when the
+        read the live telemetry hub: the throttle engages when the
         *windowed* interference estimate (EWMA thrash migrations per
         wave) crosses ``live_thrash_threshold`` -- even below the
         static oversubscription watermark -- and suspends the tenant
@@ -522,7 +519,7 @@ class ServeSession:
         """
         cfg = self.config
         telemetry = self._telemetry
-        live = cfg.live_admission and telemetry is not None
+        live = cfg.live_admission
         if live:
             if (self._controller.oversubscription < cfg.throttle_watermark
                     and telemetry.interference()
@@ -569,8 +566,7 @@ class ServeSession:
         self._controller.release(tenant.blocks)
         self._completed += 1
         attribution = self._driver.attribution
-        if self._telemetry is not None:
-            self._telemetry.on_complete(tenant.id, now)
+        self._telemetry.on_complete(tenant.id, now)
         self._emit(TenantComplete(
             tenant=tenant.id, at_us=now, waves=tenant.waves,
             freed_blocks=freed, writeback_blocks=writebacks,
@@ -629,13 +625,6 @@ class ServeSession:
         aps = (total_accesses / (now / 1e6)) if now > 0 else 0.0
         p99 = self._latency.quantile(0.99)
         telemetry = self._telemetry
-        slo_violations = 0
-        alerts_fired = 0
-        if telemetry is not None:
-            alerts_fired = sum(1 for ev in telemetry.alerts.transcript
-                               if ev.state == "firing")
-            if telemetry.slo is not None:
-                slo_violations = telemetry.slo.total_violations()
         result = ServeResult(
             config=self.config,
             arrivals=len(self._tenants),
@@ -660,8 +649,9 @@ class ServeSession:
             first_shed_us=self._first_shed_us,
             driver_totals=dataclasses.asdict(self._driver.stats.totals),
             scenario=self.scenario,
-            slo_violations=slo_violations,
-            alerts_fired=alerts_fired,
+            slo_violations=(telemetry.slo.total_violations()
+                            if telemetry.slo is not None else 0),
+            alerts_fired=telemetry.alerts_fired(),
             scheduler=scheduler.name,
             batches=self._batches,
             batch_occupancy=(self._batched_waves / self._batches

@@ -94,16 +94,6 @@ class RunResult:
         heavier = max(self.h2d_bytes + self.remote_bytes, self.d2h_bytes)
         return heavier / (self.total_cycles * bpc)
 
-    def bandwidth_report(self) -> dict:
-        """Effective bandwidths in GB/s plus link utilization."""
-        seconds = max(self.runtime_seconds, 1e-12)
-        return {
-            "h2d_gbps": self.h2d_bytes / seconds / 1e9,
-            "d2h_gbps": self.d2h_bytes / seconds / 1e9,
-            "remote_gbps": self.remote_bytes / seconds / 1e9,
-            "pcie_utilization": self.pcie_utilization,
-        }
-
     def speedup_over(self, baseline: "RunResult") -> float:
         """Baseline cycles divided by this run's cycles (>1 means faster)."""
         if self.total_cycles == 0:

@@ -85,7 +85,3 @@ class TenantAttribution:
     def thrash_of(self, tenant_id: int) -> int:
         """Cumulative thrash migrations charged to ``tenant_id``."""
         return int(self.thrash_migrations[tenant_id])
-
-    def snapshot_thrash(self) -> np.ndarray:
-        """Copy of the per-tenant thrash counters (for delta windows)."""
-        return self.thrash_migrations.copy()

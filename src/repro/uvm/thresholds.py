@@ -41,25 +41,6 @@ def dynamic_threshold_no_oversub(ts: int, occupancy_fraction: float) -> int:
     return int(math.floor(ts * occupancy_fraction)) + 1
 
 
-def dynamic_thresholds_oversub(ts: int, roundtrips: np.ndarray,
-                               penalty: int) -> np.ndarray:
-    """Equation 1, second branch: ``td = ts * (r + 1) * p`` per block.
-
-    ``r`` is each block's round-trip (eviction) count: the more a block
-    has thrashed, the harder it is pinned to host memory.  With ts=8,
-    p=2 a never-evicted block migrates on its 16th access; after two
-    evictions the threshold is 48, as in the paper's example.
-    """
-    if ts < 1:
-        raise ValueError("static threshold must be >= 1")
-    if penalty < 1:
-        raise ValueError("migration penalty must be >= 1")
-    r = np.asarray(roundtrips, dtype=np.int64)
-    if r.size and r.min() < 0:
-        raise ValueError("round-trip counts cannot be negative")
-    return ts * (r + 1) * penalty
-
-
 def eq1_thresholds(ts: int, penalty: int, oversubscribed: bool,
                    occupancy_fraction: float, n: int,
                    roundtrips: np.ndarray | None = None) -> np.ndarray:
@@ -68,10 +49,12 @@ def eq1_thresholds(ts: int, penalty: int, oversubscribed: bool,
     The driver's hot path calls this once per wave with pre-validated
     parameters (``ts >= 1``, ``penalty >= 1`` -- checked when the policy
     is constructed).  Below oversubscription the scalar occupancy
-    threshold is broadcast over ``n`` blocks; above it the per-block
-    thrash penalty applies to the counter file's round-trip slice
-    (``roundtrips``, only needed then).  Semantics are identical to
-    :func:`dynamic_threshold_no_oversub` / :func:`dynamic_thresholds_oversub`.
+    threshold of :func:`dynamic_threshold_no_oversub` is broadcast over
+    ``n`` blocks; above it the per-block thrash penalty
+    ``td = ts * (r + 1) * p`` (Equation 1, second branch) applies to
+    the counter file's round-trip slice (``roundtrips``, only needed
+    then): the more a block has thrashed, the harder it is pinned to
+    host memory.
     """
     if oversubscribed:
         return ts * penalty * (roundtrips + 1)

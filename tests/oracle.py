@@ -36,6 +36,9 @@ only:
 * :func:`reference_random_graph` is the uniform/skewed CSR generator
   as first written, one temporary per arithmetic step; production's
   ``random_graph`` does the same arithmetic in place.
+* :func:`dynamic_thresholds_oversub` is Equation 1's second branch in
+  validated form, where production's ``eq1_thresholds`` computes both
+  branches per wave without checks.
 
 :class:`ReferenceDriver` overrides two private driver methods beyond
 its pipeline: :meth:`UvmDriver._drain_migrations`, with
@@ -571,3 +574,22 @@ def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0):
     dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
     weights = rng.random(m, dtype=np.float32) * 99.0 + 1.0
     return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)
+
+
+def dynamic_thresholds_oversub(ts: int, roundtrips: np.ndarray,
+                               penalty: int) -> np.ndarray:
+    """Equation 1, second branch: ``td = ts * (r + 1) * p`` per block.
+
+    ``r`` is each block's round-trip (eviction) count: the more a block
+    has thrashed, the harder it is pinned to host memory.  With ts=8,
+    p=2 a never-evicted block migrates on its 16th access; after two
+    evictions the threshold is 48, as in the paper's example.
+    """
+    if ts < 1:
+        raise ValueError("static threshold must be >= 1")
+    if penalty < 1:
+        raise ValueError("migration penalty must be >= 1")
+    r = np.asarray(roundtrips, dtype=np.int64)
+    if r.size and r.min() < 0:
+        raise ValueError("round-trip counts cannot be negative")
+    return ts * (r + 1) * penalty

@@ -1,9 +1,11 @@
 """Property-based tests for the VA allocator and layout rules."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import layout
 from repro.memory.allocator import VirtualAddressSpace
+from repro.uvm.eviction import ChunkDirectory
 
 sizes = st.integers(min_value=1, max_value=16 * layout.CHUNK_SIZE)
 
@@ -59,11 +61,14 @@ def test_block_ownership_maps_are_consistent(sz_list):
     vas = VirtualAddressSpace()
     for i, s in enumerate(sz_list):
         vas.malloc_managed(f"a{i}", s)
-    alloc_ids = vas.block_alloc_ids()
-    chunk_ids = vas.block_chunk_ids()
-    assert alloc_ids.size == vas.total_blocks
+    alloc_ids = np.full(vas.total_blocks, -1)
+    chunk_ids = np.full(vas.total_blocks, -1)
+    for a in vas.allocations:
+        alloc_ids[a.first_block:a.first_block + a.num_blocks] = a.alloc_id
+        for span in a.chunks:
+            chunk_ids[span.first_block:span.last_block] = span.chunk_id
     # A block belongs to an allocation iff it belongs to a chunk.
     assert ((alloc_ids >= 0) == (chunk_ids >= 0)).all()
-    for a in vas.allocations:
-        assert (alloc_ids[a.first_block:a.first_block + a.num_blocks]
-                == a.alloc_id).all()
+    # The driver's block -> chunk map is the one the allocations tile.
+    directory = ChunkDirectory(vas.chunks, vas.total_blocks)
+    assert np.array_equal(directory.chunk_of_block, chunk_ids)

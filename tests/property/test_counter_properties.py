@@ -8,10 +8,9 @@ from repro.obs.bus import EventBus
 from repro.obs.events import CounterHalving
 from repro.obs.sinks import RingBufferSink
 from repro.uvm.counters import AccessCounterFile
-from repro.uvm.thresholds import (
-    dynamic_threshold_no_oversub,
-    dynamic_thresholds_oversub,
-)
+from repro.uvm.thresholds import dynamic_threshold_no_oversub, eq1_thresholds
+
+from tests.oracle import dynamic_thresholds_oversub
 
 
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(1, 10_000)),
@@ -186,6 +185,20 @@ def test_oversub_threshold_formula(ts, p, rs):
     td = dynamic_thresholds_oversub(ts, r, p)
     assert np.array_equal(td, ts * (r + 1) * p)
     assert np.all(td >= ts * p)
+
+
+@given(st.integers(1, 32), st.integers(1, 64), st.floats(0.0, 1.0),
+       st.lists(st.integers(0, 31), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_eq1_kernel_matches_the_validated_branches(ts, p, occ, rs):
+    """The driver's per-wave kernel computes both Equation-1 branches
+    exactly as their validated forms do."""
+    r = np.array(rs, dtype=np.int64)
+    assert np.array_equal(eq1_thresholds(ts, p, True, occ, r.size, r),
+                          dynamic_thresholds_oversub(ts, r, p))
+    td = dynamic_threshold_no_oversub(ts, occ)
+    assert np.array_equal(eq1_thresholds(ts, p, False, occ, r.size),
+                          np.full(r.size, td))
 
 
 @given(st.integers(1, 16), st.integers(0, 31),

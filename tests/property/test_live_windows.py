@@ -6,13 +6,13 @@ associative and commutative with the empty aggregate as identity --
 otherwise fast/slow evaluations of the same data could disagree.
 Integer-valued floats keep the sum checks exact (float addition is not
 associative in general; the telemetry plane only ever merges one fixed
-left fold, which :meth:`merge_all` pins).
+left fold, which :func:`merge_all` pins).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.live import Ewma, KeyedWindows, TumblingWindow, WindowAggregate
+from repro.obs.live import Ewma, TumblingWindow, WindowAggregate
 
 #: Integer-valued floats: exact under addition, so merge-order checks
 #: compare equal rather than approximately.
@@ -26,6 +26,19 @@ def build(obs) -> WindowAggregate:
     for value, bad in obs:
         agg.observe(value, bad=bad)
     return agg
+
+
+def merge_all(aggregates) -> WindowAggregate:
+    """The left fold of ``merge`` from the empty aggregate, oldest first."""
+    out = WindowAggregate()
+    for agg in aggregates:
+        out = out.merge(agg)
+    return out
+
+
+def recent(win: TumblingWindow, n: int) -> list:
+    """Copies of the most recent ``n`` closed aggregates, oldest first."""
+    return [agg for _, agg in list(win.closed)[-n:]] if n > 0 else []
 
 
 class TestMergeAlgebra:
@@ -53,7 +66,7 @@ class TestMergeAlgebra:
     @settings(max_examples=60, deadline=None)
     def test_merge_all_equals_pairwise(self, a, b, c):
         x, y, z = build(a), build(b), build(c)
-        assert WindowAggregate.merge_all([x, y, z]) == x.merge(y).merge(z)
+        assert merge_all([x, y, z]) == x.merge(y).merge(z)
 
     @given(a=values)
     @settings(max_examples=60, deadline=None)
@@ -139,8 +152,7 @@ class TestTumblingWindow:
 
         def check():
             for n in range(keep + 3):
-                assert win.merged(n) == \
-                    WindowAggregate.merge_all(win.recent(n))
+                assert win.merged(n) == merge_all(recent(win, n))
 
         for windows_ahead, value, bad in steps:
             at += windows_ahead * 10.0
@@ -199,20 +211,3 @@ class TestEwma:
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 Ewma(alpha=alpha)
-
-
-class TestKeyedWindows:
-    def test_keys_in_insertion_order(self):
-        fam = KeyedWindows(10.0)
-        for key in (3, 1, 2):
-            fam.observe(key, 5.0, 1.0)
-        assert list(fam.keys()) == [3, 1, 2]
-        assert len(fam) == 3 and 1 in fam and 9 not in fam
-
-    def test_roll_touches_every_member(self):
-        fam = KeyedWindows(10.0)
-        fam.observe("a", 5.0, 1.0)
-        fam.observe("b", 5.0, 2.0)
-        fam.roll(30.0)
-        for _, win in fam.items():
-            assert len(win.drain()) == 3  # windows 0..2 closed

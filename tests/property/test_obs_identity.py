@@ -29,8 +29,8 @@ policies = st.sampled_from(list(MigrationPolicy))
 
 def _full_obs() -> Observability:
     """A handle exercising every facility at once."""
-    obs = Observability.create(metrics=True, profile=True, timeline=True,
-                               ring_capacity=64)
+    obs = Observability.create(metrics=True, profile=True, timeline=True)
+    obs.bus.attach(RingBufferSink(capacity=64))
     obs.bus.attach(NullSink())
     return obs
 

@@ -17,7 +17,10 @@ Three guarantees pin the serve path:
   round-robin ones from the pre-scheduler serving layer, the drr one
   from the last version that still had a sequential executor (where
   it agreed with the fused executor that came after it).  Every shared
-  key must still match.
+  key must still match.  One rollup moved on purpose: the telemetry
+  hub now runs in every session, so ``alerts_fired`` in
+  ``base_seed0/1/7`` and ``drr_seed0`` holds the count earlier code
+  reported for the same config with an event sink attached.
 * **DRR is deficit-bounded.**  The deficit round-robin scheduler never
   banks a carried deficit outside ``[0, 1)`` and never starves a
   runnable tenant, for any weight vector and throttle pattern.

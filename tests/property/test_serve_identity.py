@@ -1,19 +1,22 @@
 """Determinism properties of the serving layer.
 
 The serving contract: a serve run is a *pure function* of
-``(ServeConfig, SimulationConfig)``.  Repeats are bit-identical, and
-admission decisions are a pure function of ``(seed, arrival trace,
-capacity)``.
+``(ServeConfig, SimulationConfig, SloConfig)``.  Repeats are
+bit-identical, the exporters attached to a session never change its
+result, and admission decisions are a pure function of ``(seed,
+arrival trace, capacity)``.
 """
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ServeConfig
-from repro.obs import Observability
+from repro.obs import NullSink, Observability, RingBufferSink
 from repro.serve import AdmissionController, ServeSession, generate_arrivals
 
 #: Small but non-trivial: overlapping tenants, queueing, throttling.
@@ -24,6 +27,28 @@ BASE = dict(tenants=5, arrival_rate=1500.0, capacity_mb=24,
 
 def run_dict(seed):
     return ServeSession(ServeConfig(seed=seed, **BASE)).run().as_dict()
+
+
+#: Everything that can read a session's telemetry hub.
+EXPORTERS = ("jsonl", "ring", "null", "metrics", "timeline", "profiler")
+
+
+def exported_dict(seed, exporters, tmpdir):
+    """A serve result with the named exporters attached."""
+    obs = Observability.create(
+        events_path=(os.path.join(tmpdir, "events.jsonl")
+                     if "jsonl" in exporters else None),
+        metrics="metrics" in exporters, profile="profiler" in exporters,
+        timeline="timeline" in exporters)
+    if "ring" in exporters:
+        obs.bus.attach(RingBufferSink(capacity=1024))
+    if "null" in exporters:
+        obs.bus.attach(NullSink())
+    try:
+        return ServeSession(ServeConfig(seed=seed, **BASE),
+                            obs=obs).run().as_dict()
+    finally:
+        obs.close()
 
 
 class TestBitIdentity:
@@ -39,13 +64,25 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_profiler_leaves_result_unchanged(self, seed):
-        """A profiler only times calls, so it must not switch on the
-        telemetry hub (whose alert rollup is part of the result)."""
+        """A profiler only times calls, so the result stays the bare
+        one, telemetry rollups included."""
         obs = Observability.create(profile=True)
         profiled = ServeSession(ServeConfig(seed=seed, **BASE),
                                 obs=obs).run().as_dict()
         assert profiled == run_dict(seed)
         assert obs.profiler.spans["serve.session"][1] == 1
+
+    @given(seed=st.integers(0, 2**16),
+           exporters=st.sets(st.sampled_from(EXPORTERS), min_size=1))
+    @settings(max_examples=12, deadline=None)
+    def test_exporters_leave_result_unchanged(self, seed, exporters):
+        """Any non-empty set of exporters reads the session's one
+        telemetry hub and changes nothing in the result, the
+        ``alerts_fired`` rollup included."""
+        with tempfile.TemporaryDirectory() as tmpdir:
+            exported = exported_dict(seed, exporters, tmpdir)
+        assert json.dumps(exported, sort_keys=True) == \
+            json.dumps(run_dict(seed), sort_keys=True)
 
 
 class TestArrivalTraceProperties:

@@ -19,11 +19,6 @@ def driver_for(vas, policy=MigrationPolicy.DISABLED, capacity_mb=16,
 
 
 class TestAdvice:
-    def test_enum_bias(self):
-        assert not Advice.NONE.host_resident_bias
-        assert Advice.PINNED_HOST.host_resident_bias
-        assert Advice.PREFERRED_HOST.host_resident_bias
-
     def test_allocation_carries_advice(self):
         vas = VirtualAddressSpace()
         a = vas.malloc_managed("a", 2 * MB, advice=Advice.PINNED_HOST)

@@ -101,31 +101,14 @@ class TestScopes:
         assert eng.firing() == []
         (fired,) = eng.evaluate(2.0, {"lat": 500.0}, tenant=0)
         assert fired.tenant == 0
-        assert eng.count_for(0) == 1 and eng.count_for(1) == 0
+        assert [(ev.tenant, ev.state) for ev in eng.transcript] == \
+            [(0, "firing")]
 
     def test_scope_mismatch_skips(self):
         eng = engine([AlertRule("serve_only", "m", ">", 0.0,
                                 scope="serve")])
         assert eng.evaluate(1.0, {"m": 5.0}, tenant=3) == []
         assert len(eng.evaluate(1.0, {"m": 5.0}, tenant=-1)) == 1
-
-
-class TestActions:
-    def test_action_called_on_every_transition(self):
-        seen = []
-        rule = AlertRule("hot", "m", ">", 1.0, action=seen.append)
-        eng = AlertEngine(rules=(rule,))
-        eng.evaluate(1.0, {"m": 5.0})
-        eng.evaluate(2.0, {"m": 0.0})
-        assert [ev.state for ev in seen] == ["firing", "resolved"]
-
-    def test_no_action_on_steady_state(self):
-        seen = []
-        rule = AlertRule("hot", "m", ">", 1.0, action=seen.append)
-        eng = AlertEngine(rules=(rule,))
-        for at in (1.0, 2.0, 3.0):
-            eng.evaluate(at, {"m": 5.0})
-        assert len(seen) == 1
 
 
 class TestDeterminism:

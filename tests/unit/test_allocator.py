@@ -50,38 +50,6 @@ class TestMallocManaged:
         assert [c.chunk_id for c in vas.chunks] == list(range(6))
 
 
-class TestLookup:
-    def test_find_allocation(self):
-        vas = VirtualAddressSpace()
-        a = vas.malloc_managed("a", layout.CHUNK_SIZE)
-        b = vas.malloc_managed("b", layout.CHUNK_SIZE)
-        assert vas.find_allocation(a.first_page) is a
-        assert vas.find_allocation(b.last_page - 1) is b
-
-    def test_find_allocation_gap_raises(self):
-        vas = VirtualAddressSpace()
-        vas.malloc_managed("a", layout.BASIC_BLOCK_SIZE)  # leaves a gap
-        vas.malloc_managed("b", layout.BASIC_BLOCK_SIZE)
-        with pytest.raises(KeyError):
-            vas.find_allocation(layout.PAGES_PER_BLOCK + 1)
-
-    def test_block_alloc_ids(self):
-        vas = VirtualAddressSpace()
-        a = vas.malloc_managed("a", layout.BASIC_BLOCK_SIZE)
-        ids = vas.block_alloc_ids()
-        assert ids[a.first_block] == a.alloc_id
-        # Alignment gap blocks are unowned.
-        assert np.all(ids[a.first_block + 1:] == -1) or ids.size == 1
-
-    def test_block_read_only(self):
-        vas = VirtualAddressSpace()
-        vas.malloc_managed("rw", layout.CHUNK_SIZE)
-        ro = vas.malloc_managed("ro", layout.CHUNK_SIZE, read_only=True)
-        flags = vas.block_read_only()
-        assert not flags[0]
-        assert flags[ro.first_block]
-
-
 class TestAllocationAddressing:
     def test_page_of_offset(self):
         vas = VirtualAddressSpace()

@@ -41,21 +41,16 @@ class TestTrafficProperties:
         r = result(cycles=0)
         assert r.pcie_utilization == 0.0
 
-    def test_report_keys(self):
-        rep = result(migrated_blocks=1).bandwidth_report()
-        assert set(rep) == {"h2d_gbps", "d2h_gbps", "remote_gbps",
-                            "pcie_utilization"}
-
 
 class TestEndToEndUtilization:
     def test_thrashing_run_saturates_link(self):
         cfg = SimulationConfig(seed=1).with_policy(MigrationPolicy.DISABLED)
         r = Simulator(cfg).run(make_workload("ra", "tiny"),
                                oversubscription=1.25)
-        rep = r.bandwidth_report()
-        # Thrash-bound run: the PCIe link is the bottleneck resource.
-        assert rep["pcie_utilization"] > 0.3
-        assert rep["h2d_gbps"] > rep["d2h_gbps"] > 0
+        # Thrash-bound run: the PCIe link is the bottleneck resource,
+        # and migrations in outweigh write-backs out.
+        assert r.pcie_utilization > 0.3
+        assert r.h2d_bytes > r.d2h_bytes > 0
 
     def test_adaptive_cuts_link_pressure(self):
         def run(policy):

@@ -107,10 +107,6 @@ class TestHelpers:
         assert cfg.seed == 42
         assert cfg.gpu == SimulationConfig().gpu
 
-    def test_uses_access_counters(self):
-        assert not MigrationPolicy.DISABLED.uses_access_counters
-        assert MigrationPolicy.ADAPTIVE.uses_access_counters
-
 
 class TestCapacityForOversubscription:
     def test_at_125_percent(self):

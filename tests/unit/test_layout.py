@@ -23,17 +23,6 @@ class TestConstants:
 
 
 class TestConversions:
-    def test_pages_to_bytes_roundtrip(self):
-        assert layout.pages_to_bytes(3) == 12288
-        assert layout.bytes_to_pages(12288) == 3
-
-    def test_bytes_to_pages_rounds_up(self):
-        assert layout.bytes_to_pages(1) == 1
-        assert layout.bytes_to_pages(4097) == 2
-
-    def test_blocks_to_bytes(self):
-        assert layout.blocks_to_bytes(2) == 128 * 1024
-
     def test_bytes_to_blocks_rounds_up(self):
         assert layout.bytes_to_blocks(1) == 1
         assert layout.bytes_to_blocks(64 * 1024 + 1) == 2
@@ -42,7 +31,7 @@ class TestConversions:
         assert layout.page_to_block(0) == 0
         assert layout.page_to_block(15) == 0
         assert layout.page_to_block(16) == 1
-        assert layout.block_to_first_page(2) == 32
+        assert layout.page_to_block(32) == 2
 
 
 class TestRounding:

@@ -304,15 +304,6 @@ class TestMetrics:
         assert data["a"]["value"] == 3
         assert data["b"]["count"] == 1
 
-    def test_reset_clears_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc(3)
-        reg.gauge("b").set(1.5)
-        reg.reset()
-        assert reg.as_dict() == {}
-        # New metrics after a reset start from zero.
-        assert reg.counter("a").value == 0
-
     def test_reset_prefix_is_selective(self):
         reg = MetricsRegistry()
         reg.counter("serve.waves").inc(10)
@@ -327,11 +318,11 @@ class TestMetrics:
     def test_reset_orphans_cached_metric_objects(self):
         """The documented sharp edge: cached handles detach on reset."""
         reg = MetricsRegistry()
-        cached = reg.counter("n")
+        cached = reg.counter("serve.n")
         cached.inc(5)
-        reg.reset()
+        reg.reset_prefix("serve.")
         cached.inc(1)  # mutates the orphan, not the registry
-        assert reg.counter("n").value == 0
+        assert reg.counter("serve.n").value == 0
 
 
 def _clock(times):
@@ -368,6 +359,18 @@ class TestProfiler:
         assert prof.spans["f"][1] == 2
         assert sum(sec for sec, _ in prof.spans.values()) == \
             pytest.approx(prof.root_s)
+
+    def test_steps_time_each_next_not_the_consumer(self):
+        # One clock tick per read: each step and each work call lasts 1.
+        prof = SpanRecorder(clock=_clock(range(100)))
+        work = prof.wrap("work", lambda item: item)
+        outer = prof.wrap("outer", lambda: [work(item) for item
+                                            in prof.steps("gen", "ab")])
+        assert outer() == ["a", "b"]
+        # Three steps: the last one ends the iteration.
+        assert prof.spans == {"work": [2.0, 2], "gen": [3.0, 3],
+                              "outer": [6.0, 1]}
+        assert prof.root_s == 11.0
 
     def test_install_patches_one_instance(self):
         class Box:

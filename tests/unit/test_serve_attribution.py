@@ -45,12 +45,6 @@ class TestTenantAttribution:
         assert a.thrash_migrations.tolist() == [2, 0]
         assert a.thrash_of(0) == 2
 
-    def test_snapshot_is_a_copy(self):
-        a = make_attr()
-        snap = a.snapshot_thrash()
-        a.on_thrash(np.array([0]))
-        assert snap.tolist() == [0, 0]
-
 
 def _touch_all(driver, n_blocks, write=True):
     """Fault every block of the address space in one sweep."""

@@ -256,9 +256,21 @@ class TestLiveTelemetry:
         r = ServeSession(ServeConfig(**OVERLOAD), slo=self._slo()).run()
         assert r.slo_violations > 0
 
-    def test_no_telemetry_without_opt_in(self):
-        r = run(**OVERLOAD)
-        assert r.slo_violations == 0 and r.alerts_fired == 0
+    def test_bare_session_counts_its_default_alerts(self):
+        """Nothing attached, the hub still runs the default alert rules:
+        ``alerts_fired`` equals the ``firing`` AlertFired events a ring
+        buffer records in the same session, and no SLO means no
+        violations."""
+        bare = run(**OVERLOAD)
+        obs = Observability()
+        ring = RingBufferSink(65536)
+        obs.bus.attach(ring)
+        wired = ServeSession(ServeConfig(**OVERLOAD), obs=obs).run()
+        firing = [e for e in ring
+                  if e.kind == "alert_fired" and e.state == "firing"]
+        assert bare.alerts_fired == len(firing) > 0
+        assert wired.as_dict() == bare.as_dict()
+        assert bare.slo_violations == 0
 
 
 class TestResultEncoding:

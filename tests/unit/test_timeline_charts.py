@@ -1,7 +1,6 @@
-"""Unit tests for the device-occupancy series and chart rendering."""
+"""Unit tests for the device-occupancy series."""
 
 from repro import MigrationPolicy, SimulationConfig, Simulator
-from repro.analysis.experiments import SeriesResult
 from repro.obs import MetricsRegistry, Observability
 from repro.workloads import make_workload
 
@@ -34,15 +33,3 @@ class TestEndToEndTimeline:
         # capacity even though individual samples dip below it.
         assert max(occ for _, occ in points) > 0.95
         assert r.events.thrash_migrations > 0
-
-
-class TestRenderChart:
-    def test_grouped_bars_with_paper_refs(self):
-        res = SeriesResult(
-            "Figure X", "test",
-            measured={"always": {"ra": 0.5}, "adaptive": {"ra": 0.25}},
-            paper={"adaptive": {"ra": 0.22}})
-        txt = res.render_chart(width=20)
-        assert "ra" in txt
-        assert "(paper 0.22)" in txt
-        assert txt.count("|") == 2
