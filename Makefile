@@ -190,16 +190,28 @@ trace-smoke:
 
 # Oversubscribed tiny runs audited after every wave (--debug-invariants):
 # residency, capacity and chunk occupancy must agree, no block may be
-# both device-resident and remote-mapped, and a wave's live victim key
-# must equal one built from scratch, under both policy families (LRU and
-# LFU replacement) and both eviction granularities.
+# both device-resident and remote-mapped, every chunk's prefetch tree
+# must hold exactly its resident blocks, no block outside device memory
+# may be dirty, and a wave's live victim key must equal one built from
+# scratch, under all four policies (LRU and LFU replacement, first-touch
+# and counter-delayed decisions) and both eviction granularities, with
+# the tree prefetcher and with the sequential one (the non-tree path).
 invariant-smoke:
 	for wl in ra bfs; do \
-		for p in disabled adaptive; do \
+		for p in disabled always oversub adaptive; do \
 			for e in 2mb 64kb; do \
 				$(PYTHON) -m repro run $$wl --scale tiny --oversub 1.5 \
 					--policy $$p --evict $$e --debug-invariants \
 					> /dev/null || exit 1; \
+			done; \
+		done; \
+	done
+	for wl in ra bfs; do \
+		for p in disabled adaptive; do \
+			for e in 2mb 64kb; do \
+				$(PYTHON) -m repro run $$wl --scale tiny --oversub 1.5 \
+					--policy $$p --evict $$e --prefetcher sequential \
+					--debug-invariants > /dev/null || exit 1; \
 			done; \
 		done; \
 	done

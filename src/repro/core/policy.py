@@ -62,11 +62,19 @@ class DecisionPolicy(ABC):
         not defensively ``.copy()`` on the hot path.
         """
 
+    def first_touch(self, driver: "UvmDriver") -> bool:
+        """Whether :meth:`decision_state` would now give every block
+        threshold 1 and baseline 0 (the driver then skips it)."""
+        return False
+
 
 class FirstTouchPolicy(DecisionPolicy):
     """State-of-the-art baseline (*Disabled*): migrate at first touch."""
 
     kind = MigrationPolicy.DISABLED
+
+    def first_touch(self, driver):
+        return True
 
     def decision_state(self, blocks, driver):
         n = len(blocks)
@@ -98,6 +106,9 @@ class StaticOversubPolicy(DecisionPolicy):
     """
 
     kind = MigrationPolicy.OVERSUB
+
+    def first_touch(self, driver):
+        return not driver.device.oversubscribed
 
     def decision_state(self, blocks, driver):
         n = len(blocks)

@@ -264,10 +264,12 @@ class LiveTelemetry:
                 now, oversubscription)
             metrics.series("serve.live.thrash_per_wave").append(
                 now, self._pressure.get())
-            for tenant_id, ewma in self._lat_ewma.items():
+            # Only tenants with open windows: a completed tenant's
+            # latency is final, and its series ends at completion.
+            for tenant_id in self._open:
                 metrics.series(
                     f"serve.tenant.{tenant_id}.ewma_latency_us").append(
-                        now, ewma.get())
+                        now, self._lat_ewma[tenant_id].get())
 
     def alerts_fired(self) -> int:
         """``firing`` transitions the alert rules have recorded so far."""

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from ..analysis.parallel import GridCell, GridOptions, run_grid
 from ..analysis.tables import format_table
 from .compile import (Variant, build_cell, build_multigpu_spec,
-                      build_serve_config, build_sim_config, expand)
+                      build_serve_config, build_sim_config, build_slo_config,
+                      expand)
 from .schema import ScenarioError
 
 __all__ = ["run_scenarios", "ScenarioOutcome", "VariantOutcome"]
@@ -227,7 +228,8 @@ def _run_serve(outcome: ScenarioOutcome, variant: Variant,
     serve_cfg = build_serve_config(variant.data)
     sim_cfg = build_sim_config(variant.data)
     result = ServeSession(serve_cfg, sim_config=sim_cfg,
-                          scenario=outcome.name).run()
+                          scenario=outcome.name,
+                          slo=build_slo_config(variant.data)).run()
     run_id = None
     if archiver is not None:
         run_id = archiver.archive_serve(outcome.name, variant, serve_cfg,

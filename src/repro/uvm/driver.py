@@ -20,7 +20,7 @@ trees, replacement, write-back) live here and are shared by every scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -219,6 +219,10 @@ class UvmDriver:
         self.injector: FaultInjector | None = (
             FaultInjector(config.faults, seed=config.seed)
             if config.faults.enabled else None)
+        # With no hint and no injector, a wave whose policy state is
+        # first touch migrates every far block (_handle_far_accesses).
+        self._plain_far_path = not (self._has_pinned or self._has_preferred
+                                    or self.injector is not None)
         #: Optional per-tenant eviction/thrash attribution
         #: (:class:`repro.uvm.attribution.TenantAttribution`), attached
         #: by the serving layer.  ``None`` (the default) is the
@@ -392,13 +396,13 @@ class UvmDriver:
 
         # -- non-resident blocks: policy decision -------------------------
         # (Decided against pre-wave counter values, then counters updated.)
+        # Both callers come here only when some block is not resident.
         nr = ~res_mask
-        if nr.any():
-            self._handle_far_accesses(ublocks[nr], totals[nr], w_counts[nr],
-                                      pinned, out)
-            if self.debug_invariants and self._victim_key is not None:
-                # Before the counter add below moves the LFU heat.
-                self._check_victim_key()
+        self._handle_far_accesses(ublocks[nr], totals[nr], w_counts[nr],
+                                  pinned, out)
+        if self.debug_invariants and self._victim_key is not None:
+            # Before the counter add below moves the LFU heat.
+            self._check_victim_key()
 
         # Historic counters track local and remote accesses alike (Sec. IV).
         # Grouped blocks are distinct, so the plain fancy add applies.
@@ -449,7 +453,24 @@ class UvmDriver:
         baselines, and the migrate/remote partition falls out of a
         single vectorized comparison.  Per-block observability events
         are materialized only when an event sink is actually attached.
+
+        A first-touch wave (every threshold 1 and baseline 0, no hint,
+        no fault injector) migrates every block with no remote access,
+        so it goes straight to the drain.  A zero access count (no
+        workload or trace makes one) would not migrate, so it takes the
+        full path.
         """
+        if (self._plain_far_path and self.policy.first_touch(self)
+                and k.min() > 0):
+            bus = self._bus
+            if bus is not None and bus.enabled:
+                wave = bus.wave
+                for b, kk in zip(nrb.tolist(), k.tolist()):
+                    bus.emit(MigrationDecision(wave=wave, block=b,
+                                               threshold=1, counter=0,
+                                               accesses=kk, migrated=True))
+            self._drain_migrations(nrb, k, kw, None, pinned, out)
+            return
         td, c0 = self._decision_state(nrb)
         migrate, slack = kernels.decide(c0, k, td)
         if self._has_pinned:
@@ -543,7 +564,7 @@ class UvmDriver:
                                     failures=failures, degraded=not ok))
 
     def _drain_migrations(self, mig: np.ndarray, mig_k: np.ndarray,
-                          mig_kw: np.ndarray, mig_remote: np.ndarray,
+                          mig_kw: np.ndarray, mig_remote: np.ndarray | None,
                           pinned: np.ndarray, out: WaveOutcome) -> None:
         """Drain a wave's migrations through chunk-grouped bulk installs.
 
@@ -558,19 +579,25 @@ class UvmDriver:
         like any other.  Pending state is flushed before any eviction,
         so victim selection, write-back accounting and round-trip
         counters observe exactly the state the per-block drain would.
+
+        Each chunk's tree mask is the drain's residency index: every
+        prefetch strategy marks the leaves it pulls in, so within a
+        drain the mask holds the chunk's resident and pending blocks.
+        ``mig_remote`` is None when no access was served remotely.
         """
-        resident = self.residency.resident
         trees = self.trees
-        # The default tree strategy is a bare delegation to the chunk
-        # tree; calling the tree method unbound skips that frame on
-        # every fault of the drain.
-        prefetch = (PrefetchTree.on_fault
-                    if type(self.prefetcher) is TreePrefetchStrategy
-                    else self.prefetcher.on_fault)
+        if type(self.prefetcher) is TreePrefetchStrategy:
+            # The default strategy is a bare delegation to the chunk
+            # tree, whose unbound walk hands back a tuple of ints.
+            prefetch = PrefetchTree.fault
+        else:
+            on_fault = self.prefetcher.on_fault
+
+            def prefetch(tree: PrefetchTree, leaf: int) -> list[int]:
+                return on_fault(tree, leaf).tolist()
         bus = self._bus
         bus_on = bus is not None and bus.enabled
         pending: dict[int, list[int]] = {}
-        pending_set: set[int] = set()
         pending_dirty: list[int] = []
 
         def flush() -> None:
@@ -587,7 +614,6 @@ class UvmDriver:
                                   [len(blks) for blks in pending.values()],
                                   out)
                 pending.clear()
-                pending_set.clear()
             if pending_dirty:
                 self._note_dirty(np.array(pending_dirty, dtype=np.int64))
                 pending_dirty.clear()
@@ -606,8 +632,11 @@ class UvmDriver:
         n_local = faults = prefetched = 0
         for b, kk, kkw, rr, cid, first in zip(
                 mig.tolist(), mig_k.tolist(), mig_kw.tolist(),
-                mig_remote.tolist(), cids.tolist(), firsts.tolist()):
-            if resident[b] or b in pending_set:
+                repeat(0) if mig_remote is None else mig_remote.tolist(),
+                cids.tolist(), firsts.tolist()):
+            tree = trees[cid]
+            leaf = b - first
+            if tree.mask >> leaf & 1:
                 # A prefetch earlier in this drain already pulled it in.
                 n_local += kk - rr
                 if kkw > 0:
@@ -627,37 +656,33 @@ class UvmDriver:
                     continue
                 free = self.device.free_blocks
             # The fault block joins the pending installs.
-            pf_leaves = prefetch(trees[cid], b - first)
+            pf_leaves = prefetch(tree, leaf)
             chunk_pending = pending.get(cid)
             if chunk_pending is None:
                 chunk_pending = pending[cid] = []
             chunk_pending.append(b)
-            pending_set.add(b)
             free -= 1
             faults += 1
             n_local += kk - rr - 1
             if kkw > 0:
                 pending_dirty.append(b)
-            if not pf_leaves.size:
+            if not pf_leaves:
                 continue
-            pf_blocks = first + pf_leaves
-            if free >= pf_leaves.size:
-                pf_list = pf_blocks.tolist()
-                chunk_pending.extend(pf_list)
-                pending_set.update(pf_list)
-                free -= len(pf_list)
-                prefetched += len(pf_list)
+            n_pf = len(pf_leaves)
+            if free >= n_pf:
+                chunk_pending.extend([first + pf for pf in pf_leaves])
+                free -= n_pf
+                prefetched += n_pf
                 if bus_on:
                     bus.emit(PrefetchExpand(wave=bus.wave, chunk=cid,
-                                            fault_block=b,
-                                            blocks=len(pf_list)))
+                                            fault_block=b, blocks=n_pf))
             else:
                 # The prefetch batch needs an eviction: commit pending
                 # state (including this fault block), then make room
                 # exactly as the per-block path would.
                 flush()
-                n_pf = int(pf_blocks.size)
                 if self._make_room(n_pf, pinned, cid, out):
+                    pf_blocks = np.array(pf_leaves, dtype=np.int64) + first
                     self._install(pf_blocks, [cid], [n_pf], out)
                     out.prefetched_blocks += n_pf
                     if bus_on:
@@ -686,13 +711,14 @@ class UvmDriver:
         ``blocks`` holds ``sizes[i]`` blocks of chunk ``cids[i]`` for
         each ``i``, one chunk after another; the chunk ids are distinct.
         Installed blocks that already took an eviction round trip are
-        charged to ``out`` as thrash migrations.
+        charged to ``out`` as thrash migrations.  Their dirty bits are
+        already clear: every eviction and release clears them.
         """
         counters = self.counters
         self.device.allocate(int(blocks.size))
-        self.residency.mark_resident(blocks)
-        self.host.migrate_to_device(blocks)
-        counters.reset_volta(blocks)
+        self.residency.resident[blocks] = True
+        self.host.remote_mapped[blocks] = False
+        counters.volta_counts[blocks] = 0
         self.ever_migrated[blocks] = True
         # Installs land in chunks the wave touched (a fault's own chunk),
         # so their LRU position is already this wave's.
@@ -935,16 +961,17 @@ class UvmDriver:
         return self.stats.fast_path_waves / self.stats.waves
 
     def _check_wave_accounting(self) -> None:
-        """Cheap residency/capacity invariants, run after every wave.
+        """Residency/capacity invariants, run after every wave.
 
         The residency map, the device ledger and the chunk occupancies
-        agree, the device is not over capacity, and no block is both
-        device-resident and remote-mapped.  Enabled by
+        agree, the device is not over capacity, no block is both
+        device-resident and remote-mapped, every chunk's tree mask holds
+        exactly its resident blocks (the migration drain reads residency
+        off it), and no block outside device memory is dirty (installs
+        leave the dirty bit as they find it).  Enabled by
         ``SimulationConfig.debug_invariants`` (or the CLI's
         ``--debug-invariants``), together with :meth:`_check_victim_key`;
-        unlike :meth:`check_consistency` this avoids the per-chunk tree
-        walk so it is affordable per wave, and it pinpoints the first
-        wave at which accounting drifted.
+        it pinpoints the first wave at which accounting drifted.
         """
         used = self.device.used_blocks
         resident = self.residency.resident_count
@@ -961,11 +988,25 @@ class UvmDriver:
             raise AssertionError(
                 f"wave {self.stats.waves}: chunk occupancy sums to "
                 f"{occupancy} but the device ledger charges {used}")
-        both = self.host.remote_mapped & self.residency.resident
+        on_device = self.residency.resident
+        both = self.host.remote_mapped & on_device
         if both.any():
             raise AssertionError(
                 f"wave {self.stats.waves}: block {int(np.argmax(both))} is "
                 f"both device-resident and remote-mapped")
+        for cid, tree in enumerate(self.trees):
+            leaves = np.flatnonzero(
+                on_device[self.directory.blocks_of_chunk(cid)]).tolist()
+            if tree.resident_leaves().tolist() != leaves:
+                raise AssertionError(
+                    f"wave {self.stats.waves}: tree of chunk {cid} holds "
+                    f"leaves {tree.resident_leaves().tolist()}, its "
+                    f"resident blocks are leaves {leaves}")
+        stale = self.residency.dirty & ~on_device
+        if stale.any():
+            raise AssertionError(
+                f"wave {self.stats.waves}: block {int(np.argmax(stale))} is "
+                f"dirty but not device-resident")
 
     def _check_victim_key(self) -> None:
         """The live victim key equals one built from scratch now.

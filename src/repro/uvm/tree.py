@@ -17,12 +17,17 @@ CUDA driver's prefetcher.
 Representation
 --------------
 A chunk holds at most 32 leaves, so leaf residency is a Python int
-bitmask, the tree's only state: subtree occupancy is one ``bit_count``
-of a masked range.  The per-fault balancing walk is then a pure
-function of (tree size, mask, faulting leaf), memoized in a bounded LRU
-cache shared by every tree: replayed and thrashing runs fault on the
-same states over and over.  The heap-indexed occupancy-count array that
-mirrors the hardware structure lives on only in the test oracle
+bitmask (:attr:`PrefetchTree.mask`), the tree's only state: subtree
+occupancy is one ``bit_count`` of a masked range.  The per-fault
+balancing walk is then a pure function of (tree size, mask, faulting
+leaf), memoized in a bounded LRU cache shared by every tree: replayed
+and thrashing runs fault on the same states over and over.  The walk
+returns its prefetched leaves as a tuple of ints
+(:meth:`PrefetchTree.fault`, the driver's drain), so a fault does no
+NumPy work; :meth:`PrefetchTree.on_fault`, the prefetch strategies'
+interface, returns them as an array.  The driver also reads the mask as
+the chunk's residency index.  The heap-indexed occupancy-count array
+that mirrors the hardware structure lives on only in the test oracle
 (``tests/oracle.py``'s ``ReferenceTree``), whose masks the property
 suites compare with this one's.
 """
@@ -87,15 +92,15 @@ def _leaf_submasks(num_leaves: int) -> list[list[tuple[int, int]]]:
 
 @functools.lru_cache(maxsize=FAULT_WALK_CACHE_SIZE)
 def _fault_walk(num_leaves: int, mask: int, leaf: int
-                ) -> tuple[int, np.ndarray]:
+                ) -> tuple[int, tuple[int, ...]]:
     """The >50% balancing walk of a fault on absent ``leaf``.
 
     Sets the leaf's bit in ``mask``, then walks from its parent to the
     root; at every ancestor whose occupancy strictly exceeds half its
     span, all absent leaves of that subtree join the prefetch set (and
     count as resident for the levels above).  Returns the new mask and
-    the prefetched leaves in ascending order per level, as a read-only
-    array that every fault on the same state shares.
+    the prefetched leaves in ascending order per level, as a tuple that
+    every fault on the same state shares.
     """
     mask |= 1 << leaf
     prefetched: list[int] = []
@@ -106,44 +111,41 @@ def _fault_walk(num_leaves: int, mask: int, leaf: int
             if absent:
                 mask |= absent
                 prefetched += _bits_ascending(absent)
-    if not prefetched:
-        return mask, _NO_PREFETCH
-    leaves = np.array(prefetched, dtype=np.int64)
-    leaves.flags.writeable = False
-    return mask, leaves
+    return mask, tuple(prefetched)
 
 
 class PrefetchTree:
     """Occupancy tree for one chunk, held as a leaf-residency bitmask."""
 
-    __slots__ = ("num_leaves", "_mask")
+    __slots__ = ("num_leaves", "mask")
 
     def __init__(self, num_leaves: int) -> None:
         if num_leaves < 1 or num_leaves & (num_leaves - 1):
             raise ValueError(f"num_leaves must be a power of two, got {num_leaves}")
         self.num_leaves = num_leaves
-        #: Leaf residency, bit ``i`` = leaf ``i`` resident.
-        self._mask = 0
+        #: Leaf residency, bit ``i`` = leaf ``i`` resident.  Read it
+        #: freely; only the methods below change it.
+        self.mask = 0
 
     # -- bookkeeping -----------------------------------------------------
 
     @property
     def occupancy(self) -> int:
         """Number of resident leaves in the chunk."""
-        return self._mask.bit_count()
+        return self.mask.bit_count()
 
     def is_resident(self, leaf: int) -> bool:
         """Whether leaf ``leaf`` (0-based within the chunk) is resident."""
         self._check_leaf(leaf)
-        return bool((self._mask >> leaf) & 1)
+        return bool((self.mask >> leaf) & 1)
 
     def resident_leaves(self) -> np.ndarray:
         """Indices of resident leaves."""
-        return np.array(_bits_ascending(self._mask), dtype=np.int64)
+        return np.array(_bits_ascending(self.mask), dtype=np.int64)
 
     def clear(self) -> None:
         """Reset the tree after the chunk is evicted."""
-        self._mask = 0
+        self.mask = 0
 
     def remove(self, leaf: int) -> None:
         """Evict a single leaf (64KB-granular eviction support).
@@ -152,9 +154,9 @@ class PrefetchTree:
         """
         self._check_leaf(leaf)
         bit = 1 << leaf
-        if not self._mask & bit:
+        if not self.mask & bit:
             raise RuntimeError(f"leaf {leaf} is not resident")
-        self._mask ^= bit
+        self.mask ^= bit
 
     def _check_leaf(self, leaf: int) -> None:
         if not 0 <= leaf < self.num_leaves:
@@ -173,9 +175,9 @@ class PrefetchTree:
             raise IndexError(
                 f"leaves outside chunk of {self.num_leaves} leaves")
         bits = _bits_of(leaves)
-        if self._mask & bits:
+        if self.mask & bits:
             raise RuntimeError("bulk install of an already-resident leaf")
-        self._mask |= bits
+        self.mask |= bits
 
     def remove_leaves(self, leaves: np.ndarray) -> None:
         """Evict many *distinct* leaves in one pass (bulk :meth:`remove`)."""
@@ -186,9 +188,9 @@ class PrefetchTree:
             raise IndexError(
                 f"leaves outside chunk of {self.num_leaves} leaves")
         bits = _bits_of(leaves)
-        if (self._mask & bits) != bits:
+        if (self.mask & bits) != bits:
             raise RuntimeError("bulk removal of a non-resident leaf")
-        self._mask ^= bits
+        self.mask ^= bits
 
     # -- driver entry points ----------------------------------------------
 
@@ -199,11 +201,11 @@ class PrefetchTree:
         """
         self._check_leaf(leaf)
         bit = 1 << leaf
-        if self._mask & bit:
+        if self.mask & bit:
             raise RuntimeError(f"leaf {leaf} already resident")
-        self._mask |= bit
+        self.mask |= bit
 
-    def on_fault(self, leaf: int) -> np.ndarray:
+    def fault(self, leaf: int) -> tuple[int, ...]:
         """Handle a first-touch fault on ``leaf``.
 
         Marks the leaf resident and runs the balancing walk
@@ -211,8 +213,8 @@ class PrefetchTree:
         exceeds half its span has all absent leaves of its subtree
         prefetched and marked resident.
 
-        Returns the prefetched leaf indices (possibly empty), excluding
-        the faulting leaf itself, as a read-only array shared with other
+        Returns the prefetched leaf indices (possibly none), excluding
+        the faulting leaf itself, as a tuple of ints shared with other
         faults on the same state.
         """
         # A NumPy integer leaf would make the memoized mask a NumPy
@@ -221,18 +223,30 @@ class PrefetchTree:
         if not 0 <= leaf < self.num_leaves:
             raise IndexError(
                 f"leaf {leaf} outside chunk of {self.num_leaves} leaves")
-        if (self._mask >> leaf) & 1:
+        if (self.mask >> leaf) & 1:
             raise RuntimeError(f"leaf {leaf} already resident")
-        self._mask, prefetched = _fault_walk(self.num_leaves, self._mask,
-                                             leaf)
+        self.mask, prefetched = _fault_walk(self.num_leaves, self.mask, leaf)
         return prefetched
+
+    def on_fault(self, leaf: int) -> np.ndarray:
+        """:meth:`fault`, returning the prefetched leaves as an array.
+
+        The array is read-only; a fault that prefetches nothing returns
+        the shared empty one.
+        """
+        prefetched = self.fault(leaf)
+        if not prefetched:
+            return _NO_PREFETCH
+        leaves = np.array(prefetched, dtype=np.int64)
+        leaves.flags.writeable = False
+        return leaves
 
     # -- invariants (used by property tests) -------------------------------
 
     def check_invariants(self) -> None:
         """Verify the residency mask holds only leaves of this chunk."""
-        if type(self._mask) is not int or not (
-                0 <= self._mask < 1 << self.num_leaves):
+        if type(self.mask) is not int or not (
+                0 <= self.mask < 1 << self.num_leaves):
             raise AssertionError(
-                f"residency mask {self._mask!r} outside a chunk of "
+                f"residency mask {self.mask!r} outside a chunk of "
                 f"{self.num_leaves} leaves")

@@ -40,11 +40,17 @@ only:
   validated form, where production's ``eq1_thresholds`` computes both
   branches per wave without checks.
 
-:class:`ReferenceDriver` overrides two private driver methods beyond
-its pipeline: :meth:`UvmDriver._drain_migrations`, with
-:meth:`ReferenceDriver._drain_migrations_scalar`, and the eviction path
-below it, :meth:`UvmDriver._make_room`, to call the reference
-selector.
+:class:`ReferenceDriver` overrides the private driver methods of the
+far-fault path beyond its pipeline:
+:meth:`UvmDriver._handle_far_accesses`, which it runs on the full
+decision arrays for every policy (production sends a first-touch wave
+straight to the drain); :meth:`UvmDriver._drain_migrations`, with
+:meth:`ReferenceDriver._drain_migrations_scalar`, which tests residency
+in the residency map (production reads each chunk's tree mask);
+:meth:`UvmDriver._install`, with all five per-block writes through
+their owners (production writes four arrays and leaves the dirty bits
+as it finds them, clear); and the eviction path,
+:meth:`UvmDriver._make_room`, to call the reference selector.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ from unittest import mock
 import numpy as np
 
 import repro.serve.session as serve_session
+from repro.accel import kernels
 from repro.config import EvictionGranularity, ReplacementPolicy
-from repro.obs.events import PrefetchExpand
+from repro.obs.events import MigrationDecision, PrefetchExpand
 from repro.uvm.driver import UvmDriver, WaveOutcome, group_wave
 from repro.uvm.tree import _NO_PREFETCH
 from repro.workloads.base import KernelLaunch, WaveBuilder
@@ -150,7 +157,7 @@ class ReferenceTree:
     node counts the resident leaves below it, as the hardware structure
     does.  A fault walks the counts from its leaf's parent to the root.
     Same interface and errors as :class:`repro.uvm.tree.PrefetchTree`;
-    :attr:`_mask` derives that tree's leaf bitmask from the heap.
+    :attr:`mask` derives that tree's leaf bitmask from the heap.
     """
 
     def __init__(self, num_leaves: int) -> None:
@@ -161,7 +168,7 @@ class ReferenceTree:
         self._tree = np.zeros(2 * num_leaves - 1, dtype=np.int32)
 
     @property
-    def _mask(self) -> int:
+    def mask(self) -> int:
         mask = 0
         for leaf in self.resident_leaves().tolist():
             mask |= 1 << leaf
@@ -349,6 +356,61 @@ class ReferenceDriver(UvmDriver):
                     self.host.map_remote(np.array([b]))
 
     _drain_migrations = _drain_migrations_scalar
+
+    def _handle_far_accesses(self, nrb: np.ndarray, k: np.ndarray,
+                             kw: np.ndarray, pinned: np.ndarray,
+                             out: WaveOutcome) -> None:
+        """Every policy's decision arrays, first touch included."""
+        td, c0 = self._decision_state(nrb)
+        migrate, slack = kernels.decide(c0, k, td)
+        if self._has_pinned:
+            pinned_host = self.block_pinned_host[nrb]
+            if pinned_host.any():
+                migrate &= ~pinned_host
+        if (self.injector is not None and self.injector.enabled
+                and migrate.any()):
+            self._inject_migration_faults(nrb, k, slack, migrate, out)
+        bus = self._bus
+        if bus is not None and bus.enabled:
+            for b, t, c, kk, m in zip(nrb.tolist(), td.tolist(), c0.tolist(),
+                                      k.tolist(), migrate.tolist()):
+                bus.emit(MigrationDecision(wave=bus.wave, block=b,
+                                           threshold=t, counter=c,
+                                           accesses=kk, migrated=m))
+        remote = kernels.remote_counts(migrate, slack, k)
+        out.n_remote += int(remote.sum())
+        self.counters.add_remote_accesses_unique(nrb, remote)
+        staying = nrb[~migrate]
+        if staying.size:
+            out.mapping_faults += staying.size - int(np.count_nonzero(
+                self.host.remote_mapped[staying]))
+            self.host.map_remote(staying)
+        mig = nrb[migrate]
+        if mig.size:
+            self._drain_migrations(mig, k[migrate], kw[migrate],
+                                   remote[migrate], pinned, out)
+
+    def _install(self, blocks: np.ndarray, cids: list[int],
+                 sizes: list[int], out: WaveOutcome) -> None:
+        """All five per-block install writes, each through its owner.
+
+        The reference never builds a victim key, so only occupancy
+        moves with an install.
+        """
+        self.device.allocate(int(blocks.size))
+        self.residency.mark_resident(blocks)
+        self.host.migrate_to_device(blocks)
+        self.counters.reset_volta(blocks)
+        self.ever_migrated[blocks] = True
+        for cid, n in zip(cids, sizes):
+            self.directory.occupancy[cid] += n
+        if self.counters.has_roundtrips:
+            thrashy = blocks[self.counters.roundtrips[blocks] > 0]
+            if thrashy.size:
+                out.thrash_migrations += int(thrashy.size)
+                self.stats.thrashed[thrashy] = True
+                if self.attribution is not None:
+                    self.attribution.on_thrash(thrashy)
 
     def _make_room(self, n_blocks: int, pinned: np.ndarray, never: int,
                    out: WaveOutcome) -> bool:

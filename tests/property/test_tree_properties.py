@@ -154,7 +154,7 @@ def _apply(tree, op, prefetched=None):
         ok = None
     except AssertionError as exc:
         ok = str(exc)
-    return got, tree._mask, ok
+    return got, tree.mask, ok
 
 
 @given(tree_ops())
@@ -183,6 +183,6 @@ def test_numpy_leaf_keeps_masks_python_ints():
     PrefetchTree(16).on_fault(np.int64(5))
     tree = PrefetchTree(16)
     tree.on_fault(5)
-    assert type(tree._mask) is int
+    assert type(tree.mask) is int
     with pytest.raises(TypeError):
         tree.on_fault(6.0)

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import _load_slo_config, _scenario, build_parser, main
 from repro.config import ServeConfig
 from repro.obs.live.slo import SloConfig
-from repro.scenario import build_serve_config
+from repro.scenario import build_serve_config, load_scenario, run_scenarios
 
 from tests.conftest import profile_shares
 
@@ -213,6 +214,20 @@ class TestServeSlo:
         rc = main(["serve", "--config", str(scenario), "--json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["slo_violations"] > 0
+
+    def test_batch_route_keeps_scenario_slo(self, capsys):
+        """``repro serve --config`` and the batch route of ``repro sweep
+        --config`` (:func:`run_scenarios`) give one result for a
+        scenario with an ``slo:`` section."""
+        path = pathlib.Path(__file__).resolve().parents[2] / "configs" / \
+            "serve_slo.yaml"
+        assert main(["serve", "--config", str(path), "--json"]) == 0
+        direct = json.loads(capsys.readouterr().out)
+        (outcome,) = run_scenarios([load_scenario(path)])
+        (variant,) = outcome.variants
+        batch = json.loads(json.dumps(variant.result.as_dict()))
+        assert batch["slo_violations"] > 0
+        assert batch == direct
 
     def test_prom_export(self, tmp_path, capsys):
         out = tmp_path / "m.prom"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import MigrationPolicy
 from repro.memory.layout import MB, PAGES_PER_BLOCK, PAGES_PER_CHUNK
-from repro.uvm.driver import group_wave
+from repro.uvm.driver import UvmDriver, group_wave
 
 from tests.conftest import make_driver, make_vas
 
@@ -46,6 +46,22 @@ class TestFirstTouch:
         # first access faults; the rest hit locally after migration
         assert out.n_local == 9
         assert drv.counters.counts[0] == 10
+
+    def test_zero_count_block_is_mapped_not_migrated(self):
+        """A first-touch wave with a zero-count entry keeps the full
+        decision path's outcome: that block only gets a remote mapping,
+        as in the oracle, which decides every wave in full."""
+        from tests.oracle import ReferenceDriver
+        outs = []
+        for cls in (UvmDriver, ReferenceDriver):
+            drv = make_driver(make_vas(8), capacity_mb=16, driver_cls=cls)
+            outs.append(drv.process_wave(pages_of_blocks(0, 40),
+                                         np.array([False, False]),
+                                         counts=np.array([3, 0])))
+            assert drv.residency.resident[[0, 40]].tolist() == [True, False]
+            assert drv.host.remote_mapped[40]
+        assert outs[0] == outs[1]
+        assert outs[0].mapping_faults == 1 and outs[0].n_local == 2
 
     def test_empty_wave(self):
         drv = make_driver(make_vas(8), capacity_mb=16)

@@ -245,6 +245,27 @@ class TestLiveTelemetry:
         assert accesses == {t.tenant: t.accesses for t in r.tenants
                             if t.tenant in done}
 
+    def test_latency_series_end_when_their_tenant_completes(self):
+        """A tenant's EWMA latency series gets no point after its
+        completion: its windows are closed, so a later point would
+        only repeat the frozen value."""
+        obs = Observability.create(metrics=True)
+        r = ServeSession(ServeConfig(**OVERLOAD), obs=obs,
+                         slo=self._slo()).run()
+        snap = obs.metrics.as_dict()
+        done = [t for t in r.tenants if t.complete_us is not None]
+        assert done
+        for t in done:
+            series = snap.get(f"serve.tenant.{t.tenant}.ewma_latency_us")
+            if series is None:
+                continue
+            assert series["points"]
+            assert all(x <= t.complete_us for x, _ in series["points"]), \
+                t.tenant
+        # finish() still reports every tenant's attainment.
+        assert all(f"serve.tenant.{t.tenant}.slo_attainment" in snap
+                   for t in done)
+
     def test_invalid_slo_rejected_eagerly(self):
         from repro.obs.live import SloConfig
         with pytest.raises(ValueError, match="invalid SLO config"):
