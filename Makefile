@@ -52,19 +52,25 @@ serve-smoke:
 		.serve-drr-2.json .serve-rr-1.jsonl .serve-rr-2.jsonl \
 		.serve-drr-1.jsonl .serve-drr-2.jsonl
 
-# SLO-tracked serve run with live admission: the alert transcript
-# must be identical across two runs, every tenant's telemetry windows
-# must close at its completion, and repro top must render the log.
+# SLO-tracked serve run with live admission: the result and the
+# alert/SLO transcript must be identical across two runs and the
+# transcript non-empty, every tenant's telemetry windows must close at
+# its completion, and repro top must render the log.
 telemetry-smoke:
 	for i in 1 2; do \
 		$(PYTHON) -m repro serve --config configs/serve_slo.yaml \
 			--live-admission --events .telemetry-$$i.jsonl \
 			--flush-events 1 --json > .serve-$$i.json || exit 1; \
+		grep -E '"event":"(alert_fired|slo_violation)"' \
+			.telemetry-$$i.jsonl > .transcript-$$i.jsonl || exit 1; \
 	done
 	diff .serve-1.json .serve-2.json
+	diff .transcript-1.jsonl .transcript-2.jsonl
+	test -s .transcript-1.jsonl
 	$(PYTHON) tools/check_telemetry_windows.py .telemetry-1.jsonl
 	$(PYTHON) -m repro top .telemetry-1.jsonl
-	rm -f .telemetry-1.jsonl .telemetry-2.jsonl .serve-1.json .serve-2.json
+	rm -f .telemetry-1.jsonl .telemetry-2.jsonl .serve-1.json .serve-2.json \
+		.transcript-1.jsonl .transcript-2.jsonl
 
 # A serve result depends only on its configs: every session runs its
 # telemetry hub, and the exporters only read it.  The overload scenario's
@@ -96,11 +102,32 @@ check-configs:
 	$(PYTHON) -m repro config validate configs configs/smoke \
 		configs/section8_throttle
 
-# Run the tiny config-driven scenarios end to end (all three modes),
-# archiving resolved configs under .smoke-runs.
-config-smoke:
+# Every execution mode (grid, serve, multigpu) driven from the
+# declarative configs: the scenario library validates, a key the
+# scenario's mode never reads fails validation with a message naming
+# it (not a traceback), and the tiny smoke scenarios run end to end
+# with every archived manifest naming its scenario and embedding the
+# resolved config.
+config-smoke: check-configs
+	rm -rf .smoke-runs && mkdir .smoke-runs
+	printf 'mode: run\nworkload: ra\nserve:\n  tenants: 5\n' \
+		> .smoke-runs/bad-mode.yaml
+	! $(PYTHON) -m repro config validate .smoke-runs/bad-mode.yaml \
+		> .smoke-runs/bad-mode.out 2> .smoke-runs/bad-mode.txt
+	grep -q serve.tenants .smoke-runs/bad-mode.txt
+	! grep -q Traceback .smoke-runs/bad-mode.txt
+	! grep -q FAIL .smoke-runs/bad-mode.out
 	$(PYTHON) -m repro sweep --config-dir configs/smoke \
 		--archive --runs .smoke-runs
+	$(PYTHON) -c 'from repro.obs.store import RunStore; \
+		manifests = RunStore(".smoke-runs").list(); \
+		assert manifests, "config smoke archived no runs"; \
+		missing = [m.run_id for m in manifests if not m.scenario]; \
+		assert not missing, f"{missing}: manifest missing scenario"; \
+		bare = [m.run_id for m in manifests if "scenario" not in m.config]; \
+		assert not bare, f"{bare}: resolved config not archived"; \
+		print(f"config smoke: {len(manifests)} archived manifests OK")'
+	rm -rf .smoke-runs
 
 # Every grid records each access stream once and replays it: with the
 # default private trace cache nothing may be left in TMPDIR, and a

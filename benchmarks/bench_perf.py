@@ -267,12 +267,16 @@ def measure_serve_fused(repeats: int) -> dict:
     """Host-wall throughput of the fused multi-tenant serve cell.
 
     ``fused_accesses_per_second`` is gated ``higher``; ``batches`` and
-    ``batch_occupancy`` show how much of the cell actually fused.
+    ``batch_occupancy`` show how much of the cell actually fused: the
+    driver dispatches of two or more waves, and their mean wave count,
+    counted on the warm-up run.
     """
     import dataclasses as _dc
+    from unittest import mock
 
     from repro.config import ServeConfig
     from repro.serve import ServeSession
+    from repro.uvm.driver import UvmDriver
 
     base = SimulationConfig()
     sim = _dc.replace(base, policy=_dc.replace(
@@ -282,15 +286,25 @@ def measure_serve_fused(repeats: int) -> dict:
     def run_once():
         return ServeSession(cfg, sim_config=sim).run()
 
-    run_once()  # warm-up outside the timed region
+    sizes = []
+    dispatch = UvmDriver.process_wave_batch
+
+    def counted(self, waves, tenants=None):
+        sizes.append(len(waves))
+        return dispatch(self, waves, tenants)
+
+    with mock.patch.object(UvmDriver, "process_wave_batch", counted):
+        run_once()  # warm-up outside the timed region
+    shared = [n for n in sizes if n > 1]
     wall, cpu, fused = _timed(run_once, repeats)
     return {
         "scenario": {k: list(v) if isinstance(v, tuple) else v
                      for k, v in SERVE_FUSED_SCENARIO.items()},
         "migration_penalty": SERVE_FUSED_PENALTY,
         "simulated_accesses": fused.total_accesses,
-        "batches": fused.batches,
-        "batch_occupancy": round(fused.batch_occupancy, 2),
+        "batches": len(shared),
+        "batch_occupancy": round(sum(shared) / len(shared), 2)
+        if shared else 0.0,
         "fused_wall_seconds": round(wall, 4),
         "fused_cpu_seconds": round(cpu, 4),
         "fused_accesses_per_second": round(fused.total_accesses / wall, 1),

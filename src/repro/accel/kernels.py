@@ -10,8 +10,8 @@ Contracts (callers guarantee them, kernels do not re-check on the hot
 path):
 
 * index arrays are ``int64``; count/threshold arrays are ``int64``;
-* ``increment``/``fill_zero`` indices are distinct (eviction victims
-  and migrating blocks are unique by construction);
+* ``increment`` indices are distinct (eviction victims are unique by
+  construction);
 * ``group_sorted`` input is non-empty and sorted;
 * ``halve_while_*`` mutate their counter array in place and return the
   number of global halvings applied (the caller emits the events).
@@ -94,11 +94,6 @@ def scatter_add_unique(target: np.ndarray, idx: np.ndarray,
 def increment(target: np.ndarray, idx: np.ndarray) -> None:
     """``target[idx] += 1`` (indices must be distinct)."""
     target[idx] += 1
-
-
-def fill_zero(target: np.ndarray, idx: np.ndarray) -> None:
-    """``target[idx] = 0`` (Volta counter reset on migration)."""
-    target[idx] = 0
 
 
 def halve_while_ge(counts: np.ndarray, blocks: np.ndarray,

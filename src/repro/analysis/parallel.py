@@ -69,6 +69,10 @@ from ..workloads import make_workload
 #: Broken-pool incarnations tolerated before degrading to serial.
 _MAX_POOL_REBUILDS = 2
 
+#: Backoff before the first re-attempt of a failed cell, seconds; it
+#: doubles per retry.  Tests that provoke failures set it to 0.
+RETRY_BACKOFF_S = 0.25
+
 #: Upper bound on any single backoff sleep, seconds.
 _MAX_BACKOFF_S = 10.0
 
@@ -173,8 +177,6 @@ class GridOptions:
 
     #: Extra attempts per cell after its first failure.
     retries: int = 2
-    #: Backoff before the first re-attempt, seconds (doubles per retry).
-    retry_backoff_s: float = 0.25
     #: Declare the pool hung when no cell completes for this many
     #: seconds; its workers are terminated and the pool rebuilt.
     cell_timeout: float | None = None
@@ -193,9 +195,6 @@ class GridOptions:
     #: whole figures/sweeps become ``repro diff``-able families.  Like
     #: ``metrics``, orchestrator-side only (never pickled to workers).
     archive: object | None = None
-    #: Sweep id grouping this grid's archived cells; ``None`` derives a
-    #: content-addressed id from the cell set.
-    sweep_id: str | None = None
     #: Directory of a persistent :class:`repro.trace.TraceCache`.  Every
     #: grid records each distinct ``(workload, scale, seed)`` access
     #: stream once and replays it, memory-mapped, in every cell that
@@ -208,8 +207,6 @@ class GridOptions:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive (or None)")
         if self.resume and not self.checkpoint:
@@ -238,41 +235,6 @@ class _GridMetrics:
     @staticmethod
     def of(opts: "GridOptions") -> "_GridMetrics | None":
         return _GridMetrics(opts.metrics) if opts.metrics is not None else None
-
-
-class _Archiver:
-    """Archives each completed cell into a run store, orchestrator-side.
-
-    Provenance (git SHA, host fingerprint) is resolved once per grid,
-    not once per cell; the sweep id defaults to a content-addressed
-    hash of the whole cell set, so re-running the same grid lands in
-    the same archive slots.
-    """
-
-    def __init__(self, store, cells, sweep_id: str | None) -> None:
-        from ..obs.store import derive_sweep_id, git_info, host_info
-        self.store = store
-        self.sweep_id = sweep_id or derive_sweep_id(cells)
-        self._git = git_info()
-        self._host = host_info()
-
-    @staticmethod
-    def of(opts: "GridOptions", cells) -> "_Archiver | None":
-        return (_Archiver(opts.archive, cells, opts.sweep_id)
-                if opts.archive is not None else None)
-
-    def archive(self, cell: GridCell, result: RunResult) -> str:
-        from .checkpoint import encode_cell
-        from ..obs.store import RunManifest
-        # Like the journal, the archive describes the simulation, not
-        # where its waves came from: a trace-cache path in the config
-        # would change the run id and show up in ``repro diff``.
-        manifest = RunManifest.create(
-            kind="grid-cell", workload=cell.workload,
-            policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
-            oversubscription=cell.oversubscription, config=encode_cell(cell),
-            git=self._git, host=self._host, sweep_id=self.sweep_id)
-        return self.store.archive(manifest, result)
 
 
 class GridExecutionError(RuntimeError):
@@ -351,7 +313,16 @@ def run_grid(cells, max_workers: int | None = None,
     results: list[RunResult | None] = [None] * len(cells)
     pending = list(range(len(cells)))
     journal = None
-    archiver = _Archiver.of(opts, cells)
+    archive = None
+    if opts.archive is not None:
+        from ..obs.store import derive_sweep_id
+        # The sweep id hashes the cell set, so re-running the same grid
+        # lands in the same archive slots.
+        store, sweep_id = opts.archive, derive_sweep_id(cells)
+
+        def archive(cell: GridCell, result: RunResult) -> None:
+            store.archive(store.cell_manifest(cell, sweep_id), result)
+
     if opts.checkpoint:
         from .checkpoint import CheckpointJournal, cell_key
         journal = CheckpointJournal(opts.checkpoint)
@@ -369,8 +340,8 @@ def run_grid(cells, max_workers: int | None = None,
                     results[i] = hit
                     if gm is not None:
                         gm.from_checkpoint.inc()
-                    if archiver is not None:
-                        archiver.archive(cell, hit)
+                    if archive is not None:
+                        archive(cell, hit)
                 else:
                     fresh.append(i)
             pending = fresh
@@ -378,10 +349,10 @@ def run_grid(cells, max_workers: int | None = None,
     try:
         if max_workers is None or max_workers <= 1 or len(pending) <= 1:
             _run_serial(cells, pending, results, opts, journal, streams,
-                        archiver)
+                        archive)
         else:
             _run_parallel(cells, pending, results, opts, journal, streams,
-                          max_workers, archiver)
+                          max_workers, archive)
     finally:
         streams.close()
         if journal is not None:
@@ -481,27 +452,26 @@ class _Streams:
 # ---------------------------------------------------------------------------
 
 def _store(results, journal, streams: _Streams, cell, index: int,
-           result: RunResult, archiver: "_Archiver | None" = None) -> None:
+           result: RunResult, archive=None) -> None:
     """Commit one finished cell: result slot, journal, archive, stream."""
     results[index] = result
     if journal is not None and not (cell.collect_histogram
                                     or cell.collect_trace):
         journal.append(cell, result)
-    if archiver is not None:
-        archiver.archive(cell, result)
+    if archive is not None:
+        archive(cell, result)
     streams.finished(cell)
 
 
-def _backoff(opts: GridOptions, attempt: int) -> None:
+def _backoff(attempt: int) -> None:
     """Sleep before re-attempting a failed cell (bounded exponential)."""
-    if opts.retry_backoff_s <= 0 or attempt <= 0:
+    if RETRY_BACKOFF_S <= 0 or attempt <= 0:
         return
-    time.sleep(min(opts.retry_backoff_s * 2 ** (attempt - 1),
-                   _MAX_BACKOFF_S))
+    time.sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1), _MAX_BACKOFF_S))
 
 
 def _run_serial(cells, pending, results, opts, journal, streams,
-                archiver=None) -> None:
+                archive=None) -> None:
     """In-process execution with per-cell retry and journaling.
 
     A cell's stream is recorded and loaded inside its attempt, so a
@@ -522,11 +492,11 @@ def _run_serial(cells, pending, results, opts, journal, streams,
                     gm.retried.inc()
                 if attempts > opts.retries:
                     raise GridExecutionError(cells[i], attempts) from exc
-                _backoff(opts, attempts)
+                _backoff(attempts)
         if gm is not None:
             gm.cell_ms.observe((time.perf_counter() - start) * 1e3)
             gm.completed.inc()
-        _store(results, journal, streams, cells[i], i, result, archiver)
+        _store(results, journal, streams, cells[i], i, result, archive)
 
 
 def _terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -540,7 +510,7 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_parallel(cells, pending, results, opts, journal, streams,
-                  max_workers: int, archiver=None) -> None:
+                  max_workers: int, archive=None) -> None:
     """Pool execution with lost-cell re-submission and hang detection.
 
     Each ``while`` iteration is one pool incarnation: submit everything
@@ -567,7 +537,7 @@ def _run_parallel(cells, pending, results, opts, journal, streams,
             # jails) may offer neither.  The grid is still correct
             # serially.
             return _run_serial(cells, remaining, results, opts, journal,
-                               streams, archiver)
+                               streams, archive)
 
         completed_here = 0
         pool_broke = False
@@ -607,7 +577,7 @@ def _run_parallel(cells, pending, results, opts, journal, streams,
                             (time.perf_counter() - submitted_at[i]) * 1e3)
                         gm.completed.inc()
                     _store(results, journal, streams, cells[i], i, result,
-                           archiver)
+                           archive)
                     completed_here += 1
         pool.shutdown(wait=not stalled, cancel_futures=True)
 
@@ -640,11 +610,11 @@ def _run_parallel(cells, pending, results, opts, journal, streams,
                 # incarnations and finish the grid in-process.
                 remaining = [i for i in remaining if results[i] is None]
                 return _run_serial(cells, remaining, results, opts, journal,
-                                   streams, archiver)
+                                   streams, archive)
             worst = max(worst, pool_rebuilds)
         for i, exc in failed:
             if not isinstance(exc, BrokenProcessPool):
                 worst = max(worst, attempts[i])
         remaining = [i for i in remaining if results[i] is None]
         if remaining and worst:
-            _backoff(opts, worst)
+            _backoff(worst)

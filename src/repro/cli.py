@@ -178,35 +178,25 @@ def _make_obs(args):
         raise SystemExit(f"repro: {exc}")
 
 
-def _begin_archive(args, cfg, workload_name: str, obs, scale: str,
-                   oversub: float, scenario: dict | None = None):
+def _begin_archive(args, obs, manifest):
     """Open a run-archive slot and stream the event log into it.
 
     Returns the open :class:`~repro.obs.store.RunWriter` (or ``None``
-    when ``--archive`` is off).  The manifest -- and with it the
-    content-addressed run id -- is derived *before* the simulation
-    runs, so the archived event log can be written in place rather
-    than copied afterwards.  ``scenario`` (a fully resolved scenario
-    mapping, flags merged in) is embedded in the manifest config and
-    named in ``manifest.scenario`` for config-driven runs, so ``repro
-    diff`` can explain two runs by their scenario deltas.
+    when ``--archive`` is off).  ``manifest`` builds the run's manifest
+    from the :class:`~repro.obs.store.RunStore`; the manifest -- and
+    with it the content-addressed run id -- is derived *before* the
+    simulation runs, so the archived event log can be written in place
+    rather than copied afterwards.  A config-driven run embeds its fully
+    resolved scenario (flags merged in) in the manifest config and
+    names it in ``manifest.scenario``, so ``repro diff`` can explain two
+    runs by their scenario deltas.
     """
     if not getattr(args, "archive", False):
         return None
-    from .analysis.checkpoint import encode_config
     from .obs import JsonlSink
-    from .obs.store import RunManifest, RunStore, git_info
+    from .obs.store import RunStore
     store = RunStore(getattr(args, "runs", None))
-    config = encode_config(cfg)
-    if scenario is not None:
-        config = {"sim": config, "scenario": scenario}
-    manifest = RunManifest.create(
-        kind="run", workload=workload_name,
-        policy=cfg.policy.policy.value,
-        scale=scale, seed=cfg.seed, oversubscription=oversub,
-        config=config, git=git_info(),
-        scenario=scenario.get("name") if scenario is not None else None)
-    writer = store.open_run(manifest)
+    writer = store.open_run(manifest(store))
     obs.bus.attach(JsonlSink(writer.events_path))
     return writer
 
@@ -293,6 +283,31 @@ def _run_scenario_batch(args, scenarios, command: str, jobs: int = 1,
     return 0
 
 
+#: Flags of ``run`` and ``serve`` that only a single simulation reads,
+#: as ``(argparse dest, flag)``: the scenario batch route runs whole
+#: scenarios and reads none of them.
+_SINGLE_RUN_FLAGS = (
+    ("events", "--events"), ("flush_events", "--flush-events"),
+    ("metrics", "--metrics"), ("prom", "--prom"),
+    ("profile", "--profile"), ("timeline", "--timeline"),
+    ("histogram", "--histogram"),
+    ("debug_invariants", "--debug-invariants"),
+    ("json", "--json"), ("slo_config", "--slo-config"))
+
+
+def _reject_single_run_flags(args, command: str, what: str) -> None:
+    """Exit naming the first single-run flag given: ``what`` (a kind of
+    scenario) runs through the scenario batch route, which would drop
+    it."""
+    for dest, flag in _SINGLE_RUN_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value is not False:
+            raise SystemExit(
+                f"repro {command}: {flag} applies to a single run; {what} "
+                "runs through the scenario batch route, which does not "
+                "read it")
+
+
 def _sim_config(args, variant: dict):
     """The config ``variant`` compiles to, under the CLI-only overlays
     (``--histogram``, ``--debug-invariants``): they instrument or audit
@@ -307,8 +322,9 @@ def _simulate(args, cfg, wl, oversub: float, scale: str,
               scenario: dict | None = None) -> int:
     """Run one simulation under the observability flags and report it."""
     obs = _make_obs(args)
-    archive = _begin_archive(args, cfg, wl.name, obs, scale, oversub,
-                             scenario=scenario)
+    archive = _begin_archive(args, obs, lambda store: store.run_manifest(
+        cfg, wl.name, scale, oversub, scenario=scenario,
+        name=scenario.get("name") if scenario is not None else None))
     result = Simulator(cfg).run(wl, oversubscription=oversub, obs=obs)
     _print_summary(result)
     _finish_obs(obs, args)
@@ -327,10 +343,12 @@ def cmd_run(args) -> int:
         raise SystemExit("repro run: a workload name or --config "
                          "scenario.yaml is required")
     scenario = _scenario(args, "run")
-    if scenario.get("mode", "run") != "run":
+    mode = scenario.get("mode", "run")
+    if mode != "run":
         # Sweeps, serve and multigpu scenarios still run (batch path,
         # compact output); the detailed single-run report below only
         # makes sense for one simulation.
+        _reject_single_run_flags(args, "run", f"a {mode!r} scenario")
         return _run_scenario_batch(args, [scenario], "run")
     with _exit_on_error("run"):
         cell = build_cell(scenario)
@@ -508,29 +526,6 @@ def cmd_trace(args) -> int:
     return _simulate(args, cfg, wl, cell.oversubscription, "-")
 
 
-def _begin_serve_archive(args, serve_cfg, sim_cfg, obs,
-                         scenario: dict | None = None):
-    """Open a ``kind="serve"`` archive slot (or ``None``)."""
-    if not getattr(args, "archive", False):
-        return None
-    from .analysis.checkpoint import encode_config
-    from .obs import JsonlSink
-    from .obs.store import RunManifest, RunStore, git_info
-    store = RunStore(getattr(args, "runs", None))
-    config = {"serve": serve_cfg.as_dict(), "sim": encode_config(sim_cfg)}
-    if scenario is not None:
-        config["scenario"] = scenario
-    manifest = RunManifest.create(
-        kind="serve", workload="+".join(serve_cfg.workload_mix),
-        policy=sim_cfg.policy.policy.value, scale=serve_cfg.scale,
-        seed=serve_cfg.seed, oversubscription=None,
-        config=config, git=git_info(),
-        scenario=scenario.get("name") if scenario is not None else None)
-    writer = store.open_run(manifest)
-    obs.bus.attach(JsonlSink(writer.events_path))
-    return writer
-
-
 def _print_serve_summary(result) -> None:
     fmt_us = lambda v: "-" if v is None else f"{v / 1e3:.2f}"  # noqa: E731
     rows = [
@@ -559,9 +554,6 @@ def _print_serve_summary(result) -> None:
         ["alerts fired", result.alerts_fired],
         ["scheduler", result.scheduler],
     ]
-    if result.batches:
-        rows.append(["batches", result.batches])
-        rows.append(["batch occupancy", f"{result.batch_occupancy:.2f}"])
     print(format_table(["metric", "value"], rows,
                        title=f"== serve: {result.arrivals} tenants @ "
                              f"{result.config.capacity_mb}MB =="))
@@ -637,6 +629,7 @@ def cmd_serve(args) -> int:
     variants = expand(scenario)
     if len(variants) > 1:
         # A swept serve scenario: batch path with one row per variant.
+        _reject_single_run_flags(args, "serve", "a swept serve scenario")
         return _run_scenario_batch(args, [scenario], "serve")
     variant = variants[0].data
     with _exit_on_error("serve"):
@@ -649,9 +642,9 @@ def cmd_serve(args) -> int:
     if flag_slo is not None:
         slo = flag_slo
     obs = _make_obs(args)
-    archive = _begin_serve_archive(
-        args, serve_cfg, sim_cfg, obs,
-        scenario=scenario if args.config else None)
+    archive = _begin_archive(args, obs, lambda store: store.serve_manifest(
+        serve_cfg, sim_cfg, scenario=scenario if args.config else None,
+        name=scenario.get("name") if args.config else None))
     with _exit_on_error("serve"):
         result = ServeSession(serve_cfg, sim_config=sim_cfg, obs=obs,
                               scenario=scenario.get("name"),

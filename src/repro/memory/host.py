@@ -25,23 +25,10 @@ class HostMemory:
         #: to the host copy (so further remote accesses need no fault).
         self.remote_mapped = np.zeros(total_blocks, dtype=bool)
 
-    @property
-    def total_blocks(self) -> int:
-        """Number of basic blocks tracked."""
-        return self.remote_mapped.size
-
-    def migrate_to_device(self, blocks: np.ndarray) -> None:
-        """Tear down remote mappings when blocks migrate to the device.
-
-        The host copy is invalidated and the device gets a local mapping
-        instead.
-        """
-        self.remote_mapped[blocks] = False
-
     def map_remote(self, blocks: np.ndarray) -> None:
         """Establish device->host zero-copy mappings for host-backed blocks.
 
         Callers pass blocks that are not device-resident; the driver's
-        ``check_consistency`` and ``--debug-invariants`` audit verify it.
+        ``check_consistency`` audit (``--debug-invariants``) verifies it.
         """
         self.remote_mapped[blocks] = True

@@ -58,7 +58,7 @@ class MultiGpuResult:
     makespan_cycles: float
     #: Per-device busy cycles (sum of that device's kernel times).
     per_gpu_cycles: list[float]
-    #: Per-device event totals.
+    #: Per-device event totals (each driver's ``stats.totals``).
     per_gpu_events: list[WaveOutcome]
     #: Per-device timing breakdowns.
     per_gpu_timing: list[WaveTiming] = field(repr=False, default=None)
@@ -138,7 +138,6 @@ class MultiGpuSimulator:
                                                  config.gpu))
                    for _ in range(self.num_gpus)]
         busy = [0.0] * self.num_gpus
-        events = [WaveOutcome() for _ in range(self.num_gpus)]
         breakdowns = [WaveTiming() for _ in range(self.num_gpus)]
         makespan = 0.0
 
@@ -160,7 +159,6 @@ class MultiGpuSimulator:
                         compute = wave.compute_cycles * share
                     t = timings[g].wave_cycles(out, compute)
                     kernel_busy[g] += t.total
-                    events[g].merge(out)
                     breakdowns[g].merge(t)
             for g in range(self.num_gpus):
                 busy[g] += kernel_busy[g]
@@ -171,7 +169,7 @@ class MultiGpuSimulator:
             num_gpus=self.num_gpus,
             makespan_cycles=makespan,
             per_gpu_cycles=busy,
-            per_gpu_events=events,
+            per_gpu_events=[d.stats.totals for d in drivers],
             per_gpu_timing=breakdowns,
             footprint_bytes=vas.footprint_bytes,
             capacity_per_gpu_bytes=usable,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .inspect import LogSummary, summarize
+from .inspect import LogSummary, _table, summarize
 from .metrics import Histogram
 
 #: Result-summary metrics compared by ``repro diff``:
@@ -270,18 +270,6 @@ def _fmt_pct(delta: MetricDelta) -> str:
     if not delta.significant:
         return "~0%"
     return f"{delta.pct:+.1%}"
-
-
-def _table(headers, rows) -> str:
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(headers)]
-
-    def fmt(row):
-        return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-
-    return "\n".join([fmt(headers), fmt(["-" * w for w in widths])]
-                     + [fmt(r) for r in cells])
 
 
 def _describe(manifest) -> str:

@@ -244,9 +244,9 @@ class TenantSched(Event):
     path, whose event stream stays byte-identical to the pre-scheduler
     serving layer).  ``weight`` is the tenant's configured fair share
     and ``deficit`` the fractional wave credit carried at completion
-    (DRR invariant: always in ``[0, 1)``); ``batched_waves`` counts the
-    tenant's waves that ran inside driver dispatches of two or more
-    waves rather than alone.
+    (DRR invariant: always in ``[0, 1)``).  Logs written before the
+    field was retired also carry ``batched_waves``, which decoding
+    ignores.
     """
 
     kind = "tenant_sched"
@@ -256,7 +256,6 @@ class TenantSched(Event):
     weight: float
     deficit: float
     waves: int
-    batched_waves: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -155,11 +155,10 @@ class TenantSummary:
     #: Alert ``firing`` transitions scoped to this tenant.
     alerts: int = 0
     #: Fair-scheduler accounting from TenantSched (non-default
-    #: schedulers / wave batching only; ``sched_seen`` gates display).
+    #: schedulers only; ``sched_seen`` gates display).
     sched_seen: bool = False
     weight: float = 1.0
     deficit: float = 0.0
-    batched_waves: int = 0
 
     @property
     def state(self) -> str:
@@ -316,7 +315,6 @@ def summarize(path_or_events) -> LogSummary:
             row.sched_seen = True
             row.weight = ev.weight
             row.deficit = ev.deficit
-            row.batched_waves = ev.batched_waves
         elif type(ev) is TelemetryWindow:
             row = s.tenant(ev.tenant)
             row.windows += 1
@@ -348,7 +346,8 @@ def summarize(path_or_events) -> LogSummary:
 
 
 def _table(headers: list[str], rows: list[list]) -> str:
-    """Minimal aligned table (kept local to avoid importing analysis)."""
+    """Minimal aligned table (kept local to avoid importing analysis;
+    ``repro diff`` renders with it too)."""
     cells = [[str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
@@ -430,14 +429,10 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
                  if summary.tenants[tid].sched_seen]
         if sched:
             lines.append("")
-            lines.append("-- fair scheduler: weights, carried deficit, "
-                         "fused-batch share")
+            lines.append("-- fair scheduler: weights and carried deficit")
             lines.append(_table(
-                ["tenant", "weight", "deficit", "waves", "batched",
-                 "batched %"],
-                [[t.tenant, f"{t.weight:g}", f"{t.deficit:.3f}", t.waves,
-                  t.batched_waves,
-                  f"{t.batched_waves / t.waves:.0%}" if t.waves else "-"]
+                ["tenant", "weight", "deficit", "waves"],
+                [[t.tenant, f"{t.weight:g}", f"{t.deficit:.3f}", t.waves]
                  for t in sched]))
         if summary.alert_counts or summary.service_attainment \
                 or summary.service_slo_violations:

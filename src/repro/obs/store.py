@@ -22,7 +22,9 @@ Layout of one archived run::
 
 Grid sweeps archive each cell as a ``grid-cell`` run sharing a
 ``sweep_id`` (itself content-addressed from the cell set), so a whole
-figure's grid is one queryable family.
+figure's grid is one queryable family.  :class:`RunStore` builds the
+manifest of every run kind (``run``, ``grid-cell``, ``serve``,
+``multigpu``), reading git and host provenance once per store.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import subprocess
 import time
 from dataclasses import dataclass
 
-from ..analysis.checkpoint import decode_result, encode_result
+from ..analysis.checkpoint import (decode_result, encode_cell,
+                                   encode_config, encode_result)
 from ..sim.results import RunResult
 
 #: Archive root when neither the CLI ``--runs`` flag nor the
@@ -234,14 +237,85 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 class RunStore:
-    """The archive of runs under one root directory."""
+    """The archive of runs under one root directory.
+
+    It also builds each run kind's manifest.  ``scenario`` is the
+    resolved scenario mapping a config-driven run embeds in its
+    manifest config, and ``name`` the scenario name its manifest
+    carries; ``sweep_id`` groups the runs of one archived grid.
+    """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = os.fspath(root or os.environ.get("REPRO_RUNS_DIR")
                               or DEFAULT_ROOT)
+        self._provenance: tuple[dict | None, dict] | None = None
 
     def run_dir(self, run_id: str) -> str:
         return os.path.join(self.root, run_id)
+
+    # -- manifests ---------------------------------------------------------
+
+    def _manifest(self, kind: str, workload: str, policy: str, scale: str,
+                  seed: int, oversubscription: float | None, config: dict,
+                  sweep_id: str | None, name: str | None) -> RunManifest:
+        if self._provenance is None:
+            self._provenance = (git_info(), host_info())
+        git, host = self._provenance
+        return RunManifest.create(
+            kind=kind, workload=workload, policy=policy, scale=scale,
+            seed=seed, oversubscription=oversubscription, config=config,
+            git=git, host=host, sweep_id=sweep_id, scenario=name)
+
+    def run_manifest(self, cfg, workload: str, scale: str,
+                     oversubscription: float, scenario: dict | None = None,
+                     name: str | None = None) -> RunManifest:
+        """A ``repro run`` or ``trace replay`` of ``cfg``."""
+        config = encode_config(cfg)
+        if scenario is not None:
+            config = {"sim": config, "scenario": scenario}
+        return self._manifest("run", workload, cfg.policy.policy.value,
+                              scale, cfg.seed, oversubscription, config,
+                              None, name)
+
+    def cell_manifest(self, cell, sweep_id: str | None,
+                      scenario: dict | None = None,
+                      name: str | None = None) -> RunManifest:
+        """One grid cell.  Like the checkpoint journal, the manifest
+        describes the simulation, not where its waves came from: a
+        trace-cache path would change the run id and show up in
+        ``repro diff``."""
+        config = encode_cell(cell)
+        if scenario is not None:
+            config = {"cell": config, "scenario": scenario}
+        return self._manifest("grid-cell", cell.workload, cell.policy.value,
+                              cell.scale, cell.seed, cell.oversubscription,
+                              config, sweep_id, name)
+
+    def serve_manifest(self, serve_cfg, sim_cfg,
+                       scenario: dict | None = None,
+                       name: str | None = None,
+                       sweep_id: str | None = None) -> RunManifest:
+        """A ``repro serve`` session."""
+        config = {"serve": serve_cfg.as_dict(), "sim": encode_config(sim_cfg)}
+        if scenario is not None:
+            config["scenario"] = scenario
+        return self._manifest("serve", "+".join(serve_cfg.workload_mix),
+                              sim_cfg.policy.policy.value, serve_cfg.scale,
+                              serve_cfg.seed, None, config, sweep_id, name)
+
+    def multigpu_manifest(self, spec, scenario: dict, name: str,
+                          sweep_id: str | None = None) -> RunManifest:
+        """A multigpu scenario variant (``spec`` from
+        :func:`repro.scenario.build_multigpu_spec`)."""
+        config = {"sim": encode_config(spec.config),
+                  "multigpu": {"gpus": spec.gpus,
+                               "partition": spec.partition,
+                               "throttle": spec.throttle},
+                  "scenario": scenario}
+        return self._manifest("multigpu", spec.workload,
+                              spec.config.policy.policy.value, spec.scale,
+                              spec.config.seed, spec.oversubscription,
+                              config, sweep_id, name)
 
     # -- writing -----------------------------------------------------------
 

@@ -21,8 +21,9 @@ resolved scenario (post-inheritance, post-expansion) under
 ``config["scenario"]`` and carries ``manifest.scenario = <name>``, so
 ``repro diff`` explains any two archived variants by their scenario
 key deltas and ``repro runs`` shows where a run came from.  The
-runner archives scenario cells itself (the grid runner's own archiver
-is bypassed) precisely so the manifests carry that provenance.
+runner archives scenario cells itself, with the run store's manifest
+builders (the grid runner's own per-cell archiving is bypassed),
+precisely so the manifests carry that provenance.
 """
 
 from __future__ import annotations
@@ -93,72 +94,6 @@ class ScenarioOutcome:
              "imbalance", "thrash", "run id"], rows, title=title)
 
 
-class _ScenarioArchiver:
-    """Archives scenario variants with resolved-config manifests."""
-
-    def __init__(self, store, sweep_id: str | None = None) -> None:
-        from ..obs.store import git_info, host_info
-        self.store = store
-        self.sweep_id = sweep_id
-        self._git = git_info()
-        self._host = host_info()
-
-    def archive_cell(self, name: str, variant: Variant, cell: GridCell,
-                     result) -> str:
-        from ..analysis.checkpoint import encode_cell
-        from ..obs.store import RunManifest
-        # Encoded like the grid archiver's cells: no trace path in the
-        # identity.
-        manifest = RunManifest.create(
-            kind="grid-cell", workload=cell.workload,
-            policy=cell.policy.value, scale=cell.scale, seed=cell.seed,
-            oversubscription=cell.oversubscription,
-            config={"cell": encode_cell(cell), "scenario": variant.data},
-            git=self._git, host=self._host, sweep_id=self.sweep_id,
-            scenario=name)
-        return self.store.archive(manifest, result)
-
-    def archive_serve(self, name: str, variant: Variant, serve_cfg,
-                      sim_cfg, result) -> str:
-        from ..analysis.checkpoint import encode_config
-        from ..obs.store import RunManifest
-        manifest = RunManifest.create(
-            kind="serve", workload="+".join(serve_cfg.workload_mix),
-            policy=sim_cfg.policy.policy.value, scale=serve_cfg.scale,
-            seed=serve_cfg.seed, oversubscription=None,
-            config={"serve": serve_cfg.as_dict(),
-                    "sim": encode_config(sim_cfg),
-                    "scenario": variant.data},
-            git=self._git, host=self._host, sweep_id=self.sweep_id,
-            scenario=name)
-        writer = self.store.open_run(manifest)
-        return writer.commit_dict(result.as_dict())
-
-    def archive_multigpu(self, name: str, variant: Variant, spec,
-                         result) -> str:
-        import dataclasses as _dc
-        from ..analysis.checkpoint import encode_config
-        from ..obs.store import RunManifest
-        manifest = RunManifest.create(
-            kind="multigpu", workload=spec.workload,
-            policy=spec.config.policy.policy.value, scale=spec.scale,
-            seed=spec.config.seed, oversubscription=spec.oversubscription,
-            config={"sim": encode_config(spec.config),
-                    "multigpu": {"gpus": spec.gpus,
-                                 "partition": spec.partition,
-                                 "throttle": spec.throttle},
-                    "scenario": variant.data},
-            git=self._git, host=self._host, sweep_id=self.sweep_id,
-            scenario=name)
-        writer = self.store.open_run(manifest)
-        payload = _dc.asdict(result)
-        payload["per_gpu_events"] = [_dc.asdict(e)
-                                     for e in result.per_gpu_events]
-        payload["per_gpu_timing"] = [_dc.asdict(t)
-                                     for t in result.per_gpu_timing]
-        return writer.commit_dict(payload)
-
-
 def run_scenarios(scenarios: list[dict], jobs: int = 1,
                   options: GridOptions | None = None,
                   store=None) -> list[ScenarioOutcome]:
@@ -168,7 +103,7 @@ def run_scenarios(scenarios: list[dict], jobs: int = 1,
     trace cache); its ``archive`` store -- or the explicit ``store``
     argument -- turns on scenario-aware archiving for every mode, with
     the resolved config embedded in each manifest.  The grid runner's
-    own per-cell archiver is bypassed so cells are not archived twice.
+    own per-cell archiving is bypassed so cells are not archived twice.
     """
     opts = options or GridOptions()
     if store is None and opts.archive is not None:
@@ -189,41 +124,40 @@ def run_scenarios(scenarios: list[dict], jobs: int = 1,
             else:
                 serial_work.append((outcome, variant))
 
-    archiver = None
-    if store is not None:
+    sweep_id = None
+    if store is not None and grid_work:
         from ..obs.store import derive_sweep_id
-        cells = [cell for _, _, cell in grid_work]
-        sweep_id = derive_sweep_id(cells) if cells else None
-        archiver = _ScenarioArchiver(store, sweep_id)
+        sweep_id = derive_sweep_id([cell for _, _, cell in grid_work])
 
     if grid_work:
         import dataclasses as _dc
         # Scenario manifests replace the grid runner's plain per-cell
         # archiving (which knows nothing about resolved configs).
-        grid_opts = _dc.replace(opts, archive=None, sweep_id=None)
+        grid_opts = _dc.replace(opts, archive=None)
         results = run_grid([cell for _, _, cell in grid_work],
                            max_workers=jobs, options=grid_opts)
         for (outcome, variant, cell), result in zip(grid_work, results):
             run_id = None
-            if archiver is not None:
-                run_id = archiver.archive_cell(outcome.name, variant, cell,
-                                               result)
+            if store is not None:
+                run_id = store.archive(
+                    store.cell_manifest(cell, sweep_id, scenario=variant.data,
+                                        name=outcome.name), result)
             outcome.variants.append(VariantOutcome(
                 label=variant.label, data=variant.data, result=result,
                 run_id=run_id))
 
     for outcome, variant in serial_work:
         if outcome.mode == "serve":
-            _run_serve(outcome, variant, archiver)
+            _run_serve(outcome, variant, store, sweep_id)
         elif outcome.mode == "multigpu":
-            _run_multigpu(outcome, variant, archiver)
+            _run_multigpu(outcome, variant, store, sweep_id)
         else:  # pragma: no cover - validate() rejects unknown modes
             raise ScenarioError(f"unknown mode {outcome.mode!r}")
     return outcomes
 
 
-def _run_serve(outcome: ScenarioOutcome, variant: Variant,
-               archiver) -> None:
+def _run_serve(outcome: ScenarioOutcome, variant: Variant, store,
+               sweep_id: str | None) -> None:
     from ..serve import ServeSession
     serve_cfg = build_serve_config(variant.data)
     sim_cfg = build_sim_config(variant.data)
@@ -231,16 +165,19 @@ def _run_serve(outcome: ScenarioOutcome, variant: Variant,
                           scenario=outcome.name,
                           slo=build_slo_config(variant.data)).run()
     run_id = None
-    if archiver is not None:
-        run_id = archiver.archive_serve(outcome.name, variant, serve_cfg,
-                                        sim_cfg, result)
+    if store is not None:
+        manifest = store.serve_manifest(serve_cfg, sim_cfg,
+                                        scenario=variant.data,
+                                        name=outcome.name, sweep_id=sweep_id)
+        run_id = store.open_run(manifest).commit_dict(result.as_dict())
     outcome.variants.append(VariantOutcome(
         label=variant.label, data=variant.data, result=result,
         run_id=run_id))
 
 
-def _run_multigpu(outcome: ScenarioOutcome, variant: Variant,
-                  archiver) -> None:
+def _run_multigpu(outcome: ScenarioOutcome, variant: Variant, store,
+                  sweep_id: str | None) -> None:
+    import dataclasses as _dc
     from ..multigpu import MultiGpuSimulator
     from ..workloads import make_workload
     spec = build_multigpu_spec(variant.data)
@@ -250,9 +187,15 @@ def _run_multigpu(outcome: ScenarioOutcome, variant: Variant,
     result = sim.run(make_workload(spec.workload, spec.scale),
                      oversubscription=spec.oversubscription)
     run_id = None
-    if archiver is not None:
-        run_id = archiver.archive_multigpu(outcome.name, variant, spec,
-                                           result)
+    if store is not None:
+        manifest = store.multigpu_manifest(spec, variant.data, outcome.name,
+                                           sweep_id=sweep_id)
+        payload = _dc.asdict(result)
+        payload["per_gpu_events"] = [_dc.asdict(e)
+                                     for e in result.per_gpu_events]
+        payload["per_gpu_timing"] = [_dc.asdict(t)
+                                     for t in result.per_gpu_timing]
+        run_id = store.open_run(manifest).commit_dict(payload)
     outcome.variants.append(VariantOutcome(
         label=variant.label, data=variant.data, result=result,
         run_id=run_id))

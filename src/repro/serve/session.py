@@ -122,9 +122,6 @@ class TenantRecord:
     #: Fractional DRR wave credit carried at end of run (always in
     #: ``[0, 1)``; 0.0 under round robin).
     deficit: float = 0.0
-    #: Waves that shared their scheduler slot with another tenant's
-    #: wave (dispatches of two or more waves).
-    batched_waves: int = 0
 
     def as_dict(self) -> dict:
         """Flat JSON-safe encoding."""
@@ -169,10 +166,6 @@ class ServeResult:
     alerts_fired: int = 0
     #: Active wave scheduler (``serve.scheduler``).
     scheduler: str = "round_robin"
-    #: Scheduler slots that held two or more waves (0 under round
-    #: robin, whose groups hold one tenant) and their mean wave count.
-    batches: int = 0
-    batch_occupancy: float = 0.0
 
     def as_dict(self) -> dict:
         """Flat JSON-safe encoding (archived / printed by the CLI)."""
@@ -189,7 +182,7 @@ class _Tenant:
     __slots__ = ("id", "workload_name", "arrival_us", "blocks",
                  "footprint_mb", "chunk_ids", "workload", "stream",
                  "admitted_us", "queued_us", "shed_reason", "complete_us",
-                 "waves", "batched_waves", "accesses", "latency",
+                 "waves", "accesses", "latency",
                  "throttle_left", "throttled_rounds", "throttle_events",
                  "freed_blocks", "writeback_blocks")
 
@@ -212,7 +205,6 @@ class _Tenant:
         self.shed_reason = ""
         self.complete_us: float | None = None
         self.waves = 0
-        self.batched_waves = 0
         self.accesses = 0
         self.latency = Histogram()
         self.throttle_left = 0
@@ -336,8 +328,6 @@ class ServeSession:
             cfg.shed_watermark, cfg.queue_depth)
         self._live: list[_Tenant] = []
         self._scheduler = make_scheduler(cfg)
-        self._batches = 0
-        self._batched_waves = 0
         self._latency = Histogram()
         self._completed = 0
         self._throttle_events = 0
@@ -486,21 +476,15 @@ class ServeSession:
     def _dispatch(self, batch, now: float) -> float:
         """Run one gathered slot through the driver's batch entry point.
 
-        Only slots of two or more waves count as batches, so the batch
-        statistics report how many waves shared a slot.
+        A profiled session's ``uvm.batch`` span records the tenants of
+        each dispatch, so the timeline shows which waves shared a slot.
         """
         if not batch:
             return now
         outcomes = self._driver.process_wave_batch(
             [(w.pages, w.is_write, w.counts) for _, w in batch],
             tenants=[t.id for t, _ in batch])
-        shared = len(batch) > 1
-        if shared:
-            self._batches += 1
-            self._batched_waves += len(batch)
         for (tenant, wave), outcome in zip(batch, outcomes):
-            if shared:
-                tenant.batched_waves += 1
             now = self._observe_wave(tenant, outcome,
                                      wave.compute_cycles, now)
         return now
@@ -581,8 +565,7 @@ class ServeSession:
                 tenant=tenant.id, at_us=now,
                 weight=self._scheduler.weight_of(tenant.id),
                 deficit=self._scheduler.deficit_of(tenant.id),
-                waves=tenant.waves,
-                batched_waves=tenant.batched_waves))
+                waves=tenant.waves))
         # Freed footprint drains the queue FIFO.
         while self._admit_from_queue(now):
             pass
@@ -617,8 +600,7 @@ class ServeSession:
                 freed_blocks=t.freed_blocks,
                 writeback_blocks=t.writeback_blocks,
                 weight=scheduler.weight_of(t.id),
-                deficit=scheduler.deficit_of(t.id),
-                batched_waves=t.batched_waves))
+                deficit=scheduler.deficit_of(t.id)))
         total_waves = sum(t.waves for t in self._tenants)
         total_accesses = sum(t.accesses for t in self._tenants)
         shed_rate = controller.sheds / len(self._tenants)
@@ -652,10 +634,7 @@ class ServeSession:
             slo_violations=(telemetry.slo.total_violations()
                             if telemetry.slo is not None else 0),
             alerts_fired=telemetry.alerts_fired(),
-            scheduler=scheduler.name,
-            batches=self._batches,
-            batch_occupancy=(self._batched_waves / self._batches
-                             if self._batches else 0.0))
+            scheduler=scheduler.name)
         obs = self.obs
         if obs is not None and obs.metrics is not None:
             m = obs.metrics
@@ -669,8 +648,4 @@ class ServeSession:
             m.counter("serve.sheds").inc(controller.sheds)
             m.counter("serve.throttle_events").inc(self._throttle_events)
             m.counter("serve.waves").inc(total_waves)
-            if self._batches:
-                m.counter("serve.batches").inc(self._batches)
-                m.gauge("serve.batch_occupancy").set(
-                    self._batched_waves / self._batches)
         return result

@@ -70,11 +70,6 @@ class AccessCounterFile:
         self.has_roundtrips = False
 
     @property
-    def total_blocks(self) -> int:
-        """Number of basic blocks tracked."""
-        return self._counts.size
-
-    @property
     def counts(self) -> np.ndarray:
         """Read-only view of the access-count field."""
         return self._counts_view
@@ -146,16 +141,8 @@ class AccessCounterFile:
                     wave=self.bus.wave, field="roundtrips",
                     halvings=self.roundtrip_halvings))
 
-    def add_remote_accesses(self, blocks: np.ndarray,
-                            amounts: np.ndarray) -> None:
-        """Accumulate the Volta-style remote-access counters."""
-        kernels.scatter_add(self.volta_counts, blocks, amounts)
-
     def add_remote_accesses_unique(self, blocks: np.ndarray,
                                    amounts: np.ndarray) -> None:
-        """:meth:`add_remote_accesses` for *distinct* blocks."""
+        """Accumulate the Volta-style remote-access counters of
+        *distinct* blocks (the driver resets them on migration)."""
         kernels.scatter_add_unique(self.volta_counts, blocks, amounts)
-
-    def reset_volta(self, blocks: np.ndarray) -> None:
-        """Reset hardware counters when blocks migrate to the device."""
-        kernels.fill_zero(self.volta_counts, blocks)

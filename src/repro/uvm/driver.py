@@ -281,7 +281,12 @@ class UvmDriver:
         return self._process_blocks(blocks, is_write, counts)
 
     def _prepare_wave(self, pages, is_write, counts):
-        """Validate/convert one wave's arrays; returns block-space form."""
+        """Validate/convert one wave's arrays; returns block-space form.
+
+        Like :class:`~repro.workloads.base.Wave`, rejects an access
+        count below 1, so every far block of a wave has at least one
+        access.
+        """
         pages = np.asarray(pages, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
         if pages.shape != is_write.shape:
@@ -292,6 +297,8 @@ class UvmDriver:
             counts = np.asarray(counts, dtype=np.int64)
             if counts.shape != pages.shape:
                 raise ValueError("counts must match pages in shape")
+            if counts.size and counts.min() < 1:
+                raise ValueError("counts must be >= 1")
         return pages >> layout.BLOCK_SHIFT, is_write, counts
 
     def _process_blocks(self, blocks: np.ndarray, is_write: np.ndarray,
@@ -355,7 +362,7 @@ class UvmDriver:
         self.stats.waves += 1
         self.stats.totals.merge(out)
         if self.debug_invariants:
-            self._check_wave_accounting()
+            self.check_consistency()
         return out
 
     def _resident_wave(self, out: WaveOutcome, blocks: np.ndarray,
@@ -456,12 +463,11 @@ class UvmDriver:
 
         A first-touch wave (every threshold 1 and baseline 0, no hint,
         no fault injector) migrates every block with no remote access,
-        so it goes straight to the drain.  A zero access count (no
-        workload or trace makes one) would not migrate, so it takes the
-        full path.
+        so it goes straight to the drain: every block has at least one
+        access (wave preparation and the trace loader reject counts
+        below 1).
         """
-        if (self._plain_far_path and self.policy.first_touch(self)
-                and k.min() > 0):
+        if self._plain_far_path and self.policy.first_touch(self):
             bus = self._bus
             if bus is not None and bus.enabled:
                 wave = bus.wave
@@ -960,53 +966,69 @@ class UvmDriver:
             return 0.0
         return self.stats.fast_path_waves / self.stats.waves
 
-    def _check_wave_accounting(self) -> None:
-        """Residency/capacity invariants, run after every wave.
+    def check_consistency(self) -> None:
+        """Verify every cross-structure invariant; raise AssertionError.
 
         The residency map, the device ledger and the chunk occupancies
-        agree, the device is not over capacity, no block is both
-        device-resident and remote-mapped, every chunk's tree mask holds
-        exactly its resident blocks (the migration drain reads residency
-        off it), and no block outside device memory is dirty (installs
-        leave the dirty bit as they find it).  Enabled by
-        ``SimulationConfig.debug_invariants`` (or the CLI's
-        ``--debug-invariants``), together with :meth:`_check_victim_key`;
-        it pinpoints the first wave at which accounting drifted.
+        agree, in total and per chunk; the device is not over capacity;
+        no block is both device-resident and remote-mapped; every
+        chunk's tree mask lies inside its chunk and holds exactly its
+        resident blocks (the migration drain reads residency off it);
+        and no block outside device memory is dirty (installs leave the
+        dirty bit as they find it).  Each failure names the structure
+        and the wave count.  ``SimulationConfig.debug_invariants`` (the
+        CLI's ``--debug-invariants``) runs it after every wave, together
+        with :meth:`_check_victim_key`, to pinpoint the first wave at
+        which accounting drifted; the tests call it directly.  It raises
+        explicitly, so it checks under ``python -O`` too.
         """
+        wave = self.stats.waves
         used = self.device.used_blocks
+        capacity = self.device.capacity_blocks
+        if used > capacity:
+            raise AssertionError(
+                f"wave {wave}: the device ledger charges {used} blocks, "
+                f"over the device capacity of {capacity} blocks")
+        on_device = self.residency.resident
         resident = self.residency.resident_count
         if resident != used:
             raise AssertionError(
-                f"wave {self.stats.waves}: residency map holds {resident} "
-                f"resident blocks but the device ledger charges {used}")
-        if used > self.device.capacity_blocks:
+                f"wave {wave}: residency map holds {resident} resident "
+                f"blocks but the device ledger charges {used}")
+        occupancy = self.directory.occupancy
+        total = int(occupancy.sum())
+        if total != used:
             raise AssertionError(
-                f"wave {self.stats.waves}: {used} resident blocks exceed "
-                f"device capacity of {self.device.capacity_blocks} blocks")
-        occupancy = int(self.directory.occupancy.sum())
-        if occupancy != used:
-            raise AssertionError(
-                f"wave {self.stats.waves}: chunk occupancy sums to "
-                f"{occupancy} but the device ledger charges {used}")
-        on_device = self.residency.resident
+                f"wave {wave}: chunk occupancy sums to {total} but the "
+                f"device ledger charges {used}")
         both = self.host.remote_mapped & on_device
         if both.any():
             raise AssertionError(
-                f"wave {self.stats.waves}: block {int(np.argmax(both))} is "
-                f"both device-resident and remote-mapped")
+                f"wave {wave}: block {int(np.argmax(both))} is both "
+                f"device-resident and remote-mapped")
         for cid, tree in enumerate(self.trees):
+            try:
+                tree.check_invariants()
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"wave {wave}: tree of chunk {cid}: {exc}") from None
             leaves = np.flatnonzero(
                 on_device[self.directory.blocks_of_chunk(cid)]).tolist()
-            if tree.resident_leaves().tolist() != leaves:
+            held = tree.resident_leaves().tolist()
+            if held != leaves:
                 raise AssertionError(
-                    f"wave {self.stats.waves}: tree of chunk {cid} holds "
-                    f"leaves {tree.resident_leaves().tolist()}, its "
-                    f"resident blocks are leaves {leaves}")
+                    f"wave {wave}: tree of chunk {cid} holds leaves "
+                    f"{held}, its resident blocks are leaves {leaves}")
+            if int(occupancy[cid]) != len(leaves):
+                raise AssertionError(
+                    f"wave {wave}: occupancy of chunk {cid} is "
+                    f"{int(occupancy[cid])}, it holds {len(leaves)} "
+                    f"resident blocks")
         stale = self.residency.dirty & ~on_device
         if stale.any():
             raise AssertionError(
-                f"wave {self.stats.waves}: block {int(np.argmax(stale))} is "
-                f"dirty but not device-resident")
+                f"wave {wave}: block {int(np.argmax(stale))} is dirty but "
+                f"not device-resident")
 
     def _check_victim_key(self) -> None:
         """The live victim key equals one built from scratch now.
@@ -1026,21 +1048,3 @@ class UvmDriver:
             raise AssertionError(
                 f"wave {self.stats.waves}: LFU heat sums differ from a "
                 f"fresh build")
-
-    def check_consistency(self) -> None:
-        """Verify cross-structure invariants (used by tests)."""
-        assert self.residency.resident_count == self.device.used_blocks, \
-            "residency map and device ledger disagree"
-        for cid, span in enumerate(self.vas.chunks):
-            chunk_blocks = self.directory.blocks_of_chunk(cid)
-            res = set(np.flatnonzero(
-                self.residency.resident[chunk_blocks]).tolist())
-            tree_res = set(self.trees[cid].resident_leaves().tolist())
-            assert res == tree_res, f"tree/residency mismatch in chunk {cid}"
-            assert self.directory.occupancy[cid] == len(res), \
-                f"occupancy mismatch in chunk {cid}"
-            self.trees[cid].check_invariants()
-        # The host holds the only copy of every block that is not
-        # device-resident, and only such a block can be remote-mapped.
-        assert not np.any(self.host.remote_mapped & self.residency.resident), \
-            "block both device-resident and remote-mapped"

@@ -25,19 +25,9 @@ class ResidencyMap:
         self.dirty = np.zeros(total_blocks, dtype=bool)
 
     @property
-    def total_blocks(self) -> int:
-        """Number of basic blocks tracked."""
-        return self.resident.size
-
-    @property
     def resident_count(self) -> int:
         """Number of device-resident blocks."""
         return int(np.count_nonzero(self.resident))
-
-    def mark_resident(self, blocks: np.ndarray) -> None:
-        """Install device mappings for migrated/prefetched blocks."""
-        self.resident[blocks] = True
-        self.dirty[blocks] = False
 
     def mark_dirty(self, blocks: np.ndarray) -> None:
         """Record device-local writes; caller guarantees residency."""

@@ -241,7 +241,7 @@ class PrefetchTree:
         leaves.flags.writeable = False
         return leaves
 
-    # -- invariants (used by property tests) -------------------------------
+    # -- invariants (the driver audit and the property tests) --------------
 
     def check_invariants(self) -> None:
         """Verify the residency mask holds only leaves of this chunk."""

@@ -22,6 +22,13 @@ from repro.workloads.base import (
 )
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Re-attempt failed grid cells without the backoff sleep."""
+    from repro.analysis import parallel
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0.0)
+
+
 def make_vas(*sizes_mb: float, read_only: tuple[bool, ...] | None = None
              ) -> VirtualAddressSpace:
     """VA space with one allocation per size (in MB)."""

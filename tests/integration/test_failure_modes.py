@@ -61,10 +61,24 @@ class TestInvalidAccesses:
             drv.process_wave(np.array([gap_page]), np.array([False]))
 
     def test_negative_counts_rejected(self):
+        """Zero and negative counts fail the wave, both driver entry
+        points and the driver's counters alike, before any state moves."""
+        from repro.workloads.base import Wave
         drv = make_driver(make_vas(4), capacity_mb=4)
-        with pytest.raises(Exception):
-            from repro.workloads.base import Wave
-            Wave(np.array([0]), np.array([False]), np.array([-1]))
+        for bad in (0, -1, -5):
+            counts = np.array([bad])
+            with pytest.raises(ValueError, match="counts must be >= 1"):
+                Wave(np.array([0]), np.array([False]), counts)
+            with pytest.raises(ValueError, match="counts must be >= 1"):
+                drv.process_wave(np.array([0]), np.array([False]),
+                                 counts=counts)
+            with pytest.raises(ValueError, match="counts must be >= 1"):
+                drv.process_wave_batch(
+                    [(np.array([0, 16]), np.array([False, True]),
+                      np.array([3, bad]))])
+        assert drv.stats.waves == 0
+        assert not drv.counters.counts.any()
+        assert not drv.residency.resident.any()
 
 
 class TestTraceCorruption:

@@ -34,6 +34,9 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="worker-kill tests patch run_cell, which requires fork")
 
+#: Failing cells are re-attempted at once.
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 
 def _die_once_run_cell(marker_path, cell):
     """Kill the first worker to run a cell, then behave normally.
@@ -70,7 +73,7 @@ class TestWorkerCrash:
             parallel, "run_cell",
             functools.partial(_die_once_run_cell, str(marker)))
         results = run_grid(CELLS, max_workers=2,
-                           options=GridOptions(retry_backoff_s=0.0))
+                           options=GridOptions())
         assert marker.exists()  # a worker really did die
         assert all(r is not None for r in results)
         monkeypatch.undo()
@@ -87,8 +90,7 @@ class TestWorkerCrash:
             parallel, "run_cell",
             functools.partial(_die_once_run_cell, str(marker)))
         run_grid(CELLS, max_workers=2,
-                 options=GridOptions(retry_backoff_s=0.0,
-                                     checkpoint=str(journal_path)))
+                 options=GridOptions(checkpoint=str(journal_path)))
         assert marker.exists()
 
         # Every parseable journal line must be a fully-committed result
@@ -122,7 +124,6 @@ class TestHangDetection:
         cells = CELLS[:2]
         results = run_grid(cells, max_workers=2,
                            options=GridOptions(retries=2,
-                                               retry_backoff_s=0.0,
                                                cell_timeout=3.0))
         assert marker.exists()
         assert all(r is not None for r in results)

@@ -47,9 +47,9 @@ decision arrays for every policy (production sends a first-touch wave
 straight to the drain); :meth:`UvmDriver._drain_migrations`, with
 :meth:`ReferenceDriver._drain_migrations_scalar`, which tests residency
 in the residency map (production reads each chunk's tree mask);
-:meth:`UvmDriver._install`, with all five per-block writes through
-their owners (production writes four arrays and leaves the dirty bits
-as it finds them, clear); and the eviction path,
+:meth:`UvmDriver._install`, with all five per-block writes
+(production writes four arrays and leaves the dirty bits as it finds
+them, clear); and the eviction path,
 :meth:`UvmDriver._make_room`, to call the reference selector.
 """
 
@@ -326,7 +326,7 @@ class ReferenceDriver(UvmDriver):
         self.stats.waves += 1
         self.stats.totals.merge(out)
         if self.debug_invariants:
-            self._check_wave_accounting()
+            self.check_consistency()
         return out
 
     def _drain_migrations_scalar(self, mig: np.ndarray, mig_k: np.ndarray,
@@ -392,15 +392,16 @@ class ReferenceDriver(UvmDriver):
 
     def _install(self, blocks: np.ndarray, cids: list[int],
                  sizes: list[int], out: WaveOutcome) -> None:
-        """All five per-block install writes, each through its owner.
+        """All five per-block install writes, the dirty clear included.
 
         The reference never builds a victim key, so only occupancy
         moves with an install.
         """
         self.device.allocate(int(blocks.size))
-        self.residency.mark_resident(blocks)
-        self.host.migrate_to_device(blocks)
-        self.counters.reset_volta(blocks)
+        self.residency.resident[blocks] = True
+        self.residency.dirty[blocks] = False
+        self.host.remote_mapped[blocks] = False
+        self.counters.volta_counts[blocks] = 0
         self.ever_migrated[blocks] = True
         for cid, n in zip(cids, sizes):
             self.directory.occupancy[cid] += n

@@ -56,7 +56,7 @@ def test_no_remote_service_for_resident_blocks(policy, t):
         # A remote mapping only covers a block the host backs: one that
         # is not device-resident (the driver's own audit agrees).
         assert not np.any(drv.host.remote_mapped & drv.residency.resident)
-        drv._check_wave_accounting()
+        drv.check_consistency()
 
 
 @given(traffic())

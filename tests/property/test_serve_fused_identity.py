@@ -7,8 +7,8 @@ Three guarantees pin the serve path:
   :meth:`~repro.uvm.driver.UvmDriver.process_wave_batch`, which runs
   the slot's waves one after another through the driver's per-wave
   pipeline.  The result -- per-wave outcomes, final driver state,
-  emitted events, every simulated quantity, the batch counts included
-  -- is bit-identical to the test oracle
+  emitted events, every simulated quantity -- is bit-identical to the
+  test oracle
   (:func:`tests.oracle.reference_session`, whose driver resolves every
   wave through the full pipeline, without the resident fast path or
   the bulk drain), across schedulers, policies and fault injection.
@@ -29,6 +29,7 @@ Three guarantees pin the serve path:
 import dataclasses
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "data" / "serve_golden"
 BASE = dict(tenants=5, arrival_rate=1500.0, capacity_mb=24,
             queue_depth=2, throttle_watermark=1.1, admit_watermark=1.6,
             shed_watermark=2.0)
+
+def dispatch_sizes(cfg):
+    """A serve run's result and the wave count of each of its driver
+    dispatches, counted by a wrapper around ``process_wave_batch``."""
+    sizes = []
+    batch = UvmDriver.process_wave_batch
+
+    def counted(self, waves, tenants=None):
+        sizes.append(len(waves))
+        return batch(self, waves, tenants)
+
+    with mock.patch.object(UvmDriver, "process_wave_batch", counted):
+        result = ServeSession(cfg).run()
+    assert sum(sizes) == result.total_waves
+    return result, sizes
+
 
 def serve_dict(seed, sim=None, obs=None, reference=False, **kw):
     """A serve run's result dict; ``reference`` runs it on the oracle."""
@@ -140,24 +157,22 @@ class TestFusedSessionIdentity:
         """Guards against the batch tests passing vacuously: under drr,
         scheduler slots hold several waves, so the drr sessions above
         send multi-wave batches through the driver."""
-        result = ServeSession(ServeConfig(
-            seed=0, scheduler="drr", **BASE)).run()
-        assert result.batches > 0
-        assert result.batch_occupancy > 1.0
-        assert any(t.batched_waves > 0 for t in result.tenants)
+        _, sizes = dispatch_sizes(ServeConfig(seed=0, scheduler="drr",
+                                              **BASE))
+        assert max(sizes) > 1
 
     def test_rr_batched_still_matches_golden(self):
         """round_robin plans singleton groups, which run through the
         same slot-major dispatch as every other group: the output must
         equal the pre-rework golden fixture, and no dispatch holds two
-        waves, so no batch is counted."""
+        waves."""
         golden = json.loads((GOLDEN_DIR / "base_seed0.json").read_text())
         kwargs = dict(golden["config"])
         kwargs["workload_mix"] = tuple(kwargs["workload_mix"])
         kwargs["weights"] = tuple(kwargs.get("weights", ()))
-        got = ServeSession(ServeConfig(**kwargs)).run().as_dict()
-        assert got["batches"] == 0  # no slot holds two tenants
-        assert all(t["batched_waves"] == 0 for t in got["tenants"])
+        result, sizes = dispatch_sizes(ServeConfig(**kwargs))
+        assert set(sizes) == {1}  # no slot holds two tenants
+        got = result.as_dict()
         for key in ("duration_us", "total_waves", "total_accesses",
                     "completed", "decisions"):
             assert got[key] == golden[key]

@@ -228,6 +228,63 @@ serve:
         assert manifest.config["serve"]["tenants"] == 3
 
 
+#: ``run``'s single-run flags, each with a value where it takes one.
+RUN_FLAGS = [["--events", "ev.jsonl"], ["--flush-events", "1"],
+             ["--metrics", "m.json"], ["--prom", "m.prom"], ["--profile"],
+             ["--timeline", "t.json"], ["--histogram"],
+             ["--debug-invariants"]]
+
+#: ``serve``'s: the same without ``--histogram``, plus its own two.
+SERVE_FLAGS = [f for f in RUN_FLAGS if f[0] != "--histogram"] + [
+    ["--json"], ["--slo-config", "slo.yaml"]]
+
+
+class TestBatchRouteFlags:
+    """A scenario that runs through the batch route (a sweep, serve or
+    multigpu scenario under ``run --config``, a swept serve scenario
+    under ``serve --config``) exits naming a single-run flag, which
+    that route would drop, before anything runs or is written."""
+
+    @pytest.mark.parametrize("flag", RUN_FLAGS, ids=lambda f: f[0])
+    def test_run_config(self, flag, sweep_cfg, tmp_path, monkeypatch,
+                        capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=(
+                f"^repro run: {flag[0]} applies to a single run; "
+                "a 'sweep' scenario runs through the scenario batch "
+                "route")):
+            main(["run", "--config", sweep_cfg, *flag])
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.yaml"]
+
+    @pytest.mark.parametrize("flag", SERVE_FLAGS, ids=lambda f: f[0])
+    def test_swept_serve_config(self, flag, tmp_path, monkeypatch, capsys):
+        cfg = write(tmp_path / "swept.yaml", """\
+mode: serve
+scale: tiny
+serve:
+  tenants: 3
+  capacity_mb: 16
+sweep:
+  serve.scheduler: [round_robin, drr]
+""")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=(
+                f"^repro serve: {flag[0]} applies to a single run; "
+                "a swept serve scenario runs through the scenario batch "
+                "route")):
+            main(["serve", "--config", cfg, *flag])
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["swept.yaml"]
+
+    def test_batch_route_still_archives(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["run", "--config", "configs/smoke/serve.yaml",
+                     "--archive", "--runs", str(runs)]) == 0
+        (manifest,) = RunStore(runs).list()
+        assert manifest.kind == "serve" and manifest.scenario == "serve"
+
+
 class TestConfigCommand:
     def test_validate_ok(self, run_cfg, capsys):
         assert main(["config", "validate", run_cfg]) == 0

@@ -47,7 +47,7 @@ class TestHistoricCountersKnob:
         drv = make_driver(vas, MigrationPolicy.ADAPTIVE, capacity_mb=16)
         blocks = np.array([0])
         drv.counters.add_accesses(blocks, np.array([50]))
-        drv.counters.add_remote_accesses(blocks, np.array([3]))
+        drv.counters.add_remote_accesses_unique(blocks, np.array([3]))
 
         historic = AdaptivePolicy(PolicyConfig(historic_counters=True))
         volta = AdaptivePolicy(PolicyConfig(historic_counters=False))

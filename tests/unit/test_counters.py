@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.config import MigrationPolicy
+from repro.memory.layout import PAGES_PER_BLOCK
 from repro.uvm.counters import AccessCounterFile
+
+from tests.conftest import make_driver, make_vas
 
 
 class TestHistoricCounters:
@@ -48,17 +52,22 @@ class TestVoltaCounters:
 
     def test_remote_accumulates(self):
         c = AccessCounterFile(4)
-        c.add_remote_accesses(np.array([1]), np.array([5]))
-        c.add_remote_accesses(np.array([1]), np.array([2]))
+        c.add_remote_accesses_unique(np.array([1]), np.array([5]))
+        c.add_remote_accesses_unique(np.array([1]), np.array([2]))
         assert c.volta_counts[1] == 7
         assert c.counts[1] == 0  # independent of historic counters
 
     def test_reset_on_migration(self):
-        c = AccessCounterFile(4)
-        c.add_remote_accesses(np.array([0, 1]), np.array([9, 9]))
-        c.reset_volta(np.array([0]))
-        assert c.volta_counts[0] == 0
-        assert c.volta_counts[1] == 9
+        """The driver's install zeroes a migrating block's counter."""
+        drv = make_driver(make_vas(8), MigrationPolicy.ALWAYS, ts=8)
+        pages = np.array([0, PAGES_PER_BLOCK], dtype=np.int64)
+        drv.process_wave(pages, np.array([False, False]),
+                         counts=np.array([3, 3]))
+        assert drv.counters.volta_counts[[0, 1]].tolist() == [3, 3]
+        drv.process_wave(pages[:1], np.array([False]),
+                         counts=np.array([9]))
+        assert drv.residency.resident[0]
+        assert drv.counters.volta_counts[[0, 1]].tolist() == [0, 3]
 
 
 class TestValidation:

@@ -47,22 +47,6 @@ class TestFirstTouch:
         assert out.n_local == 9
         assert drv.counters.counts[0] == 10
 
-    def test_zero_count_block_is_mapped_not_migrated(self):
-        """A first-touch wave with a zero-count entry keeps the full
-        decision path's outcome: that block only gets a remote mapping,
-        as in the oracle, which decides every wave in full."""
-        from tests.oracle import ReferenceDriver
-        outs = []
-        for cls in (UvmDriver, ReferenceDriver):
-            drv = make_driver(make_vas(8), capacity_mb=16, driver_cls=cls)
-            outs.append(drv.process_wave(pages_of_blocks(0, 40),
-                                         np.array([False, False]),
-                                         counts=np.array([3, 0])))
-            assert drv.residency.resident[[0, 40]].tolist() == [True, False]
-            assert drv.host.remote_mapped[40]
-        assert outs[0] == outs[1]
-        assert outs[0].mapping_faults == 1 and outs[0].n_local == 2
-
     def test_empty_wave(self):
         drv = make_driver(make_vas(8), capacity_mb=16)
         out = drv.process_wave(np.empty(0, dtype=np.int64),
@@ -256,6 +240,70 @@ class TestConsistency:
             drv.process_wave(pages, writes)
         drv.check_consistency()
         assert drv.device.used_blocks <= drv.device.capacity_blocks
+
+    @staticmethod
+    def _audited_driver():
+        """Blocks 0 (chunk 0, written) and 32 (chunk 1) resident, block 5
+        remote-mapped, after one wave; the audit passes."""
+        drv = make_driver(make_vas(8), MigrationPolicy.ALWAYS,
+                          capacity_mb=16, ts=8)
+        drv.process_wave(pages_of_blocks(0, 32, 5),
+                         np.array([True, False, False]),
+                         counts=np.array([20, 20, 1]))
+        assert np.flatnonzero(drv.residency.resident).tolist() == [0, 32]
+        assert np.flatnonzero(drv.host.remote_mapped).tolist() == [5]
+        drv.check_consistency()
+        return drv
+
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(
+            lambda drv: setattr(drv.device, "_used_blocks", 3),
+            "residency map holds 2 resident blocks but the device ledger "
+            "charges 3", id="ledger"),
+        pytest.param(
+            lambda drv: setattr(drv.device, "_capacity_blocks", 1),
+            "the device ledger charges 2 blocks, over the device capacity "
+            "of 1 blocks", id="capacity"),
+        pytest.param(
+            lambda drv: drv.directory.occupancy.__setitem__(2, 1),
+            "chunk occupancy sums to 3 but the device ledger charges 2",
+            id="occupancy-total"),
+        pytest.param(
+            lambda drv: drv.directory.occupancy.__setitem__(
+                [0, 1], [2, 0]),
+            "occupancy of chunk 0 is 2, it holds 1 resident blocks",
+            id="chunk-occupancy"),
+        pytest.param(
+            lambda drv: drv.host.remote_mapped.__setitem__(32, True),
+            "block 32 is both device-resident and remote-mapped",
+            id="remote-mapped"),
+        pytest.param(
+            lambda drv: setattr(drv.trees[0], "mask", 0b1001),
+            r"tree of chunk 0 holds leaves \[0, 3\], its resident blocks "
+            r"are leaves \[0\]", id="tree-leaves"),
+        pytest.param(
+            lambda drv: setattr(drv.trees[1], "mask", 1 | 1 << 32),
+            "tree of chunk 1: residency mask .* outside a chunk of 32 "
+            "leaves", id="tree-range"),
+        pytest.param(
+            lambda drv: drv.residency.dirty.__setitem__(5, True),
+            "block 5 is dirty but not device-resident", id="dirty"),
+    ])
+    def test_audit_names_each_broken_invariant(self, corrupt, message):
+        """One corrupted array fails the audit, which names the
+        structure and the wave."""
+        drv = self._audited_driver()
+        corrupt(drv)
+        with pytest.raises(AssertionError, match=f"^wave 1: {message}"):
+            drv.check_consistency()
+
+    def test_debug_invariants_audits_every_wave(self):
+        drv = self._audited_driver()
+        drv.debug_invariants = True
+        drv.host.remote_mapped[32] = True
+        with pytest.raises(AssertionError,
+                           match="^wave 2: block 32 is both"):
+            drv.process_wave(pages_of_blocks(0), np.array([False]))
 
 
 class TestGroupWave:

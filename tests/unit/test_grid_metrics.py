@@ -44,7 +44,7 @@ def test_resume_counts_checkpoint_hits(tmp_path):
     assert m["grid.cells_completed"]["value"] == 0
 
 
-def test_retries_are_counted():
+def test_retries_are_counted(no_backoff):
     calls = {"n": 0}
 
     def flaky_once(cell):
@@ -59,7 +59,7 @@ def test_retries_are_counted():
     parallel.run_cell = flaky_once
     try:
         results = run_grid(CELLS[:1], options=GridOptions(
-            retries=2, retry_backoff_s=0.0, metrics=reg))
+            retries=2, metrics=reg))
     finally:
         parallel.run_cell = original
     assert results[0] is not None

@@ -31,7 +31,8 @@ POLICIES = (MigrationPolicy.DISABLED, MigrationPolicy.ALWAYS,
 CELLS = [GridCell(w, pol, 1.25, "tiny") for w in ("ra", "sssp")
          for pol in POLICIES]
 
-NO_BACKOFF = GridOptions(retry_backoff_s=0.0)
+#: Failing cells are re-attempted at once.
+pytestmark = pytest.mark.usefixtures("no_backoff")
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ def test_serial_grid_loads_each_stream_once(loads, private_tmp,
         return real_rmtree(path, *args, **kwargs)
 
     monkeypatch.setattr(parallel.shutil, "rmtree", rmtree)
-    results = run_grid(CELLS, options=NO_BACKOFF)
+    results = run_grid(CELLS)
     # One load per stream; ra's workload is gone before sssp loads.
     assert loads == [("ra", []), ("sssp", [False])]
     # Each private stream is dropped before its directory goes.
@@ -123,7 +124,7 @@ def test_serial_grid_loads_each_stream_once(loads, private_tmp,
 def test_interleaved_streams_drop_before_each_load(loads, private_tmp):
     cells = [GridCell(w, pol, 1.25, "tiny") for pol in POLICIES[:2]
              for w in ("ra", "sssp")]
-    results = run_grid(cells, options=NO_BACKOFF)
+    results = run_grid(cells)
     # A stream with cells still pending is dropped before the next
     # stream loads, and loaded again when its turn comes back.
     assert loads == [("ra", []), ("sssp", [False]),
@@ -135,7 +136,7 @@ def test_interleaved_streams_drop_before_each_load(loads, private_tmp):
 
 def test_serial_grid_records_each_stream_once_right_before_use(
         log, private_tmp):
-    run_grid(CELLS, options=NO_BACKOFF)
+    run_grid(CELLS)
     assert log == [("record", "ra", []),
                    ("cell", "ra"), ("cell", "ra"), ("cell", "ra"),
                    # ra's entry is gone once its last cell finished.
@@ -153,7 +154,7 @@ def test_every_cell_replays_its_recorded_stream(monkeypatch):
         return real(cell)
 
     monkeypatch.setattr(parallel, "run_cell", spy)
-    run_grid(CELLS, options=NO_BACKOFF)
+    run_grid(CELLS)
     assert None not in seen
     assert len(set(seen)) == 2
 
@@ -169,8 +170,7 @@ def test_private_cache_removed_after_a_failing_cell(log, private_tmp,
 
     monkeypatch.setattr(parallel, "run_cell", fails_on_sssp)
     with pytest.raises(GridExecutionError):
-        run_grid(CELLS, options=GridOptions(retries=0,
-                                            retry_backoff_s=0.0))
+        run_grid(CELLS, options=GridOptions(retries=0))
     # sssp was recorded before its cell raised.
     assert [e[1] for e in log if e[0] == "record"] == ["ra", "sssp"]
     assert list(private_tmp.iterdir()) == []
@@ -187,7 +187,7 @@ def test_shared_cache_keeps_its_streams(log, private_tmp, tmp_path):
 
 
 def test_parallel_grid_records_before_fan_out(records, private_tmp):
-    results = run_grid(CELLS, max_workers=2, options=NO_BACKOFF)
+    results = run_grid(CELLS, max_workers=2)
     assert all(r is not None for r in results)
     # Both streams recorded in this process, once each; workers replay.
     assert records == [("record", "ra", []), ("record", "sssp", ["ra"])]
@@ -219,8 +219,7 @@ def test_failed_recording_uses_the_cells_retry_budget(private_tmp,
         return real_save(*args, **kwargs)
 
     monkeypatch.setattr(recorder.np, "save", save_fails_once)
-    results = run_grid(CELLS[:1], options=GridOptions(retries=1,
-                                                      retry_backoff_s=0.0))
+    results = run_grid(CELLS[:1], options=GridOptions(retries=1))
     assert results[0].total_cycles > 0
     assert list(private_tmp.iterdir()) == []
 
@@ -229,8 +228,7 @@ def test_failed_recording_uses_the_cells_retry_budget(private_tmp,
 
     monkeypatch.setattr(recorder.np, "save", save_fails)
     with pytest.raises(GridExecutionError) as exc:
-        run_grid(CELLS[:1], options=GridOptions(retries=1,
-                                                retry_backoff_s=0.0))
+        run_grid(CELLS[:1], options=GridOptions(retries=1))
     assert exc.value.attempts == 2
     assert isinstance(exc.value.__cause__, OSError)
     assert list(private_tmp.iterdir()) == []
@@ -242,6 +240,6 @@ def test_explicit_trace_path_is_left_alone(tmp_path, log):
     del log[:]
     cell = GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny",
                     trace_path=str(entry))
-    run_grid([cell, cell], options=NO_BACKOFF)
+    run_grid([cell, cell])
     assert [e for e in log if e[0] == "record"] == []
     assert (entry / "manifest.json").exists()

@@ -6,7 +6,7 @@ import pytest
 from repro.config import MigrationPolicy
 from repro.memory.device import DeviceMemory
 from repro.memory.host import HostMemory
-from repro.memory.layout import CHUNK_SIZE
+from repro.memory.layout import CHUNK_SIZE, PAGES_PER_BLOCK
 from repro.uvm.driver import WaveOutcome
 from repro.uvm.residency import ResidencyMap
 
@@ -76,28 +76,30 @@ class TestHostMemory:
 
     def test_initially_unmapped(self):
         host = HostMemory(8)
-        assert host.total_blocks == 8
+        assert host.remote_mapped.shape == (8,)
         assert not host.remote_mapped.any()
 
     def test_migrate_invalidates_and_unmaps(self):
-        host = HostMemory(8)
-        host.map_remote(np.array([1, 2]))
-        host.migrate_to_device(np.array([1]))
-        assert not host.remote_mapped[1]
-        assert host.remote_mapped[2]
+        """A block the driver migrates loses its remote mapping."""
+        drv = make_driver(make_vas(4), MigrationPolicy.ALWAYS, ts=8)
+        pages = np.array([PAGES_PER_BLOCK, 2 * PAGES_PER_BLOCK])
+        drv.process_wave(pages, np.array([False, False]))
+        assert drv.host.remote_mapped[[1, 2]].all()
+        drv.process_wave(pages[:1], np.array([False]),
+                         counts=np.array([20]))
+        assert drv.residency.resident[1]
+        assert not drv.host.remote_mapped[1]
+        assert drv.host.remote_mapped[2]
 
     def test_evicted_block_may_map_remote(self):
         drv = _driver_with_resident_block()
         drv._evict_chunk(0, WaveOutcome())
         drv.host.map_remote(np.array([0]))
-        drv._check_wave_accounting()
         drv.check_consistency()
 
     def test_remote_map_requires_host_valid(self):
         drv = _driver_with_resident_block()
         drv.host.map_remote(np.array([0]))
-        with pytest.raises(AssertionError, match="remote-mapped"):
-            drv._check_wave_accounting()
         with pytest.raises(AssertionError, match="remote-mapped"):
             drv.check_consistency()
 
@@ -109,21 +111,26 @@ class TestHostMemory:
 class TestResidencyMap:
     def test_mark_and_count(self):
         res = ResidencyMap(10)
-        res.mark_resident(np.array([2, 5]))
+        res.resident[[2, 5]] = True
         assert res.resident_count == 2
         assert res.resident[2] and res.resident[5]
 
-    def test_mark_resident_clears_dirty(self):
-        res = ResidencyMap(4)
-        res.mark_resident(np.array([1]))
-        res.mark_dirty(np.array([1]))
-        res.mark_resident(np.array([1]))  # re-install
-        assert not res.dirty[1]
+    def test_reinstalled_block_is_clean(self):
+        """Eviction clears a written block's dirty bit, so the driver's
+        install of it again starts clean."""
+        drv = _driver_with_resident_block()
+        drv.process_wave(np.array([0]), np.array([True]))
+        assert drv.residency.dirty[0]
+        drv._evict_chunk(0, WaveOutcome())
+        assert not drv.residency.dirty[0]
+        drv.process_wave(np.array([0]), np.array([False]))
+        assert drv.residency.resident[0] and not drv.residency.dirty[0]
+        drv.check_consistency()
 
     def test_evict_returns_dirty_count(self):
         res = ResidencyMap(6)
         blocks = np.array([0, 1, 2])
-        res.mark_resident(blocks)
+        res.resident[blocks] = True
         res.mark_dirty(np.array([0, 2]))
         assert res.evict(blocks) == 2
         assert res.resident_count == 0

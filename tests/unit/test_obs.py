@@ -71,7 +71,7 @@ class TestEvents:
                            p99_wave_latency_us=410.0,
                            thrash_migrations=3, cross_evictions=7),
             TenantSched(tenant=0, at_us=99.0, weight=2.0, deficit=0.25,
-                        waves=64, batched_waves=48),
+                        waves=64),
             TelemetryWindow(tenant=0, start_us=0.0, window_us=5000.0,
                             waves=8, accesses=4096, mean_latency_us=88.0,
                             max_latency_us=410.0, bad_waves=1,

@@ -203,3 +203,26 @@ class TestRender:
         text = render_summary(summary)
         assert "ra / adaptive" in text
         assert "shards" not in text and "backend" not in text
+
+    def test_log_with_retired_batched_waves_still_renders(self, tmp_path):
+        """Serve logs written while TenantSched still carried
+        ``batched_waves`` decode (the retired key is ignored) and render
+        the fair-scheduler table."""
+        from repro.obs.events import TenantComplete, TenantSched
+        rows = [ev.as_dict() for ev in (
+            TenantComplete(tenant=3, at_us=99.0, waves=64, freed_blocks=8,
+                           writeback_blocks=1, p99_wave_latency_us=410.0),
+            TenantSched(tenant=3, at_us=99.0, weight=2.0, deficit=0.25,
+                        waves=64))]
+        rows[1]["batched_waves"] = 48
+        path = tmp_path / "old-serve.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        events = list(iter_events(path))
+        assert events[1] == TenantSched(tenant=3, at_us=99.0, weight=2.0,
+                                        deficit=0.25, waves=64)
+        summary = summarize(path)
+        row = summary.tenants[3]
+        assert row.sched_seen and row.weight == 2.0 and row.waves == 64
+        text = render_summary(summary)
+        assert "fair scheduler: weights and carried deficit" in text
+        assert "batched" not in text

@@ -45,7 +45,7 @@ class TestGridOptions:
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"retries": -1}, "retries"),
-        ({"retry_backoff_s": -0.5}, "retry_backoff_s"),
+        ({"cell_timeout": -1.5}, "cell_timeout"),
         ({"cell_timeout": 0}, "cell_timeout"),
         ({"resume": True}, "resume requires a checkpoint"),
     ])
@@ -64,7 +64,7 @@ class TestRunGridGuards:
 
 
 class TestSerialRetry:
-    def test_flaky_cell_retried(self, monkeypatch):
+    def test_flaky_cell_retried(self, monkeypatch, no_backoff):
         calls = {"n": 0}
         real = parallel.run_cell
 
@@ -75,17 +75,17 @@ class TestSerialRetry:
             return real(cell)
 
         monkeypatch.setattr(parallel, "run_cell", flaky)
-        opts = GridOptions(retries=2, retry_backoff_s=0.0)
+        opts = GridOptions(retries=2)
         results = run_grid([TINY], max_workers=1, options=opts)
         assert calls["n"] == 3
         assert results[0].total_cycles > 0
 
-    def test_budget_exhaustion_raises(self, monkeypatch):
+    def test_budget_exhaustion_raises(self, monkeypatch, no_backoff):
         def always_fails(cell):
             raise OSError("permanently broken")
 
         monkeypatch.setattr(parallel, "run_cell", always_fails)
-        opts = GridOptions(retries=1, retry_backoff_s=0.0)
+        opts = GridOptions(retries=1)
         with pytest.raises(GridExecutionError) as exc:
             run_grid([TINY], max_workers=1, options=opts)
         assert exc.value.attempts == 2
@@ -101,7 +101,7 @@ class TestSerialRetry:
         monkeypatch.setattr(parallel, "run_cell", fails)
         with pytest.raises(GridExecutionError):
             run_grid([TINY], max_workers=1,
-                     options=GridOptions(retries=0, retry_backoff_s=0.0))
+                     options=GridOptions(retries=0))
         assert calls["n"] == 1
 
 
@@ -117,7 +117,8 @@ class TestPoolFallback:
         results = run_grid(cells, max_workers=4)
         assert all(r is not None for r in results)
 
-    def test_persistently_broken_pool_degrades_to_serial(self, monkeypatch):
+    def test_persistently_broken_pool_degrades_to_serial(self, monkeypatch,
+                                                         no_backoff):
         """A pool that always breaks mid-flight falls back, not aborts."""
         from concurrent.futures.process import BrokenProcessPool
 
@@ -132,8 +133,7 @@ class TestPoolFallback:
                 pass
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", AlwaysBroken)
-        results = run_grid([TINY, TINY], max_workers=2,
-                           options=GridOptions(retry_backoff_s=0.0))
+        results = run_grid([TINY, TINY], max_workers=2)
         assert all(r is not None for r in results)
 
 

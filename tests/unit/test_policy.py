@@ -48,7 +48,7 @@ class TestFirstTouchPolicy(object):
 class TestAlwaysPolicy:
     def test_uses_volta_counters(self, driver):
         pol = StaticAlwaysPolicy(PolicyConfig(static_threshold=8))
-        driver.counters.add_remote_accesses(blocks(1), np.array([5]))
+        driver.counters.add_remote_accesses_unique(blocks(1), np.array([5]))
         driver.counters.add_accesses(blocks(1), np.array([100]))
         td, c0 = pol.decision_state(blocks(0, 1), driver)
         assert list(td) == [8, 8]
@@ -91,6 +91,6 @@ class TestAdaptivePolicy:
     def test_uses_historic_counters(self, driver):
         pol = AdaptivePolicy(PolicyConfig())
         driver.counters.add_accesses(blocks(2), np.array([42]))
-        driver.counters.add_remote_accesses(blocks(2), np.array([7]))
+        driver.counters.add_remote_accesses_unique(blocks(2), np.array([7]))
         _, c0 = pol.decision_state(blocks(2), driver)
         assert c0[0] == 42   # volta counters ignored
