@@ -293,18 +293,17 @@ class RunStore:
 
     def serve_manifest(self, serve_cfg, sim_cfg,
                        scenario: dict | None = None,
-                       name: str | None = None,
-                       sweep_id: str | None = None) -> RunManifest:
+                       name: str | None = None) -> RunManifest:
         """A ``repro serve`` session."""
         config = {"serve": serve_cfg.as_dict(), "sim": encode_config(sim_cfg)}
         if scenario is not None:
             config["scenario"] = scenario
         return self._manifest("serve", "+".join(serve_cfg.workload_mix),
                               sim_cfg.policy.policy.value, serve_cfg.scale,
-                              serve_cfg.seed, None, config, sweep_id, name)
+                              serve_cfg.seed, None, config, None, name)
 
-    def multigpu_manifest(self, spec, scenario: dict, name: str,
-                          sweep_id: str | None = None) -> RunManifest:
+    def multigpu_manifest(self, spec, scenario: dict,
+                          name: str) -> RunManifest:
         """A multigpu scenario variant (``spec`` from
         :func:`repro.scenario.build_multigpu_spec`)."""
         config = {"sim": encode_config(spec.config),
@@ -315,7 +314,7 @@ class RunStore:
         return self._manifest("multigpu", spec.workload,
                               spec.config.policy.policy.value, spec.scale,
                               spec.config.seed, spec.oversubscription,
-                              config, sweep_id, name)
+                              config, None, name)
 
     # -- writing -----------------------------------------------------------
 

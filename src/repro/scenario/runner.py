@@ -146,18 +146,20 @@ def run_scenarios(scenarios: list[dict], jobs: int = 1,
                 label=variant.label, data=variant.data, result=result,
                 run_id=run_id))
 
+    # Serve and multigpu variants are not grid cells: they archive with
+    # no sweep id, so a scenario's run id does not depend on which grid
+    # scenarios run in the same batch.
     for outcome, variant in serial_work:
         if outcome.mode == "serve":
-            _run_serve(outcome, variant, store, sweep_id)
+            _run_serve(outcome, variant, store)
         elif outcome.mode == "multigpu":
-            _run_multigpu(outcome, variant, store, sweep_id)
+            _run_multigpu(outcome, variant, store)
         else:  # pragma: no cover - validate() rejects unknown modes
             raise ScenarioError(f"unknown mode {outcome.mode!r}")
     return outcomes
 
 
-def _run_serve(outcome: ScenarioOutcome, variant: Variant, store,
-               sweep_id: str | None) -> None:
+def _run_serve(outcome: ScenarioOutcome, variant: Variant, store) -> None:
     from ..serve import ServeSession
     serve_cfg = build_serve_config(variant.data)
     sim_cfg = build_sim_config(variant.data)
@@ -168,15 +170,15 @@ def _run_serve(outcome: ScenarioOutcome, variant: Variant, store,
     if store is not None:
         manifest = store.serve_manifest(serve_cfg, sim_cfg,
                                         scenario=variant.data,
-                                        name=outcome.name, sweep_id=sweep_id)
+                                        name=outcome.name)
         run_id = store.open_run(manifest).commit_dict(result.as_dict())
     outcome.variants.append(VariantOutcome(
         label=variant.label, data=variant.data, result=result,
         run_id=run_id))
 
 
-def _run_multigpu(outcome: ScenarioOutcome, variant: Variant, store,
-                  sweep_id: str | None) -> None:
+def _run_multigpu(outcome: ScenarioOutcome, variant: Variant,
+                  store) -> None:
     import dataclasses as _dc
     from ..multigpu import MultiGpuSimulator
     from ..workloads import make_workload
@@ -188,8 +190,7 @@ def _run_multigpu(outcome: ScenarioOutcome, variant: Variant, store,
                      oversubscription=spec.oversubscription)
     run_id = None
     if store is not None:
-        manifest = store.multigpu_manifest(spec, variant.data, outcome.name,
-                                           sweep_id=sweep_id)
+        manifest = store.multigpu_manifest(spec, variant.data, outcome.name)
         payload = _dc.asdict(result)
         payload["per_gpu_events"] = [_dc.asdict(e)
                                      for e in result.per_gpu_events]

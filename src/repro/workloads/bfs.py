@@ -59,11 +59,9 @@ class Bfs(Workload):
 
     def _allocate(self, vas, rng) -> None:
         p = self.params
+        # Rodinia's bfs reads no edge weights, so its graph has none.
         self.graph = make_graph(p.num_nodes, p.avg_degree, rng,
-                                skew=p.skew)
-        # Out-degrees are reused by every level of every launch; derive
-        # them once instead of diffing the CSR pointers per kernel.
-        self._deg = self.graph.degrees()
+                                skew=p.skew, weighted=False)
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
         n, m = self.graph.num_nodes, self.graph.num_edges
         # Lonestar-style layout: per-node {start, degree} struct, 64-bit
@@ -78,16 +76,17 @@ class Bfs(Workload):
             vas.malloc_managed("bfs.flags", n * 4))
 
     def _level_waves(self, nodes: np.ndarray, bounds: np.ndarray,
+                     starts: np.ndarray, degrees: np.ndarray,
                      nbrs: np.ndarray, nbounds: np.ndarray) -> Iterator[Wave]:
         """Accesses of one BFS level: every wave in one vectorised pass.
 
-        Wave ``r`` expands ``nodes[bounds[r]:bounds[r + 1]]`` (sorted)
+        Wave ``r`` expands ``nodes[bounds[r]:bounds[r + 1]]`` (sorted),
+        whose edge records start at ``starts`` and number ``degrees``,
         and writes their neighbours ``nbrs[nbounds[r]:nbounds[r + 1]]``,
         the level's edge gather that :meth:`kernels` also traverses.
         Each access group is coalesced for all waves at once, and the
         waves are slices of the level's flat arrays (``launch_waves``).
         """
-        g = self.graph
         # The neighbour writes first, while nothing else is held: theirs
         # are the level's largest temporaries.  cost and flags are
         # parallel 4-byte-per-node arrays, so the scattered writes land
@@ -96,7 +95,7 @@ class Bfs(Workload):
         npg, npc, npb = coalesced_page_offsets_batch(nodes, bounds, 8)
         fpg, fpc, fpb = coalesced_page_offsets_batch(nodes, bounds, 4)
         epg, epc, epb = coalesced_page_offsets_batch(
-            *edge_sectors(g.ptr[nodes], self._deg[nodes], bounds))
+            *edge_sectors(starts, degrees, bounds))
         yield from launch_waves([
             (self.nodes, npg, npc, npb, False),
             (self.flags, fpg, fpc, fpb, False),
@@ -107,7 +106,6 @@ class Bfs(Workload):
 
     def kernels(self) -> Iterator[KernelLaunch]:
         g, p = self.graph, self.params
-        deg = self._deg
         visited = np.zeros(g.num_nodes, dtype=bool)
         visited[0] = True
         frontier = np.array([0], dtype=np.int64)
@@ -118,14 +116,17 @@ class Bfs(Workload):
             # edges in that order leaves each wave's edge records in
             # ascending order.
             nodes, bounds = sort_rows(frontier, p.frontier_per_wave)
-            fdeg = deg[nodes]
-            nbrs = g.dst[ragged_ranges(g.ptr[nodes], fdeg)]
+            # Each frontier node's edge offset and degree, read off the
+            # CSR pointers once for the traversal and the edge reads.
+            starts = g.ptr[nodes]
+            fdeg = g.ptr[nodes + 1] - starts
+            nbrs = g.dst[ragged_ranges(starts, fdeg)]
             ecum = np.zeros(nodes.size + 1, dtype=np.int64)
             np.cumsum(fdeg, out=ecum[1:])
             yield KernelLaunch(
                 "bfs.kernel", level,
-                lambda n=nodes, b=bounds, nb=nbrs, eb=ecum[bounds]:
-                    self._level_waves(n, b, nb, eb))
+                lambda n=nodes, b=bounds, s=starts, d=fdeg, nb=nbrs,
+                eb=ecum[bounds]: self._level_waves(n, b, s, d, nb, eb))
             # Dedup + visited filter as one boolean scatter instead of
             # np.unique (which sorts the whole edge gather): flatnonzero
             # of the mask yields the same sorted unique node ids.

@@ -71,10 +71,7 @@ class Sssp(Workload):
     def _allocate(self, vas, rng) -> None:
         p = self.params
         self.graph = make_graph(p.num_nodes, p.avg_degree, rng,
-                                skew=p.skew)
-        # Out-degrees are reused by every round of every launch; derive
-        # them once instead of diffing the CSR pointers per kernel.
-        self._deg = self.graph.degrees()
+                                skew=p.skew, weighted=True)
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
         self._sweep: list[Wave] | None = None
         n, m = self.graph.num_nodes, self.graph.num_edges
@@ -95,16 +92,17 @@ class Sssp(Workload):
     # -- kernel 1: sparse relaxation --------------------------------------
 
     def _relax_waves(self, worklist: np.ndarray, bounds: np.ndarray,
+                     starts: np.ndarray, degrees: np.ndarray,
                      nbrs: np.ndarray, nbounds: np.ndarray) -> Iterator[Wave]:
         """Accesses of one relaxation round: every wave in one pass.
 
         Wave ``r`` relaxes ``worklist[bounds[r]:bounds[r + 1]]``
-        (sorted) into ``nbrs[nbounds[r]:nbounds[r + 1]]``, the round's
-        edge gather that :meth:`kernels` also relaxes.  Each access
-        group is coalesced for all waves at once, and the waves are
-        slices of the round's flat arrays (``launch_waves``).
+        (sorted), whose edge records start at ``starts`` and number
+        ``degrees``, into ``nbrs[nbounds[r]:nbounds[r + 1]]``, the
+        round's edge gather that :meth:`kernels` also relaxes.  Each
+        access group is coalesced for all waves at once, and the waves
+        are slices of the round's flat arrays (``launch_waves``).
         """
-        g = self.graph
         # Scattered relaxation: read old distance, maybe write new.
         # Coalesced first, while nothing else is held: its temporaries
         # are the round's largest.
@@ -115,7 +113,7 @@ class Sssp(Workload):
         # gather hits the same page offsets in both, so coalesce once
         # and rebase per allocation.
         erel, epc, epb = coalesced_page_offsets_batch(
-            *edge_sectors(g.ptr[worklist], self._deg[worklist], bounds))
+            *edge_sectors(starts, degrees, bounds))
         yield from launch_waves([
             (self.nodes, npg, npc, npb, False),
             (self.dist, dpg, dpc, dpb, False),
@@ -154,12 +152,14 @@ class Sssp(Workload):
 
     def kernels(self) -> Iterator[KernelLaunch]:
         g, p = self.graph, self.params
-        deg = self._deg
         dist = np.full(g.num_nodes, np.inf, dtype=np.float64)
         dist[0] = 0.0
-        # Pending nodes awaiting relaxation; processed in bounded,
-        # unordered chunks like a LonestarGPU worklist.
+        # Pending nodes awaiting relaxation, processed in bounded,
+        # unordered chunks like a LonestarGPU worklist: ``pending`` in
+        # processing order, ``queued`` as a mask over node ids.
         pending = np.array([0], dtype=np.int64)
+        queued = np.zeros(g.num_nodes, dtype=bool)
+        queued[0] = True
         for rnd in range(p.max_rounds):
             if pending.size == 0:
                 break
@@ -167,39 +167,36 @@ class Sssp(Workload):
             # the node set its coalesced reads see, and gathering the
             # edges in that order leaves each wave's edge records in
             # ascending order.  Relaxation is order-free (a minimum).
-            worklist, bounds = sort_rows(pending[:p.max_worklist],
-                                         p.worklist_per_wave)
-            deferred = pending[p.max_worklist:]
-            wdeg = deg[worklist]
-            eidx = ragged_ranges(g.ptr[worklist], wdeg)
+            head = pending[:p.max_worklist]
+            worklist, bounds = sort_rows(head, p.worklist_per_wave)
+            # Each worklist node's edge offset and degree, read off the
+            # CSR pointers once for the relaxation and the edge reads.
+            starts = g.ptr[worklist]
+            wdeg = g.ptr[worklist + 1] - starts
+            eidx = ragged_ranges(starts, wdeg)
             nbrs = g.dst[eidx]
             ecum = np.zeros(worklist.size + 1, dtype=np.int64)
             np.cumsum(wdeg, out=ecum[1:])
             yield KernelLaunch(
                 "sssp.kernel1", rnd,
-                lambda wl=worklist, b=bounds, nb=nbrs, eb=ecum[bounds]:
-                    self._relax_waves(wl, b, nb, eb))
-            # Perform the actual relaxation to derive the next worklist.
-            # Next-worklist membership as one boolean scatter: nodes
-            # whose distance improved, unioned with the deferred tail.
-            # flatnonzero of the mask yields the same sorted unique ids
-            # as the previous np.unique + np.union1d (which re-sorted
-            # the whole edge gather every round).
-            next_mask = np.zeros(g.num_nodes, dtype=bool)
-            next_mask[deferred] = True
+                lambda wl=worklist, b=bounds, s=starts, d=wdeg, nb=nbrs,
+                eb=ecum[bounds]: self._relax_waves(wl, b, s, d, nb, eb))
+            # Perform the actual relaxation to derive the next worklist:
+            # the deferred tail, which stays queued, and the nodes whose
+            # distance improved.  flatnonzero of the mask yields them as
+            # sorted unique ids without sorting the edge gather.
+            queued[head] = False
             if eidx.size:
-                src = np.repeat(worklist, wdeg)
-                cand = dist[src] + g.weights[eidx]
-                # An edge improves its target iff its candidate beats the
-                # pre-update distance; flagging those targets is the same
-                # set as re-gathering distances after the update, minus
-                # one 64K gather and a copy.
-                before = dist[nbrs]
+                cand = np.repeat(dist[worklist], wdeg)
+                cand += g.weights[eidx]
+                # A target improves iff some candidate beats its
+                # pre-update distance, so the improved targets are the
+                # nodes whose distance fell.
+                before = dist.copy()
                 np.minimum.at(dist, nbrs, cand)
-                next_mask[nbrs[cand < before]] = True
+                queued |= dist < before
             yield KernelLaunch("sssp.kernel2", rnd, self._sweep_waves)
             # Worklists are unordered on the GPU: process in scattered
             # order (permutation draws depend only on the size, so this
             # is bit-identical to permuting the union1d result).
-            pending = self._rng.permutation(
-                np.flatnonzero(next_mask)).astype(np.int64)
+            pending = self._rng.permutation(np.flatnonzero(queued))

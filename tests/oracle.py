@@ -32,10 +32,20 @@ only:
   sssp waves one at a time -- a sort and four coalescing calls per
   wave, and sssp's sweep rebuilt every round -- where production
   coalesces a whole BFS level or SSSP round in one pass.  They reuse
-  production's allocations, graph and traversal RNG.
+  production's allocations, graph and traversal RNG, but not its
+  traversal: degrees come from ``graph.degrees()``, each round builds
+  a zeroed next mask from the deferred tail and the improved targets,
+  and sssp finds those by comparing candidates against ``dist[nbrs]``
+  (production reads edge offsets and degrees off the CSR pointers per
+  level, keeps one pending mask across rounds and compares ``dist``
+  with a copy of itself).
 * :func:`reference_random_graph` is the uniform/skewed CSR generator
-  as first written, one temporary per arithmetic step; production's
-  ``random_graph`` does the same arithmetic in place.
+  as first written: one call draws all destinations, one temporary
+  per arithmetic step, and an unweighted graph draws its weights and
+  discards them.  Production's ``random_graph`` draws destinations in
+  blocks into the final int32 array, does the arithmetic in place,
+  and skips an unweighted graph's weight draws by advancing the
+  generator.
 * :func:`dynamic_thresholds_oversub` is Equation 1's second branch in
   validated form, where production's ``eq1_thresholds`` computes both
   branches per wave without checks.
@@ -522,7 +532,7 @@ class ReferenceBfs(Bfs):
 
     def kernels(self):
         g = self.graph
-        deg = self._deg
+        deg = g.degrees()
         visited = np.zeros(g.num_nodes, dtype=bool)
         visited[0] = True
         frontier = np.array([0], dtype=np.int64)
@@ -586,7 +596,7 @@ class ReferenceSssp(Sssp):
 
     def kernels(self):
         g, p = self.graph, self.params
-        deg = self._deg
+        deg = g.degrees()
         dist = np.full(g.num_nodes, np.inf, dtype=np.float64)
         dist[0] = 0.0
         pending = np.array([0], dtype=np.int64)
@@ -618,7 +628,8 @@ class ReferenceSssp(Sssp):
                 np.flatnonzero(next_mask)).astype(np.int64)
 
 
-def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0):
+def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0,
+                           weighted=True):
     """``repro.workloads.graphs.random_graph`` without in-place arithmetic."""
     extra = rng.poisson(avg_degree - 1.0, size=num_nodes)
     degrees = 1 + extra
@@ -636,7 +647,8 @@ def reference_random_graph(num_nodes, avg_degree, rng, skew=0.0):
         dst = rng.integers(0, num_nodes, size=m, dtype=np.int64)
     dst[ptr[:-1]] = (np.arange(num_nodes, dtype=np.int64) + 1) % num_nodes
     weights = rng.random(m, dtype=np.float32) * 99.0 + 1.0
-    return CsrGraph(ptr=ptr, dst=dst.astype(np.int32), weights=weights)
+    return CsrGraph(ptr=ptr, dst=dst.astype(np.int32),
+                    weights=weights if weighted else None)
 
 
 def dynamic_thresholds_oversub(ts: int, roundtrips: np.ndarray,

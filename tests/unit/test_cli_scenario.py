@@ -285,6 +285,30 @@ sweep:
         assert manifest.kind == "serve" and manifest.scenario == "serve"
 
 
+class TestOneRunIdPerScenario:
+    """A serve or multigpu scenario archives under the same run id
+    alone or in a batch with grid scenarios: the batch's sweep id names
+    only its grid cells."""
+
+    def test_smoke_scenarios(self, tmp_path, capsys):
+        alone, batch = tmp_path / "alone", tmp_path / "batch"
+        assert main(["serve", "--config", "configs/smoke/serve.yaml",
+                     "--archive", "--runs", str(alone)]) == 0
+        assert main(["run", "--config", "configs/smoke/multigpu.yaml",
+                     "--archive", "--runs", str(alone)]) == 0
+        assert main(["sweep", "--config-dir", "configs/smoke",
+                     "--archive", "--runs", str(batch)]) == 0
+        single = {m.scenario: m for m in RunStore(alone).list()}
+        assert sorted(single) == ["multigpu", "serve"]
+        batched = RunStore(batch).list()
+        cells = [m for m in batched if m.kind == "grid-cell"]
+        assert len(cells) == 4 and cells[0].sweep_id is not None
+        others = {m.scenario: m for m in batched if m.kind != "grid-cell"}
+        assert {name: m.run_id for name, m in others.items()} == \
+            {name: m.run_id for name, m in single.items()}
+        assert all(m.sweep_id is None for m in others.values())
+
+
 class TestConfigCommand:
     def test_validate_ok(self, run_cfg, capsys):
         assert main(["config", "validate", run_cfg]) == 0

@@ -1,6 +1,8 @@
 """Unit tests for workload utilities and graph generation."""
 
 import dataclasses
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.allocator import VirtualAddressSpace
 from repro.memory.layout import CHUNK_SIZE
-from repro.workloads.bfs import PRESETS as BFS_PRESETS
-from repro.workloads.graphs import random_graph
-from repro.workloads.sssp import PRESETS as SSSP_PRESETS
+from repro.workloads import graphs
+from repro.workloads.bfs import PRESETS as BFS_PRESETS, Bfs
+from repro.workloads.graphs import (make_graph, random_graph,
+                                    skip_float32_draws)
+from repro.workloads.sssp import PRESETS as SSSP_PRESETS, Sssp
 from repro.workloads.util import (
     SECTORS_PER_PAGE,
     coalesced_page_offsets,
@@ -298,3 +302,137 @@ class TestRandomGraphMatchesReference:
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert a.dtype == b.dtype, field.name
             np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+
+def _states_equal(a, b):
+    """Generator states equal as dicts, buffered 32-bit half included."""
+    return a.bit_generator.state == b.bit_generator.state
+
+
+class TestUnweightedGraph:
+    """An unweighted graph is the weighted one without its weights, and
+    leaves the generator where the weight draws would."""
+
+    @pytest.mark.parametrize("num_nodes,avg_degree,skew", _graph_presets())
+    def test_every_preset(self, num_nodes, avg_degree, skew):
+        plain_rng = np.random.default_rng(5)
+        plain = random_graph(num_nodes, avg_degree, plain_rng, skew=skew,
+                             weighted=False)
+        assert plain.weights is None
+        ptr, dst = plain.ptr, plain.dst
+        del plain
+        weighted_rng = np.random.default_rng(5)
+        weighted = random_graph(num_nodes, avg_degree, weighted_rng,
+                                skew=skew)
+        assert weighted.weights is not None
+        np.testing.assert_array_equal(ptr, weighted.ptr)
+        np.testing.assert_array_equal(dst, weighted.dst)
+        assert dst.dtype == weighted.dst.dtype
+        assert _states_equal(plain_rng, weighted_rng)
+
+    @settings(max_examples=25, deadline=None)
+    @given(num_nodes=st.integers(2, 3000), avg_degree=st.floats(1.0, 9.0),
+           skew=st.sampled_from([0.0, 0.25, 0.6]),
+           buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_draws(self, num_nodes, avg_degree, skew,
+                                     buffered, seed):
+        """The reference draws the weights and discards them."""
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        if buffered:
+            for rng in rngs:
+                rng.random(1, dtype=np.float32)
+        want = reference_random_graph(num_nodes, avg_degree, rngs[0],
+                                      skew=skew, weighted=False)
+        got = random_graph(num_nodes, avg_degree, rngs[1], skew=skew,
+                           weighted=False)
+        assert got.weights is None and want.weights is None
+        np.testing.assert_array_equal(got.ptr, want.ptr)
+        np.testing.assert_array_equal(got.dst, want.dst)
+        assert _states_equal(rngs[0], rngs[1])
+
+    def test_validate_accepts_unweighted(self):
+        g = random_graph(1000, 4.0, np.random.default_rng(0),
+                         weighted=False)
+        g.validate()
+        bad = dataclasses.replace(g, weights=np.ones(3, dtype=np.float32))
+        with pytest.raises(AssertionError, match="weights"):
+            bad.validate()
+
+    def test_bfs_builds_no_weights_and_sssp_does(self):
+        bfs, sssp = Bfs(BFS_PRESETS["tiny"]), Sssp(SSSP_PRESETS["tiny"])
+        for workload in (bfs, sssp):
+            workload.build(VirtualAddressSpace(), np.random.default_rng(0))
+        assert bfs.graph.weights is None
+        assert sssp.graph.weights.shape == sssp.graph.dst.shape
+
+    def test_peak_memory_is_kept_arrays_plus_blocks(self):
+        """Destinations are drawn in blocks into the final int32 array
+        and no weights are drawn: the peak is what the graph keeps, the
+        per-node degree and pointer arrays of the build, and a block's
+        per-edge float64 draws and int64 ids."""
+        num_nodes = 1 << 19
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            g = random_graph(num_nodes, 8.0, rng, skew=0.25, weighted=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (g.ptr.nbytes + g.dst.nbytes + 3 * num_nodes * 8
+                 + 2 * graphs._EDGE_BLOCK * 8)
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+
+class TestSkipFloat32Draws:
+    """``skip_float32_draws`` leaves the generator dict-equal to real
+    ``rng.random(n, dtype=np.float32)`` draws."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 100_001, 100_000])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_matches_real_draws(self, n, buffered):
+        drawn, skipped = (np.random.default_rng(11) for _ in range(2))
+        if buffered:
+            # An odd number of float32 draws leaves a 32-bit half in
+            # the buffer.
+            for rng in (drawn, skipped):
+                rng.random(3, dtype=np.float32)
+            assert drawn.bit_generator.state["has_uint32"] == 1
+        drawn.random(n, dtype=np.float32)
+        skip_float32_draws(skipped, n)
+        assert _states_equal(drawn, skipped)
+        np.testing.assert_array_equal(drawn.random(5, dtype=np.float32),
+                                      skipped.random(5, dtype=np.float32))
+
+    def test_rejects_other_bit_generators(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="MT19937"):
+            skip_float32_draws(rng, 10)
+        with pytest.raises(TypeError, match="MT19937"):
+            random_graph(100, 4.0, rng, weighted=False)
+
+
+class TestGraphMemo:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_GRAPH_MEMO", OrderedDict())
+
+    def test_weighted_and_unweighted_never_alias(self):
+        weighted_rng, plain_rng = (np.random.default_rng(7)
+                                   for _ in range(2))
+        weighted = make_graph(3000, 4.0, weighted_rng, weighted=True)
+        plain = make_graph(3000, 4.0, plain_rng, weighted=False)
+        assert plain is not weighted
+        assert plain.weights is None
+        assert weighted.weights is not None
+        assert _states_equal(weighted_rng, plain_rng)
+        assert len(graphs._GRAPH_MEMO) == 2
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_hit_fast_forwards_the_generator(self, weighted):
+        first_rng, again_rng = (np.random.default_rng(8)
+                                for _ in range(2))
+        first = make_graph(3000, 4.0, first_rng, weighted=weighted)
+        again = make_graph(3000, 4.0, again_rng, weighted=weighted)
+        assert again is first
+        assert _states_equal(first_rng, again_rng)
+        assert not first.dst.flags.writeable
