@@ -298,8 +298,9 @@ figures:
 	$(PYTHON) -m repro figure fig7
 	$(PYTHON) -m repro figure fig8
 
+# Run every example; the first that fails fails the target.
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex; done
+	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done
 
 # Documentation hygiene: links resolve, documented CLI commands parse.
 check-docs:

@@ -3,22 +3,21 @@
 The paper visualizes per-page access counts for fdtd (flat: every page
 of every allocation is accessed at the same rate) and sssp (bimodal:
 hot read-write distance structures vs. cold read-only graph
-structures).  This benchmark regenerates the underlying histograms and
-asserts both shapes.
+structures).  This benchmark regenerates the underlying histograms from
+recordings of the two access streams and asserts both shapes.
 """
 
 import numpy as np
 
 from repro.analysis import figure2, render_figure2
-from repro.analysis.experiments import NO_OVERSUB
-from repro.analysis.parallel import GridCell, run_cell
-from repro.config import MigrationPolicy
+from repro.trace import record_trace
+from repro.workloads import make_workload
 
 from conftest import run_once
 
 
-def test_figure2(benchmark, save_report, scale, jobs):
-    data = run_once(benchmark, lambda: figure2(scale=scale, jobs=jobs))
+def test_figure2(benchmark, save_report, scale):
+    data = run_once(benchmark, lambda: figure2(scale=scale))
     save_report("figure2", render_figure2(data))
 
     # fdtd: uniform density across its field arrays (Figure 2a).
@@ -43,12 +42,13 @@ def test_figure2(benchmark, save_report, scale, jobs):
 
 def test_figure2_page_level_uniformity(benchmark, save_report, scale):
     """Per-page histogram of one fdtd array is flat (not just on average)."""
-    def run():
-        return run_cell(GridCell("fdtd", MigrationPolicy.DISABLED,
-                                 NO_OVERSUB, scale, collect_histogram=True))
-    r = run_once(benchmark, run)
-    hist = r.stats.allocation_histogram("fdtd.ey")
-    touched = hist["reads"] + hist["writes"]
+    trace = run_once(benchmark,
+                     lambda: record_trace(make_workload("fdtd", scale)))
+    ey = next(a for a in trace.layout().allocations if a.name == "fdtd.ey")
+    pages = np.asarray(trace.pages)
+    mine = (pages >= ey.first_page) & (pages < ey.last_page)
+    touched = np.bincount(pages[mine] - ey.first_page,
+                          np.asarray(trace.counts)[mine])
     touched = touched[touched > 0]
     assert touched.size > 0
     assert np.std(touched) < 0.2 * np.mean(touched)

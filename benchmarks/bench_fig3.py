@@ -21,8 +21,8 @@ def _pages_by(records, kernel, iteration):
     return np.unique(np.concatenate([r.pages for r in recs]))
 
 
-def test_figure3(benchmark, save_report, scale, jobs):
-    data = run_once(benchmark, lambda: figure3(scale=scale, jobs=jobs))
+def test_figure3(benchmark, save_report, scale):
+    data = run_once(benchmark, lambda: figure3(scale=scale))
     save_report("figure3", render_figure3(data))
 
     # fdtd: iterations 2 and 4 touch identical page sets (regular,

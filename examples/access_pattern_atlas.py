@@ -3,9 +3,11 @@
 
 Regenerates the analysis behind Figures 2 and 3 for *all eight*
 workloads: per-allocation access densities (hot/cold, read-only vs
-read-write) and a coarse page-vs-time sketch per kernel, rendered as
-ASCII.  Useful to see at a glance why each workload lands in the
-regular or irregular bucket.
+read-write) and a coarse page-vs-wave sketch of the whole stream,
+rendered as ASCII.  Both read a recording of the workload's access
+stream, which no migration policy changes, so nothing is simulated.
+Useful to see at a glance why each workload lands in the regular or
+irregular bucket.
 
 Run::
 
@@ -14,45 +16,35 @@ Run::
 
 import argparse
 
-import numpy as np
-
-from repro import MigrationPolicy, SimulationConfig, Simulator
-from repro.analysis.tables import format_table
+from repro.analysis import allocation_table, allocation_totals, sample_waves
+from repro.trace import record_trace
 from repro.workloads import ALL_WORKLOADS, make_workload, workload_category
 
 
 def atlas(name: str, scale: str = "tiny") -> None:
-    cfg = SimulationConfig(seed=0, collect_page_histogram=True,
-                           collect_access_trace=True)
-    cfg = cfg.with_policy(MigrationPolicy.DISABLED)
-    r = Simulator(cfg).run(make_workload(name, scale), oversubscription=0.8)
+    trace = record_trace(make_workload(name, scale), seed=0)
 
     cat = workload_category(name).value
     print(f"\n==== {name} ({cat}) ====")
-    rows = [[s["name"], s["pages"], s["reads"], s["writes"],
-             round(s["accesses_per_page"], 1),
-             "RO" if s["read_only"] else "RW"]
-            for s in r.stats.allocation_summary()]
-    print(format_table(
-        ["allocation", "pages", "reads", "writes", "acc/page", "type"],
-        rows))
+    print(allocation_table(allocation_totals(trace), ""))
 
-    # Page-vs-time sketch: bucket the trace into a character raster.
-    trace = r.stats.trace
-    if not trace:
+    # Page-vs-wave sketch: bucket the sampled waves into a character
+    # raster, one column per span of waves in stream order.
+    samples = sample_waves(trace, set(trace.kernel_iterations.tolist()))
+    if not samples:
         return
     width, height = 64, 12
-    t_max = max(rec.cycle for rec in trace) + 1.0
-    p_max = max(int(rec.pages.max()) for rec in trace if rec.pages.size) + 1
+    w_max = trace.num_waves
+    p_max = max(int(s.pages.max()) for s in samples) + 1
     raster = [[" "] * width for _ in range(height)]
-    for rec in trace:
-        col = min(int(width * rec.cycle / t_max), width - 1)
-        for page, w in zip(rec.pages, rec.is_write):
-            row = min(int(height * page / p_max), height - 1)
+    for s in samples:
+        col = min(width * s.wave // w_max, width - 1)
+        for page, w in zip(s.pages.tolist(), s.is_write.tolist()):
+            row = min(height * page // p_max, height - 1)
             mark = "W" if w else "r"
             if raster[row][col] == " " or mark == "W":
                 raster[row][col] = mark
-    print("page-vs-time sketch (r = read, W = write; low pages at top):")
+    print("page-vs-wave sketch (r = read, W = write; low pages at top):")
     for line in raster:
         print("  |" + "".join(line) + "|")
 

@@ -23,9 +23,9 @@ One JSON object per line::
 * A line torn by a kill mid-write fails to parse and is skipped on
   load, so a crashed sweep always leaves a *consistent* journal: every
   parseable line is a fully-committed result.
-* Heavy per-run instrumentation (``RunResult.stats``) is **not**
-  serialized; cells that request histograms or traces are always
-  re-simulated on resume.
+* A journal written while ``collect_histogram`` and ``collect_trace``
+  were cell fields still resumes: they never changed a result, and
+  only cells with both false were journaled.
 
 Round-trip fidelity: every serialized field (including floats, which
 JSON round-trips exactly via ``repr``) decodes bit-identical, so a
@@ -78,6 +78,10 @@ def _known_fields(cls, data: dict) -> dict:
 #: the cell's checkpoint identity and a journal entry is shared across
 #: replay sources.
 _PERF_HINT_FIELDS = ("trace_path",)
+
+#: Retired GridCell fields that never changed a result, dropped from a
+#: journaled cell's key on load.
+_RETIRED_CELL_FIELDS = ("collect_histogram", "collect_trace")
 
 
 def encode_cell(cell) -> dict:
@@ -139,7 +143,7 @@ def decode_config(data: dict) -> SimulationConfig:
 
 
 def encode_result(result: RunResult) -> dict:
-    """JSON-safe encoding of a run result (``stats`` is dropped)."""
+    """JSON-safe encoding of a run result."""
     return {
         "workload": result.workload,
         "config": encode_config(result.config),
@@ -160,7 +164,6 @@ def decode_result(data: dict) -> RunResult:
         total_cycles=data["total_cycles"],
         timing=WaveTiming(**_known_fields(WaveTiming, data["timing"])),
         events=WaveOutcome(**_known_fields(WaveOutcome, data["events"])),
-        stats=None,
         footprint_bytes=data.get("footprint_bytes", 0),
         device_capacity_bytes=data.get("device_capacity_bytes", 0),
         unique_thrashed_blocks=data.get("unique_thrashed_blocks", 0),
@@ -197,7 +200,7 @@ class CheckpointJournal:
                     record = json.loads(line)
                     cell = record["cell"]
                     # Mirror cell_key(): perf hints are not identity.
-                    for name in _PERF_HINT_FIELDS:
+                    for name in _PERF_HINT_FIELDS + _RETIRED_CELL_FIELDS:
                         cell.pop(name, None)
                     key = json.dumps(cell, sort_keys=True)
                     entries[key] = decode_result(record["result"])

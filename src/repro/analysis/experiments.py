@@ -1,10 +1,14 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
-Every public function regenerates the data behind one figure of
-Ganguly et al. (IPDPS 2020) on the simulator and returns a
-:class:`SeriesResult` carrying measured values, the paper's published
-values, and a renderer for side-by-side comparison.  The benchmark
-harness under ``benchmarks/`` is a thin wrapper over these functions.
+Every ``figure*`` function regenerates the data behind one figure of
+Ganguly et al. (IPDPS 2020).  The runtime and thrash figures (1 and
+4-8) simulate a grid and return a :class:`SeriesResult` carrying
+measured values, the paper's published values, and a renderer for
+side-by-side comparison.  Figures 2 and 3 characterize access streams,
+which no migration policy changes, so they summarize a recording of
+each stream (:class:`~repro.trace.TraceData`) and simulate nothing.
+The benchmark harness under ``benchmarks/`` is a thin wrapper over
+these functions.
 
 The paper's methodology is followed throughout: working sets are never
 scaled; instead the device capacity is derived from the workload
@@ -17,9 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..config import MigrationPolicy, SimulationConfig
 from ..memory.layout import PAGE_SIZE
 from ..sim.results import RunResult
+from ..trace.cache import TraceCache
+from ..trace.format import TraceData
+from ..trace.recorder import load_trace_dir, record_trace
+from ..workloads import make_workload
 from . import paper_data
 from .parallel import GridCell, GridOptions, run_grid
 from .tables import comparison_table, format_table
@@ -166,70 +176,137 @@ def figure1(scale: str = "small", subset=None, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Figure 2 -- per-page access distribution (fdtd, sssp)
+# Figures 2 and 3 -- the access streams themselves (fdtd, sssp)
 # ---------------------------------------------------------------------------
 
-def figure2(scale: str = "small", seed: int = 0, jobs: int = 1,
-            grid: GridOptions | None = None) -> dict[str, list[dict]]:
-    """Per-allocation access histograms for fdtd and sssp.
+def _recorded(workload: str, scale: str, seed: int,
+              trace_cache: str | None) -> TraceData:
+    """The recording of one ``(workload, scale, seed)`` access stream:
+    from the ``trace_cache`` directory when given (recorded into it if
+    absent), else recorded in memory."""
+    if trace_cache is None:
+        return record_trace(make_workload(workload, scale), seed=seed)
+    return load_trace_dir(
+        TraceCache(trace_cache).get_or_record(workload, scale, seed))
 
-    Returns, per workload, the allocation summary rows (name, pages,
-    read/write totals, accesses per page) that characterize the flat
-    profile of fdtd vs. the hot/cold split of sssp.
+
+def allocation_totals(trace: TraceData) -> list[dict]:
+    """Read and write totals per allocation of a recorded stream.
+
+    One row per allocation, in allocation order: its name, pages, the
+    accesses that read and that write it, accesses per page, and whether
+    nothing wrote it -- the hot/cold and read-only/read-write split of
+    Figure 2.
     """
-    workloads = ("fdtd", "sssp")
-    results = run_grid(
-        [GridCell(w, MigrationPolicy.DISABLED, NO_OVERSUB, scale,
-                  seed=seed, collect_histogram=True) for w in workloads],
-        max_workers=jobs, options=grid)
-    return {w: r.stats.allocation_summary()
-            for w, r in zip(workloads, results)}
+    pages = np.asarray(trace.pages)
+    written = np.asarray(trace.is_write, dtype=bool)
+    counts = np.asarray(trace.counts)
+    vas = trace.layout()
+    # Accesses per page as float64 sums of integer counts: exact, since
+    # no total reaches 2**53.
+    reads = np.bincount(pages[~written], counts[~written], vas.total_pages)
+    writes = np.bincount(pages[written], counts[written], vas.total_pages)
+    rows = []
+    for alloc in vas.allocations:
+        lo, hi = alloc.first_page, alloc.last_page
+        r, w = int(reads[lo:hi].sum()), int(writes[lo:hi].sum())
+        rows.append({"name": alloc.name, "pages": hi - lo, "reads": r,
+                     "writes": w, "accesses_per_page": (r + w) / (hi - lo),
+                     "read_only": w == 0})
+    return rows
+
+
+def allocation_table(rows: list[dict], title: str) -> str:
+    """Text table of :func:`allocation_totals` rows."""
+    return format_table(
+        ["allocation", "pages", "reads", "writes", "acc/page", "type"],
+        [[r["name"], r["pages"], r["reads"], r["writes"],
+          round(r["accesses_per_page"], 1), "RO" if r["read_only"] else "RW"]
+         for r in rows], title=title)
+
+
+def figure2(scale: str = "small", seed: int = 0,
+            trace_cache: str | None = None) -> dict[str, list[dict]]:
+    """Per-allocation access totals for fdtd and sssp.
+
+    Returns, per workload, the :func:`allocation_totals` rows that
+    characterize the flat profile of fdtd vs. the hot/cold split of
+    sssp.  Streams come from ``trace_cache`` when given, else from
+    in-memory recordings.
+    """
+    return {w: allocation_totals(_recorded(w, scale, seed, trace_cache))
+            for w in ("fdtd", "sssp")}
 
 
 def render_figure2(data: dict[str, list[dict]]) -> str:
-    """Text rendering of the Figure 2 histogram summaries."""
+    """Text rendering of the Figure 2 allocation totals."""
     blocks = ["== Figure 2: page access distribution per allocation =="]
-    for w, rows in data.items():
-        table_rows = [[r["name"], r["pages"], r["reads"], r["writes"],
-                       round(r["accesses_per_page"], 1),
-                       "RO" if r["read_only"] else "RW"] for r in rows]
-        blocks.append(format_table(
-            ["allocation", "pages", "reads", "writes", "acc/page", "type"],
-            table_rows, title=f"-- {w}"))
+    blocks += [allocation_table(rows, f"-- {w}") for w, rows in data.items()]
     return "\n\n".join(blocks)
 
 
-# ---------------------------------------------------------------------------
-# Figure 3 -- access pattern over time (fdtd iters 2/4, sssp iters 3/5)
-# ---------------------------------------------------------------------------
+#: Entries Figure 3 keeps of each wave, evenly spaced.
+WAVE_SAMPLE = 512
 
-def figure3(scale: str = "small", seed: int = 0, jobs: int = 1,
-            grid: GridOptions | None = None) -> dict[str, list]:
-    """Sampled (cycle, page) traces for selected iterations.
 
-    Returns trace records for fdtd iterations 2 and 4 and sssp rounds
-    3 and 5 -- the iterations the paper plots.
+@dataclass(frozen=True)
+class WaveSample:
+    """One recorded wave as Figure 3 plots it."""
+
+    #: Index of the wave in the recorded stream (Figure 3's time axis).
+    wave: int
+    kernel: str
+    iteration: int
+    #: Up to :data:`WAVE_SAMPLE` of the wave's accesses, evenly spaced.
+    pages: np.ndarray
+    is_write: np.ndarray
+
+
+def sample_waves(trace: TraceData, iterations) -> list[WaveSample]:
+    """Every non-empty wave of the ``iterations`` wanted, in stream
+    order, sampled to at most :data:`WAVE_SAMPLE` accesses."""
+    offsets = trace.wave_offsets.tolist()
+    launch = np.asarray(trace.wave_kernel)
+    iteration = np.asarray(trace.kernel_iterations)[launch]
+    wanted = ((np.diff(trace.wave_offsets) > 0)
+              & np.isin(iteration, list(iterations)))
+    samples = []
+    for w in np.flatnonzero(wanted).tolist():
+        lo, hi = offsets[w], offsets[w + 1]
+        pages, writes = trace.pages[lo:hi], trace.is_write[lo:hi]
+        if hi - lo > WAVE_SAMPLE:
+            pick = np.linspace(0, hi - lo - 1, WAVE_SAMPLE, dtype=np.int64)
+            pages, writes = pages[pick], writes[pick]
+        samples.append(WaveSample(w, trace.kernel_names[launch[w]],
+                                  int(iteration[w]), np.array(pages),
+                                  np.array(writes)))
+    return samples
+
+
+def figure3(scale: str = "small", seed: int = 0,
+            trace_cache: str | None = None) -> dict[str, list[WaveSample]]:
+    """Sampled waves of the iterations the paper plots.
+
+    Returns :func:`sample_waves` of fdtd iterations 2 and 4 and sssp
+    rounds 3 and 5, from ``trace_cache`` when given, else from in-memory
+    recordings.
     """
     wanted = {"fdtd": (2, 4), "sssp": (3, 5)}
-    results = run_grid(
-        [GridCell(w, MigrationPolicy.DISABLED, NO_OVERSUB, scale,
-                  seed=seed, collect_trace=True) for w in wanted],
-        max_workers=jobs, options=grid)
-    return {w: [rec for rec in r.stats.trace if rec.iteration in iters]
-            for (w, iters), r in zip(wanted.items(), results)}
+    return {w: sample_waves(_recorded(w, scale, seed, trace_cache), iters)
+            for w, iters in wanted.items()}
 
 
-def render_figure3(data: dict[str, list]) -> str:
+def render_figure3(data: dict[str, list[WaveSample]]) -> str:
     """Summarize trace shape: page span and wave count per iteration."""
     rows = []
-    for w, records in data.items():
-        by_iter: dict[tuple[str, int], list] = {}
-        for rec in records:
-            by_iter.setdefault((rec.kernel, rec.iteration), []).append(rec)
-        for (kernel, it), recs in sorted(by_iter.items()):
-            import numpy as np
-            pages = np.concatenate([r.pages for r in recs])
-            rows.append([w, kernel, it, len(recs), int(pages.min()),
+    for w, samples in data.items():
+        by_iter: dict[tuple[str, int], list[WaveSample]] = {}
+        for sample in samples:
+            by_iter.setdefault((sample.kernel, sample.iteration),
+                               []).append(sample)
+        for (kernel, it), group in sorted(by_iter.items()):
+            pages = np.concatenate([s.pages for s in group])
+            rows.append([w, kernel, it, len(group), int(pages.min()),
                          int(pages.max()), int(np.unique(pages).size)])
     return format_table(
         ["workload", "kernel", "iter", "waves", "min page", "max page",

@@ -94,8 +94,6 @@ class GridCell:
     ts: int = PolicyConfig.static_threshold
     p: int = PolicyConfig.migration_penalty
     seed: int = SimulationConfig.seed
-    collect_histogram: bool = SimulationConfig.collect_page_histogram
-    collect_trace: bool = SimulationConfig.collect_access_trace
     #: Injected transient-fault rates (see :mod:`repro.uvm.faults`).
     transfer_fault_rate: float = FaultConfig.transfer_fault_rate
     migration_fault_rate: float = FaultConfig.migration_fault_rate
@@ -147,13 +145,11 @@ def cell_config(knobs) -> SimulationConfig:
     if k["evict"] not in EVICTION_GRANULARITIES:
         raise ValueError(f"unknown eviction granularity {k['evict']!r}; "
                          f"choose from {', '.join(EVICTION_GRANULARITIES)}")
-    cfg = SimulationConfig(seed=k["seed"],
-                           collect_page_histogram=k["collect_histogram"],
-                           collect_access_trace=k["collect_trace"])
-    cfg = cfg.with_policy(MigrationPolicy(k["policy"]),
-                          static_threshold=k["ts"], migration_penalty=k["p"],
-                          threshold_variant=k["threshold_variant"],
-                          historic_counters=k["historic_counters"])
+    cfg = SimulationConfig(seed=k["seed"]).with_policy(
+        MigrationPolicy(k["policy"]),
+        static_threshold=k["ts"], migration_penalty=k["p"],
+        threshold_variant=k["threshold_variant"],
+        historic_counters=k["historic_counters"])
     cfg = cfg.with_eviction_granularity(EVICTION_GRANULARITIES[k["evict"]])
     cfg = cfg.with_prefetcher(PrefetcherKind(k["prefetcher"]))
     # The fault knobs only count while a fault can fire, and the storm
@@ -333,10 +329,7 @@ def run_grid(cells, max_workers: int | None = None,
             for i in pending:
                 cell = cells[i]
                 hit = cached.get(cell_key(cell))
-                # Cells carrying heavy collectors are never served from
-                # the journal (stats are not serialized).
-                if hit is not None and not (cell.collect_histogram
-                                            or cell.collect_trace):
+                if hit is not None:
                     results[i] = hit
                     if gm is not None:
                         gm.from_checkpoint.inc()
@@ -455,8 +448,7 @@ def _store(results, journal, streams: _Streams, cell, index: int,
            result: RunResult, archive=None) -> None:
     """Commit one finished cell: result slot, journal, archive, stream."""
     results[index] = result
-    if journal is not None and not (cell.collect_histogram
-                                    or cell.collect_trace):
+    if journal is not None:
         journal.append(cell, result)
     if archive is not None:
         archive(cell, result)

@@ -6,18 +6,20 @@ from typing import Iterable, Mapping
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "",
-                 float_fmt: str = "{:.3f}") -> str:
-    """Render a fixed-width text table."""
+                 float_fmt: str = "{:.3f}", rstrip: bool = False) -> str:
+    """Render a fixed-width text table.
+
+    Every cell is padded to its column's width, so lines end in the
+    last column's padding; ``rstrip`` removes it (the committed figure
+    tables keep it, the event-log reports drop it).
+    """
     cells = [[_fmt(c, float_fmt) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    lines = [title] if title else []
+    for row in (headers, ["-" * w for w in widths], *cells):
+        line = "  ".join(c.ljust(w) for c, w in zip(row, widths))
+        lines.append(line.rstrip() if rstrip else line)
     return "\n".join(lines)
 
 

@@ -5,10 +5,12 @@ Commands
 
 ``run``
     Simulate one workload under one configuration and print the result
-    summary (optionally with per-allocation access histograms).
+    summary (optionally with per-allocation access totals of its
+    stream).
 ``compare``
     Run all four migration policies on one workload at one
-    oversubscription level and print normalized runtimes.
+    oversubscription level, replaying one recording of its stream, and
+    print normalized runtimes.
 ``figure``
     Regenerate one of the paper's tables/figures and print the
     paper-vs-measured comparison (``--jobs N`` fans the experiment
@@ -79,6 +81,7 @@ from .config import MigrationPolicy
 from .scenario.compile import compiled_default
 from .scenario.schema import SCHEMA, show
 from .sim.simulator import Simulator
+from .trace import TraceWorkload, record_trace
 from .workloads import ALL_WORKLOADS, SCALES, make_workload
 
 
@@ -309,12 +312,11 @@ def _reject_single_run_flags(args, command: str, what: str) -> None:
 
 
 def _sim_config(args, variant: dict):
-    """The config ``variant`` compiles to, under the CLI-only overlays
-    (``--histogram``, ``--debug-invariants``): they instrument or audit
-    a run, never change what it simulates."""
+    """The config ``variant`` compiles to, under the CLI-only
+    ``--debug-invariants`` overlay: it audits a run, never changes what
+    it simulates."""
     from .scenario import build_sim_config
     return build_sim_config(variant).replace(
-        collect_page_histogram=getattr(args, "histogram", False),
         debug_invariants=args.debug_invariants)
 
 
@@ -329,8 +331,6 @@ def _simulate(args, cfg, wl, oversub: float, scale: str,
     _print_summary(result)
     _finish_obs(obs, args)
     _finish_archive(archive, result, obs)
-    if cfg.collect_page_histogram:
-        _print_histogram(result)
     return 0
 
 
@@ -353,22 +353,24 @@ def cmd_run(args) -> int:
     with _exit_on_error("run"):
         cell = build_cell(scenario)
         cfg = _sim_config(args, scenario)
+    wl = _make_workload(cell.workload, cell.scale)
+    trace = None
+    if args.histogram:
+        # Summarize a recording of the run's stream, and simulate its
+        # replay (bit-identical to the live run) so that the stream is
+        # generated once.
+        trace = record_trace(wl, seed=cfg.seed)
+        wl = TraceWorkload(trace)
     # Only config-driven runs archive a scenario: a flag run's manifest
     # is its config alone.
-    return _simulate(args, cfg, _make_workload(cell.workload, cell.scale),
-                     cell.oversubscription, cell.scale,
-                     scenario=scenario if args.config else None)
-
-
-def _print_histogram(result) -> None:
-    rows = [[s["name"], s["pages"], s["reads"], s["writes"],
-             round(s["accesses_per_page"], 1),
-             "RO" if s["read_only"] else "RW"]
-            for s in result.stats.allocation_summary()]
-    print()
-    print(format_table(
-        ["allocation", "pages", "reads", "writes", "acc/page", "type"],
-        rows, title="-- access histogram per allocation"))
+    status = _simulate(args, cfg, wl, cell.oversubscription, cell.scale,
+                       scenario=scenario if args.config else None)
+    if trace is not None:
+        print()
+        print(analysis.allocation_table(
+            analysis.allocation_totals(trace),
+            "-- access histogram per allocation"))
+    return status
 
 
 def cmd_compare(args) -> int:
@@ -379,9 +381,12 @@ def cmd_compare(args) -> int:
         configs = {pol: _sim_config(args, deep_merge(
                        scenario, {"policy": {"variant": pol.value}}))
                    for pol in MigrationPolicy}
+    # One recording replayed under every policy, as a grid does: replay
+    # is bit-identical to generating the stream live for each run.
+    wl = TraceWorkload(record_trace(
+        _make_workload(cell.workload, cell.scale), seed=cell.seed))
     results = {pol: Simulator(cfg).run(
-                   _make_workload(cell.workload, cell.scale),
-                   oversubscription=cell.oversubscription)
+                   wl, oversubscription=cell.oversubscription)
                for pol, cfg in configs.items()}
     base = results[MigrationPolicy.DISABLED]
     rows = []
@@ -418,9 +423,9 @@ _FIGURE_SERIES = {
 _FIGURES = {
     "table1": lambda scale, jobs, grid: analysis.table1(),
     "fig2": lambda scale, jobs, grid: analysis.render_figure2(
-        analysis.figure2(scale, jobs=jobs, grid=grid)),
+        analysis.figure2(scale, trace_cache=grid.trace_cache)),
     "fig3": lambda scale, jobs, grid: analysis.render_figure3(
-        analysis.figure3(scale, jobs=jobs, grid=grid)),
+        analysis.figure3(scale, trace_cache=grid.trace_cache)),
 }
 _FIGURES.update({
     fid: (lambda scale, jobs, grid, _s=series: _s(scale, jobs, grid).render())
@@ -508,7 +513,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .trace import TraceWorkload, record_trace, save_trace
+    from .trace import save_trace
     if args.trace_cmd == "record":
         data = record_trace(_make_workload(args.workload, args.scale),
                             seed=args.seed)
@@ -960,7 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "docs/scenarios.md); simulation flags given with "
                         "it override the scenario's keys")
     p.add_argument("--histogram", action="store_true",
-                   help="collect per-allocation access histograms")
+                   help="also print per-allocation read and write totals "
+                        "of the run's access stream")
     _add_sim_flags(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_run)

@@ -321,10 +321,6 @@ class SimulationConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     timing: TimingConfig = field(default_factory=TimingConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
-    #: Capture per-page access histograms (Figure 2) -- adds overhead.
-    collect_page_histogram: bool = False
-    #: Capture (cycle, page, is_write) access samples (Figure 3).
-    collect_access_trace: bool = False
     #: Re-verify driver accounting invariants after every wave (slow;
     #: catches residency/device-ledger drift at the wave that caused it).
     debug_invariants: bool = False

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 
 from ..gpu.timing import TimingModel, WaveTiming
-from ..stats.collector import StatsCollector
 from ..uvm.driver import UvmDriver
 from ..workloads.base import KernelLaunch, Workload
 
@@ -26,11 +25,9 @@ class GpuExecutionEngine:
     """Runs a workload to completion and accumulates its cycles."""
 
     def __init__(self, driver: UvmDriver, timing: TimingModel,
-                 collector: StatsCollector | None = None,
                  obs=None) -> None:
         self.driver = driver
         self.timing = timing
-        self.collector = collector
         self.cycle = 0.0
         self.total_timing = WaveTiming()
         #: Optional :class:`repro.obs.Observability` handle.  The engine
@@ -69,10 +66,8 @@ class GpuExecutionEngine:
     def run_kernel(self, launch: KernelLaunch) -> float:
         """Execute one kernel launch; returns its cycle cost."""
         kernel_cycles = 0.0
-        kernel_accesses = 0
         # The wave loop is the simulator's innermost Python loop; bound
         # methods are resolved once per launch instead of per wave.
-        collector = self.collector
         process_wave = self.driver.process_wave
         wave_cycles = self.timing.wave_cycles
         merge_timing = self.total_timing.merge
@@ -81,17 +76,12 @@ class GpuExecutionEngine:
         # in-loop consumer below reads the local).
         cycle = self.cycle
         for wave in launch.waves():
-            if collector is not None:
-                collector.on_wave(launch.name, launch.iteration,
-                                  cycle, wave.pages, wave.is_write,
-                                  wave.counts)
             outcome = process_wave(wave.pages, wave.is_write, wave.counts,
                                    wave.grouped)
             t = wave_cycles(outcome, wave.compute_cycles)
             merge_timing(t)
             cycle += t.total
             kernel_cycles += t.total
-            kernel_accesses += outcome.n_accesses
             if self._m_wave_cycles is not None:
                 self._m_wave_cycles.observe(t.total)
                 # Link pressure proxy: blocks queued on PCIe this wave
@@ -104,9 +94,6 @@ class GpuExecutionEngine:
                     self.driver.device.used_blocks
                     / self.driver.device.capacity_blocks)
         self.cycle = cycle
-        if collector is not None:
-            collector.on_kernel_end(launch.name, kernel_cycles,
-                                    kernel_accesses)
         return kernel_cycles
 
     def run(self, workload: Workload) -> float:

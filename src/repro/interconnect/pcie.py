@@ -12,7 +12,9 @@ cross the link:
   latency but poor bandwidth efficiency -- the paper's motivation for
   migrating hot data and host-pinning only cold data.
 
-The model also keeps cumulative byte counters for utilization reporting.
+The model is pure: it prices events and keeps no state.  A run's
+traffic in bytes derives from its event totals
+(:attr:`repro.sim.results.RunResult.h2d_bytes` and its siblings).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..memory.layout import BASIC_BLOCK_SIZE
 
 
 class PcieModel:
-    """Cycle costs and cumulative traffic for the CPU-GPU interconnect."""
+    """Cycle costs of the CPU-GPU interconnect's traffic classes."""
 
     def __init__(self, icfg: InterconnectConfig, gcfg: GpuConfig) -> None:
         self.config = icfg
@@ -44,30 +46,23 @@ class PcieModel:
         self.block_transfer_cycles = (
             BASIC_BLOCK_SIZE / self.bytes_per_cycle + icfg.latency_cycles
         )
-        # Cumulative traffic (bytes) for utilization statistics.
-        self.h2d_bytes = 0
-        self.d2h_bytes = 0
-        self.remote_bytes = 0
 
     def migration_cycles(self, n_blocks: int) -> float:
         """Host->device streaming cost of ``n_blocks`` basic blocks."""
         if n_blocks <= 0:
             return 0.0
-        self.h2d_bytes += n_blocks * BASIC_BLOCK_SIZE
         return n_blocks * self.block_transfer_cycles
 
     def writeback_cycles(self, n_blocks: int) -> float:
         """Device->host write-back cost of ``n_blocks`` dirty blocks."""
         if n_blocks <= 0:
             return 0.0
-        self.d2h_bytes += n_blocks * BASIC_BLOCK_SIZE
         return n_blocks * self.block_transfer_cycles
 
     def remote_cycles(self, n_accesses: int) -> float:
         """Cost of ``n_accesses`` remote zero-copy transactions."""
         if n_accesses <= 0:
             return 0.0
-        self.remote_bytes += n_accesses * self.config.remote_transaction_bytes
         return n_accesses * self.remote_access_cycles
 
     def fault_handling_cycles(self, fault_events: int) -> float:
@@ -82,12 +77,10 @@ class PcieModel:
 
         A failed migration attempt (injected transient fault) still
         occupied the link for a full block stream before being dropped,
-        so each retry wastes one block-transfer time and its bytes count
-        toward h2d traffic.  The backoff *wait* between attempts is
-        charged separately by the timing model from
-        ``WaveOutcome.retry_backoff_us``.
+        so each retry wastes one block-transfer time.  The backoff
+        *wait* between attempts is charged separately by the timing
+        model from ``WaveOutcome.retry_backoff_us``.
         """
         if n_retries <= 0:
             return 0.0
-        self.h2d_bytes += n_retries * BASIC_BLOCK_SIZE
         return n_retries * self.block_transfer_cycles

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .inspect import LogSummary, _table, summarize
+from ..analysis.tables import format_table
+from .inspect import LogSummary, summarize
 from .metrics import Histogram
 
 #: Result-summary metrics compared by ``repro diff``:
@@ -289,29 +290,30 @@ def render_diff(diff: RunDiff) -> str:
              ""]
     if diff.config_changes:
         lines.append("-- config changes (A -> B)")
-        lines.append(_table(
+        lines.append(format_table(
             ["field", "a", "b"],
             [[k, _fmt(va), _fmt(vb)]
-             for k, (va, vb) in diff.config_changes.items()]))
+             for k, (va, vb) in diff.config_changes.items()], rstrip=True))
         lines.append("")
 
     lines.append("-- result metrics (changes under the noise tolerance "
                  "shown as ~0%)")
-    lines.append(_table(
+    lines.append(format_table(
         ["metric", "a", "b", "delta", "change", "verdict"],
         [[m.name, _fmt(m.a), _fmt(m.b), _fmt(m.delta), _fmt_pct(m),
-          m.verdict] for m in diff.metrics]))
+          m.verdict] for m in diff.metrics], rstrip=True))
 
     ev = diff.events
     if ev is not None:
         lines.append("")
         lines.append("-- round trips per thrashing block (from event logs)")
-        lines.append(_table(
+        lines.append(format_table(
             ["run", "thrashing blocks", "p50", "p90", "max"],
             [["a", ev.roundtrips_a["count"], _fmt(ev.roundtrips_a["p50"]),
               _fmt(ev.roundtrips_a["p90"]), _fmt(ev.roundtrips_a["max"])],
              ["b", ev.roundtrips_b["count"], _fmt(ev.roundtrips_b["p50"]),
-              _fmt(ev.roundtrips_b["p90"]), _fmt(ev.roundtrips_b["max"])]]))
+              _fmt(ev.roundtrips_b["p90"]), _fmt(ev.roundtrips_b["max"])]],
+            rstrip=True))
         lines.append("")
         lines.append(f"-- top-thrashing blocks: {ev.thrash_shared} shared, "
                      f"{len(ev.thrash_only_a)} only in A, "
@@ -326,7 +328,7 @@ def render_diff(diff: RunDiff) -> str:
             lines.append("")
             lines.append("-- td trajectory per allocation "
                          "(adaptive threshold, first -> last wave)")
-            lines.append(_table(
+            lines.append(format_table(
                 ["allocation", "decisions a/b", "td a", "td b",
                  "td max a/b"],
                 [[t.allocation,
@@ -334,7 +336,7 @@ def render_diff(diff: RunDiff) -> str:
                   f"{_fmt(t.td_first_a)} -> {_fmt(t.td_last_a)}",
                   f"{_fmt(t.td_first_b)} -> {_fmt(t.td_last_b)}",
                   f"{t.td_max_a}/{t.td_max_b}"]
-                 for t in ev.trajectories]))
+                 for t in ev.trajectories], rstrip=True))
     else:
         lines.append("")
         lines.append("(no event logs archived for both runs; "

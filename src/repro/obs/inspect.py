@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..analysis.tables import format_table
 from .events import (
     AlertFired,
     CounterHalving,
@@ -345,19 +346,6 @@ def summarize(path_or_events) -> LogSummary:
     return s
 
 
-def _table(headers: list[str], rows: list[list]) -> str:
-    """Minimal aligned table (kept local to avoid importing analysis;
-    ``repro diff`` renders with it too)."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(headers)]
-    def fmt(row):
-        return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines += [fmt(r) for r in cells]
-    return "\n".join(lines)
-
-
 def render_summary(summary: LogSummary, top: int = 10) -> str:
     """Human-readable report of a :func:`summarize` result."""
     lines: list[str] = []
@@ -370,9 +358,10 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
     else:
         lines.append("== event log (no run_meta header) ==")
     lines.append("")
-    lines.append(_table(
+    lines.append(format_table(
         ["event", "count"],
-        [[k, n] for k, n in sorted(summary.event_counts.items())]))
+        [[k, n] for k, n in sorted(summary.event_counts.items())],
+        rstrip=True))
 
     lines.append("")
     lines.append(f"evicted blocks:      {summary.evicted_blocks}")
@@ -395,10 +384,11 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
         lines.append(f"-- top thrashing blocks (of "
                      f"{sum(1 for m in summary.migrations_per_block.values() if m > 1)} "
                      f"with round trips)")
-        lines.append(_table(
+        lines.append(format_table(
             ["block", "allocation", "migrations", "round trips", "last td"],
             [[r["block"], r["allocation"], r["migrations"],
-              r["round_trips"], r["last_threshold"]] for r in thrash]))
+              r["round_trips"], r["last_threshold"]] for r in thrash],
+            rstrip=True))
     else:
         lines.append("-- no thrashing blocks (no block migrated twice)")
 
@@ -420,20 +410,20 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
                 f"{t.queued_us / 1e3:.2f}", t.throttles, t.waves,
                 f"{t.p99_wave_latency_us:.1f}" if t.completed else "-",
                 t.interference, slo_cell, t.alerts])
-        lines.append(_table(
+        lines.append(format_table(
             ["tenant", "workload", "state", "admits", "sheds",
              "queued ms", "throttles", "waves", "p99 us", "interference",
              "slo att", "alerts"],
-            rows))
+            rows, rstrip=True))
         sched = [summary.tenants[tid] for tid in sorted(summary.tenants)
                  if summary.tenants[tid].sched_seen]
         if sched:
             lines.append("")
             lines.append("-- fair scheduler: weights and carried deficit")
-            lines.append(_table(
+            lines.append(format_table(
                 ["tenant", "weight", "deficit", "waves"],
                 [[t.tenant, f"{t.weight:g}", f"{t.deficit:.3f}", t.waves]
-                 for t in sched]))
+                 for t in sched], rstrip=True))
         if summary.alert_counts or summary.service_attainment \
                 or summary.service_slo_violations:
             lines.append("")
@@ -466,7 +456,7 @@ def render_summary(summary: LogSummary, top: int = 10) -> str:
                 f"{traj[0]:.1f}" if traj else "-",
                 f"{traj[-1]:.1f}" if traj else "-",
                 t.max_threshold, t.sparkline()])
-        lines.append(_table(
+        lines.append(format_table(
             ["allocation", "decisions", "migrated", "td first", "td last",
-             "td max", "trajectory"], rows))
+             "td max", "trajectory"], rows, rstrip=True))
     return "\n".join(lines)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import time
 
-from ..inspect import LogSummary, _table, summarize
+from ...analysis.tables import format_table
+from ..inspect import LogSummary, summarize
 
 #: ANSI clear-screen + home, prefixed in follow mode.
 _CLEAR = "\x1b[2J\x1b[H"
@@ -64,10 +65,10 @@ def render_top(summary: LogSummary, path: str = "") -> str:
             f"{t.ewma_latency_us:.1f}" if t.windows else "-",
             f"{t.thrash_rate:.2f}" if t.windows else "-",
             t.slo_violations, slo_cell, t.alerts])
-    lines.append(_table(
+    lines.append(format_table(
         ["tenant", "workload", "state", "waves", "windows",
          "ewma us", "thrash/wave", "violations", "slo att", "alerts"],
-        rows))
+        rows, rstrip=True))
     for objective, (attainment, met) in sorted(
             summary.service_attainment.items()):
         lines.append(f"service {objective}: {attainment:.3f} "

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import SimulationConfig
 from ..gpu.timing import WaveTiming
-from ..stats.collector import StatsCollector
 from ..uvm.driver import WaveOutcome
 
 
@@ -23,8 +22,6 @@ class RunResult:
     timing: WaveTiming
     #: Event totals summed over all waves.
     events: WaveOutcome
-    #: Optional heavy instrumentation (histograms/traces).
-    stats: StatsCollector | None = field(default=None, repr=False)
     #: Working-set and capacity context.
     footprint_bytes: int = 0
     device_capacity_bytes: int = 0

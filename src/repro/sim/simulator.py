@@ -21,7 +21,6 @@ from ..gpu.timing import TimingModel
 from ..interconnect.pcie import PcieModel
 from ..memory.allocator import VirtualAddressSpace
 from ..obs.events import RunMeta
-from ..stats.collector import StatsCollector
 from ..uvm.driver import UvmDriver
 from ..workloads.base import Workload
 from .results import RunResult
@@ -77,14 +76,7 @@ class Simulator:
                     for a in vas.allocations)))
         pcie = PcieModel(config.interconnect, config.gpu)
         timing = TimingModel(config, pcie)
-        collector = None
-        if config.collect_page_histogram or config.collect_access_trace:
-            collector = StatsCollector(
-                vas,
-                histogram=config.collect_page_histogram,
-                trace=config.collect_access_trace,
-            )
-        engine = GpuExecutionEngine(driver, timing, collector, obs=obs)
+        engine = GpuExecutionEngine(driver, timing, obs=obs)
         total = engine.run(workload)
 
         if obs is not None and obs.metrics is not None:
@@ -102,7 +94,6 @@ class Simulator:
             total_cycles=total,
             timing=engine.total_timing,
             events=driver.stats.totals,
-            stats=collector,
             footprint_bytes=vas.footprint_bytes,
             device_capacity_bytes=driver.device.capacity_bytes,
             unique_thrashed_blocks=int(np.count_nonzero(

@@ -98,12 +98,16 @@ class TraceData:
         """Whether the trace stores every wave's per-block grouping."""
         return self.group_offsets is not None
 
-    def _layout_pages(self) -> int:
-        """Pages of the virtual address space the allocations lay out."""
+    def layout(self) -> VirtualAddressSpace:
+        """The virtual address space the allocation table lays out.
+
+        The allocator is deterministic, so its allocations hold the
+        recorded page ids.
+        """
         vas = VirtualAddressSpace()
         for name, size in zip(self.alloc_names, self.alloc_sizes):
             vas.malloc_managed(name, int(size))
-        return vas.total_pages
+        return vas
 
     def validate(self) -> None:
         """Check structural invariants of the trace.
@@ -133,7 +137,7 @@ class TraceData:
             raise ValueError("counts must be >= 1")
         if len(self.alloc_names) != self.alloc_sizes.size:
             raise ValueError("allocation table arrays must be parallel")
-        pages = self._layout_pages()
+        pages = self.layout().total_pages
         _check_ids(self.wave_offsets, self.pages, pages, "page")
         self._validate_groups(pages >> layout.BLOCK_SHIFT)
 

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .base import Category, KernelLaunch, Wave, Workload
-from .graphs import CsrGraph, make_graph
+from .graphs import CsrGraph, random_graph
 from .util import (coalesced_page_offsets_batch, edge_sectors, launch_waves,
                    ragged_ranges, sort_rows)
 
@@ -60,8 +60,8 @@ class Bfs(Workload):
     def _allocate(self, vas, rng) -> None:
         p = self.params
         # Rodinia's bfs reads no edge weights, so its graph has none.
-        self.graph = make_graph(p.num_nodes, p.avg_degree, rng,
-                                skew=p.skew, weighted=False)
+        self.graph = random_graph(p.num_nodes, p.avg_degree, rng,
+                                  skew=p.skew, weighted=False)
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
         n, m = self.graph.num_nodes, self.graph.num_edges
         # Lonestar-style layout: per-node {start, degree} struct, 64-bit

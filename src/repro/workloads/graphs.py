@@ -10,12 +10,14 @@ A graph holds only what its workload reads: sssp's graph carries edge
 weights, bfs's (Rodinia's bfs is unweighted) does not, and both draw
 from one generator stream, so a bfs traversal seeded after the build
 sees the same generator state either way.
+
+Every build draws its graph afresh: runs that share a stream share one
+recording of it (:mod:`repro.trace`), as a grid and ``repro compare``
+do, rather than a cached graph.
 """
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,50 +163,3 @@ def skip_float32_draws(rng: np.random.Generator, n: int) -> None:
         # One draw, taken from the buffer.
         state["has_uint32"] = 0
     bitgen.state = state
-
-
-#: Process-wide memo of recently built graphs, keyed by the full build
-#: recipe *including the generator state at call time*, so a hit is
-#: guaranteed to be the graph the same call would have built.  Grids
-#: record each access stream once and replay it, so they build each
-#: graph once; the memo serves the live runs that build the same graph
-#: again in one process: ``repro compare``'s four policy runs and
-#: repeated live runs of one workload, scale and seed.
-_GRAPH_MEMO: "OrderedDict[tuple, tuple[CsrGraph, dict]]" = OrderedDict()
-_GRAPH_MEMO_MAX = 4
-
-
-def _state_key(rng: np.random.Generator) -> str:
-    """Canonical string form of a generator's full state."""
-    return json.dumps(rng.bit_generator.state, sort_keys=True,
-                      default=lambda o: o.tolist())
-
-
-def make_graph(num_nodes: int, avg_degree: float,
-               rng: np.random.Generator, skew: float = 0.25,
-               weighted: bool = True) -> CsrGraph:
-    """Build the :func:`random_graph` of a workload's parameters.
-
-    Results are memoized: a second call with the same recipe *and* the
-    same generator state returns the cached (read-only) graph and
-    fast-forwards ``rng`` to the state the build would have left it in,
-    so callers are bit-identical either way.  ``weighted`` is part of
-    the recipe: a weighted and an unweighted graph never share an entry.
-    """
-    key = (int(num_nodes), float(avg_degree), float(skew), bool(weighted),
-           _state_key(rng))
-    hit = _GRAPH_MEMO.get(key)
-    if hit is not None:
-        graph, post_state = hit
-        rng.bit_generator.state = post_state
-        _GRAPH_MEMO.move_to_end(key)
-        return graph
-    graph = random_graph(num_nodes, avg_degree, rng, skew=skew,
-                         weighted=weighted)
-    for arr in (graph.ptr, graph.dst, graph.weights):
-        if arr is not None:
-            arr.flags.writeable = False
-    _GRAPH_MEMO[key] = (graph, rng.bit_generator.state)
-    while len(_GRAPH_MEMO) > _GRAPH_MEMO_MAX:
-        _GRAPH_MEMO.popitem(last=False)
-    return graph

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .base import Category, KernelLaunch, Wave, WaveBuilder, Workload
-from .graphs import CsrGraph, make_graph
+from .graphs import CsrGraph, random_graph
 from .util import (SECTORS_PER_PAGE, coalesced_page_offsets_batch,
                    edge_sectors, launch_waves, ragged_ranges, sort_rows)
 
@@ -70,8 +70,8 @@ class Sssp(Workload):
 
     def _allocate(self, vas, rng) -> None:
         p = self.params
-        self.graph = make_graph(p.num_nodes, p.avg_degree, rng,
-                                skew=p.skew, weighted=True)
+        self.graph = random_graph(p.num_nodes, p.avg_degree, rng,
+                                  skew=p.skew, weighted=True)
         self._rng = np.random.default_rng(rng.integers(0, 2**63))
         self._sweep: list[Wave] | None = None
         n, m = self.graph.num_nodes, self.graph.num_edges

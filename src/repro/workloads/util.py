@@ -75,11 +75,15 @@ def coalesced_page_offsets(byte_offsets: np.ndarray,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-relative page offsets and counts after 128B coalescing.
 
-    Like :func:`coalesced_pages` but without binding to an allocation:
-    returns page indices relative to the allocation start.  Callers that
-    scatter the *same* element offsets into several parallel allocations
-    of the same element size (e.g. a cost and a flags array indexed by
-    node id) compute this once and add each allocation's ``first_page``.
+    The GMMU observes one TLB lookup per coalesced 128-byte transaction,
+    not one per scalar load: a warp gathering eight consecutive 8-byte
+    edge records issues a single access.  This maps element byte offsets
+    to unique sectors, then counts sectors per page -- the access stream
+    the hardware access counters actually see -- as page indices
+    relative to the allocation start.  Callers that scatter the *same*
+    element offsets into several parallel allocations of the same
+    element size (e.g. a cost and a flags array indexed by node id)
+    compute this once and add each allocation's ``first_page``.
 
     One fused sort/run-compress pass: byte offsets collapse to sorted
     unique sectors, and because a sorted sector stream maps monotonically
@@ -337,21 +341,3 @@ def launch_waves(parts: list[tuple[ManagedAllocation, np.ndarray,
         lo, hi = edges[r], edges[r + 1]
         yield Wave(pages[lo:hi], is_write[lo:hi], counts[lo:hi],
                    compute_per_access * n)
-
-
-def coalesced_pages(alloc, byte_offsets: np.ndarray,
-                    accesses_per_sector: int = 1
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Pages and access counts after 128B coalescing.
-
-    The GMMU observes one TLB lookup per coalesced 128-byte transaction,
-    not one per scalar load: a warp gathering eight consecutive 8-byte
-    edge records issues a single access.  This maps element byte offsets
-    to unique sectors, then aggregates sector counts per page -- the
-    access stream the hardware access counters actually see.
-    """
-    rel_pages, counts = coalesced_page_offsets(
-        byte_offsets, accesses_per_sector)
-    if rel_pages.size == 0:
-        return rel_pages, counts
-    return alloc.first_page + rel_pages, counts

@@ -1,5 +1,7 @@
 """Integration tests for the experiment runners (figure harness)."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis import (
@@ -17,9 +19,13 @@ from repro.analysis import (
 )
 from repro.analysis.parallel import GridCell
 from repro.config import MigrationPolicy
+from repro.sim.simulator import Simulator
 
 
 SUBSET = ("fdtd", "ra")
+
+#: The committed figure tables (small scale, seed 0).
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results"
 
 
 class TestTable1:
@@ -72,6 +78,20 @@ class TestFigureRunners:
         sssp_iters = {rec.iteration for rec in data["sssp"]}
         assert sssp_iters <= {3, 5}
         assert "Figure 3" in render_figure3(data)
+
+    @pytest.mark.parametrize("figure, render, table", [
+        (figure2, render_figure2, "figure2.txt"),
+        (figure3, render_figure3, "figure3.txt")])
+    def test_stream_figures_simulate_nothing(self, figure, render, table,
+                                             monkeypatch):
+        """Figures 2 and 3 summarize recorded streams: with simulation
+        refused they still render the committed tables."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("Figures 2 and 3 simulate nothing")
+
+        monkeypatch.setattr(Simulator, "run", refuse)
+        text = render(figure(scale="small")) + "\n"
+        assert text == (RESULTS / table).read_text()
 
     def test_figure4_normalizes_to_ts8(self):
         res = figure4(scale="tiny", subset=("ra",))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import MigrationPolicy, SimulationConfig, Simulator
+from repro.analysis import allocation_totals, sample_waves
 from repro.memory.layout import MB
+from repro.trace import TraceWorkload, record_trace
 from repro.workloads import make_workload
 
 from tests.conftest import RandomWorkload, StreamWorkload
@@ -49,17 +51,20 @@ class TestFacade:
         assert run(1).total_cycles != run(2).total_cycles
 
     def test_histogram_collection(self):
-        cfg = SimulationConfig(collect_page_histogram=True)
-        r = Simulator(cfg).run(StreamWorkload(size_mb=4),
-                               oversubscription=1.0)
-        rows = r.stats.allocation_summary()
+        """A recording's allocation totals count every access the
+        simulation of its replay consumed."""
+        trace = record_trace(StreamWorkload(size_mb=4))
+        r = Simulator(SimulationConfig()).run(TraceWorkload(trace),
+                                              oversubscription=1.0)
+        rows = allocation_totals(trace)
         assert rows and rows[0]["reads"] > 0
+        assert sum(row["reads"] + row["writes"] for row in rows) \
+            == r.events.n_accesses
 
     def test_trace_collection(self):
-        cfg = SimulationConfig(collect_access_trace=True)
-        r = Simulator(cfg).run(StreamWorkload(size_mb=4, iterations=2),
-                               oversubscription=1.0)
-        iters = {rec.iteration for rec in r.stats.trace}
+        trace = record_trace(StreamWorkload(size_mb=4, iterations=2))
+        iters = {sample.iteration
+                 for sample in sample_waves(trace, range(3))}
         assert iters == {0, 1}
 
     def test_empty_workload_rejected(self):

@@ -28,17 +28,17 @@ only:
 * :func:`reference_session` runs a :class:`~repro.serve.ServeSession`
   on a :class:`ReferenceDriver`, so serve output can be compared with
   a session whose every wave takes the full pipeline.
-* :class:`ReferenceBfs` and :class:`ReferenceSssp` generate bfs and
-  sssp waves one at a time -- a sort and four coalescing calls per
-  wave, and sssp's sweep rebuilt every round -- where production
-  coalesces a whole BFS level or SSSP round in one pass.  They reuse
-  production's allocations, graph and traversal RNG, but not its
-  traversal: degrees come from ``graph.degrees()``, each round builds
-  a zeroed next mask from the deferred tail and the improved targets,
-  and sssp finds those by comparing candidates against ``dist[nbrs]``
-  (production reads edge offsets and degrees off the CSR pointers per
-  level, keeps one pending mask across rounds and compares ``dist``
-  with a copy of itself).
+* :class:`ReferenceBfs` and :class:`ReferenceSssp` generate bfs and sssp
+  waves one at a time -- a sort and four coalescing calls
+  (:func:`coalesced_pages`) per wave, and sssp's sweep rebuilt every
+  round -- where production coalesces a whole BFS level or SSSP round in
+  one pass.  They reuse production's allocations, graph and traversal
+  RNG, but not its traversal: degrees come from ``graph.degrees()``,
+  each round builds a zeroed next mask from the deferred tail and the
+  improved targets, and sssp finds those by comparing candidates against
+  ``dist[nbrs]`` (production reads edge offsets and degrees off the CSR
+  pointers per level, keeps one pending mask across rounds and compares
+  ``dist`` with a copy of itself).
 * :func:`reference_random_graph` is the uniform/skewed CSR generator
   as first written: one call draws all destinations, one temporary
   per arithmetic step, and an unweighted graph draws its weights and
@@ -81,7 +81,7 @@ from repro.workloads.bfs import Bfs
 from repro.workloads.graphs import CsrGraph
 from repro.workloads.sssp import Sssp
 from repro.workloads.util import (SECTORS_PER_PAGE, coalesced_page_offsets,
-                                  coalesced_pages, ragged_ranges)
+                                  ragged_ranges)
 
 
 _I64_MAX = np.int64(np.iinfo(np.int64).max)
@@ -504,6 +504,19 @@ def reference_session(*args, **kwargs):
     """
     with mock.patch.object(serve_session, "UvmDriver", ReferenceDriver):
         return serve_session.ServeSession(*args, **kwargs).run()
+
+
+def coalesced_pages(alloc, byte_offsets: np.ndarray,
+                    accesses_per_sector: int = 1
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Pages of ``alloc`` and access counts after 128B coalescing: the
+    per-wave :func:`~repro.workloads.util.coalesced_page_offsets` call
+    the reference workloads make for each array they touch."""
+    rel_pages, counts = coalesced_page_offsets(
+        byte_offsets, accesses_per_sector)
+    if rel_pages.size == 0:
+        return rel_pages, counts
+    return alloc.first_page + rel_pages, counts
 
 
 class ReferenceBfs(Bfs):

@@ -141,20 +141,6 @@ class TestResumeTransparency:
         for a, b in zip(baseline, resumed):
             _identical(a, b)
 
-    def test_collector_cells_always_resimulated(self, tmp_path):
-        cell = GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny",
-                        collect_histogram=True)
-        path = tmp_path / "journal.jsonl"
-        first = run_grid([cell], max_workers=1,
-                         options=GridOptions(checkpoint=str(path)))
-        # The journal must not contain the collector cell at all.
-        assert CheckpointJournal(path).load() == {}
-        again = run_grid([cell], max_workers=1,
-                         options=GridOptions(checkpoint=str(path),
-                                             resume=True))
-        _identical(first[0], again[0])
-        assert again[0].stats is not None
-
     def test_parallel_equals_serial(self):
         serial = run_grid(self.CELLS, max_workers=1)
         fanned = run_grid(self.CELLS, max_workers=2)

@@ -109,7 +109,7 @@ def test_zero_degree_nodes(name, per_wave):
     module = {"bfs": bfs_module, "sssp": sssp_module}[name]
     params = dataclasses.replace(small_params(name, per_wave),
                                  num_nodes=graph.num_nodes)
-    with mock.patch.object(module, "make_graph", return_value=graph):
+    with mock.patch.object(module, "random_graph", return_value=graph):
         workload = PAIRS[name][0](params)
         launches = _launches(workload, 0)
         edges = workload.allocations[f"{name}.edges"]

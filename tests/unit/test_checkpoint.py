@@ -1,6 +1,8 @@
 """Unit tests for the JSONL checkpoint journal."""
 
+import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
@@ -12,13 +14,15 @@ from repro.analysis.checkpoint import (
     encode_config,
     encode_result,
 )
-from repro.analysis.parallel import GridCell, run_cell
+from repro.analysis.parallel import GridCell, GridOptions, run_cell, run_grid
 from repro.config import (
     EvictionGranularity,
     MigrationPolicy,
     PrefetcherKind,
     SimulationConfig,
 )
+from repro.sim.results import RunResult
+from repro.sim.simulator import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +85,11 @@ class TestEncoding:
         assert clone.footprint_bytes == tiny_result.footprint_bytes
 
     def test_stats_not_serialized(self, tiny_result):
-        assert "stats" not in encode_result(tiny_result)
-        assert decode_result(encode_result(tiny_result)).stats is None
+        """A result is its fields, all of them serialized: no
+        instrumentation rides along to be dropped."""
+        encoded = encode_result(tiny_result)
+        assert "stats" not in encoded
+        assert set(encoded) == {f.name for f in dataclasses.fields(RunResult)}
 
 
 class TestJournal:
@@ -153,3 +160,24 @@ class TestJournal:
         loaded = CheckpointJournal(path).load()
         assert len(loaded) == 1
         assert cell_key(cell) not in loaded
+
+    def test_entry_with_retired_collector_switches_resumes(
+            self, tmp_path, tiny_result):
+        """A journal written while ``collect_histogram`` and
+        ``collect_trace`` were cell fields (journaled only when both
+        were false, with the two config switches of the same names off)
+        is served on resume: the grid simulates nothing."""
+        path = tmp_path / "journal.jsonl"
+        cell = GridCell("ra", MigrationPolicy.ADAPTIVE, 1.25, "tiny")
+        result = encode_result(tiny_result)
+        result["config"].update(collect_page_histogram=False,
+                                collect_access_trace=False)
+        record = {"cell": dict(json.loads(cell_key(cell)),
+                               collect_histogram=False, collect_trace=False),
+                  "result": result}
+        path.write_text(json.dumps(record) + "\n")
+        with mock.patch.object(Simulator, "run",
+                               side_effect=AssertionError("simulated")):
+            [served] = run_grid([cell], options=GridOptions(
+                checkpoint=str(path), resume=True))
+        assert encode_result(served) == encode_result(tiny_result)

@@ -2,10 +2,26 @@
 
 import pytest
 
+from repro import cli
 from repro.analysis.parallel import GridCell
 from repro.cli import _scenario, build_parser, main
 from repro.config import MigrationPolicy
 from repro.scenario import build_cell
+from repro.workloads import make_workload
+
+
+def _count_generations(monkeypatch, name: str) -> list:
+    """Record every ``kernels()`` call of workload ``name``'s class."""
+    cls = type(make_workload(name, "tiny"))
+    calls = []
+    kernels = cls.kernels
+
+    def counted(self):
+        calls.append(self)
+        return kernels(self)
+
+    monkeypatch.setattr(cls, "kernels", counted)
+    return calls
 
 
 class TestParser:
@@ -60,6 +76,20 @@ class TestExecution:
         assert rc == 0
         assert "access histogram" in capsys.readouterr().out
 
+    def test_histogram_leaves_the_report_unchanged(self, capsys,
+                                                   monkeypatch):
+        """--histogram appends the stream's totals to the run's own
+        report, from a stream generated once."""
+        argv = ["run", "sssp", "--scale", "tiny", "--oversub", "1.25"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        calls = _count_generations(monkeypatch, "sssp")
+        assert main([*argv, "--histogram"]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        assert out.startswith(plain)
+        assert "sssp.dist" in out[len(plain):]
+
     def test_run_with_options(self, capsys):
         rc = main(["run", "ra", "--scale", "tiny", "--policy", "always",
                    "--evict", "64kb", "--prefetcher", "sequential",
@@ -72,6 +102,22 @@ class TestExecution:
         out = capsys.readouterr().out
         for policy in ("disabled", "always", "oversub", "adaptive"):
             assert policy in out
+
+    @pytest.mark.parametrize("name", ["bfs", "sssp"])
+    def test_compare_generates_its_stream_once(self, name, capsys,
+                                               monkeypatch):
+        """compare replays one recording under all four policies and
+        prints the table of four live runs."""
+        calls = _count_generations(monkeypatch, name)
+        assert main(["compare", name, "--scale", "tiny"]) == 0
+        replayed = capsys.readouterr().out
+        assert len(calls) == 1
+        # Without the recording every policy's run generates the stream.
+        monkeypatch.setattr(cli, "record_trace", lambda wl, seed: wl)
+        monkeypatch.setattr(cli, "TraceWorkload", lambda wl: wl)
+        assert main(["compare", name, "--scale", "tiny"]) == 0
+        assert len(calls) == 1 + 4
+        assert capsys.readouterr().out == replayed
 
     def test_compare_honours_sim_flags(self, capsys):
         """compare's adaptive row is the run of the same flags."""

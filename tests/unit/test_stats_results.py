@@ -1,81 +1,95 @@
-"""Unit tests for the stats collector, run results and table rendering."""
+"""Unit tests for recorded-stream summaries, run results and tables."""
 
 import numpy as np
 import pytest
 
+from repro.analysis import allocation_totals, sample_waves
+from repro.analysis.experiments import WAVE_SAMPLE
 from repro.analysis.tables import ascii_bar_chart, comparison_table, format_table
-from repro.config import MigrationPolicy, SimulationConfig
+from repro.config import SimulationConfig
 from repro.gpu.timing import WaveTiming
-from repro.memory.allocator import VirtualAddressSpace
-from repro.memory.layout import CHUNK_SIZE
+from repro.memory.layout import CHUNK_SIZE, PAGE_SIZE
 from repro.sim.results import RunResult
-from repro.stats.collector import StatsCollector
+from repro.trace import record_trace
 from repro.uvm.driver import WaveOutcome
+from repro.workloads.base import Category, KernelLaunch, Wave, Workload
 
 
-@pytest.fixture
-def vas():
-    v = VirtualAddressSpace()
-    v.malloc_managed("hot", CHUNK_SIZE)
-    v.malloc_managed("cold", CHUNK_SIZE, read_only=True)
-    return v
+class _Waves(Workload):
+    """A hot and a cold (read-only) 2MB allocation; each wave given is
+    one launch, whose iteration is its position."""
+
+    name = "waves"
+    category = Category.REGULAR
+
+    def __init__(self, *waves: Wave) -> None:
+        super().__init__()
+        self._waves = waves
+
+    def _allocate(self, vas, rng) -> None:
+        self.hot = self._register(vas.malloc_managed("hot", CHUNK_SIZE))
+        self.cold = self._register(
+            vas.malloc_managed("cold", CHUNK_SIZE, read_only=True))
+
+    def kernels(self):
+        for i, wave in enumerate(self._waves):
+            yield KernelLaunch("k", i, lambda wave=wave: iter([wave]))
+
+
+def _totals(*waves: Wave) -> dict[str, dict]:
+    return {row["name"]: row
+            for row in allocation_totals(record_trace(_Waves(*waves)))}
 
 
 class TestCollector:
-    def test_histogram_accumulates(self, vas):
-        c = StatsCollector(vas, histogram=True)
-        pages = np.array([0, 0, 1])
-        writes = np.array([False, True, False])
-        c.on_wave("k", 0, 0.0, pages, writes)
-        assert c.page_reads[0] == 1
-        assert c.page_writes[0] == 1
-        assert c.page_reads[1] == 1
+    """What Figures 2 and 3 collect from a recorded stream."""
 
-    def test_histogram_respects_counts(self, vas):
-        c = StatsCollector(vas, histogram=True)
-        c.on_wave("k", 0, 0.0, np.array([2]), np.array([False]),
-                  counts=np.array([32]))
-        assert c.page_reads[2] == 32
+    def test_histogram_accumulates(self):
+        rows = _totals(Wave(np.array([0, 0, 1]),
+                            np.array([False, True, False])),
+                       Wave.reads(np.array([1])))
+        assert rows["hot"]["reads"] == 3
+        assert rows["hot"]["writes"] == 1
+        assert rows["cold"]["reads"] == rows["cold"]["writes"] == 0
 
-    def test_allocation_histogram(self, vas):
-        c = StatsCollector(vas, histogram=True)
-        hot = vas.allocations[0]
-        c.on_wave("k", 0, 0.0, np.array([hot.first_page]),
-                  np.array([True]))
-        h = c.allocation_histogram("hot")
-        assert h["writes"][0] == 1
-        assert h["reads"].sum() == 0
+    def test_histogram_respects_counts(self):
+        rows = _totals(Wave.reads(np.array([2]), 32),
+                       Wave.writes(np.array([2, 3]), np.array([5, 7])))
+        assert rows["hot"]["reads"] == 32
+        assert rows["hot"]["writes"] == 12
 
-    def test_allocation_summary_classifies_ro(self, vas):
-        c = StatsCollector(vas, histogram=True)
-        cold = vas.allocations[1]
-        c.on_wave("k", 0, 0.0, np.array([cold.first_page]),
-                  np.array([False]))
-        rows = {r["name"]: r for r in c.allocation_summary()}
-        assert rows["cold"]["read_only"]
-        assert rows["cold"]["reads"] == 1
+    def test_allocation_histogram(self):
+        first_cold = CHUNK_SIZE // PAGE_SIZE
+        rows = _totals(Wave.writes(np.array([0])),
+                       Wave.reads(np.array([first_cold, first_cold + 1])))
+        assert rows["hot"]["pages"] == rows["cold"]["pages"] == first_cold
+        assert (rows["hot"]["reads"], rows["hot"]["writes"]) == (0, 1)
+        assert (rows["cold"]["reads"], rows["cold"]["writes"]) == (2, 0)
+        assert rows["cold"]["accesses_per_page"] == 2 / first_cold
 
-    def test_histogram_disabled_raises(self, vas):
-        c = StatsCollector(vas)
-        with pytest.raises(RuntimeError):
-            c.allocation_summary()
+    def test_allocation_summary_classifies_ro(self):
+        rows = _totals(Wave.reads(np.array([CHUNK_SIZE // PAGE_SIZE])),
+                       Wave.writes(np.array([0])))
+        # Read-only means nothing wrote it, whatever the allocation flag.
+        assert rows["cold"]["read_only"] and rows["cold"]["reads"] == 1
+        assert not rows["hot"]["read_only"]
 
-    def test_trace_sampling_caps_size(self, vas):
-        c = StatsCollector(vas, trace=True, trace_sample=8)
-        pages = np.arange(100, dtype=np.int64)
-        c.on_wave("k", 3, 42.0, pages, np.zeros(100, dtype=bool))
-        assert len(c.trace) == 1
-        rec = c.trace[0]
-        assert rec.pages.size == 8
-        assert rec.kernel == "k" and rec.iteration == 3
-        assert rec.cycle == 42.0
-
-    def test_kernel_stats(self, vas):
-        c = StatsCollector(vas)
-        c.on_kernel_end("k1", 100.0, 10)
-        c.on_kernel_end("k1", 50.0, 5)
-        assert c.kernels["k1"].cycles == 150.0
-        assert c.kernels["k1"].launches == 2
+    def test_trace_sampling_caps_size(self):
+        pages = np.arange(2 * WAVE_SAMPLE, dtype=np.int64)
+        trace = record_trace(_Waves(
+            Wave.reads(pages[:8]), Wave.reads(pages[:0]),
+            Wave(pages, pages % 3 == 0), Wave.writes(pages[:4])))
+        samples = sample_waves(trace, iterations=(0, 1, 2))
+        # The empty wave (iteration 1) is skipped; iteration 3 is not
+        # wanted.
+        assert [(s.wave, s.iteration) for s in samples] == [(0, 0), (2, 2)]
+        assert samples[0].kernel == "k"
+        np.testing.assert_array_equal(samples[0].pages, pages[:8])
+        big = samples[1]
+        pick = np.linspace(0, pages.size - 1, WAVE_SAMPLE, dtype=np.int64)
+        np.testing.assert_array_equal(big.pages, pages[pick])
+        np.testing.assert_array_equal(big.is_write, pages[pick] % 3 == 0)
+        assert len(sample_waves(trace, range(4))) == 3
 
 
 class TestRunResult:

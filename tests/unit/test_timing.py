@@ -47,14 +47,6 @@ class TestPcieModel:
         assert pcie.fault_handling_cycles(batch + 1) == \
             2 * pcie.fault_batch_cycles
 
-    def test_traffic_accounting(self, pcie):
-        pcie.migration_cycles(2)
-        pcie.writeback_cycles(1)
-        pcie.remote_cycles(5)
-        assert pcie.h2d_bytes == 2 * BASIC_BLOCK_SIZE
-        assert pcie.d2h_bytes == BASIC_BLOCK_SIZE
-        assert pcie.remote_bytes == 5 * pcie.config.remote_transaction_bytes
-
     def test_remote_access_slower_than_local_but_much_cheaper_than_block(
             self, pcie):
         assert pcie.remote_access_cycles > 1
@@ -96,8 +88,7 @@ class TestTimingModel:
             1000 * tc.compute_cycles_per_access + tc.wave_overhead_cycles)
 
     def test_wave_total_cycles_matches_breakdown(self, timing):
-        # The scalar serve charge is wave_cycles' total, with the same
-        # PCIe traffic accounting side effects.
+        # The scalar serve charge is wave_cycles' total.
         outcomes = [
             WaveOutcome(n_accesses=100, n_local=100),
             WaveOutcome(n_accesses=50, n_local=20, n_remote=30,
@@ -109,15 +100,8 @@ class TestTimingModel:
         ]
         for out in outcomes:
             for cc in (None, 123.0):
-                pcie_a = PcieModel(InterconnectConfig(), GpuConfig())
-                pcie_b = PcieModel(InterconnectConfig(), GpuConfig())
-                full = TimingModel(SimulationConfig(), pcie_a)
-                fast = TimingModel(SimulationConfig(), pcie_b)
-                assert (fast.wave_total_cycles(out, cc)
-                        == full.wave_cycles(out, cc).total)
-                assert pcie_b.h2d_bytes == pcie_a.h2d_bytes
-                assert pcie_b.d2h_bytes == pcie_a.d2h_bytes
-                assert pcie_b.remote_bytes == pcie_a.remote_bytes
+                assert (timing.wave_total_cycles(out, cc)
+                        == timing.wave_cycles(out, cc).total)
 
     def test_merge_accumulates(self):
         a = WaveTiming(compute=1, local=2, total=3)

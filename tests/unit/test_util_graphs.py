@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -12,19 +11,17 @@ from repro.memory.allocator import VirtualAddressSpace
 from repro.memory.layout import CHUNK_SIZE
 from repro.workloads import graphs
 from repro.workloads.bfs import PRESETS as BFS_PRESETS, Bfs
-from repro.workloads.graphs import (make_graph, random_graph,
-                                    skip_float32_draws)
+from repro.workloads.graphs import random_graph, skip_float32_draws
 from repro.workloads.sssp import PRESETS as SSSP_PRESETS, Sssp
 from repro.workloads.util import (
     SECTORS_PER_PAGE,
     coalesced_page_offsets,
     coalesced_page_offsets_batch,
-    coalesced_pages,
     dedupe_with_counts,
     ragged_ranges,
 )
 
-from tests.oracle import reference_random_graph
+from tests.oracle import coalesced_pages, reference_random_graph
 
 
 class TestRaggedRanges:
@@ -409,30 +406,3 @@ class TestSkipFloat32Draws:
             skip_float32_draws(rng, 10)
         with pytest.raises(TypeError, match="MT19937"):
             random_graph(100, 4.0, rng, weighted=False)
-
-
-class TestGraphMemo:
-    @pytest.fixture(autouse=True)
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_GRAPH_MEMO", OrderedDict())
-
-    def test_weighted_and_unweighted_never_alias(self):
-        weighted_rng, plain_rng = (np.random.default_rng(7)
-                                   for _ in range(2))
-        weighted = make_graph(3000, 4.0, weighted_rng, weighted=True)
-        plain = make_graph(3000, 4.0, plain_rng, weighted=False)
-        assert plain is not weighted
-        assert plain.weights is None
-        assert weighted.weights is not None
-        assert _states_equal(weighted_rng, plain_rng)
-        assert len(graphs._GRAPH_MEMO) == 2
-
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_hit_fast_forwards_the_generator(self, weighted):
-        first_rng, again_rng = (np.random.default_rng(8)
-                                for _ in range(2))
-        first = make_graph(3000, 4.0, first_rng, weighted=weighted)
-        again = make_graph(3000, 4.0, again_rng, weighted=weighted)
-        assert again is first
-        assert _states_equal(first_rng, again_rng)
-        assert not first.dst.flags.writeable
